@@ -2,13 +2,14 @@
 
    Part 1 prints deterministic experiment tables (simulated-network latency,
    message and byte counts) for the paper's worked examples E1–E5 and for
-   the performance claims P1–P14. Part 2 runs a Bechamel wall-clock suite
-   over the processing pipeline (parse, expand, translate, execute). The
-   perf-critical tables (P4, P9–P14) are also recorded in BENCH_perf.json.
+   the performance claims P1–P15 (P12 and P13 are retired). Part 2 runs a
+   Bechamel wall-clock suite over the processing pipeline (parse, expand,
+   translate, execute). The perf-critical tables (P4, P9–P11, P14, P15) are
+   also recorded in BENCH_perf.json.
 
    Run with:  dune exec bench/main.exe
    CI smoke:  dune exec bench/main.exe -- --perf-smoke
-              (P4/P9/P10/P11/P12/P13/P14)
+              (P4/P9/P10/P11/P14/P15)
    Profiling: dune exec bench/main.exe -- --p10-one CONFIG[,CONFIG...]
               (single P10 configuration; P10_ROWS / P10_N override size) *)
 
@@ -800,364 +801,6 @@ let p11_assert_smoke (recommended, rows_out) =
      commit phase %.2f < %.2f ms\n"
     base.p11_phase_ms p11_serial_phase_est
 
-(* ---- P12: partitioned parallel hash join (intra-operator) ----------------- *)
-
-(* The rows x widths grid for Relation.parallel_hash_join: every cell is
-   best-of-reps wall time plus output rows per second, and every parallel
-   result is asserted byte-identical (rows and order) to the sequential
-   hash_join before it is timed. Pools come from Taskpool.create — private
-   widths 1/2/4, spawned once for the whole grid and shut down at the
-   end — so the numbers measure the join, not domain startup. *)
-
-type p12_row = {
-  p12_rows : int;  (* per side *)
-  p12_width : int;  (* pool width, counting the caller *)
-  p12_partitions : int;  (* partitions actually used (data-dependent) *)
-  p12_ns : float;  (* best of reps *)
-  p12_out_rows : int;
-  p12_rows_per_s : float;  (* output rows / best wall time *)
-  p12_speedup : float;  (* sequential hash_join time / this cell's time *)
-}
-
-let p12_sides n =
-  let col = Schema.column in
-  (* ~4 matches per probe row, skew-free; keys are Ints so the class
-     prefixes exercise the common path *)
-  let build =
-    Relation.make
-      [ col "b" Ty.Int; col "bk" Ty.Int ]
-      (List.init n (fun i -> [| Value.Int i; Value.Int (i * 7 mod n) |]))
-  and probe =
-    Relation.make
-      [ col "p" Ty.Int; col "pk" Ty.Int ]
-      (List.init n (fun i -> [| Value.Int i; Value.Int (i mod (max 1 (n / 4))) |]))
-  in
-  (probe, build)
-
-let p12_parallel_join ?(sizes = [ 20_000; 60_000 ]) ?(reps = 3) () =
-  header "P12: partitioned parallel hash join (rows x pool width, wall time)";
-  let recommended = Domain.recommended_domain_count () in
-  Printf.printf "(machine reports %d recommended domain(s))\n" recommended;
-  Printf.printf "%-10s %-7s %11s %12s %14s %9s\n" "rows/side" "width"
-    "partitions" "join ms" "out rows/s" "speedup";
-  let widths = [ 1; 2; 4 ] in
-  let pools =
-    List.map (fun w -> (w, Taskpool.create ~domains:w)) widths
-  in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun (_, p) -> Taskpool.shutdown p) pools)
-  @@ fun () ->
-  let grid =
-    List.concat_map
-      (fun n ->
-        let a, b = p12_sides n in
-        let keys = [ (1, 1) ] in
-        let seq = Relation.hash_join a b ~keys in
-        let out_rows = Relation.cardinality seq in
-        let seq_ns =
-          let t = ref infinity in
-          for _ = 1 to reps do
-            t := Float.min !t (time_once_ns (fun () -> Relation.hash_join a b ~keys))
-          done;
-          !t
-        in
-        (* same data-dependent partition count the executor would pick *)
-        let partitions = min 8 (max 2 (n / 4096)) in
-        List.map
-          (fun (w, pool) ->
-            let r, stats =
-              Relation.parallel_hash_join ~pool ~partitions a b ~keys
-            in
-            if not (Relation.equal r seq) then begin
-              Printf.eprintf
-                "P12 FAILED: parallel join at width %d diverges from \
-                 sequential (%d rows)\n"
-                w n;
-              exit 1
-            end;
-            let ns =
-              let t = ref infinity in
-              for _ = 1 to reps do
-                t :=
-                  Float.min !t
-                    (time_once_ns (fun () ->
-                         Relation.parallel_hash_join ~pool ~partitions a b
-                           ~keys))
-              done;
-              !t
-            in
-            let row =
-              {
-                p12_rows = n;
-                p12_width = w;
-                p12_partitions = stats.Relation.pj_partitions;
-                p12_ns = ns;
-                p12_out_rows = out_rows;
-                p12_rows_per_s = float_of_int out_rows /. (ns /. 1e9);
-                p12_speedup = seq_ns /. ns;
-              }
-            in
-            Printf.printf "%-10d %-7d %11d %12.2f %14.0f %8.2fx\n" n w
-              row.p12_partitions (ns /. 1e6) row.p12_rows_per_s
-              row.p12_speedup;
-            row)
-          pools)
-      sizes
-  in
-  (* byte-identity across widths was asserted cell by cell against the
-     sequential join; on a >= 4-core machine the wide path must also not
-     be a pessimization at the largest size *)
-  (if recommended >= 4 then
-     let big = List.hd (List.rev sizes) in
-     let cell =
-       List.find (fun r -> r.p12_rows = big && r.p12_width = 4) grid
-     in
-     if cell.p12_speedup < 1.0 then begin
-       Printf.eprintf
-         "P12 smoke FAILED: %.2fx at width 4, %d rows on a %d-core machine \
-          (wanted >= 1.0x)\n"
-         cell.p12_speedup big recommended;
-       exit 1
-     end
-   else
-     Printf.printf
-       "P12: speedup assertion skipped (%d recommended domain(s) < 4)\n"
-       recommended);
-  Printf.printf "P12 assertion passed: parallel output identical to \
-                 sequential at every cell\n";
-  grid
-
-(* ---- P13: columnar batch kernels vs the row-at-a-time data plane ----------------- *)
-
-(* The batched data plane's three claims, measured: (a) the typed-column
-   kernels (scan, compiled filter, hash join) beat the row-at-a-time path
-   by a wide margin at 10^6 rows; (b) they produce byte-identical results;
-   (c) the chunk-streamed MOVE charges exactly the traffic and virtual
-   time of the old single-message shipment. *)
-
-type p13_row = {
-  p13_op : string;
-  p13_rows : int;
-  p13_row_ns : float;  (* row-at-a-time path, best of reps *)
-  p13_batch_ns : float;  (* batch kernel, best of reps *)
-}
-
-let p13_speedup r = r.p13_row_ns /. r.p13_batch_ns
-let p13_rate rows ns = float_of_int rows /. (ns /. 1e9)
-
-(* best-of-reps with a full collection before each attempt: the kernels
-   allocate tens of MB per pass, so without it a rep's time is dominated
-   by the major GC debt of the previous one *)
-let p13_best reps f =
-  let t = ref infinity in
-  for _ = 1 to reps do
-    Gc.full_major ();
-    t := Float.min !t (time_once_ns f)
-  done;
-  !t
-
-(* one wide table covering the column classes the batch layer vectorizes,
-   with NULLs sprinkled in so the null bitmaps are on the hot path *)
-let p13_table n =
-  let col = Schema.column in
-  Relation.make
-    [ col "id" Ty.Int; col "price" Ty.Float; col ~width:10 "origin" Ty.Str;
-      col "qty" Ty.Int ]
-    (List.init n (fun i ->
-         [| Value.Int i;
-            (if i mod 97 = 0 then Value.Null
-             else Value.Float (float_of_int (i mod 1000) /. 10.));
-            Value.Str (if i mod 2 = 0 then "domestic" else "imported");
-            Value.Int (1 + (i mod 5)) |]))
-
-(* scan: sum a column. Row path walks the row list re-boxing every field;
-   the batch path strides one int array under its null bitmap. *)
-let p13_scan ~reps rel n =
-  let batch = Relation.to_batch rel in
-  let row_sum () =
-    List.fold_left
-      (fun acc row ->
-        match Row.get row 3 with Value.Int v -> acc + v | _ -> acc)
-      0 (Relation.rows rel)
-  in
-  let batch_sum () =
-    match batch.Batch.cols.(3).Batch.data with
-    | Batch.Ints a ->
-        let nulls = batch.Batch.cols.(3).Batch.nulls in
-        let acc = ref 0 in
-        for i = 0 to n - 1 do
-          if not (Batch.mask_get nulls i) then
-            acc := !acc + Array.unsafe_get a i
-        done;
-        !acc
-    | _ -> failwith "P13: qty column did not vectorize to Ints"
-  in
-  if row_sum () <> batch_sum () then begin
-    Printf.eprintf "P13 FAILED: scan sums disagree\n";
-    exit 1
-  end;
-  {
-    p13_op = "scan";
-    p13_rows = n;
-    p13_row_ns = p13_best reps (fun () -> row_sum ());
-    p13_batch_ns = p13_best reps (fun () -> batch_sum ());
-  }
-
-(* filter: the interpreted WHERE walk (fresh environment per row, exactly
-   the executor's fallback) vs the compiled batch kernel + gather *)
-let p13_filter ~reps rel n =
-  let pred =
-    let open Sqlfront.Ast in
-    Binop
-      ( And,
-        Binop (Lt, col "price", lit_float 50.0),
-        Binop (Eq, col "origin", lit_str "domestic") )
-  in
-  let schema = Relation.schema rel in
-  let ctx =
-    {
-      Ldbms.Eval.subquery = (fun _ _ -> failwith "P13: no subqueries");
-      agg = None;
-    }
-  in
-  let row_filter () =
-    List.filter
-      (fun row ->
-        Ldbms.Eval.truthy
-          (Ldbms.Eval.eval ctx (Ldbms.Eval.env schema row) pred))
-      (Relation.rows rel)
-  in
-  let batch = Relation.to_batch rel in
-  let kernel =
-    match Ldbms.Compile.compile_batch batch pred with
-    | Some k -> k
-    | None -> failwith "P13: predicate not covered by the batch compiler"
-  in
-  let batch_filter () =
-    let keep, _unknown = kernel 0 n in
-    Batch.filter keep batch
-  in
-  if row_filter () <> Batch.to_rows (batch_filter ()) then begin
-    Printf.eprintf "P13 FAILED: compiled filter diverges from interpreter\n";
-    exit 1
-  end;
-  {
-    p13_op = "filter";
-    p13_rows = n;
-    p13_row_ns = p13_best reps (fun () -> row_filter ());
-    p13_batch_ns = p13_best reps (fun () -> batch_filter ());
-  }
-
-(* hash join: the generic string-keyed row join vs the int-keyed column
-   kernel (p12's shape: Int keys, ~one match per probe row) *)
-let p13_join ~reps n =
-  let a, b = p12_sides n in
-  let keys = [ (1, 1) ] in
-  let seq = Relation.hash_join a b ~keys in
-  let ba = Relation.to_batch a and bb = Relation.to_batch b in
-  if not (Relation.equal (Relation.of_batch (Batch.hash_join ba bb ~keys)) seq)
-  then begin
-    Printf.eprintf "P13 FAILED: batch join diverges from row join\n";
-    exit 1
-  end;
-  {
-    p13_op = "hash_join";
-    p13_rows = n;
-    p13_row_ns = p13_best reps (fun () -> Relation.hash_join a b ~keys);
-    p13_batch_ns = p13_best reps (fun () -> Batch.hash_join ba bb ~keys);
-  }
-
-(* MOVE: the same naive-shipping program executed with the monolithic
-   single-message path and with chunk streaming. Streaming sits below the
-   accounting granularity, so bytes, messages and virtual time must be
-   exactly equal — the smoke check for the size accounting. *)
-let p13_move ~rows () =
-  let run ~chunk_rows =
-    let session, world = p4_setup rows in
-    Narada.Lam.set_move_streaming ~chunk_rows ~window:4 ();
-    Netsim.World.reset_stats world;
-    Netsim.World.reset_clock world;
-    let t0 = Unix.gettimeofday () in
-    (match
-       Narada.Engine.run_text
-         ~directory:(M.directory session)
-         ~world (p4_naive_program 100)
-     with
-    | Ok _ -> ()
-    | Error m -> failwith m);
-    let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-    let st = Netsim.World.stats world in
-    ( wall_ns,
-      st.Netsim.World.bytes_moved,
-      st.Netsim.World.messages,
-      Netsim.World.now_ms world )
-  in
-  let mono_ns, mono_bytes, mono_msgs, mono_ms = run ~chunk_rows:0 in
-  let chunk_ns, chunk_bytes, chunk_msgs, chunk_ms = run ~chunk_rows:512 in
-  Narada.Lam.set_move_streaming ~chunk_rows:512 ~window:4 ();
-  if chunk_bytes <> mono_bytes || chunk_msgs <> mono_msgs then begin
-    Printf.eprintf
-      "P13 smoke FAILED: chunked MOVE charged %d bytes / %d msgs, \
-       monolithic %d bytes / %d msgs\n"
-      chunk_bytes chunk_msgs mono_bytes mono_msgs;
-    exit 1
-  end;
-  if chunk_ms <> mono_ms then begin
-    Printf.eprintf
-      "P13 smoke FAILED: chunked MOVE virtual time %.4f ms <> monolithic \
-       %.4f ms\n"
-      chunk_ms mono_ms;
-    exit 1
-  end;
-  Printf.printf
-    "P13 assertion passed: chunked MOVE charges exactly the monolithic \
-     traffic (%d bytes, %d msgs, %.2f virtual ms)\n"
-    chunk_bytes chunk_msgs chunk_ms;
-  { p13_op = "move"; p13_rows = rows; p13_row_ns = mono_ns;
-    p13_batch_ns = chunk_ns }
-
-let p13_batch_kernels ?(rows = 1_000_000) ?(move_rows = 20_000) ?(reps = 3) ()
-    =
-  header "P13: columnar batch kernels vs row-at-a-time (wall time)";
-  Printf.printf "%-10s %9s %14s %14s %14s %14s %9s\n" "op" "rows" "row ns"
-    "batch ns" "row rows/s" "batch rows/s" "speedup";
-  let rel = p13_table rows in
-  let grid =
-    [
-      p13_scan ~reps rel rows;
-      p13_filter ~reps rel rows;
-      p13_join ~reps rows;
-      p13_move ~rows:move_rows ();
-    ]
-  in
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %9d %14.0f %14.0f %14.0f %14.0f %8.2fx\n" r.p13_op
-        r.p13_rows r.p13_row_ns r.p13_batch_ns
-        (p13_rate r.p13_rows r.p13_row_ns)
-        (p13_rate r.p13_rows r.p13_batch_ns)
-        (p13_speedup r))
-    grid;
-  (* the acceptance gate: the compiled filter and the join kernel must be
-     at least 3x the row path at 10^6 rows (the MOVE does identical work
-     either way, so it carries no speedup requirement) *)
-  List.iter
-    (fun r ->
-      if
-        (String.equal r.p13_op "filter" || String.equal r.p13_op "hash_join")
-        && p13_speedup r < 3.0
-      then begin
-        Printf.eprintf "P13 smoke FAILED: %s at %d rows is %.2fx (wanted >= \
-                        3.0x)\n"
-          r.p13_op r.p13_rows (p13_speedup r);
-        exit 1
-      end)
-    grid;
-  Printf.printf
-    "P13 assertion passed: batch kernels byte-identical to the row path, \
-     filter and join >= 3x\n";
-  grid
-
 (* ---- P14: concurrent multi-session server -------------------------------------- *)
 
 module Srv = Msql.Server
@@ -1511,7 +1154,7 @@ let p15_assert_smoke p15 =
 
 (* machine-readable record of the perf-critical experiments, consumed by
    the CI bench-smoke step *)
-let write_perf_json ~path p4 p9 p10 p11 p12 p13 p14 p15 =
+let write_perf_json ~path p4 p9 p10 p11 p14 p15 =
   let oc = open_out path in
   let p4_json r =
     Printf.sprintf
@@ -1537,20 +1180,6 @@ let write_perf_json ~path p4 p9 p10 p11 p12 p13 p14 p15 =
       r.p11_domains r.p11_wall_ms r.p11_virt_ms
       (p11_base.p11_wall_ms /. r.p11_wall_ms)
       r.p11_msgs r.p11_bytes r.p11_buf_hits
-  in
-  let p12_json r =
-    Printf.sprintf
-      {|    {"rows": %d, "width": %d, "partitions": %d, "join_ns": %.0f, "out_rows_per_sec": %.0f, "speedup_vs_seq": %.2f}|}
-      r.p12_rows r.p12_width r.p12_partitions r.p12_ns r.p12_rows_per_s
-      r.p12_speedup
-  in
-  let p13_json r =
-    Printf.sprintf
-      {|    {"op": "%s", "rows": %d, "row_ns": %.0f, "batch_ns": %.0f, "row_rows_per_sec": %.0f, "batch_rows_per_sec": %.0f, "speedup": %.2f}|}
-      r.p13_op r.p13_rows r.p13_row_ns r.p13_batch_ns
-      (p13_rate r.p13_rows r.p13_row_ns)
-      (p13_rate r.p13_rows r.p13_batch_ns)
-      (p13_speedup r)
   in
   let p14_json r =
     Printf.sprintf
@@ -1587,12 +1216,6 @@ let write_perf_json ~path p4 p9 p10 p11 p12 p13 p14 p15 =
      %s\n\
     \    ]\n\
     \  },\n\
-    \  \"p12_parallel_join\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"p13_batch\": [\n\
-     %s\n\
-    \  ],\n\
     \  \"p14_server\": [\n\
      %s\n\
     \  ],\n\
@@ -1608,8 +1231,6 @@ let write_perf_json ~path p4 p9 p10 p11 p12 p13 p14 p15 =
     (String.concat ",\n" (List.map p10_json p10))
     p11_recommended p11_base.p11_phase_ms p11_serial_phase_est
     (String.concat ",\n" (List.map p11_json p11_rows))
-    (String.concat ",\n" (List.map p12_json p12))
-    (String.concat ",\n" (List.map p13_json p13))
     (String.concat ",\n" (List.map p14_json p14))
     (p15_off.p15_virt_ms /. p15_on.p15_virt_ms)
     (String.concat ",\n" (List.map p15_json p15));
@@ -1925,10 +1546,6 @@ let () =
     p10_assert_smoke p10;
     let p11 = p11_domain_pool ~rows:400 ~reps:2 () in
     p11_assert_smoke p11;
-    let p12 = p12_parallel_join ~sizes:[ 20_000 ] ~reps:2 () in
-    (* full-size kernels even in smoke: the 3x acceptance gate is about
-       the 10^6-row regime, not a scaled-down proxy *)
-    let p13 = p13_batch_kernels ~move_rows:5_000 ~reps:2 () in
     (* reduced P14: the serial-vs-concurrent equality gate is what the CI
        domain matrix is after; the throughput grid shrinks with it *)
     let p14 = p14_server ~rows:500 ~per_client:15 () in
@@ -1936,7 +1553,7 @@ let () =
        fleet width, so the smoke fleet shrinks with the rest *)
     let p15 = p15_dataflow ~n:6 ~reps:2 () in
     p15_assert_smoke p15;
-    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p11 p12 p13 p14 p15;
+    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p11 p14 p15;
     write_metrics_json ~path:"BENCH_metrics.json";
     print_newline ()
   end
@@ -1955,12 +1572,10 @@ let () =
     p10_assert_smoke p10;
     let p11 = p11_domain_pool () in
     p11_assert_smoke p11;
-    let p12 = p12_parallel_join () in
-    let p13 = p13_batch_kernels () in
     let p14 = p14_server () in
     let p15 = p15_dataflow () in
     p15_assert_smoke p15;
-    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p11 p12 p13 p14 p15;
+    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p11 p14 p15;
     write_metrics_json ~path:"BENCH_metrics.json";
     run_bechamel ();
     print_newline ()

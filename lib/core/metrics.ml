@@ -70,11 +70,6 @@ type t = {
   mutable moved_bytes : int;
   mutable moves_reduced : int;
   mutable moves_cached : int;
-  (* intra-operator parallelism at the sites (deterministic across pool
-     widths: partition counts are a pure function of the data) *)
-  mutable par_joins : int;
-  mutable par_filters : int;
-  mutable par_partitions : int;
   (* dataflow scheduler: planning-side DAG shape (folded when the pass
      regroups a program) and execution-side wave accounting (folded from
      Wave trace events; virtual, so width-invariant) *)
@@ -118,9 +113,6 @@ let create () =
     moved_bytes = 0;
     moves_reduced = 0;
     moves_cached = 0;
-    par_joins = 0;
-    par_filters = 0;
-    par_partitions = 0;
     dataflow_nodes = 0;
     dataflow_edges = 0;
     dataflow_waves_planned = 0;
@@ -163,9 +155,6 @@ let add dst src =
   dst.moved_bytes <- dst.moved_bytes + src.moved_bytes;
   dst.moves_reduced <- dst.moves_reduced + src.moves_reduced;
   dst.moves_cached <- dst.moves_cached + src.moves_cached;
-  dst.par_joins <- dst.par_joins + src.par_joins;
-  dst.par_filters <- dst.par_filters + src.par_filters;
-  dst.par_partitions <- dst.par_partitions + src.par_partitions;
   dst.dataflow_nodes <- dst.dataflow_nodes + src.dataflow_nodes;
   dst.dataflow_edges <- dst.dataflow_edges + src.dataflow_edges;
   dst.dataflow_waves_planned <-
@@ -211,9 +200,6 @@ let reset m =
   m.moved_bytes <- 0;
   m.moves_reduced <- 0;
   m.moves_cached <- 0;
-  m.par_joins <- 0;
-  m.par_filters <- 0;
-  m.par_partitions <- 0;
   m.dataflow_nodes <- 0;
   m.dataflow_edges <- 0;
   m.dataflow_waves_planned <- 0;
@@ -251,10 +237,6 @@ let observe m (ev : Narada.Trace.event) =
   | Narada.Trace.Conflict _ -> m.ww_conflicts <- m.ww_conflicts + 1
   | Narada.Trace.Conflict_abort _ ->
       m.conflict_aborts <- m.conflict_aborts + 1
-  | Narada.Trace.Parallel { op; partitions; _ } ->
-      if String.equal op "join" then m.par_joins <- m.par_joins + 1
-      else m.par_filters <- m.par_filters + 1;
-      m.par_partitions <- m.par_partitions + partitions
   | Narada.Trace.Wave { branches; crit_ms; serial_ms } ->
       m.dataflow_waves <- m.dataflow_waves + 1;
       m.dataflow_wave_branches <- m.dataflow_wave_branches + branches;
@@ -339,9 +321,6 @@ let to_json m ~world ~cache =
     "    \"moves\": {\"count\": %d, \"rows\": %d, \"bytes\": %d, \
      \"semijoin_reduced\": %d, \"cache_hits\": %d},\n"
     m.moves m.moved_rows m.moved_bytes m.moves_reduced m.moves_cached;
-  addf
-    "    \"parallel\": {\"joins\": %d, \"filters\": %d, \"partitions\": %d},\n"
-    m.par_joins m.par_filters m.par_partitions;
   addf
     "    \"dataflow\": {\"nodes\": %d, \"edges\": %d, \"waves_planned\": %d, \
      \"critical_path_len\": %d, \"waves\": %d, \"wave_branches\": %d, \

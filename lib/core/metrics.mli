@@ -68,12 +68,6 @@ type t = {
   mutable moved_bytes : int;
   mutable moves_reduced : int;
   mutable moves_cached : int;
-  mutable par_joins : int;
-      (** intra-operator parallel hash joins executed at the sites *)
-  mutable par_filters : int;  (** chunked parallel WHERE scans *)
-  mutable par_partitions : int;
-      (** total partitions/chunks used by the above (data-dependent, so
-          identical at every pool width) *)
   mutable dataflow_nodes : int;
       (** DAG nodes analyzed by the dataflow scheduler's planning pass *)
   mutable dataflow_edges : int;  (** dependency edges (transitively reduced) *)

@@ -6,15 +6,6 @@ exception Error of string * int * int
 let is_mident_char c = Scan.is_ident_char c || c = '%'
 let is_mident_start c = Scan.is_ident_start c || c = '%' || c = '~'
 
-let number sc =
-  let intpart = Scan.take_while sc Scan.is_digit in
-  match Scan.peek sc, Scan.peek2 sc with
-  | Some '.', Some c when Scan.is_digit c ->
-      Scan.advance sc;
-      let frac = Scan.take_while sc Scan.is_digit in
-      Token.Float (float_of_string (intpart ^ "." ^ frac))
-  | _ -> Token.Int (int_of_string intpart)
-
 let mident sc =
   let prefix =
     match Scan.peek sc with
@@ -64,7 +55,7 @@ let tokenize input =
            emit (Token.Ident (mident sc)) tline tcol;
            loop ()
        | Some c when Scan.is_digit c ->
-           emit (number sc) tline tcol;
+           emit (Sqlfront.Lexer.number sc) tline tcol;
            loop ()
        | Some '\'' ->
            emit (Token.Str (Scan.quoted_string sc)) tline tcol;

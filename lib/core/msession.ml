@@ -228,12 +228,6 @@ let set_shared_pool t p =
 let set_domains t n = t.domains <- max 1 n
 let domains t = t.domains
 
-(* intra-operator parallelism at the sites is executor-global (like the
-   join-planner toggle): one knob for every session in the process *)
-let set_parallel_exec ?enabled ?min_rows ?max_partitions ?width () =
-  Ldbms.Exec.set_parallel_exec ?enabled ?min_rows ?max_partitions ?width ()
-
-let parallel_exec_enabled () = Ldbms.Exec.parallel_exec_enabled ()
 let set_plan_cache t b =
   if not b then Hashtbl.reset t.plan_cache;
   t.plan_cache_on <- b

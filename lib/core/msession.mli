@@ -269,22 +269,6 @@ val set_domains : t -> int -> unit
 
 val domains : t -> int
 
-val set_parallel_exec :
-  ?enabled:bool ->
-  ?min_rows:int ->
-  ?max_partitions:int ->
-  ?width:int ->
-  unit ->
-  unit
-(** Configure intra-operator parallelism at the LDBMS sites (partitioned
-    parallel hash joins and chunked WHERE scans) — a process-wide
-    executor knob, forwarded to {!Ldbms.Exec.set_parallel_exec}. Results,
-    traces and metrics are identical at any setting; parallel executions
-    surface as {!Narada.Trace.Parallel} events and in the metrics JSON's
-    [engine.parallel] object. *)
-
-val parallel_exec_enabled : unit -> bool
-
 val set_plan_cache : t -> bool -> unit
 (** Memoize plan generation, keyed on the effective-scope statement, the
     planner flags and the {!Gdd.version}/{!Ad.version} epochs — any

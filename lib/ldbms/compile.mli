@@ -1,11 +1,10 @@
 (** Once-per-statement compilation of expressions.
 
-    Both tiers are assembled from {!Eval}'s exported primitives, so a
-    compiled evaluation agrees with the interpreted one by construction —
+    Compiled closures are assembled from {!Eval}'s exported primitives, so
+    a compiled evaluation agrees with the interpreted one by construction —
     NULL propagation, Kleene logic, exact Int/Float comparison and error
-    messages included. Anything outside a tier's coverage compiles to
-    [None] and the caller falls back to the next tier (batch kernel →
-    row closure → interpreter). *)
+    messages included. Anything outside the compiler's coverage compiles
+    to [None] and the caller falls back to the interpreter. *)
 
 val compile_row :
   Sqlcore.Schema.t -> Sqlfront.Ast.expr -> (Sqlcore.Row.t -> Sqlcore.Value.t) option
@@ -15,19 +14,3 @@ val compile_row :
     to exactly one index in [schema] (outer references and ambiguities
     keep the interpreter's error behaviour). The closure may raise
     {!Eval.Type_error} exactly where the interpreter would. *)
-
-type masks = Sqlcore.Batch.mask * Sqlcore.Batch.mask
-(** [(t, n)]: bit [k] of [t] set where the predicate is TRUE, of [n]
-    where it is UNKNOWN; a row with neither bit is FALSE. *)
-
-val compile_batch :
-  Sqlcore.Batch.t -> Sqlfront.Ast.expr -> (int -> int -> masks) option
-(** [compile_batch b pred] compiles a predicate to a vectorized kernel
-    bound to the concrete batch [b]; [k lo len] evaluates rows
-    [lo, lo+len) and returns bitmaps indexed from bit 0. Coverage:
-    column-vs-literal comparisons on typed columns whose class matches
-    the literal exactly, AND/OR/NOT, IS \[NOT\] NULL on columns,
-    \[NOT\] LIKE on string columns, BETWEEN with literal bounds. The
-    typed fast loops depend on the batch's data-dependent column
-    representation, which is why the kernel binds to one batch; the
-    compile walk itself is once per statement execution, never per row. *)

@@ -137,7 +137,7 @@ let compute_agg ctx schema rows (fn, distinct, arg) =
     let seen = Hashtbl.create 16 in
     List.filter
       (fun v ->
-        let k = Value.to_literal v in
+        let k = Value.key v in
         if Hashtbl.mem seen k then false
         else begin
           Hashtbl.add seen k ();
@@ -235,98 +235,6 @@ let indexed_scan ?txn db (s : Ast.select) =
 let use_join_planner = ref true
 let set_join_planner b = use_join_planner := b
 let join_planner_enabled () = !use_join_planner
-
-(* ---- intra-operator parallelism ------------------------------------------
-
-   Large hash joins and subquery-free WHERE scans are chunked over a
-   domain pool ({!Sqlcore.Taskpool}). Every planning decision — whether
-   to go parallel, the partition count, the chunk boundaries — depends
-   only on the data and the knobs below, never on the pool width, so
-   results, observations and traces are byte-identical at any width
-   (width 1 runs the identical partitioned code path on the caller). *)
-
-type par_note = {
-  pn_op : string;  (* "join" | "filter" *)
-  pn_partitions : int;
-  pn_build_rows : int;  (* 0 for a filter *)
-  pn_probe_rows : int;  (* input rows for a filter *)
-}
-
-let par_log = Logs.Src.create "ldbms.parallel" ~doc:"intra-operator parallelism"
-
-module Par_log = (val Logs.src_log par_log : Logs.LOG)
-
-let par_enabled = ref true
-let par_min_rows = ref 8192  (* build + probe floor for going parallel *)
-let par_max_partitions = ref 8
-let par_width = ref 0  (* pool width; 0 = machine-recommended *)
-
-let set_parallel_exec ?enabled ?min_rows ?max_partitions ?width () =
-  Option.iter (fun v -> par_enabled := v) enabled;
-  Option.iter (fun v -> par_min_rows := max 0 v) min_rows;
-  Option.iter (fun v -> par_max_partitions := max 1 v) max_partitions;
-  Option.iter (fun v -> par_width := max 0 v) width
-
-let parallel_exec_enabled () = !par_enabled
-
-(* Pools for intra-operator work, memoized per width and deliberately
-   distinct from the engine's shared branch pools: [Taskpool.run_all]'s
-   caller helps drain the queue, and a join job must never pick up an
-   engine branch (which swaps domain-local buffering state) mid-join.
-   Join/filter jobs are pure compute, so these pools compose safely with
-   the engine running above them. *)
-let par_pools : (int, Taskpool.t) Hashtbl.t = Hashtbl.create 4
-let par_pools_m = Mutex.create ()
-
-let par_pool () =
-  let w =
-    if !par_width > 0 then !par_width else Domain.recommended_domain_count ()
-  in
-  Mutex.lock par_pools_m;
-  let p =
-    match Hashtbl.find_opt par_pools w with
-    | Some p -> p
-    | None ->
-        let p = Taskpool.create ~domains:w in
-        Hashtbl.replace par_pools w p;
-        p
-  in
-  Mutex.unlock par_pools_m;
-  p
-
-(* data-dependent only: the pool width must not influence the partition
-   count, or traces would diverge across widths *)
-let par_partitions total = min !par_max_partitions (max 2 (total / 4096))
-
-let maybe_parallel_join ?note a b ~keys =
-  let build = Relation.cardinality b and probe = Relation.cardinality a in
-  let total = build + probe in
-  if (not !par_enabled) || total < !par_min_rows then begin
-    Par_log.debug (fun f ->
-        f "parallel join fallback (%s): build=%d probe=%d"
-          (if !par_enabled then "small input" else "disabled")
-          build probe);
-    Relation.hash_join a b ~keys
-  end
-  else begin
-    let pool = par_pool () in
-    let partitions = par_partitions total in
-    let joined, st = Relation.parallel_hash_join ~pool ~partitions a b ~keys in
-    Par_log.debug (fun f ->
-        f "parallel join: %d partition(s), build=%d probe=%d, width=%d"
-          st.Relation.pj_partitions build probe (Taskpool.size pool));
-    (match note with
-    | Some tell ->
-        tell
-          {
-            pn_op = "join";
-            pn_partitions = st.Relation.pj_partitions;
-            pn_build_rows = build;
-            pn_probe_rows = probe;
-          }
-    | None -> ());
-    joined
-  end
 
 (* ---- compiled-predicate cache -------------------------------------------
 
@@ -468,14 +376,6 @@ let ty_class = function
   | Ty.Str -> `Str
   | Ty.Bool -> `Bool
 
-(* align a probe value with the representation the lookup index stores for
-   the column (index keys are exact literals) *)
-let probe_value col_ty v =
-  match v, col_ty with
-  | Value.Int i, Ty.Float -> Value.Float (float_of_int i)
-  | Value.Float f, Ty.Int when Float.is_integer f -> Value.Int (int_of_float f)
-  | _ -> v
-
 (* Plan a multi-leaf FROM clause: extract top-level equi-join conjuncts
    from WHERE, order the joins greedily by cardinality, and execute them as
    hash joins — or an index nested-loop when the joined table declares an
@@ -486,7 +386,7 @@ let probe_value col_ty v =
    would on the product path. The caller re-applies the complete WHERE
    clause afterwards: planning is purely physical and the result set is
    identical to filtering the product. *)
-let plan_join_input ?txn ?note db leaves (where : Ast.expr) =
+let plan_join_input ?txn db leaves (where : Ast.expr) =
   let n = List.length leaves in
   let leaf = Array.of_list leaves in
   let conjs = where_conjuncts where in
@@ -565,14 +465,7 @@ let plan_join_input ?txn ?note db leaves (where : Ast.expr) =
         let jl = leaf.(next) in
         let joined =
           match keys with
-          | [] ->
-              Par_log.debug (fun f ->
-                  f
-                    "parallel join fallback (ineligible keys: cross join): \
-                     build=%d probe=%d"
-                    (Relation.cardinality jl.jl_rel)
-                    (Relation.cardinality !acc));
-              Relation.product !acc jl.jl_rel
+          | [] -> Relation.product !acc jl.jl_rel
           | (off, col) :: _ -> (
               let indexed =
                 match jl.jl_base with
@@ -581,12 +474,12 @@ let plan_join_input ?txn ?note db leaves (where : Ast.expr) =
                     if
                       Database.has_index db ~table:tname ~column:cd.Schema.name
                       && current_view txn tbl
-                    then Some (tbl, cd.Schema.ty)
+                    then Some tbl
                     else None
                 | None -> None
               in
               match indexed with
-              | Some (tbl, col_ty) ->
+              | Some tbl ->
                   let out_schema =
                     Relation.schema !acc @ Relation.schema jl.jl_rel
                   in
@@ -595,12 +488,11 @@ let plan_join_input ?txn ?note db leaves (where : Ast.expr) =
                       (fun ra ->
                         List.map
                           (fun rb -> Row.append ra rb)
-                          (Table.lookup_eq tbl ~col
-                             (probe_value col_ty (Row.get ra off))))
+                          (Table.lookup_eq tbl ~col (Row.get ra off)))
                       (Relation.rows !acc)
                   in
                   Relation.make out_schema out
-              | None -> maybe_parallel_join ?note !acc jl.jl_rel ~keys)
+              | None -> Relation.hash_join !acc jl.jl_rel ~keys)
         in
         offsets.(next) <- Schema.arity (Relation.schema !acc);
         acc := joined;
@@ -625,12 +517,12 @@ let plan_join_input ?txn ?note db leaves (where : Ast.expr) =
 
 (* ---- SELECT ------------------------------------------------------------ *)
 
-let rec run_select ?txn ?note db ?outer (s : Ast.select) : Relation.t =
-  wrap (fun () -> select_unwrapped ~depth:0 ?txn ?note db ?outer s)
+let rec run_select ?txn db ?outer (s : Ast.select) : Relation.t =
+  wrap (fun () -> select_unwrapped ~depth:0 ?txn db ?outer s)
 
-and select_unwrapped ~depth ?txn ?note db ?outer (s : Ast.select) =
+and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
   let ctx_plain =
-    { Eval.subquery = (fun env q -> subquery_eval ~depth ?txn ?note db env q); agg = None }
+    { Eval.subquery = (fun env q -> subquery_eval ~depth ?txn db env q); agg = None }
   in
   let input =
     match indexed_scan ?txn db s with
@@ -641,7 +533,7 @@ and select_unwrapped ~depth ?txn ?note db ?outer (s : Ast.select) =
           List.map
             (load_leaf
                ~eval_select:(fun q ->
-                 select_unwrapped ~depth:(depth + 1) ?txn ?note db q)
+                 select_unwrapped ~depth:(depth + 1) ?txn db q)
                ~depth ?txn db)
             s.Ast.from
         in
@@ -653,7 +545,7 @@ and select_unwrapped ~depth ?txn ?note db ?outer (s : Ast.select) =
         in
         match leaves, s.Ast.where with
         | _ :: _ :: _, Some pred when join_planner_enabled () -> (
-            match plan_join_input ?txn ?note db leaves pred with
+            match plan_join_input ?txn db leaves pred with
             | Some rel -> rel
             | None -> product ())
         | _ -> product ())
@@ -664,11 +556,11 @@ and select_unwrapped ~depth ?txn ?note db ?outer (s : Ast.select) =
     match s.Ast.where with
     | None -> input
     | Some pred ->
-        (* compiled tiers: a subquery-free predicate compiles once per
-           statement to a row closure (column indices resolved up front);
-           [None] — subqueries, outer references, ambiguities — keeps the
-           interpreter. The closure and the interpreter agree by
-           construction (both are built from Eval's primitives). *)
+        (* a subquery-free predicate compiles once per statement to a row
+           closure (column indices resolved up front); [None] — subqueries,
+           outer references, ambiguities — keeps the interpreter. The
+           closure and the interpreter agree by construction (both are
+           built from Eval's primitives). *)
         let compiled =
           if expr_has_subquery pred then None else compile_cached schema pred
         in
@@ -677,43 +569,7 @@ and select_unwrapped ~depth ?txn ?note db ?outer (s : Ast.select) =
           | Some f -> fun row -> Eval.truthy (f row)
           | None -> fun row -> Eval.truthy (Eval.eval ctx_plain (mkenv row) pred)
         in
-        let n = Relation.cardinality input in
-        (* the semijoin probe path benefits here: an IN-spliced shipped
-           query is subquery-free, so its big scan goes parallel *)
-        if !par_enabled && n >= !par_min_rows && not (expr_has_subquery pred)
-        then begin
-          let pool = par_pool () in
-          let chunks = par_partitions n in
-          (* third tier: a vectorized mask kernel over the columnar view,
-             chunked over exactly the same boundaries as the row path, so
-             results and traces cannot depend on which tier ran *)
-          let kernel =
-            match compiled with
-            | Some _ -> Compile.compile_batch (Relation.to_batch input) pred
-            | None -> None
-          in
-          let r =
-            match kernel with
-            | Some k -> Relation.parallel_filter_mask ~pool ~chunks k input
-            | None -> Relation.parallel_filter ~pool ~chunks keep input
-          in
-          Par_log.debug (fun f ->
-              f "parallel filter: %d chunk(s), rows=%d, width=%d%s" chunks n
-                (Taskpool.size pool)
-                (if kernel <> None then " (batch kernel)" else ""));
-          (match note with
-          | Some tell ->
-              tell
-                {
-                  pn_op = "filter";
-                  pn_partitions = chunks;
-                  pn_build_rows = 0;
-                  pn_probe_rows = n;
-                }
-          | None -> ());
-          r
-        end
-        else Relation.filter keep input
+        Relation.filter keep input
   in
   let result =
     if Ast.is_aggregate_query s then
@@ -722,10 +578,10 @@ and select_unwrapped ~depth ?txn ?note db ?outer (s : Ast.select) =
   in
   if s.Ast.distinct then Relation.distinct result else result
 
-and subquery_eval ~depth ?txn ?note db env q =
+and subquery_eval ~depth ?txn db env q =
   (* [env] is the enclosing row environment, which becomes the subquery's
      outer scope for correlated references. *)
-  select_unwrapped ~depth ?txn ?note db ?outer:env q
+  select_unwrapped ~depth ?txn db ?outer:env q
 
 and expand_projections schema (projections : Ast.projection list) =
   (* -> (output column, value expr) list, where the expr is either a
@@ -817,10 +673,8 @@ and aggregate_select ~depth ?txn db ~outer schema input (s : Ast.select) =
         List.iter
           (fun row ->
             let k =
-              List.map
-                (fun e -> Value.to_literal (Eval.eval plain_ctx (mkenv row) e))
-                keys
-              |> String.concat "\x00"
+              Value.row_key
+                (List.map (fun e -> Eval.eval plain_ctx (mkenv row) e) keys)
             in
             (match Hashtbl.find_opt tbl k with
             | Some rows -> Hashtbl.replace tbl k (row :: rows)
@@ -917,7 +771,7 @@ let validate_constraints ~table schema rows =
           (fun row ->
             let v = Row.get row i in
             if not (Value.is_null v) then begin
-              let k = Value.to_literal v in
+              let k = Value.key v in
               if Hashtbl.mem seen k then
                 err "UNIQUE constraint on %s.%s violated by %s" table
                   c.Schema.name (Value.to_string v);

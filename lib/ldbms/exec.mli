@@ -18,36 +18,6 @@ val set_join_planner : bool -> unit
 
 val join_planner_enabled : unit -> bool
 
-type par_note = {
-  pn_op : string;  (** ["join"] or ["filter"] *)
-  pn_partitions : int;  (** partitions (join) / chunks (filter) used *)
-  pn_build_rows : int;  (** [0] for a filter *)
-  pn_probe_rows : int;  (** input rows for a filter *)
-}
-(** One intra-operator parallel execution, reported through
-    {!run_select}'s [?note] callback so transport layers can surface it
-    as a trace event. Notes are emitted only when the parallel path
-    actually ran; they are a pure function of the data and the
-    {!set_parallel_exec} knobs, never of the pool width, so traces stay
-    byte-identical across widths. *)
-
-val set_parallel_exec :
-  ?enabled:bool ->
-  ?min_rows:int ->
-  ?max_partitions:int ->
-  ?width:int ->
-  unit ->
-  unit
-(** Configure intra-operator parallelism (process-wide, like
-    {!set_join_planner}). [enabled] toggles it (default on); [min_rows]
-    is the build+probe (or scan) row floor below which execution stays
-    sequential (default 8192); [max_partitions] caps the data-dependent
-    partition count (default 8); [width] fixes the worker-pool width,
-    [0] (default) meaning [Domain.recommended_domain_count ()]. Results
-    are identical at any setting — only wall-clock changes. *)
-
-val parallel_exec_enabled : unit -> bool
-
 val set_dict_epoch : ?ident:int -> int -> unit
 (** Declare the calling dictionary's identity and epoch for subsequent
     local statements: both are folded into the compiled-predicate cache
@@ -66,15 +36,12 @@ val compiled_cache_stats : unit -> int * int * int
 
 val run_select :
   ?txn:Txn.t ->
-  ?note:(par_note -> unit) ->
   Database.t ->
   ?outer:Eval.env ->
   Sqlfront.Ast.select ->
   Sqlcore.Relation.t
 (** Without [txn], reads the latest committed versions; with it, the
-    transaction's snapshot view including its staged writes. [note] is
-    invoked once per intra-operator parallel join/filter executed while
-    evaluating the statement. *)
+    transaction's snapshot view including its staged writes. *)
 
 val run_insert :
   Database.t ->

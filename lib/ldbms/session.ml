@@ -18,12 +18,6 @@ type stats = {
 type obs =
   | Obs_snapshot of int
   | Obs_conflict of { table : string; op : string }
-  | Obs_parallel of {
-      op : string;  (* "join" | "filter" *)
-      partitions : int;
-      build_rows : int;
-      probe_rows : int;
-    }
 
 type t = {
   db : Database.t;
@@ -200,17 +194,7 @@ let exec t stmt =
   | Ast.Select s -> (
       (* inside a transaction the SELECT reads the begin snapshot plus the
          transaction's own staged writes; outside, the latest committed *)
-      let note (n : Exec.par_note) =
-        observe t
-          (Obs_parallel
-             {
-               op = n.Exec.pn_op;
-               partitions = n.Exec.pn_partitions;
-               build_rows = n.Exec.pn_build_rows;
-               probe_rows = n.Exec.pn_probe_rows;
-             })
-      in
-      match Exec.run_select ?txn:(read_txn t) ~note t.db s with
+      match Exec.run_select ?txn:(read_txn t) t.db s with
       | r -> Ok (Rows r)
       | exception Exec.Error m -> Error m)
   | Ast.Begin_txn ->

@@ -26,18 +26,11 @@ type stats = {
 
 (** Execution observations for a transport layer to subscribe to (the
     session cannot depend on multidatabase trace types): a snapshot
-    acquisition with its timestamp, a lost write-write race on a table,
-    or an intra-operator parallel join/filter ({!Exec.par_note} routed
-    through the session, deterministic across pool widths). *)
+    acquisition with its timestamp, or a lost write-write race on a
+    table. *)
 type obs =
   | Obs_snapshot of int
   | Obs_conflict of { table : string; op : string }
-  | Obs_parallel of {
-      op : string;  (** ["join"] or ["filter"] *)
-      partitions : int;
-      build_rows : int;
-      probe_rows : int;
-    }
 
 type t
 

@@ -115,14 +115,16 @@ let lookup_eq t ~col v =
           let map = Hashtbl.create (max 16 (cardinality t)) in
           List.iter
             (fun row ->
-              let key = Sqlcore.Value.to_literal row.(col) in
-              let prev = Option.value (Hashtbl.find_opt map key) ~default:[] in
-              Hashtbl.replace map key (row :: prev))
+              match Sqlcore.Value.join_key row.(col) with
+              | None -> ()
+              | Some key ->
+                  let prev = Option.value (Hashtbl.find_opt map key) ~default:[] in
+                  Hashtbl.replace map key (row :: prev))
             (rows t);
           Hashtbl.replace t.lookup_cache col (t.version, map);
           map
     in
-    match Hashtbl.find_opt map (Sqlcore.Value.to_literal v) with
+    match Hashtbl.find_opt map (Sqlcore.Value.key v) with
     | Some rows -> List.rev rows
     | None -> []
   end

@@ -51,6 +51,7 @@ val release_reservation : t -> txn:int -> unit
 (** Releases only if [txn] holds the reservation; no-op otherwise. *)
 
 val lookup_eq : t -> col:int -> Sqlcore.Value.t -> Sqlcore.Row.t list
-(** Rows whose [col]-th field equals the value (never matches NULL), via a
+(** Rows whose [col]-th field equals the value under SQL equality
+    ({!Sqlcore.Value.key}; never matches NULL), via a
     lazily built hash map that is rebuilt when the table changes. Row
     order is preserved. Always reads the current version. *)

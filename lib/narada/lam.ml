@@ -36,10 +36,6 @@ let install_observer t =
               | Ldbms.Session.Obs_snapshot ts -> Trace.Snapshot { site = s; ts }
               | Ldbms.Session.Obs_conflict { table; op } ->
                   Trace.Conflict { site = s; table; op }
-              | Ldbms.Session.Obs_parallel
-                  { op; partitions; build_rows; probe_rows } ->
-                  Trace.Parallel
-                    { site = s; op; partitions; build_rows; probe_rows }
             in
             sink { Trace.at_ms = World.now_ms t.world; kind; tag = None }))
 

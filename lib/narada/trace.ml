@@ -45,13 +45,6 @@ type kind =
   | Snapshot of { site : string; ts : int }
   | Conflict of { site : string; table : string; op : string }
   | Conflict_abort of { task : string; site : string }
-  | Parallel of {
-      site : string;
-      op : string;  (* "join" | "filter" *)
-      partitions : int;
-      build_rows : int;
-      probe_rows : int;
-    }
   | Wave of {
       branches : int;
       crit_ms : float;  (* slowest branch: the wave's critical path *)
@@ -110,9 +103,6 @@ let render_kind = function
       Printf.sprintf "write-write conflict on %s at %s (%s)" table site op
   | Conflict_abort { task; site } ->
       Printf.sprintf "%s aborted: lost write-write race at %s" task site
-  | Parallel { site; op; partitions; build_rows; probe_rows } ->
-      Printf.sprintf "parallel %s at %s: %d partition(s), build=%d probe=%d" op
-        site partitions build_rows probe_rows
   | Wave { branches; crit_ms; serial_ms } ->
       Printf.sprintf "wave: %d branch(es), %.2f ms critical / %.2f ms serial"
         branches crit_ms serial_ms

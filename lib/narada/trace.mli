@@ -73,18 +73,6 @@ type kind =
   | Conflict_abort of { task : string; site : string }
       (** A task aborted terminally because of a write-write conflict (its
           retries, if any, were exhausted). *)
-  | Parallel of {
-      site : string;
-      op : string;  (** ["join"] or ["filter"] *)
-      partitions : int;
-      build_rows : int;  (** [0] for a filter *)
-      probe_rows : int;  (** input rows for a filter *)
-    }
-      (** The site's executor ran an intra-operator parallel hash join or
-          chunked WHERE scan. Emitted only when the parallel path actually
-          ran; the partition count is a pure function of the data and the
-          executor knobs, so the event stream is byte-identical at any
-          pool width. *)
   | Wave of {
       branches : int;
       crit_ms : float;  (** slowest branch: the wave's critical path *)

@@ -1,18 +1,16 @@
 (* Rows are held newest-first in [rev_rows] so that {!add_row} is O(1); the
    forward (insertion-order) view is memoized in [fwd] the first time it is
    asked for. [size_memo] caches {!size_bytes}, which the network simulator
-   recomputes on every send otherwise; [batch_memo] caches the columnar
-   view so repeated batch kernels over one relation convert once. *)
+   recomputes on every send otherwise. *)
 type t = {
   schema : Schema.t;
   rev_rows : Row.t list;
   mutable fwd : Row.t list option;
   mutable size_memo : int;  (* -1 = not yet computed *)
-  mutable batch_memo : Batch.t option;
 }
 
-let mk ?fwd ?(size = -1) ?batch schema rev_rows =
-  { schema; rev_rows; fwd; size_memo = size; batch_memo = batch }
+let mk ?fwd ?(size = -1) schema rev_rows =
+  { schema; rev_rows; fwd; size_memo = size }
 
 let make schema rows =
   let arity = Schema.arity schema in
@@ -75,7 +73,7 @@ let project t idxs schema = make schema (List.map (Row.project idxs) (rows t))
 let distinct t =
   let seen = Hashtbl.create 64 in
   let keep r =
-    let key = List.map Value.to_literal (Row.to_list r) |> String.concat "\x00" in
+    let key = Value.row_key (Row.to_list r) in
     if Hashtbl.mem seen key then false
     else begin
       Hashtbl.add seen key ();
@@ -100,19 +98,11 @@ let product a b =
 
 (* ---- hash join ----------------------------------------------------------- *)
 
-(* Join keys live in {!Batch} (the batch join kernel shares them); see
-   there for the exactness argument above 2^53. *)
-let join_key_of_value = Batch.join_key_of_value
-
+(* NULL in any key column means no key: the row joins nothing. See
+   {!Value.key} for the exactness argument. *)
 let join_key row idxs =
-  let rec go acc = function
-    | [] -> Some (String.concat "\x00" (List.rev acc))
-    | i :: rest -> (
-        match join_key_of_value (Row.get row i) with
-        | None -> None
-        | Some k -> go (k :: acc) rest)
-  in
-  go [] idxs
+  let vs = List.map (Row.get row) idxs in
+  if List.exists Value.is_null vs then None else Some (Value.row_key vs)
 
 (* Build-side buckets are mutable refs holding rows newest-first, so each
    build row costs one lookup plus (on first occurrence) one insert —
@@ -154,143 +144,6 @@ let hash_join a b ~keys =
   in
   make schema out
 
-(* ---- partitioned parallel hash join -------------------------------------- *)
-
-type par_join_stats = {
-  pj_partitions : int;
-  pj_build_rows : int;
-  pj_probe_rows : int;
-}
-
-(* [0, n) as [chunks] contiguous ranges, each handed to [f c lo hi] as
-   one pool job ([c] is the chunk's ordinal). Chunk boundaries depend
-   only on [n] and [chunks], never on the pool width, so the work
-   decomposition is reproducible. *)
-let chunk_jobs n chunks f =
-  let chunks = max 1 (min chunks n) in
-  let base = n / chunks and extra = n mod chunks in
-  let rec go c lo acc =
-    if c >= chunks then List.rev acc
-    else
-      let len = base + if c < extra then 1 else 0 in
-      go (c + 1) (lo + len) ((fun () -> f c lo (lo + len)) :: acc)
-  in
-  go 0 0 []
-
-(* The deterministic parallel join. The build side is hash-partitioned by
-   join key ([Hashtbl.hash] is a fixed polynomial hash, identical across
-   runs and domains), one read-only hash table is built per partition in
-   parallel, and the probe side is scanned as ordered contiguous chunks,
-   each probing the partition tables and accumulating its output locally;
-   the chunk outputs are concatenated in chunk order. Because every
-   decision — partition count, partition assignment, chunk boundaries,
-   per-bucket row order — depends only on the data and [partitions], the
-   result is byte-identical to {!hash_join} at any pool width, including
-   width 1 (where [Taskpool.run_all] runs every job on the caller). *)
-let parallel_hash_join ~pool ~partitions a b ~keys =
-  let ka = List.map fst keys and kb = List.map snd keys in
-  let schema = a.schema @ b.schema in
-  (* force the forward-row memos on the calling domain: [rows] mutates
-     [fwd], which must not race with the fan-out below *)
-  let brows = Array.of_list (rows b) in
-  let arows = Array.of_list (rows a) in
-  let nb = Array.length brows and na = Array.length arows in
-  let p = max 1 (min partitions (max 1 nb)) in
-  (* phase 1: key extraction for the build side, chunked over the pool *)
-  let bkeys = Array.make nb None in
-  Taskpool.run_all pool
-    (chunk_jobs nb p (fun _ lo hi ->
-         for i = lo to hi - 1 do
-           bkeys.(i) <- join_key brows.(i) kb
-         done));
-  (* phase 2: assign build rows to partitions (sequential: cheap pointer
-     pushes). Each partition list ends up newest-first. *)
-  let parts = Array.make p [] in
-  for i = 0 to nb - 1 do
-    match bkeys.(i) with
-    | None -> ()
-    | Some k ->
-        let pi = Hashtbl.hash k mod p in
-        parts.(pi) <- (k, brows.(i)) :: parts.(pi)
-  done;
-  (* phase 3: one hash table per partition, built in parallel. Consuming
-     the newest-first partition list while consing leaves each bucket in
-     forward build order, so probes can emit matches directly. *)
-  let tbls =
-    Array.init p (fun pi ->
-        (Hashtbl.create (max 16 (List.length parts.(pi)))
-          : (string, Row.t list ref) Hashtbl.t))
-  in
-  Taskpool.run_all pool
-    (List.init p (fun pi () ->
-         let tbl = tbls.(pi) in
-         List.iter
-           (fun (k, rb) ->
-             match Hashtbl.find_opt tbl k with
-             | Some bucket -> bucket := rb :: !bucket
-             | None -> Hashtbl.add tbl k (ref [ rb ]))
-           parts.(pi)));
-  (* phase 4: probe in ordered chunks against the read-only tables *)
-  let outs = Array.make p [] in
-  let probe_jobs =
-    chunk_jobs na p (fun c lo hi ->
-        let acc = ref [] in
-        for i = lo to hi - 1 do
-          let ra = arows.(i) in
-          match join_key ra ka with
-          | None -> ()
-          | Some k -> (
-              match Hashtbl.find_opt tbls.(Hashtbl.hash k mod p) k with
-              | None -> ()
-              | Some rbs ->
-                  List.iter (fun rb -> acc := Row.append ra rb :: !acc) !rbs)
-        done;
-        outs.(c) <- List.rev !acc)
-  in
-  Taskpool.run_all pool probe_jobs;
-  let out = List.concat (Array.to_list outs) in
-  ( make schema out,
-    { pj_partitions = p; pj_build_rows = nb; pj_probe_rows = na } )
-
-(* Chunked predicate evaluation with the same determinism argument as the
-   parallel join: ordered contiguous chunks, per-chunk local accumulation,
-   concatenation in chunk order. [p] must be pure (the executor only
-   routes subquery-free WHERE clauses here). *)
-let parallel_filter ~pool ~chunks p t =
-  let arr = Array.of_list (rows t) in
-  let n = Array.length arr in
-  let c = max 1 (min chunks n) in
-  let outs = Array.make c [] in
-  Taskpool.run_all pool
-    (chunk_jobs n c (fun ci lo hi ->
-         let acc = ref [] in
-         for i = lo to hi - 1 do
-           if p arr.(i) then acc := arr.(i) :: !acc
-         done;
-         outs.(ci) <- List.rev !acc));
-  make t.schema (List.concat (Array.to_list outs))
-
-(* Same chunking and concatenation discipline as {!parallel_filter}, but
-   each chunk evaluates a vectorized mask kernel over its row range
-   instead of calling a per-row predicate. [kernel lo len] must return
-   bitmaps for rows [lo, lo+len) indexed from bit 0; only the TRUE bitmap
-   selects rows (UNKNOWN rows are dropped, as in WHERE). *)
-let parallel_filter_mask ~pool ~chunks kernel t =
-  let arr = Array.of_list (rows t) in
-  let n = Array.length arr in
-  let c = max 1 (min chunks n) in
-  let outs = Array.make c [] in
-  Taskpool.run_all pool
-    (chunk_jobs n c (fun ci lo hi ->
-         let len = hi - lo in
-         let keep, _ = kernel lo len in
-         let acc = ref [] in
-         for k = len - 1 downto 0 do
-           if Batch.mask_get keep k then acc := arr.(lo + k) :: !acc
-         done;
-         outs.(ci) <- !acc));
-  make t.schema (List.concat (Array.to_list outs))
-
 let order_by cmp t = mk ~size:t.size_memo t.schema (List.rev (List.stable_sort cmp (rows t)))
 
 let limit n t =
@@ -301,33 +154,7 @@ let limit n t =
   in
   make t.schema (take n (rows t))
 
-(* the batch memo embeds the schema, so a requalified view must not share it *)
-let requalify q t =
-  { t with schema = Schema.requalify q t.schema; batch_memo = None }
-
-(* ---- columnar batch views ------------------------------------------------ *)
-
-let to_batch t =
-  match t.batch_memo with
-  | Some b -> b
-  | None ->
-      let b = Batch.of_rows t.schema (rows t) in
-      t.batch_memo <- Some b;
-      b
-
-let of_batch b =
-  let fwd = Batch.to_rows b in
-  mk ~fwd ~size:(Batch.size_bytes b) ~batch:b (Batch.schema b) (List.rev fwd)
-
-(* keep the rows whose mask bit (indexed in forward order) is set; the
-   surviving rows are shared with [t], not rebuilt from the batch *)
-let filter_mask m t =
-  let kept = ref [] in
-  List.iteri (fun i row -> if Batch.mask_get m i then kept := row :: !kept) (rows t);
-  mk t.schema !kept
-
-let batch_hash_join a b ~keys =
-  of_batch (Batch.hash_join (to_batch a) (to_batch b) ~keys)
+let requalify q t = { t with schema = Schema.requalify q t.schema }
 
 let pp ppf t =
   let headers = Schema.names t.schema in

@@ -50,68 +50,6 @@ val hash_join : t -> t -> keys:(int * int) list -> t
     product. [keys] must be non-empty for the call to be meaningful (an
     empty list degenerates to the full product). *)
 
-type par_join_stats = {
-  pj_partitions : int;  (** partitions (and probe chunks) actually used *)
-  pj_build_rows : int;
-  pj_probe_rows : int;
-}
-
-val parallel_hash_join :
-  pool:Taskpool.t ->
-  partitions:int ->
-  t ->
-  t ->
-  keys:(int * int) list ->
-  t * par_join_stats
-(** [parallel_hash_join ~pool ~partitions a b ~keys] computes exactly
-    {!hash_join}[ a b ~keys] — same rows, same order — by
-    hash-partitioning the build side [b] into [partitions] read-only
-    tables built in parallel, then probing [a] as ordered contiguous
-    chunks and concatenating the chunk outputs in order. Every decision
-    (partition count, partition assignment, chunk boundaries) depends
-    only on the data and [partitions], never on the pool width, so the
-    result is byte-identical at any width; [~partitions:1] or a width-1
-    pool degenerate to the sequential computation on the caller. *)
-
-val parallel_filter : pool:Taskpool.t -> chunks:int -> (Row.t -> bool) -> t -> t
-(** [parallel_filter ~pool ~chunks p t] is {!filter}[ p t] computed over
-    ordered contiguous row chunks on the pool. [p] must be pure and
-    thread-safe; chunk boundaries depend only on the row count and
-    [chunks], so the result is identical at any pool width. *)
-
-val to_batch : t -> Batch.t
-(** Columnar view of the relation, memoized: repeated batch kernels over
-    one relation pay the row-to-column conversion once. The batch must be
-    treated as read-only (its arrays are shared with later callers). *)
-
-val of_batch : Batch.t -> t
-(** Materialize a batch back into a relation; [size_bytes] is pre-seeded
-    from the batch (same accounting), and the batch is retained as the
-    relation's columnar view. *)
-
-val filter_mask : Batch.mask -> t -> t
-(** [filter_mask m t] keeps row [i] (forward order) iff bit [i] of [m] is
-    set — the mask-driven counterpart of {!filter}. Surviving rows are
-    shared with [t]. *)
-
-val batch_hash_join : t -> t -> keys:(int * int) list -> t
-(** Exactly {!hash_join} — same rows, same order — computed on the
-    columnar views with {!Batch.hash_join} (int-specialized when both key
-    columns are typed int). *)
-
-val parallel_filter_mask :
-  pool:Taskpool.t ->
-  chunks:int ->
-  (int -> int -> Batch.mask * Batch.mask) ->
-  t ->
-  t
-(** [parallel_filter_mask ~pool ~chunks kernel t] keeps the rows whose
-    TRUE bit is set by the vectorized predicate kernel, chunked over
-    exactly the same contiguous ranges as {!parallel_filter} —
-    [kernel lo len] must return [(true_bits, unknown_bits)] for rows
-    [lo, lo+len), indexed from bit 0. Result and determinism guarantees
-    are those of {!parallel_filter}. *)
-
 val order_by : (Row.t -> Row.t -> int) -> t -> t
 (** Stable sort. *)
 

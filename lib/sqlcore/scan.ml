@@ -6,8 +6,10 @@ let create input = { input; pos = 0; line = 1; col = 1 }
 let eof t = t.pos >= String.length t.input
 let peek t = if eof t then None else Some t.input.[t.pos]
 
-let peek2 t =
-  if t.pos + 1 >= String.length t.input then None else Some t.input.[t.pos + 1]
+let peek_at t k =
+  if t.pos + k >= String.length t.input then None else Some t.input.[t.pos + k]
+
+let peek2 t = peek_at t 1
 
 let advance t =
   if not (eof t) then begin

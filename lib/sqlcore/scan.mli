@@ -11,6 +11,10 @@ exception Error of string * int * int
 val create : string -> t
 val eof : t -> bool
 val peek : t -> char option
+val peek_at : t -> int -> char option
+(** [peek_at t k] is the character [k] places after the next one
+    ([peek_at t 0] = [peek t]), if any. *)
+
 val peek2 : t -> char option
 (** Character after the next one, if any. *)
 

@@ -3,11 +3,10 @@
    no domainslib): workers block on a condition variable when idle, so a
    parked pool costs nothing but the OS threads.
 
-   This lives at the bottom of the stack (sqlcore) so both the relational
-   operators (partitioned parallel hash join, chunked WHERE evaluation)
-   and the multidatabase engine (Narada's PARBEGIN branches, which
-   re-export it as [Narada.Dpool]) can draw workers from the same
-   mechanism without a layering inversion.
+   This lives at the bottom of the stack (sqlcore) so both the
+   multidatabase engine (Narada's PARBEGIN branches, which re-export it as
+   [Narada.Dpool]) and the server's parallel waves can draw workers from
+   the same mechanism without a layering inversion.
 
    The submitting domain is itself one of the execution lanes: [run_all]
    enqueues the jobs, then drains the queue alongside the workers and
@@ -16,8 +15,7 @@
    degenerates to plain sequential execution with no spawned domain at
    all. Jobs must be self-contained — in particular they must not submit
    to the same pool (the engine's eligibility gate guarantees this by
-   refusing nested parallel blocks, and the relational operators run
-   their parallel pieces on a pool of their own). *)
+   refusing nested parallel blocks). *)
 
 type t = {
   m : Mutex.t;

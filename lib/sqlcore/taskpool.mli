@@ -1,9 +1,8 @@
 (** A fixed-size OCaml 5 domain pool executing opaque jobs on real cores.
 
-    This is the process's one pooling mechanism: the relational operators
-    use it for intra-operator parallelism (partitioned hash join, chunked
-    WHERE evaluation) and the multidatabase engine re-exports it as
-    [Narada.Dpool] for PARBEGIN branch execution.
+    This is the process's one pooling mechanism: the multidatabase engine
+    re-exports it as [Narada.Dpool] for PARBEGIN branch execution, and the
+    server runs its parallel waves on it.
 
     The pool owns [domains - 1] worker domains parked on a condition
     variable; the caller of {!run_all} is the remaining execution lane, so
@@ -13,8 +12,7 @@
     Jobs are opaque thunks. They must not raise (callers wrap each job to
     capture its result or exception), and they must not submit work to the
     same pool: the engine's eligibility gate refuses nested parallel
-    blocks, and the relational operators keep a pool of their own so a
-    join job can never pick up an engine branch mid-drain. *)
+    blocks. *)
 
 type t
 

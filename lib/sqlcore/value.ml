@@ -74,9 +74,26 @@ let quote s =
   Buffer.add_char buf '\'';
   Buffer.contents buf
 
+(* The shortest of 15, 16 or 17 significant digits that reads back to the
+   same double (17 always does), with a '.' or exponent so the text lexes
+   as a float again. [%g]'s six digits would ship [0.1234567] to a remote
+   site as [0.123457]. *)
+let float_literal f =
+  if not (Float.is_finite f) then float_to_string f
+  else
+    let s =
+      let s15 = Printf.sprintf "%.15g" f in
+      if float_of_string s15 = f then s15
+      else
+        let s16 = Printf.sprintf "%.16g" f in
+        if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+    in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
 let to_literal = function
   | Str s -> quote s
-  | (Null | Int _ | Float _ | Bool _) as v -> to_string v
+  | Float f -> float_literal f
+  | (Null | Int _ | Bool _) as v -> to_string v
 
 let of_literal_exn s =
   let n = String.length s in
@@ -111,6 +128,32 @@ let of_literal_exn s =
         match float_of_string_opt s with
         | Some f -> Float f
         | None -> invalid_arg ("Value.of_literal_exn: " ^ s))
+
+(* Keys are class-prefixed strings so values of distinct classes never
+   collide; Int and Float share the numeric class because SQL equality
+   compares them numerically.
+
+   Keys must be exact. Routing an Int through string_of_float would fold
+   integers above 2^53 onto their nearest double, and a [%g] rendering
+   folds floats that differ after the sixth digit. So an integral Float in
+   the OCaml int range takes the Int's decimal key (Int 5 and Float 5.0
+   match), and any other float its exact hex rendering ("%h" always
+   contains an 'x', so it can never equal a decimal integer key). A string
+   holding a NUL byte is escaped under its own prefix, so no key contains
+   NUL and composite keys can join components with it. *)
+let key = function
+  | Null -> "z"
+  | Int i -> "n" ^ string_of_int i
+  | Float f ->
+      if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then
+        "n" ^ string_of_int (int_of_float f)
+      else "n" ^ Printf.sprintf "%h" f
+  | Str s -> if String.contains s '\000' then "e" ^ String.escaped s else "s" ^ s
+  | Bool true -> "bt"
+  | Bool false -> "bf"
+
+let join_key = function Null -> None | v -> Some (key v)
+let row_key vs = String.concat "\000" (List.map key vs)
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 

@@ -31,11 +31,27 @@ val to_string : t -> string
 (** Display form: [NULL], bare numbers, unquoted strings. *)
 
 val to_literal : t -> string
-(** SQL literal form: strings quoted with ['] and embedded quotes doubled. *)
+(** SQL literal form: strings quoted with ['] and embedded quotes doubled;
+    a finite float with the fewest of 15/16/17 significant digits that
+    reads back to the same double, always with a [.] or an exponent. *)
 
 val of_literal_exn : string -> t
 (** Inverse of {!to_literal} for the simple literal forms; raises
     [Invalid_argument] on malformed input. Used by tests. *)
+
+val key : t -> string
+(** Exact hashing key: [key a = key b] iff [equal a b] (NaN aside), so
+    [Int 5] and [Float 5.0] share a key, while ints above 2^53 and floats
+    differing in any digit do not. [Null] has a key of its own, for
+    grouping and duplicate elimination. No key contains a NUL byte. *)
+
+val join_key : t -> string option
+(** {!key}, but [None] for [Null]: NULL = x is never true, so NULL never
+    joins. *)
+
+val row_key : t list -> string
+(** The {!key}s of the values joined with NUL: equal iff the lists are
+    pairwise {!equal}. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -2,14 +2,31 @@ module Scan = Sqlcore.Scan
 
 exception Error of string * int * int
 
+(* digits [. digits] [(e|E) [+|-] digits]; a fraction or an exponent
+   makes it a float *)
 let number sc =
-  let intpart = Scan.take_while sc Scan.is_digit in
-  match Scan.peek sc, Scan.peek2 sc with
-  | Some '.', Some c when Scan.is_digit c ->
-      Scan.advance sc;
-      let frac = Scan.take_while sc Scan.is_digit in
-      Token.Float (float_of_string (intpart ^ "." ^ frac))
-  | _ -> Token.Int (int_of_string intpart)
+  let digits () = Scan.take_while sc Scan.is_digit in
+  let intpart = digits () in
+  let frac =
+    match Scan.peek sc, Scan.peek2 sc with
+    | Some '.', Some c when Scan.is_digit c ->
+        Scan.advance sc;
+        "." ^ digits ()
+    | _ -> ""
+  in
+  let sign_len =
+    match Scan.peek2 sc with Some ('+' | '-') -> 1 | _ -> 0
+  in
+  let exp =
+    match Scan.peek sc, Scan.peek_at sc (1 + sign_len) with
+    | Some ('e' | 'E'), Some c when Scan.is_digit c ->
+        Scan.advance sc;
+        let sign = if sign_len = 1 then String.make 1 (Scan.next sc) else "" in
+        "e" ^ sign ^ digits ()
+    | _ -> ""
+  in
+  if frac = "" && exp = "" then Token.Int (int_of_string intpart)
+  else Token.Float (float_of_string (intpart ^ frac ^ exp))
 
 let rec symbol sc =
   let two a b = Scan.peek sc = Some a && Scan.peek2 sc = Some b in

@@ -105,6 +105,38 @@ let check_case ~seed ~cutoff ~extra ~semijoin =
     true
     (Relation.equal_unordered got want)
 
+(* regression: a float literal in a shipped subquery was printed with six
+   significant digits, so [p.price < 0.1234567] reached the store site as
+   [price < 0.123457] and let 0.1234568/0.1234569 through *)
+let test_shipped_float_threshold () =
+  let parts =
+    List.mapi
+      (fun k price -> [| i k; s (Printf.sprintf "part%d" k); f price |])
+      [ 0.1234561; 0.1234565; 0.1234566; 0.1234568; 0.1234569; 1.0 ]
+  in
+  let sales = List.init 12 (fun k -> [| i k; i (k mod 6); i (k + 1) |]) in
+  let where = "s.part_id = p.pid AND p.price < 0.1234567" in
+  let want =
+    local_rows (merged_session ~parts ~sales)
+      ("SELECT s.sid, p.pname, s.qty FROM sales s, parts p WHERE " ^ where)
+  in
+  Alcotest.(check int) "oracle keeps the three cheaper parts' sales" 6
+    (Relation.cardinality want);
+  List.iter
+    (fun semijoin ->
+      let session, _world = make_fed ~parts ~sales in
+      M.set_semijoin session semijoin;
+      let got =
+        global_rows session
+          ("USE market store SELECT s.sid, p.pname, s.qty FROM market.sales \
+            s, store.parts p WHERE " ^ where)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "global = single database (semijoin=%b)" semijoin)
+        true
+        (Relation.equal_unordered got want))
+    [ true; false ]
+
 let test_matrix () =
   List.iter
     (fun seed ->
@@ -328,6 +360,8 @@ let () =
         [
           Alcotest.test_case "matrix" `Quick test_matrix;
           Alcotest.test_case "empty key set" `Quick test_empty_keyset;
+          Alcotest.test_case "shipped float threshold" `Quick
+            test_shipped_float_threshold;
           Alcotest.test_case "semijoin saves bytes" `Quick
             test_semijoin_saves_bytes;
         ] );

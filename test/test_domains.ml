@@ -366,6 +366,32 @@ let test_diff_pooled_session () =
     ~stmts:[ e2_query; e2_query; e1_query ]
     ()
 
+(* ---- Engine: per-branch buffer reuse ---------------------------------- *)
+
+let test_branch_buf_reuse () =
+  let e2 =
+    {|USE continental delta united
+UPDATE flight% SET rate% = rate% * 1.1
+WHERE sour% = 'Houston' AND dest% = 'San Antonio'|}
+  in
+  let run () =
+    let fx = F.make () in
+    M.set_domains fx.F.session 2;
+    match M.exec fx.F.session e2 with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m
+  in
+  (* populate the freelist (first run may miss), then measure *)
+  run ();
+  let h0, _ = Engine.branch_buf_stats () in
+  run ();
+  let h1, m1 = Engine.branch_buf_stats () in
+  Alcotest.(check bool)
+    (Printf.sprintf "second run reuses branch buffers (hits %d -> %d, misses %d)"
+       h0 h1 m1)
+    true
+    (h1 - h0 >= 3)
+
 let () =
   Alcotest.run "domains"
     [
@@ -379,6 +405,9 @@ let () =
           Alcotest.test_case "shared pools memoized" `Quick
             test_dpool_shared_memoized;
         ] );
+      ( "engine",
+        [ Alcotest.test_case "branch buffer reuse" `Quick test_branch_buf_reuse ]
+      );
       ( "2pc fan-out",
         [
           Alcotest.test_case "commit phase is max of branches" `Quick

@@ -100,6 +100,27 @@ let test_lookup_eq_directly () =
   Alcotest.(check int) "null never matches" 0
     (List.length (Ldbms.Table.lookup_eq tbl ~col:1 Value.Null))
 
+(* regression: index keys were %g renderings, so floats differing after
+   the sixth digit shared a bucket and an Int probe missed the Float 5.0
+   it equals *)
+let test_lookup_eq_exact_floats () =
+  let db = Ldbms.Database.create "prices" in
+  Ldbms.Database.load db ~name:"items"
+    [ Schema.column "id" Ty.Int; Schema.column "price" Ty.Float ]
+    [ [| Value.Int 1; Value.Float 0.1234561 |];
+      [| Value.Int 2; Value.Float 0.1234562 |];
+      [| Value.Int 3; Value.Float 5.0 |] ];
+  let tbl = Ldbms.Database.find_table db "items" in
+  Alcotest.(check int) "one row per distinct float" 1
+    (List.length (Ldbms.Table.lookup_eq tbl ~col:1 (Value.Float 0.1234561)));
+  Alcotest.(check int) "Int 5 finds Float 5.0" 1
+    (List.length (Ldbms.Table.lookup_eq tbl ~col:1 (Value.Int 5)));
+  (* the same through the indexed scan of a SELECT *)
+  let s = Session.connect db Caps.ingres_like in
+  ignore (q s "CREATE INDEX by_price ON items (price)");
+  Alcotest.(check int) "indexed WHERE price = 5" 1
+    (List.length (rows_of (q s "SELECT id FROM items WHERE price = 5")))
+
 let prop_indexed_equals_scan =
   let gen = QCheck.Gen.(pair (int_bound 20) (int_bound 6)) in
   QCheck.Test.make ~name:"indexed select equals scan" ~count:100
@@ -124,6 +145,8 @@ let () =
           Alcotest.test_case "null" `Quick test_index_does_not_match_null;
           Alcotest.test_case "rollback" `Quick test_create_index_rollback;
           Alcotest.test_case "lookup_eq" `Quick test_lookup_eq_directly;
+          Alcotest.test_case "lookup_eq exact floats" `Quick
+            test_lookup_eq_exact_floats;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_indexed_equals_scan ] );

@@ -126,6 +126,42 @@ let test_unknown_objects () =
   expect_error (q s "SELECT nope FROM cars");
   expect_error (q s "SELECT code FROM nope")
 
+(* ---- exact keys ------------------------------------------------------------
+
+   Regression: DISTINCT, GROUP BY, COUNT(DISTINCT) and UNIQUE keyed values
+   by their %g rendering, merging floats that differ after the sixth
+   significant digit. *)
+
+let close_floats_db () =
+  let db = Ldbms.Database.create "lab" in
+  Ldbms.Database.load db ~name:"m"
+    [ Schema.column "x" Ty.Float; Schema.column "n" Ty.Int ]
+    (List.map
+       (fun (x, n) -> [| Value.Float x; Value.Int n |])
+       [ (0.1234561, 1); (0.1234562, 2); (1e15, 3); (1e15 +. 1., 4);
+         (0.1234561, 5) ]);
+  Session.connect db Caps.ingres_like
+
+let test_exact_distinct_group () =
+  let s = close_floats_db () in
+  Alcotest.(check int) "DISTINCT keeps four floats" 4
+    (List.length (rows_of (q s "SELECT DISTINCT x FROM m")));
+  Alcotest.(check int) "GROUP BY makes four groups" 4
+    (List.length (rows_of (q s "SELECT x, COUNT(*) FROM m GROUP BY x")));
+  Alcotest.check value "COUNT(DISTINCT x)" (Value.Int 4)
+    (scalar s "SELECT COUNT(DISTINCT x) FROM m");
+  Alcotest.check value "SUM over the repeated float's group only" (Value.Int 6)
+    (scalar s "SELECT SUM(n) FROM m WHERE x < 0.2 GROUP BY x HAVING COUNT(*) = 2")
+
+let test_exact_unique () =
+  let s = connect () in
+  (match q s "CREATE TABLE u (x FLOAT UNIQUE)" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "close floats are not duplicates" 2
+    (affected (q s "INSERT INTO u VALUES (0.1234561), (0.1234562)"));
+  expect_error (q s "INSERT INTO u VALUES (0.1234561)")
+
 (* ---- DML -------------------------------------------------------------------- *)
 
 let test_insert_variants () =
@@ -385,6 +421,12 @@ let () =
           Alcotest.test_case "subqueries" `Quick test_subqueries;
           Alcotest.test_case "ambiguity" `Quick test_ambiguous_column;
           Alcotest.test_case "unknown objects" `Quick test_unknown_objects;
+        ] );
+      ( "exact keys",
+        [
+          Alcotest.test_case "distinct and group by floats" `Quick
+            test_exact_distinct_group;
+          Alcotest.test_case "unique floats" `Quick test_exact_unique;
         ] );
       ( "dml",
         [

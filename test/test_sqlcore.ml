@@ -98,6 +98,39 @@ let test_value_literal_roundtrip () =
       Alcotest.check value "roundtrip" v (Value.of_literal_exn (Value.to_literal v)))
     cases
 
+(* to_literal is what shipped SQL carries: six significant digits would
+   send [price < 0.1234567] to a remote site as [price < 0.123457] *)
+let test_value_float_literal () =
+  let lit f = Value.to_literal (Value.Float f) in
+  Alcotest.(check string) "seven digits kept" "0.1234567" (lit 0.1234567);
+  Alcotest.(check string) "integral keeps its point" "45.0" (lit 45.0);
+  Alcotest.(check string) "negative" "-2.5" (lit (-2.5));
+  Alcotest.(check string) "exponent form" "1e+15" (lit 1e15);
+  Alcotest.(check string) "16 digits when 15 do not read back"
+    "1000000000000001.0" (lit (1e15 +. 1.));
+  Alcotest.(check string) "17 digits when 16 do not read back"
+    "0.30000000000000004" (lit (0.1 +. 0.2));
+  (* the display form is unchanged *)
+  Alcotest.(check string) "display still %g" "0.123457"
+    (Value.to_string (Value.Float 0.1234567))
+
+(* grouping keys: equal iff Value.equal *)
+let test_value_key () =
+  let open Value in
+  let same a b = String.equal (key a) (key b) in
+  Alcotest.(check bool) "int = integral float" true (same (Int 5) (Float 5.0));
+  Alcotest.(check bool) "floats past the sixth digit" false
+    (same (Float 0.1234561) (Float 0.1234562));
+  Alcotest.(check bool) "1e15 vs 1e15+1" false
+    (same (Float 1e15) (Float (1e15 +. 1.)));
+  Alcotest.(check bool) "ints above 2^53" false
+    (same (Int (1 lsl 53)) (Int ((1 lsl 53) + 1)));
+  Alcotest.(check bool) "NULL has its own key" false (same Null (Str "z"));
+  Alcotest.(check bool) "string vs number" false (same (Str "n1") (Int 1));
+  Alcotest.(check bool) "NUL bytes cannot forge a composite key" false
+    (String.equal (row_key [ Str "a\000sb"; Str "c" ]) (row_key [ Str "a"; Str "b\000sc" ]));
+  Alcotest.(check (option string)) "NULL never joins" None (join_key Null)
+
 let test_value_to_string () =
   Alcotest.(check string) "null" "NULL" (Value.to_string Value.Null);
   Alcotest.(check string) "float int-valued" "45.0" (Value.to_string (Value.Float 45.0));
@@ -232,6 +265,145 @@ let test_relation_make_checks_arity () =
 let test_relation_distinct () =
   Alcotest.(check int) "distinct removes dup" 2 (Relation.cardinality (Relation.distinct r3))
 
+(* regression: distinct keyed rows by their %g rendering, merging floats
+   that differ after the sixth significant digit *)
+let test_relation_distinct_exact_floats () =
+  let r =
+    Relation.make
+      [ Schema.column "x" Ty.Float ]
+      (List.map
+         (fun x -> [| Value.Float x |])
+         [ 0.1234561; 0.1234562; 1e15; 1e15 +. 1.; 0.1234561 ])
+  in
+  Alcotest.(check int) "four distinct floats" 4
+    (Relation.cardinality (Relation.distinct r))
+
+(* ---- hash join vs the filtered product ------------------------------------
+
+   The reference is the product restricted to rows whose key columns are
+   equal under SQL equality (NULL equals nothing): same rows, same order. *)
+let check_join name a b ~keys =
+  let width_a = Schema.arity (Relation.schema a) in
+  let key_eq row (ia, ib) =
+    let va = row.(ia) and vb = row.(width_a + ib) in
+    (not (Value.is_null va)) && Value.equal va vb
+  in
+  let want =
+    Relation.filter
+      (fun row -> List.for_all (key_eq row) keys)
+      (Relation.product a b)
+  in
+  let got = Relation.hash_join a b ~keys in
+  Alcotest.(check bool)
+    (name ^ ": hash join = filtered product (rows and order)")
+    true (Relation.equal got want);
+  Relation.cardinality got
+
+let i x = Value.Int x
+let fl x = Value.Float x
+let two_cols na nb = [ Schema.column na Ty.Int; Schema.column nb Ty.Int ]
+
+let test_join_uniform () =
+  let b =
+    Relation.make (two_cols "b" "bk")
+      (List.init 200 (fun k -> [| i k; i (k mod 50) |]))
+  and a =
+    Relation.make (two_cols "p" "pk")
+      (List.init 170 (fun k -> [| i k; i (k mod 60) |]))
+  in
+  ignore (check_join "uniform" a b ~keys:[ (1, 1) ])
+
+let test_join_skewed () =
+  (* every build row lands in one bucket *)
+  let b =
+    Relation.make (two_cols "b" "bk") (List.init 120 (fun k -> [| i k; i 7 |]))
+  and a =
+    Relation.make (two_cols "p" "pk")
+      (List.init 90 (fun k -> [| i k; i (if k mod 3 = 0 then 7 else k) |]))
+  in
+  ignore (check_join "skewed" a b ~keys:[ (1, 1) ])
+
+let test_join_few_keys () =
+  (* two distinct build keys, four probe keys: half the probes find no
+     bucket, the rest fan out thirty ways *)
+  let b =
+    Relation.make (two_cols "b" "bk")
+      (List.init 60 (fun k -> [| i k; i (k mod 2) |]))
+  and a =
+    Relation.make (two_cols "p" "pk")
+      (List.init 40 (fun k -> [| i k; i (k mod 4) |]))
+  in
+  Alcotest.(check int) "few keys: 20 probes x 30 matches" 600
+    (check_join "few distinct keys" a b ~keys:[ (1, 1) ])
+
+let test_join_bigint_keys () =
+  (* adjacent Ints above 2^53 share a float image but are distinct keys *)
+  let big = 9007199254740992 (* 2^53 *) in
+  let b =
+    Relation.make (two_cols "b" "bk")
+      [ [| i 0; i big |]; [| i 1; i (big + 1) |]; [| i 2; i (big + 2) |] ]
+  and a =
+    Relation.make (two_cols "p" "pk")
+      [ [| i 10; i big |]; [| i 11; i (big + 1) |]; [| i 12; i (big + 3) |] ]
+  in
+  Alcotest.(check int) "bigint: exactly the two true matches" 2
+    (check_join "bigint" a b ~keys:[ (1, 1) ])
+
+let test_join_null_keys () =
+  let b =
+    Relation.make (two_cols "b" "bk")
+      [ [| i 0; Value.Null |]; [| i 1; i 5 |]; [| i 2; Value.Null |] ]
+  and a =
+    Relation.make (two_cols "p" "pk")
+      [ [| i 10; Value.Null |]; [| i 11; i 5 |] ]
+  in
+  Alcotest.(check int) "null keys: single non-null match" 1
+    (check_join "null keys" a b ~keys:[ (1, 1) ])
+
+let test_join_empty_sides () =
+  let some =
+    Relation.make (two_cols "x" "xk")
+      (List.init 30 (fun k -> [| i k; i (k mod 5) |]))
+  and none = Relation.make (two_cols "y" "yk") [] in
+  List.iter
+    (fun (name, a, b) ->
+      Alcotest.(check int) (name ^ ": no rows") 0
+        (check_join name a b ~keys:[ (1, 1) ]))
+    [ ("empty build", some, none); ("empty probe", none, some);
+      ("both empty", none, none) ]
+
+let test_join_multikey_mixed () =
+  (* two key columns, one mixing Int and Float values that compare equal
+     across the classes, plus floats that differ past the sixth digit *)
+  let schema k v = [ Schema.column k Ty.Int; Schema.column v Ty.Float ] in
+  let b =
+    Relation.make (schema "bk" "bv")
+      (List.init 80 (fun k ->
+           [| i (k mod 10);
+              (if k mod 2 = 0 then i (k mod 4) else fl (float_of_int (k mod 4))) |])
+      @ [ [| i 1; fl 0.1234561 |]; [| i 1; fl 0.1234562 |] ])
+  and a =
+    Relation.make (schema "pk" "pv")
+      (List.init 70 (fun k ->
+           [| i (k mod 12);
+              (if k mod 3 = 0 then fl (float_of_int (k mod 4)) else i (k mod 4)) |])
+      @ [ [| i 1; fl 0.1234561 |] ])
+  in
+  Alcotest.(check bool) "multikey: joins across Int/Float classes" true
+    (check_join "multikey mixed" a b ~keys:[ (0, 0); (1, 1) ] > 0);
+  (* string and int key columns together *)
+  let sk = [ Schema.column "id" Ty.Int; Schema.column "k1" Ty.Str; Schema.column "k2" Ty.Int ] in
+  let s x = Value.Str x in
+  let a =
+    Relation.make sk
+      [ [| i 0; s "x"; i 1 |]; [| i 1; s "x"; i 2 |]; [| i 2; Value.Null; i 1 |] ]
+  and b =
+    Relation.make sk
+      [ [| i 10; s "x"; i 1 |]; [| i 11; s "x"; i 1 |]; [| i 12; s "y"; i 2 |] ]
+  in
+  Alcotest.(check int) "string + int keys" 2
+    (check_join "string + int keys" a b ~keys:[ (1, 1); (2, 2) ])
+
 let test_relation_union_product () =
   let u = Relation.union r3 r3 in
   Alcotest.(check int) "union all" 6 (Relation.cardinality u);
@@ -302,8 +474,25 @@ let test_scan_error_position () =
   Alcotest.(check int) "line" 2 (Scan.line sc);
   Alcotest.(check int) "col" 1 (Scan.column sc)
 
+(* every finite float survives to_literal -> of_literal_exn bit for bit *)
+let prop_float_literal_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ float; map Int64.float_of_bits int64;
+          oneofl [ 0.1234567; 1e15; 1e15 +. 1.; -0.; 5e-324; max_float ] ])
+  in
+  QCheck.Test.make ~name:"float literal round-trip" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match Value.of_literal_exn (Value.to_literal (Value.Float f)) with
+      | Value.Float g -> Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float f)
+      | _ -> false)
+
 let qtests = List.map QCheck_alcotest.to_alcotest
-    [ prop_like_vs_naive; prop_distinct_idempotent; prop_union_cardinality ]
+    [ prop_like_vs_naive; prop_distinct_idempotent; prop_union_cardinality;
+      prop_float_literal_roundtrip ]
 
 let () =
   Alcotest.run "sqlcore"
@@ -315,6 +504,8 @@ let () =
             test_value_compare_exact_bigint;
           Alcotest.test_case "equal" `Quick test_value_equal;
           Alcotest.test_case "literal roundtrip" `Quick test_value_literal_roundtrip;
+          Alcotest.test_case "float literal exact" `Quick test_value_float_literal;
+          Alcotest.test_case "key exact" `Quick test_value_key;
           Alcotest.test_case "to_string" `Quick test_value_to_string;
           Alcotest.test_case "size" `Quick test_value_size;
         ] );
@@ -335,6 +526,8 @@ let () =
         [
           Alcotest.test_case "arity check" `Quick test_relation_make_checks_arity;
           Alcotest.test_case "distinct" `Quick test_relation_distinct;
+          Alcotest.test_case "distinct exact floats" `Quick
+            test_relation_distinct_exact_floats;
           Alcotest.test_case "union/product" `Quick test_relation_union_product;
           Alcotest.test_case "order/limit" `Quick test_relation_order_limit;
           Alcotest.test_case "equal unordered" `Quick test_relation_equal_unordered;
@@ -342,6 +535,14 @@ let () =
             test_equal_unordered_mixed;
           Alcotest.test_case "hash join exact keys above 2^53" `Quick
             test_hash_join_exact_bigint_keys;
+          Alcotest.test_case "uniform keys" `Quick test_join_uniform;
+          Alcotest.test_case "skewed keys" `Quick test_join_skewed;
+          Alcotest.test_case "few distinct keys" `Quick test_join_few_keys;
+          Alcotest.test_case "bigint keys" `Quick test_join_bigint_keys;
+          Alcotest.test_case "null keys" `Quick test_join_null_keys;
+          Alcotest.test_case "empty sides" `Quick test_join_empty_sides;
+          Alcotest.test_case "multikey mixed classes" `Quick
+            test_join_multikey_mixed;
         ] );
       ( "scan",
         [

@@ -21,6 +21,18 @@ let test_lexer_basic () =
       ()
   | _ -> Alcotest.fail "!= and || lexing"
 
+(* regression: 1e+15 used to lex as Int 1, Ident e, +, 15 *)
+let test_lexer_exponent () =
+  (match toks "1e+15 2.5E-3 3e5 7 e" with
+  | [ Token.Float a; Token.Float b; Token.Float c; Token.Int 7; Token.Ident "e";
+      Token.Eof ] ->
+      Alcotest.(check (list (float 0.0))) "values" [ 1e15; 2.5e-3; 3e5 ] [ a; b; c ]
+  | _ -> Alcotest.fail "exponent lexing");
+  (* an 'e' not followed by digits is not an exponent *)
+  match toks "1 + e1" with
+  | [ Token.Int 1; Token.Sym "+"; Token.Ident "e1"; Token.Eof ] -> ()
+  | _ -> Alcotest.fail "identifier after a number"
+
 let test_lexer_comments () =
   Alcotest.(check int) "line comment" 2 (List.length (toks "a -- b c d"));
   Alcotest.(check int) "block comment" 3 (List.length (toks "a /* x */ b"))
@@ -153,6 +165,11 @@ let gen_expr =
     oneof
       [
         map (fun i -> Ast.Lit (Sqlcore.Value.Int i)) small_nat;
+        (* any non-negative finite float: the literal must read back exactly *)
+        map
+          (fun f ->
+            Ast.Lit (Sqlcore.Value.Float (if Float.is_finite f then Float.abs f else 0.5)))
+          float;
         map (fun s -> Ast.Lit (Sqlcore.Value.Str s)) (oneofl [ "x"; "it's" ]);
         map (fun n -> Ast.col n) ident;
         map (fun n -> Ast.col ~qualifier:"t" n) ident;
@@ -200,6 +217,7 @@ let () =
       ( "lexer",
         [
           Alcotest.test_case "basic" `Quick test_lexer_basic;
+          Alcotest.test_case "exponent" `Quick test_lexer_exponent;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
           Alcotest.test_case "error position" `Quick test_lexer_error;
         ] );
