@@ -44,7 +44,9 @@ val value_compare_sql : Sqlcore.Value.t -> Sqlcore.Value.t -> int option
     The building blocks of {!eval}, exported so {!Compile} can assemble
     per-statement closures out of the very same primitives — compiled and
     interpreted evaluation then agree by construction, NULL propagation,
-    Kleene logic, and error messages included. *)
+    Kleene logic, and error messages included. {!in_values} is also the
+    reference the compiled hashed IN-list test must match, and what it
+    defers to for a needle of another class. *)
 
 val logic_and : Sqlcore.Value.t -> Sqlcore.Value.t -> Sqlcore.Value.t
 val logic_or : Sqlcore.Value.t -> Sqlcore.Value.t -> Sqlcore.Value.t

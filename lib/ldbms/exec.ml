@@ -559,8 +559,9 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
         (* a subquery-free predicate compiles once per statement to a row
            closure (column indices resolved up front); [None] — subqueries,
            outer references, ambiguities — keeps the interpreter. The
-           closure and the interpreter agree by construction (both are
-           built from Eval's primitives). *)
+           closure and the interpreter agree: both are built from Eval's
+           primitives, and the hashed IN-list test is fuzzed against
+           [Eval.in_values]. *)
         let compiled =
           if expr_has_subquery pred then None else compile_cached schema pred
         in

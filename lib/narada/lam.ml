@@ -227,11 +227,13 @@ let fetch t query =
 (* Restrict [query] to rows whose [col] is among [keys]: parse, conjoin an
    IN list onto the WHERE clause, print back. An empty key set means no
    source row can join, so the restriction becomes a contradiction and the
-   source ships nothing but the (empty) relation's schema. *)
+   source ships nothing but the (empty) relation's schema. [None] when
+   [query] is not a bare SELECT (a trailing [;] included): it then ships
+   unrestricted. *)
 let restrict_query ~col keys query =
   let module A = Sqlfront.Ast in
   match Sqlfront.Parser.parse_select query with
-  | exception _ -> query
+  | exception Sqlfront.Parser.Error _ -> None
   | sel ->
       let col_expr =
         match String.index_opt col '.' with
@@ -259,7 +261,7 @@ let restrict_query ~col keys query =
         | None -> Some restriction
         | Some w -> Some (A.Binop (A.And, w, restriction))
       in
-      Sqlfront.Sql_pp.select_to_string { sel with A.where }
+      Some (Sqlfront.Sql_pp.select_to_string { sel with A.where })
 
 (* ---- MOVE chunk streaming -------------------------------------------------
 
@@ -361,7 +363,9 @@ let transfer ~on_chunk ~cache ~reduce ~src ~dst ~query ~dest_table =
                   if Sqlcore.Value.is_null v then None else Some v)
                 (Sqlcore.Relation.rows rel)
             in
-            (restrict_query ~col keys query, true))
+            match restrict_query ~col keys query with
+            | Some restricted -> (restricted, true)
+            | None -> (query, false))
   in
   let src_name = src.service.Service.service_name in
   let dst_name = dst.service.Service.service_name in

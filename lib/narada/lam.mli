@@ -177,7 +177,9 @@ val transfer :
     [col IN (distinct probe values)] (a contradiction when the key set is
     empty) before being shipped to [src]. The probe's round trip is
     charged to the network, so the reduction pays for its keys. If the
-    probe fails the transfer proceeds unreduced.
+    probe fails, or [query] is not a bare SELECT the rewrite can parse (a
+    trailing [;] included), the transfer proceeds unreduced and reports
+    [reduced = false].
 
     Domain safety: concurrent transfers from {e distinct} sources into the
     same [dst] (the engine's domain-parallel MOVE blocks) are safe — the

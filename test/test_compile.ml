@@ -129,6 +129,98 @@ let test_fuzz_compile_row () =
     true
     (!compiled > 300)
 
+(* literal IN lists compile to a hashed membership test: fuzz it against
+   the interpreter with lists of 0-40 constants, single-class and mixed,
+   drawn from a pool of numeric traps (ints around 2^53 next to the
+   integral double 2^53, -0.0, NaN, infinities), strings, booleans and
+   NULLs; needles come from the same pool or from a column, and negative
+   numbers sometimes appear as [Neg] of a literal, as they reparse *)
+let in_pool =
+  [|
+    i 0; i 1; i (-1); i 7; i (big - 2); i (big - 1); i big; i (big + 1);
+    i max_int; i min_int; f 0.; f (-0.); f 1.; f 7.; f 0.5; f (-2.5);
+    f (float_of_int (big - 1)); f Float.nan; f Float.infinity;
+    f Float.neg_infinity; f 0x1p62; f (-0x1p62); s ""; s "alpha"; s "7";
+    Value.Bool true; Value.Bool false; Value.Null;
+  |]
+
+let numeric_pool =
+  Array.of_list
+    (List.filter
+       (function Value.Int _ | Value.Float _ -> true | _ -> false)
+       (Array.to_list in_pool))
+
+let gen_in_item rng pool =
+  let v = pool.(Random.State.int rng (Array.length pool)) in
+  let v = if Random.State.int rng 6 = 0 then Value.Null else v in
+  match v with
+  | Value.Int n when n < 0 && Random.State.bool rng ->
+      Ast.Unop (Ast.Neg, Ast.Lit (i (-n)))
+  | Value.Float x when x < 0. && Random.State.bool rng ->
+      Ast.Unop (Ast.Neg, Ast.Lit (f (-.x)))
+  | v -> Ast.Lit v
+
+let test_fuzz_in_literal_lists () =
+  let rng = Random.State.make [| 2071 |] in
+  let single_class = ref 0 in
+  for _ = 1 to 3000 do
+    let len = Random.State.int rng 41 in
+    let pool =
+      match Random.State.int rng 5 with
+      | 0 -> numeric_pool
+      | 1 -> [| s ""; s "alpha"; s "7"; s "beta" |]
+      | 2 -> [| Value.Bool true; Value.Bool false |]
+      | _ -> in_pool
+    in
+    let items = List.init len (fun _ -> gen_in_item rng pool) in
+    if pool != in_pool then incr single_class;
+    let arg =
+      if Random.State.bool rng then
+        Ast.Lit in_pool.(Random.State.int rng (Array.length in_pool))
+      else Ast.col (col_name (Random.State.int rng 5))
+    in
+    let e = Ast.In_list { arg; items; negated = Random.State.bool rng } in
+    match Compile.compile_row fuzz_schema e with
+    | None -> Alcotest.fail "a literal IN list must compile"
+    | Some closure ->
+        for _ = 1 to 4 do
+          let row = gen_row rng in
+          let want =
+            outcome (fun () -> Eval.eval ctx (Eval.env fuzz_schema row) e)
+          in
+          let got = outcome (fun () -> closure row) in
+          if want <> got then
+            Alcotest.failf "hashed IN diverges on %s: interpreter %s, compiled %s"
+              (Sqlfront.Sql_pp.expr_to_string e)
+              (match want with Ok v -> Value.to_string v | Error m -> m)
+              (match got with Ok v -> Value.to_string v | Error m -> m)
+        done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "fuzz drew single-class lists (%d)" !single_class)
+    true (!single_class > 1000)
+
+(* Complexity guard for the semijoin-reduced MOVE's filter: a 250-literal
+   IN list over 8,000 rows must cost O(1) allocation per row, compile
+   included. The linear scan allocated about five words per row and item
+   (1,250 per row here). *)
+let test_in_list_allocation_bound () =
+  let db = Ldbms.Database.create "guard" in
+  Ldbms.Database.load db ~name:"catalogue"
+    [ col "k" Ty.Int; col "tag" Ty.Str ]
+    (List.init 8000 (fun k -> [| i k; s "x" |]));
+  let keys = List.init 250 (fun j -> string_of_int (j * 32)) in
+  let sel =
+    Sqlfront.Parser.parse_select
+      ("SELECT k FROM catalogue WHERE k IN (" ^ String.concat ", " keys ^ ")")
+  in
+  let w0 = Gc.minor_words () in
+  let r = Ldbms.Exec.run_select db sel in
+  let per_row = (Gc.minor_words () -. w0) /. 8000. in
+  Alcotest.(check int) "every key found" 250 (Relation.cardinality r);
+  if per_row >= 100. then
+    Alcotest.failf "IN-list filter allocates %.0f words per input row" per_row
+
 (* ---- chunk-size invariance of the full pipeline ------------------------ *)
 
 (* same three-database federation as test_observability: a global join
@@ -292,6 +384,45 @@ let test_chunk_size_invariant_metrics () =
         base (metrics_at chunk_rows))
     [ 1; 7; 4096 ]
 
+(* ---- semijoin reduction is reported only when applied ------------------ *)
+
+let transfer_with_probe query =
+  let world = Netsim.World.create () in
+  let service name site table schema rows =
+    Netsim.World.add_site world (Netsim.Site.make site);
+    let db = Ldbms.Database.create name in
+    Ldbms.Database.load db ~name:table schema rows;
+    Narada.Lam.connect_exn world
+      (Narada.Service.make ~site ~caps:Ldbms.Capabilities.ingres_like db)
+  in
+  let src =
+    service "store" "ssite" "parts" parts_schema
+      (List.init 20 (fun k -> [| i k; s (Printf.sprintf "part%d" k); f 1.5 |]))
+  in
+  let dst =
+    service "market" "msite" "sales" sales_schema
+      (List.init 3 (fun k -> [| i k; i (k * 5); i 1 |]))
+  in
+  match
+    Narada.Lam.transfer ~on_chunk:None ~cache:None
+      ~reduce:(Some ("pid", "SELECT DISTINCT part_id FROM sales"))
+      ~src ~dst ~query ~dest_table:"moved"
+  with
+  | Ok st -> st
+  | Error fl -> Alcotest.fail (Narada.Lam.failure_message fl)
+
+let test_reduced_only_when_applied () =
+  let bare = transfer_with_probe "SELECT pid, pname FROM parts" in
+  Alcotest.(check bool) "bare SELECT is reduced" true bare.Narada.Lam.reduced;
+  Alcotest.(check int) "only the probed keys ship" 3 bare.Narada.Lam.moved_rows;
+  (* the rewrite parses a bare SELECT; a trailing ';' (which the source
+     accepts) makes it ship the query unrestricted *)
+  let terminated = transfer_with_probe "SELECT pid, pname FROM parts;" in
+  Alcotest.(check int) "terminated query ships every row" 20
+    terminated.Narada.Lam.moved_rows;
+  Alcotest.(check bool) "and is not reported as reduced" false
+    terminated.Narada.Lam.reduced
+
 let () =
   Alcotest.run "compile"
     [
@@ -299,6 +430,15 @@ let () =
         [
           Alcotest.test_case "compiled row closures vs interpreter" `Quick
             test_fuzz_compile_row;
+          Alcotest.test_case "hashed IN lists vs interpreter" `Quick
+            test_fuzz_in_literal_lists;
+          Alcotest.test_case "IN-list allocation per row" `Quick
+            test_in_list_allocation_bound;
+        ] );
+      ( "semijoin",
+        [
+          Alcotest.test_case "reduced only when applied" `Quick
+            test_reduced_only_when_applied;
         ] );
       ( "streaming",
         [

@@ -102,6 +102,46 @@ let test_in_matrix () =
   Alcotest.check value "not in hit" f3 (eval_sql "2 NOT IN (1, 2)");
   Alcotest.check value "not in with null" u3 (eval_sql "9 NOT IN (1, NULL)")
 
+(* Literal IN lists compile to a hashed membership test; each case must
+   give the interpreter's value, or raise its error, on both paths. *)
+let test_in_literal_lists () =
+  let both sql =
+    let e = Sqlfront.Parser.parse_expr sql in
+    let run f = try Ok (f ()) with Eval.Type_error m -> Error m in
+    let interpreted = run (fun () -> eval e) in
+    let compiled =
+      match Ldbms.Compile.compile_row [] e with
+      | Some f -> run (fun () -> f [||])
+      | None -> Alcotest.failf "%s does not compile" sql
+    in
+    if interpreted <> compiled then
+      Alcotest.failf "%s: compiled and interpreted results differ" sql;
+    interpreted
+  in
+  let check_value name expected sql =
+    match both sql with
+    | Ok v -> Alcotest.check value name expected v
+    | Error m -> Alcotest.failf "%s raised %s" sql m
+  in
+  check_value "int needle, float item" t3 "5 IN (5.0)";
+  check_value "float needle, int item" t3 "5.0 IN (4, 5)";
+  check_value "2^53+1 is not the double 2^53" f3
+    "9007199254740993 IN (9007199254740992.0)";
+  check_value "2^53 is" t3 "9007199254740992 IN (9007199254740992.0)";
+  check_value "negative zero is zero" t3 "0 IN (-0.0, 7)";
+  check_value "negative literal item" t3 "-3 IN (1, -3)";
+  check_value "null needle" u3 "NULL IN (1, 2, 3)";
+  check_value "null needle, string list" u3 "NULL IN ('a', 'b')";
+  check_value "not in, miss with null" u3 "9 NOT IN (1, NULL)";
+  check_value "not in, hit with null" f3 "1 NOT IN (NULL, 1)";
+  check_value "all-null list" u3 "'a' IN (NULL, NULL)";
+  check_value "string hit" t3 "'b' IN ('a', 'b')";
+  check_value "bool miss" f3 "TRUE IN (FALSE)";
+  match both "'a' IN (1, 2)" with
+  | Error m ->
+      Alcotest.(check string) "interpreter's message" "cannot compare a with 1" m
+  | Ok _ -> Alcotest.fail "string needle against an int list must raise"
+
 let test_between () =
   Alcotest.check value "inside" t3 (eval_sql "2 BETWEEN 1 AND 3");
   Alcotest.check value "boundary" t3 (eval_sql "3 BETWEEN 1 AND 3");
@@ -195,6 +235,7 @@ let () =
           Alcotest.test_case "concat" `Quick test_concat;
           Alcotest.test_case "like" `Quick test_like_cases;
           Alcotest.test_case "in" `Quick test_in_matrix;
+          Alcotest.test_case "in literal lists" `Quick test_in_literal_lists;
           Alcotest.test_case "between" `Quick test_between;
         ] );
       ( "environments",

@@ -68,7 +68,18 @@ let test_select_in_and_between () =
     (List.length (rows_of (q s "SELECT code FROM cars WHERE code BETWEEN 1 AND 2")));
   (* x NOT IN (... NULL ...) is never true when no match *)
   Alcotest.(check int) "not in with null" 0
-    (List.length (rows_of (q s "SELECT code FROM cars WHERE code NOT IN (9, NULL)")))
+    (List.length (rows_of (q s "SELECT code FROM cars WHERE code NOT IN (9, NULL)")));
+  (* literal lists take the hashed membership path: numeric equality
+     crosses Int/Float, and a string needle against numbers is the
+     interpreter's type error *)
+  Alcotest.(check int) "float items match int column" 2
+    (List.length (rows_of (q s "SELECT code FROM cars WHERE code IN (1.0, 3, NULL)")));
+  Alcotest.(check int) "string list" 2
+    (List.length
+       (rows_of (q s "SELECT code FROM cars WHERE cartype IN ('suv', 'sedan')")));
+  Alcotest.(check int) "null rate is unknown, not a miss" 1
+    (List.length (rows_of (q s "SELECT code FROM cars WHERE rate NOT IN (45.0)")));
+  expect_error (q s "SELECT code FROM cars WHERE carst IN (1, 2)")
 
 let test_select_like () =
   let s = connect () in
