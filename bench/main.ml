@@ -2,14 +2,14 @@
 
    Part 1 prints deterministic experiment tables (simulated-network latency,
    message and byte counts) for the paper's worked examples E1–E5 and for
-   the performance claims P1–P15 (P12 and P13 are retired). Part 2 runs a
+   the performance claims P1–P15 (P11–P13 are retired). Part 2 runs a
    Bechamel wall-clock suite over the processing pipeline (parse, expand,
-   translate, execute). The perf-critical tables (P4, P9–P11, P14, P15) are
-   also recorded in BENCH_perf.json.
+   translate, execute). The perf-critical tables (P4, P9, P10, P14, P15)
+   are also recorded in BENCH_perf.json.
 
    Run with:  dune exec bench/main.exe
    CI smoke:  dune exec bench/main.exe -- --perf-smoke
-              (P4/P9/P10/P11/P14/P15)
+              (P4/P9/P10/P14/P15)
    Profiling: dune exec bench/main.exe -- --p10-one CONFIG[,CONFIG...]
               (single P10 configuration; P10_ROWS / P10_N override size) *)
 
@@ -359,6 +359,25 @@ let p9_join_scaling () =
       { jrows = n; hash_ns; product_ns })
     [ 200; 1000; 5000 ]
 
+(* Replay an experiment [reps] times. The virtual network is
+   deterministic, so [det] (everything but the wall clock) must agree
+   across replays; of the replays, the one with the best wall-clock
+   [rate] is kept (min-time estimator). *)
+let replay_best ~name ~reps ~det ~rate run =
+  let first = run () in
+  let rec go best i =
+    if i >= reps then best
+    else begin
+      let r = run () in
+      if det r <> det first then begin
+        Printf.eprintf "%s: nondeterministic replay\n" name;
+        exit 1
+      end;
+      go (if rate r > rate best then r else best) (i + 1)
+    end
+  in
+  go first 1
+
 (* ---- P10: session reuse layer ablation ------------------------------------ *)
 
 (* A long-lived session executing a Zipf-skewed mix of repeated global
@@ -493,22 +512,6 @@ let p10_run ~rows ~n ~config ~pool ~plan ~result =
     p10_result_hits = cs.M.result_hits;
   }
 
-(* best of [reps] fresh-session runs; deterministic counters are checked
-   to agree across repetitions so only the wall clock varies *)
-let p10_best ~reps ~rows ~n ~config ~pool ~plan ~result =
-  let first = p10_run ~rows ~n ~config ~pool ~plan ~result in
-  let rec go best i =
-    if i >= reps then best
-    else begin
-      let r = p10_run ~rows ~n ~config ~pool ~plan ~result in
-      if r.p10_bytes <> first.p10_bytes || r.p10_msgs <> first.p10_msgs then
-        failwith
-          (Printf.sprintf "P10 %s: nondeterministic traffic across reps" config);
-      go (if r.p10_sps > best.p10_sps then r else best) (i + 1)
-    end
-  in
-  go first 1
-
 let p10_session_reuse ?(rows = 6000) ?(n = 150) ?(reps = 3) () =
   header
     "P10: session reuse ablation (Zipf statement mix, 3 sites, same sequence)";
@@ -516,7 +519,12 @@ let p10_session_reuse ?(rows = 6000) ?(n = 150) ?(reps = 3) () =
     "virt ms" "bytes" "msgs" "pool" "plan" "rslt";
   List.map
     (fun (config, pool, plan, result) ->
-      let r = p10_best ~reps ~rows ~n ~config ~pool ~plan ~result in
+      let r =
+        replay_best ~name:("P10 " ^ config) ~reps
+          ~det:(fun r -> { r with p10_sps = 0.0 })
+          ~rate:(fun r -> r.p10_sps)
+          (fun () -> p10_run ~rows ~n ~config ~pool ~plan ~result)
+      in
       Printf.printf "%-22s %12.1f %12.2f %10d %7d %6d %6d %6d\n" r.p10_config
         r.p10_sps r.p10_virt_ms r.p10_bytes r.p10_msgs r.p10_pool_hits
         r.p10_plan_hits r.p10_result_hits;
@@ -549,258 +557,6 @@ let p10_assert_smoke p10 =
     "P10 smoke assertion passed: %d < %d bytes, %d < %d messages\n"
     hot.p10_bytes cold.p10_bytes hot.p10_msgs cold.p10_msgs
 
-(* ---- P11: domain-pool execution of parallel blocks (multicore Narada) ----- *)
-
-(* Four 2PC sites with graded latencies; each branch of the PARBEGIN runs
-   a CPU-heavy grouped self-join at its own site, so the block's wall time
-   is dominated by local execution — the part a domain pool can overlap.
-   The table reports wall ms (best of reps) at 1/2/4 domains, the shared
-   virtual cost (identical at every width — the divergence check compares
-   the full rendered event streams), and the 2PC commit-phase window,
-   which the concurrent second-phase fan-out accounts as the slowest
-   branch rather than the sum of all four.
-
-   Wall-clock speedup needs real cores: the recommended-domain count is
-   recorded alongside so a single-core CI run stays legible, and the
-   smoke assertion only demands speedup when at least 4 cores are
-   available. *)
-
-module T = Narada.Trace
-
-type p11_row = {
-  p11_domains : int;
-  p11_wall_ms : float;  (* best of reps *)
-  p11_virt_ms : float;
-  p11_phase_ms : float;  (* commit decision -> last branch committed *)
-  p11_trace : string;  (* rendered event stream, for the divergence check *)
-  p11_msgs : int;  (* delivered messages — must be width-invariant *)
-  p11_bytes : int;  (* delivered bytes — must be width-invariant *)
-  p11_buf_hits : int;  (* branch-buffer freelist hits during the timed reps *)
-}
-
-let p11_latencies = [ 10.0; 20.0; 30.0; 40.0 ]
-
-let p11_setup ~rows =
-  let world = Netsim.World.create () in
-  let dir = Narada.Directory.create () in
-  List.iteri
-    (fun idx lat ->
-      let i = idx + 1 in
-      let site = Printf.sprintf "site%d" i in
-      Netsim.World.add_site world
-        (Netsim.Site.make ~latency_ms:lat ~per_byte_ms:0.0 site);
-      let db = Ldbms.Database.create (Printf.sprintf "db%d" i) in
-      Ldbms.Database.load db ~name:"load"
-        [ Schema.column "rid" Ty.Int; Schema.column "grp" Ty.Int;
-          Schema.column "price" Ty.Float ]
-        (List.init rows (fun r ->
-             [| Value.Int r; Value.Int (r mod 8);
-                Value.Float (float_of_int ((r * 37) mod 997)) |]));
-      Narada.Directory.register dir
-        (Narada.Service.make ~site ~caps:Ldbms.Capabilities.ingres_like db))
-    p11_latencies;
-  (world, dir)
-
-(* the branch body: a grouped self-join whose hash join enumerates
-   rows^2/8 pairs but emits few — pure comparison work at the site *)
-let p11_program =
-  let n = List.length p11_latencies in
-  let init f = List.init n (fun i -> f (i + 1)) in
-  let opens =
-    String.concat "\n"
-      (init (fun i -> Printf.sprintf "  OPEN db%d AT site%d AS c%d;" i i i))
-  in
-  let tasks =
-    (* the UPDATE opens the transaction the later PREPARE needs (a bare
-       SELECT runs outside one); the SELECT is the CPU load *)
-    String.concat "\n"
-      (init (fun i ->
-           Printf.sprintf
-             "    TASK T%d NOCOMMIT FOR c%d { UPDATE load SET price = \
-              price WHERE rid = 0; SELECT a.rid FROM load a, load b \
-              WHERE a.grp = b.grp AND a.price > 990.0 AND a.price < \
-              b.price } ENDTASK;"
-             i i))
-  in
-  let all_p = String.concat " AND " (init (Printf.sprintf "(T%d=P)")) in
-  let commits = String.concat ", " (init (Printf.sprintf "T%d")) in
-  let closes = String.concat " " (init (Printf.sprintf "c%d")) in
-  Printf.sprintf
-    "DOLBEGIN\n%s\n  PARBEGIN\n%s\n  PAREND;\n\
-    \  IF %s THEN\n  BEGIN COMMIT %s; DOLSTATUS = 0; END;\n\
-    \  CLOSE %s;\nDOLEND" opens tasks all_p commits closes
-
-let p11_run ~rows ~domains ~reps =
-  (* [Dpool.shared] memoizes per width, so the domains are spawned (and
-     warm) before any timed repetition — startup cost is excluded *)
-  let dpool =
-    if domains > 1 then Some (Narada.Dpool.shared ~domains) else None
-  in
-  let one () =
-    let world, dir = p11_setup ~rows in
-    let events = ref [] in
-    let t0 = Unix.gettimeofday () in
-    match
-      Narada.Engine.run_text ?dpool
-        ~on_trace:(fun e -> events := e :: !events)
-        ~directory:dir ~world p11_program
-    with
-    | Ok o when o.Narada.Engine.dolstatus = 0 ->
-        let wall = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        let st = Netsim.World.stats world in
-        let msgs = st.Netsim.World.messages
-        and bytes = st.Netsim.World.bytes_moved in
-        let evs = List.rev !events in
-        let decision =
-          List.find_map
-            (fun e ->
-              match e.T.kind with
-              | T.Decision { verdict = T.Commit; _ } -> Some e.T.at_ms
-              | _ -> None)
-            evs
-        in
-        let last_c =
-          List.fold_left
-            (fun acc e ->
-              match e.T.kind with
-              | T.Status { status = D.C; _ } -> max acc e.T.at_ms
-              | _ -> acc)
-            0.0 evs
-        in
-        let phase =
-          match decision with
-          | Some d -> last_c -. d
-          | None -> failwith "P11: no commit decision in trace"
-        in
-        let trace =
-          String.concat "\n"
-            (List.map
-               (fun e ->
-                 Printf.sprintf "%.6f|%s" e.T.at_ms (T.render_kind e.T.kind))
-               evs)
-        in
-        (wall, o.Narada.Engine.elapsed_ms, phase, trace, msgs, bytes)
-    | Ok o ->
-        failwith
-          (Printf.sprintf "P11: DOLSTATUS %d [%s]" o.Narada.Engine.dolstatus
-             (String.concat ", "
-                (List.map
-                   (fun (n, s) ->
-                     Printf.sprintf "%s=%s" n (D.status_to_string s))
-                   o.Narada.Engine.statuses)))
-    | Error m -> failwith ("P11: " ^ m)
-  in
-  (* one untimed warmup per width: first-touch costs (code paths, page
-     faults, allocator growth, buffer-freelist population) fall outside
-     the measurement window *)
-  ignore (one ());
-  let hits0, _ = Narada.Engine.branch_buf_stats () in
-  let wall0, virt, phase, trace, msgs, bytes = one () in
-  let best = ref wall0 in
-  for _ = 2 to reps do
-    let wall, virt', _, trace', msgs', bytes' = one () in
-    if virt' <> virt || not (String.equal trace' trace) then
-      failwith "P11: nondeterministic trace across repetitions";
-    if msgs' <> msgs || bytes' <> bytes then
-      failwith "P11: nondeterministic traffic across repetitions";
-    if wall < !best then best := wall
-  done;
-  let hits1, _ = Narada.Engine.branch_buf_stats () in
-  {
-    p11_domains = domains;
-    p11_wall_ms = !best;
-    p11_virt_ms = virt;
-    p11_phase_ms = phase;
-    p11_trace = trace;
-    p11_msgs = msgs;
-    p11_bytes = bytes;
-    p11_buf_hits = hits1 - hits0;
-  }
-
-let p11_serial_phase_est =
-  2.0 *. List.fold_left ( +. ) 0.0 p11_latencies
-
-let p11_domain_pool ?(rows = 2000) ?(reps = 3) () =
-  header "P11: domain-pool execution of a 4-branch parallel block";
-  let recommended = Domain.recommended_domain_count () in
-  Printf.printf "(machine reports %d recommended domain(s))\n" recommended;
-  Printf.printf "%-8s %12s %12s %10s %14s %10s\n" "domains" "wall ms"
-    "virt ms" "speedup" "2PC phase ms" "buf hits";
-  let rows_out =
-    List.map
-      (fun domains -> p11_run ~rows ~domains ~reps)
-      [ 1; 2; 4 ]
-  in
-  let base = List.hd rows_out in
-  List.iter
-    (fun r ->
-      Printf.printf "%-8d %12.1f %12.2f %9.2fx %14.2f %10d\n" r.p11_domains
-        r.p11_wall_ms r.p11_virt_ms
-        (base.p11_wall_ms /. r.p11_wall_ms)
-        r.p11_phase_ms r.p11_buf_hits)
-    rows_out;
-  Printf.printf
-    "commit phase: %.2f ms parallel vs %.2f ms serial-sum estimate\n"
-    base.p11_phase_ms p11_serial_phase_est;
-  Printf.printf "traffic at every width: %d messages, %d bytes\n"
-    base.p11_msgs base.p11_bytes;
-  (recommended, rows_out)
-
-(* determinism is asserted unconditionally — the full event stream at 2
-   and 4 domains must be byte-identical to the sequential one; wall-clock
-   speedup is only demanded when the machine actually has 4 cores *)
-let p11_assert_smoke (recommended, rows_out) =
-  let base = List.hd rows_out in
-  List.iter
-    (fun r ->
-      if not (String.equal r.p11_trace base.p11_trace) then begin
-        Printf.eprintf
-          "P11 smoke FAILED: trace at %d domains diverges from sequential\n"
-          r.p11_domains;
-        exit 1
-      end;
-      if r.p11_virt_ms <> base.p11_virt_ms then begin
-        Printf.eprintf
-          "P11 smoke FAILED: virtual time %.4f at %d domains vs %.4f\n"
-          r.p11_virt_ms r.p11_domains base.p11_virt_ms;
-        exit 1
-      end;
-      if r.p11_msgs <> base.p11_msgs || r.p11_bytes <> base.p11_bytes then begin
-        Printf.eprintf
-          "P11 smoke FAILED: traffic at %d domains (%d msgs, %d bytes) \
-           diverges from sequential (%d msgs, %d bytes)\n"
-          r.p11_domains r.p11_msgs r.p11_bytes base.p11_msgs base.p11_bytes;
-        exit 1
-      end)
-    rows_out;
-  if base.p11_phase_ms >= p11_serial_phase_est then begin
-    Printf.eprintf
-      "P11 smoke FAILED: commit phase %.2f ms is not below the serial sum \
-       %.2f ms\n"
-      base.p11_phase_ms p11_serial_phase_est;
-    exit 1
-  end;
-  (if recommended >= 4 then
-     let four = List.find (fun r -> r.p11_domains = 4) rows_out in
-     let speedup = base.p11_wall_ms /. four.p11_wall_ms in
-     (* the perf gate: 4 domains must never be a pessimization on a
-        4-core machine (the pre-lean-path constant made it 0.42x) *)
-     if speedup < 1.0 then begin
-       Printf.eprintf
-         "P11 smoke FAILED: %.2fx speedup at 4 domains on a %d-core \
-          machine (wanted >= 1.0x)\n"
-         speedup recommended;
-       exit 1
-     end
-   else
-     Printf.printf
-       "P11: speedup assertion skipped (%d recommended domain(s) < 4)\n"
-       recommended);
-  Printf.printf
-    "P11 smoke assertion passed: traces identical at 1/2/4 domains, \
-     commit phase %.2f < %.2f ms\n"
-    base.p11_phase_ms p11_serial_phase_est
-
 (* ---- P14: concurrent multi-session server -------------------------------------- *)
 
 module Srv = Msql.Server
@@ -814,7 +570,6 @@ module Srv = Msql.Server
 
 type p14_row = {
   p14_clients : int;
-  p14_domains : int;
   p14_stmts : int;  (* statements completed *)
   p14_sps : float;  (* aggregate statements per wall-clock second *)
   p14_p50_ms : float;  (* wall-clock submit -> completion latency *)
@@ -834,14 +589,13 @@ let p14_percentile sorted p =
     let rank = int_of_float (ceil (p *. float_of_int n /. 100.)) - 1 in
     sorted.(max 0 (min (n - 1) rank))
 
-let p14_run ~rows ~per_client ~clients ~domains =
+let p14_run ~rows ~per_client ~clients =
   let world, directory = p10_world ~rows in
   let config =
     {
       (Srv.default_config ()) with
       Srv.max_sessions = clients;
       max_queue = 4;
-      domains;
     }
   in
   let srv =
@@ -912,7 +666,6 @@ let p14_run ~rows ~per_client ~clients ~domains =
   let cs = Srv.cache_stats srv in
   {
     p14_clients = clients;
-    p14_domains = domains;
     p14_stmts = !completed;
     p14_sps = float_of_int !completed /. wall_s;
     p14_p50_ms = p14_percentile sorted 50.;
@@ -925,87 +678,22 @@ let p14_run ~rows ~per_client ~clients ~domains =
     p14_result_hits = cs.M.result_hits;
   }
 
-(* the correctness gate CI runs at MSQL_TEST_DOMAINS in {0,4}: the same N
-   independent clients (client k owns airline k) executed by the serial
-   scheduler and by the concurrent one must leave every database in an
-   identical state *)
-let p14_assert_smoke ?(clients = 4) ~domains () =
-  let run ~domains =
-    let fx = F.airline_fleet ~flights_per_db:40 ~n:clients () in
-    let config = { (Srv.default_config ()) with Srv.domains } in
-    let srv = Srv.of_fixtures ~config fx in
-    let sids =
-      List.init clients (fun _ ->
-          match Srv.connect srv with
-          | Ok sid -> sid
-          | Error e -> failwith (Srv.error_message e))
-    in
-    List.iteri
-      (fun i sid ->
-        List.iter
-          (fun sql ->
-            match Srv.submit srv sid sql with
-            | Ok _ -> ()
-            | Error e -> failwith (Srv.error_message e))
-          [
-            Printf.sprintf
-              "USE airline%d UPDATE flights SET rate = rate * 1.1 WHERE \
-               source = 'Houston'"
-              (i + 1);
-            Printf.sprintf
-              "USE airline%d SELECT flnu, rate FROM flights WHERE \
-               destination = 'Denver'"
-              (i + 1);
-          ])
-      sids;
-    List.iter
-      (fun c ->
-        match c.Srv.c_result with
-        | Ok _ -> ()
-        | Error m -> failwith ("P14 differential: " ^ m))
-      (Srv.drain srv);
-    List.init clients (fun i ->
-        Relation.to_string
-          (F.scan fx
-             ~db:(Printf.sprintf "airline%d" (i + 1))
-             ~table:"flights"))
-  in
-  let serial = run ~domains:1 in
-  let concurrent = run ~domains in
-  if serial <> concurrent then begin
-    Printf.eprintf
-      "P14 smoke FAILED: concurrent execution (domains=%d) diverges from \
-       the serial schedule\n"
-      domains;
-    exit 1
-  end;
-  Printf.printf
-    "P14 assertion passed: %d concurrent sessions leave state identical \
-     to the serial schedule (domains=%d)\n"
-    clients domains
-
 let p14_server ?(rows = 2000) ?(per_client = 40) () =
   header
     "P14: concurrent multi-session server (Zipf clients, shared \
      pool+caches)";
-  let domains = (Srv.default_config ()).Srv.domains in
-  Printf.printf "%-8s %8s %10s %9s %9s %12s %8s %6s %6s %6s %6s\n" "clients"
-    "domains" "stmts/s" "p50 ms" "p99 ms" "virt ms" "requeue" "shed" "pool"
-    "plan" "rslt";
-  let grid =
-    List.map
-      (fun clients ->
-        let r = p14_run ~rows ~per_client ~clients ~domains in
-        Printf.printf
-          "%-8d %8d %10.1f %9.3f %9.3f %12.2f %8d %6d %6d %6d %6d\n"
-          r.p14_clients r.p14_domains r.p14_sps r.p14_p50_ms r.p14_p99_ms
-          r.p14_virt_ms r.p14_requeues r.p14_shed r.p14_pool_hits
-          r.p14_plan_hits r.p14_result_hits;
-        r)
-      [ 1; 4; 16 ]
-  in
-  p14_assert_smoke ~domains ();
-  grid
+  Printf.printf "%-8s %10s %9s %9s %12s %8s %6s %6s %6s %6s\n" "clients"
+    "stmts/s" "p50 ms" "p99 ms" "virt ms" "requeue" "shed" "pool" "plan"
+    "rslt";
+  List.map
+    (fun clients ->
+      let r = p14_run ~rows ~per_client ~clients in
+      Printf.printf "%-8d %10.1f %9.3f %9.3f %12.2f %8d %6d %6d %6d %6d\n"
+        r.p14_clients r.p14_sps r.p14_p50_ms r.p14_p99_ms r.p14_virt_ms
+        r.p14_requeues r.p14_shed r.p14_pool_hits r.p14_plan_hits
+        r.p14_result_hits;
+      r)
+    [ 1; 4; 16 ]
 
 (* ---- P15: dataflow wave scheduling of whole DOL programs ------------------------- *)
 
@@ -1089,25 +777,17 @@ let p15_run ~n ~dataflow ~config =
     state,
     results )
 
-(* the virtual network is deterministic, so replays must be identical;
-   best-of-N is a determinism check here, not noise reduction *)
-let p15_best ~reps ~n ~dataflow ~config =
-  let r0, s0, res0 = p15_run ~n ~dataflow ~config in
-  for _ = 2 to reps do
-    let r, s, res = p15_run ~n ~dataflow ~config in
-    if r.p15_virt_ms <> r0.p15_virt_ms || s <> s0 || res <> res0 then begin
-      Printf.eprintf "P15: nondeterministic replay for %s\n" config;
-      exit 1
-    end
-  done;
-  (r0, s0, res0)
-
 let p15_dataflow ?(n = 8) ?(reps = 3) () =
   header "P15: dataflow wave scheduling (whole-program DAG, airline fleet)";
   Printf.printf "%-10s %12s %8s %10s %7s %12s %12s\n" "schedule" "virt ms"
     "msgs" "bytes" "waves" "crit ms" "serial ms";
-  let off, s_off, r_off = p15_best ~reps ~n ~dataflow:false ~config:"serial" in
-  let on_, s_on, r_on = p15_best ~reps ~n ~dataflow:true ~config:"dataflow" in
+  let best ~dataflow ~config =
+    replay_best ~name:("P15 " ^ config) ~reps ~det:Fun.id
+      ~rate:(fun _ -> 0.0)
+      (fun () -> p15_run ~n ~dataflow ~config)
+  in
+  let off, s_off, r_off = best ~dataflow:false ~config:"serial" in
+  let on_, s_on, r_on = best ~dataflow:true ~config:"dataflow" in
   List.iter
     (fun r ->
       Printf.printf "%-10s %12.2f %8d %10d %7d %12.2f %12.2f\n" r.p15_config
@@ -1154,7 +834,7 @@ let p15_assert_smoke p15 =
 
 (* machine-readable record of the perf-critical experiments, consumed by
    the CI bench-smoke step *)
-let write_perf_json ~path p4 p9 p10 p11 p14 p15 =
+let write_perf_json ~path p4 p9 p10 p14 p15 =
   let oc = open_out path in
   let p4_json r =
     Printf.sprintf
@@ -1172,19 +852,10 @@ let write_perf_json ~path p4 p9 p10 p11 p14 p15 =
       r.p10_config r.p10_sps r.p10_virt_ms r.p10_bytes r.p10_msgs
       r.p10_pool_hits r.p10_plan_hits r.p10_result_hits
   in
-  let p11_recommended, p11_rows = p11 in
-  let p11_base = List.hd p11_rows in
-  let p11_json r =
-    Printf.sprintf
-      {|      {"domains": %d, "wall_ms": %.2f, "virtual_ms": %.2f, "speedup_vs_1": %.2f, "messages": %d, "bytes": %d, "buf_reuse_hits": %d}|}
-      r.p11_domains r.p11_wall_ms r.p11_virt_ms
-      (p11_base.p11_wall_ms /. r.p11_wall_ms)
-      r.p11_msgs r.p11_bytes r.p11_buf_hits
-  in
   let p14_json r =
     Printf.sprintf
-      {|    {"clients": %d, "domains": %d, "stmts": %d, "stmts_per_sec": %.1f, "p50_latency_ms": %.3f, "p99_latency_ms": %.3f, "virtual_ms": %.2f, "requeues": %d, "shed": %d, "pool_hits": %d, "plan_hits": %d, "result_hits": %d}|}
-      r.p14_clients r.p14_domains r.p14_stmts r.p14_sps r.p14_p50_ms
+      {|    {"clients": %d, "stmts": %d, "stmts_per_sec": %.1f, "p50_latency_ms": %.3f, "p99_latency_ms": %.3f, "virtual_ms": %.2f, "requeues": %d, "shed": %d, "pool_hits": %d, "plan_hits": %d, "result_hits": %d}|}
+      r.p14_clients r.p14_stmts r.p14_sps r.p14_p50_ms
       r.p14_p99_ms r.p14_virt_ms r.p14_requeues r.p14_shed r.p14_pool_hits
       r.p14_plan_hits r.p14_result_hits
   in
@@ -1208,14 +879,6 @@ let write_perf_json ~path p4 p9 p10 p11 p14 p15 =
     \  \"p10_session_reuse\": [\n\
      %s\n\
     \  ],\n\
-    \  \"p11_domain_pool\": {\n\
-    \    \"recommended_domains\": %d,\n\
-    \    \"commit_phase_ms\": %.2f,\n\
-    \    \"commit_phase_serial_est_ms\": %.2f,\n\
-    \    \"runs\": [\n\
-     %s\n\
-    \    ]\n\
-    \  },\n\
     \  \"p14_server\": [\n\
      %s\n\
     \  ],\n\
@@ -1229,8 +892,6 @@ let write_perf_json ~path p4 p9 p10 p11 p14 p15 =
     (String.concat ",\n" (List.map p4_json p4))
     (String.concat ",\n" (List.map p9_json p9))
     (String.concat ",\n" (List.map p10_json p10))
-    p11_recommended p11_base.p11_phase_ms p11_serial_phase_est
-    (String.concat ",\n" (List.map p11_json p11_rows))
     (String.concat ",\n" (List.map p14_json p14))
     (p15_off.p15_virt_ms /. p15_on.p15_virt_ms)
     (String.concat ",\n" (List.map p15_json p15));
@@ -1539,21 +1200,18 @@ let () =
   if smoke then begin
     let p4 = p4_shipping () in
     let p9 = p9_join_scaling () in
-    (* reduced P10/P11: the traffic and determinism assertions are
+    (* reduced P10: the traffic and determinism assertions are
        deterministic (virtual network), so the small configurations check
        the same invariants *)
     let p10 = p10_session_reuse ~rows:800 ~n:60 () in
     p10_assert_smoke p10;
-    let p11 = p11_domain_pool ~rows:400 ~reps:2 () in
-    p11_assert_smoke p11;
-    (* reduced P14: the serial-vs-concurrent equality gate is what the CI
-       domain matrix is after; the throughput grid shrinks with it *)
+    (* reduced P14: the throughput grid at smoke size *)
     let p14 = p14_server ~rows:500 ~per_client:15 () in
     (* reduced P15: the equality and >=1.5x latency gates hold at any
        fleet width, so the smoke fleet shrinks with the rest *)
     let p15 = p15_dataflow ~n:6 ~reps:2 () in
     p15_assert_smoke p15;
-    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p11 p14 p15;
+    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p14 p15;
     write_metrics_json ~path:"BENCH_metrics.json";
     print_newline ()
   end
@@ -1570,12 +1228,10 @@ let () =
     let p9 = p9_join_scaling () in
     let p10 = p10_session_reuse () in
     p10_assert_smoke p10;
-    let p11 = p11_domain_pool () in
-    p11_assert_smoke p11;
     let p14 = p14_server () in
     let p15 = p15_dataflow () in
     p15_assert_smoke p15;
-    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p11 p14 p15;
+    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p14 p15;
     write_metrics_json ~path:"BENCH_metrics.json";
     run_bechamel ();
     print_newline ()

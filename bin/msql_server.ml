@@ -6,17 +6,18 @@
      $ printf 'HELLO\nSTMT USE continental; SELECT * FROM flights\n' \
          | nc -U /tmp/msql.sock
 
-   The daemon is a single-threaded select loop: it reads request lines
-   from every connected client, feeds them to the transport-free
-   Msql.Wire state machine, then runs the server's wave scheduler to
-   completion and routes each completion line back to the session's
-   owning client. Concurrency lives in the scheduler (shared pool,
-   shared caches, domain-parallel waves), not in the socket loop. *)
+   The daemon is a single-threaded select loop: it feeds the bytes read
+   from every connected client to the transport-free Msql.Wire state
+   machine, which frames them into request lines, then runs the
+   server's wave scheduler to completion and routes each completion
+   line back to the session's owning client. Concurrency lives in the
+   scheduler (shared pool, shared caches, interleaved waves), not in
+   the socket loop. *)
 
 module S = Msql.Server
 module W = Msql.Wire
 
-type client = { fd : Unix.file_descr; conn : W.conn; buf : Buffer.t }
+type client = { fd : Unix.file_descr; conn : W.conn }
 
 let send_line fd line =
   let data = Bytes.of_string (line ^ "\n") in
@@ -27,7 +28,7 @@ let send_line fd line =
   in
   try go 0 with Unix.Unix_error _ -> ()
 
-let main socket_path max_sessions max_queue domains pool_cap verbose =
+let main socket_path max_sessions max_queue pool_cap verbose =
   let fx = Msql.Fixtures.make () in
   let base = S.default_config () in
   let config =
@@ -35,7 +36,6 @@ let main socket_path max_sessions max_queue domains pool_cap verbose =
       base with
       S.max_sessions;
       max_queue;
-      domains = (if domains >= 0 then max 1 domains else base.S.domains);
       pool_cap = (if pool_cap > 0 then Some pool_cap else None);
     }
   in
@@ -45,10 +45,8 @@ let main socket_path max_sessions max_queue domains pool_cap verbose =
   Unix.bind lfd (Unix.ADDR_UNIX socket_path);
   Unix.listen lfd 16;
   Printf.printf
-    "msql_server: demo federation on %s (max %d sessions, queue %d, %d \
-     domains)\n\
-     %!"
-    socket_path config.S.max_sessions config.S.max_queue config.S.domains;
+    "msql_server: demo federation on %s (max %d sessions, queue %d)\n%!"
+    socket_path config.S.max_sessions config.S.max_queue;
   let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 8 in
   let close_client c =
     (match W.sid c.conn with
@@ -56,22 +54,6 @@ let main socket_path max_sessions max_queue domains pool_cap verbose =
     | None -> ());
     Hashtbl.remove clients c.fd;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
-  in
-  let handle_input c data =
-    Buffer.add_string c.buf data;
-    let rec drain_lines () =
-      let s = Buffer.contents c.buf in
-      match String.index_opt s '\n' with
-      | None -> ()
-      | Some i ->
-          let line = String.sub s 0 i in
-          Buffer.clear c.buf;
-          Buffer.add_string c.buf
-            (String.sub s (i + 1) (String.length s - i - 1));
-          List.iter (send_line c.fd) (W.on_line c.conn line);
-          drain_lines ()
-    in
-    drain_lines ()
   in
   let running = ref true in
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> running := false));
@@ -88,8 +70,7 @@ let main socket_path max_sessions max_queue domains pool_cap verbose =
               match Unix.accept lfd with
               | cfd, _ ->
                   Hashtbl.replace clients cfd
-                    { fd = cfd; conn = W.create server;
-                      buf = Buffer.create 256 }
+                    { fd = cfd; conn = W.create server }
               | exception Unix.Unix_error _ -> ()
             end
             else
@@ -99,7 +80,9 @@ let main socket_path max_sessions max_queue domains pool_cap verbose =
                   let b = Bytes.create 4096 in
                   match Unix.read fd b 0 4096 with
                   | 0 -> close_client c
-                  | n -> handle_input c (Bytes.sub_string b 0 n)
+                  | n ->
+                      List.iter (send_line c.fd)
+                        (W.feed c.conn (Bytes.sub_string b 0 n))
                   | exception Unix.Unix_error _ -> close_client c))
           readable;
         let completions = S.drain server in
@@ -144,13 +127,6 @@ let max_queue =
   let doc = "Shed STMT beyond $(docv) queued statements per session." in
   Arg.(value & opt int 16 & info [ "max-queue" ] ~docv:"N" ~doc)
 
-let domains =
-  let doc =
-    "Run service-disjoint statements of a wave on $(docv) OCaml domains \
-     (negative: use MSQL_TEST_DOMAINS; 0 or 1: serial)."
-  in
-  Arg.(value & opt int (-1) & info [ "domains" ] ~docv:"N" ~doc)
-
 let pool_cap =
   let doc =
     "Cap the shared connection pool at $(docv) live connections per \
@@ -167,7 +143,7 @@ let cmd =
   let info = Cmd.info "msql_server" ~doc in
   Cmd.v info
     Term.(
-      const main $ socket $ max_sessions $ max_queue $ domains $ pool_cap
+      const main $ socket $ max_sessions $ max_queue $ pool_cap
       $ verbose)
 
 let () = exit (Cmd.eval' cmd)

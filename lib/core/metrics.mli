@@ -78,8 +78,8 @@ type t = {
   mutable dataflow_waves : int;  (** multi-branch waves executed *)
   mutable dataflow_wave_branches : int;
   mutable dataflow_crit_ms : float;
-      (** summed per-wave critical paths (max branch duration) — virtual,
-          so identical at any domain width; never exceeds
+      (** summed per-wave critical paths (max branch duration), in
+          virtual time; never exceeds
           [dataflow_serial_ms], the summed branch durations *)
   mutable dataflow_serial_ms : float;
   site_retries : (string, int) Hashtbl.t;  (** site name -> retry count *)

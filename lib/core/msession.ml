@@ -33,8 +33,8 @@ type result =
 
 (* Cross-session cache block: one of these, shared by every session of a
    server, makes the compiled-plan and shipped-result caches communal —
-   session A's planning warms session B. Guarded by its own mutex since
-   sessions may execute on different domains; the per-session hit/miss
+   session A's planning warms session B. Guarded by its own mutex so the
+   block stays safe to share across domains; the per-session hit/miss
    counters stay in each session, so per-session accounting survives
    sharing. *)
 type shared_caches = {
@@ -81,8 +81,6 @@ type t = {
       (* the pool belongs to a server, not this session: never drain it *)
   mutable shared : shared_caches option;
       (* Some = plan/result lookups go to the communal tables *)
-  mutable domains : int;
-      (* > 1 -> eligible PARBEGIN blocks execute on that many domains *)
   mutable plan_cache_on : bool;
   plan_cache : (string, Plangen.plan) Hashtbl.t;
   mutable plan_hits : int;
@@ -141,12 +139,6 @@ let create ?world ?directory ?ad ?gdd () =
     pool = None;
     pool_shared = false;
     shared = None;
-    domains =
-      (* the CI matrix exercises domain execution across the whole suite
-         by exporting MSQL_TEST_DOMAINS=n *)
-      (match Sys.getenv_opt "MSQL_TEST_DOMAINS" with
-      | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1)
-      | None -> 1);
     plan_cache_on = false;
     plan_cache = Hashtbl.create 32;
     plan_hits = 0;
@@ -225,8 +217,7 @@ let set_shared_pool t p =
   t.pool_shared <- true;
   t.pool <- Some p
 
-let set_domains t n = t.domains <- max 1 n
-let domains t = t.domains
+let set_domains (_ : t) (_ : int) = ()
 
 let set_plan_cache t b =
   if not b then Hashtbl.reset t.plan_cache;
@@ -352,12 +343,8 @@ let engine_start t program =
      plan caches *)
   Ldbms.Exec.set_dict_epoch ~ident:(Gdd.id t.gdd) (dict_epoch t);
   t.metrics.Metrics.engine_runs <- t.metrics.Metrics.engine_runs + 1;
-  let dpool =
-    if t.domains > 1 then Some (Narada.Dpool.shared ~domains:t.domains)
-    else None
-  in
   Engine.start ?on_event:t.trace ~on_trace:(observe t) ?retry:t.retry
-    ?pool:t.pool ?dpool ?move_cache:(move_cache t) ~directory:t.directory
+    ?pool:t.pool ?move_cache:(move_cache t) ~directory:t.directory
     ~world:t.world program
 
 let note_outcome t = function
@@ -799,33 +786,11 @@ type prepared = {
   p_session : t;
   p_stepper : Engine.stepper;
   p_interpret : Engine.outcome -> (result, string) Stdlib.result;
-  p_services : string list;
-      (* canonical service names the program OPENs — the statement's site
-         footprint, which the server's scheduler uses to decide which
-         statements may run concurrently *)
   p_move_dsts : string list;
       (* destinations of the program's MOVEs — the sites where it creates
          shipped temp tables (msql_tmp_<k>, named per plan, not per
          session), the only sites a retrieval writes to *)
 }
-
-(* services OPENed anywhere in the program, lowercased, deduplicated and
-   sorted; MOVEs and tasks act through aliases those OPENs bind, so the
-   OPEN set covers every site the statement touches *)
-let program_services (program : D.program) =
-  let acc = ref [] in
-  let rec stmt = function
-    | D.Open { service; _ } -> acc := String.lowercase_ascii service :: !acc
-    | D.Parallel body -> List.iter stmt body
-    | D.If (_, thens, elses) ->
-        List.iter stmt thens;
-        List.iter stmt elses
-    | D.Close _ | D.Task _ | D.Commit_tasks _ | D.Abort_tasks _ | D.Comp _
-    | D.Move _ | D.Set_status _ ->
-        ()
-  in
-  List.iter stmt program;
-  List.sort_uniq String.compare !acc
 
 (* MOVE destinations, lowercased, deduplicated and sorted *)
 let program_move_dsts (program : D.program) =
@@ -843,7 +808,6 @@ let program_move_dsts (program : D.program) =
   List.iter stmt program;
   List.sort_uniq String.compare !acc
 
-let prepared_services p = p.p_services
 let prepared_move_dsts p = p.p_move_dsts
 let prepared_session p = p.p_session
 
@@ -861,7 +825,6 @@ let prepare_text t text =
               p_session = t;
               p_stepper = engine_start t plan.Plangen.program;
               p_interpret = interpret_query t q plan;
-              p_services = program_services plan.Plangen.program;
               p_move_dsts = program_move_dsts plan.Plangen.program;
             })
   | Ast.Multitransaction mtx -> (
@@ -874,7 +837,6 @@ let prepare_text t text =
               p_session = t;
               p_stepper = engine_start t plan.Plangen.program;
               p_interpret = interpret_mtx t mtx expanded plan;
-              p_services = program_services plan.Plangen.program;
               p_move_dsts = program_move_dsts plan.Plangen.program;
             })
   | Ast.Explain _ | Ast.Explain_multiple _ | Ast.Incorporate _ | Ast.Import _

@@ -124,18 +124,11 @@ val finish : prepared -> (result, string) Stdlib.result
 (** Drain remaining statements, run the epilogue and interpret the
     outcome. Idempotent at the engine level; interpret runs per call. *)
 
-val prepared_services : prepared -> string list
-(** The statement's site footprint: every service its DOL program OPENs
-    (lowercased, sorted, deduplicated — including OPENs nested in
-    PARBEGIN and IF arms). Statements with disjoint footprints touch
-    disjoint LDBMS instances, which is the server scheduler's condition
-    for running them concurrently. *)
-
 val prepared_move_dsts : prepared -> string list
 (** The services the program's MOVEs ship into — where it creates
     temporary tables ([msql_tmp_<k>], named per plan, not per session).
     Empty for single-database statements and replicated updates. The
-    server's serial scheduler refuses to interleave two statements whose
+    server's scheduler refuses to interleave two statements whose
     MOVE destinations intersect: their temp-table names would collide. *)
 
 val prepared_session : prepared -> t
@@ -244,7 +237,7 @@ val set_shared_pool : t -> Narada.Pool.t -> unit
 
 type shared_caches
 (** A communal compiled-plan + shipped-result cache block, mutex-guarded
-    so member sessions may execute on different domains. Epoch
+    so it stays safe to share across domains. Epoch
     invalidation is unchanged: keys embed {!Gdd.id} and the dictionary
     versions, and shipped entries are stamped with the storing session's
     dictionary epoch, so an IMPORT invalidates for every sharer at
@@ -258,16 +251,7 @@ val set_shared_caches : t -> shared_caches -> unit
     {!cache_stats} still reports each session's own traffic. *)
 
 val set_domains : t -> int -> unit
-(** Execute eligible PARBEGIN blocks of engine programs on [n] OCaml
-    domains (a process-wide {!Narada.Dpool} of that width, shared across
-    sessions). Clamped to at least 1; [1] (the default) keeps everything
-    on the calling domain. Results, typed traces and virtual-time
-    accounting are identical at any width — only wall-clock time changes
-    (see {!Narada.Engine.run}). The initial value is read from the
-    [MSQL_TEST_DOMAINS] environment variable, which lets a CI matrix run
-    the whole suite under domain execution. *)
-
-val domains : t -> int
+(** No effect; kept only because [msqlbench/] sets it. *)
 
 val set_plan_cache : t -> bool -> unit
 (** Memoize plan generation, keyed on the effective-scope statement, the

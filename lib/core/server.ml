@@ -7,16 +7,12 @@
    connection pool, and one communal compiled-plan + shipped-result
    cache block. The scheduler is a synchronous wave loop: each round
    admits at most one statement per session in connect order, then
-   partitions the wave into batches of mutually-safe statements and
-   executes each batch. With domains <= 1 a batch is interleaved at
+   partitions the wave into groups and interleaves each group at
    DOL-statement granularity on the calling domain (deterministic,
-   matches Interleave's round-robin); the only interleaving hazard is
+   matches Interleave's round-robin). The only interleaving hazard is
    the shipped MOVE temp tables (msql_tmp_<k>, named per plan, not per
    session), so statements shipping into a common site never share a
-   batch. With domains > 1 a batch runs on a Taskpool under
-   virtual-clock frames; there the LDBMS itself is not safe for
-   same-site concurrency, so batches demand fully disjoint site
-   footprints.
+   group.
 
    A statement that loses a race for a capped connection fails with the
    pool's busy marker; the scheduler detects it on the session's typed
@@ -33,21 +29,13 @@ type config = {
   domains : int;
 }
 
-let env_domains () =
-  match Sys.getenv_opt "MSQL_TEST_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 1 -> n
-      | _ -> 1)
-  | None -> 1
-
 let default_config () =
   {
     max_sessions = 64;
     max_queue = 16;
     max_requeues = 8;
     pool_cap = None;
-    domains = env_domains ();
+    domains = 1;
   }
 
 type error = Overloaded of string | Unknown_session of int
@@ -191,10 +179,6 @@ let connect t =
     Msession.set_shared_caches s t.caches;
     Msession.set_shared_pool s t.pool;
     Msession.set_trace_tag s (Some (Printf.sprintf "s%d" sid));
-    (* member statements may themselves be scheduled onto the shared
-       Taskpool (domains > 1); a job must never submit to its own pool,
-       so member engines keep PARBEGIN on their calling domain *)
-    Msession.set_domains s 1;
     let e =
       { e_sid = sid; e_session = s; e_queue = Queue.create ();
         e_next_seq = 0; e_busy = false }
@@ -263,10 +247,8 @@ type wave_item = {
   w_entry : entry;
   w_pending : pending;
   w_prep : Msession.prepared;
-  w_services : string list;
   w_move_dsts : string list;
   mutable w_result : (Msession.result, string) result option;
-  mutable w_finish : float;
 }
 
 let push_front q x =
@@ -286,12 +268,6 @@ let retriable = function
   | Ok (Msession.Update_report { outcome = Msession.Aborted; _ }) -> true
   | Ok (Msession.Mtx_report { chosen = None; incorrect = false; _ }) -> true
   | Ok _ -> false
-
-let run_to_end prep =
-  try
-    while Msession.step prep do () done;
-    Msession.finish prep
-  with exn -> Error (Printexc.to_string exn)
 
 (* deterministic round-robin at DOL-statement granularity, epilogues in
    wave order — exactly Interleave.Round_robin over the wave *)
@@ -322,65 +298,31 @@ let run_serial wave =
 
 let disjoint a b = List.for_all (fun s -> not (List.mem s b)) a
 
-(* greedy first-fit partition into batches of statements whose [key]
-   footprints are pairwise disjoint, preserving wave order within and
-   across batches *)
-let partition_by key wave =
-  let batches =
-    List.fold_left
-      (fun batches it ->
-        let rec place = function
-          | [] -> [ (ref [ it ], ref (key it)) ]
-          | (items, svcs) :: rest ->
-              if disjoint (key it) !svcs then begin
-                items := it :: !items;
-                svcs := key it @ !svcs;
-                (items, svcs) :: rest
-              end
-              else (items, svcs) :: place rest
-        in
-        place batches)
-      [] wave
-  in
-  List.map (fun (items, _) -> List.rev !items) batches
-
-(* parallel batches demand fully disjoint site footprints: the LDBMS is
-   not safe for same-site concurrency on separate domains *)
-let partition_batches wave = partition_by (fun it -> it.w_services) wave
-
 (* serial interleaving only conflicts through the shipped MOVE temp
    tables (msql_tmp_<k>, named per plan, not per session): statements
    shipping into a common site would collide on the temp name, so they
    never share an interleaved group. Everything else — including two
    single-site statements racing for a capped connection — interleaves
-   freely *)
-let partition_serial wave = partition_by (fun it -> it.w_move_dsts) wave
-
-let run_batch t batch =
-  match batch with
-  | [ it ] -> it.w_result <- Some (run_to_end it.w_prep)
-  | items ->
-      t.sstats.parallel_batches <- t.sstats.parallel_batches + 1;
-      let tpool = Sqlcore.Taskpool.shared ~domains:t.config.domains in
-      let start_ms = Netsim.World.now_ms t.world in
-      let jobs =
-        List.map
-          (fun it () ->
-            let r, fin =
-              Netsim.World.in_frame t.world ~start_ms (fun () ->
-                  run_to_end it.w_prep)
-            in
-            it.w_result <- Some r;
-            it.w_finish <- fin)
-          items
-      in
-      Sqlcore.Taskpool.run_all tpool jobs;
-      (* concurrent statements overlap in virtual time: the wave costs
-         the slowest statement, not the sum *)
-      let maxf =
-        List.fold_left (fun m it -> Float.max m it.w_finish) start_ms items
-      in
-      Netsim.World.advance_ms t.world (maxf -. start_ms)
+   freely. Greedy first-fit, preserving wave order within and across
+   groups. *)
+let partition_serial wave =
+  let groups =
+    List.fold_left
+      (fun groups it ->
+        let rec place = function
+          | [] -> [ (ref [ it ], ref it.w_move_dsts) ]
+          | (items, dsts) :: rest ->
+              if disjoint it.w_move_dsts !dsts then begin
+                items := it :: !items;
+                dsts := it.w_move_dsts @ !dsts;
+                (items, dsts) :: rest
+              end
+              else (items, dsts) :: place rest
+        in
+        place groups)
+      [] wave
+  in
+  List.map (fun (items, _) -> List.rev !items) groups
 
 let step_round t =
   let completions = ref [] in
@@ -413,19 +355,15 @@ let step_round t =
                       w_entry = e;
                       w_pending = p;
                       w_prep = prep;
-                      w_services = Msession.prepared_services prep;
                       w_move_dsts = Msession.prepared_move_dsts prep;
                       w_result = None;
-                      w_finish = 0.;
                     }
             end)
       t.ring
   in
   if wave <> [] then begin
     t.sstats.rounds <- t.sstats.rounds + 1;
-    if t.config.domains > 1 then
-      List.iter (run_batch t) (partition_batches wave)
-    else List.iter run_serial (partition_serial wave);
+    List.iter run_serial (partition_serial wave);
     List.iter
       (fun it ->
         let e = it.w_entry and p = it.w_pending in

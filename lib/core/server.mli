@@ -14,18 +14,12 @@
     Scheduling is a synchronous {e wave} loop ({!step_round}): each
     round admits at most one statement per session in connect order —
     per-session fairness at statement granularity — then partitions the
-    wave into batches of mutually-safe statements and executes each
-    batch. With [domains <= 1] a batch is interleaved at DOL-statement
+    wave into groups and interleaves each group at DOL-statement
     granularity on the calling domain, deterministically (the
-    {!Interleave} round-robin); the only interleaving hazard is the
+    {!Interleave} round-robin). The only interleaving hazard is the
     shipped MOVE temp tables (named per plan, not per session — see
     {!Msession.prepared_move_dsts}), so statements shipping into a
-    common site never share a batch. With [domains > 1] a batch runs on
-    a {!Sqlcore.Taskpool} under virtual-clock frames — concurrent
-    statements overlap in virtual time (the batch costs its slowest
-    statement) — and since the LDBMS is not safe for same-site
-    concurrency, parallel batches demand fully disjoint site
-    footprints.
+    common site never share a group.
 
     A statement that loses a race for a capped connection fails with the
     pool's busy marker ({!Narada.Pool.is_busy_message}); the scheduler
@@ -40,12 +34,12 @@ type config = {
   max_requeues : int;  (** busy-conflict replays per statement *)
   pool_cap : int option;
       (** per-service connection cap on the shared pool ({!Narada.Pool.set_cap}) *)
-  domains : int;  (** wave execution width; [<= 1] is serial *)
+  domains : int;
+      (** no effect; kept only because [msqlbench/] sets it *)
 }
 
 val default_config : unit -> config
-(** 64 sessions, queue depth 16, 8 requeues, no cap; [domains] from the
-    [MSQL_TEST_DOMAINS] environment variable (default 1). *)
+(** 64 sessions, queue depth 16, 8 requeues, no cap. *)
 
 (** Typed overload/addressing errors — the admission-control surface. *)
 type error =
@@ -73,7 +67,8 @@ type stats = {
   mutable failed : int;
   mutable requeues : int;
   mutable rounds : int;
-  mutable parallel_batches : int;  (** batches run on the Taskpool *)
+  mutable parallel_batches : int;
+      (** no effect, always 0; kept only because [msqlbench/] reads it *)
 }
 
 type t

@@ -1,10 +1,20 @@
 (* Newline-framed text protocol over the server core, transport-free:
-   the daemon (bin/msql_server.ml) feeds it lines read off a socket and
-   writes back whatever it returns, and the tests drive it directly. *)
+   the daemon (bin/msql_server.ml) feeds it the bytes read off a socket
+   and writes back whatever it returns, and the tests drive it directly. *)
 
-type conn = { server : Server.t; mutable sid : int option }
+type conn = {
+  server : Server.t;
+  mutable sid : int option;
+  pending : Buffer.t;  (* the current line's bytes, before its newline *)
+  mutable discarding : bool;
+      (* the current line overran [max_line_bytes]: drop input up to the
+         next newline *)
+}
 
-let create server = { server; sid = None }
+let max_line_bytes = 1 lsl 20
+
+let create server =
+  { server; sid = None; pending = Buffer.create 256; discarding = false }
 let sid c = c.sid
 
 (* results and errors are multi-line; the framing is one reply per
@@ -85,3 +95,38 @@ let on_line c line =
         | None -> ());
         [ "BYE" ]
     | _ -> [ "ERROR protocol: unknown command " ^ escape cmd ]
+
+let feed c data =
+  let n = String.length data in
+  let rec go i acc =
+    if i >= n then acc
+    else
+      (* data.[i, j) belongs to the current line; j = n means its newline
+         has not arrived yet *)
+      let j =
+        match String.index_from_opt data i '\n' with Some j -> j | None -> n
+      in
+      let acc =
+        if c.discarding then acc
+        else if Buffer.length c.pending + (j - i) > max_line_bytes then begin
+          Buffer.clear c.pending;
+          c.discarding <- true;
+          "ERROR protocol: line too long" :: acc
+        end
+        else begin
+          Buffer.add_substring c.pending data i (j - i);
+          acc
+        end
+      in
+      if j = n then acc
+      else if c.discarding then begin
+        c.discarding <- false;
+        go (j + 1) acc
+      end
+      else begin
+        let line = Buffer.contents c.pending in
+        Buffer.clear c.pending;
+        go (j + 1) (List.rev_append (on_line c line) acc)
+      end
+  in
+  List.rev (go 0 [])

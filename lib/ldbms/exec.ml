@@ -251,8 +251,8 @@ let join_planner_enabled () = !use_join_planner
    epoch's keys stop being looked up and are pruned eagerly, so the table
    never accumulates dead generations. Local DDL clears everything —
    an index/table/view change can invalidate any captured closure.
-   Sessions at different sites execute on different domains, so the table
-   is lock-guarded; the payoff of a hit is per-statement, not per-row, so
+   The table is process-wide and lock-guarded, so it stays safe across
+   domains; the payoff of a hit is per-statement, not per-row, so
    the lock is far off the hot loop. *)
 
 type compiled_key = { ck_ident : int; ck_epoch : int; ck_expr : string }

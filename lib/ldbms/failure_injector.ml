@@ -16,8 +16,6 @@ let clear t =
   t.pending <- [];
   t.random <- None
 
-let is_armed t = t.pending <> [] || t.random <> None
-
 let fires_kind t p =
   let rec remove_first = function
     | [] -> None

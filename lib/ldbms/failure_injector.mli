@@ -36,10 +36,6 @@ val set_random : ?kind:kind -> t -> seed:int -> prob:float -> unit
 
 val clear : t -> unit
 
-val is_armed : t -> bool
-(** Whether any failure could still fire: a queued one-shot remains or a
-    random source is installed. Checking consumes nothing. *)
-
 val fires : t -> point -> bool
 (** Check-and-consume: [true] when a failure should be injected here. *)
 

@@ -16,10 +16,7 @@
    max-merged), so the scheduled program performs *exactly the same
    effects in exactly the same order* as the serial one — statuses,
    results, database writes, message sequence and loss draws are all
-   byte-identical; only the virtual-time accounting changes. Waves that
-   additionally satisfy [Engine.domain_eligible] run on real domains with
-   buffered effects replayed in declaration order, which is again
-   observationally the same stream. *)
+   byte-identical; only the virtual-time accounting changes. *)
 
 open Dol_ast
 
@@ -219,8 +216,8 @@ let analyze_seq tmap stmts =
   (* order-preserving maximal waves: extend the current wave while the
      next statement is independent of every member. Weightless statements
      (SET DOLSTATUS advances no clock and talks to no site) stay solo:
-     serializing them is free, and pulling one into a wave of tasks would
-     cost the block its domain eligibility (Task/Move members only). *)
+     serializing them is free, so a wave holds only statements that do
+     site work. *)
   let weightless = function Set_status _ -> true | _ -> false in
   let waves = ref [] and wave = ref [] in
   let flush () =

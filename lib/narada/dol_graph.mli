@@ -7,7 +7,7 @@
     block executes branches in declaration order, each in a virtual-clock
     frame starting at the block's t0 — so statuses, results, database
     state, message sequence and loss draws are byte-identical; only
-    virtual-time accounting (and real-domain eligibility) changes. *)
+    virtual-time accounting changes. *)
 
 type rw = {
   status_reads : string list;

@@ -33,9 +33,6 @@ type state = {
   pool : Pool.t option;
       (* OPEN checks out of / CLOSE checks into this pool instead of
          dialing and hanging up *)
-  dpool : Dpool.t option;
-      (* when present, eligible PARBEGIN blocks and 2PC fan-outs execute
-         their branches on separate domains *)
   move_cache : Lam.transfer_cache option;  (* shipped-result cache hook *)
   aliases : (string, conn) Hashtbl.t;
   services : (string, Service.t) Hashtbl.t;
@@ -48,7 +45,7 @@ type state = {
   rowcounts : (string, int) Hashtbl.t;
   mutable dolstatus : int;
   on_event : (string -> unit) option;
-      (* [None] when no string sink is installed, so [deliver] can skip
+      (* [None] when no string sink is installed, so [tell_ev] can skip
          rendering entirely — the render cost is per event, on the hot
          path of every statement *)
   on_trace : Trace.event -> unit;
@@ -62,130 +59,15 @@ type state = {
 let err fmt = Printf.ksprintf (fun m -> raise (Program_error m)) fmt
 let akey = String.lowercase_ascii
 
-(* ---- branch effect buffering ----------------------------------------------
-   A branch executing on a worker domain must not touch the engine's
-   shared state (Hashtbls, counters, the recovery log) nor call the
-   application's trace sinks — both would race with sibling branches. So
-   while a branch runs, its typed trace events and its state writes are
-   buffered in a domain-local record; at the join the buffers are replayed
-   on the calling domain in declaration order, which is exactly the order
-   the sequential combinator would have interleaved them. A branch never
-   re-reads its own deferred writes (checked per call site), so buffering
-   is invisible to the branch itself. Outside a branch the buffer is
-   absent and every effect applies immediately — the sequential paths are
-   byte-for-byte the old code. *)
-
-(* Buffers are growable arrays, not cons lists: a deferred effect is one
-   slot store (amortized), the join replays by indexing forward with no
-   List.rev allocation, and the arrays themselves are recycled through a
-   process-wide freelist so steady-state PARBEGIN blocks allocate no
-   buffer storage at all. The reuse hit/miss counters are process-global
-   observability for the benches ({!branch_buf_stats}); they are
-   deliberately NOT part of the metrics JSON, which must stay
-   byte-identical across pool widths while buffering only happens at
-   width >= 2. *)
-
-let dummy_event = { Trace.at_ms = 0.0; kind = Trace.Dolstatus 0; tag = None }
-
-type branch_buf = {
-  mutable bevents : Trace.event array;
-  mutable bev_n : int;
-  mutable bwrites : (unit -> unit) array;
-  mutable bw_n : int;
-}
-
-let fresh_buf () =
-  {
-    bevents = Array.make 32 dummy_event;
-    bev_n = 0;
-    bwrites = Array.make 32 ignore;
-    bw_n = 0;
-  }
-
-let buf_pool : branch_buf list ref = ref []
-let buf_pool_m = Mutex.create ()
-let buf_reuse_hits = Atomic.make 0
-let buf_reuse_misses = Atomic.make 0
-
-let take_bufs n =
-  Mutex.lock buf_pool_m;
-  let rec go k acc avail =
-    if k = 0 then (acc, avail)
-    else
-      match avail with
-      | b :: rest ->
-          Atomic.incr buf_reuse_hits;
-          go (k - 1) (b :: acc) rest
-      | [] ->
-          Atomic.incr buf_reuse_misses;
-          go (k - 1) (fresh_buf () :: acc) []
-  in
-  let bufs, rest = go n [] !buf_pool in
-  buf_pool := rest;
-  Mutex.unlock buf_pool_m;
-  Array.of_list bufs
-
-let return_bufs bufs =
-  Array.iter
-    (fun b ->
-      (* drop references so recycled buffers don't pin event payloads or
-         closed-over state between blocks *)
-      Array.fill b.bevents 0 b.bev_n dummy_event;
-      Array.fill b.bwrites 0 b.bw_n ignore;
-      b.bev_n <- 0;
-      b.bw_n <- 0)
-    bufs;
-  Mutex.lock buf_pool_m;
-  buf_pool := Array.fold_left (fun acc b -> b :: acc) !buf_pool bufs;
-  Mutex.unlock buf_pool_m
-
-let branch_buf_stats () =
-  (Atomic.get buf_reuse_hits, Atomic.get buf_reuse_misses)
-
-let push_event b ev =
-  let cap = Array.length b.bevents in
-  if b.bev_n = cap then begin
-    let bigger = Array.make (2 * cap) dummy_event in
-    Array.blit b.bevents 0 bigger 0 cap;
-    b.bevents <- bigger
-  end;
-  b.bevents.(b.bev_n) <- ev;
-  b.bev_n <- b.bev_n + 1
-
-let push_write b f =
-  let cap = Array.length b.bwrites in
-  if b.bw_n = cap then begin
-    let bigger = Array.make (2 * cap) ignore in
-    Array.blit b.bwrites 0 bigger 0 cap;
-    b.bwrites <- bigger
-  end;
-  b.bwrites.(b.bw_n) <- f;
-  b.bw_n <- b.bw_n + 1
-
-let branch_key : branch_buf option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(* a state write: immediate outside a branch, deferred to the join inside *)
-let deferred f =
-  match Domain.DLS.get branch_key with
-  | Some b -> push_write b f
-  | None -> f ()
-
-let deliver st ev =
+(* every event goes to both sinks: typed to [on_trace], rendered to the
+   historical string sink. [tell_ev] takes a pre-timestamped event: lower
+   layers (the session's MVCC observer routed through Lam, MOVE chunks)
+   stamp their own clock. *)
+let tell_ev st ev =
   Log.debug (fun f ->
       f "%.2fms %s" ev.Trace.at_ms (Trace.render_kind ev.Trace.kind));
   st.on_trace ev;
   match st.on_event with None -> () | Some f -> f (Trace.render ev)
-
-(* every event goes to both sinks: typed to [on_trace], rendered to the
-   historical string sink — buffered until the join inside a branch.
-   [tell_ev] takes a pre-timestamped event: lower layers (the session's
-   MVCC observer routed through Lam) stamp their own clock frame, which
-   inside a domain branch differs from the calling domain's. *)
-let tell_ev st ev =
-  match Domain.DLS.get branch_key with
-  | Some b -> push_event b ev
-  | None -> deliver st ev
 
 let tell st kind =
   tell_ev st { Trace.at_ms = World.now_ms st.world; kind; tag = None }
@@ -193,7 +75,7 @@ let tell st kind =
 let emit st fmt = Printf.ksprintf (fun m -> tell st (Trace.Note m)) fmt
 
 let retry_observer st ~where ~op ~attempt ~delay_ms ~reason =
-  deferred (fun () -> st.retries <- st.retries + 1);
+  st.retries <- st.retries + 1;
   tell st (Trace.Retry { op; site = where; attempt; delay_ms; reason })
 
 (* connect through the pool when one is installed; [reused] reports
@@ -216,18 +98,14 @@ let release st lam =
 
 let declare st name target =
   let k = akey name in
-  (* inside a domain branch this only sees pre-block declarations; the
-     eligibility gate has already checked the block's names against each
-     other and against the existing ones *)
   if Hashtbl.mem st.statuses k then err "duplicate task name %s" name;
-  deferred (fun () ->
-      Hashtbl.replace st.statuses k N;
-      st.status_order <- k :: st.status_order;
-      Hashtbl.replace st.task_target k (akey target))
+  Hashtbl.replace st.statuses k N;
+  st.status_order <- k :: st.status_order;
+  Hashtbl.replace st.task_target k (akey target)
 
 let set_status st name s =
   tell st (Trace.Status { task = name; status = s });
-  deferred (fun () -> Hashtbl.replace st.statuses (akey name) s)
+  Hashtbl.replace st.statuses (akey name) s
 
 let get_status st name =
   match Hashtbl.find_opt st.statuses (akey name) with Some s -> s | None -> N
@@ -294,8 +172,7 @@ let exec_task st (task : task) =
           set_status st task.tname (presumed_abort_status f)
       | Ok results -> (
           (match Lam.last_relation results with
-          | Some rel ->
-              deferred (fun () -> Hashtbl.replace st.results (akey task.tname) rel)
+          | Some rel -> Hashtbl.replace st.results (akey task.tname) rel
           | None -> ());
           let affected =
             List.fold_left
@@ -303,8 +180,7 @@ let exec_task st (task : task) =
                 match r with Ldbms.Session.Affected n -> acc + n | _ -> acc)
               0 results
           in
-          deferred (fun () ->
-              Hashtbl.replace st.rowcounts (akey task.tname) affected);
+          Hashtbl.replace st.rowcounts (akey task.tname) affected;
           match task.mode with
           | No_commit ->
               if
@@ -314,9 +190,8 @@ let exec_task st (task : task) =
                 (match Lam.prepare lam with
                 | Ok () ->
                     set_status st task.tname P;
-                    deferred (fun () ->
-                        Recovery_log.record_prepared st.rlog ~task:task.tname
-                          ~alias:task.target lam)
+                    Recovery_log.record_prepared st.rlog ~task:task.tname
+                      ~alias:task.target lam
                 | Error f ->
                     note_conflict st ~task:task.tname lam f;
                     set_status st task.tname (presumed_abort_status f))
@@ -347,10 +222,10 @@ let commit_task st tname =
           match Lam.commit lam with
           | Ok () ->
               set_status st tname C;
-              deferred (fun () -> Recovery_log.mark_resolved st.rlog tname)
+              Recovery_log.mark_resolved st.rlog tname
           | Error (Lam.Local _) ->
               set_status st tname A;
-              deferred (fun () -> Recovery_log.mark_resolved st.rlog tname)
+              Recovery_log.mark_resolved st.rlog tname
           | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _) ->
               emit st "task %s in doubt: commit logged, site unreachable" tname;
               set_status st tname E))
@@ -365,7 +240,7 @@ let abort_task st tname =
           match Lam.rollback lam with
           | Ok () | Error (Lam.Local _) ->
               set_status st tname A;
-              deferred (fun () -> Recovery_log.mark_resolved st.rlog tname)
+              Recovery_log.mark_resolved st.rlog tname
           | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _) ->
               emit st "task %s in doubt: abort logged, site unreachable" tname;
               set_status st tname E))
@@ -443,172 +318,6 @@ let exec_move st ~mname ~src ~dst ~dest_table ~query ~reduce =
           set_status st mname C
       | Error f -> set_status st mname (fail_status f))
 
-(* ---- domain-parallel execution of PARBEGIN blocks ------------------------- *)
-
-(* the connection lane a branch occupies: branches sharing a lane use the
-   same Lam connection and must be serialized onto one domain *)
-let lane_alias = function
-  | Task t -> Some (akey t.target)
-  | Move m -> Some (akey m.src)
-  | _ -> None
-
-let branch_name = function
-  | Task t -> Some (akey t.tname)
-  | Move m -> Some (akey m.mname)
-  | _ -> None
-
-let alias_service st alias = Hashtbl.find_opt st.services alias
-
-(* Can this PARBEGIN block run its branches on worker domains with no
-   observable difference from the sequential combinator? The conditions
-   guarantee that (a) no two domains touch the same connection, session or
-   local database, (b) no shared or order-sensitive PRNG is consulted, and
-   (c) every effect a branch performs is either buffered (trace events,
-   engine-state writes) or confined to resources the branch owns. Anything
-   else falls back to [World.parallel] — the sequential combinator these
-   semantics are defined against. *)
-let domain_eligible st stmts =
-  st.dpool <> None
-  && List.length stmts >= 2
-  && Option.is_none (Domain.DLS.get branch_key) (* no nested blocks *)
-  && (not (World.has_loss st.world)) (* loss draws share one PRNG *)
-  && st.move_cache = None (* cache closures are not ours to lock *)
-  && List.for_all
-       (fun s -> match s with Task _ | Move _ -> true | _ -> false)
-       stmts
-  && (* task/move names fresh and pairwise distinct, so [declare]'s
-        duplicate check answers the same inside every branch *)
-  (let names = List.filter_map branch_name stmts in
-   List.length (List.sort_uniq String.compare names) = List.length names
-   && not (List.exists (fun n -> Hashtbl.mem st.statuses n) names))
-  &&
-  (* every lane resolves to a known service; distinct lanes mean distinct
-     services AND distinct local databases; MOVE destinations all funnel
-     through one alias whose database no lane touches (the Lam
-     per-connection mutex then serializes the destination side) and whose
-     failure injector is quiet (armed injectors fire in arrival order,
-     which a domain race would make nondeterministic) *)
-  let lanes =
-    List.sort_uniq String.compare (List.filter_map lane_alias stmts)
-  in
-  let lane_svcs = List.map (alias_service st) lanes in
-  List.for_all Option.is_some lane_svcs
-  &&
-  let lane_svcs = List.map Option.get lane_svcs in
-  let names =
-    List.map (fun (s : Service.t) -> s.Service.service_name) lane_svcs
-  in
-  List.length (List.sort_uniq String.compare names) = List.length names
-  && (let rec distinct_dbs = function
-        | [] -> true
-        | (s : Service.t) :: rest ->
-            (not
-               (List.exists
-                  (fun (s' : Service.t) ->
-                    s.Service.database == s'.Service.database)
-                  rest))
-            && distinct_dbs rest
-      in
-      distinct_dbs lane_svcs)
-  &&
-  match
-    List.filter_map (function Move m -> Some (akey m.dst) | _ -> None) stmts
-  with
-  | [] -> true
-  | d :: rest -> (
-      List.for_all (String.equal d) rest
-      &&
-      match alias_service st d with
-      | None -> false
-      | Some (dsvc : Service.t) ->
-          (not (Ldbms.Failure_injector.is_armed dsvc.Service.injector))
-          && List.for_all
-               (fun (s : Service.t) ->
-                 s.Service.database != dsvc.Service.database)
-               lane_svcs)
-
-(* Execute the block's branches on the domain pool. Branches are grouped
-   into lanes by connection alias: branches sharing a lane run serially on
-   one domain in declaration order, each still in its own clock frame
-   starting at the block's [t0]. Every branch buffers its trace events and
-   state writes; at the join the buffers are replayed on the calling
-   domain in declaration order — the exact interleaving the sequential
-   combinator produces. If a branch raised, the buffers of the preceding
-   branches plus the failing branch's partial buffer are replayed and the
-   exception rethrown, so the observable prefix matches a sequential run
-   dying at the same statement (with the block's clock, like the
-   sequential combinator's, left at [t0]). *)
-let run_branches_on_domains st dp stmts ~exec =
-  let t0 = World.now_ms st.world in
-  let n = List.length stmts in
-  let bufs = take_bufs n in
-  let fails : exn option array = Array.make n None in
-  let ends = Array.make n t0 in
-  let lane_tbl = Hashtbl.create 8 in
-  let lanes = ref [] in
-  (* lanes in first-appearance order, each holding (index, stmt) pairs in
-     declaration order; a lane — a branch's whole statement list — is the
-     unit of domain work, so coordination costs are paid per connection,
-     not per statement *)
-  List.iteri
-    (fun i s ->
-      let a = Option.get (lane_alias s) in
-      match Hashtbl.find_opt lane_tbl a with
-      | Some cell -> cell := (i, s) :: !cell
-      | None ->
-          let cell = ref [ (i, s) ] in
-          Hashtbl.replace lane_tbl a cell;
-          lanes := cell :: !lanes)
-    stmts;
-  let jobs =
-    List.rev_map
-      (fun cell () ->
-        (* save/restore rather than set/None: a domain that helps drain
-           another pool's queue between statements must never find its
-           buffer silently dropped *)
-        let prev = Domain.DLS.get branch_key in
-        List.iter
-          (fun (i, s) ->
-            Domain.DLS.set branch_key (Some bufs.(i));
-            match
-              Fun.protect
-                ~finally:(fun () -> Domain.DLS.set branch_key prev)
-                (fun () ->
-                  World.in_frame st.world ~start_ms:t0 (fun () -> exec s))
-            with
-            | (), end_ms -> ends.(i) <- end_ms
-            | exception e -> fails.(i) <- Some e)
-          (List.rev !cell))
-      !lanes
-  in
-  Dpool.run_all dp jobs;
-  let replay i =
-    let b = bufs.(i) in
-    for k = 0 to b.bw_n - 1 do
-      b.bwrites.(k) ()
-    done;
-    for k = 0 to b.bev_n - 1 do
-      deliver st b.bevents.(k)
-    done
-  in
-  let rec merge i =
-    if i < n then begin
-      replay i;
-      match fails.(i) with Some e -> raise e | None -> merge (i + 1)
-    end
-  in
-  Fun.protect ~finally:(fun () -> return_bufs bufs) (fun () -> merge 0);
-  World.advance_ms st.world (Array.fold_left max t0 ends -. t0);
-  (* the same wave summary the sequential combinator path emits, from the
-     same virtual frame arithmetic: byte-identical at any pool width *)
-  tell st
-    (Trace.Wave
-       {
-         branches = n;
-         crit_ms = Array.fold_left (fun acc e -> max acc (e -. t0)) 0.0 ends;
-         serial_ms = Array.fold_left (fun acc e -> acc +. (e -. t0)) 0.0 ends;
-       })
-
 (* A fan-out of independent single-site verbs (the second phase of 2PC,
    the in-doubt resolution pass): account them concurrently so the phase
    costs one round trip of virtual latency, not one per participant.
@@ -640,9 +349,8 @@ let resolve_entry st (e : Recovery_log.entry) =
     | Ok () ->
         let s = match verdict with Recovery_log.Commit -> C | Recovery_log.Abort -> A in
         set_status st e.Recovery_log.task s;
-        deferred (fun () ->
-            Recovery_log.mark_resolved st.rlog e.Recovery_log.task;
-            st.recovered <- st.recovered + 1);
+        Recovery_log.mark_resolved st.rlog e.Recovery_log.task;
+        st.recovered <- st.recovered + 1;
         tell st
           (Trace.Recovered
              {
@@ -656,8 +364,7 @@ let resolve_entry st (e : Recovery_log.entry) =
     | Error (Lam.Local _) ->
         (* the LDBMS resolved it unilaterally (local abort) *)
         set_status st e.Recovery_log.task A;
-        deferred (fun () ->
-            Recovery_log.mark_resolved st.rlog e.Recovery_log.task)
+        Recovery_log.mark_resolved st.rlog e.Recovery_log.task
     | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _) -> ()
   end
 
@@ -874,28 +581,23 @@ let rec exec_stmt st = function
           | None -> err "CLOSE of unopened alias %s" alias)
         aliases
   | Task task -> exec_task st task
-  | Parallel stmts -> (
-      match st.dpool with
-      | Some dp when domain_eligible st stmts ->
-          (* real parallelism: branches on worker domains, effects buffered
-             and merged in declaration order at the join *)
-          run_branches_on_domains st dp stmts ~exec:(exec_stmt st)
-      | Some _ | None ->
-          (* Declarations must be deterministic regardless of branch
-             timing, so run branches under the world's parallel combinator,
-             which serializes effects but accounts time concurrently. *)
-          let _, durs =
-            World.parallel_timed st.world
-              (List.map (fun s () -> exec_stmt st s) stmts)
-          in
-          if List.length durs >= 2 then
-            tell st
-              (Trace.Wave
-                 {
-                   branches = List.length durs;
-                   crit_ms = List.fold_left max 0.0 durs;
-                   serial_ms = List.fold_left ( +. ) 0.0 durs;
-                 }))
+  | Parallel stmts ->
+      (* The branches model concurrent work at autonomous sites: the
+         world's parallel combinator runs them in declaration order, so
+         effects stay deterministic, but accounts their time
+         concurrently. *)
+      let _, durs =
+        World.parallel_timed st.world
+          (List.map (fun s () -> exec_stmt st s) stmts)
+      in
+      if List.length durs >= 2 then
+        tell st
+          (Trace.Wave
+             {
+               branches = List.length durs;
+               crit_ms = List.fold_left max 0.0 durs;
+               serial_ms = List.fold_left ( +. ) 0.0 durs;
+             })
   | If (cond, then_b, else_b) ->
       let taken = eval_cond st cond in
       tell st (Trace.Branch { cond = Dol_pp.cond_to_string cond; taken });
@@ -992,7 +694,7 @@ type stepper = {
 }
 
 let start ?on_event ?(on_trace = fun _ -> ())
-    ?(retry = Retry_policy.default) ?(recovery_grace_ms = 500.0) ?pool ?dpool
+    ?(retry = Retry_policy.default) ?(recovery_grace_ms = 500.0) ?pool
     ?move_cache ~directory ~world program =
   let st =
     {
@@ -1001,7 +703,6 @@ let start ?on_event ?(on_trace = fun _ -> ())
       policy = retry;
       grace_ms = recovery_grace_ms;
       pool;
-      dpool;
       move_cache;
       aliases = Hashtbl.create 8;
       services = Hashtbl.create 8;
@@ -1075,18 +776,18 @@ let finish sp =
       sp.sp_result <- Some r;
       r
 
-let run ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?dpool ?move_cache
+let run ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
     ~directory ~world program =
   finish
-    (start ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?dpool
-       ?move_cache ~directory ~world program)
+    (start ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
+       ~directory ~world program)
 
-let run_text ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?dpool
-    ?move_cache ~directory ~world text =
+let run_text ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
+    ~directory ~world text =
   match Dol_parser.parse text with
   | program ->
-      run ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?dpool
-        ?move_cache ~directory ~world program
+      run ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
+        ~directory ~world program
   | exception Dol_parser.Error (m, l, c) ->
       Error (Printf.sprintf "DOL parse error at %d:%d: %s" l c m)
 

@@ -49,7 +49,6 @@ val run :
   ?retry:Retry_policy.t ->
   ?recovery_grace_ms:float ->
   ?pool:Pool.t ->
-  ?dpool:Dpool.t ->
   ?move_cache:Lam.transfer_cache ->
   directory:Directory.t ->
   world:Netsim.World.t ->
@@ -79,19 +78,12 @@ val run :
     aliases the program forgot. [move_cache] is consulted by every MOVE:
     a hit ships nothing (see {!Lam.transfer}).
 
-    [dpool] enables real parallelism: the branches of a PARBEGIN block
-    whose shape proves they share no connection, database or
-    order-sensitive PRNG (all TASK/MOVE, fresh distinct names, pairwise
-    distinct lane services, MOVEs funnelling into one quiet destination,
-    no message loss, no shipped-result cache, no nesting) execute on
-    separate OCaml domains, with every trace event and engine-state write
-    buffered per branch and replayed in declaration order at the join —
-    the outcome, trace stream and virtual-time accounting are identical
-    to a run without [dpool]. Blocks that do not qualify silently fall
-    back to the sequential combinator. With or without [dpool], 2PC
-    second-phase fan-outs and the in-doubt resolution pass are accounted
-    concurrently in virtual time (one round trip, not one per
-    participant). *)
+    The branches of a PARBEGIN block run one after another on the
+    calling domain, each in its own virtual clock frame starting at the
+    block's start: the block costs its slowest branch, as at autonomous
+    sites working concurrently. 2PC second-phase fan-outs and the
+    in-doubt resolution pass are accounted the same way (one round trip,
+    not one per participant). *)
 
 val run_text :
   ?on_event:(string -> unit) ->
@@ -99,7 +91,6 @@ val run_text :
   ?retry:Retry_policy.t ->
   ?recovery_grace_ms:float ->
   ?pool:Pool.t ->
-  ?dpool:Dpool.t ->
   ?move_cache:Lam.transfer_cache ->
   directory:Directory.t ->
   world:Netsim.World.t ->
@@ -127,7 +118,6 @@ val start :
   ?retry:Retry_policy.t ->
   ?recovery_grace_ms:float ->
   ?pool:Pool.t ->
-  ?dpool:Dpool.t ->
   ?move_cache:Lam.transfer_cache ->
   directory:Directory.t ->
   world:Netsim.World.t ->
@@ -151,11 +141,3 @@ val status_of : outcome -> string -> Dol_ast.status
 (** Status of a named task; [N] if unknown. *)
 
 val result_of : outcome -> string -> Sqlcore.Relation.t option
-
-val branch_buf_stats : unit -> int * int
-(** [(reuse_hits, reuse_misses)] of the process-wide per-branch buffer
-    freelist used by domain-pool execution: a hit means a PARBEGIN branch
-    ran with a recycled trace/state buffer instead of allocating one.
-    Width-dependent by nature (buffering only happens on the domain
-    path), so this is bench observability — deliberately not part of the
-    session metrics JSON, which is byte-identical across widths. *)

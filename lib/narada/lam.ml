@@ -14,10 +14,10 @@ type t = {
       (* sink for the session's MVCC observations (snapshots, write-write
          conflicts), translated into typed trace events *)
   lock : Mutex.t;
-      (* serializes local work on this connection when parallel MOVE
-         branches on separate domains share it as their destination: the
-         semijoin probe reads and the materialize writes the same
-         database. [with_policy] copies share the mutex. *)
+      (* serializes local work on this connection when it is the shared
+         destination of several MOVEs: the semijoin probe reads and the
+         materialize writes the same database. [with_policy] copies share
+         the mutex. *)
 }
 
 (* The session cannot name Trace (layering: ldbms knows nothing of the
@@ -341,10 +341,10 @@ let transfer ~on_chunk ~cache ~reduce ~src ~dst ~query ~dest_table =
      to [dst], key set back — is charged to the network like any fetch, so
      the bytes_moved ledger reflects the real SDD-1 tradeoff. Best-effort:
      if the probe fails, the MOVE proceeds unreduced. *)
-  (* parallel MOVEs into the same coordinator run on separate domains but
-     share [dst]: its session (probe) and database (materialize) are
-     serialized under the connection's mutex. Virtual time is unaffected —
-     each branch charges its own clock frame. *)
+  (* MOVEs into the same coordinator share [dst]: its session (probe) and
+     database (materialize) are serialized under the connection's mutex.
+     Virtual time is unaffected — each branch charges its own clock
+     frame. *)
   let locked_dst f =
     Mutex.lock dst.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock dst.lock) f

@@ -181,11 +181,10 @@ val transfer :
     trailing [;] included), the transfer proceeds unreduced and reports
     [reduced = false].
 
-    Domain safety: concurrent transfers from {e distinct} sources into the
-    same [dst] (the engine's domain-parallel MOVE blocks) are safe — the
-    destination-side work (probe, materialize) is serialized under a
-    per-connection mutex, while each branch's network charges go to its
-    own clock frame. *)
+    The destination-side work (probe, materialize) runs under a
+    per-connection mutex, so transfers from {e distinct} sources into the
+    same [dst] stay safe even if they were run from separate domains;
+    each branch's network charges go to its own clock frame. *)
 
 val disconnect : t -> unit
 (** Close the session. An orphaned {e active} transaction is aborted by

@@ -20,9 +20,9 @@ type t = {
   pstats : stats;
   mutable on_trace : Trace.event -> unit;
   m : Mutex.t;
-      (* one pool may serve many sessions stepping on separate domains;
-         every entry point locks, so idle stacks and the in-use ledger
-         never race. Lam dials happen under the lock — connection setup
+      (* one pool may serve many sessions; every entry point locks, so
+         idle stacks and the in-use ledger never race even across
+         domains. Lam dials happen under the lock — connection setup
          is cheap in virtual time, and a lock-free dial would let two
          sessions both slip past the cap. *)
 }

@@ -80,9 +80,7 @@ type kind =
           (** sum of branch durations: what serial execution would cost *)
     }
       (** A [PARBEGIN] block of two or more branches joined. Durations are
-          virtual and derived from each branch's clock frame, so the event
-          is byte-identical whether the wave ran on the sequential
-          combinator or on a domain pool of any width. *)
+          virtual and derived from each branch's clock frame. *)
   | Dolstatus of int
   | Note of string
       (** Free-form diagnostics that have no structured shape (recovery

@@ -24,7 +24,7 @@ type t = {
   lose_next : (string * string, int) Hashtbl.t;  (* queued one-shot losses *)
   lock : Mutex.t;
       (* guards the accounting state (stats, site_stats, loss sources)
-         when parallel branches run on separate domains; the clock needs
+         so a world stays safe to share across domains; the clock needs
          no lock because each branch advances its own frame *)
 }
 
@@ -80,11 +80,10 @@ let site_names t =
 (* ---- clock frames --------------------------------------------------------
    A frame is a private view of the virtual clock for one logically
    concurrent branch: it starts at the branch's fork instant and advances
-   independently of every sibling. Frames live in domain-local storage, so
-   branches executing on separate domains each read and advance their own
-   clock without synchronization; the sequential [parallel] combinator uses
-   the same mechanism, entering and leaving one frame per branch on the
-   calling domain. Frames nest (a PARBEGIN inside a PARBEGIN forks from the
+   independently of every sibling. The [parallel] combinator enters and
+   leaves one frame per branch on the calling domain. Frames live in
+   domain-local storage, so no two domains ever see each other's frames.
+   Frames nest (a PARBEGIN inside a PARBEGIN forks from the
    enclosing frame's clock). *)
 
 type frame = { fworld : t; mutable fclock : float }
@@ -237,11 +236,6 @@ let lose_next t ~src ~dst =
   let k = (key src, key dst) in
   let n = Option.value ~default:0 (Hashtbl.find_opt t.lose_next k) in
   Hashtbl.replace t.lose_next k (n + 1)
-
-let has_loss t =
-  t.default_loss <> None
-  || Hashtbl.length t.link_loss > 0
-  || Hashtbl.length t.lose_next > 0
 
 let clear_faults t =
   Hashtbl.iter (fun name _ -> remember_past_windows t name)

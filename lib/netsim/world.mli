@@ -56,24 +56,12 @@ val site_names : t -> string list
 
 val now_ms : t -> float
 (** The current virtual time {e as seen by the calling branch}: inside a
-    clock frame (see {!in_frame}, {!parallel}) this is the frame's private
+    clock frame (see {!parallel}) this is the frame's private
     clock; outside any frame it is the world's global clock. *)
 
 val advance_ms : t -> float -> unit
 (** Advance the caller's clock (frame clock inside a frame, global clock
-    otherwise). Frames are domain-local, so branches running on separate
-    domains advance independent clocks with no synchronization. *)
-
-val in_frame : t -> start_ms:float -> (unit -> 'a) -> 'a * float
-(** [in_frame t ~start_ms f] runs [f] inside a fresh clock frame that
-    starts at [start_ms]: within [f], {!now_ms}/{!advance_ms} read and
-    move the frame's private clock. Returns [f]'s result together with the
-    frame's finish time. The global clock (or enclosing frame) is
-    untouched — merging the finish times back is the caller's job, as
-    {!parallel} does with a max. Frames nest, and are domain-local: this
-    is the primitive that lets logically concurrent branches execute on
-    separate domains while keeping virtual-time accounting identical to a
-    sequential run. *)
+    otherwise). *)
 
 val reset_clock : t -> unit
 val stats : t -> stats
@@ -128,12 +116,6 @@ val lose_next : t -> src:string -> dst:string -> unit
     Multiple calls stack. Takes precedence over probabilistic loss and
     consumes no PRNG draw, so deterministic tests stay deterministic. *)
 
-val has_loss : t -> bool
-(** Whether any message-loss source is configured (default or per-link
-    probability, or a queued one-shot loss). Loss draws consume shared
-    PRNG state whose order is interleaving-dependent, so the engine falls
-    back to sequential branch execution while this holds. *)
-
 val clear_faults : t -> unit
 (** Remove all outages, loss sources and queued losses. *)
 
@@ -161,8 +143,8 @@ val parallel : t -> (unit -> 'a) list -> 'a list
 (** Run the thunks as logically concurrent branches: each runs in its own
     clock frame starting at the current virtual time; afterwards the
     clock is the maximum finish time. Results are returned in order. The
-    thunks execute serially on the calling domain — real domain-parallel
-    execution is built on {!in_frame} directly by the DOL engine. *)
+    thunks execute serially on the calling domain. Blocks nest: a block
+    inside a branch forks from that branch's clock. *)
 
 val parallel_timed : t -> (unit -> 'a) list -> 'a list * float list
 (** {!parallel}, additionally returning each branch's virtual duration

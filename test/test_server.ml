@@ -1,8 +1,8 @@
-(* The concurrent multi-session server: wire protocol round trips,
-   admission control and queue shedding, round-robin fairness, the
-   server-vs-Interleave and serial-vs-parallel differentials, shared
-   plan/result cache accounting across sessions, and capped-pool
-   conflict requeues. *)
+(* The concurrent multi-session server: wire protocol round trips and
+   line framing, admission control and queue shedding, round-robin
+   fairness, the server-vs-Interleave differential, the MOVE temp-name
+   partitioning, shared plan/result cache accounting across sessions,
+   and capped-pool conflict requeues. *)
 
 module F = Msql.Fixtures
 module M = Msql.Msession
@@ -13,8 +13,8 @@ module I = Msql.Interleave
 let contains = Astring_contains.contains
 
 let config ?(max_sessions = 64) ?(max_queue = 16) ?(max_requeues = 8)
-    ?pool_cap ?(domains = 1) () =
-  { S.max_sessions; max_queue; max_requeues; pool_cap; domains }
+    ?pool_cap () =
+  { S.max_sessions; max_queue; max_requeues; pool_cap; domains = 1 }
 
 let ok_result = function
   | Ok r -> r
@@ -81,6 +81,52 @@ let test_wire_escaping () =
       Alcotest.(check bool) "escaped is one line" true
         (not (String.contains (W.escape s) '\n')))
     samples
+
+let hello srv =
+  let c = W.create srv in
+  (match W.feed c "HELLO\n" with
+  | [ "HELLO 1" ] -> ()
+  | other -> Alcotest.fail (String.concat "|" other));
+  c
+
+let test_wire_split_line () =
+  let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
+  let c = hello srv in
+  Alcotest.(check (list string)) "first chunk: no reply" []
+    (W.feed c "STMT USE avis SEL");
+  Alcotest.(check (list string)) "second chunk: no reply" []
+    (W.feed c "ECT code FROM cars WHERE cartyp");
+  Alcotest.(check (list string)) "third chunk completes the line" []
+    (W.feed c "e = 'sedan'\nNO");
+  (match S.drain srv with
+  | [ comp ] ->
+      Alcotest.(check bool) "one RESULT" true
+        (contains (W.completion_line comp) "RESULT 1 ")
+  | comps ->
+      Alcotest.fail
+        (Printf.sprintf "expected 1 completion, got %d" (List.length comps)));
+  (* the partial "NO" stays buffered until its newline arrives *)
+  match W.feed c "PE\n" with
+  | [ reply ] ->
+      Alcotest.(check bool) "buffered partial line completed" true
+        (contains reply "unknown command NOPE")
+  | other -> Alcotest.fail (String.concat "|" other)
+
+let test_wire_line_too_long () =
+  let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
+  let c = hello srv in
+  let half = String.make ((W.max_line_bytes / 2) + 1) 'x' in
+  Alcotest.(check (list string)) "under the cap: buffered" []
+    (W.feed c ("STMT " ^ half));
+  Alcotest.(check (list string)) "over the cap: one error"
+    [ "ERROR protocol: line too long" ]
+    (W.feed c half);
+  Alcotest.(check (list string)) "the rest of the line is dropped" []
+    (W.feed c half);
+  Alcotest.(check (list string)) "the next line is served"
+    [ "ERROR protocol: unknown command NOPE" ]
+    (W.feed c "tail\nNOPE\n");
+  Alcotest.(check int) "nothing was submitted" 0 (S.queued srv)
 
 (* ---- admission control and shedding ----------------------------------- *)
 
@@ -164,7 +210,7 @@ let test_server_matches_interleave () =
   let n = 3 in
   let via_server () =
     let fx = F.airline_fleet ~flights_per_db:20 ~n () in
-    let srv = S.of_fixtures ~config:(config ~domains:1 ()) fx in
+    let srv = S.of_fixtures ~config:(config ()) fx in
     let sids = List.init n (fun _ -> connect_exn srv) in
     List.iteri
       (fun i sid -> List.iter (fun q -> ignore (submit_exn srv sid q))
@@ -196,7 +242,6 @@ let test_server_matches_interleave () =
           in
           M.set_shared_caches s sc;
           M.set_shared_pool s pool;
-          M.set_domains s 1;
           s)
     in
     (* one wave per statement rank, like the server's rounds *)
@@ -227,28 +272,44 @@ let test_server_matches_interleave () =
   Alcotest.(check (list string)) "same results" inter_results server_results;
   Alcotest.(check (list string)) "same final state" inter_state server_state
 
-(* independent sessions executed concurrently (domains > 1, Taskpool
-   waves under clock frames) must leave the same state as the serial
-   schedule *)
-let test_parallel_matches_serial () =
+(* every shipped MOVE materializes into msql_tmp_<k>, named per plan,
+   not per session: sessions whose global joins ship into the same
+   coordinator must never interleave in one group, or one session's temp
+   table clobbers the other's *)
+let test_move_temp_names_partitioned () =
   let n = 4 in
-  let run ~domains =
-    let fx = F.airline_fleet ~flights_per_db:20 ~n () in
-    let srv = S.of_fixtures ~config:(config ~domains ()) fx in
-    let sids = List.init n (fun _ -> connect_exn srv) in
-    List.iteri
-      (fun i sid -> List.iter (fun q -> ignore (submit_exn srv sid q))
-          (client_sql (i + 1)))
-      sids;
-    let comps = S.drain srv in
-    List.iter (fun c -> ignore (ok_result c.S.c_result)) comps;
-    (fleet_scans fx n, S.stats srv)
+  let cities = [| "Houston"; "Dallas"; "Austin"; "Denver" |] in
+  (* airline1 is named first, so it coordinates every join *)
+  let join k =
+    Printf.sprintf
+      "USE airline1 airline%d SELECT a.flnu, b.flnu FROM airline1.flights \
+       a, airline%d.flights b WHERE a.source = b.source AND a.destination \
+       = '%s'"
+      (k + 1) (k + 1) cities.(k - 1)
   in
-  let serial_state, _ = run ~domains:1 in
-  let par_state, par_stats = run ~domains:4 in
-  Alcotest.(check (list string)) "state identical" serial_state par_state;
-  Alcotest.(check bool) "waves actually ran on the pool" true
-    (par_stats.S.parallel_batches > 0)
+  let stmts = List.init (n - 1) (fun i -> join (i + 1)) in
+  let serial =
+    let fx = F.airline_fleet ~flights_per_db:20 ~n () in
+    List.map
+      (fun q ->
+        match M.exec fx.F.session q with
+        | Ok r -> M.result_to_string r
+        | Error m -> Alcotest.fail ("serial run: " ^ m))
+      stmts
+  in
+  let fx = F.airline_fleet ~flights_per_db:20 ~n () in
+  let srv = S.of_fixtures ~config:(config ()) fx in
+  let sids = List.map (fun _ -> connect_exn srv) stmts in
+  List.iter2 (fun sid q -> ignore (submit_exn srv sid q)) sids stmts;
+  let comps = S.step_round srv in
+  Alcotest.(check int) "every statement completed in one round"
+    (List.length stmts) (List.length comps);
+  Alcotest.(check (list string)) "same answers as the serial run" serial
+    (List.map
+       (fun sid ->
+         let c = List.find (fun c -> c.S.c_sid = sid) comps in
+         M.result_to_string (ok_result c.S.c_result))
+       sids)
 
 (* ---- cross-session cache sharing -------------------------------------- *)
 
@@ -305,7 +366,7 @@ let test_shared_cache_epoch_invalidation () =
 
 let test_pool_conflict_requeue () =
   let srv =
-    S.of_fixtures ~config:(config ~pool_cap:1 ~domains:1 ()) (F.make ())
+    S.of_fixtures ~config:(config ~pool_cap:1 ()) (F.make ())
   in
   let s1 = connect_exn srv in
   let s2 = connect_exn srv in
@@ -338,6 +399,10 @@ let () =
         [
           Alcotest.test_case "protocol round trip" `Quick test_wire_roundtrip;
           Alcotest.test_case "payload escaping" `Quick test_wire_escaping;
+          Alcotest.test_case "line split across chunks" `Quick
+            test_wire_split_line;
+          Alcotest.test_case "over-long line refused" `Quick
+            test_wire_line_too_long;
         ] );
       ( "admission",
         [
@@ -350,8 +415,8 @@ let () =
             test_round_robin_fairness;
           Alcotest.test_case "server matches Interleave" `Quick
             test_server_matches_interleave;
-          Alcotest.test_case "parallel waves match serial state" `Quick
-            test_parallel_matches_serial;
+          Alcotest.test_case "MOVE temp names never share a group" `Quick
+            test_move_temp_names_partitioned;
         ] );
       ( "sharing",
         [

@@ -6,6 +6,9 @@ module F = Msql.Fixtures
 module M = Msql.Msession
 module D = Narada.Dol_ast
 module Inject = Ldbms.Failure_injector
+module World = Netsim.World
+module Engine = Narada.Engine
+module Trace = Narada.Trace
 
 let inject fx db point =
   Inject.fail_next
@@ -218,6 +221,84 @@ let test_non_vital_retrieval_partial_result () =
         (Msql.Multitable.databases mt)
   | r -> Alcotest.fail ("expected multitable, got " ^ M.result_to_string r)
 
+(* ---- the 2PC second phase in virtual time ---- *)
+
+(* three 2PC sites with distinct pure latencies and zero per-byte cost,
+   so every message costs exactly the remote site's latency *)
+let graded_world () =
+  let world = World.create () in
+  let dir = Narada.Directory.create () in
+  List.iter
+    (fun (svc, site, lat) ->
+      World.add_site world
+        (Netsim.Site.make ~latency_ms:lat ~per_byte_ms:0.0 site);
+      let db = Ldbms.Database.create svc in
+      Ldbms.Database.load db ~name:"flights"
+        [ Schema.column "flnu" Ty.Int; Schema.column "rate" Ty.Float ]
+        [ [| Value.Int 1; Value.Float 100.0 |] ];
+      Narada.Directory.register dir
+        (Narada.Service.make ~site ~caps:Ldbms.Capabilities.ingres_like db))
+    [ ("alpha", "fast", 10.0); ("beta", "mid", 20.0); ("gamma", "slow", 40.0) ];
+  (world, dir)
+
+let e3_shape_program =
+  {|
+DOLBEGIN
+  OPEN alpha AT fast AS c1;
+  OPEN beta AT mid AS c2;
+  OPEN gamma AT slow AS c3;
+  PARBEGIN
+    TASK T1 NOCOMMIT FOR c1 { UPDATE flights SET rate = rate * 1.1 } ENDTASK;
+    TASK T2 NOCOMMIT FOR c2 { UPDATE flights SET rate = rate * 1.1 } ENDTASK;
+    TASK T3 NOCOMMIT FOR c3 { UPDATE flights SET rate = rate * 1.1 } ENDTASK;
+  PAREND;
+  IF (T1=P) AND (T2=P) AND (T3=P) THEN
+  BEGIN COMMIT T1, T2, T3; DOLSTATUS = 0; END;
+  CLOSE c1 c2 c3;
+DOLEND
+|}
+
+let commit_phase_ms () =
+  let world, dir = graded_world () in
+  let events = ref [] in
+  (match
+     Engine.run_text
+       ~on_trace:(fun e -> events := e :: !events)
+       ~directory:dir ~world e3_shape_program
+   with
+  | Ok o -> Alcotest.(check int) "committed" 0 o.Engine.dolstatus
+  | Error m -> Alcotest.fail m);
+  let events = List.rev !events in
+  let decision_at =
+    match
+      List.find_opt
+        (fun e ->
+          match e.Trace.kind with
+          | Trace.Decision { verdict = Trace.Commit; _ } -> true
+          | _ -> false)
+        events
+    with
+    | Some e -> e.Trace.at_ms
+    | None -> Alcotest.fail "no commit decision event"
+  in
+  let last_c =
+    List.fold_left
+      (fun acc e ->
+        match e.Trace.kind with
+        | Trace.Status { status = D.C; _ } ->
+            max acc e.Trace.at_ms
+        | _ -> acc)
+      decision_at events
+  in
+  last_c -. decision_at
+
+(* each commit verb is a round trip of 2 x latency; run in parallel the
+   phase costs the slowest site's 80 ms, not the serial 140 ms *)
+let test_commit_phase_is_max_of_branches () =
+  let phase = commit_phase_ms () in
+  Alcotest.(check (float 1e-6)) "phase = slowest round trip" 80.0 phase;
+  Alcotest.(check bool) "not the serial sum" true (phase < 140.0)
+
 let () =
   Alcotest.run "vital"
     [
@@ -229,6 +310,8 @@ let () =
           Alcotest.test_case "commit window incorrect" `Quick test_commit_window_gives_incorrect;
           Alcotest.test_case "non-vital failure ok" `Quick test_non_vital_failure_is_still_success;
           Alcotest.test_case "all non-vital" `Quick test_all_non_vital_always_successful;
+          Alcotest.test_case "commit phase is max of branches" `Quick
+            test_commit_phase_is_max_of_branches;
         ] );
       ( "E4 compensation paths",
         [
