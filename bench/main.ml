@@ -2,14 +2,14 @@
 
    Part 1 prints deterministic experiment tables (simulated-network latency,
    message and byte counts) for the paper's worked examples E1–E5 and for
-   the performance claims P1–P15 (P11–P13 are retired). Part 2 runs a
-   Bechamel wall-clock suite over the processing pipeline (parse, expand,
-   translate, execute). The perf-critical tables (P4, P9, P10, P14, P15)
-   are also recorded in BENCH_perf.json.
+   the performance claims P1–P15 (P9 and P11–P13 are retired). Part 2
+   runs a Bechamel wall-clock suite over the processing pipeline (parse,
+   expand, translate, execute). The perf-critical tables (P4, P10, P14,
+   P15) are also recorded in BENCH_perf.json.
 
    Run with:  dune exec bench/main.exe
    CI smoke:  dune exec bench/main.exe -- --perf-smoke
-              (P4/P9/P10/P14/P15)
+              (P4/P10/P14/P15)
    Profiling: dune exec bench/main.exe -- --p10-one CONFIG[,CONFIG...]
               (single P10 configuration; P10_ROWS / P10_N override size) *)
 
@@ -308,56 +308,6 @@ let p4_shipping () =
         sj_bytes sj_ms dc_bytes dc_ms na_bytes na_ms;
       { sel = max_price; sj_bytes; sj_ms; dc_bytes; dc_ms; na_bytes; na_ms })
     [ 5; 25; 50; 75; 100 ]
-
-(* ---- P9: hash-join executor vs naive product (local engine) ---------------------- *)
-
-type p9_row = { jrows : int; hash_ns : float; product_ns : float }
-
-let time_once_ns f =
-  let t0 = Unix.gettimeofday () in
-  ignore (Sys.opaque_identity (f ()));
-  (Unix.gettimeofday () -. t0) *. 1e9
-
-let p9_setup n =
-  let db = Ldbms.Database.create "w" in
-  let col = Schema.column in
-  Ldbms.Database.load db ~name:"build_side"
-    [ col "b" Ty.Int; col "bk" Ty.Int ]
-    (List.init n (fun i -> [| Value.Int i; Value.Int (i * 7 mod n) |]));
-  Ldbms.Database.load db ~name:"probe_side"
-    [ col "p" Ty.Int; col "pk" Ty.Int ]
-    (List.init n (fun i -> [| Value.Int i; Value.Int i |]));
-  Ldbms.Session.connect db Ldbms.Capabilities.ingres_like
-
-let p9_join_scaling () =
-  header "P9: hash-join executor vs filtered product (local engine, wall time)";
-  Printf.printf "%-10s %16s %16s %9s\n" "rows" "hash ns" "product ns" "speedup";
-  let sql = "SELECT b.b, p.p FROM build_side b, probe_side p WHERE b.bk = p.pk" in
-  List.map
-    (fun n ->
-      let session = p9_setup n in
-      let run () =
-        match Ldbms.Session.exec_sql session sql with
-        | Ok r -> r
-        | Error m -> failwith m
-      in
-      let timed enabled =
-        Ldbms.Exec.set_join_planner enabled;
-        (* best of three: the product at 5000x5000 materializes 25M rows,
-           so a single pass per attempt is all we can afford *)
-        let t = ref infinity in
-        for _ = 1 to 3 do
-          t := Float.min !t (time_once_ns run)
-        done;
-        !t
-      in
-      let hash_ns = timed true in
-      let product_ns = timed false in
-      Ldbms.Exec.set_join_planner true;
-      Printf.printf "%-10d %16.0f %16.0f %8.1fx\n" n hash_ns product_ns
-        (product_ns /. hash_ns);
-      { jrows = n; hash_ns; product_ns })
-    [ 200; 1000; 5000 ]
 
 (* Replay an experiment [reps] times. The virtual network is
    deterministic, so [det] (everything but the wall clock) must agree
@@ -834,17 +784,12 @@ let p15_assert_smoke p15 =
 
 (* machine-readable record of the perf-critical experiments, consumed by
    the CI bench-smoke step *)
-let write_perf_json ~path p4 p9 p10 p14 p15 =
+let write_perf_json ~path p4 p10 p14 p15 =
   let oc = open_out path in
   let p4_json r =
     Printf.sprintf
       {|    {"selectivity_pct": %d, "semijoin_bytes": %d, "semijoin_virtual_ms": %.2f, "decomposed_bytes": %d, "decomposed_virtual_ms": %.2f, "shipall_bytes": %d, "shipall_virtual_ms": %.2f}|}
       r.sel r.sj_bytes r.sj_ms r.dc_bytes r.dc_ms r.na_bytes r.na_ms
-  in
-  let p9_json r =
-    Printf.sprintf
-      {|    {"rows": %d, "hash_join_ns": %.0f, "product_ns": %.0f, "speedup": %.2f}|}
-      r.jrows r.hash_ns r.product_ns (r.product_ns /. r.hash_ns)
   in
   let p10_json r =
     Printf.sprintf
@@ -873,9 +818,6 @@ let write_perf_json ~path p4 p9 p10 p14 p15 =
     \  \"p4_data_shipping\": [\n\
      %s\n\
     \  ],\n\
-    \  \"p9_join_executor\": [\n\
-     %s\n\
-    \  ],\n\
     \  \"p10_session_reuse\": [\n\
      %s\n\
     \  ],\n\
@@ -890,7 +832,6 @@ let write_perf_json ~path p4 p9 p10 p14 p15 =
     \  }\n\
      }\n"
     (String.concat ",\n" (List.map p4_json p4))
-    (String.concat ",\n" (List.map p9_json p9))
     (String.concat ",\n" (List.map p10_json p10))
     (String.concat ",\n" (List.map p14_json p14))
     (p15_off.p15_virt_ms /. p15_on.p15_virt_ms)
@@ -1199,7 +1140,6 @@ let () =
   | _ -> ());
   if smoke then begin
     let p4 = p4_shipping () in
-    let p9 = p9_join_scaling () in
     (* reduced P10: the traffic and determinism assertions are
        deterministic (virtual network), so the small configurations check
        the same invariants *)
@@ -1211,7 +1151,7 @@ let () =
        fleet width, so the smoke fleet shrinks with the rest *)
     let p15 = p15_dataflow ~n:6 ~reps:2 () in
     p15_assert_smoke p15;
-    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p14 p15;
+    write_perf_json ~path:"BENCH_perf.json" p4 p10 p14 p15;
     write_metrics_json ~path:"BENCH_metrics.json";
     print_newline ()
   end
@@ -1225,13 +1165,12 @@ let () =
     p6_index_ablation ();
     p7_outcome_distribution ();
     p8_function_replication ();
-    let p9 = p9_join_scaling () in
     let p10 = p10_session_reuse () in
     p10_assert_smoke p10;
     let p14 = p14_server () in
     let p15 = p15_dataflow () in
     p15_assert_smoke p15;
-    write_perf_json ~path:"BENCH_perf.json" p4 p9 p10 p14 p15;
+    write_perf_json ~path:"BENCH_perf.json" p4 p10 p14 p15;
     write_metrics_json ~path:"BENCH_metrics.json";
     run_bechamel ();
     print_newline ()

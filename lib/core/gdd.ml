@@ -6,10 +6,9 @@ type t = {
   cards : (string * string, int) Hashtbl.t;
       (* (db key, table key) -> row count observed at IMPORT time *)
   id : int;
-      (* process-unique dictionary identity: caches shared between
-         dictionaries (the LDBMS compiled-predicate cache) fold it into
-         their keys so equal version numbers from different dictionaries
-         cannot collide *)
+      (* process-unique dictionary identity: the plan-cache key folds it
+         in, so equal version numbers from different dictionaries cannot
+         collide *)
   mutable version : int;
       (* bumped on every mutation: the plan-cache invalidation epoch *)
 }

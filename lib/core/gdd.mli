@@ -11,9 +11,8 @@ val create : unit -> t
 
 val id : t -> int
 (** Process-unique identity of this dictionary instance (positive,
-    allocation-ordered). Caches that outlive a single dictionary — the
-    LDBMS compiled-predicate cache is process-global — key on
-    [(id, version)] so that two dictionaries which happen to share a
+    allocation-ordered). The session plan-cache key embeds
+    [(id, version)], so that two dictionaries which happen to share a
     version number can never collide. *)
 
 val version : t -> int

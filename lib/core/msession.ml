@@ -118,12 +118,7 @@ let create ?world ?directory ?ad ?gdd () =
     gdd = (match gdd with Some g -> g | None -> Gdd.create ());
     scope = [];
     optimize = false;
-    dataflow =
-      (* on by default; the CI matrix pins both legs explicitly via
-         MSQL_TEST_DATAFLOW={0,1} *)
-      (match Sys.getenv_opt "MSQL_TEST_DATAFLOW" with
-      | Some ("0" | "false" | "off") -> false
-      | Some _ | None -> true);
+    dataflow = true;
     semijoin = true;
     trace = None;
     typed_trace = None;
@@ -337,11 +332,6 @@ let invalidate_shipped t dbs =
    policy; [note_outcome] folds the finished result into the metrics and
    remembers it for {!last_engine_outcome} *)
 let engine_start t program =
-  (* pin the LDBMS compiled-predicate cache to this session's dictionary
-     epoch before any local statement runs: an IMPORT/INCORPORATE bumps the
-     epoch and clears compiled closures along with the shipped-result and
-     plan caches *)
-  Ldbms.Exec.set_dict_epoch ~ident:(Gdd.id t.gdd) (dict_epoch t);
   t.metrics.Metrics.engine_runs <- t.metrics.Metrics.engine_runs + 1;
   Engine.start ?on_event:t.trace ~on_trace:(observe t) ?retry:t.retry
     ?pool:t.pool ?move_cache:(move_cache t) ~directory:t.directory

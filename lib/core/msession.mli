@@ -179,14 +179,12 @@ val last_engine_outcome : t -> Narada.Engine.outcome option
 
 val set_dataflow : t -> bool -> unit
 (** Enable the dataflow wave scheduler ({!Narada.Dol_graph} via
-    {!Narada.Dol_opt.dataflow}) on generated plans — default {b on}; the
-    [MSQL_TEST_DATAFLOW] environment variable ([0]/[false]/[off] to
-    disable) sets the default for CI legs. The pass regroups each DOL
-    program into maximal order-preserving [PARBEGIN] waves, so statuses,
-    results and database state are byte-identical to the unscheduled
-    program while independent statements' virtual latencies max-merge
-    instead of summing. Affects plan generation, so it participates in
-    the plan-cache key. *)
+    {!Narada.Dol_opt.dataflow}) on generated plans — default {b on}. The
+    pass regroups each DOL program into maximal order-preserving
+    [PARBEGIN] waves, so statuses, results and database state are
+    byte-identical to the unscheduled program while independent
+    statements' virtual latencies max-merge instead of summing. Affects
+    plan generation, so it participates in the plan-cache key. *)
 
 val dataflow_enabled : t -> bool
 

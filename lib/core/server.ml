@@ -2,8 +2,8 @@
 
    One server owns a federation (a world + directory) and multiplexes N
    member sessions over it. The member sessions share everything the
-   single-session design kept private: the dictionary pair (so plan and
-   predicate cache keys are comparable across sessions), one capped LAM
+   single-session design kept private: the dictionary pair (so plan-cache
+   keys are comparable across sessions), one capped LAM
    connection pool, and one communal compiled-plan + shipped-result
    cache block. The scheduler is a synchronous wave loop: each round
    admits at most one statement per session in connect order, then

@@ -4,8 +4,8 @@
     multiplexes many {!Msession}s over it, sharing what the
     single-session design kept private:
 
-    - the {!Ad}/{!Gdd} dictionary pair, so compiled-plan and
-      compiled-predicate cache keys are comparable across sessions;
+    - the {!Ad}/{!Gdd} dictionary pair, so compiled-plan cache keys are
+      comparable across sessions;
     - one LAM connection {!Narada.Pool} with an optional per-service
       connection cap — the member database's resource limit;
     - one communal compiled-plan + shipped-result cache block

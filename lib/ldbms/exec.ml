@@ -230,94 +230,14 @@ let indexed_scan ?txn db (s : Ast.select) =
                    (Relation.make schema (Table.lookup_eq tbl ~col v))))
   | _ -> None
 
-(* ---- physical join planner ---------------------------------------------- *)
+(* The executor holds no process-global state: WHERE predicates and
+   projection expressions compile once per statement
+   ({!Compile.compile_row}); a compiled closure depends only on the
+   expression and its input schema, so there is nothing to cache across
+   statements or to invalidate on DDL. *)
 
-let use_join_planner = ref true
-let set_join_planner b = use_join_planner := b
-let join_planner_enabled () = !use_join_planner
-
-(* ---- compiled-predicate cache -------------------------------------------
-
-   WHERE predicates and projection expressions are compiled once per
-   statement ({!Compile.compile_row}) and memoized here. The key is the
-   marshalled (expression, input schema) pair — the schema is part of the
-   key because column indices are baked into the closure — prefixed with
-   the caller's dictionary {e identity} and {e epoch} ({!set_dict_epoch}).
-   Folding both into the key (instead of pinning the table to one global
-   epoch scalar and resetting on change) means two sessions with
-   different dictionaries interleaving statements cannot thrash each
-   other's compiled entries, and equal epoch numbers from different
-   dictionaries cannot collide. A bumped epoch still invalidates: the old
-   epoch's keys stop being looked up and are pruned eagerly, so the table
-   never accumulates dead generations. Local DDL clears everything —
-   an index/table/view change can invalidate any captured closure.
-   The table is process-wide and lock-guarded, so it stays safe across
-   domains; the payoff of a hit is per-statement, not per-row, so
-   the lock is far off the hot loop. *)
-
-type compiled_key = { ck_ident : int; ck_epoch : int; ck_expr : string }
-
-let compiled_cache : (compiled_key, (Row.t -> Value.t) option) Hashtbl.t =
-  Hashtbl.create 64
-
-let compiled_m = Mutex.create ()
-let compiled_hits = ref 0
-let compiled_misses = ref 0
-let compiled_ident = ref 0
-let compiled_epoch = ref min_int
-
-let set_dict_epoch ?(ident = 0) e =
-  Mutex.lock compiled_m;
-  if ident <> !compiled_ident || e <> !compiled_epoch then begin
-    (* this dictionary moved to a new epoch: its older-generation entries
-       can never be hit again, drop them; entries of other dictionaries
-       (different ident) are untouched *)
-    let doomed =
-      Hashtbl.fold
-        (fun k _ acc ->
-          if k.ck_ident = ident && k.ck_epoch <> e then k :: acc else acc)
-        compiled_cache []
-    in
-    List.iter (Hashtbl.remove compiled_cache) doomed;
-    compiled_ident := ident;
-    compiled_epoch := e
-  end;
-  Mutex.unlock compiled_m
-
-let invalidate_compiled () =
-  Mutex.lock compiled_m;
-  Hashtbl.reset compiled_cache;
-  Mutex.unlock compiled_m
-
-let compiled_cache_stats () =
-  Mutex.lock compiled_m;
-  let r = (!compiled_hits, !compiled_misses, Hashtbl.length compiled_cache) in
-  Mutex.unlock compiled_m;
-  r
-
-let compile_cached schema expr =
-  Mutex.lock compiled_m;
-  let key =
-    {
-      ck_ident = !compiled_ident;
-      ck_epoch = !compiled_epoch;
-      ck_expr = Marshal.to_string (expr, schema) [];
-    }
-  in
-  let f =
-    match Hashtbl.find_opt compiled_cache key with
-    | Some f ->
-        incr compiled_hits;
-        f
-    | None ->
-        incr compiled_misses;
-        let f = Compile.compile_row schema expr in
-        if Hashtbl.length compiled_cache > 256 then Hashtbl.reset compiled_cache;
-        Hashtbl.add compiled_cache key f;
-        f
-  in
-  Mutex.unlock compiled_m;
-  f
+(* no effect; kept only because msqlbench/ reads it *)
+let compiled_cache_stats () = (0, 0, 0)
 
 let rec expr_has_subquery = function
   | Ast.Scalar_subquery _ | Ast.In_subquery _ | Ast.Exists _ -> true
@@ -544,7 +464,7 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
               List.fold_left (fun acc l -> Relation.product acc l.jl_rel) l0.jl_rel rest
         in
         match leaves, s.Ast.where with
-        | _ :: _ :: _, Some pred when join_planner_enabled () -> (
+        | _ :: _ :: _, Some pred -> (
             match plan_join_input ?txn db leaves pred with
             | Some rel -> rel
             | None -> product ())
@@ -563,7 +483,7 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
            primitives, and the hashed IN-list test is fuzzed against
            [Eval.in_values]. *)
         let compiled =
-          if expr_has_subquery pred then None else compile_cached schema pred
+          if expr_has_subquery pred then None else Compile.compile_row schema pred
         in
         let keep =
           match compiled with
@@ -619,7 +539,7 @@ and plain_select ~depth ?txn db ~outer schema input (s : Ast.select) =
      compiler declines (subqueries, outer references) keeps the
      interpreter per-expression *)
   let compiled_expr e =
-    match compile_cached schema e with
+    match Compile.compile_row schema e with
     | Some f -> f
     | None -> fun row -> Eval.eval ctx (mkenv row) e
   in
@@ -911,7 +831,6 @@ let run_delete db ~txn ~table ~where =
       List.length before - List.length kept)
 
 let run_create_table db ~txn ~table ~columns =
-  invalidate_compiled ();
   wrap (fun () ->
       let schema =
         List.map
@@ -924,13 +843,11 @@ let run_create_table db ~txn ~table ~columns =
       Txn.log_create txn db table)
 
 let run_drop_table db ~txn ~table =
-  invalidate_compiled ();
   wrap (fun () ->
       let tbl = Database.drop_table db table in
       Txn.log_drop txn db tbl)
 
 let run_create_view db ~txn ~view ~query =
-  invalidate_compiled ();
   wrap (fun () ->
       (* validate by evaluating once; errors surface before registration *)
       ignore (select_unwrapped ~depth:0 ~txn db query);
@@ -938,7 +855,6 @@ let run_create_view db ~txn ~view ~query =
       Txn.log_create_view txn db view)
 
 let run_drop_view db ~txn ~view =
-  invalidate_compiled ();
   wrap (fun () ->
       let q = Database.drop_view db view in
       Txn.log_drop_view txn db view q)
@@ -947,7 +863,6 @@ let view_schema db query =
   wrap (fun () -> Relation.schema (select_unwrapped ~depth:0 db query))
 
 let run_create_index db ~txn ~index ~table ~column =
-  invalidate_compiled ();
   wrap (fun () ->
       (match Database.create_index db ~name:index ~table ~column with
       | () -> ()
@@ -955,7 +870,6 @@ let run_create_index db ~txn ~index ~table ~column =
       Txn.log_create_index txn db index)
 
 let run_drop_index db ~txn ~index =
-  invalidate_compiled ();
   wrap (fun () ->
       let table, column = Database.drop_index db index in
       Txn.log_drop_index txn db index ~table ~column)

@@ -4,35 +4,21 @@
     and capability enforcement live in {!Session}. DML callers must pass
     the enclosing transaction: reads go through its snapshot (plus its own
     staged writes) and writes stage intents resolved at commit. A write
-    that loses the first-committer-wins race raises {!Txn.Conflict}. *)
+    that loses the first-committer-wins race raises {!Txn.Conflict}.
+
+    A SELECT compiles its predicates and projections once per statement
+    ({!Compile.compile_row}); the module keeps no state between
+    statements. A multi-table FROM with a WHERE joins through the physical
+    join planner (hash join, or index nested loop over an equi-join
+    conjunct), and falls back to the filtered Cartesian product when no
+    conjunct qualifies. *)
 
 exception Error of string
 (** Semantic error: unknown table/column, ambiguity, type error. *)
 
-val set_join_planner : bool -> unit
-(** Enable/disable the physical join planner (hash joins and index
-    nested-loop over equi-join conjuncts). On by default; disabling falls
-    back to the Cartesian-product-then-filter pipeline. The result rows are
-    identical either way — the toggle exists for differential testing and
-    benchmarking. *)
-
-val join_planner_enabled : unit -> bool
-
-val set_dict_epoch : ?ident:int -> int -> unit
-(** Declare the calling dictionary's identity and epoch for subsequent
-    local statements: both are folded into the compiled-predicate cache
-    key (the multidatabase layer passes its {!Msql.Gdd.id} and the sum of
-    its GDD/AD versions before executing local statements; [ident]
-    defaults to [0] for bare LDBMS sessions). A changed epoch therefore
-    invalidates by construction — old-generation keys stop matching and
-    are pruned — without clearing entries that belong to {e other}
-    dictionaries, so sessions with different dictionary versions
-    interleaving statements no longer thrash the whole cache, and equal
-    epoch numbers from different dictionaries cannot collide. *)
-
 val compiled_cache_stats : unit -> int * int * int
-(** [(hits, misses, live_entries)] of the compiled-predicate/projection
-    cache. Hits are per statement, not per row. *)
+(** Always [(0, 0, 0)]: predicates compile once per statement and nothing
+    is cached. No effect; kept only because [msqlbench/] reads it. *)
 
 val run_select :
   ?txn:Txn.t ->

@@ -278,18 +278,12 @@ let restrict_query ~col keys query =
 
    In virtual time the stream is ONE logical message ({!World.send_chunked}):
    the loss draw, message count, total bytes and clock advance are exactly
-   the monolithic send's, so results, traffic and metrics are invariant in
-   both the chunk size and the window — only the typed [Trace.Chunk]
-   events observe the schedule. *)
+   those of one [World.send] of the summed bytes, so results, traffic and
+   metrics do not depend on the chunk size or the window — only the typed
+   [Trace.Chunk] events observe the schedule. *)
 
-let move_chunk_rows = ref 512  (* rows per chunk; <= 0 restores monolithic *)
-let move_window = ref 4  (* in-flight chunk credits *)
-
-let set_move_streaming ?chunk_rows ?window () =
-  Option.iter (fun v -> move_chunk_rows := v) chunk_rows;
-  Option.iter (fun v -> move_window := max 1 v) window
-
-let move_streaming () = (!move_chunk_rows, !move_window)
+let move_chunk_rows = 512  (* rows per chunk *)
+let move_window = 4  (* in-flight chunk credits *)
 
 type chunk_note = {
   ck_seq : int;  (* 1-based *)
@@ -410,48 +404,39 @@ let transfer ~on_chunk ~cache ~reduce ~src ~dst ~query ~dest_table =
           with
           | Error f -> Error f
           | Ok rel -> (
-              let chunk_rows = !move_chunk_rows and window = !move_window in
               match
                 guard_site (fun () ->
-                    if chunk_rows <= 0 then begin
-                      (* monolithic legacy path *)
-                      World.send dst.world ~src:(site src) ~dst:(site dst)
-                        ~bytes:(Sqlcore.Relation.size_bytes rel + ack_bytes);
-                      Ok ()
-                    end
-                    else begin
-                      let groups = chunk_groups ~chunk_rows rel in
-                      (* the final installment carries the stream ack *)
-                      let rec with_ack = function
-                        | [ (b, n) ] -> [ (b + ack_bytes, n) ]
-                        | g :: rest -> g :: with_ack rest
-                        | [] -> assert false
-                      in
-                      let groups = with_ack groups in
-                      let times =
-                        World.send_chunked dst.world ~src:(site src)
-                          ~dst:(site dst) ~chunks:(List.map fst groups)
-                      in
-                      (* chunk observations only for a delivered stream: a
-                         loss raises above, before any chunk completed *)
-                      (match on_chunk with
-                      | Some f ->
-                          let total = List.length groups in
-                          List.iteri
-                            (fun i ((bytes, rows), at_ms) ->
-                              f
-                                {
-                                  ck_seq = i + 1;
-                                  ck_total = total;
-                                  ck_rows = rows;
-                                  ck_bytes = bytes;
-                                  ck_at_ms = at_ms;
-                                  ck_window = window;
-                                })
-                            (List.combine groups times)
-                      | None -> ());
-                      Ok ()
-                    end)
+                    let groups = chunk_groups ~chunk_rows:move_chunk_rows rel in
+                    (* the final installment carries the stream ack *)
+                    let rec with_ack = function
+                      | [ (b, n) ] -> [ (b + ack_bytes, n) ]
+                      | g :: rest -> g :: with_ack rest
+                      | [] -> assert false
+                    in
+                    let groups = with_ack groups in
+                    let times =
+                      World.send_chunked dst.world ~src:(site src)
+                        ~dst:(site dst) ~chunks:(List.map fst groups)
+                    in
+                    (* chunk observations only for a delivered stream: a
+                       loss raises above, before any chunk completed *)
+                    (match on_chunk with
+                    | Some f ->
+                        let total = List.length groups in
+                        List.iteri
+                          (fun i ((bytes, rows), at_ms) ->
+                            f
+                              {
+                                ck_seq = i + 1;
+                                ck_total = total;
+                                ck_rows = rows;
+                                ck_bytes = bytes;
+                                ck_at_ms = at_ms;
+                                ck_window = move_window;
+                              })
+                          (List.combine groups times)
+                    | None -> ());
+                    Ok ())
               with
               | Error f -> Error f
               | Ok () ->

@@ -113,6 +113,10 @@ type transfer_cache = {
     committed write, since the shipped relation depends on the source
     data and, through the semijoin key set, on the destination data. *)
 
+val ack_bytes : int
+(** Wire size of a protocol acknowledgement; a MOVE's data stream carries
+    one in its final installment. *)
+
 type chunk_note = {
   ck_seq : int;  (** 1-based position in the stream *)
   ck_total : int;  (** number of chunks in the stream *)
@@ -126,18 +130,6 @@ type chunk_note = {
     streams that complete: a lost message aborts the whole logical
     transfer before any chunk is observable, so retries never leak
     partial streams into the trace. *)
-
-val set_move_streaming : ?chunk_rows:int -> ?window:int -> unit -> unit
-(** Configure the MOVE data plane. [chunk_rows] is the number of rows per
-    chunk (default 512); [chunk_rows <= 0] disables streaming and ships
-    each relation as a single monolithic message. [window] is the
-    sender's in-flight credit window (default 4, clamped to [>= 1]) —
-    documentation carried on every {!chunk_note}; it does not change
-    accounting. Streaming is invariant by construction: statistics,
-    virtual time and query results are identical at every setting. *)
-
-val move_streaming : unit -> int * int
-(** Current [(chunk_rows, window)] settings. *)
 
 type transfer_stats = {
   moved_rows : int;  (** rows materialized at the destination *)
@@ -162,10 +154,12 @@ val transfer :
     two sites. Returns what moved and how. Idempotent end to end,
     retried as a unit under [src]'s policy.
 
-    When streaming is enabled (see {!set_move_streaming}) the data
-    shipment travels as fixed-size chunks through the network; each
-    delivered installment is reported to [on_chunk] with its virtual
-    completion instant, in stream order.
+    The data shipment streams as chunks of 512 rows under a credit
+    window of 4; each delivered installment is reported to [on_chunk]
+    with its virtual completion instant, in stream order. The stream is
+    one logical message ({!Netsim.World.send_chunked}): its loss draw,
+    message count, bytes and clock advance are those of a single send of
+    the whole relation plus the ack.
 
     With [cache = Some _], a lookup hit short-circuits the whole operation: the
     cached relation is re-materialized at [dst] with zero network traffic

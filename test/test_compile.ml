@@ -1,10 +1,9 @@
 (* Randomized differential fuzz of the compiled predicate closures
-   against the interpreted Eval walker, and chunk-size invariance of the
-   streamed MOVE path (results, traffic, metrics). *)
+   against the interpreted Eval walker, and the fixed-size chunking and
+   accounting of a streamed MOVE. *)
 open Sqlcore
-module M = Msql.Msession
-module Trace = Narada.Trace
 module Ast = Sqlfront.Ast
+module Lam = Narada.Lam
 module Eval = Ldbms.Eval
 module Compile = Ldbms.Compile
 
@@ -221,186 +220,75 @@ let test_in_list_allocation_bound () =
   if per_row >= 100. then
     Alcotest.failf "IN-list filter allocates %.0f words per input row" per_row
 
-(* ---- chunk-size invariance of the full pipeline ------------------------ *)
+(* ---- MOVE chunk streaming ----------------------------------------------- *)
 
-(* same three-database federation as test_observability: a global join
-   whose plan ships two MOVEs *)
 let sales_schema = [ col "sid" Ty.Int; col "part_id" Ty.Int; col "qty" Ty.Int ]
 
 let parts_schema =
   [ col "pid" Ty.Int; col ~width:16 "pname" Ty.Str; col "price" Ty.Float ]
 
-let stock_schema = [ col "spid" Ty.Int; col ~width:16 "wh" Ty.Str ]
+let lam_service world name site table schema rows =
+  Netsim.World.add_site world (Netsim.Site.make site);
+  let db = Ldbms.Database.create name in
+  Ldbms.Database.load db ~name:table schema rows;
+  ( db,
+    Lam.connect_exn world
+      (Narada.Service.make ~site ~caps:Ldbms.Capabilities.ingres_like db) )
 
-let make_fed3 () =
+(* 1,300 rows stream as 512 + 512 + 276 under a window of 4, and the
+   stream is charged as one message of the relation plus the ack *)
+let test_move_streams_fixed_chunks () =
   let world = Netsim.World.create () in
-  let directory = Narada.Directory.create () in
-  let session = M.create ~world ~directory () in
-  let sales = List.init 10 (fun k -> [| i k; i (k mod 5); i (k + 1) |]) in
-  let parts =
-    List.init 200 (fun k -> [| i k; s (Printf.sprintf "part%d" k); f 9.5 |])
+  let n = 1300 in
+  let src_db, src =
+    lam_service world "store" "ssite" "parts" parts_schema
+      (List.init n (fun k -> [| i k; s (Printf.sprintf "part%d" k); f 1.5 |]))
   in
-  let stock =
-    List.init 150 (fun k -> [| i (k mod 50); s (Printf.sprintf "wh%d" k) |])
+  let _, dst = lam_service world "market" "msite" "sales" sales_schema [] in
+  let query = "SELECT pid, pname, price FROM parts" in
+  let shipped =
+    Ldbms.Exec.run_select src_db (Sqlfront.Parser.parse_select query)
   in
-  List.iter
-    (fun (name, site, tname, schema, rows) ->
-      Netsim.World.add_site world (Netsim.Site.make site);
-      let db = Ldbms.Database.create name in
-      Ldbms.Database.load db ~name:tname schema rows;
-      Narada.Directory.register directory
-        (Narada.Service.make ~site ~caps:Ldbms.Capabilities.ingres_like db);
-      (match M.incorporate_auto session ~service:name with
-      | Ok () -> ()
-      | Error m -> failwith m);
-      match M.import_all session ~service:name with
-      | Ok () -> ()
-      | Error m -> failwith m)
-    [
-      ("market", "msite", "sales", sales_schema, sales);
-      ("store", "ssite", "parts", parts_schema, parts);
-      ("depot", "dsite", "stock", stock_schema, stock);
-    ];
-  (session, world)
-
-let join3 =
-  "USE market store depot SELECT s.sid, p.pname, st.wh FROM market.sales s, \
-   store.parts p, depot.stock st WHERE s.part_id = p.pid AND s.part_id = \
-   st.spid"
-
-type run_record = {
-  rr_result : string;
-  rr_messages : int;
-  rr_bytes : int;
-  rr_ms : float;
-  rr_moved : (int * int) list;  (* Moved (rows, bytes), in order *)
-  rr_chunks : Trace.kind list;
-}
-
-let run_at_chunk_size chunk_rows =
-  Narada.Lam.set_move_streaming ~chunk_rows ~window:4 ();
-  let session, world = make_fed3 () in
-  let moved = ref [] and chunks = ref [] in
-  M.set_typed_trace session
-    (Some
-       (fun e ->
-         match e.Trace.kind with
-         | Trace.Moved { rows; bytes; _ } -> moved := (rows, bytes) :: !moved
-         | Trace.Chunk _ as k -> chunks := k :: !chunks
-         | _ -> ()));
-  let result =
-    match M.exec session join3 with
-    | Ok r -> M.result_to_string r
-    | Error m -> failwith m
+  Netsim.World.reset_stats world;
+  let notes = ref [] in
+  let st =
+    match
+      Lam.transfer
+        ~on_chunk:(Some (fun c -> notes := c :: !notes))
+        ~cache:None ~reduce:None ~src ~dst ~query ~dest_table:"moved"
+    with
+    | Ok st -> st
+    | Error fl -> Alcotest.fail (Lam.failure_message fl)
   in
-  let st = Netsim.World.stats world in
-  {
-    rr_result = result;
-    rr_messages = st.Netsim.World.messages;
-    rr_bytes = st.Netsim.World.bytes_moved;
-    rr_ms = Netsim.World.now_ms world;
-    rr_moved = List.rev !moved;
-    rr_chunks = List.rev !chunks;
-  }
-
-let test_chunk_size_invariance () =
-  Fun.protect ~finally:(fun () -> Narada.Lam.set_move_streaming ~chunk_rows:512 ~window:4 ())
-  @@ fun () ->
-  let base = run_at_chunk_size 0 (* monolithic legacy path *) in
-  Alcotest.(check bool) "baseline shipped something" true (base.rr_bytes > 0);
-  Alcotest.(check int) "monolithic run has no chunk events" 0
-    (List.length base.rr_chunks);
-  List.iter
-    (fun chunk_rows ->
-      let r = run_at_chunk_size chunk_rows in
-      let tag fmt = Printf.sprintf fmt chunk_rows in
-      Alcotest.(check string) (tag "results equal at chunk size %d")
-        base.rr_result r.rr_result;
-      Alcotest.(check int) (tag "messages equal at chunk size %d")
-        base.rr_messages r.rr_messages;
-      Alcotest.(check int) (tag "bytes equal at chunk size %d") base.rr_bytes
-        r.rr_bytes;
-      Alcotest.(check (float 0.0)) (tag "virtual time equal at chunk size %d")
-        base.rr_ms r.rr_ms;
-      Alcotest.(check bool) (tag "Moved events equal at chunk size %d") true
-        (base.rr_moved = r.rr_moved);
-      (* every streamed MOVE's installments: seq 1..total, rows summing to
-         the Moved row count (chunk bytes also carry protocol overhead,
-         so they are not compared to the payload figure) *)
-      let by_move = Hashtbl.create 4 in
-      List.iter
-        (function
-          | Trace.Chunk { mname; seq; total; rows; window; _ } ->
-              Alcotest.(check int) (tag "window recorded at chunk size %d") 4
-                window;
-              let seqs, rowsum =
-                Option.value ~default:([], 0) (Hashtbl.find_opt by_move mname)
-              in
-              Alcotest.(check bool) (tag "seq within total at %d") true
-                (seq >= 1 && seq <= total);
-              Hashtbl.replace by_move mname (seq :: seqs, rowsum + rows)
-          | _ -> ())
-        r.rr_chunks;
-      Alcotest.(check bool) (tag "chunked runs emit chunk events at %d") true
-        (Hashtbl.length by_move > 0);
-      Hashtbl.iter
-        (fun _ (seqs, _) ->
-          let sorted = List.sort compare seqs in
-          Alcotest.(check bool) (tag "contiguous stream at chunk size %d")
-            true
-            (sorted = List.init (List.length sorted) (fun k -> k + 1)))
-        by_move;
-      (* at one row per chunk, each shipped relation streams row-count
-         installments: the per-move row sums match the Moved totals *)
-      if chunk_rows = 1 then
-        List.iter
-          (fun (rows, _) ->
-            Alcotest.(check bool) "a move streamed its rows one per chunk"
-              true
-              (Hashtbl.fold
-                 (fun _ (_, rowsum) acc -> acc || rowsum = rows)
-                 by_move false))
-          r.rr_moved)
-    [ 1; 7; 4096 ]
-
-(* the metrics JSON document is byte-identical across chunk sizes: Chunk
-   events have no metric dimension and Moved carries the totals *)
-let test_chunk_size_invariant_metrics () =
-  Fun.protect ~finally:(fun () -> Narada.Lam.set_move_streaming ~chunk_rows:512 ~window:4 ())
-  @@ fun () ->
-  let metrics_at chunk_rows =
-    Narada.Lam.set_move_streaming ~chunk_rows ~window:4 ();
-    let session, _world = make_fed3 () in
-    (match M.exec session join3 with
-    | Ok _ -> ()
-    | Error m -> failwith m);
-    M.metrics_json session
-  in
-  let base = metrics_at 0 in
-  List.iter
-    (fun chunk_rows ->
-      Alcotest.(check string)
-        (Printf.sprintf "metrics JSON identical at chunk size %d" chunk_rows)
-        base (metrics_at chunk_rows))
-    [ 1; 7; 4096 ]
+  let notes = List.rev !notes in
+  let total = List.length notes in
+  Alcotest.(check int) "moved every row" n st.Lam.moved_rows;
+  Alcotest.(check bool) "at least three chunks" true (total >= 3);
+  List.iteri
+    (fun k c ->
+      Alcotest.(check int) "contiguous sequence" (k + 1) c.Lam.ck_seq;
+      Alcotest.(check int) "stream length" total c.Lam.ck_total;
+      Alcotest.(check int) "window" 4 c.Lam.ck_window;
+      if k + 1 < total then Alcotest.(check int) "full chunk" 512 c.Lam.ck_rows)
+    notes;
+  Alcotest.(check int) "chunk rows sum to the moved rows" st.Lam.moved_rows
+    (List.fold_left (fun a c -> a + c.Lam.ck_rows) 0 notes);
+  let at_dst = List.assoc (Lam.site dst) (Netsim.World.per_site world) in
+  Alcotest.(check int) "one data message" 1 at_dst.Netsim.World.recv_msgs;
+  Alcotest.(check int) "relation plus ack"
+    (Relation.size_bytes shipped + Lam.ack_bytes)
+    at_dst.Netsim.World.recv_bytes
 
 (* ---- semijoin reduction is reported only when applied ------------------ *)
 
 let transfer_with_probe query =
   let world = Netsim.World.create () in
-  let service name site table schema rows =
-    Netsim.World.add_site world (Netsim.Site.make site);
-    let db = Ldbms.Database.create name in
-    Ldbms.Database.load db ~name:table schema rows;
-    Narada.Lam.connect_exn world
-      (Narada.Service.make ~site ~caps:Ldbms.Capabilities.ingres_like db)
-  in
-  let src =
-    service "store" "ssite" "parts" parts_schema
+  let _, src =
+    lam_service world "store" "ssite" "parts" parts_schema
       (List.init 20 (fun k -> [| i k; s (Printf.sprintf "part%d" k); f 1.5 |]))
   in
-  let dst =
-    service "market" "msite" "sales" sales_schema
+  let _, dst =
+    lam_service world "market" "msite" "sales" sales_schema
       (List.init 3 (fun k -> [| i k; i (k * 5); i 1 |]))
   in
   match
@@ -442,9 +330,7 @@ let () =
         ] );
       ( "streaming",
         [
-          Alcotest.test_case "chunk-size invariance" `Quick
-            test_chunk_size_invariance;
-          Alcotest.test_case "metrics JSON invariant" `Quick
-            test_chunk_size_invariant_metrics;
+          Alcotest.test_case "MOVE streams fixed-size chunks" `Quick
+            test_move_streams_fixed_chunks;
         ] );
     ]

@@ -180,12 +180,7 @@ let test_optimize_all_passes () =
 
 let test_metrics_and_flag () =
   let fx = F.make () in
-  let default_on =
-    match Sys.getenv_opt "MSQL_TEST_DATAFLOW" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true
-  in
-  Alcotest.(check bool) "default follows MSQL_TEST_DATAFLOW" default_on
+  Alcotest.(check bool) "dataflow is on by default" true
     (M.dataflow_enabled fx.F.session);
   M.set_dataflow fx.F.session true;
   (match

@@ -1,11 +1,10 @@
-(* Dictionary-epoch invalidation of the compiled data plane: a bump of
+(* Dictionary-epoch invalidation of the shipped-result cache: a bump of
    the GDD/AD version (a re-IMPORT simulating a local ALTER at a member
-   database) must flush both the compiled-predicate cache and the
-   shipped-result cache, while an unchanged epoch keeps both warm. Local
-   DDL inside an LDBMS flushes the compiled cache directly. *)
+   database) must drop cached shipped relations. Local DDL that changes a
+   table's shape must never let a statement run against the old shape:
+   predicates compile per statement, against the schema they read. *)
 open Sqlcore
 module M = Msql.Msession
-module Exec = Ldbms.Exec
 
 let col = Schema.column
 let s x = Value.Str x
@@ -51,55 +50,6 @@ let join2 =
   "USE market store SELECT s.sid, p.pname FROM market.sales s, \
    store.parts p WHERE s.part_id = p.pid AND p.price < 100"
 
-(* the compiled-predicate cache is epoch-pinned: re-running the same
-   statement under the same epoch hits it; an epoch bump (what
-   {!M.engine_start} feeds through {!Exec.set_dict_epoch} after a
-   re-IMPORT / simulated local ALTER moves the GDD version) resets it,
-   so the re-run recompiles from scratch. Exercised at the LDBMS level,
-   where no DDL interferes: the multidatabase path drops its temporary
-   MOVE tables at the end of every statement, and local DDL flushes the
-   cache too (third test), so post-statement size is not observable
-   through {!M.exec}. *)
-let test_epoch_bump_resets_compiled_cache () =
-  let db = Ldbms.Database.create "w" in
-  Ldbms.Database.load db ~name:"crates"
-    [ col "cid" Ty.Int; col ~width:8 "dock" Ty.Str; col "mass" Ty.Float ]
-    (List.init 50 (fun k ->
-         [| i k; s (Printf.sprintf "dock%d" (k mod 5)); f (float_of_int k) |]));
-  let session = Ldbms.Session.connect db Ldbms.Capabilities.ingres_like in
-  let q = "SELECT cid FROM crates WHERE dock = 'dock2' AND mass < 30" in
-  let run () =
-    match Ldbms.Session.exec_sql session q with
-    | Ok _ -> ()
-    | Error m -> Alcotest.fail m
-  in
-  Exec.set_dict_epoch 1;
-  run ();
-  let _, misses1, size1 = Exec.compiled_cache_stats () in
-  Alcotest.(check bool) "first run populated the compiled cache" true
-    (size1 > 0);
-  let hits1, _, _ = Exec.compiled_cache_stats () in
-  run ();
-  let hits2, misses2, _ = Exec.compiled_cache_stats () in
-  Alcotest.(check int) "warm re-run compiles nothing new" misses1 misses2;
-  Alcotest.(check bool) "warm re-run hits the compiled cache" true
-    (hits2 > hits1);
-  (* the simulated local ALTER: a GDD/AD version bump moves the epoch *)
-  Exec.set_dict_epoch 2;
-  let _, _, size_after_bump = Exec.compiled_cache_stats () in
-  Alcotest.(check int) "epoch bump emptied the cache" 0 size_after_bump;
-  run ();
-  let _, misses3, size3 = Exec.compiled_cache_stats () in
-  Alcotest.(check bool) "epoch bump forced recompilation" true
-    (misses3 > misses2);
-  Alcotest.(check bool) "cache repopulated under the new epoch" true
-    (size3 > 0);
-  (* an unchanged epoch must NOT reset: re-pinning the same value keeps
-     the cache warm *)
-  Exec.set_dict_epoch 2;
-  let _, _, size4 = Exec.compiled_cache_stats () in
-  Alcotest.(check int) "same epoch keeps the cache" size3 size4
-
 (* the shipped-result cache is epoch-stamped: the warm re-run is a result
    hit, the post-IMPORT run drops the stale entry and ships again *)
 let test_epoch_bump_drops_shipped_results () =
@@ -120,86 +70,58 @@ let test_epoch_bump_drops_shipped_results () =
   Alcotest.(check bool) "stale entry dropped and reshipped" true
     (cs.M.result_misses > misses_before)
 
-(* compiled-cache keys carry the dictionary identity, so two sessions
-   pinning different dictionaries (a multi-session server) no longer
-   thrash each other's entries: pinning B's epoch leaves A's warm *)
-let test_two_dictionaries_do_not_thrash () =
-  let mk name rows =
-    let db = Ldbms.Database.create name in
-    Ldbms.Database.load db ~name:"crates"
-      [ col "cid" Ty.Int; col ~width:8 "dock" Ty.Str ]
-      (List.init rows (fun k ->
-           [| i k; s (Printf.sprintf "dock%d" (k mod 4)) |]));
-    Ldbms.Session.connect db Ldbms.Capabilities.ingres_like
+(* the same SELECT text before and after DROP TABLE / CREATE TABLE with
+   the columns reordered: each run must resolve its columns against the
+   table as it is now *)
+let test_recreated_table_reordered_columns () =
+  let db = Ldbms.Database.create "w" in
+  let session = Ldbms.Session.connect db Ldbms.Capabilities.ingres_like in
+  let exec sql =
+    match Ldbms.Session.exec_sql session sql with
+    | Ok r -> r
+    | Error m -> Alcotest.fail (sql ^ ": " ^ m)
   in
-  let sa = mk "wa" 30 and sb = mk "wb" 30 in
-  let qa = "SELECT cid FROM crates WHERE dock = 'dock1'" in
-  let qb = "SELECT cid FROM crates WHERE dock = 'dock2'" in
-  let run sess q =
-    match Ldbms.Session.exec_sql sess q with
-    | Ok _ -> ()
+  let commit () =
+    match Ldbms.Session.commit session with
+    | Ok () -> ()
     | Error m -> Alcotest.fail m
   in
-  (* dictionary A (ident 1) populates under its epoch *)
-  Exec.set_dict_epoch ~ident:1 1;
-  run sa qa;
-  let _, _, size_a = Exec.compiled_cache_stats () in
-  Alcotest.(check bool) "A populated" true (size_a > 0);
-  (* dictionary B (ident 2) pins a different epoch: A's entries survive *)
-  Exec.set_dict_epoch ~ident:2 7;
-  run sb qb;
-  let _, _, size_ab = Exec.compiled_cache_stats () in
-  Alcotest.(check bool) "B added, A kept" true (size_ab > size_a);
-  (* A pins its (unchanged) epoch again: still warm, nothing recompiled *)
-  Exec.set_dict_epoch ~ident:1 1;
-  let hits_before, misses_before, _ = Exec.compiled_cache_stats () in
-  run sa qa;
-  let hits_after, misses_after, _ = Exec.compiled_cache_stats () in
-  Alcotest.(check int) "A recompiled nothing" misses_before misses_after;
-  Alcotest.(check bool) "A hit its warm entry" true (hits_after > hits_before);
-  (* A's own epoch moves: only A's entries go, B's stay *)
-  Exec.set_dict_epoch ~ident:1 2;
-  let _, _, size_after = Exec.compiled_cache_stats () in
-  Alcotest.(check bool) "only A's entries dropped" true
-    (size_after < size_ab && size_after > 0)
-
-(* local DDL must flush the compiled cache immediately — a dropped or
-   added index/table/view can change what a cached closure captured *)
-let test_local_ddl_flushes_compiled_cache () =
-  let db = Ldbms.Database.create "w" in
-  Ldbms.Database.load db ~name:"stock"
-    [ col "sku" Ty.Int; col ~width:8 "bin" Ty.Str ]
-    (List.init 40 (fun k -> [| i k; s (Printf.sprintf "bin%d" (k mod 7)) |]));
-  let session = Ldbms.Session.connect db Ldbms.Capabilities.ingres_like in
-  let q = "SELECT sku FROM stock WHERE bin = 'bin3' AND sku > 5" in
-  (match Ldbms.Session.exec_sql session q with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  let _, _, size1 = Exec.compiled_cache_stats () in
-  Alcotest.(check bool) "select compiled its predicate" true (size1 > 0);
-  (match
-     Ldbms.Session.exec_sql session "CREATE TABLE scratch (k INTEGER)"
-   with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  let _, _, size2 = Exec.compiled_cache_stats () in
-  Alcotest.(check int) "DDL flushed the compiled cache" 0 size2
+  let q = "SELECT sku, bin FROM stock WHERE bin = 'b1' AND sku > 2 ORDER BY sku" in
+  let rows () =
+    match exec q with
+    | Ldbms.Session.Rows rel -> Relation.rows rel
+    | _ -> Alcotest.fail "SELECT did not produce rows"
+  in
+  let check msg want =
+    Alcotest.(check bool) msg true (List.equal Row.equal want (rows ()))
+  in
+  ignore (exec "CREATE TABLE stock (sku INT, bin CHAR(8))");
+  List.iter
+    (fun (k, b) ->
+      ignore (exec (Printf.sprintf "INSERT INTO stock VALUES (%d, '%s')" k b)))
+    [ (1, "b1"); (3, "b1"); (4, "b2"); (5, "b1") ];
+  commit ();
+  check "rows of the original table" [ [| i 3; s "b1" |]; [| i 5; s "b1" |] ];
+  ignore (exec "DROP TABLE stock");
+  ignore (exec "CREATE TABLE stock (bin CHAR(8), sku INT)");
+  List.iter
+    (fun (b, k) ->
+      ignore (exec (Printf.sprintf "INSERT INTO stock VALUES ('%s', %d)" b k)))
+    [ ("b1", 7); ("b2", 8); ("b1", 2); ("b1", 9) ];
+  commit ();
+  check "rows of the recreated table" [ [| i 7; s "b1" |]; [| i 9; s "b1" |] ]
 
 let () =
   Alcotest.run "epoch"
     [
       ( "dictionary epoch",
         [
-          Alcotest.test_case "bump resets compiled-predicate cache" `Quick
-            test_epoch_bump_resets_compiled_cache;
           Alcotest.test_case "bump drops shipped results" `Quick
             test_epoch_bump_drops_shipped_results;
-          Alcotest.test_case "two dictionaries do not thrash" `Quick
-            test_two_dictionaries_do_not_thrash;
         ] );
       ( "local DDL",
         [
-          Alcotest.test_case "flushes compiled cache" `Quick
-            test_local_ddl_flushes_compiled_cache;
+          Alcotest.test_case "recreated table with reordered columns" `Quick
+            test_recreated_table_reordered_columns;
         ] );
     ]

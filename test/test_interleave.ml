@@ -184,8 +184,25 @@ let test_replay_verdict_after_conflict_in_window () =
 
 (* ---- msession-level helpers ------------------------------------------- *)
 
-let second_session fx services =
+(* every msession-level case runs under both plan schedules: the dataflow
+   wave scheduler (the default) and the unscheduled program *)
+let under_both_schedules test () =
+  List.iter
+    (fun dataflow ->
+      try test ~dataflow
+      with e ->
+        Printf.eprintf "failed with dataflow = %b\n" dataflow;
+        raise e)
+    [ true; false ]
+
+let fixture ~dataflow =
+  let fx = F.make () in
+  M.set_dataflow fx.F.session dataflow;
+  fx
+
+let second_session ~dataflow fx services =
   let s = M.create ~world:fx.F.world ~directory:fx.F.directory () in
+  M.set_dataflow s dataflow;
   List.iter
     (fun svc ->
       (match M.incorporate_auto s ~service:svc with
@@ -232,9 +249,9 @@ let cell_count fx ~db ~table v =
 (* two sessions double/bump the same flight; the interleaving steps the
    loser's task block while the winner holds its prepared reservation, so
    first-committer-wins turns the lost update into a clean abort *)
-let test_lost_update_aborts_loser () =
-  let fx = F.make () in
-  let s2 = second_session fx [ "continental" ] in
+let test_lost_update_aborts_loser ~dataflow =
+  let fx = fixture ~dataflow in
+  let s2 = second_session ~dataflow fx [ "continental" ] in
   let w_sql =
     "USE continental VITAL UPDATE flights SET rate = rate * 2 WHERE flnu = 101"
   in
@@ -300,9 +317,9 @@ END MULTITRANSACTION
    atomically (COMMIT a AND b): the interleaved outcome must be
    serial-equivalent — one client holds both seats, the other is fully
    undone on both sites, never a mixed booking *)
-let test_cross_site_reservation_race () =
-  let fx = F.make () in
-  let s2 = second_session fx [ "continental"; "delta" ] in
+let test_cross_site_reservation_race ~dataflow =
+  let fx = fixture ~dataflow in
+  let s2 = second_session ~dataflow fx [ "continental"; "delta" ] in
   let sql_a = seat_mtx "alice" and sql_b = seat_mtx "bob" in
   let n = steps_to_block fx.F.session sql_a in
   let script = repeat n "alice" @ repeat n "bob" in
@@ -356,9 +373,9 @@ let upd_summary = function
       (M.update_outcome_to_string outcome, dolstatus)
   | r -> Alcotest.fail ("expected an update report, got " ^ M.result_to_string r)
 
-let run_serial () =
-  let fx = F.make () in
-  let s2 = second_session fx [ "avis" ] in
+let run_serial ~dataflow =
+  let fx = fixture ~dataflow in
+  let s2 = second_session ~dataflow fx [ "avis" ] in
   let exec p =
     match M.exec p.I.session p.I.sql with
     | Ok r -> r
@@ -367,15 +384,15 @@ let run_serial () =
   let rs = List.map exec (diff_participants fx s2) in
   (fx, List.nth rs 0, List.nth rs 1)
 
-let run_interleaved schedule =
-  let fx = F.make () in
-  let s2 = second_session fx [ "avis" ] in
+let run_interleaved ~dataflow schedule =
+  let fx = fixture ~dataflow in
+  let s2 = second_session ~dataflow fx [ "avis" ] in
   let outcome = I.run ~schedule (diff_participants fx s2) in
   (fx, result_exn outcome "reader", result_exn outcome "renter")
 
-let check_against_serial name schedule =
-  let fx_s, reader_s, renter_s = run_serial () in
-  let fx_i, reader_i, renter_i = run_interleaved schedule in
+let check_against_serial ~dataflow name schedule =
+  let fx_s, reader_s, renter_s = run_serial ~dataflow in
+  let fx_i, reader_i, renter_i = run_interleaved ~dataflow schedule in
   Alcotest.(check string)
     (name ^ ": retrieval is byte-identical to serial")
     (mt_string reader_s) (mt_string reader_i);
@@ -389,12 +406,12 @@ let check_against_serial name schedule =
        (F.scan fx_s ~db:"avis" ~table:"cars")
        (F.scan fx_i ~db:"avis" ~table:"cars"))
 
-let test_differential_round_robin () =
-  check_against_serial "round-robin" I.Round_robin
+let test_differential_round_robin ~dataflow =
+  check_against_serial ~dataflow "round-robin" I.Round_robin
 
-let test_differential_seeded () =
-  check_against_serial "seeded(7)" (I.Seeded 7);
-  check_against_serial "seeded(23)" (I.Seeded 23)
+let test_differential_seeded ~dataflow =
+  check_against_serial ~dataflow "seeded(7)" (I.Seeded 7);
+  check_against_serial ~dataflow "seeded(23)" (I.Seeded 23)
 
 (* ---- harness edges ----------------------------------------------------- *)
 
@@ -435,15 +452,16 @@ let () =
       ( "anomalies",
         [
           Alcotest.test_case "lost update aborts the loser" `Quick
-            test_lost_update_aborts_loser;
+            (under_both_schedules test_lost_update_aborts_loser);
           Alcotest.test_case "cross-site reservation race" `Quick
-            test_cross_site_reservation_race;
+            (under_both_schedules test_cross_site_reservation_race);
         ] );
       ( "differential",
         [
           Alcotest.test_case "round-robin == serial" `Quick
-            test_differential_round_robin;
-          Alcotest.test_case "seeded == serial" `Quick test_differential_seeded;
+            (under_both_schedules test_differential_round_robin);
+          Alcotest.test_case "seeded == serial" `Quick
+            (under_both_schedules test_differential_seeded);
         ] );
       ( "harness",
         [

@@ -44,6 +44,72 @@ let test_site_down () =
   World.send w ~src:"mdbs" ~dst:"alpha" ~bytes:1;
   Alcotest.(check bool) "recovered" true (World.now_ms w > 0.0)
 
+(* a chunk-streamed message is one logical send: against [send] of the
+   summed bytes it charges the same messages, bytes, per-site ledgers and
+   clock, and under one seeded loss source the same sends are lost *)
+let test_send_chunked_matches_send () =
+  let lossy () =
+    let w = make_world () in
+    World.set_loss w ~seed:7 ~prob:0.3;
+    w
+  in
+  let chunked = lossy () and whole = lossy () in
+  let streams =
+    [ [ 100; 200; 50 ]; [ 0 ]; [ 512; 512; 512; 17 ]; [ 1 ]; [ 300; 0; 300 ];
+      [ 4096 ]; [ 64; 64 ]; [ 10; 20; 30; 40 ]; [ 999 ]; [ 7; 7; 7 ] ]
+  in
+  let lost = ref 0 and delivered = ref 0 in
+  List.iteri
+    (fun k chunks ->
+      let tag fmt = Printf.sprintf fmt k in
+      let src, dst = if k mod 2 = 0 then ("alpha", "beta") else ("beta", "alpha") in
+      let bytes = List.fold_left ( + ) 0 chunks in
+      let a =
+        match World.send_chunked chunked ~src ~dst ~chunks with
+        | times -> Some times
+        | exception World.Lost_message _ -> None
+      in
+      let b =
+        match World.send whole ~src ~dst ~bytes with
+        | () -> true
+        | exception World.Lost_message _ -> false
+      in
+      Alcotest.(check bool) (tag "send %d: same loss draw") b (a <> None);
+      Alcotest.(check (float 1e-9)) (tag "send %d: same clock")
+        (World.now_ms whole) (World.now_ms chunked);
+      match a with
+      | None -> incr lost
+      | Some times ->
+          incr delivered;
+          Alcotest.(check int) (tag "send %d: one instant per chunk")
+            (List.length chunks) (List.length times);
+          let rec monotone = function
+            | x :: (y :: _ as rest) -> x <= y && monotone rest
+            | _ -> true
+          in
+          Alcotest.(check bool) (tag "send %d: instants monotone") true
+            (monotone times);
+          Alcotest.(check (float 1e-9)) (tag "send %d: last instant is completion")
+            (World.now_ms chunked)
+            (List.nth times (List.length times - 1)))
+    streams;
+  Alcotest.(check bool) "the seed loses some sends and delivers others" true
+    (!lost > 0 && !delivered > 0);
+  let st w =
+    let s = World.stats w in
+    (s.World.messages, s.World.bytes_moved, s.World.lost)
+  in
+  Alcotest.(check (triple int int int)) "stats" (st whole) (st chunked);
+  let ledger w =
+    List.map
+      (fun (name, (ss : World.site_stat)) ->
+        (name, [ ss.World.sent_msgs; ss.World.sent_bytes; ss.World.recv_msgs;
+                 ss.World.recv_bytes ]))
+      (World.per_site w)
+  in
+  Alcotest.(check (list (pair string (list int)))) "per-site ledger"
+    (ledger whole) (ledger chunked)
+
 let test_parallel_max_semantics () =
   let w = make_world () in
   let slow () = World.advance_ms w 100.0 in
@@ -87,6 +153,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "unknown site" `Quick test_unknown_site;
           Alcotest.test_case "site down" `Quick test_site_down;
+          Alcotest.test_case "chunked send charges as one send" `Quick
+            test_send_chunked_matches_send;
         ] );
       ( "parallel",
         [
