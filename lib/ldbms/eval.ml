@@ -5,28 +5,6 @@ exception Type_error of string
 exception Unknown_column of string
 exception Ambiguous_column of string
 
-type env = { schema : Schema.t; row : Row.t; outer : env option }
-
-let env ?outer schema row = { schema; row; outer }
-
-type ctx = {
-  subquery : env option -> Ast.select -> Relation.t;
-  agg : (Ast.expr -> Value.t) option;
-}
-
-let rec lookup e ?qualifier name =
-  match Schema.find_indices e.schema ?qualifier name with
-  | [ i ] -> Row.get e.row i
-  | [] -> (
-      match e.outer with
-      | Some outer -> lookup outer ?qualifier name
-      | None ->
-          let q = match qualifier with Some q -> q ^ "." | None -> "" in
-          raise (Unknown_column (q ^ name)))
-  | _ :: _ :: _ ->
-      let q = match qualifier with Some q -> q ^ "." | None -> "" in
-      raise (Ambiguous_column (q ^ name))
-
 let truthy = function Value.Bool true -> true | _ -> false
 
 let value_compare_sql a b =
@@ -120,74 +98,9 @@ let concat a b =
 let negate_tv negated v =
   if negated then logic_not v else v
 
-let rec eval ctx e expr =
-  match expr with
-  | Ast.Lit v -> v
-  | Ast.Col { qualifier; name } -> lookup e ?qualifier name
-  | Ast.Binop (Ast.And, a, b) -> logic_and (eval ctx e a) (eval ctx e b)
-  | Ast.Binop (Ast.Or, a, b) -> logic_or (eval ctx e a) (eval ctx e b)
-  | Ast.Binop (((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b)
-    ->
-      comparison op (eval ctx e a) (eval ctx e b)
-  | Ast.Binop (Ast.Concat, a, b) -> concat (eval ctx e a) (eval ctx e b)
-  | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod) as op), a, b) ->
-      arith op (eval ctx e a) (eval ctx e b)
-  | Ast.Unop (Ast.Not, a) -> logic_not (eval ctx e a)
-  | Ast.Unop (Ast.Neg, a) -> (
-      match eval ctx e a with
-      | Value.Null -> Value.Null
-      | Value.Int i -> Value.Int (-i)
-      | Value.Float f -> Value.Float (-.f)
-      | v -> raise (Type_error ("negation of " ^ Value.to_string v)))
-  | Ast.Is_null { arg; negated } ->
-      let v = eval ctx e arg in
-      Value.Bool (if negated then not (Value.is_null v) else Value.is_null v)
-  | Ast.Like { arg; pattern; negated } -> (
-      match eval ctx e arg with
-      | Value.Null -> Value.Null
-      | Value.Str s -> negate_tv negated (Value.Bool (Like.sql_like ~pattern s))
-      | v -> raise (Type_error ("LIKE on non-string " ^ Value.to_string v)))
-  | Ast.In_list { arg; items; negated } ->
-      let v = eval ctx e arg in
-      let vs = List.map (eval ctx e) items in
-      negate_tv negated (in_values v vs)
-  | Ast.Between { arg; lo; hi; negated } ->
-      let v = eval ctx e arg in
-      let lo = eval ctx e lo and hi = eval ctx e hi in
-      negate_tv negated
-        (logic_and (comparison Ast.Ge v lo) (comparison Ast.Le v hi))
-  | Ast.Agg _ as agg_node -> (
-      match ctx.agg with
-      | Some f -> f agg_node
-      | None -> raise (Type_error "aggregate used outside an aggregate query"))
-  | Ast.Scalar_subquery q -> (
-      let r = ctx.subquery (Some e) q in
-      match Relation.rows r with
-      | [] -> Value.Null
-      | [ row ] ->
-          if Array.length row <> 1 then
-            raise (Type_error "scalar subquery must return one column")
-          else Row.get row 0
-      | _ :: _ :: _ -> raise (Type_error "scalar subquery returned more than one row"))
-  | Ast.In_subquery { arg; query; negated } ->
-      let v = eval ctx e arg in
-      let r = ctx.subquery (Some e) query in
-      let vs =
-        List.map
-          (fun row ->
-            if Array.length row <> 1 then
-              raise (Type_error "IN subquery must return one column")
-            else Row.get row 0)
-          (Relation.rows r)
-      in
-      negate_tv negated (in_values v vs)
-  | Ast.Exists q ->
-      let r = ctx.subquery (Some e) q in
-      Value.Bool (not (Relation.is_empty r))
-
 (* SQL IN semantics: TRUE if an equal member exists; otherwise UNKNOWN if
    any comparison was with NULL (or the needle is NULL); otherwise FALSE. *)
-and in_values v vs =
+let in_values v vs =
   if Value.is_null v then Value.Null
   else
     let saw_null = ref false in

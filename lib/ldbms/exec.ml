@@ -123,72 +123,6 @@ let load_leaf ~eval_select ~depth ?txn db (r : Ast.table_ref) =
             }
       | None -> err "no such table: %s" r.Ast.table)
 
-(* ---- aggregates -------------------------------------------------------- *)
-
-let compute_agg ctx schema rows (fn, distinct, arg) =
-  let values_of e =
-    List.filter_map
-      (fun row ->
-        let v = Eval.eval ctx (Eval.env schema row) e in
-        if Value.is_null v then None else Some v)
-      rows
-  in
-  let dedup vs =
-    let seen = Hashtbl.create 16 in
-    List.filter
-      (fun v ->
-        let k = Value.key v in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      vs
-  in
-  match fn, arg with
-  | Ast.Count_star, _ -> Value.Int (List.length rows)
-  | Ast.Count, Some e ->
-      let vs = values_of e in
-      Value.Int (List.length (if distinct then dedup vs else vs))
-  | (Ast.Sum | Ast.Avg | Ast.Min | Ast.Max), Some e -> (
-      let vs = values_of e in
-      let vs = if distinct then dedup vs else vs in
-      match vs with
-      | [] -> Value.Null
-      | v0 :: _ -> (
-          match fn with
-          | Ast.Min ->
-              List.fold_left (fun a v -> if Value.compare v a < 0 then v else a) v0 vs
-          | Ast.Max ->
-              List.fold_left (fun a v -> if Value.compare v a > 0 then v else a) v0 vs
-          | Ast.Sum ->
-              if List.for_all (fun v -> Value.as_int v <> None) vs then
-                Value.Int
-                  (List.fold_left (fun a v -> a + Option.get (Value.as_int v)) 0 vs)
-              else
-                let total =
-                  List.fold_left
-                    (fun a v ->
-                      match Value.as_float v with
-                      | Some f -> a +. f
-                      | None -> raise (Eval.Type_error "SUM of non-numeric value"))
-                    0.0 vs
-                in
-                Value.Float total
-          | Ast.Avg ->
-              let total =
-                List.fold_left
-                  (fun a v ->
-                    match Value.as_float v with
-                    | Some f -> a +. f
-                    | None -> raise (Eval.Type_error "AVG of non-numeric value"))
-                  0.0 vs
-              in
-              Value.Float (total /. float_of_int (List.length vs))
-          | Ast.Count | Ast.Count_star -> assert false))
-  | (Ast.Count | Ast.Sum | Ast.Avg | Ast.Min | Ast.Max), None ->
-      raise (Eval.Type_error "aggregate function needs an argument")
-
 (* ---- index fast path ----------------------------------------------------- *)
 
 (* When the FROM clause is a single base table and the WHERE clause contains
@@ -230,11 +164,10 @@ let indexed_scan ?txn db (s : Ast.select) =
                    (Relation.make schema (Table.lookup_eq tbl ~col v))))
   | _ -> None
 
-(* The executor holds no process-global state: WHERE predicates and
-   projection expressions compile once per statement
-   ({!Compile.compile_row}); a compiled closure depends only on the
-   expression and its input schema, so there is nothing to cache across
-   statements or to invalidate on DDL. *)
+(* The executor holds no process-global state: every expression compiles
+   once per statement ({!Compile.compile}); a compiled closure depends only
+   on the expression, its input schema and the enclosing row, so there is
+   nothing to cache across statements or to invalidate on DDL. *)
 
 (* no effect; kept only because msqlbench/ reads it *)
 let compiled_cache_stats () = (0, 0, 0)
@@ -437,13 +370,129 @@ let plan_join_input ?txn db leaves (where : Ast.expr) =
 
 (* ---- SELECT ------------------------------------------------------------ *)
 
-let rec run_select ?txn db ?outer (s : Ast.select) : Relation.t =
-  wrap (fun () -> select_unwrapped ~depth:0 ?txn db ?outer s)
+let predicate ctx schema pred =
+  let f = Compile.compile ctx schema pred in
+  fun row -> Eval.truthy (f row)
+
+(* Stable ORDER BY: each item's key list is computed once, then the items
+   sort on it. *)
+let order_by (order : Ast.order_item list) keys items =
+  let rec cmp ka kb (order : Ast.order_item list) =
+    match ka, kb, order with
+    | a :: ka, b :: kb, o :: order ->
+        let c = Value.compare a b in
+        let c = if o.Ast.descending then -c else c in
+        if c <> 0 then c else cmp ka kb order
+    | _ -> 0
+  in
+  match order with
+  | [] -> items
+  | _ ->
+      List.map (fun x -> (keys x, x)) items
+      |> List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb order)
+      |> List.map snd
+
+let expand_projections schema (projections : Ast.projection list) =
+  (* -> (output column, value expr) list, where the expr is either a
+     concrete index (for stars) or an AST expression *)
+  List.concat_map
+    (fun p ->
+      match p with
+      | Ast.Star ->
+          List.mapi (fun i (c : Schema.column) -> (c, `Index i)) schema
+      | Ast.Qualified_star q ->
+          let cols =
+            List.mapi (fun i c -> (i, c)) schema
+            |> List.filter (fun (_, (c : Schema.column)) ->
+                   match c.Schema.qualifier with
+                   | Some cq -> Names.equal cq q
+                   | None -> false)
+          in
+          if cols = [] then err "unknown table or alias in %s.*" q
+          else List.map (fun (i, c) -> (c, `Index i)) cols
+      | Ast.Proj_expr (e, alias) ->
+          let name = match alias with Some a -> a | None -> derived_name e in
+          let ty = infer_expr_ty schema e in
+          ([ (Schema.column name ty, `Expr e) ] : (Schema.column * _) list))
+    projections
+
+(* Sort [items] (input rows, or groups) by the ORDER BY keys and project
+   each to an output row; [apply fns item] runs compiled closures over an
+   item. ORDER BY keys are computed against the pre-projection row. *)
+let sort_and_project ctx schema (s : Ast.select) apply items =
+  let cols = expand_projections schema s.Ast.projections in
+  let col_fns =
+    List.map
+      (fun (_, src) ->
+        match src with
+        | `Index i -> fun row -> Row.get row i
+        | `Expr e -> Compile.compile ctx schema e)
+      cols
+  in
+  let key_fns =
+    List.map (fun (o : Ast.order_item) -> Compile.compile ctx schema o.Ast.sort_expr)
+      s.Ast.order_by
+  in
+  Relation.make (List.map fst cols)
+    (List.map
+       (fun x -> Array.of_list (apply col_fns x))
+       (order_by s.Ast.order_by (apply key_fns) items))
+
+let plain_select ctx schema input s =
+  sort_and_project ctx schema s
+    (fun fns row -> List.map (fun f -> f row) fns)
+    (Relation.rows input)
+
+let aggregate_select ctx schema input (s : Ast.select) =
+  (* partition rows into groups by the GROUP BY key; without GROUP BY the
+     whole input is one group, even when it is empty *)
+  let groups =
+    match s.Ast.group_by with
+    | [] -> [ Relation.rows input ]
+    | keys ->
+        let key_fns = List.map (Compile.compile ctx schema) keys in
+        let tbl = Hashtbl.create 16 in
+        let order = ref [] in
+        List.iter
+          (fun row ->
+            let k = Value.row_key (List.map (fun f -> f row) key_fns) in
+            match Hashtbl.find_opt tbl k with
+            | Some rows -> Hashtbl.replace tbl k (row :: rows)
+            | None ->
+                order := k :: !order;
+                Hashtbl.add tbl k [ row ])
+          (Relation.rows input);
+        List.rev !order |> List.map (fun k -> List.rev (Hashtbl.find tbl k))
+  in
+  (* HAVING, projections and ORDER BY evaluate once per group: an [Agg]
+     node folds over the group, any other column reads the group's first
+     row (all NULL for the empty group) *)
+  let group = ref [] in
+  let ctx = { ctx with Compile.group = Some group } in
+  let null_row = Array.make (List.length schema) Value.Null in
+  let eval_in rows f =
+    group := rows;
+    f (match rows with row :: _ -> row | [] -> null_row)
+  in
+  let kept =
+    match s.Ast.having with
+    | None -> groups
+    | Some pred ->
+        let f = Compile.compile ctx schema pred in
+        List.filter (fun rows -> Eval.truthy (eval_in rows f)) groups
+  in
+  sort_and_project ctx schema s (fun fns rows -> List.map (eval_in rows) fns) kept
+
+(* The compilation context of one statement: [outer] is the row enclosing
+   a subquery, and a nested SELECT runs with the current row as its own. *)
+let rec statement_ctx ~depth ?txn db outer =
+  {
+    Compile.outer;
+    subquery = (fun env q -> select_unwrapped ~depth ?txn db ~outer:env q);
+    group = None;
+  }
 
 and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
-  let ctx_plain =
-    { Eval.subquery = (fun env q -> subquery_eval ~depth ?txn db env q); agg = None }
-  in
   let input =
     match indexed_scan ?txn db s with
     | Some rel -> rel
@@ -471,208 +520,19 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
         | _ -> product ())
   in
   let schema = Relation.schema input in
-  let mkenv row = { (Eval.env schema row) with Eval.outer } in
+  let ctx = statement_ctx ~depth ?txn db outer in
   let filtered =
     match s.Ast.where with
     | None -> input
-    | Some pred ->
-        (* a subquery-free predicate compiles once per statement to a row
-           closure (column indices resolved up front); [None] — subqueries,
-           outer references, ambiguities — keeps the interpreter. The
-           closure and the interpreter agree: both are built from Eval's
-           primitives, and the hashed IN-list test is fuzzed against
-           [Eval.in_values]. *)
-        let compiled =
-          if expr_has_subquery pred then None else Compile.compile_row schema pred
-        in
-        let keep =
-          match compiled with
-          | Some f -> fun row -> Eval.truthy (f row)
-          | None -> fun row -> Eval.truthy (Eval.eval ctx_plain (mkenv row) pred)
-        in
-        Relation.filter keep input
+    | Some pred -> Relation.filter (predicate ctx schema pred) input
   in
   let result =
-    if Ast.is_aggregate_query s then
-      aggregate_select ~depth ?txn db ~outer schema filtered s
-    else plain_select ~depth ?txn db ~outer schema filtered s
+    if Ast.is_aggregate_query s then aggregate_select ctx schema filtered s
+    else plain_select ctx schema filtered s
   in
   if s.Ast.distinct then Relation.distinct result else result
 
-and subquery_eval ~depth ?txn db env q =
-  (* [env] is the enclosing row environment, which becomes the subquery's
-     outer scope for correlated references. *)
-  select_unwrapped ~depth ?txn db ?outer:env q
-
-and expand_projections schema (projections : Ast.projection list) =
-  (* -> (output column, value expr) list, where the expr is either a
-     concrete index (for stars) or an AST expression *)
-  List.concat_map
-    (fun p ->
-      match p with
-      | Ast.Star ->
-          List.mapi (fun i (c : Schema.column) -> (c, `Index i)) schema
-      | Ast.Qualified_star q ->
-          let cols =
-            List.mapi (fun i c -> (i, c)) schema
-            |> List.filter (fun (_, (c : Schema.column)) ->
-                   match c.Schema.qualifier with
-                   | Some cq -> Names.equal cq q
-                   | None -> false)
-          in
-          if cols = [] then err "unknown table or alias in %s.*" q
-          else List.map (fun (i, c) -> (c, `Index i)) cols
-      | Ast.Proj_expr (e, alias) ->
-          let name = match alias with Some a -> a | None -> derived_name e in
-          let ty = infer_expr_ty schema e in
-          ([ (Schema.column name ty, `Expr e) ] : (Schema.column * _) list))
-    projections
-
-and plain_select ~depth ?txn db ~outer schema input (s : Ast.select) =
-  let ctx =
-    { Eval.subquery = (fun env q -> subquery_eval ~depth ?txn db env q); agg = None }
-  in
-  let cols = expand_projections schema s.Ast.projections in
-  let out_schema = List.map fst cols in
-  let mkenv row = { (Eval.env schema row) with Eval.outer } in
-  (* projection expressions compile once per statement; anything the
-     compiler declines (subqueries, outer references) keeps the
-     interpreter per-expression *)
-  let compiled_expr e =
-    match Compile.compile_row schema e with
-    | Some f -> f
-    | None -> fun row -> Eval.eval ctx (mkenv row) e
-  in
-  let col_fns =
-    List.map
-      (fun (_, src) ->
-        match src with
-        | `Index i -> fun row -> Row.get row i
-        | `Expr e -> compiled_expr e)
-      cols
-  in
-  let eval_row row = Array.of_list (List.map (fun f -> f row) col_fns) in
-  (* ORDER BY keys are computed against the pre-projection row *)
-  let sorted =
-    match s.Ast.order_by with
-    | [] -> input
-    | items ->
-        let key_fns =
-          List.map (fun (o : Ast.order_item) -> compiled_expr o.Ast.sort_expr) items
-        in
-        let key row = List.map (fun f -> f row) key_fns in
-        let cmp ra rb =
-          let ka = key ra and kb = key rb in
-          let rec go ks items =
-            match ks, items with
-            | [], [] -> 0
-            | (a, b) :: rest, (o : Ast.order_item) :: orest ->
-                let c = Value.compare a b in
-                let c = if o.Ast.descending then -c else c in
-                if c <> 0 then c else go rest orest
-            | _ -> 0
-          in
-          go (List.combine ka kb) items
-        in
-        Relation.order_by cmp input
-  in
-  Relation.make out_schema (List.map eval_row (Relation.rows sorted))
-
-and aggregate_select ~depth ?txn db ~outer schema input (s : Ast.select) =
-  let plain_ctx =
-    { Eval.subquery = (fun env q -> subquery_eval ~depth ?txn db env q); agg = None }
-  in
-  let mkenv row = { (Eval.env schema row) with Eval.outer } in
-  (* partition rows into groups by the GROUP BY key *)
-  let groups =
-    match s.Ast.group_by with
-    | [] -> (
-        match Relation.rows input with [] -> [ [] ] | rows -> [ rows ])
-    | keys ->
-        let tbl = Hashtbl.create 16 in
-        let order = ref [] in
-        List.iter
-          (fun row ->
-            let k =
-              Value.row_key
-                (List.map (fun e -> Eval.eval plain_ctx (mkenv row) e) keys)
-            in
-            (match Hashtbl.find_opt tbl k with
-            | Some rows -> Hashtbl.replace tbl k (row :: rows)
-            | None ->
-                order := k :: !order;
-                Hashtbl.add tbl k [ row ]);
-            ())
-          (Relation.rows input);
-        List.rev !order |> List.map (fun k -> List.rev (Hashtbl.find tbl k))
-  in
-  (* drop the synthetic empty group when grouping produced no rows at all *)
-  let groups =
-    match s.Ast.group_by, groups with
-    | _ :: _, _ -> groups
-    | [], gs -> gs
-  in
-  let group_ctx rows =
-    let agg_f = function
-      | Ast.Agg { fn; distinct; arg } ->
-          compute_agg plain_ctx schema rows (fn, distinct, arg)
-      | _ -> assert false
-    in
-    {
-      Eval.subquery = (fun env q -> subquery_eval ~depth ?txn db env q);
-      agg = Some agg_f;
-    }
-  in
-  let rep_env rows =
-    match rows with
-    | row :: _ -> mkenv row
-    | [] -> mkenv (Array.make (List.length schema) Value.Null)
-  in
-  let kept =
-    match s.Ast.having with
-    | None -> groups
-    | Some pred ->
-        List.filter
-          (fun rows -> Eval.truthy (Eval.eval (group_ctx rows) (rep_env rows) pred))
-          groups
-  in
-  let cols = expand_projections schema s.Ast.projections in
-  let out_schema = List.map fst cols in
-  let eval_group rows =
-    let ctx = group_ctx rows in
-    let env = rep_env rows in
-    Array.of_list
-      (List.map
-         (fun (_, src) ->
-           match src with
-           | `Index i -> Row.get env.Eval.row i
-           | `Expr e -> Eval.eval ctx env e)
-         cols)
-  in
-  let sorted_groups =
-    match s.Ast.order_by with
-    | [] -> kept
-    | items ->
-        let key rows =
-          let ctx = group_ctx rows in
-          let env = rep_env rows in
-          List.map (fun (o : Ast.order_item) -> Eval.eval ctx env o.Ast.sort_expr) items
-        in
-        let cmp ga gb =
-          let ka = key ga and kb = key gb in
-          let rec go ks items =
-            match ks, items with
-            | (a, b) :: rest, (o : Ast.order_item) :: orest ->
-                let c = Value.compare a b in
-                let c = if o.Ast.descending then -c else c in
-                if c <> 0 then c else go rest orest
-            | _, _ -> 0
-          in
-          go (List.combine ka kb) items
-        in
-        List.stable_sort cmp kept
-  in
-  Relation.make out_schema (List.map eval_group sorted_groups)
+let run_select ?txn db s = wrap (fun () -> select_unwrapped ~depth:0 ?txn db s)
 
 (* ---- DML ---------------------------------------------------------------- *)
 
@@ -719,14 +579,7 @@ let run_insert db ~txn ~table ~columns ~source =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx =
-        {
-          Eval.subquery =
-            (fun env q -> subquery_eval ~depth:0 ~txn db env q);
-          agg = None;
-        }
-      in
-      let empty_env = Eval.env [] [||] in
+      let ctx = statement_ctx ~depth:0 ~txn db None in
       let make_full_row provided_cols values =
         match provided_cols with
         | None ->
@@ -750,7 +603,8 @@ let run_insert db ~txn ~table ~columns ~source =
         | Ast.Values exprs ->
             List.map
               (fun row_exprs ->
-                make_full_row columns (List.map (Eval.eval ctx empty_env) row_exprs))
+                make_full_row columns
+                  (List.map (fun e -> Compile.compile ctx [] e [||]) row_exprs))
               exprs
         | Ast.Query q ->
             let r = select_unwrapped ~depth:0 ~txn db q in
@@ -767,25 +621,17 @@ let run_update db ~txn ~table ~assignments ~where =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx =
-        {
-          Eval.subquery =
-            (fun env q -> subquery_eval ~depth:0 ~txn db env q);
-          agg = None;
-        }
-      in
+      let ctx = statement_ctx ~depth:0 ~txn db None in
       let targets =
         List.map
           (fun (cname, e) ->
             match Schema.find_index schema cname with
-            | Some i -> (i, List.nth schema i, e)
+            | Some i -> (i, List.nth schema i, Compile.compile ctx schema e)
             | None -> err "unknown column %s in UPDATE %s" cname table)
           assignments
       in
-      let matches row =
-        match where with
-        | None -> true
-        | Some pred -> Eval.truthy (Eval.eval ctx (Eval.env schema row) pred)
+      let matches =
+        match where with None -> fun _ -> true | Some pred -> predicate ctx schema pred
       in
       (* Evaluate the row set (including subqueries in WHERE) against the
          pre-update state, then apply. *)
@@ -796,9 +642,7 @@ let run_update db ~txn ~table ~assignments ~where =
             if matches row then begin
               let updated = Array.copy row in
               List.iter
-                (fun (i, col, e) ->
-                  updated.(i) <-
-                    coerce_for_column col (Eval.eval ctx (Eval.env schema row) e))
+                (fun (i, col, f) -> updated.(i) <- coerce_for_column col (f row))
                 targets;
               (updated, true)
             end
@@ -813,17 +657,9 @@ let run_delete db ~txn ~table ~where =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx =
-        {
-          Eval.subquery =
-            (fun env q -> subquery_eval ~depth:0 ~txn db env q);
-          agg = None;
-        }
-      in
-      let matches row =
-        match where with
-        | None -> true
-        | Some pred -> Eval.truthy (Eval.eval ctx (Eval.env schema row) pred)
+      let ctx = statement_ctx ~depth:0 ~txn db None in
+      let matches =
+        match where with None -> fun _ -> true | Some pred -> predicate ctx schema pred
       in
       let before = table_rows (Some txn) tbl in
       let kept = List.filter (fun r -> not (matches r)) before in

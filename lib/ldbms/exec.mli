@@ -6,9 +6,10 @@
     staged writes) and writes stage intents resolved at commit. A write
     that loses the first-committer-wins race raises {!Txn.Conflict}.
 
-    A SELECT compiles its predicates and projections once per statement
-    ({!Compile.compile_row}); the module keeps no state between
-    statements. A multi-table FROM with a WHERE joins through the physical
+    Every expression of a statement — WHERE, projections, ORDER BY, GROUP
+    BY keys, HAVING, INSERT VALUES, UPDATE SET — compiles once per
+    statement ({!Compile.compile}), with no other evaluator behind it; the
+    module keeps no state between statements. A multi-table FROM with a WHERE joins through the physical
     join planner (hash join, or index nested loop over an equi-join
     conjunct), and falls back to the filtered Cartesian product when no
     conjunct qualifies. *)
@@ -20,12 +21,7 @@ val compiled_cache_stats : unit -> int * int * int
 (** Always [(0, 0, 0)]: predicates compile once per statement and nothing
     is cached. No effect; kept only because [msqlbench/] reads it. *)
 
-val run_select :
-  ?txn:Txn.t ->
-  Database.t ->
-  ?outer:Eval.env ->
-  Sqlfront.Ast.select ->
-  Sqlcore.Relation.t
+val run_select : ?txn:Txn.t -> Database.t -> Sqlfront.Ast.select -> Sqlcore.Relation.t
 (** Without [txn], reads the latest committed versions; with it, the
     transaction's snapshot view including its staged writes. *)
 

@@ -101,7 +101,7 @@ let rec expr_has_agg = function
 
 let is_aggregate_query s =
   s.group_by <> []
-  || Option.fold ~none:false ~some:expr_has_agg s.having
+  || s.having <> None
   || List.exists
        (function Proj_expr (e, _) -> expr_has_agg e | Star | Qualified_star _ -> false)
        s.projections

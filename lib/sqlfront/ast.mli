@@ -104,8 +104,9 @@ val lit_float : float -> expr
 val lit_str : string -> expr
 
 val is_aggregate_query : select -> bool
-(** True when the projection or HAVING clause mentions an aggregate, or a
-    GROUP BY is present. *)
+(** True when a GROUP BY or HAVING clause is present, or a projection
+    mentions an aggregate. A HAVING without GROUP BY makes the whole
+    input one group, as in SQL. *)
 
 val expr_has_agg : expr -> bool
 

@@ -1,10 +1,9 @@
-(* Randomized differential fuzz of the compiled predicate closures
-   against the interpreted Eval walker, and the fixed-size chunking and
-   accounting of a streamed MOVE. *)
+(* Randomized differential fuzz of the compiled expression closures
+   against the reference interpreter in [Ref_eval], and the fixed-size
+   chunking and accounting of a streamed MOVE. *)
 open Sqlcore
 module Ast = Sqlfront.Ast
 module Lam = Narada.Lam
-module Eval = Ldbms.Eval
 module Compile = Ldbms.Compile
 
 let col = Schema.column
@@ -13,7 +12,7 @@ let i x = Value.Int x
 let f x = Value.Float x
 let big = (1 lsl 53) + 1
 
-(* ---- differential fuzz: compiled closures vs the interpreter ----------- *)
+(* ---- differential fuzz: compiled closures vs the reference ------------- *)
 
 let fuzz_schema =
   [
@@ -45,18 +44,69 @@ let gen_row rng = Array.init 5 (fun j -> gen_value rng j)
 
 let col_name j = List.nth [ "n"; "x"; "t"; "b"; "m" ] j
 
-(* random predicates spanning the whole compile_row coverage: literals,
-   columns, comparisons, arithmetic, Kleene connectives, IS NULL, LIKE,
-   IN, BETWEEN — including ill-typed ones, whose Type_error must match *)
+(* Two enclosing rows: [o.n] is shadowed by the local [n] unless
+   qualified, [k] exists only in the first, [a] is ambiguous there, and
+   [z] lives only in the second. *)
+let enclosing rng =
+  let second =
+    Ref_eval.env
+      (Schema.requalify (Some "q") [ col "z" Ty.Str ])
+      [| gen_value rng 2 |]
+  in
+  Ref_eval.env ~outer:second
+    (Schema.requalify (Some "o") [ col "n" Ty.Int; col "k" Ty.Int; col "a" Ty.Int ]
+    @ Schema.requalify (Some "p") [ col "a" Ty.Int ])
+    [| gen_value rng 0; gen_value rng 4; gen_value rng 0; gen_value rng 4 |]
+
+let outer_ref rng =
+  match Random.State.int rng 6 with
+  | 0 -> Ast.col "k"
+  | 1 -> Ast.Col { qualifier = Some "o"; name = "n" }
+  | 2 -> Ast.col "a"
+  | 3 -> Ast.col "z"
+  | 4 -> Ast.Col { qualifier = Some "p"; name = "a" }
+  | _ -> Ast.col "nosuch"
+
+(* The stubbed subquery callback answers by table name, so its result
+   depends on the environment it is handed: [cur] returns the current
+   row's first field, [enc] the enclosing row's. *)
+let subquery_tables = [ "none"; "cur"; "enc"; "two"; "wide" ]
+
+let subqueries =
+  List.map
+    (fun t -> (t, Sqlfront.Parser.parse_select ("SELECT v FROM " ^ t)))
+    subquery_tables
+
+let stub_subquery (env : Ref_eval.env) (q : Ast.select) =
+  let one = [ col "v" Ty.Int ] in
+  match (List.hd q.Ast.from).Ast.table with
+  | "none" -> Relation.make one []
+  | "cur" -> Relation.make one [ [| Row.get env.row 0 |] ]
+  | "enc" ->
+      Relation.make one
+        [ [| (match env.outer with Some o -> Row.get o.row 0 | None -> Value.Null) |] ]
+  | "two" -> Relation.make one [ [| i 1 |]; [| Value.Null |] ]
+  | _ -> Relation.make (one @ one) [ [| i 1; i 2 |] ]
+
+let gen_subquery rng =
+  snd (List.nth subqueries (Random.State.int rng (List.length subqueries)))
+
+(* random expressions spanning every node kind: literals, local and
+   enclosing columns (shadowed, qualified, ambiguous, unknown),
+   comparisons, arithmetic, Kleene connectives, IS NULL, LIKE, IN,
+   BETWEEN, subqueries of every shape, and aggregates — including
+   ill-typed ones, whose errors must match *)
 let rec gen_expr rng depth =
   let open Ast in
   let leaf () =
-    if Random.State.bool rng then col (col_name (Random.State.int rng 5))
-    else Lit (gen_value rng (Random.State.int rng 5))
+    match Random.State.int rng 6 with
+    | 0 | 1 -> col (col_name (Random.State.int rng 5))
+    | 2 -> outer_ref rng
+    | _ -> Lit (gen_value rng (Random.State.int rng 5))
   in
   if depth = 0 then leaf ()
   else
-    match Random.State.int rng 12 with
+    match Random.State.int rng 16 with
     | 0 | 1 ->
         let op =
           List.nth [ Eq; Neq; Lt; Le; Gt; Ge ] (Random.State.int rng 6)
@@ -95,41 +145,89 @@ let rec gen_expr rng depth =
         let op = List.nth [ Add; Sub; Mul ] (Random.State.int rng 3) in
         Binop (op, gen_expr rng (depth - 1), gen_expr rng (depth - 1))
     | 10 -> Unop (Neg, gen_expr rng (depth - 1))
+    | 11 -> Scalar_subquery (gen_subquery rng)
+    | 12 ->
+        In_subquery
+          {
+            arg = gen_expr rng (depth - 1);
+            query = gen_subquery rng;
+            negated = Random.State.bool rng;
+          }
+    | 13 -> Exists (gen_subquery rng)
+    | 14 ->
+        let fn =
+          List.nth [ Count_star; Count; Sum; Avg; Min; Max ] (Random.State.int rng 6)
+        in
+        let arg =
+          if fn = Count_star || Random.State.int rng 8 = 0 then None
+          else Some (gen_expr rng (depth - 1))
+        in
+        Agg { fn; distinct = Random.State.bool rng; arg }
     | _ -> leaf ()
-
-let ctx = { Eval.subquery = (fun _ _ -> failwith "no subqueries"); agg = None }
 
 let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e)
 
-let test_fuzz_compile_row () =
+let show = function Ok v -> Value.to_string v | Error m -> m
+
+(* Compile under a random context (no enclosing row, or the two above; no
+   group, or a group of 0-3 random rows per evaluation), then compare the
+   closure with the reference on five rows. *)
+let test_fuzz_compile () =
   let rng = Random.State.make [| 4177 |] in
-  let compiled = ref 0 in
-  for _ = 1 to 2000 do
+  let seen = Hashtbl.create 64 in
+  let values = ref 0 in
+  for _ = 1 to 3000 do
     let e = gen_expr rng 3 in
-    match Compile.compile_row fuzz_schema e with
-    | None -> ()
-    | Some closure ->
-        incr compiled;
-        for _ = 1 to 5 do
-          let row = gen_row rng in
-          let want =
-            outcome (fun () -> Eval.eval ctx (Eval.env fuzz_schema row) e)
-          in
-          let got = outcome (fun () -> closure row) in
-          if want <> got then
-            Alcotest.failf "compiled row closure diverges on %s: %s vs %s"
-              (match want with Ok v -> Value.to_string v | Error m -> m)
-              (match got with Ok v -> Value.to_string v | Error m -> m)
-              "interpreter"
-        done
+    let outer = if Random.State.bool rng then Some (enclosing rng) else None in
+    let cell = if Random.State.bool rng then Some (ref []) else None in
+    let closure =
+      Compile.compile { Compile.outer; subquery = stub_subquery; group = cell }
+        fuzz_schema e
+    in
+    for _ = 1 to 5 do
+      let row = gen_row rng in
+      let group =
+        Option.map
+          (fun cell ->
+            cell := List.init (Random.State.int rng 4) (fun _ -> gen_row rng);
+            !cell)
+          cell
+      in
+      let want =
+        outcome (fun () ->
+            Ref_eval.eval
+              { Ref_eval.subquery = stub_subquery; group }
+              (Ref_eval.env ?outer fuzz_schema row)
+              e)
+      in
+      let got = outcome (fun () -> closure row) in
+      if compare want got <> 0 then
+        Alcotest.failf "compiled closure diverges on %s: reference %s, compiled %s"
+          (Sqlfront.Sql_pp.expr_to_string e) (show want) (show got);
+      match want with
+      | Ok _ -> incr values
+      | Error m -> Hashtbl.replace seen m ()
+    done
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "fuzz exercised the compiler (%d compiled)" !compiled)
-    true
-    (!compiled > 300)
+    (Printf.sprintf "fuzz computed values (%d)" !values)
+    true (!values > 3000);
+  (* the fuzz reached every error the compiler can raise on its own *)
+  List.iter
+    (fun m ->
+      if not (Hashtbl.mem seen m) then Alcotest.failf "fuzz never raised %s" m)
+    [
+      "Ldbms.Eval.Unknown_column(\"nosuch\")";
+      "Ldbms.Eval.Ambiguous_column(\"a\")";
+      "Ldbms.Eval.Type_error(\"aggregate used outside an aggregate query\")";
+      "Ldbms.Eval.Type_error(\"aggregate function needs an argument\")";
+      "Ldbms.Eval.Type_error(\"scalar subquery returned more than one row\")";
+      "Ldbms.Eval.Type_error(\"scalar subquery must return one column\")";
+      "Ldbms.Eval.Type_error(\"IN subquery must return one column\")";
+    ]
 
 (* literal IN lists compile to a hashed membership test: fuzz it against
-   the interpreter with lists of 0-40 constants, single-class and mixed,
+   the reference with lists of 0-40 constants, single-class and mixed,
    drawn from a pool of numeric traps (ints around 2^53 next to the
    integral double 2^53, -0.0, NaN, infinities), strings, booleans and
    NULLs; needles come from the same pool or from a column, and negative
@@ -159,6 +257,8 @@ let gen_in_item rng pool =
       Ast.Unop (Ast.Neg, Ast.Lit (f (-.x)))
   | v -> Ast.Lit v
 
+let plain = { Compile.outer = None; subquery = stub_subquery; group = None }
+
 let test_fuzz_in_literal_lists () =
   let rng = Random.State.make [| 2071 |] in
   let single_class = ref 0 in
@@ -179,21 +279,18 @@ let test_fuzz_in_literal_lists () =
       else Ast.col (col_name (Random.State.int rng 5))
     in
     let e = Ast.In_list { arg; items; negated = Random.State.bool rng } in
-    match Compile.compile_row fuzz_schema e with
-    | None -> Alcotest.fail "a literal IN list must compile"
-    | Some closure ->
-        for _ = 1 to 4 do
-          let row = gen_row rng in
-          let want =
-            outcome (fun () -> Eval.eval ctx (Eval.env fuzz_schema row) e)
-          in
-          let got = outcome (fun () -> closure row) in
-          if want <> got then
-            Alcotest.failf "hashed IN diverges on %s: interpreter %s, compiled %s"
-              (Sqlfront.Sql_pp.expr_to_string e)
-              (match want with Ok v -> Value.to_string v | Error m -> m)
-              (match got with Ok v -> Value.to_string v | Error m -> m)
-        done
+    let closure = Compile.compile plain fuzz_schema e in
+    for _ = 1 to 4 do
+      let row = gen_row rng in
+      let want =
+        outcome (fun () ->
+            Ref_eval.eval Ref_eval.plain (Ref_eval.env fuzz_schema row) e)
+      in
+      let got = outcome (fun () -> closure row) in
+      if compare want got <> 0 then
+        Alcotest.failf "hashed IN diverges on %s: reference %s, compiled %s"
+          (Sqlfront.Sql_pp.expr_to_string e) (show want) (show got)
+    done
   done;
   Alcotest.(check bool)
     (Printf.sprintf "fuzz drew single-class lists (%d)" !single_class)
@@ -317,7 +414,7 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "compiled row closures vs interpreter" `Quick
-            test_fuzz_compile_row;
+            test_fuzz_compile;
           Alcotest.test_case "hashed IN lists vs interpreter" `Quick
             test_fuzz_in_literal_lists;
           Alcotest.test_case "IN-list allocation per row" `Quick

@@ -1,16 +1,29 @@
-(* The expression evaluator in isolation: exhaustive Kleene truth tables,
+(* Expression evaluation in isolation: exhaustive Kleene truth tables,
    comparison/arithmetic NULL propagation, LIKE/IN/BETWEEN corner cases,
-   and correlated lookup through environment chains. *)
+   and name resolution through enclosing rows. Each expression runs
+   through the test suite's reference interpreter and the compiler, which
+   must agree. *)
 open Sqlcore
 module Eval = Ldbms.Eval
+module Compile = Ldbms.Compile
 module Ast = Sqlfront.Ast
 
 let value = Alcotest.testable Value.pp Value.equal
 
-let no_subquery _ _ = Alcotest.fail "unexpected subquery"
-let ctx = { Eval.subquery = no_subquery; agg = None }
-let empty = Eval.env [] [||]
-let eval e = Eval.eval ctx empty e
+let ctx =
+  { Compile.outer = None; subquery = Ref_eval.no_subquery; group = None }
+
+(* the reference interpreter's value over no row, checked against the
+   compiled closure's *)
+let eval e =
+  let run f = try Ok (f ()) with Eval.Type_error m -> Error m in
+  let want = run (fun () -> Ref_eval.eval Ref_eval.plain (Ref_eval.env [] [||]) e) in
+  let got = run (fun () -> Compile.compile ctx [] e [||]) in
+  if compare want got <> 0 then
+    Alcotest.failf "%s: compiled and reference results differ"
+      (Sqlfront.Sql_pp.expr_to_string e);
+  match want with Ok v -> v | Error m -> raise (Eval.Type_error m)
+
 let eval_sql s = eval (Sqlfront.Parser.parse_expr s)
 
 let t3 = Value.Bool true
@@ -103,25 +116,10 @@ let test_in_matrix () =
   Alcotest.check value "not in with null" u3 (eval_sql "9 NOT IN (1, NULL)")
 
 (* Literal IN lists compile to a hashed membership test; each case must
-   give the interpreter's value, or raise its error, on both paths. *)
+   give the reference interpreter's value, or raise its error. *)
 let test_in_literal_lists () =
-  let both sql =
-    let e = Sqlfront.Parser.parse_expr sql in
-    let run f = try Ok (f ()) with Eval.Type_error m -> Error m in
-    let interpreted = run (fun () -> eval e) in
-    let compiled =
-      match Ldbms.Compile.compile_row [] e with
-      | Some f -> run (fun () -> f [||])
-      | None -> Alcotest.failf "%s does not compile" sql
-    in
-    if interpreted <> compiled then
-      Alcotest.failf "%s: compiled and interpreted results differ" sql;
-    interpreted
-  in
   let check_value name expected sql =
-    match both sql with
-    | Ok v -> Alcotest.check value name expected v
-    | Error m -> Alcotest.failf "%s raised %s" sql m
+    Alcotest.check value name expected (eval_sql sql)
   in
   check_value "int needle, float item" t3 "5 IN (5.0)";
   check_value "float needle, int item" t3 "5.0 IN (4, 5)";
@@ -137,10 +135,10 @@ let test_in_literal_lists () =
   check_value "all-null list" u3 "'a' IN (NULL, NULL)";
   check_value "string hit" t3 "'b' IN ('a', 'b')";
   check_value "bool miss" f3 "TRUE IN (FALSE)";
-  match both "'a' IN (1, 2)" with
-  | Error m ->
-      Alcotest.(check string) "interpreter's message" "cannot compare a with 1" m
-  | Ok _ -> Alcotest.fail "string needle against an int list must raise"
+  match eval_sql "'a' IN (1, 2)" with
+  | exception Eval.Type_error m ->
+      Alcotest.(check string) "reference message" "cannot compare a with 1" m
+  | _ -> Alcotest.fail "string needle against an int list must raise"
 
 let test_between () =
   Alcotest.check value "inside" t3 (eval_sql "2 BETWEEN 1 AND 3");
@@ -155,38 +153,55 @@ let test_is_null () =
   Alcotest.check value "value is not null" t3 (eval_sql "1 IS NOT NULL");
   Alcotest.check value "value is null" f3 (eval_sql "1 IS NULL")
 
+(* a column reference compiled against [schema] under the enclosing rows
+   [outer], applied to [row] *)
+let lookup ?outer schema row ?qualifier name =
+  Compile.compile { ctx with outer } schema (Ast.Col { qualifier; name }) row
+
 let test_env_lookup_and_outer () =
   let inner_schema = Schema.requalify (Some "i") [ Schema.column "x" Ty.Int ] in
   let outer_schema = Schema.requalify (Some "o") [ Schema.column "y" Ty.Int ] in
-  let outer = Eval.env outer_schema [| Value.Int 10 |] in
-  let env = { (Eval.env inner_schema [| Value.Int 1 |]) with Eval.outer = Some outer } in
-  Alcotest.check value "inner" (Value.Int 1) (Eval.lookup env "x");
-  Alcotest.check value "outer fallback" (Value.Int 10) (Eval.lookup env "y");
-  Alcotest.check value "qualified outer" (Value.Int 10)
-    (Eval.lookup env ~qualifier:"o" "y");
-  (match Eval.lookup env "z" with
-  | exception Eval.Unknown_column _ -> ()
+  let outer = Ref_eval.env outer_schema [| Value.Int 10 |] in
+  let inner = lookup ~outer inner_schema [| Value.Int 1 |] in
+  Alcotest.check value "inner" (Value.Int 1) (inner "x");
+  Alcotest.check value "outer fallback" (Value.Int 10) (inner "y");
+  Alcotest.check value "qualified outer" (Value.Int 10) (inner ~qualifier:"o" "y");
+  (match inner "z" with
+  | exception Eval.Unknown_column c -> Alcotest.(check string) "name" "z" c
   | _ -> Alcotest.fail "unknown column");
+  (* the error is raised by the closure, not by compiling it *)
+  let (_ : Row.t -> Value.t) =
+    Compile.compile { ctx with outer = Some outer } inner_schema (Ast.col "z")
+  in
   (* inner shadows outer for same name *)
-  let shadow_outer = Eval.env (Schema.requalify (Some "o") [ Schema.column "x" Ty.Int ]) [| Value.Int 99 |] in
-  let env2 = { (Eval.env inner_schema [| Value.Int 1 |]) with Eval.outer = Some shadow_outer } in
-  Alcotest.check value "shadowing" (Value.Int 1) (Eval.lookup env2 "x")
+  let shadow_outer =
+    Ref_eval.env
+      (Schema.requalify (Some "o") [ Schema.column "x" Ty.Int ])
+      [| Value.Int 99 |]
+  in
+  Alcotest.check value "shadowing" (Value.Int 1)
+    (lookup ~outer:shadow_outer inner_schema [| Value.Int 1 |] "x")
 
 let test_ambiguous_lookup () =
   let schema =
     Schema.requalify (Some "a") [ Schema.column "x" Ty.Int ]
     @ Schema.requalify (Some "b") [ Schema.column "x" Ty.Int ]
   in
-  let env = Eval.env schema [| Value.Int 1; Value.Int 2 |] in
-  (match Eval.lookup env "x" with
-  | exception Eval.Ambiguous_column _ -> ()
+  let row = [| Value.Int 1; Value.Int 2 |] in
+  (match lookup schema row "x" with
+  | exception Eval.Ambiguous_column c -> Alcotest.(check string) "name" "x" c
   | _ -> Alcotest.fail "ambiguity expected");
   Alcotest.check value "qualified resolves" (Value.Int 2)
-    (Eval.lookup env ~qualifier:"b" "x")
+    (lookup schema row ~qualifier:"b" "x");
+  (* an ambiguity in an enclosing row is an error too *)
+  match lookup ~outer:(Ref_eval.env schema row) [] [||] "x" with
+  | exception Eval.Ambiguous_column _ -> ()
+  | _ -> Alcotest.fail "outer ambiguity expected"
 
 let test_agg_outside_context () =
   match eval (Ast.Agg { fn = Ast.Count_star; distinct = false; arg = None }) with
-  | exception Eval.Type_error _ -> ()
+  | exception Eval.Type_error m ->
+      Alcotest.(check string) "message" "aggregate used outside an aggregate query" m
   | _ -> Alcotest.fail "aggregate without context"
 
 let prop_not_involutive_on_booleans =

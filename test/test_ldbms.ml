@@ -42,6 +42,17 @@ let scalar s sql = match rows_of (q s sql) with
   | [ [| v |] ] -> v
   | _ -> Alcotest.fail "expected a single scalar"
 
+let expect_message s sql expected =
+  match q s sql with
+  | Error m -> Alcotest.(check string) sql expected m
+  | Ok _ -> Alcotest.failf "%s: expected the error %S" sql expected
+
+let ok s sql =
+  match q s sql with Ok _ -> () | Error m -> Alcotest.fail (sql ^ ": " ^ m)
+
+let codes rows =
+  List.map (function [| Value.Int n |] -> n | _ -> Alcotest.fail "code row") rows
+
 (* ---- SELECT ---------------------------------------------------------------- *)
 
 let test_select_where () =
@@ -112,6 +123,49 @@ let test_group_by_having () =
   | [ [| Value.Str "available"; Value.Int 2 |] ] -> ()
   | _ -> Alcotest.fail "group/having result")
 
+(* A HAVING without GROUP BY makes the whole input one group, even when
+   no aggregate appears anywhere. *)
+let test_having_without_group_by () =
+  let s = connect () in
+  Alcotest.(check int) "false HAVING keeps no group" 0
+    (List.length (rows_of (q s "SELECT 1 FROM cars HAVING 1 = 0")));
+  Alcotest.(check int) "true HAVING keeps the one group" 1
+    (List.length (rows_of (q s "SELECT 1 FROM cars HAVING 1 = 1")))
+
+(* Over zero input rows an ungrouped aggregate still yields its one row;
+   a grouped one yields none. *)
+let test_aggregates_over_no_rows () =
+  let s = connect () in
+  (match rows_of (q s "SELECT COUNT(*), SUM(rate) FROM cars WHERE code > 99") with
+  | [ [| c; sum |] ] ->
+      Alcotest.check value "count" (Value.Int 0) c;
+      Alcotest.check value "sum" Value.Null sum
+  | _ -> Alcotest.fail "one row expected");
+  Alcotest.(check int) "grouped: no groups" 0
+    (List.length
+       (rows_of
+          (q s "SELECT carst, COUNT(*) FROM cars WHERE code > 99 GROUP BY carst")))
+
+let test_order_by_keys () =
+  let s = connect () in
+  ok s
+    "INSERT INTO cars VALUES (4, 'van', 45.0, 'available'), (5, 'bus', 65.0, \
+     'rented'), (6, 'cab', 50.0, 'available')";
+  (* ties on every key keep input order: 1 before 4, 2 before 5 *)
+  Alcotest.(check (list int)) "mixed directions, stable" [ 6; 1; 4; 2; 5 ]
+    (codes
+       (rows_of
+          (q s
+             "SELECT code FROM cars WHERE rate IS NOT NULL ORDER BY carst, \
+              rate DESC")));
+  match
+    rows_of
+      (q s "SELECT carst, COUNT(*) FROM cars GROUP BY carst ORDER BY COUNT(*)")
+  with
+  | [ [| Value.Str "rented"; Value.Int 2 |];
+      [| Value.Str "available"; Value.Int 4 |] ] -> ()
+  | _ -> Alcotest.fail "groups ordered by their count"
+
 let test_join_product () =
   let s = connect () in
   Alcotest.(check int) "self product" 9
@@ -136,6 +190,61 @@ let test_unknown_objects () =
   let s = connect () in
   expect_error (q s "SELECT nope FROM cars");
   expect_error (q s "SELECT code FROM nope")
+
+(* ---- evaluation sites: exact messages ------------------------------------
+
+   Every clause an expression can appear in resolves names, rejects
+   aggregates and checks subquery shapes the same way, and reports the
+   same message. A name error surfaces only when the expression is
+   evaluated: over zero rows there is none. *)
+
+let test_unknown_column_sites () =
+  let s = connect () in
+  List.iter
+    (fun sql -> expect_message s sql "unknown column: nosuch")
+    [
+      "UPDATE cars SET rate = nosuch";
+      "DELETE FROM cars WHERE nosuch = 1";
+      "SELECT COUNT(*) FROM cars GROUP BY nosuch";
+      "SELECT carst FROM cars GROUP BY carst HAVING nosuch > 1";
+      "SELECT code FROM cars ORDER BY nosuch";
+      "SELECT carst FROM cars GROUP BY carst ORDER BY nosuch";
+      "INSERT INTO cars VALUES (nosuch, 'van', 1.0, 'available')";
+    ];
+  expect_message s "SELECT code FROM cars c1, cars c2" "ambiguous column: code";
+  expect_message s "SELECT code FROM cars WHERE COUNT(*) > 1"
+    "type error: aggregate used outside an aggregate query";
+  expect_message s "SELECT code FROM cars WHERE code = (SELECT code FROM cars)"
+    "type error: scalar subquery returned more than one row"
+
+let test_correlated_lookups () =
+  let s = connect () in
+  (* an unqualified [code] inside the subquery is the inner one *)
+  Alcotest.(check (list int)) "inner shadows outer" [ 1; 2; 3 ]
+    (codes
+       (rows_of
+          (q s
+             "SELECT code FROM cars c WHERE (SELECT COUNT(*) FROM cars d \
+              WHERE code = 2) = 1")));
+  Alcotest.(check (list int)) "qualified outer reference" [ 1 ]
+    (codes
+       (rows_of
+          (q s
+             "SELECT code FROM cars c WHERE EXISTS (SELECT * FROM cars d \
+              WHERE d.rate > c.rate)")));
+  ok s "CREATE TABLE t (k INT)";
+  ok s "INSERT INTO t VALUES (1)";
+  expect_message s
+    "SELECT a.code FROM cars a, cars b WHERE EXISTS (SELECT * FROM t WHERE k = code)"
+    "ambiguous column: code"
+
+let test_name_errors_are_lazy () =
+  let s = connect () in
+  ok s "CREATE TABLE e (rate FLOAT)";
+  Alcotest.(check int) "select over no rows" 0
+    (List.length (rows_of (q s "SELECT nosuch FROM e")));
+  Alcotest.(check int) "update of no rows" 0
+    (affected (q s "UPDATE e SET rate = nosuch"))
 
 (* ---- exact keys ------------------------------------------------------------
 
@@ -428,10 +537,19 @@ let () =
           Alcotest.test_case "order/distinct" `Quick test_select_order_distinct;
           Alcotest.test_case "aggregates" `Quick test_select_aggregates;
           Alcotest.test_case "group by/having" `Quick test_group_by_having;
+          Alcotest.test_case "having without group by" `Quick
+            test_having_without_group_by;
+          Alcotest.test_case "aggregates over no rows" `Quick
+            test_aggregates_over_no_rows;
+          Alcotest.test_case "order by keys" `Quick test_order_by_keys;
           Alcotest.test_case "joins" `Quick test_join_product;
           Alcotest.test_case "subqueries" `Quick test_subqueries;
           Alcotest.test_case "ambiguity" `Quick test_ambiguous_column;
           Alcotest.test_case "unknown objects" `Quick test_unknown_objects;
+          Alcotest.test_case "unknown column at every site" `Quick
+            test_unknown_column_sites;
+          Alcotest.test_case "correlated lookups" `Quick test_correlated_lookups;
+          Alcotest.test_case "name errors are lazy" `Quick test_name_errors_are_lazy;
         ] );
       ( "exact keys",
         [

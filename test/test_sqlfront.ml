@@ -146,6 +146,7 @@ let test_is_aggregate () =
   Alcotest.(check bool) "count" true (is_agg "SELECT COUNT(*) FROM t");
   Alcotest.(check bool) "group" true (is_agg "SELECT a FROM t GROUP BY a");
   Alcotest.(check bool) "plain" false (is_agg "SELECT a FROM t");
+  Alcotest.(check bool) "having alone" true (is_agg "SELECT a FROM t HAVING 1 = 0");
   Alcotest.(check bool) "subquery agg does not leak" false
     (is_agg "SELECT a FROM t WHERE a = (SELECT MAX(b) FROM u)")
 
