@@ -1,17 +1,17 @@
 (* Benchmark harness: regenerates every experiment in DESIGN.md's index.
 
-   Part 1 prints deterministic experiment tables (simulated-network latency,
-   message and byte counts) for the paper's worked examples E1–E5 and for
-   the performance claims P1–P15 (P9 and P11–P13 are retired). Part 2
-   runs a Bechamel wall-clock suite over the processing pipeline (parse,
-   expand, translate, execute). The perf-critical tables (P4, P10, P14,
-   P15) are also recorded in BENCH_perf.json.
+   It prints experiment tables (simulated-network latency, message and
+   byte counts) for the paper's worked examples E1–E5 and for the
+   performance claims P1–P15 (P3, P9 and P11–P13 are retired); all are
+   deterministic but P6, which times the local engine alone. The
+   perf-critical tables (P4, P10, P14, P15) are also recorded in
+   BENCH_perf.json, which holds no wall-clock figure: it is regenerated
+   byte for byte. Wall-clock and allocation costs of the pipeline are
+   measured end to end, per layer, by msqlbench/ (run.py --trace 1).
 
    Run with:  dune exec bench/main.exe
    CI smoke:  dune exec bench/main.exe -- --perf-smoke
-              (P4/P10/P14/P15)
-   Profiling: dune exec bench/main.exe -- --p10-one CONFIG[,CONFIG...]
-              (single P10 configuration; P10_ROWS / P10_N override size) *)
+              (P4/P10/P14/P15) *)
 
 open Sqlcore
 module F = Msql.Fixtures
@@ -163,32 +163,6 @@ let p2_vital_overhead () =
         st.Netsim.World.messages)
     [ 0; 1; 2; 3; 4; 5; 6 ]
 
-(* ---- P3: decomposition pipeline scaling ------------------------------------------ *)
-
-let time_us f =
-  let t0 = Unix.gettimeofday () in
-  let iters = 200 in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters
-
-let p3_decomposition_scaling () =
-  header "P3: substitution+disambiguation+translation cost vs scope size";
-  Printf.printf "%-6s %16s\n" "dbs" "translate us";
-  List.iter
-    (fun n ->
-      let fx = F.airline_fleet ~n () in
-      let sql = fleet_update n in
-      let us =
-        time_us (fun () ->
-            match M.translate fx.F.session sql with
-            | Ok p -> p
-            | Error m -> failwith m)
-      in
-      Printf.printf "%-6d %16.1f\n" n us)
-    [ 1; 2; 4; 8; 16; 32 ]
-
 (* ---- P4: data shipping under decomposition vs naive shipping --------------------- *)
 
 let p4_setup rows =
@@ -309,47 +283,30 @@ let p4_shipping () =
       { sel = max_price; sj_bytes; sj_ms; dc_bytes; dc_ms; na_bytes; na_ms })
     [ 5; 25; 50; 75; 100 ]
 
-(* Replay an experiment [reps] times. The virtual network is
-   deterministic, so [det] (everything but the wall clock) must agree
-   across replays; of the replays, the one with the best wall-clock
-   [rate] is kept (min-time estimator). *)
-let replay_best ~name ~reps ~det ~rate run =
+(* Replay an experiment [reps] times on fresh state. The virtual network
+   is deterministic, so every replay must equal the first exactly. *)
+let replay ~name ~reps run =
   let first = run () in
-  let rec go best i =
-    if i >= reps then best
-    else begin
-      let r = run () in
-      if det r <> det first then begin
-        Printf.eprintf "%s: nondeterministic replay\n" name;
-        exit 1
-      end;
-      go (if rate r > rate best then r else best) (i + 1)
+  for _ = 2 to reps do
+    if run () <> first then begin
+      Printf.eprintf "%s: nondeterministic replay\n" name;
+      exit 1
     end
-  in
-  go first 1
+  done;
+  first
 
 (* ---- P10: session reuse layer ablation ------------------------------------ *)
 
 (* A long-lived session executing a Zipf-skewed mix of repeated global
    joins over three sites — the workload the session performance layer is
-   built for. Each ablation turns on one more reuse mechanism (connection
-   pool, compiled-plan cache, shipped-result cache) and replays the exact
-   same statement sequence.
-
-   Measurement: each configuration is timed over several fresh-session
-   repetitions and the best run is reported (min-time estimator). A
-   single-shot timing of this region — tens of milliseconds at smoke
-   size — is dominated by scheduler and hypervisor noise: one preempted
-   quantum shifts the throughput by 30%, which is exactly how an earlier
-   published run showed the pool configuration "slower" than all-off
-   despite moving 25% fewer messages. Profiling the checkout/checkin
-   path (gprofng + interleaved CPU timing) showed its CPU cost is
-   indistinguishable from dialing; the traffic counters are
-   deterministic and identical across repetitions. *)
+   built for. Each ablation turns on one more traffic-saving reuse
+   mechanism (connection pool, shipped-result cache) and replays the
+   exact same statement sequence; the plan cache is always on, so every
+   configuration reports its plan hits. Each configuration is replayed on
+   fresh sessions, and the replays must agree exactly. *)
 
 type p10_row = {
   p10_config : string;
-  p10_sps : float;  (* statements per wall-clock second *)
   p10_virt_ms : float;
   p10_bytes : int;
   p10_msgs : int;
@@ -432,15 +389,13 @@ let p10_mix ~seed ~k ~n =
       let rec find i = if i >= k - 1 || cum.(i) >= u then i else find (i + 1) in
       find 0)
 
-let p10_run ~rows ~n ~config ~pool ~plan ~result =
+let p10_run ~rows ~n ~config ~pool ~result =
   let session, world = p10_setup ~rows in
   M.set_pooling session pool;
-  M.set_plan_cache session plan;
   M.set_result_cache session result;
   let mix = p10_mix ~seed:42 ~k:20 ~n in
   Netsim.World.reset_stats world;
   Netsim.World.reset_clock world;
-  let t0 = Unix.gettimeofday () in
   List.iter
     (fun i ->
       match M.exec session (p10_template i) with
@@ -448,12 +403,10 @@ let p10_run ~rows ~n ~config ~pool ~plan ~result =
       | Ok r -> failwith ("P10: unexpected result " ^ M.result_to_string r)
       | Error m -> failwith ("P10: " ^ m))
     mix;
-  let wall_s = Unix.gettimeofday () -. t0 in
   let st = Netsim.World.stats world in
   let cs = M.cache_stats session in
   {
     p10_config = config;
-    p10_sps = float_of_int n /. wall_s;
     p10_virt_ms = Netsim.World.now_ms world;
     p10_bytes = st.Netsim.World.bytes_moved;
     p10_msgs = st.Netsim.World.messages;
@@ -465,25 +418,22 @@ let p10_run ~rows ~n ~config ~pool ~plan ~result =
 let p10_session_reuse ?(rows = 6000) ?(n = 150) ?(reps = 3) () =
   header
     "P10: session reuse ablation (Zipf statement mix, 3 sites, same sequence)";
-  Printf.printf "%-22s %12s %12s %10s %7s %6s %6s %6s\n" "config" "stmts/s"
-    "virt ms" "bytes" "msgs" "pool" "plan" "rslt";
+  Printf.printf "%-22s %12s %10s %7s %6s %6s %6s\n" "config" "virt ms"
+    "bytes" "msgs" "pool" "plan" "rslt";
   List.map
-    (fun (config, pool, plan, result) ->
+    (fun (config, pool, result) ->
       let r =
-        replay_best ~name:("P10 " ^ config) ~reps
-          ~det:(fun r -> { r with p10_sps = 0.0 })
-          ~rate:(fun r -> r.p10_sps)
-          (fun () -> p10_run ~rows ~n ~config ~pool ~plan ~result)
+        replay ~name:("P10 " ^ config) ~reps (fun () ->
+            p10_run ~rows ~n ~config ~pool ~result)
       in
-      Printf.printf "%-22s %12.1f %12.2f %10d %7d %6d %6d %6d\n" r.p10_config
-        r.p10_sps r.p10_virt_ms r.p10_bytes r.p10_msgs r.p10_pool_hits
-        r.p10_plan_hits r.p10_result_hits;
+      Printf.printf "%-22s %12.2f %10d %7d %6d %6d %6d\n" r.p10_config
+        r.p10_virt_ms r.p10_bytes r.p10_msgs r.p10_pool_hits r.p10_plan_hits
+        r.p10_result_hits;
       r)
     [
-      ("all-off", false, false, false);
-      ("pool", true, false, false);
-      ("pool+plan", true, true, false);
-      ("pool+plan+result", true, true, true);
+      ("cold", false, false);
+      ("pool", true, false);
+      ("pool+result", true, true);
     ]
 
 (* the reuse layer must never cost traffic: the fully enabled session has
@@ -492,7 +442,7 @@ let p10_session_reuse ?(rows = 6000) ?(n = 150) ?(reps = 3) () =
    published *)
 let p10_assert_smoke p10 =
   let find c = List.find (fun r -> String.equal r.p10_config c) p10 in
-  let cold = find "all-off" and hot = find "pool+plan+result" in
+  let cold = find "cold" and hot = find "pool+result" in
   if hot.p10_bytes >= cold.p10_bytes then begin
     Printf.eprintf "P10 smoke FAILED: %d bytes with caches vs %d cold\n"
       hot.p10_bytes cold.p10_bytes;
@@ -515,15 +465,11 @@ module Srv = Msql.Server
    session shares the dictionaries, the connection pool and the
    plan/result caches, and the wave scheduler interleaves their
    statements fairly. Clients submit eagerly up to the queue cap (shed
-   submissions are retried next round), so the latency numbers include
-   queue wait — the price of fairness under load. *)
+   submissions are retried next round). *)
 
 type p14_row = {
   p14_clients : int;
   p14_stmts : int;  (* statements completed *)
-  p14_sps : float;  (* aggregate statements per wall-clock second *)
-  p14_p50_ms : float;  (* wall-clock submit -> completion latency *)
-  p14_p99_ms : float;
   p14_virt_ms : float;
   p14_requeues : int;
   p14_shed : int;
@@ -531,13 +477,6 @@ type p14_row = {
   p14_plan_hits : int;
   p14_result_hits : int;
 }
-
-let p14_percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (ceil (p *. float_of_int n /. 100.)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
 
 let p14_run ~rows ~per_client ~clients =
   let world, directory = p10_world ~rows in
@@ -569,12 +508,9 @@ let p14_run ~rows ~per_client ~clients =
          (fun ci sid -> (sid, ref (p10_mix ~seed:(100 + ci) ~k:20 ~n:per_client)))
          sids)
   in
-  let submit_times : (int * int, float) Hashtbl.t = Hashtbl.create 256 in
-  let latencies = ref [] in
   let completed = ref 0 in
   Netsim.World.reset_stats world;
   Netsim.World.reset_clock world;
-  let t0 = Unix.gettimeofday () in
   let rec pump () =
     Array.iter
       (fun (sid, stream) ->
@@ -583,9 +519,7 @@ let p14_run ~rows ~per_client ~clients =
           | [] -> ()
           | i :: rest -> (
               match Srv.submit srv sid (p10_template i) with
-              | Ok seq ->
-                  Hashtbl.replace submit_times (sid, seq)
-                    (Unix.gettimeofday ());
+              | Ok _ ->
                   stream := rest;
                   top_up ()
               | Error (Srv.Overloaded _) -> ()  (* queue full: next round *)
@@ -593,33 +527,23 @@ let p14_run ~rows ~per_client ~clients =
         in
         top_up ())
       streams;
-    let comps = Srv.step_round srv in
-    let now = Unix.gettimeofday () in
     List.iter
       (fun c ->
         (match c.Srv.c_result with
         | Ok (M.Multitable _) -> ()
         | Ok r -> failwith ("P14: unexpected result " ^ M.result_to_string r)
         | Error m -> failwith ("P14: " ^ m));
-        incr completed;
-        match Hashtbl.find_opt submit_times (c.Srv.c_sid, c.Srv.c_seq) with
-        | Some t -> latencies := (now -. t) *. 1000. :: !latencies
-        | None -> ())
-      comps;
+        incr completed)
+      (Srv.step_round srv);
     if Array.exists (fun (_, s) -> !s <> []) streams || Srv.queued srv > 0
     then pump ()
   in
   pump ();
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let sorted = Array.of_list (List.sort compare !latencies) in
   let st = Srv.stats srv in
   let cs = Srv.cache_stats srv in
   {
     p14_clients = clients;
     p14_stmts = !completed;
-    p14_sps = float_of_int !completed /. wall_s;
-    p14_p50_ms = p14_percentile sorted 50.;
-    p14_p99_ms = p14_percentile sorted 99.;
     p14_virt_ms = Netsim.World.now_ms world;
     p14_requeues = st.Srv.requeues;
     p14_shed = st.Srv.shed;
@@ -632,16 +556,14 @@ let p14_server ?(rows = 2000) ?(per_client = 40) () =
   header
     "P14: concurrent multi-session server (Zipf clients, shared \
      pool+caches)";
-  Printf.printf "%-8s %10s %9s %9s %12s %8s %6s %6s %6s %6s\n" "clients"
-    "stmts/s" "p50 ms" "p99 ms" "virt ms" "requeue" "shed" "pool" "plan"
-    "rslt";
+  Printf.printf "%-8s %8s %12s %8s %6s %6s %6s %6s\n" "clients" "stmts"
+    "virt ms" "requeue" "shed" "pool" "plan" "rslt";
   List.map
     (fun clients ->
       let r = p14_run ~rows ~per_client ~clients in
-      Printf.printf "%-8d %10.1f %9.3f %9.3f %12.2f %8d %6d %6d %6d %6d\n"
-        r.p14_clients r.p14_sps r.p14_p50_ms r.p14_p99_ms r.p14_virt_ms
-        r.p14_requeues r.p14_shed r.p14_pool_hits r.p14_plan_hits
-        r.p14_result_hits;
+      Printf.printf "%-8d %8d %12.2f %8d %6d %6d %6d %6d\n" r.p14_clients
+        r.p14_stmts r.p14_virt_ms r.p14_requeues r.p14_shed r.p14_pool_hits
+        r.p14_plan_hits r.p14_result_hits;
       r)
     [ 1; 4; 16 ]
 
@@ -732,9 +654,8 @@ let p15_dataflow ?(n = 8) ?(reps = 3) () =
   Printf.printf "%-10s %12s %8s %10s %7s %12s %12s\n" "schedule" "virt ms"
     "msgs" "bytes" "waves" "crit ms" "serial ms";
   let best ~dataflow ~config =
-    replay_best ~name:("P15 " ^ config) ~reps ~det:Fun.id
-      ~rate:(fun _ -> 0.0)
-      (fun () -> p15_run ~n ~dataflow ~config)
+    replay ~name:("P15 " ^ config) ~reps (fun () ->
+        p15_run ~n ~dataflow ~config)
   in
   let off, s_off, r_off = best ~dataflow:false ~config:"serial" in
   let on_, s_on, r_on = best ~dataflow:true ~config:"dataflow" in
@@ -793,15 +714,14 @@ let write_perf_json ~path p4 p10 p14 p15 =
   in
   let p10_json r =
     Printf.sprintf
-      {|    {"config": "%s", "stmts_per_sec": %.1f, "virtual_ms": %.2f, "bytes_moved": %d, "messages": %d, "pool_hits": %d, "plan_hits": %d, "result_hits": %d}|}
-      r.p10_config r.p10_sps r.p10_virt_ms r.p10_bytes r.p10_msgs
+      {|    {"config": "%s", "virtual_ms": %.2f, "bytes_moved": %d, "messages": %d, "pool_hits": %d, "plan_hits": %d, "result_hits": %d}|}
+      r.p10_config r.p10_virt_ms r.p10_bytes r.p10_msgs
       r.p10_pool_hits r.p10_plan_hits r.p10_result_hits
   in
   let p14_json r =
     Printf.sprintf
-      {|    {"clients": %d, "stmts": %d, "stmts_per_sec": %.1f, "p50_latency_ms": %.3f, "p99_latency_ms": %.3f, "virtual_ms": %.2f, "requeues": %d, "shed": %d, "pool_hits": %d, "plan_hits": %d, "result_hits": %d}|}
-      r.p14_clients r.p14_stmts r.p14_sps r.p14_p50_ms
-      r.p14_p99_ms r.p14_virt_ms r.p14_requeues r.p14_shed r.p14_pool_hits
+      {|    {"clients": %d, "stmts": %d, "virtual_ms": %.2f, "requeues": %d, "shed": %d, "pool_hits": %d, "plan_hits": %d, "result_hits": %d}|}
+      r.p14_clients r.p14_stmts r.p14_virt_ms r.p14_requeues r.p14_shed r.p14_pool_hits
       r.p14_plan_hits r.p14_result_hits
   in
   let p15_json r =
@@ -906,6 +826,14 @@ let p5_optimizer_ablation () =
     [ 2; 4; 8; 12 ]
 
 (* ---- P6: index fast-path ablation (local DBMS substrate) ------------------------ *)
+
+let time_us f =
+  let t0 = Unix.gettimeofday () in
+  let iters = 200 in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int iters
 
 let p6_index_ablation () =
   header "P6: equality-lookup index vs full scan (local engine, wall time)";
@@ -1056,88 +984,10 @@ END MULTITRANSACTION|}
         sfl)
     [ 0.0; 0.1; 0.3; 0.5 ]
 
-(* ---- Part 2: Bechamel wall-clock suite -------------------------------------------- *)
-
-open Bechamel
-open Toolkit
-
-let bechamel_tests () =
-  let fx = F.make () in
-  let fx_comp = F.make ~caps:[ ("continental", Ldbms.Capabilities.sybase_like) ] () in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  [
-    stage "parse-e1" (fun () -> Msql.Mparser.parse_toplevel e1);
-    stage "parse-e5-mtx" (fun () -> Msql.Mparser.parse_toplevel e5);
-    stage "translate-e3" (fun () ->
-        match M.translate fx.F.session e3 with Ok p -> p | Error m -> failwith m);
-    stage "exec-e1-select" (fun () ->
-        match M.exec fx.F.session e1 with Ok r -> r | Error m -> failwith m);
-    stage "exec-e2-update" (fun () ->
-        match M.exec fx.F.session e2 with Ok r -> r | Error m -> failwith m);
-    stage "exec-e3-vital" (fun () ->
-        match M.exec fx.F.session e3 with Ok r -> r | Error m -> failwith m);
-    stage "exec-e4-comp" (fun () ->
-        match M.exec fx_comp.F.session e4 with Ok r -> r | Error m -> failwith m);
-    stage "exec-e5-mtx" (fun () ->
-        match M.exec fx.F.session e5 with Ok r -> r | Error m -> failwith m);
-  ]
-
-let run_bechamel () =
-  header "wall-clock pipeline costs (Bechamel, monotonic clock)";
-  let tests = bechamel_tests () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:true ()
-  in
-  Printf.printf "%-20s %14s %10s\n" "stage" "ns/run" "r^2";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ e ] -> e
-            | _ -> nan
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
-          in
-          Printf.printf "%-20s %14.0f %10.4f\n" name estimate r2)
-        analyzed)
-    tests
-
 let () =
   (* --perf-smoke: only the perf-critical experiments plus their JSON
      record — the CI smoke configuration *)
   let smoke = Array.exists (String.equal "--perf-smoke") Sys.argv in
-  (* --p10-one CONFIG: run a single P10 configuration at full size and
-     exit — a profiling target (e.g. under gprofng) *)
-  (match Array.to_list Sys.argv with
-  | _ :: "--p10-one" :: configs :: _ ->
-      let getenv_int v d =
-        match Sys.getenv_opt v with Some s -> int_of_string s | None -> d
-      in
-      let rows = getenv_int "P10_ROWS" 6000 and n = getenv_int "P10_N" 150 in
-      List.iter
-        (fun config ->
-          let pool, plan, result =
-            match config with
-            | "all-off" -> (false, false, false)
-            | "pool" -> (true, false, false)
-            | "pool+plan" -> (true, true, false)
-            | "pool+plan+result" -> (true, true, true)
-            | c -> failwith ("unknown P10 config " ^ c)
-          in
-          let r = p10_run ~rows ~n ~config ~pool ~plan ~result in
-          Printf.printf "%s: %.1f stmts/s\n" r.p10_config r.p10_sps)
-        (String.split_on_char ',' configs);
-      exit 0
-  | _ -> ());
   if smoke then begin
     let p4 = p4_shipping () in
     (* reduced P10: the traffic and determinism assertions are
@@ -1159,7 +1009,6 @@ let () =
     paper_examples ();
     p1_parallelism ();
     p2_vital_overhead ();
-    p3_decomposition_scaling ();
     let p4 = p4_shipping () in
     p5_optimizer_ablation ();
     p6_index_ablation ();
@@ -1172,6 +1021,5 @@ let () =
     p15_assert_smoke p15;
     write_perf_json ~path:"BENCH_perf.json" p4 p10 p14 p15;
     write_metrics_json ~path:"BENCH_metrics.json";
-    run_bechamel ();
     print_newline ()
   end

@@ -23,7 +23,7 @@ val create : unit -> t
 
 val version : t -> int
 (** Monotone epoch, bumped on every {!register}/{!incorporate} — part of
-    the compiled-plan cache key, since AD entries decide task modes and
+    the plan cache key, since AD entries decide task modes and
     sites. *)
 
 val incorporate : t -> Ast.incorporate -> unit

@@ -31,16 +31,33 @@ type result =
     }
   | Info of string
 
-(* Cross-session cache block: one of these, shared by every session of a
-   server, makes the compiled-plan and shipped-result caches communal —
-   session A's planning warms session B. Guarded by its own mutex so the
-   block stays safe to share across domains; the per-session hit/miss
+(* What planning one statement (phases 2-4, §4.3) produces: the unit the
+   plan cache stores. Besides the program it keeps what the callers read
+   afterwards — the expansion and decomposition EXPLAIN MULTIPLE renders
+   and the planning metrics every use of the record notes. *)
+type planned = {
+  pl_plan : Plangen.plan;
+  pl_shape : shape;
+  pl_dataflow : Narada.Dol_graph.stats option;
+      (* the dataflow pass's DAG stats, when the pass ran *)
+}
+
+and shape =
+  | Query of Expand.expansion * Decompose.plan option
+      (* the decomposition of a global or transfer expansion *)
+  | Mtx
+
+(* Cache block: every session holds one — a private block from [create],
+   or its server's, which makes the plan and shipped-result caches
+   communal: session A's planning warms session B. Guarded by its own
+   mutex so the block stays safe to share across domains; the hit/miss
    counters stay in each session, so per-session accounting survives
    sharing. *)
 type shared_caches = {
   sc_m : Mutex.t;
-  sc_plans : (string, Plangen.plan) Hashtbl.t;
+  sc_plans : (string, planned) Hashtbl.t;
   sc_results : (string * string * string, int * Sqlcore.Relation.t) Hashtbl.t;
+      (* (src, dst, shipped query) -> (dictionary epoch at store, rows) *)
 }
 
 let shared_caches () =
@@ -75,24 +92,16 @@ type t = {
       (* stamped on every observed trace event (unless the event already
          carries one); the server tags each member session so merged
          event streams stay attributable *)
-  (* --- session performance layer (all off by default) --- *)
+  (* --- session performance layer --- *)
   mutable pool : Narada.Pool.t option;  (* Some = pooling enabled *)
   mutable pool_shared : bool;
       (* the pool belongs to a server, not this session: never drain it *)
-  mutable shared : shared_caches option;
-      (* Some = plan/result lookups go to the communal tables *)
-  mutable plan_cache_on : bool;
-  plan_cache : (string, Plangen.plan) Hashtbl.t;
+  mutable caches : shared_caches;  (* private, or the server's block *)
   mutable plan_hits : int;
   mutable plan_misses : int;
-  mutable result_cache_on : bool;
-  result_cache : (string * string * string, int * Sqlcore.Relation.t) Hashtbl.t;
-      (* (src, dst, shipped query) -> (dictionary epoch at store, rows) *)
+  mutable result_cache_on : bool;  (* off by default *)
   mutable result_hits : int;
   mutable result_misses : int;
-  mutable mdb_epoch : int;
-      (* bumped on CREATE/DROP MULTIDATABASE; part of the plan-cache key
-         alongside the Gdd/Ad versions *)
 }
 
 type cache_stats = Metrics.cache_stats = {
@@ -133,16 +142,12 @@ let create ?world ?directory ?ad ?gdd () =
     trace_tag = None;
     pool = None;
     pool_shared = false;
-    shared = None;
-    plan_cache_on = false;
-    plan_cache = Hashtbl.create 32;
+    caches = shared_caches ();
     plan_hits = 0;
     plan_misses = 0;
     result_cache_on = false;
-    result_cache = Hashtbl.create 32;
     result_hits = 0;
     result_misses = 0;
-    mdb_epoch = 0;
   }
 
 let world t = t.world
@@ -214,42 +219,23 @@ let set_shared_pool t p =
 
 let set_domains (_ : t) (_ : int) = ()
 
-let set_plan_cache t b =
-  if not b then Hashtbl.reset t.plan_cache;
-  t.plan_cache_on <- b
-
-let plan_cache_enabled t = t.plan_cache_on
+(* run [f] on the session's cache block under the block's lock *)
+let with_caches t f =
+  let c = t.caches in
+  Mutex.lock c.sc_m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock c.sc_m) (fun () -> f c)
 
 let set_result_cache t b =
-  if not b then Hashtbl.reset t.result_cache;
+  if not b then with_caches t (fun c -> Hashtbl.reset c.sc_results);
   t.result_cache_on <- b
 
 let result_cache_enabled t = t.result_cache_on
 
 let set_shared_caches t sc =
-  t.shared <- Some sc;
-  (* sharing implies caching: a member session with the layers off would
-     silently bypass the communal tables *)
-  t.plan_cache_on <- true;
+  t.caches <- sc;
+  (* sharing implies result caching: a member session with the layer off
+     would silently bypass the communal table *)
   t.result_cache_on <- true
-
-(* run [f] against the effective plan table — communal (locked) when the
-   session is attached to a server's shared block, private otherwise *)
-let with_plan_table t f =
-  match t.shared with
-  | Some sc ->
-      Mutex.lock sc.sc_m;
-      Fun.protect ~finally:(fun () -> Mutex.unlock sc.sc_m) (fun () ->
-          f sc.sc_plans)
-  | None -> f t.plan_cache
-
-let with_result_table t f =
-  match t.shared with
-  | Some sc ->
-      Mutex.lock sc.sc_m;
-      Fun.protect ~finally:(fun () -> Mutex.unlock sc.sc_m) (fun () ->
-          f sc.sc_results)
-  | None -> f t.result_cache
 
 let cache_stats t =
   let ps =
@@ -287,7 +273,8 @@ let move_cache t =
         Narada.Lam.tc_lookup =
           (fun ~src ~dst ~query ->
             let k = rc_key src dst query in
-            with_result_table t (fun table ->
+            with_caches t (fun c ->
+                let table = c.sc_results in
                 match Hashtbl.find_opt table k with
                 | Some (epoch, rel) when epoch = dict_epoch t ->
                     t.result_hits <- t.result_hits + 1;
@@ -302,7 +289,8 @@ let move_cache t =
                     None));
         tc_store =
           (fun ~src ~dst ~query rel ->
-            with_result_table t (fun table ->
+            with_caches t (fun c ->
+                let table = c.sc_results in
                 if Hashtbl.length table > 256 then Hashtbl.reset table;
                 Hashtbl.replace table (rc_key src dst query)
                   (dict_epoch t, rel)));
@@ -314,7 +302,8 @@ let move_cache t =
    with (service names equal database names here) *)
 let invalidate_shipped t dbs =
   if dbs <> [] then
-    with_result_table t (fun table ->
+    with_caches t (fun c ->
+        let table = c.sc_results in
         if Hashtbl.length table > 0 then begin
           let canon = List.map String.lowercase_ascii dbs in
           let doomed =
@@ -356,20 +345,6 @@ let note_outcome t = function
 let engine_run t program =
   note_outcome t (Engine.finish (engine_start t program))
 
-let maybe_optimize t (plan : Plangen.plan) =
-  let program = plan.Plangen.program in
-  let program =
-    if t.optimize then Narada.Dol_opt.optimize program else program
-  in
-  let program =
-    if t.dataflow then begin
-      let program, ds = Narada.Dol_opt.dataflow_with_stats program in
-      Metrics.note_dataflow t.metrics ds;
-      program
-    end
-    else program
-  in
-  if t.optimize || t.dataflow then { plan with Plangen.program } else plan
 let log_trigger t fmt = Printf.ksprintf (fun m -> t.trigger_log <- m :: t.trigger_log) fmt
 
 (* resolve USE CURRENT: prepend the session scope, newest designations
@@ -390,16 +365,18 @@ let expand_virtual t scope =
     scope
 
 let effective_scope t (q : Ast.query) =
+  let named = expand_virtual t q.Ast.scope in
   let scope =
-    if not q.Ast.use_current then expand_virtual t q.Ast.scope
+    if not q.Ast.use_current then named
     else
+      (* shadow against the expanded items: a multidatabase's members
+         already in the session scope must not be opened twice *)
       let shadowed (u : Ast.use_item) =
         List.exists
           (fun (u' : Ast.use_item) -> Names.equal u'.Ast.db u.Ast.db)
-          q.Ast.scope
+          named
       in
-      List.filter (fun u -> not (shadowed u)) t.scope
-      @ expand_virtual t q.Ast.scope
+      List.filter (fun u -> not (shadowed u)) t.scope @ named
   in
   (* the session scope is NOT committed here: a statement whose plan fails
      to generate must leave the current scope untouched, so persisting is
@@ -569,61 +546,121 @@ let build_multitable (outcome : Engine.outcome) bindings =
   in
   Multitable.make parts
 
-let plan_of_query t (q : Ast.query) =
-  maybe_optimize t
-    (match Expand.expand t.gdd q with
-    | Expand.Replicated elems ->
-        Log.debug (fun f ->
-            f "expanded into %d elementary quer%s (%s)" (List.length elems)
-              (if List.length elems = 1 then "y" else "ies")
-              (String.concat ", "
-                 (List.map (fun (e : Expand.elementary) -> e.Expand.edb) elems)));
-        t.metrics.Metrics.plans_replicated <-
-          t.metrics.Metrics.plans_replicated + 1;
-        Plangen.plan_replicated t.ad q elems
-    | Expand.Global { gselect; grefs } ->
-        let dp = Decompose.decompose ~semijoin:t.semijoin ~gselect ~grefs in
-        Log.debug (fun f ->
-            f "decomposed global query: coordinator %s, %d shipped subqueries"
-              dp.Decompose.coordinator
-              (List.length dp.Decompose.shipped));
-        t.metrics.Metrics.plans_global <- t.metrics.Metrics.plans_global + 1;
-        Metrics.note_decomposition t.metrics dp;
-        Plangen.plan_global t.ad q dp
-    | Expand.Transfer { tdb; tuse; ttable; tcolumns; gselect; grefs } ->
-        let dp = Decompose.decompose ~semijoin:t.semijoin ~gselect ~grefs in
-        t.metrics.Metrics.plans_transfer <- t.metrics.Metrics.plans_transfer + 1;
-        Metrics.note_decomposition t.metrics dp;
-        Plangen.plan_transfer t.ad ~tdb ~tuse ~ttable ~tcolumns dp)
+(* ---- planning --------------------------------------------------------------
+   Every statement kind — query, multitransaction, EXPLAIN, EXPLAIN
+   MULTIPLE, translate — is planned by [plan], through the session's plan
+   cache. The key covers every planning input: the dictionary identity
+   and versions, the planner flags, and the statement after
+   virtual-database expansion (so it names the multidatabases' current
+   members and, for USE CURRENT, the whole effective scope). A hit thus
+   cannot change the program; stale entries are never served, and are
+   evicted wholesale when the table grows. Errors are not cached. *)
 
-(* memoized plan generation: the key covers everything a plan depends on —
-   the effective-scope query itself plus the dictionary versions and the
-   planner flags.  A dictionary mutation bumps its version, so stale plans
-   are never served; they are evicted wholesale when the table grows. *)
-let plan_key t (q : Ast.query) =
+type statement = Query_stmt of Ast.query | Mtx_stmt of Ast.multitransaction
+
+let plan_key t (stmt : statement) =
   (* the dictionary identity leads the key: when the plan table is shared
      across sessions, only sessions over the same GDD instance may
      exchange plans — equal version numbers from different dictionaries
      must not collide *)
-  Printf.sprintf "%d|%d|%d|%d|%b|%b|%b|%s" (Gdd.id t.gdd) (Gdd.version t.gdd)
-    (Ad.version t.ad) t.mdb_epoch t.optimize t.dataflow t.semijoin
-    (Marshal.to_string q [])
+  Printf.sprintf "%d|%d|%d|%b|%b|%b|%s" (Gdd.id t.gdd) (Gdd.version t.gdd)
+    (Ad.version t.ad) t.optimize t.dataflow t.semijoin
+    (Marshal.to_string stmt [])
 
-let plan_of_query_cached t (q : Ast.query) =
-  if not t.plan_cache_on then plan_of_query t q
-  else
-    let k = plan_key t q in
-    match with_plan_table t (fun table -> Hashtbl.find_opt table k) with
-    | Some plan ->
+(* phases 2-4 from scratch, then the optional DOL passes *)
+let plan_fresh t stmt =
+  let expand (q : Ast.query) = Expand.expand t.gdd q in
+  let plan, shape =
+    match stmt with
+    | Query_stmt q -> (
+        let expansion = expand q in
+        let decomposed ~gselect ~grefs =
+          let dp = Decompose.decompose ~semijoin:t.semijoin ~gselect ~grefs in
+          Log.debug (fun f ->
+              f "decomposed global query: coordinator %s, %d shipped \
+                 subqueries"
+                dp.Decompose.coordinator
+                (List.length dp.Decompose.shipped));
+          dp
+        in
+        match expansion with
+        | Expand.Replicated elems ->
+            Log.debug (fun f ->
+                f "expanded into %d elementary quer%s (%s)" (List.length elems)
+                  (if List.length elems = 1 then "y" else "ies")
+                  (String.concat ", "
+                     (List.map (fun (e : Expand.elementary) -> e.Expand.edb)
+                        elems)));
+            (Plangen.plan_replicated t.ad q elems, Query (expansion, None))
+        | Expand.Global { gselect; grefs } ->
+            let dp = decomposed ~gselect ~grefs in
+            (Plangen.plan_global t.ad q dp, Query (expansion, Some dp))
+        | Expand.Transfer { tdb; tuse; ttable; tcolumns; gselect; grefs } ->
+            let dp = decomposed ~gselect ~grefs in
+            ( Plangen.plan_transfer t.ad ~tdb ~tuse ~ttable ~tcolumns dp,
+              Query (expansion, Some dp) ))
+    | Mtx_stmt mtx ->
+        let expand_one (q : Ast.query) =
+          match expand q with
+          | Expand.Replicated elems -> (q, elems)
+          | Expand.Global _ | Expand.Transfer _ ->
+              raise
+                (Expand.Error
+                   "cross-database statements are not allowed inside a \
+                    multitransaction")
+        in
+        (Plangen.plan_mtx t.ad mtx (List.map expand_one mtx.Ast.queries), Mtx)
+  in
+  let program = plan.Plangen.program in
+  let program =
+    if t.optimize then Narada.Dol_opt.optimize program else program
+  in
+  let program, dataflow =
+    if t.dataflow then
+      let program, ds = Narada.Dol_opt.dataflow_with_stats program in
+      (program, Some ds)
+    else (program, None)
+  in
+  { pl_plan = { plan with Plangen.program }; pl_shape = shape;
+    pl_dataflow = dataflow }
+
+(* fold one use of a record into the metrics — the same whether the
+   record was just planned or served from the cache *)
+let note_planned t p =
+  let m = t.metrics in
+  (match p.pl_shape with
+  | Query (Expand.Replicated _, _) ->
+      m.Metrics.plans_replicated <- m.Metrics.plans_replicated + 1
+  | Query (Expand.Global _, _) ->
+      m.Metrics.plans_global <- m.Metrics.plans_global + 1
+  | Query (Expand.Transfer _, _) ->
+      m.Metrics.plans_transfer <- m.Metrics.plans_transfer + 1
+  | Mtx -> m.Metrics.plans_mtx <- m.Metrics.plans_mtx + 1);
+  (match p.pl_shape with
+  | Query (_, Some dp) -> Metrics.note_decomposition m dp
+  | Query (_, None) | Mtx -> ());
+  Option.iter (Metrics.note_dataflow m) p.pl_dataflow
+
+let plan t stmt =
+  let k = plan_key t stmt in
+  let cached () =
+    match with_caches t (fun c -> Hashtbl.find_opt c.sc_plans k) with
+    | Some p ->
         t.plan_hits <- t.plan_hits + 1;
-        plan
+        p
     | None ->
-        let plan = plan_of_query t q in
+        let p = plan_fresh t stmt in
         t.plan_misses <- t.plan_misses + 1;
-        with_plan_table t (fun table ->
-            if Hashtbl.length table > 128 then Hashtbl.reset table;
-            Hashtbl.replace table k plan);
-        plan
+        with_caches t (fun c ->
+            if Hashtbl.length c.sc_plans > 128 then Hashtbl.reset c.sc_plans;
+            Hashtbl.replace c.sc_plans k p);
+        p
+  in
+  match cached () with
+  | p ->
+      note_planned t p;
+      Ok p
+  | exception (Expand.Error m | Decompose.Error m | Plangen.Error m) -> Error m
 
 (* databases whose state a successful execution changed *)
 let written_of_details details =
@@ -640,19 +677,17 @@ let written_dbs = function
   | Multitable _ | Info _ -> []
 
 (* phases 1-4 for one query: effective scope, plan, persist the scope.
-   Shared by the monolithic path and the stepped path. *)
+   Shared by execution, stepping, EXPLAIN and translation. *)
 let prepare_query t (q : Ast.query) =
   let q = effective_scope t q in
   if q.Ast.scope = [] then
     Error "empty query scope (no current scope established yet?)"
   else
-    match plan_of_query_cached t q with
-    | exception Expand.Error m -> Error m
-    | exception Decompose.Error m -> Error m
-    | exception Plangen.Error m -> Error m
-    | plan ->
+    match plan t (Query_stmt q) with
+    | Error m -> Error m
+    | Ok p ->
         t.scope <- q.Ast.scope;
-        Ok (q, plan)
+        Ok (q, p)
 
 let interpret_query t (q : Ast.query) (plan : Plangen.plan)
     (outcome : Engine.outcome) =
@@ -681,36 +716,26 @@ let interpret_query t (q : Ast.query) (plan : Plangen.plan)
          })
 
 let run_query t (q : Ast.query) =
-  match prepare_query t q with
-  | Error m -> Error m
-  | Ok (q, plan) -> (
-      match engine_run t plan.Plangen.program with
-      | Error m -> Error m
-      | Ok outcome -> interpret_query t q plan outcome)
+  Result.bind (prepare_query t q) (fun (q, { pl_plan = plan; _ }) ->
+      Result.bind (engine_run t plan.Plangen.program) (interpret_query t q plan))
 
 (* ---- multitransactions --------------------------------------------------- *)
 
+(* the multitransaction with every query's virtual databases expanded,
+   and its plan *)
 let prepare_mtx t (mtx : Ast.multitransaction) =
-  let expand_one (q : Ast.query) =
-    let q = { q with Ast.scope = expand_virtual t q.Ast.scope } in
-    match Expand.expand t.gdd q with
-    | Expand.Replicated elems -> (q, elems)
-    | Expand.Global _ | Expand.Transfer _ ->
-        raise
-          (Expand.Error
-             "cross-database statements are not allowed inside a multitransaction")
+  let queries =
+    List.map
+      (fun (q : Ast.query) -> { q with Ast.scope = expand_virtual t q.Ast.scope })
+      mtx.Ast.queries
   in
-  match List.map expand_one mtx.Ast.queries with
-  | exception Expand.Error m -> Error m
-  | expanded -> (
-      match maybe_optimize t (Plangen.plan_mtx t.ad mtx expanded) with
-      | exception Plangen.Error m -> Error m
-      | plan ->
-          t.metrics.Metrics.plans_mtx <- t.metrics.Metrics.plans_mtx + 1;
-          Ok (expanded, plan))
+  let mtx = { mtx with Ast.queries } in
+  match plan t (Mtx_stmt mtx) with
+  | Error m -> Error m
+  | Ok p -> Ok (mtx, p.pl_plan)
 
-let interpret_mtx t (mtx : Ast.multitransaction) expanded
-    (plan : Plangen.plan) (outcome : Engine.outcome) =
+let interpret_mtx t (mtx : Ast.multitransaction) (plan : Plangen.plan)
+    (outcome : Engine.outcome) =
   let details = report_of_bindings outcome plan.Plangen.task_bindings in
   invalidate_shipped t (written_of_details details);
   let status_of db =
@@ -724,11 +749,10 @@ let interpret_mtx t (mtx : Ast.multitransaction) expanded
       (fun name ->
         match
           List.find_opt
-            (fun ((q : Ast.query), _) ->
-              Ast.find_in_scope q.Ast.scope name <> None)
-            expanded
+            (fun (q : Ast.query) -> Ast.find_in_scope q.Ast.scope name <> None)
+            mtx.Ast.queries
         with
-        | Some (q, _) ->
+        | Some q ->
             (Option.get (Ast.find_in_scope q.Ast.scope name)).Ast.db
         | None -> name)
       state
@@ -756,12 +780,8 @@ let interpret_mtx t (mtx : Ast.multitransaction) expanded
        { chosen; incorrect; details; elapsed_ms = outcome.Engine.elapsed_ms })
 
 let run_mtx t (mtx : Ast.multitransaction) =
-  match prepare_mtx t mtx with
-  | Error m -> Error m
-  | Ok (expanded, plan) -> (
-      match engine_run t plan.Plangen.program with
-      | Error m -> Error m
-      | Ok outcome -> interpret_mtx t mtx expanded plan outcome)
+  Result.bind (prepare_mtx t mtx) (fun (mtx, plan) ->
+      Result.bind (engine_run t plan.Plangen.program) (interpret_mtx t mtx plan))
 
 (* ---- stepped execution ----------------------------------------------------
    The interleaving harness runs several sessions' statements against
@@ -802,33 +822,30 @@ let prepared_move_dsts p = p.p_move_dsts
 let prepared_session p = p.p_session
 
 let prepare_text t text =
+  let prepared (plan : Plangen.plan) interpret =
+    {
+      p_session = t;
+      p_stepper = engine_start t plan.Plangen.program;
+      p_interpret = interpret plan;
+      p_move_dsts = program_move_dsts plan.Plangen.program;
+    }
+  in
+  let count () =
+    t.metrics.Metrics.statements <- t.metrics.Metrics.statements + 1
+  in
   match Mparser.parse_toplevel text with
   | exception Mparser.Error (m, l, c) ->
       Error (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m)
-  | Ast.Query q -> (
-      t.metrics.Metrics.statements <- t.metrics.Metrics.statements + 1;
-      match prepare_query t q with
-      | Error m -> Error m
-      | Ok (q, plan) ->
-          Ok
-            {
-              p_session = t;
-              p_stepper = engine_start t plan.Plangen.program;
-              p_interpret = interpret_query t q plan;
-              p_move_dsts = program_move_dsts plan.Plangen.program;
-            })
-  | Ast.Multitransaction mtx -> (
-      t.metrics.Metrics.statements <- t.metrics.Metrics.statements + 1;
-      match prepare_mtx t mtx with
-      | Error m -> Error m
-      | Ok (expanded, plan) ->
-          Ok
-            {
-              p_session = t;
-              p_stepper = engine_start t plan.Plangen.program;
-              p_interpret = interpret_mtx t mtx expanded plan;
-              p_move_dsts = program_move_dsts plan.Plangen.program;
-            })
+  | Ast.Query q ->
+      count ();
+      Result.map
+        (fun (q, p) -> prepared p.pl_plan (interpret_query t q))
+        (prepare_query t q)
+  | Ast.Multitransaction mtx ->
+      count ();
+      Result.map
+        (fun (mtx, plan) -> prepared plan (interpret_mtx t mtx))
+        (prepare_mtx t mtx)
   | Ast.Explain _ | Ast.Explain_multiple _ | Ast.Incorporate _ | Ast.Import _
   | Ast.Create_trigger _ | Ast.Drop_trigger _ | Ast.Create_multidatabase _
   | Ast.Drop_multidatabase _ ->
@@ -859,117 +876,82 @@ let condition_fires t (d : Ast.trigger_def) =
 
 (* ---- EXPLAIN MULTIPLE -------------------------------------------------- *)
 
-(* Run phases 1-4 of the pipeline (scope resolution, expansion,
-   decomposition, plan generation) and render each one, executing
-   nothing: the engine is never entered, so the world's clock and
-   message counters do not move. *)
+(* Plan the query like execution would (phases 1-4, through the plan
+   cache) and render the planning record phase by phase, executing
+   nothing: the engine is never entered, so the world's clock and message
+   counters do not move. *)
+let render_explain t (q : Ast.query) p =
+  let expansion, decomposition =
+    match p.pl_shape with
+    | Query (e, dp) -> (e, dp)
+    | Mtx -> invalid_arg "Msession.render_explain: multitransaction plan"
+  in
+  let b = Buffer.create 1024 in
+  let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let use_item_str (u : Ast.use_item) =
+    u.Ast.db
+    ^ (match u.Ast.alias with Some a -> " " ^ a | None -> "")
+    ^ match u.Ast.vital with Ast.Vital -> " VITAL" | Ast.Non_vital -> ""
+  in
+  addf "== phase 1-2: scope and expansion ==\n";
+  addf "scope: %s\n" (String.concat ", " (List.map use_item_str q.Ast.scope));
+  addf "statement: %s\n" (Sqlfront.Sql_pp.stmt_to_string q.Ast.body);
+  (match expansion with
+  | Expand.Replicated elems ->
+      addf "expansion: replicated into %d elementary quer%s\n"
+        (List.length elems)
+        (if List.length elems = 1 then "y" else "ies");
+      List.iter
+        (fun (e : Expand.elementary) ->
+          List.iter
+            (fun st ->
+              addf "  [%s] %s\n" e.Expand.edb
+                (Sqlfront.Sql_pp.stmt_to_string st))
+            e.Expand.stmts)
+        elems
+  | Expand.Global { grefs; _ } ->
+      addf "expansion: global join over %d table reference(s): %s\n"
+        (List.length grefs)
+        (String.concat ", "
+           (List.map
+              (fun (r : Expand.global_ref) ->
+                r.Expand.gdb ^ "." ^ r.Expand.gtable)
+              grefs))
+  | Expand.Transfer { tdb; ttable; grefs; _ } ->
+      addf
+        "expansion: transfer into table %s of %s from %d global reference(s)\n"
+        ttable tdb (List.length grefs));
+  (match decomposition with
+  | None ->
+      addf
+        "== phase 3: decomposition ==\n\
+         not needed: every elementary query is single-database\n"
+  | Some dp ->
+      addf "== phase 3: decomposition ==\n%s\n"
+        (Format.asprintf "%a" Decompose.pp_plan dp));
+  let program = p.pl_plan.Plangen.program in
+  addf "== phase 4: DOL program ==\n%s" (Narada.Dol_pp.program_to_string program);
+  if t.dataflow then
+    (* the analysis is idempotent over scheduling: waves dissolve like
+       any PARBEGIN block, so this renders the DAG the pass derived *)
+    addf "\n== phase 5: dataflow schedule ==\n%s"
+      (Narada.Dol_graph.describe program);
+  Buffer.contents b
+
 let explain_multiple t (q : Ast.query) =
-  let q = effective_scope t q in
-  if q.Ast.scope = [] then
-    Error "empty query scope (no current scope established yet?)"
-  else
-    let render () =
-      let b = Buffer.create 1024 in
-      let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      let use_item_str (u : Ast.use_item) =
-        u.Ast.db
-        ^ (match u.Ast.alias with Some a -> " " ^ a | None -> "")
-        ^ match u.Ast.vital with Ast.Vital -> " VITAL" | Ast.Non_vital -> ""
-      in
-      addf "== phase 1-2: scope and expansion ==\n";
-      addf "scope: %s\n"
-        (String.concat ", " (List.map use_item_str q.Ast.scope));
-      addf "statement: %s\n" (Sqlfront.Sql_pp.stmt_to_string q.Ast.body);
-      let plan =
-        match Expand.expand t.gdd q with
-        | Expand.Replicated elems ->
-            addf "expansion: replicated into %d elementary quer%s\n"
-              (List.length elems)
-              (if List.length elems = 1 then "y" else "ies");
-            List.iter
-              (fun (e : Expand.elementary) ->
-                List.iter
-                  (fun st ->
-                    addf "  [%s] %s\n" e.Expand.edb
-                      (Sqlfront.Sql_pp.stmt_to_string st))
-                  e.Expand.stmts)
-              elems;
-            addf
-              "== phase 3: decomposition ==\n\
-               not needed: every elementary query is single-database\n";
-            Plangen.plan_replicated t.ad q elems
-        | Expand.Global { gselect; grefs } ->
-            addf "expansion: global join over %d table reference(s): %s\n"
-              (List.length grefs)
-              (String.concat ", "
-                 (List.map
-                    (fun (r : Expand.global_ref) ->
-                      r.Expand.gdb ^ "." ^ r.Expand.gtable)
-                    grefs));
-            let dp = Decompose.decompose ~semijoin:t.semijoin ~gselect ~grefs in
-            Metrics.note_decomposition t.metrics dp;
-            addf "== phase 3: decomposition ==\n%s\n"
-              (Format.asprintf "%a" Decompose.pp_plan dp);
-            Plangen.plan_global t.ad q dp
-        | Expand.Transfer { tdb; tuse; ttable; tcolumns; gselect; grefs } ->
-            addf
-              "expansion: transfer into table %s of %s from %d global \
-               reference(s)\n"
-              ttable tdb (List.length grefs);
-            let dp = Decompose.decompose ~semijoin:t.semijoin ~gselect ~grefs in
-            Metrics.note_decomposition t.metrics dp;
-            addf "== phase 3: decomposition ==\n%s\n"
-              (Format.asprintf "%a" Decompose.pp_plan dp);
-            Plangen.plan_transfer t.ad ~tdb ~tuse ~ttable ~tcolumns dp
-      in
-      let plan = maybe_optimize t plan in
-      addf "== phase 4: DOL program ==\n%s"
-        (Narada.Dol_pp.program_to_string plan.Plangen.program);
-      if t.dataflow then
-        (* the analysis is idempotent over scheduling: waves dissolve like
-           any PARBEGIN block, so this renders the DAG the pass derived *)
-        addf "\n== phase 5: dataflow schedule ==\n%s"
-          (Narada.Dol_graph.describe plan.Plangen.program);
-      Buffer.contents b
-    in
-    match render () with
-    | rendered ->
-        t.scope <- q.Ast.scope;
-        t.metrics.Metrics.explains <- t.metrics.Metrics.explains + 1;
-        Ok (Info rendered)
-    | exception Expand.Error m -> Error m
-    | exception Decompose.Error m -> Error m
-    | exception Plangen.Error m -> Error m
+  match prepare_query t q with
+  | Error m -> Error m
+  | Ok (q, p) ->
+      t.metrics.Metrics.explains <- t.metrics.Metrics.explains + 1;
+      Ok (Info (render_explain t q p))
 
 (* ---- translation (no execution) --------------------------------------------- *)
 
 let rec translate_toplevel t = function
-  | Ast.Query q -> (
-      let q = effective_scope t q in
-      match plan_of_query_cached t q with
-      | plan ->
-          t.scope <- q.Ast.scope;
-          Ok plan.Plangen.program
-      | exception Expand.Error m -> Error m
-      | exception Decompose.Error m -> Error m
-      | exception Plangen.Error m -> Error m)
-  | Ast.Multitransaction mtx -> (
-      let expand_one (q : Ast.query) =
-        let q = { q with Ast.scope = expand_virtual t q.Ast.scope } in
-        match Expand.expand t.gdd q with
-        | Expand.Replicated elems -> (q, elems)
-        | Expand.Global _ | Expand.Transfer _ ->
-            raise
-              (Expand.Error
-                 "cross-database statements are not allowed inside a multitransaction")
-      in
-      match
-        maybe_optimize t
-          (Plangen.plan_mtx t.ad mtx (List.map expand_one mtx.Ast.queries))
-      with
-      | plan -> Ok plan.Plangen.program
-      | exception Expand.Error m -> Error m
-      | exception Plangen.Error m -> Error m)
+  | Ast.Query q ->
+      Result.map (fun (_, p) -> p.pl_plan.Plangen.program) (prepare_query t q)
+  | Ast.Multitransaction mtx ->
+      Result.map (fun (_, plan) -> plan.Plangen.program) (prepare_mtx t mtx)
   | Ast.Explain inner -> translate_toplevel t inner
   | Ast.Explain_multiple q -> translate_toplevel t (Ast.Query q)
   | Ast.Incorporate _ | Ast.Import _ | Ast.Create_trigger _ | Ast.Drop_trigger _
@@ -1068,13 +1050,11 @@ and exec_toplevel t tl =
         | None ->
             Hashtbl.replace t.virtual_dbs (Names.canon mdb_name)
               (expand_virtual t mdb_members);
-            t.mdb_epoch <- t.mdb_epoch + 1;
             Ok (Info (Printf.sprintf "multidatabase %s created" mdb_name))
       end
   | Ast.Drop_multidatabase name ->
       if Hashtbl.mem t.virtual_dbs (Names.canon name) then begin
         Hashtbl.remove t.virtual_dbs (Names.canon name);
-        t.mdb_epoch <- t.mdb_epoch + 1;
         Ok (Info (Printf.sprintf "multidatabase %s dropped" name))
       end
       else Error (Printf.sprintf "no multidatabase named %s" name)

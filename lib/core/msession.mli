@@ -91,7 +91,9 @@ val exec_script : t -> string -> (result list, string) Stdlib.result
 
 val translate : t -> string -> (Narada.Dol_ast.program, string) Stdlib.result
 (** MSQL → DOL translation only (no execution); the paper's translator
-    output for the statement. *)
+    output for the statement. Planned like execution, through the plan
+    cache, so the plan counts in {!metrics} (a multitransaction in
+    [plans_mtx]) and a query persists its effective scope. *)
 
 val run_query : t -> Ast.query -> (result, string) Stdlib.result
 val run_mtx : t -> Ast.multitransaction -> (result, string) Stdlib.result
@@ -163,11 +165,13 @@ val metrics_json : t -> string
     {!cache_stats} — one self-contained JSON document. *)
 
 val explain_multiple : t -> Ast.query -> (result, string) Stdlib.result
-(** [EXPLAIN MULTIPLE <query>]: run phases 1–4 (scope resolution,
-    expansion, decomposition with the semijoin cost decision, DOL plan
-    generation) and return an [Info] rendering every phase, without
-    executing anything — the world's clock and message counters do not
-    move. Like execution, it persists the effective scope. *)
+(** [EXPLAIN MULTIPLE <query>]: plan the query exactly as execution
+    would — phases 1–4 (scope resolution, expansion, decomposition with
+    the semijoin cost decision, DOL plan generation), through the plan
+    cache — and return an [Info] rendering the planning record phase by
+    phase, without executing anything: the world's clock and message
+    counters do not move. Like execution, it persists the effective
+    scope and counts the plan in {!metrics}. *)
 
 val set_retry_policy : t -> Narada.Retry_policy.t option -> unit
 (** Override the retry policy applied to every LAM operation of
@@ -206,9 +210,19 @@ val semijoin_enabled : t -> bool
 
 (** {2 Session performance layer}
 
-    Three independent reuse mechanisms, each off by default so that
-    translated programs and traffic match the paper's per-statement shape
-    unless asked otherwise. All are exercised as ablations by bench P10. *)
+    Every statement is planned once per distinct planning input: the plan
+    cache is always on. Its key is the {!Gdd.id}, the
+    {!Gdd.version}/{!Ad.version} epochs, the optimize/dataflow/semijoin
+    flags and the statement after virtual-database expansion (so it names
+    the effective scope and the multidatabases' current members). A hit
+    therefore cannot change the program, and shows only in
+    {!cache_stats}: each use of a plan notes its planning metrics, hit or
+    miss. Any IMPORT or INCORPORATE misses; errors are not cached.
+
+    Two further reuse mechanisms change traffic, so they stay toggles,
+    off by default so that traffic matches the paper's per-statement
+    shape unless asked otherwise. Both are exercised as ablations by
+    bench P10. *)
 
 val set_pooling : t -> bool -> unit
 (** Keep LAM connections in a {!Narada.Pool} owned by the session: OPEN
@@ -234,42 +248,37 @@ val set_shared_pool : t -> Narada.Pool.t -> unit
     statement caches below. *)
 
 type shared_caches
-(** A communal compiled-plan + shipped-result cache block, mutex-guarded
-    so it stays safe to share across domains. Epoch
-    invalidation is unchanged: keys embed {!Gdd.id} and the dictionary
-    versions, and shipped entries are stamped with the storing session's
-    dictionary epoch, so an IMPORT invalidates for every sharer at
-    once. *)
+(** A plan + shipped-result cache block, mutex-guarded so it stays safe
+    to share across domains. Every session holds one: a private block
+    from {!create}, or a communal one after {!set_shared_caches}. Keys
+    embed {!Gdd.id} and the dictionary versions, and shipped entries are
+    stamped with the storing session's dictionary epoch, so an IMPORT
+    invalidates for every sharer at once. *)
 
 val shared_caches : unit -> shared_caches
 
 val set_shared_caches : t -> shared_caches -> unit
-(** Attach the session to a communal cache block and enable both cache
-    layers. Per-session hit/miss counters keep counting locally, so
-    {!cache_stats} still reports each session's own traffic. *)
+(** Replace the session's cache block with a communal one and enable the
+    shipped-result cache. Per-session hit/miss counters keep counting
+    locally, so {!cache_stats} still reports each session's own
+    traffic. *)
 
 val set_domains : t -> int -> unit
 (** No effect; kept only because [msqlbench/] sets it. *)
-
-val set_plan_cache : t -> bool -> unit
-(** Memoize plan generation, keyed on the effective-scope statement, the
-    planner flags and the {!Gdd.version}/{!Ad.version} epochs — any
-    IMPORT, INCORPORATE or CREATE/DROP MULTIDATABASE therefore misses.
-    Disabling clears the cache. *)
-
-val plan_cache_enabled : t -> bool
 
 val set_result_cache : t -> bool -> unit
 (** Cache the relation each MOVE ships, keyed on (source, destination,
     shipped SQL after semijoin reduction — the key set is part of the
     text). A hit moves zero bytes. Entries are dropped when a committed
     update reports affected rows against their source or destination
-    database, and on any dictionary change. Disabling clears the cache. *)
+    database, and on any dictionary change. Disabling empties the
+    shipped-result table of the session's cache block. *)
 
 val result_cache_enabled : t -> bool
 
 val cache_stats : t -> cache_stats
-(** Hit/miss counters of all three layers (zeros where a layer is off). *)
+(** Hit/miss counters of the pool, plan and shipped-result caches (zeros
+    where a layer is off). *)
 
 val triggers : t -> (string * Ast.trigger_def) list
 (** Registered interdatabase triggers, in creation order. *)

@@ -4,8 +4,8 @@
    member sessions over it. The member sessions share everything the
    single-session design kept private: the dictionary pair (so plan-cache
    keys are comparable across sessions), one capped LAM
-   connection pool, and one communal compiled-plan + shipped-result
-   cache block. The scheduler is a synchronous wave loop: each round
+   connection pool, and one plan + shipped-result cache block, which
+   each member uses in place of its private one. The scheduler is a synchronous wave loop: each round
    admits at most one statement per session in connect order, then
    partitions the wave into groups and interleaves each group at
    DOL-statement granularity on the calling domain (deterministic,

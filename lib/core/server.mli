@@ -4,12 +4,13 @@
     multiplexes many {!Msession}s over it, sharing what the
     single-session design kept private:
 
-    - the {!Ad}/{!Gdd} dictionary pair, so compiled-plan cache keys are
+    - the {!Ad}/{!Gdd} dictionary pair, so plan cache keys are
       comparable across sessions;
     - one LAM connection {!Narada.Pool} with an optional per-service
       connection cap — the member database's resource limit;
-    - one communal compiled-plan + shipped-result cache block
-      ({!Msession.shared_caches}).
+    - one plan + shipped-result cache block ({!Msession.shared_caches}),
+      which every member session uses in place of its private block, so
+      one session's planning warms the others.
 
     Scheduling is a synchronous {e wave} loop ({!step_round}): each
     round admits at most one statement per session in connect order —

@@ -183,12 +183,12 @@ let test_semijoin_saves_bytes () =
 
 let enable_all session =
   M.set_pooling session true;
-  M.set_plan_cache session true;
   M.set_result_cache session true
 
-(* the global-vs-merged differential again with pooling, plan cache and
-   result cache all on, every query run twice so the repeat is served by
-   the caches — rows must be identical to the merged database either way *)
+(* the global-vs-merged differential again with pooling and the result
+   cache on (the plan cache always is), every query run twice so the
+   repeat is served by the caches — rows must be identical to the merged
+   database either way *)
 let test_matrix_all_layers () =
   List.iter
     (fun seed ->
@@ -221,7 +221,6 @@ let test_matrix_all_layers () =
 let test_plan_cache_misses_after_import () =
   let parts, sales = gen_data ~seed:5 ~n_parts:30 ~n_sales:40 in
   let session, _ = make_fed ~parts ~sales in
-  M.set_plan_cache session true;
   let q = global_query ~cutoff:50.0 ~extra:"" in
   ignore (global_rows session q);
   ignore (global_rows session q);
@@ -249,7 +248,11 @@ let test_plan_cache_misses_after_import () =
   ignore (global_rows session q);
   let st' = M.cache_stats session in
   Alcotest.(check int) "import forces a re-plan" st.M.plan_hits st'.M.plan_hits;
-  Alcotest.(check bool) "miss counted" true (st'.M.plan_misses > st.M.plan_misses)
+  Alcotest.(check int) "exactly one miss" (st.M.plan_misses + 1)
+    st'.M.plan_misses;
+  ignore (global_rows session q);
+  Alcotest.(check int) "the new plan is reused" (st.M.plan_hits + 1)
+    (M.cache_stats session).M.plan_hits
 
 (* a committed update against the source database of a cached shipped
    result must evict it; the re-shipped rows reflect the new data *)

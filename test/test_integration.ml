@@ -396,6 +396,31 @@ let test_explain_returns_plan () =
   | Ok r -> Alcotest.fail (M.result_to_string r)
   | Error m -> Alcotest.fail m
 
+(* USE CURRENT naming a multidatabase whose member is already in the
+   session scope: the member is shadowed, not opened twice, and the
+   persisted scope stays usable by the next USE CURRENT *)
+let test_use_current_over_multidatabase () =
+  let fx = F.make () in
+  let s = fx.F.session in
+  ignore (exec fx "CREATE MULTIDATABASE air AS continental delta");
+  ignore (exec fx "USE continental SELECT flnu FROM flights");
+  (match M.exec s "USE CURRENT air SELECT % FROM fl%" with
+  | Ok (M.Multitable mt) ->
+      Alcotest.(check (list string)) "both members" [ "continental"; "delta" ]
+        (Msql.Multitable.databases mt)
+  | Ok r -> Alcotest.fail (M.result_to_string r)
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check (list string)) "scope without duplicates"
+    [ "continental"; "delta" ]
+    (List.map (fun u -> u.Msql.Ast.db) (M.current_scope s));
+  match M.exec s "USE CURRENT united SELECT % FROM fl%" with
+  | Ok (M.Multitable mt) ->
+      Alcotest.(check (list string)) "extended"
+        [ "continental"; "delta"; "united" ]
+        (Msql.Multitable.databases mt)
+  | Ok r -> Alcotest.fail (M.result_to_string r)
+  | Error m -> Alcotest.fail m
+
 let test_virtual_databases () =
   let fx = F.make () in
   let s = fx.F.session in
@@ -472,6 +497,8 @@ let () =
           Alcotest.test_case "failed plan keeps scope" `Quick
             test_failed_plan_leaves_scope_intact;
           Alcotest.test_case "virtual databases" `Quick test_virtual_databases;
+          Alcotest.test_case "use current over multidatabase" `Quick
+            test_use_current_over_multidatabase;
           Alcotest.test_case "explain" `Quick test_explain_returns_plan;
           Alcotest.test_case "data transfer" `Quick test_data_transfer_insert_select;
           Alcotest.test_case "transfer join source" `Quick test_data_transfer_with_join_source;
