@@ -14,8 +14,10 @@ type t = {
 }
 
 let next_id =
-  let c = Atomic.make 0 in
-  fun () -> Atomic.fetch_and_add c 1 + 1
+  let c = ref 0 in
+  fun () ->
+    incr c;
+    !c
 
 let create () =
   {

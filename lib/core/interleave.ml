@@ -1,8 +1,8 @@
 (* Deterministic interleaving harness: several sessions' statements
    stepped against shared sites under a scripted or seeded schedule.
-   Everything runs on the calling domain over one shared virtual-time
-   world, so a given (participants, schedule) pair always produces the
-   same interleaving — anomaly scenarios in the test suites are exact
+   Everything runs sequentially over one shared virtual-time world, so a
+   given (participants, schedule) pair always produces the same
+   interleaving — anomaly scenarios in the test suites are exact
    replays, never races. *)
 
 type participant = {
@@ -40,15 +40,19 @@ let step_slot s =
 
 let live slots = List.filter (fun s -> s.s_live) slots
 
+(* cycle in list order, one statement each, until every program is
+   exhausted; a program is not stepped again once its step returns
+   [false] *)
+let rec round_robin preps =
+  match List.filter Msession.step preps with
+  | [] -> ()
+  | live -> round_robin live
+
 let drain_round_robin slots =
-  (* cycle in declaration order until every participant is exhausted *)
-  let rec go () =
-    let stepped =
-      List.fold_left (fun acc s -> if step_slot s then true else acc) false slots
-    in
-    if stepped then go ()
-  in
-  go ()
+  round_robin
+    (List.filter_map
+       (fun s -> if s.s_live then Result.to_option s.s_prep else None)
+       slots)
 
 let run_script slots script =
   List.iter

@@ -7,9 +7,9 @@
     [Msession.create ~world ~directory]) so their DOL programs hit the
     same sites. The harness plans every participant with
     {!Msession.prepare_text}, then executes their DOL statements one at
-    a time under the given schedule on the calling domain over the
-    shared virtual clock: a given (participants, schedule) pair always
-    produces the same interleaving, so the chaos and differential suites
+    a time under the given schedule over the shared virtual clock: a
+    given (participants, schedule) pair always produces the same
+    interleaving, so the chaos and differential suites
     can script write-write anomaly scenarios (lost update, cross-site
     write skew) and assert the serial-equivalent outcome or the clean
     first-committer-wins abort — as exact replays, never races.
@@ -48,6 +48,12 @@ val run : schedule:schedule -> participant list -> outcome
     settlement, connection release) in declaration order and interpret
     each outcome exactly as {!Msession.exec} would. A participant whose
     planning fails contributes its error and takes no steps. *)
+
+val round_robin : Msession.prepared list -> unit
+(** The {!Round_robin} stepper: step each program once, in list order,
+    and cycle until every program is exhausted. A program whose
+    {!Msession.step} returns [false] is not stepped again. Runs no
+    epilogue; the server's wave scheduler uses it for each group. *)
 
 val result_of : outcome -> string -> (Msession.result, string) result
 (** The entry for a label (case-insensitive). *)

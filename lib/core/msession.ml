@@ -49,23 +49,16 @@ and shape =
 
 (* Cache block: every session holds one — a private block from [create],
    or its server's, which makes the plan and shipped-result caches
-   communal: session A's planning warms session B. Guarded by its own
-   mutex so the block stays safe to share across domains; the hit/miss
-   counters stay in each session, so per-session accounting survives
-   sharing. *)
+   communal: session A's planning warms session B. The hit/miss counters
+   stay in each session, so per-session accounting survives sharing. *)
 type shared_caches = {
-  sc_m : Mutex.t;
   sc_plans : (string, planned) Hashtbl.t;
   sc_results : (string * string * string, int * Sqlcore.Relation.t) Hashtbl.t;
       (* (src, dst, shipped query) -> (dictionary epoch at store, rows) *)
 }
 
 let shared_caches () =
-  {
-    sc_m = Mutex.create ();
-    sc_plans = Hashtbl.create 64;
-    sc_results = Hashtbl.create 64;
-  }
+  { sc_plans = Hashtbl.create 64; sc_results = Hashtbl.create 64 }
 
 type t = {
   world : Netsim.World.t;
@@ -219,14 +212,8 @@ let set_shared_pool t p =
 
 let set_domains (_ : t) (_ : int) = ()
 
-(* run [f] on the session's cache block under the block's lock *)
-let with_caches t f =
-  let c = t.caches in
-  Mutex.lock c.sc_m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.sc_m) (fun () -> f c)
-
 let set_result_cache t b =
-  if not b then with_caches t (fun c -> Hashtbl.reset c.sc_results);
+  if not b then Hashtbl.reset t.caches.sc_results;
   t.result_cache_on <- b
 
 let result_cache_enabled t = t.result_cache_on
@@ -273,27 +260,24 @@ let move_cache t =
         Narada.Lam.tc_lookup =
           (fun ~src ~dst ~query ->
             let k = rc_key src dst query in
-            with_caches t (fun c ->
-                let table = c.sc_results in
-                match Hashtbl.find_opt table k with
-                | Some (epoch, rel) when epoch = dict_epoch t ->
-                    t.result_hits <- t.result_hits + 1;
-                    Some rel
-                | Some _ ->
-                    (* stale dictionary epoch: drop and re-ship *)
-                    Hashtbl.remove table k;
-                    t.result_misses <- t.result_misses + 1;
-                    None
-                | None ->
-                    t.result_misses <- t.result_misses + 1;
-                    None));
+            let table = t.caches.sc_results in
+            match Hashtbl.find_opt table k with
+            | Some (epoch, rel) when epoch = dict_epoch t ->
+                t.result_hits <- t.result_hits + 1;
+                Some rel
+            | Some _ ->
+                (* stale dictionary epoch: drop and re-ship *)
+                Hashtbl.remove table k;
+                t.result_misses <- t.result_misses + 1;
+                None
+            | None ->
+                t.result_misses <- t.result_misses + 1;
+                None);
         tc_store =
           (fun ~src ~dst ~query rel ->
-            with_caches t (fun c ->
-                let table = c.sc_results in
-                if Hashtbl.length table > 256 then Hashtbl.reset table;
-                Hashtbl.replace table (rc_key src dst query)
-                  (dict_epoch t, rel)));
+            let table = t.caches.sc_results in
+            if Hashtbl.length table > 256 then Hashtbl.reset table;
+            Hashtbl.replace table (rc_key src dst query) (dict_epoch t, rel));
       }
 
 (* drop shipped results touching any of the written databases: a write to
@@ -301,30 +285,36 @@ let move_cache t =
    destination changes the semijoin key set the shipped query was reduced
    with (service names equal database names here) *)
 let invalidate_shipped t dbs =
-  if dbs <> [] then
-    with_caches t (fun c ->
-        let table = c.sc_results in
-        if Hashtbl.length table > 0 then begin
-          let canon = List.map String.lowercase_ascii dbs in
-          let doomed =
-            Hashtbl.fold
-              (fun ((src, dst, _) as k) _ acc ->
-                if List.exists (fun db -> db = src || db = dst) canon then
-                  k :: acc
-                else acc)
-              table []
-          in
-          List.iter (Hashtbl.remove table) doomed
-        end)
+  let table = t.caches.sc_results in
+  if dbs <> [] && Hashtbl.length table > 0 then begin
+    let canon = List.map String.lowercase_ascii dbs in
+    let doomed =
+      Hashtbl.fold
+        (fun ((src, dst, _) as k) _ acc ->
+          if List.exists (fun db -> db = src || db = dst) canon then k :: acc
+          else acc)
+        table []
+    in
+    List.iter (Hashtbl.remove table) doomed
+  end
 
 (* start a stepped DOL engine run with the session's trace sink and retry
    policy; [note_outcome] folds the finished result into the metrics and
    remembers it for {!last_engine_outcome} *)
 let engine_start t program =
   t.metrics.Metrics.engine_runs <- t.metrics.Metrics.engine_runs + 1;
-  Engine.start ?on_event:t.trace ~on_trace:(observe t) ?retry:t.retry
-    ?pool:t.pool ?move_cache:(move_cache t) ~directory:t.directory
-    ~world:t.world program
+  let on_trace =
+    match t.trace with
+    | None -> observe t
+    | Some f ->
+        (* the typed sinks first, then the rendered line; [observe] tags
+           its own copy, so the line is the engine's untagged event *)
+        fun ev ->
+          observe t ev;
+          f (Narada.Trace.render ev)
+  in
+  Engine.start ~on_trace ?retry:t.retry ?pool:t.pool
+    ?move_cache:(move_cache t) ~directory:t.directory ~world:t.world program
 
 let note_outcome t = function
   | Error _ as e ->
@@ -644,16 +634,16 @@ let note_planned t p =
 let plan t stmt =
   let k = plan_key t stmt in
   let cached () =
-    match with_caches t (fun c -> Hashtbl.find_opt c.sc_plans k) with
+    let plans = t.caches.sc_plans in
+    match Hashtbl.find_opt plans k with
     | Some p ->
         t.plan_hits <- t.plan_hits + 1;
         p
     | None ->
         let p = plan_fresh t stmt in
         t.plan_misses <- t.plan_misses + 1;
-        with_caches t (fun c ->
-            if Hashtbl.length c.sc_plans > 128 then Hashtbl.reset c.sc_plans;
-            Hashtbl.replace c.sc_plans k p);
+        if Hashtbl.length plans > 128 then Hashtbl.reset plans;
+        Hashtbl.replace plans k p;
         p
   in
   match cached () with

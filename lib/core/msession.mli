@@ -137,7 +137,8 @@ val prepared_session : prepared -> t
 
 val set_trace : t -> (string -> unit) option -> unit
 (** Install an execution-trace sink: every DOL engine coordination event
-    of subsequent queries is passed to it (see {!Narada.Engine.run}). *)
+    of subsequent queries is passed to it, rendered with
+    {!Narada.Trace.render} (see {!Narada.Engine.run}). *)
 
 val set_typed_trace : t -> (Narada.Trace.event -> unit) option -> unit
 (** Install a {e typed} trace sink: the same event stream as {!set_trace}
@@ -248,12 +249,13 @@ val set_shared_pool : t -> Narada.Pool.t -> unit
     statement caches below. *)
 
 type shared_caches
-(** A plan + shipped-result cache block, mutex-guarded so it stays safe
-    to share across domains. Every session holds one: a private block
-    from {!create}, or a communal one after {!set_shared_caches}. Keys
-    embed {!Gdd.id} and the dictionary versions, and shipped entries are
-    stamped with the storing session's dictionary epoch, so an IMPORT
-    invalidates for every sharer at once. *)
+(** A plan + shipped-result cache block. Execution is sequential, so
+    sharers read and write it directly. Every session holds one: a
+    private block from {!create}, or a communal one after
+    {!set_shared_caches}. Keys embed {!Gdd.id} and the dictionary
+    versions, and shipped entries are stamped with the storing session's
+    dictionary epoch, so an IMPORT invalidates for every sharer at
+    once. *)
 
 val shared_caches : unit -> shared_caches
 

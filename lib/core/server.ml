@@ -5,12 +5,13 @@
    single-session design kept private: the dictionary pair (so plan-cache
    keys are comparable across sessions), one capped LAM
    connection pool, and one plan + shipped-result cache block, which
-   each member uses in place of its private one. The scheduler is a synchronous wave loop: each round
-   admits at most one statement per session in connect order, then
-   partitions the wave into groups and interleaves each group at
-   DOL-statement granularity on the calling domain (deterministic,
-   matches Interleave's round-robin). The only interleaving hazard is
-   the shipped MOVE temp tables (msql_tmp_<k>, named per plan, not per
+   each member uses in place of its private one. The server is
+   sequential: nothing it shares needs a lock. The scheduler is a
+   synchronous wave loop: each round admits at most one statement per
+   session in connect order, then partitions the wave into groups and
+   runs each group on {!Interleave.round_robin}, one DOL statement per
+   member in turn (deterministic). The only interleaving hazard is the
+   shipped MOVE temp tables (msql_tmp_<k>, named per plan, not per
    session), so statements shipping into a common site never share a
    group.
 
@@ -269,32 +270,16 @@ let retriable = function
   | Ok (Msession.Mtx_report { chosen = None; incorrect = false; _ }) -> true
   | Ok _ -> false
 
-(* deterministic round-robin at DOL-statement granularity, epilogues in
-   wave order — exactly Interleave.Round_robin over the wave *)
-let run_serial wave =
-  let slots = List.map (fun it -> (it, ref true)) wave in
-  let rec go () =
-    let stepped =
-      List.fold_left
-        (fun acc (it, alive) ->
-          if !alive then
-            if Msession.step it.w_prep then true
-            else begin
-              alive := false;
-              acc
-            end
-          else acc)
-        false slots
-    in
-    if stepped then go ()
-  in
-  go ();
+(* Interleave's round robin at DOL-statement granularity, then the
+   epilogues in wave order *)
+let run_serial group =
+  Interleave.round_robin (List.map (fun it -> it.w_prep) group);
   List.iter
-    (fun (it, _) ->
+    (fun it ->
       it.w_result <-
         Some (try Msession.finish it.w_prep
               with exn -> Error (Printexc.to_string exn)))
-    slots
+    group
 
 let disjoint a b = List.for_all (fun s -> not (List.mem s b)) a
 

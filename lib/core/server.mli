@@ -15,12 +15,11 @@
     Scheduling is a synchronous {e wave} loop ({!step_round}): each
     round admits at most one statement per session in connect order —
     per-session fairness at statement granularity — then partitions the
-    wave into groups and interleaves each group at DOL-statement
-    granularity on the calling domain, deterministically (the
-    {!Interleave} round-robin). The only interleaving hazard is the
-    shipped MOVE temp tables (named per plan, not per session — see
-    {!Msession.prepared_move_dsts}), so statements shipping into a
-    common site never share a group.
+    wave into groups and runs each group on {!Interleave.round_robin},
+    one DOL statement per member in turn, deterministically. The only
+    interleaving hazard is the shipped MOVE temp tables (named per plan,
+    not per session — see {!Msession.prepared_move_dsts}), so statements
+    shipping into a common site never share a group.
 
     A statement that loses a race for a capped connection fails with the
     pool's busy marker ({!Narada.Pool.is_busy_message}); the scheduler

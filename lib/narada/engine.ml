@@ -44,10 +44,6 @@ type state = {
   results : (string, Sqlcore.Relation.t) Hashtbl.t;
   rowcounts : (string, int) Hashtbl.t;
   mutable dolstatus : int;
-  on_event : (string -> unit) option;
-      (* [None] when no string sink is installed, so [tell_ev] can skip
-         rendering entirely — the render cost is per event, on the hot
-         path of every statement *)
   on_trace : Trace.event -> unit;
   rlog : Recovery_log.t;
   comps : (string, comp_handler) Hashtbl.t;  (* compensated task -> handler *)
@@ -59,15 +55,12 @@ type state = {
 let err fmt = Printf.ksprintf (fun m -> raise (Program_error m)) fmt
 let akey = String.lowercase_ascii
 
-(* every event goes to both sinks: typed to [on_trace], rendered to the
-   historical string sink. [tell_ev] takes a pre-timestamped event: lower
-   layers (the session's MVCC observer routed through Lam, MOVE chunks)
-   stamp their own clock. *)
+(* [tell_ev] takes a pre-timestamped event: lower layers (the session's
+   MVCC observer routed through Lam, MOVE chunks) stamp their own clock. *)
 let tell_ev st ev =
   Log.debug (fun f ->
       f "%.2fms %s" ev.Trace.at_ms (Trace.render_kind ev.Trace.kind));
-  st.on_trace ev;
-  match st.on_event with None -> () | Some f -> f (Trace.render ev)
+  st.on_trace ev
 
 let tell st kind =
   tell_ev st { Trace.at_ms = World.now_ms st.world; kind; tag = None }
@@ -693,7 +686,7 @@ type stepper = {
   mutable sp_result : (outcome, string) result option;
 }
 
-let start ?on_event ?(on_trace = fun _ -> ())
+let start ?(on_trace = fun _ -> ())
     ?(retry = Retry_policy.default) ?(recovery_grace_ms = 500.0) ?pool
     ?move_cache ~directory ~world program =
   let st =
@@ -712,7 +705,6 @@ let start ?on_event ?(on_trace = fun _ -> ())
       results = Hashtbl.create 8;
       rowcounts = Hashtbl.create 8;
       dolstatus = -1;
-      on_event;
       on_trace;
       rlog = Recovery_log.create ();
       comps = Hashtbl.create 4;
@@ -776,17 +768,17 @@ let finish sp =
       sp.sp_result <- Some r;
       r
 
-let run ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
-    ~directory ~world program =
+let run ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache ~directory
+    ~world program =
   finish
-    (start ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
+    (start ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
        ~directory ~world program)
 
-let run_text ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
+let run_text ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
     ~directory ~world text =
   match Dol_parser.parse text with
   | program ->
-      run ?on_event ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
+      run ?on_trace ?retry ?recovery_grace_ms ?pool ?move_cache
         ~directory ~world program
   | exception Dol_parser.Error (m, l, c) ->
       Error (Printf.sprintf "DOL parse error at %d:%d: %s" l c m)

@@ -44,7 +44,6 @@ type outcome = {
 }
 
 val run :
-  ?on_event:(string -> unit) ->
   ?on_trace:(Trace.event -> unit) ->
   ?retry:Retry_policy.t ->
   ?recovery_grace_ms:float ->
@@ -58,9 +57,8 @@ val run :
     (opens/closes, task status transitions, branch decisions, data moves
     with byte counts and semijoin/cache provenance, retries, 2PC
     decisions, in-doubt recoveries, cache consultations), timestamped
-    with the virtual clock. [on_event] receives {!Trace.render} of the
-    same stream — the historical line-oriented trace; both sinks may be
-    installed at once.
+    with the virtual clock. A caller that wants the line-oriented trace
+    renders each event with {!Trace.render}.
 
     A [Program_error] (the [Error _] return) still runs the
     release/presumed-abort epilogue: connections the faulty program
@@ -78,15 +76,14 @@ val run :
     aliases the program forgot. [move_cache] is consulted by every MOVE:
     a hit ships nothing (see {!Lam.transfer}).
 
-    The branches of a PARBEGIN block run one after another on the
-    calling domain, each in its own virtual clock frame starting at the
-    block's start: the block costs its slowest branch, as at autonomous
-    sites working concurrently. 2PC second-phase fan-outs and the
-    in-doubt resolution pass are accounted the same way (one round trip,
-    not one per participant). *)
+    The branches of a PARBEGIN block run one after another, each in its
+    own virtual clock frame starting at the block's start: the block
+    costs its slowest branch, as at autonomous sites working
+    concurrently. 2PC second-phase fan-outs and the in-doubt resolution
+    pass are accounted the same way (one round trip, not one per
+    participant). *)
 
 val run_text :
-  ?on_event:(string -> unit) ->
   ?on_trace:(Trace.event -> unit) ->
   ?retry:Retry_policy.t ->
   ?recovery_grace_ms:float ->
@@ -113,7 +110,6 @@ val run_text :
 type stepper
 
 val start :
-  ?on_event:(string -> unit) ->
   ?on_trace:(Trace.event -> unit) ->
   ?retry:Retry_policy.t ->
   ?recovery_grace_ms:float ->

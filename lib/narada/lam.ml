@@ -13,11 +13,6 @@ type t = {
   on_trace : (Trace.event -> unit) option;
       (* sink for the session's MVCC observations (snapshots, write-write
          conflicts), translated into typed trace events *)
-  lock : Mutex.t;
-      (* serializes local work on this connection when it is the shared
-         destination of several MOVEs: the semijoin probe reads and the
-         materialize writes the same database. [with_policy] copies share
-         the mutex. *)
 }
 
 (* The session cannot name Trace (layering: ldbms knows nothing of the
@@ -107,7 +102,6 @@ let connect ?(retry = Retry_policy.default) ?(on_retry = no_on_retry) ?on_trace
                   policy = retry;
                   on_retry;
                   on_trace;
-                  lock = Mutex.create ();
                 }
               in
               install_observer t;
@@ -335,19 +329,11 @@ let transfer ~on_chunk ~cache ~reduce ~src ~dst ~query ~dest_table =
      to [dst], key set back — is charged to the network like any fetch, so
      the bytes_moved ledger reflects the real SDD-1 tradeoff. Best-effort:
      if the probe fails, the MOVE proceeds unreduced. *)
-  (* MOVEs into the same coordinator share [dst]: its session (probe) and
-     database (materialize) are serialized under the connection's mutex.
-     Virtual time is unaffected — each branch charges its own clock
-     frame. *)
-  let locked_dst f =
-    Mutex.lock dst.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock dst.lock) f
-  in
   let query, reduced =
     match reduce with
     | None -> (query, false)
     | Some (col, probe) -> (
-        match locked_dst (fun () -> fetch dst probe) with
+        match fetch dst probe with
         | Error _ -> (query, false)
         | Ok rel ->
             let keys =
@@ -364,12 +350,9 @@ let transfer ~on_chunk ~cache ~reduce ~src ~dst ~query ~dest_table =
   let src_name = src.service.Service.service_name in
   let dst_name = dst.service.Service.service_name in
   let materialize rel =
-    locked_dst (fun () ->
-        Ldbms.Database.load
-          dst.service.Service.database
-          ~name:dest_table
-          (Sqlcore.Relation.schema rel)
-          (Sqlcore.Relation.rows rel));
+    Ldbms.Database.load dst.service.Service.database ~name:dest_table
+      (Sqlcore.Relation.schema rel)
+      (Sqlcore.Relation.rows rel);
     Sqlcore.Relation.cardinality rel
   in
   (* Shipped-result cache: the key is the final query text — after the

@@ -175,10 +175,10 @@ val transfer :
     trailing [;] included), the transfer proceeds unreduced and reports
     [reduced = false].
 
-    The destination-side work (probe, materialize) runs under a
-    per-connection mutex, so transfers from {e distinct} sources into the
-    same [dst] stay safe even if they were run from separate domains;
-    each branch's network charges go to its own clock frame. *)
+    Several transfers from {e distinct} sources may share one [dst]:
+    execution is sequential, so their destination-side work (probe,
+    materialize) never overlaps, and each branch's network charges go to
+    its own clock frame. *)
 
 val disconnect : t -> unit
 (** Close the session. An orphaned {e active} transaction is aborted by

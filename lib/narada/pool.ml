@@ -19,12 +19,6 @@ type t = {
   mutable cap : int option;  (* per-service checkout ceiling *)
   pstats : stats;
   mutable on_trace : Trace.event -> unit;
-  m : Mutex.t;
-      (* one pool may serve many sessions; every entry point locks, so
-         idle stacks and the in-use ledger never race even across
-         domains. Lam dials happen under the lock — connection setup
-         is cheap in virtual time, and a lock-free dial would let two
-         sessions both slip past the cap. *)
 }
 
 let key = String.lowercase_ascii
@@ -37,7 +31,6 @@ let create world =
     cap = None;
     pstats = { hits = 0; misses = 0; discarded = 0; conflicts = 0 };
     on_trace = ignore;
-    m = Mutex.create ();
   }
 
 let set_trace t sink = t.on_trace <- sink
@@ -52,18 +45,10 @@ let tell t kind =
 
 let stats t = t.pstats
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+let size t = Hashtbl.fold (fun _ es acc -> acc + List.length es) t.conns 0
 
-let size t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ es acc -> acc + List.length es) t.conns 0)
-
-let checked_out_unlocked t k =
-  Option.value ~default:0 (Hashtbl.find_opt t.in_use k)
-
-let checked_out t svc = locked t (fun () -> checked_out_unlocked t (key svc))
+let checked_out t svc =
+  Option.value ~default:0 (Hashtbl.find_opt t.in_use (key svc))
 
 (* The marker a capped-out checkout carries; the server's scheduler
    recognizes it in [Trace.Open_failed] reasons and requeues the
@@ -98,70 +83,69 @@ let healthy t e =
   && Ldbms.Session.txn_state (Lam.session e.lam) = None
 
 let checkout ?retry ?on_retry ?on_trace t (svc : Service.t) =
-  locked t (fun () ->
-      let k = key svc.Service.service_name in
-      (* the cap bounds live connections per service across every session
-         sharing the pool; a capped-out checkout fails immediately with a
-         transient failure — retrying in place cannot succeed while the
-         holder's statement is still running under the same schedule, so
-         the caller (the server's scheduler) retries the whole statement
-         after the holder has checked its connection back in *)
-      match t.cap with
-      | Some cap when checked_out_unlocked t k >= cap ->
-          t.pstats.conflicts <- t.pstats.conflicts + 1;
-          Error (Lam.Network (busy_message svc.Service.service_name))
-      | Some _ | None ->
-          let rec pick () =
-            match Hashtbl.find_opt t.conns k with
-            | Some (e :: rest) ->
-                Hashtbl.replace t.conns k rest;
-                if healthy t e then begin
-                  t.pstats.hits <- t.pstats.hits + 1;
-                  Ok (Lam.with_policy ?retry ?on_retry ?on_trace e.lam)
-                end
-                else begin
-                  t.pstats.discarded <- t.pstats.discarded + 1;
-                  tell t
-                    (Trace.Pool_stale
-                       {
-                         service = svc.Service.service_name;
-                         site = Lam.site e.lam;
-                       });
-                  abandon e.lam;
-                  pick ()
-                end
-            | Some [] | None ->
-                t.pstats.misses <- t.pstats.misses + 1;
-                Lam.connect ?retry ?on_retry ?on_trace t.world svc
-          in
-          let r = pick () in
-          (match r with
-          | Ok _ -> Hashtbl.replace t.in_use k (checked_out_unlocked t k + 1)
-          | Error _ -> ());
-          r)
+  let k = key svc.Service.service_name in
+  (* the cap bounds live connections per service across every session
+     sharing the pool; a capped-out checkout fails immediately with a
+     transient failure — retrying in place cannot succeed while the
+     holder's statement is still running under the same schedule, so
+     the caller (the server's scheduler) retries the whole statement
+     after the holder has checked its connection back in. Execution is
+     sequential, so nothing runs between this check and the in-use
+     increment below, dial included. *)
+  match t.cap with
+  | Some cap when checked_out t k >= cap ->
+      t.pstats.conflicts <- t.pstats.conflicts + 1;
+      Error (Lam.Network (busy_message svc.Service.service_name))
+  | Some _ | None ->
+      let rec pick () =
+        match Hashtbl.find_opt t.conns k with
+        | Some (e :: rest) ->
+            Hashtbl.replace t.conns k rest;
+            if healthy t e then begin
+              t.pstats.hits <- t.pstats.hits + 1;
+              Ok (Lam.with_policy ?retry ?on_retry ?on_trace e.lam)
+            end
+            else begin
+              t.pstats.discarded <- t.pstats.discarded + 1;
+              tell t
+                (Trace.Pool_stale
+                   {
+                     service = svc.Service.service_name;
+                     site = Lam.site e.lam;
+                   });
+              abandon e.lam;
+              pick ()
+            end
+        | Some [] | None ->
+            t.pstats.misses <- t.pstats.misses + 1;
+            Lam.connect ?retry ?on_retry ?on_trace t.world svc
+      in
+      let r = pick () in
+      (match r with
+      | Ok _ -> Hashtbl.replace t.in_use k (checked_out t k + 1)
+      | Error _ -> ());
+      r
 
 let checkin t lam =
-  locked t (fun () ->
-      let k = key (Lam.service lam).Service.service_name in
-      Hashtbl.replace t.in_use k (max 0 (checked_out_unlocked t k - 1));
-      let usable =
-        (not (World.is_down t.world (Lam.site lam)))
-        && Ldbms.Session.txn_state (Lam.session lam) = None
-      in
-      if usable then
-        let prev = Option.value ~default:[] (Hashtbl.find_opt t.conns k) in
-        Hashtbl.replace t.conns k
-          ({ lam; since_ms = World.now_ms t.world } :: prev)
-      else
-        (* an unreachable site or an open transaction disqualifies the
-           session from reuse; Lam.disconnect applies the proper farewell
-           semantics (abort active, preserve prepared, skip the goodbye when
-           the site is down) *)
-        Lam.disconnect lam)
+  let k = key (Lam.service lam).Service.service_name in
+  Hashtbl.replace t.in_use k (max 0 (checked_out t k - 1));
+  let usable =
+    (not (World.is_down t.world (Lam.site lam)))
+    && Ldbms.Session.txn_state (Lam.session lam) = None
+  in
+  if usable then
+    let prev = Option.value ~default:[] (Hashtbl.find_opt t.conns k) in
+    Hashtbl.replace t.conns k
+      ({ lam; since_ms = World.now_ms t.world } :: prev)
+  else
+    (* an unreachable site or an open transaction disqualifies the
+       session from reuse; Lam.disconnect applies the proper farewell
+       semantics (abort active, preserve prepared, skip the goodbye when
+       the site is down) *)
+    Lam.disconnect lam
 
 let drain t =
-  locked t (fun () ->
-      Hashtbl.iter
-        (fun _ es -> List.iter (fun e -> Lam.disconnect e.lam) es)
-        t.conns;
-      Hashtbl.reset t.conns)
+  Hashtbl.iter
+    (fun _ es -> List.iter (fun e -> Lam.disconnect e.lam) es)
+    t.conns;
+  Hashtbl.reset t.conns

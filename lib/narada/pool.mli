@@ -19,10 +19,9 @@
     connection is dialed transparently.
 
     A pool may be shared by many sessions (the MSQL server checks every
-    session's OPENs out of one pool): all entry points are serialized by
-    an internal mutex, and an optional per-service {!set_cap} bounds how
-    many connections to one service can be live at once across all
-    sharers — the resource limit of the member database. A capped-out
+    session's OPENs out of one pool), and an optional per-service
+    {!set_cap} bounds how many connections to one service can be live at
+    once across all sharers — the resource limit of the member database. A capped-out
     checkout fails with a {e transient} failure carrying a recognizable
     marker ({!is_busy_message}); the server's scheduler requeues the
     whole statement and retries it after the holder's statement has

@@ -1,7 +1,6 @@
-(* Typed engine trace events. The engine used to format strings straight
-   into its [on_event] sink; those strings are now a {!render}ing of these
-   events, so the human-readable trace is unchanged while programs (tests,
-   the metrics registry, the benches) observe structured values. *)
+(* Typed engine trace events. The human-readable trace is a {!render}ing
+   of these events, while programs (tests, the metrics registry, the
+   benches) observe structured values. *)
 
 type verdict = Commit | Abort
 

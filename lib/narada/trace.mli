@@ -1,11 +1,10 @@
 (** Typed trace events emitted by the engine, the connection pool and the
     LAM layer, timestamped with the virtual clock.
 
-    The engine's historical string trace ([Engine.run ~on_event]) is now a
-    {!render}ing of this stream: every string the engine ever printed is
-    [render] of some event, so textual consumers are unaffected while
-    structured consumers ([Engine.run ~on_trace], the [Msql.Metrics]
-    registry) can match on {!kind} instead of parsing. *)
+    The engine has one sink, [Engine.run ~on_trace]. Textual consumers
+    (the shell's [--trace], [Msession.set_trace]) print {!render} of each
+    event; structured consumers (the [Msql.Metrics] registry) match on
+    {!kind} instead of parsing. *)
 
 type verdict = Commit | Abort
 

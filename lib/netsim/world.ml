@@ -22,11 +22,10 @@ type t = {
   link_loss : (string * string, loss) Hashtbl.t;
   mutable default_loss : loss option;
   lose_next : (string * string, int) Hashtbl.t;  (* queued one-shot losses *)
-  lock : Mutex.t;
-      (* guards the accounting state (stats, site_stats, loss sources)
-         so a world stays safe to share across domains; the clock needs
-         no lock because each branch advances its own frame *)
+  mutable frames : frame list;  (* open clock frames, innermost first *)
 }
+
+and frame = { mutable fclock : float }
 
 and stats = {
   mutable messages : int;
@@ -59,7 +58,7 @@ let create () =
       link_loss = Hashtbl.create 4;
       default_loss = None;
       lose_next = Hashtbl.create 4;
-      lock = Mutex.create ();
+      frames = [];
     }
   in
   Hashtbl.replace t.sites (key "mdbs")
@@ -81,36 +80,24 @@ let site_names t =
    A frame is a private view of the virtual clock for one logically
    concurrent branch: it starts at the branch's fork instant and advances
    independently of every sibling. The [parallel] combinator enters and
-   leaves one frame per branch on the calling domain. Frames live in
-   domain-local storage, so no two domains ever see each other's frames.
-   Frames nest (a PARBEGIN inside a PARBEGIN forks from the
-   enclosing frame's clock). *)
+   leaves one frame per branch. Each world keeps its own stack, so a
+   branch of one world that runs inside another world's block still
+   charges its own world's frame. Frames nest (a PARBEGIN inside a
+   PARBEGIN forks from the enclosing frame's clock). *)
 
-type frame = { fworld : t; mutable fclock : float }
-
-let frame_key : frame list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
-
-let current_frame t =
-  match Domain.DLS.get frame_key with
-  | f :: _ when f.fworld == t -> Some f
-  | _ -> None
-
-let now_ms t =
-  match current_frame t with Some f -> f.fclock | None -> t.clock_ms
+let now_ms t = match t.frames with f :: _ -> f.fclock | [] -> t.clock_ms
 
 let set_now t v =
-  match current_frame t with
-  | Some f -> f.fclock <- v
-  | None -> t.clock_ms <- v
+  match t.frames with f :: _ -> f.fclock <- v | [] -> t.clock_ms <- v
 
 let advance_ms t d = set_now t (now_ms t +. d)
 
 let in_frame t ~start_ms f =
-  let frame = { fworld = t; fclock = start_ms } in
-  let outer = Domain.DLS.get frame_key in
-  Domain.DLS.set frame_key (frame :: outer);
+  let frame = { fclock = start_ms } in
+  let outer = t.frames in
+  t.frames <- frame :: outer;
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set frame_key outer)
+    ~finally:(fun () -> t.frames <- outer)
     (fun () ->
       let r = f () in
       (r, frame.fclock))
@@ -263,35 +250,28 @@ let message_lost t ~src ~dst =
           | Some l -> Random.State.float l.rng 1.0 < l.prob
           | None -> false))
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let send t ~src ~dst ~bytes =
   let s = find_site t src and d = find_site t dst in
   if is_down t src then raise (Site_down src);
   if is_down t dst then raise (Site_down dst);
-  (* the clock advances on the caller's own frame; only the shared
-     counters (and the loss PRNG draw) need the lock *)
-  if locked t (fun () -> message_lost t ~src ~dst) then begin
+  if message_lost t ~src ~dst then begin
     (* the message left the wire and vanished: the sender still pays the
        send cost (and will pay again to detect the loss via its retry
        timeout), but nothing arrives *)
     advance_ms t (Site.message_cost_ms s ~bytes);
-    locked t (fun () -> t.stats.lost <- t.stats.lost + 1);
+    t.stats.lost <- t.stats.lost + 1;
     raise (Lost_message (src, dst))
   end;
   advance_ms t (Site.message_cost_ms s ~bytes +. Site.message_cost_ms d ~bytes);
-  locked t (fun () ->
-      t.stats.messages <- t.stats.messages + 1;
-      t.stats.bytes_moved <- t.stats.bytes_moved + bytes;
-      (* only delivered traffic enters the per-site ledger, mirroring the
-         global counters above *)
-      let ss = site_stat_of t src and ds = site_stat_of t dst in
-      ss.sent_msgs <- ss.sent_msgs + 1;
-      ss.sent_bytes <- ss.sent_bytes + bytes;
-      ds.recv_msgs <- ds.recv_msgs + 1;
-      ds.recv_bytes <- ds.recv_bytes + bytes)
+  t.stats.messages <- t.stats.messages + 1;
+  t.stats.bytes_moved <- t.stats.bytes_moved + bytes;
+  (* only delivered traffic enters the per-site ledger, mirroring the
+     global counters above *)
+  let ss = site_stat_of t src and ds = site_stat_of t dst in
+  ss.sent_msgs <- ss.sent_msgs + 1;
+  ss.sent_bytes <- ss.sent_bytes + bytes;
+  ds.recv_msgs <- ds.recv_msgs + 1;
+  ds.recv_bytes <- ds.recv_bytes + bytes
 
 (* A chunk-streamed logical message. Failure semantics, loss draws, the
    message count, the total bytes and the clock advance are all identical
@@ -309,9 +289,9 @@ let send_chunked t ~src ~dst ~chunks =
   let total = List.fold_left ( + ) 0 chunks in
   if is_down t src then raise (Site_down src);
   if is_down t dst then raise (Site_down dst);
-  if locked t (fun () -> message_lost t ~src ~dst) then begin
+  if message_lost t ~src ~dst then begin
     advance_ms t (Site.message_cost_ms s ~bytes:total);
-    locked t (fun () -> t.stats.lost <- t.stats.lost + 1);
+    t.stats.lost <- t.stats.lost + 1;
     raise (Lost_message (src, dst))
   end;
   let t0 = now_ms t in
@@ -319,17 +299,16 @@ let send_chunked t ~src ~dst ~chunks =
     Site.message_cost_ms s ~bytes:total +. Site.message_cost_ms d ~bytes:total
   in
   advance_ms t cost;
-  locked t (fun () ->
-      t.stats.messages <- t.stats.messages + 1;
-      t.stats.bytes_moved <- t.stats.bytes_moved + total;
-      let ss = site_stat_of t src and ds = site_stat_of t dst in
-      ss.sent_msgs <- ss.sent_msgs + 1;
-      ds.recv_msgs <- ds.recv_msgs + 1;
-      List.iter
-        (fun b ->
-          ss.sent_bytes <- ss.sent_bytes + b;
-          ds.recv_bytes <- ds.recv_bytes + b)
-        chunks);
+  t.stats.messages <- t.stats.messages + 1;
+  t.stats.bytes_moved <- t.stats.bytes_moved + total;
+  let ss = site_stat_of t src and ds = site_stat_of t dst in
+  ss.sent_msgs <- ss.sent_msgs + 1;
+  ds.recv_msgs <- ds.recv_msgs + 1;
+  List.iter
+    (fun b ->
+      ss.sent_bytes <- ss.sent_bytes + b;
+      ds.recv_bytes <- ds.recv_bytes + b)
+    chunks;
   let _, rev_times =
     List.fold_left
       (fun (cum, acc) b ->
@@ -341,20 +320,6 @@ let send_chunked t ~src ~dst ~chunks =
       (0, []) chunks
   in
   List.rev rev_times
-
-let parallel t thunks =
-  let t0 = now_ms t in
-  let finishes = ref [] in
-  let results =
-    List.map
-      (fun thunk ->
-        let r, fin = in_frame t ~start_ms:t0 thunk in
-        finishes := fin :: !finishes;
-        r)
-      thunks
-  in
-  set_now t (List.fold_left max t0 !finishes);
-  results
 
 (* [parallel] plus each branch's individual virtual duration, in thunk
    order — the dataflow scheduler's wave accounting (critical path = max,
@@ -372,3 +337,5 @@ let parallel_timed t thunks =
   in
   set_now t (List.fold_left max t0 !finishes);
   (results, List.rev_map (fun fin -> fin -. t0) !finishes)
+
+let parallel t thunks = fst (parallel_timed t thunks)

@@ -123,9 +123,7 @@ val send : t -> src:string -> dst:string -> bytes:int -> unit
 (** Charge one message from [src] to [dst]: advances the caller's clock by
     both sites' message costs and updates the statistics. Raises
     {!Unknown_site}, {!Site_down} or {!Lost_message}; a lost message
-    charges the sender's cost only and counts in [stats.lost]. The shared
-    counters are mutex-protected, so [send] may be called concurrently
-    from branches running on separate domains. *)
+    charges the sender's cost only and counts in [stats.lost]. *)
 
 val send_chunked : t -> src:string -> dst:string -> chunks:int list -> float list
 (** [send_chunked t ~src ~dst ~chunks] ships one logical message whose
@@ -143,8 +141,10 @@ val parallel : t -> (unit -> 'a) list -> 'a list
 (** Run the thunks as logically concurrent branches: each runs in its own
     clock frame starting at the current virtual time; afterwards the
     clock is the maximum finish time. Results are returned in order. The
-    thunks execute serially on the calling domain. Blocks nest: a block
-    inside a branch forks from that branch's clock. *)
+    thunks execute one after another. Blocks nest: a block inside a
+    branch forks from that branch's clock. Each world keeps its own frame
+    stack, so a branch may advance a world other than the one whose block
+    it runs in. A branch that raises still leaves its frame. *)
 
 val parallel_timed : t -> (unit -> 'a) list -> 'a list * float list
 (** {!parallel}, additionally returning each branch's virtual duration

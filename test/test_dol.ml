@@ -321,7 +321,7 @@ let test_trace_events () =
   let events = ref [] in
   (match
      Engine.run_text
-       ~on_event:(fun e -> events := e :: !events)
+       ~on_trace:(fun ev -> events := Narada.Trace.render ev :: !events)
        ~directory:dir ~world {|
 DOLBEGIN
   OPEN aero AT site1 AS aa;

@@ -247,14 +247,14 @@ DOLEND
    the hook that lets a test place a fault precisely inside the 2PC window *)
 let run_armed ~world ~dir ?grace ~arm_on ~trip text =
   let armed = ref false in
-  let on_event line =
-    if (not !armed) && contains line arm_on then begin
+  let on_trace ev =
+    if (not !armed) && contains (Narada.Trace.render ev) arm_on then begin
       armed := true;
       trip ()
     end
   in
   match
-    Engine.run_text ~on_event ?recovery_grace_ms:grace ~directory:dir ~world
+    Engine.run_text ~on_trace ?recovery_grace_ms:grace ~directory:dir ~world
       text
   with
   | Ok o ->

@@ -131,6 +131,39 @@ let test_parallel_results_in_order () =
   let r = World.parallel w [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ] in
   Alcotest.(check (list int)) "ordered" [ 1; 2; 3 ] r
 
+(* each world keeps its own frame stack: a branch of [a] that runs inside
+   [b]'s block still charges [a]'s frame *)
+let test_parallel_cross_world () =
+  let a = World.create () and b = World.create () in
+  ignore
+    (World.parallel a
+       [ (fun () -> ignore (World.parallel b [ (fun () -> World.advance_ms a 5.0) ])) ]);
+  Alcotest.(check (float 1e-9)) "a keeps its branch time" 5.0 (World.now_ms a);
+  Alcotest.(check (float 1e-9)) "b untouched" 0.0 (World.now_ms b)
+
+(* a raising branch still leaves its frame: the enclosing clock is the
+   one that advances afterwards *)
+let test_parallel_raising_branch_pops_frame () =
+  let w = make_world () in
+  World.advance_ms w 10.0;
+  let boom () =
+    World.advance_ms w 3.0;
+    failwith "boom"
+  in
+  (try ignore (World.parallel w [ boom ]) with Failure _ -> ());
+  Alcotest.(check (float 1e-9)) "top-level clock unchanged" 10.0 (World.now_ms w);
+  ignore
+    (World.parallel w
+       [
+         (fun () ->
+           World.advance_ms w 2.0;
+           (try ignore (World.parallel w [ boom ]) with Failure _ -> ());
+           Alcotest.(check (float 1e-9)) "enclosing frame unchanged" 12.0
+             (World.now_ms w);
+           World.advance_ms w 1.0);
+       ]);
+  Alcotest.(check (float 1e-9)) "enclosing frame charged" 13.0 (World.now_ms w)
+
 let prop_parallel_le_sequential =
   let gen = QCheck.Gen.(list_size (1 -- 6) (float_bound_exclusive 50.0)) in
   QCheck.Test.make ~name:"parallel time <= sequential time" ~count:100
@@ -161,6 +194,9 @@ let () =
           Alcotest.test_case "max semantics" `Quick test_parallel_max_semantics;
           Alcotest.test_case "vs sequential" `Quick test_parallel_sequential_contrast;
           Alcotest.test_case "result order" `Quick test_parallel_results_in_order;
+          Alcotest.test_case "cross-world branch" `Quick test_parallel_cross_world;
+          Alcotest.test_case "raising branch pops its frame" `Quick
+            test_parallel_raising_branch_pops_frame;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_parallel_le_sequential ] );

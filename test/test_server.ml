@@ -185,8 +185,9 @@ let test_round_robin_fairness () =
 
 (* ---- differentials ---------------------------------------------------- *)
 
-(* each client k owns airline<k>; the workload is disjoint by design,
-   which is what the scheduler needs to run it concurrently *)
+(* each client k owns airline<k> for its first two statements; the third
+   contends on purpose: client 1 updates airline2 while the others read
+   it, so one group interleaves a write with reads of the same rows *)
 let client_sql k =
   [
     Printf.sprintf
@@ -197,6 +198,12 @@ let client_sql k =
       "USE airline%d SELECT flnu, rate FROM flights WHERE destination = \
        'Denver'"
       k;
+    (if k = 1 then
+       "USE airline2 UPDATE flights SET rate = rate + 1 WHERE destination = \
+        'Denver'"
+     else
+       "USE airline2 SELECT flnu, rate FROM flights WHERE destination = \
+        'Denver'");
   ]
 
 let fleet_scans fx n =
@@ -246,7 +253,7 @@ let test_server_matches_interleave () =
     in
     (* one wave per statement rank, like the server's rounds *)
     let results = ref [] in
-    for rank = 0 to 1 do
+    for rank = 0 to 2 do
       let participants =
         List.mapi
           (fun i session ->
