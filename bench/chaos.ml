@@ -16,11 +16,6 @@ module F = Msql.Fixtures
 module M = Msql.Msession
 module W = Netsim.World
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let e3 = {|USE continental VITAL delta united VITAL
 UPDATE flight% SET rate% = rate% * 1.1
 WHERE sour% = 'Houston' AND dest% = 'San Antonio'|}
@@ -275,11 +270,14 @@ let () =
   let commit_window ~label ?(outage_ms = 10_000.0) sql =
     let probe = F.make () in
     let prep = ref 0.0 in
-    M.set_trace probe.F.session
+    M.set_typed_trace probe.F.session
       (Some
-         (fun line ->
-           if !prep = 0.0 && contains line "t_united -> P" then
-             Scanf.sscanf line "[ %f ms]" (fun t -> prep := t)));
+         (function
+           | { Narada.Trace.kind = Status { task = "t_united"; status = P };
+               at_ms; _ }
+             when !prep = 0.0 ->
+               prep := at_ms
+           | _ -> ()));
     ignore (M.exec probe.F.session sql);
     let fx = F.make () in
     W.schedule_outage fx.F.world "site3" ~from_ms:!prep

@@ -2,8 +2,8 @@
 
    It prints experiment tables (simulated-network latency, message and
    byte counts) for the paper's worked examples E1–E5 and for the
-   performance claims P1–P15 (P3, P9 and P11–P13 are retired); all are
-   deterministic but P6, which times the local engine alone. The
+   performance claims P1–P15 (P3, P5, P9 and P11–P13 are retired); all
+   are deterministic but P6, which times the local engine alone. The
    perf-critical tables (P4, P10, P14, P15) are also recorded in
    BENCH_perf.json, which holds no wall-clock figure: it is regenerated
    byte for byte. Wall-clock and allocation costs of the pipeline are
@@ -800,31 +800,6 @@ let write_metrics_json ~path =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-(* ---- P5: DOL optimizer ablation (Â§5 future work) ------------------------------- *)
-
-let p5_optimizer_ablation () =
-  header "P5: DOL optimizer ablation (parallel opens, task merging)";
-  Printf.printf "%-6s %14s %14s %9s %12s
-" "dbs" "plain ms" "optimized ms"
-    "gain" "tasks merged";
-  List.iter
-    (fun n ->
-      let sql = fleet_update n in
-      let fx = F.airline_fleet ~n () in
-      let prog =
-        match M.translate fx.F.session sql with
-        | Ok p -> p
-        | Error m -> failwith m
-      in
-      let plain_ms, _ = run_program fx prog in
-      let fx2 = F.airline_fleet ~n () in
-      let optimized, stats = Narada.Dol_opt.optimize_with_stats prog in
-      let opt_ms, _ = run_program fx2 optimized in
-      Printf.printf "%-6d %14.2f %14.2f %8.2fx %12d
-" n plain_ms opt_ms
-        (plain_ms /. opt_ms) stats.Narada.Dol_opt.tasks_merged)
-    [ 2; 4; 8; 12 ]
-
 (* ---- P6: index fast-path ablation (local DBMS substrate) ------------------------ *)
 
 let time_us f =
@@ -1010,7 +985,6 @@ let () =
     p1_parallelism ();
     p2_vital_overhead ();
     let p4 = p4_shipping () in
-    p5_optimizer_ablation ();
     p6_index_ablation ();
     p7_outcome_distribution ();
     p8_function_replication ();

@@ -94,15 +94,16 @@ let run_script session ~translate ~stats world path =
         Printf.eprintf "error: %s\n%!" m;
         false
 
-let main script translate stats optimize trace verbose loss loss_seed =
+let main script translate stats trace verbose loss loss_seed =
   if verbose then begin
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some Logs.Debug)
   end;
   let fx = F.make () in
   let session = fx.F.session and world = fx.F.world in
-  M.set_optimize session optimize;
-  if trace then M.set_trace session (Some (fun line -> print_endline ("  " ^ line)));
+  if trace then
+    M.set_typed_trace session
+      (Some (fun ev -> print_endline ("  " ^ Narada.Trace.render ev)));
   if loss > 0.0 then begin
     Netsim.World.set_loss world ~seed:loss_seed ~prob:loss;
     Printf.printf "[chaos: losing messages with p=%.3f, seed %d]\n" loss
@@ -130,11 +131,6 @@ let stats =
   let doc = "Print simulated-network statistics after each statement." in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-let optimize =
-  let doc = "Run generated DOL plans through the optimizer (parallel opens, \
-             task merging)." in
-  Arg.(value & flag & info [ "optimize"; "O" ] ~doc)
-
 let trace =
   let doc = "Print the DOL engine's coordination trace while executing." in
   Arg.(value & flag & info [ "trace" ] ~doc)
@@ -159,7 +155,7 @@ let cmd =
   let info = Cmd.info "msql_shell" ~doc in
   Cmd.v info
     Term.(
-      const main $ script $ translate $ stats $ optimize $ trace $ verbose
+      const main $ script $ translate $ stats $ trace $ verbose
       $ loss $ loss_seed)
 
 let () = exit (Cmd.eval' cmd)

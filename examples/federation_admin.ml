@@ -1,7 +1,6 @@
 (* A tour of the administrative extensions around the core language:
    local views exported with IMPORT ... VIEW, virtual databases (named
-   scopes), interdatabase triggers, the multitable built-ins, and the DOL
-   optimizer.
+   scopes), interdatabase triggers and the multitable built-ins.
 
    Run with:  dune exec examples/federation_admin.exe *)
 
@@ -65,17 +64,4 @@ let () =
       WHEN SELECT code FROM cars WHERE rate > 200
       DO USE national UPDATE vehicle SET vstat = 'available' WHERE vstat = 'rented'|};
   run session "USE avis UPDATE cars SET rate = rate * 10 WHERE carst = 'available'";
-  List.iter print_endline (M.trigger_log session);
-  print_newline ();
-
-  print_endline "== 5. the DOL optimizer at work ==";
-  let sql =
-    "USE continental delta united avis national SELECT %nu FROM flight%"
-  in
-  (match M.translate session sql with
-  | Ok prog ->
-      let optimized, stats = Narada.Dol_opt.optimize_with_stats prog in
-      Printf.printf "plain plan: %d statements; optimizer parallelized %d opens\n"
-        (List.length prog) stats.Narada.Dol_opt.opens_parallelized;
-      print_endline (Narada.Dol_pp.program_to_string optimized)
-  | Error m -> print_endline ("error: " ^ m))
+  List.iter print_endline (M.trigger_log session)

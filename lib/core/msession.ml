@@ -66,11 +66,9 @@ type t = {
   ad : Ad.t;
   gdd : Gdd.t;
   mutable scope : Ast.use_item list;  (* current scope (USE CURRENT) *)
-  mutable optimize : bool;
   mutable dataflow : bool;
       (* dataflow wave scheduling of generated DOL programs (default on) *)
   mutable semijoin : bool;
-  mutable trace : (string -> unit) option;
   mutable typed_trace : (Narada.Trace.event -> unit) option;
   metrics : Metrics.t;
   mutable retry : Narada.Retry_policy.t option;
@@ -119,10 +117,8 @@ let create ?world ?directory ?ad ?gdd () =
     ad = (match ad with Some a -> a | None -> Ad.create ());
     gdd = (match gdd with Some g -> g | None -> Gdd.create ());
     scope = [];
-    optimize = false;
     dataflow = true;
     semijoin = true;
-    trace = None;
     typed_trace = None;
     metrics = Metrics.create ();
     retry = None;
@@ -153,12 +149,10 @@ let triggers t =
     (List.rev t.trigger_order)
 
 let trigger_log t = List.rev t.trigger_log
-let set_optimize t b = t.optimize <- b
 let set_dataflow t b = t.dataflow <- b
 let dataflow_enabled t = t.dataflow
 let set_semijoin t b = t.semijoin <- b
 let semijoin_enabled t = t.semijoin
-let set_trace t sink = t.trace <- sink
 let set_typed_trace t sink = t.typed_trace <- sink
 let metrics t = t.metrics
 
@@ -179,7 +173,6 @@ let trace_tag t = t.trace_tag
 
 let set_retry_policy t p = t.retry <- p
 let last_engine_outcome t = t.last_outcome
-let optimize_enabled t = t.optimize
 
 (* ---- session performance layer ---------------------------------------- *)
 
@@ -303,17 +296,7 @@ let invalidate_shipped t dbs =
    remembers it for {!last_engine_outcome} *)
 let engine_start t program =
   t.metrics.Metrics.engine_runs <- t.metrics.Metrics.engine_runs + 1;
-  let on_trace =
-    match t.trace with
-    | None -> observe t
-    | Some f ->
-        (* the typed sinks first, then the rendered line; [observe] tags
-           its own copy, so the line is the engine's untagged event *)
-        fun ev ->
-          observe t ev;
-          f (Narada.Trace.render ev)
-  in
-  Engine.start ~on_trace ?retry:t.retry ?pool:t.pool
+  Engine.start ~on_trace:(observe t) ?retry:t.retry ?pool:t.pool
     ?move_cache:(move_cache t) ~directory:t.directory ~world:t.world program
 
 let note_outcome t = function
@@ -553,11 +536,11 @@ let plan_key t (stmt : statement) =
      across sessions, only sessions over the same GDD instance may
      exchange plans — equal version numbers from different dictionaries
      must not collide *)
-  Printf.sprintf "%d|%d|%d|%b|%b|%b|%s" (Gdd.id t.gdd) (Gdd.version t.gdd)
-    (Ad.version t.ad) t.optimize t.dataflow t.semijoin
+  Printf.sprintf "%d|%d|%d|%b|%b|%s" (Gdd.id t.gdd) (Gdd.version t.gdd)
+    (Ad.version t.ad) t.dataflow t.semijoin
     (Marshal.to_string stmt [])
 
-(* phases 2-4 from scratch, then the optional DOL passes *)
+(* phases 2-4 from scratch, then the dataflow pass *)
 let plan_fresh t stmt =
   let expand (q : Ast.query) = Expand.expand t.gdd q in
   let plan, shape =
@@ -601,15 +584,11 @@ let plan_fresh t stmt =
         in
         (Plangen.plan_mtx t.ad mtx (List.map expand_one mtx.Ast.queries), Mtx)
   in
-  let program = plan.Plangen.program in
-  let program =
-    if t.optimize then Narada.Dol_opt.optimize program else program
-  in
   let program, dataflow =
     if t.dataflow then
-      let program, ds = Narada.Dol_opt.dataflow_with_stats program in
+      let program, ds = Narada.Dol_graph.schedule plan.Plangen.program in
       (program, Some ds)
-    else (program, None)
+    else (plan.Plangen.program, None)
   in
   { pl_plan = { plan with Plangen.program }; pl_shape = shape;
     pl_dataflow = dataflow }

@@ -135,16 +135,12 @@ val prepared_move_dsts : prepared -> string list
 
 val prepared_session : prepared -> t
 
-val set_trace : t -> (string -> unit) option -> unit
-(** Install an execution-trace sink: every DOL engine coordination event
-    of subsequent queries is passed to it, rendered with
-    {!Narada.Trace.render} (see {!Narada.Engine.run}). *)
-
 val set_typed_trace : t -> (Narada.Trace.event -> unit) option -> unit
-(** Install a {e typed} trace sink: the same event stream as {!set_trace}
-    but as {!Narada.Trace.event} values (plus pool validation events),
-    before rendering. Both sinks may be installed at once. The session's
-    {!metrics} registry observes the stream regardless. *)
+(** Install a trace sink: every DOL engine coordination event of
+    subsequent queries, plus the pool's validation events, as
+    {!Narada.Trace.event} values (the shell's [--trace] prints
+    {!Narada.Trace.render} of each). The session's {!metrics} registry
+    observes the stream regardless. *)
 
 val set_trace_tag : t -> string option -> unit
 (** Stamp every subsequently observed trace event with this tag (unless
@@ -183,8 +179,8 @@ val last_engine_outcome : t -> Narada.Engine.outcome option
     fault-tolerance counters (retries, recovered, in-doubt, vital split). *)
 
 val set_dataflow : t -> bool -> unit
-(** Enable the dataflow wave scheduler ({!Narada.Dol_graph} via
-    {!Narada.Dol_opt.dataflow}) on generated plans — default {b on}. The
+(** Enable the dataflow wave scheduler ({!Narada.Dol_graph.schedule},
+    the only DOL optimizer) on generated plans — default {b on}. The
     pass regroups each DOL program into maximal order-preserving
     [PARBEGIN] waves, so statuses, results and database state are
     byte-identical to the unscheduled program while independent
@@ -192,14 +188,6 @@ val set_dataflow : t -> bool -> unit
     plan generation, so it participates in the plan-cache key. *)
 
 val dataflow_enabled : t -> bool
-
-val set_optimize : t -> bool -> unit
-(** Enable the DOL optimizer ({!Narada.Dol_opt}) on generated plans
-    (default: off, so that translated programs match the paper's shape;
-    the optimizer is §5's future-work direction and is benchmarked as an
-    ablation). *)
-
-val optimize_enabled : t -> bool
 
 val set_semijoin : t -> bool -> unit
 (** Enable the cost-gated semijoin reduction of shipped subqueries
@@ -213,7 +201,7 @@ val semijoin_enabled : t -> bool
 
     Every statement is planned once per distinct planning input: the plan
     cache is always on. Its key is the {!Gdd.id}, the
-    {!Gdd.version}/{!Ad.version} epochs, the optimize/dataflow/semijoin
+    {!Gdd.version}/{!Ad.version} epochs, the dataflow/semijoin
     flags and the statement after virtual-database expansion (so it names
     the effective scope and the multidatabases' current members). A hit
     therefore cannot change the program, and shows only in

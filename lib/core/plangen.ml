@@ -240,43 +240,24 @@ let plan_replicated ad (q : Ast.query) (elems : Expand.elementary list) =
     }
   end
 
-(* ---- decomposed global SELECT ---------------------------------------------- *)
+(* ---- shipping into the coordinator ----------------------------------------- *)
 
-let plan_global ad (_q : Ast.query) (dp : Decompose.plan) =
-  let coord = dp.Decompose.coordinator in
+(* The databases a decomposed plan opens: the coordinator, then every
+   shipped subquery's source. *)
+let shipping_dbs ad (dp : Decompose.plan) =
   let dbs =
-    coord :: List.map (fun s -> s.Decompose.sdb) dp.Decompose.shipped
+    dp.Decompose.coordinator
+    :: List.map (fun s -> s.Decompose.sdb) dp.Decompose.shipped
   in
-  let opens = List.map (open_stmt ad) dbs in
   List.iter (fun db -> ignore (ad_entry ad db)) dbs;
-  let moves =
-    List.map
-      (fun (s : Decompose.shipped) ->
-        D.Move
-          {
-            mname = move_name s.Decompose.sdb;
-            src = Names.canon s.Decompose.sdb;
-            dst = Names.canon coord;
-            dest_table = s.Decompose.tmp_table;
-            query = Sql_pp.select_to_string s.Decompose.subquery;
-            reduce =
-              Option.map
-                (fun (sj : Decompose.semijoin) ->
-                  ( sj.Decompose.sj_col,
-                    Sql_pp.select_to_string sj.Decompose.sj_probe ))
-                s.Decompose.reduce;
-          })
-      dp.Decompose.shipped
-  in
-  let q_task =
-    D.Task
-      {
-        tname = "t_q";
-        mode = D.With_commit;
-        target = Names.canon coord;
-        commands = Sql_pp.select_to_string dp.Decompose.modified;
-      }
-  in
+  dbs
+
+(* Ship every decomposed subquery into the coordinator in one PARBEGIN;
+   once all MOVEs committed, run [work] there, drop the temporaries
+   (t_clean) and continue with [rest]; run [failed] if some MOVE did not
+   commit. Without shipped subqueries the guard and the block vanish. *)
+let ship_into_coordinator (dp : Decompose.plan) ~work ~rest ~failed =
+  let coord = Names.canon dp.Decompose.coordinator in
   let cleanup =
     match dp.Decompose.cleanup with
     | [] -> []
@@ -286,83 +267,25 @@ let plan_global ad (_q : Ast.query) (dp : Decompose.plan) =
             {
               tname = "t_clean";
               mode = D.With_commit;
-              target = Names.canon coord;
+              target = coord;
               commands =
                 String.concat ";\n"
                   (List.map (Printf.sprintf "DROP TABLE %s") tmps);
             };
         ]
   in
-  let final =
-    [ D.If (D.Status_is ("t_q", D.C), [ D.Set_status 0 ], [ D.Set_status 1 ]) ]
-  in
-  let body =
-    match moves with
-    | [] -> (q_task :: cleanup) @ final
-    | _ ->
-        let all_moved =
-          conjoin_conds
-            (List.map
-               (fun (s : Decompose.shipped) ->
-                 D.Status_is (move_name s.Decompose.sdb, D.C))
-               dp.Decompose.shipped)
-          |> Option.get
-        in
-        [
-          D.Parallel moves;
-          D.If (all_moved, (q_task :: cleanup) @ final, [ D.Set_status 1 ]);
-        ]
-  in
-  let close = [ D.Close (List.map Names.canon dbs) ] in
-  {
-    program = opens @ body @ close;
-    task_bindings =
-      [ { task = "t_q"; bdb = coord; vital = Ast.Non_vital; retrieval = true } ];
-    coordinator = Some coord;
-  }
-
-(* ---- data transfer (INSERT ... SELECT across databases) --------------------- *)
-
-let plan_transfer ad ~tdb ~tuse ~ttable ~tcolumns (dp : Decompose.plan) =
-  let coord = dp.Decompose.coordinator in
-  let source_dbs =
-    coord :: List.map (fun s -> s.Decompose.sdb) dp.Decompose.shipped
-  in
-  let dbs =
-    if List.exists (Names.equal tdb) source_dbs then source_dbs
-    else source_dbs @ [ tdb ]
-  in
-  List.iter (fun db -> ignore (ad_entry ad db)) dbs;
-  let opens = List.map (open_stmt ad) dbs in
-  let cols_clause =
-    match tcolumns with
-    | None -> ""
-    | Some cs -> Printf.sprintf " (%s)" (String.concat ", " cs)
-  in
-  let insert_task commands =
-    D.Task
-      { tname = "t_ins"; mode = D.With_commit; target = Names.canon tdb; commands }
-  in
-  let local_only =
-    dp.Decompose.shipped = [] && Names.equal coord tdb
-  in
-  let body =
-    if local_only then
-      (* source lives entirely in the target database: plain local insert *)
-      [
-        insert_task
-          (Printf.sprintf "INSERT INTO %s%s %s" ttable cols_clause
-             (Sql_pp.select_to_string dp.Decompose.modified));
-      ]
-    else begin
-      let pre_moves =
+  let body = work @ cleanup @ rest in
+  match dp.Decompose.shipped with
+  | [] -> body
+  | shipped ->
+      let moves =
         List.map
           (fun (s : Decompose.shipped) ->
             D.Move
               {
                 mname = move_name s.Decompose.sdb;
                 src = Names.canon s.Decompose.sdb;
-                dst = Names.canon coord;
+                dst = coord;
                 dest_table = s.Decompose.tmp_table;
                 query = Sql_pp.select_to_string s.Decompose.subquery;
                 reduce =
@@ -372,72 +295,115 @@ let plan_transfer ad ~tdb ~tuse ~ttable ~tcolumns (dp : Decompose.plan) =
                         Sql_pp.select_to_string sj.Decompose.sj_probe ))
                     s.Decompose.reduce;
               })
-          dp.Decompose.shipped
+          shipped
       in
-      let final_move =
-        D.Move
-          {
-            mname = "m_xfer";
-            src = Names.canon coord;
-            dst = Names.canon tdb;
-            dest_table = "msql_xfer";
-            query = Sql_pp.select_to_string dp.Decompose.modified;
-            reduce = None;
-          }
+      let all_moved =
+        conjoin_conds
+          (List.map
+             (fun (s : Decompose.shipped) ->
+               D.Status_is (move_name s.Decompose.sdb, D.C))
+             shipped)
+        |> Option.get
       in
-      let cleanup_coord =
-        match dp.Decompose.cleanup with
-        | [] -> []
-        | tmps ->
-            [
-              D.Task
-                {
-                  tname = "t_clean";
-                  mode = D.With_commit;
-                  target = Names.canon coord;
-                  commands =
-                    String.concat ";\n"
-                      (List.map (Printf.sprintf "DROP TABLE %s") tmps);
-                };
-            ]
-      in
-      let cleanup_target =
-        D.Task
-          {
-            tname = "t_clean_xfer";
-            mode = D.With_commit;
-            target = Names.canon tdb;
-            commands = "DROP TABLE msql_xfer";
-          }
-      in
-      let insert =
-        insert_task
-          (Printf.sprintf "INSERT INTO %s%s SELECT * FROM msql_xfer" ttable
-             cols_clause)
-      in
-      let after_moves =
-        (final_move :: insert :: cleanup_coord) @ [ cleanup_target ]
-      in
-      match pre_moves with
-      | [] -> after_moves
-      | _ ->
-          let all_moved =
-            conjoin_conds
-              (List.map
-                 (fun (s : Decompose.shipped) ->
-                   D.Status_is (move_name s.Decompose.sdb, D.C))
-                 dp.Decompose.shipped)
-            |> Option.get
-          in
-          [ D.Parallel pre_moves; D.If (all_moved, after_moves, []) ]
+      [ D.Parallel moves; D.If (all_moved, body, failed) ]
+
+(* ---- decomposed global SELECT ---------------------------------------------- *)
+
+let plan_global ad (_q : Ast.query) (dp : Decompose.plan) =
+  let coord = dp.Decompose.coordinator in
+  let dbs = shipping_dbs ad dp in
+  let q_task =
+    D.Task
+      {
+        tname = "t_q";
+        mode = D.With_commit;
+        target = Names.canon coord;
+        commands = Sql_pp.select_to_string dp.Decompose.modified;
+      }
+  in
+  let final =
+    [ D.If (D.Status_is ("t_q", D.C), [ D.Set_status 0 ], [ D.Set_status 1 ]) ]
+  in
+  let body =
+    ship_into_coordinator dp ~work:[ q_task ] ~rest:final
+      ~failed:[ D.Set_status 1 ]
+  in
+  let close = [ D.Close (List.map Names.canon dbs) ] in
+  {
+    program = List.map (open_stmt ad) dbs @ body @ close;
+    task_bindings =
+      [ { task = "t_q"; bdb = coord; vital = Ast.Non_vital; retrieval = true } ];
+    coordinator = Some coord;
+  }
+
+(* ---- data transfer (INSERT ... SELECT across databases) --------------------- *)
+
+let plan_transfer ad ~tdb ~tuse ~ttable ~tcolumns (dp : Decompose.plan) =
+  let coord = dp.Decompose.coordinator in
+  let source_dbs = shipping_dbs ad dp in
+  let dbs =
+    if List.exists (Names.equal tdb) source_dbs then source_dbs
+    else begin
+      ignore (ad_entry ad tdb);
+      source_dbs @ [ tdb ]
     end
+  in
+  let cols_clause =
+    match tcolumns with
+    | None -> ""
+    | Some cs -> Printf.sprintf " (%s)" (String.concat ", " cs)
+  in
+  let insert_task select =
+    D.Task
+      {
+        tname = "t_ins";
+        mode = D.With_commit;
+        target = Names.canon tdb;
+        commands =
+          Printf.sprintf "INSERT INTO %s%s %s" ttable cols_clause select;
+      }
+  in
+  let modified = Sql_pp.select_to_string dp.Decompose.modified in
+  let body =
+    if Names.equal coord tdb then
+      (* the target is the coordinator: insert the source query's result
+         in place *)
+      ship_into_coordinator dp ~work:[ insert_task modified ] ~rest:[]
+        ~failed:[]
+    else
+      (* ship the result to the target, insert it there, drop the copy *)
+      ship_into_coordinator dp
+        ~work:
+          [
+            D.Move
+              {
+                mname = "m_xfer";
+                src = Names.canon coord;
+                dst = Names.canon tdb;
+                dest_table = "msql_xfer";
+                query = modified;
+                reduce = None;
+              };
+            insert_task "SELECT * FROM msql_xfer";
+          ]
+        ~rest:
+          [
+            D.Task
+              {
+                tname = "t_clean_xfer";
+                mode = D.With_commit;
+                target = Names.canon tdb;
+                commands = "DROP TABLE msql_xfer";
+              };
+          ]
+        ~failed:[]
   in
   let final =
     [ D.If (D.Status_is ("t_ins", D.C), [ D.Set_status 0 ], [ D.Set_status 1 ]) ]
   in
   let close = [ D.Close (List.map Names.canon dbs) ] in
   {
-    program = opens @ body @ final @ close;
+    program = List.map (open_stmt ad) dbs @ body @ final @ close;
     task_bindings =
       [
         {

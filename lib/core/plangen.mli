@@ -48,9 +48,11 @@ val plan_transfer :
   Decompose.plan ->
   plan
 (** Plan for a cross-database INSERT ... SELECT (§2's data transfer): the
-    decomposed source query is materialized at its coordinator, its result
-    is MOVEd to the target site, inserted there, and every temporary is
-    dropped. When source and target coincide the insert runs locally. *)
+    shipped subqueries are MOVEd to the coordinator as for
+    {!plan_global}. When the target is the coordinator the source query's
+    result is inserted in place; otherwise it is MOVEd to the target,
+    inserted there from the staging table [msql_xfer], and that copy is
+    dropped. Every temporary is dropped. *)
 
 val plan_mtx :
   Ad.t ->

@@ -1,163 +1,1 @@
-open Dol_ast
-
-type stats = {
-  opens_parallelized : int;
-  tasks_merged : int;
-  closes_merged : int;
-  waves_formed : int;
-}
-
-(* ---- analysis: task names whose status the program reads ------------------ *)
-
-let rec cond_reads = function
-  | Status_is (t, _) -> [ String.lowercase_ascii t ]
-  | Not c -> cond_reads c
-  | And (a, b) | Or (a, b) -> cond_reads a @ cond_reads b
-
-let rec stmt_reads = function
-  | If (c, a, b) ->
-      cond_reads c @ List.concat_map stmt_reads a @ List.concat_map stmt_reads b
-  | Commit_tasks ns | Abort_tasks ns -> List.map String.lowercase_ascii ns
-  | Comp { compensates; _ } ->
-      Option.fold ~none:[] ~some:(fun t -> [ String.lowercase_ascii t ]) compensates
-  | Parallel stmts -> List.concat_map stmt_reads stmts
-  | Open _ | Close _ | Task _ | Move _ | Set_status _ -> []
-
-let read_task_names program = List.concat_map stmt_reads program
-
-(* ---- pass: merge consecutive committing tasks on one alias ----------------- *)
-
-(* Fusing [TASK a FOR x {s1}; TASK b FOR x {s2}] into [TASK a FOR x {s1; s2}]
-   is safe when both commit as they run and nothing reads b's status: the
-   merged script has the same local effects and failure granularity only
-   coarsens (a failure in s2 also undoes s1, which is stricter, and the
-   program was not allowed to distinguish the two anyway since b is unread). *)
-let merge_tasks ~protected stmts =
-  let merged = ref 0 in
-  let mergeable (t : task) =
-    t.mode = With_commit
-    && not (List.mem (String.lowercase_ascii t.tname) protected)
-  in
-  let rec go = function
-    | Task t1 :: Task t2 :: rest
-      when t1.target = t2.target && mergeable t1 && mergeable t2 ->
-        incr merged;
-        go (Task { t1 with commands = t1.commands ^ ";\n" ^ t2.commands } :: rest)
-    | s :: rest -> s :: go rest
-    | [] -> []
-  in
-  let stmts = go stmts in
-  (stmts, !merged)
-
-(* ---- pass: parallelize runs of OPENs --------------------------------------- *)
-
-let parallelize_opens stmts =
-  let moved = ref 0 in
-  let rec go = function
-    | Open _ :: Open _ :: _ as l ->
-        let rec split acc = function
-          | (Open _ as o) :: rest -> split (o :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        let opens, rest = split [] l in
-        moved := !moved + List.length opens;
-        Parallel opens :: go rest
-    | s :: rest -> s :: go rest
-    | [] -> []
-  in
-  let stmts = go stmts in
-  (stmts, !moved)
-
-(* ---- pass: merge consecutive CLOSEs ----------------------------------------- *)
-
-(* Both lists may name the same connection (programs stitched from
-   templates do): closing an alias twice is a program error, so the merged
-   list keeps the first occurrence only (case-insensitive, like every
-   alias lookup, and order-preserving). *)
-let dedup_aliases aliases =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun a ->
-      let k = String.lowercase_ascii a in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    aliases
-
-let merge_closes stmts =
-  let merged = ref 0 in
-  let rec go = function
-    | Close a :: Close b :: rest ->
-        incr merged;
-        go (Close (dedup_aliases (a @ b)) :: rest)
-    | s :: rest -> s :: go rest
-    | [] -> []
-  in
-  let stmts = go stmts in
-  (stmts, !merged)
-
-(* ---- pass: trivial unwrapping ------------------------------------------------ *)
-
-let rec tidy stmts =
-  List.filter_map
-    (fun s ->
-      match s with
-      | Parallel [] -> None
-      | Parallel [ single ] -> Some single
-      | Parallel inner -> Some (Parallel (tidy inner))
-      | If (c, a, b) -> (
-          match tidy a, tidy b with
-          | [], [] -> None
-          | a', b' -> Some (If (c, a', b')))
-      | Open _ | Close _ | Task _ | Commit_tasks _ | Abort_tasks _ | Comp _
-      | Move _ | Set_status _ ->
-          Some s)
-    stmts
-
-let rec map_blocks f stmts =
-  f stmts
-  |> List.map (function
-       | If (c, a, b) -> If (c, map_blocks f a, map_blocks f b)
-       | Parallel inner -> Parallel (map_blocks f inner)
-       | s -> s)
-
-(* ---- pass: dataflow wave scheduling ----------------------------------------- *)
-
-(* The pass itself lives in {!Dol_graph}: build the dependency DAG over
-   the program (read/write summaries of aliases, task statuses, MOVE
-   destination tables, order-sensitive globals) and regroup maximal runs
-   of independent statements into [PARBEGIN] waves, order-preserved. *)
-let dataflow_with_stats program = Dol_graph.schedule program
-let dataflow program = fst (Dol_graph.schedule program)
-
-let optimize_with_stats ?(dataflow = false) program =
-  let protected = read_task_names program in
-  let tasks_merged = ref 0 in
-  let program =
-    map_blocks
-      (fun stmts ->
-        let stmts, n = merge_tasks ~protected stmts in
-        tasks_merged := !tasks_merged + n;
-        stmts)
-      program
-  in
-  let program, opens_parallelized = parallelize_opens program in
-  let program, closes_merged = merge_closes program in
-  let program = tidy program in
-  let program, waves_formed =
-    if dataflow then
-      let program, (ds : Dol_graph.stats) = Dol_graph.schedule program in
-      (program, ds.Dol_graph.waves)
-    else (program, 0)
-  in
-  ( program,
-    {
-      opens_parallelized;
-      tasks_merged = !tasks_merged;
-      closes_merged;
-      waves_formed;
-    } )
-
-let optimize ?dataflow program = fst (optimize_with_stats ?dataflow program)
+let dataflow_with_stats = Dol_graph.schedule

@@ -1,40 +1,7 @@
-(** DOL program optimizer — the paper's §5 future-work direction: "The
-    resulting DOL programs may also be optimized. ... The optimization
-    will be related more to data flow control and parallelism in execution
-    of queries at different sites than to individual database operations."
-
-    Passes (all semantics-preserving):
-
-    - {b parallel opens/closes}: maximal runs of consecutive OPEN
-      statements are wrapped in a [PARBEGIN] block, so connection
-      handshakes overlap instead of accumulating; likewise CLOSE lists are
-      merged;
-    - {b task merging}: consecutive committing tasks against the same
-      alias are fused into one task script (one command round trip instead
-      of several), provided the dropped task names are never read by a
-      status condition or a COMMIT/ABORT list elsewhere in the program;
-    - {b trivial unwrapping}: singleton [PARBEGIN] blocks and empty IF
-      branches are flattened;
-    - {b dataflow wave scheduling} (opt-in here via [?dataflow], applied
-      by default at the session layer): {!Dol_graph} builds the
-      dependency DAG over the program and regroups maximal runs of
-      independent statements — MOVEs with local TASKs, whole queries of
-      one MULTIPLE statement — into [PARBEGIN] waves, order-preserved, so
-      their virtual-time latencies max-merge instead of summing. *)
-
-val optimize : ?dataflow:bool -> Dol_ast.program -> Dol_ast.program
-
-type stats = {
-  opens_parallelized : int;  (** OPEN statements moved into parallel blocks *)
-  tasks_merged : int;  (** tasks fused away *)
-  closes_merged : int;  (** CLOSE statements merged away *)
-  waves_formed : int;  (** multi-statement dataflow waves formed *)
-}
-
-val optimize_with_stats :
-  ?dataflow:bool -> Dol_ast.program -> Dol_ast.program * stats
-
-val dataflow : Dol_ast.program -> Dol_ast.program
-(** The dataflow wave-scheduling pass alone ({!Dol_graph.schedule}). *)
+(** The DOL optimizer is the dataflow pass, {!Dol_graph.schedule}: the
+    paper's §5 optimization "related more to data flow control and
+    parallelism". This module only keeps the name the end-to-end
+    benchmark's traced replay ([msqlbench/]) calls. *)
 
 val dataflow_with_stats : Dol_ast.program -> Dol_ast.program * Dol_graph.stats
+(** {!Dol_graph.schedule}. *)

@@ -2,9 +2,9 @@
     LAM layer, timestamped with the virtual clock.
 
     The engine has one sink, [Engine.run ~on_trace]. Textual consumers
-    (the shell's [--trace], [Msession.set_trace]) print {!render} of each
-    event; structured consumers (the [Msql.Metrics] registry) match on
-    {!kind} instead of parsing. *)
+    (the shell's [--trace]) print {!render} of each event; structured
+    consumers (the [Msql.Metrics] registry) match on {!kind} instead of
+    parsing. *)
 
 type verdict = Commit | Abort
 

@@ -273,42 +273,20 @@ let send t ~src ~dst ~bytes =
   ds.recv_msgs <- ds.recv_msgs + 1;
   ds.recv_bytes <- ds.recv_bytes + bytes
 
-(* A chunk-streamed logical message. Failure semantics, loss draws, the
-   message count, the total bytes and the clock advance are all identical
-   to [send ~bytes:(sum chunks)] — chunking is a transport detail below
-   the accounting granularity, which is what makes results and metrics
-   chunk-size-invariant by construction. The differences are observational:
-   each chunk's bytes enter the per-site ledgers as a separate installment
-   (summing exactly to the total), and the returned list gives each
-   chunk's completion instant — the linear serialization schedule of the
-   total transfer cost over the cumulative payload, for per-chunk trace
-   events. An empty/zero-byte stream completes at [t0 + cost] like the
-   monolithic send. *)
+(* A chunk-streamed logical message: [send] of the total bytes, so its
+   failure semantics, loss draw, message count, bytes, per-site ledgers
+   and clock advance are those of one message — chunking is a transport
+   detail below the accounting granularity, which is what makes results
+   and metrics chunk-size-invariant by construction. The returned list
+   gives each chunk's completion instant: the linear serialization
+   schedule of the send's cost over the cumulative payload, for per-chunk
+   trace events. An empty/zero-byte stream completes at [t0 + cost] like
+   the monolithic send. *)
 let send_chunked t ~src ~dst ~chunks =
-  let s = find_site t src and d = find_site t dst in
   let total = List.fold_left ( + ) 0 chunks in
-  if is_down t src then raise (Site_down src);
-  if is_down t dst then raise (Site_down dst);
-  if message_lost t ~src ~dst then begin
-    advance_ms t (Site.message_cost_ms s ~bytes:total);
-    t.stats.lost <- t.stats.lost + 1;
-    raise (Lost_message (src, dst))
-  end;
   let t0 = now_ms t in
-  let cost =
-    Site.message_cost_ms s ~bytes:total +. Site.message_cost_ms d ~bytes:total
-  in
-  advance_ms t cost;
-  t.stats.messages <- t.stats.messages + 1;
-  t.stats.bytes_moved <- t.stats.bytes_moved + total;
-  let ss = site_stat_of t src and ds = site_stat_of t dst in
-  ss.sent_msgs <- ss.sent_msgs + 1;
-  ds.recv_msgs <- ds.recv_msgs + 1;
-  List.iter
-    (fun b ->
-      ss.sent_bytes <- ss.sent_bytes + b;
-      ds.recv_bytes <- ds.recv_bytes + b)
-    chunks;
+  send t ~src ~dst ~bytes:total;
+  let cost = now_ms t -. t0 in
   let _, rev_times =
     List.fold_left
       (fun (cum, acc) b ->

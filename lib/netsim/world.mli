@@ -127,15 +127,13 @@ val send : t -> src:string -> dst:string -> bytes:int -> unit
 
 val send_chunked : t -> src:string -> dst:string -> chunks:int list -> float list
 (** [send_chunked t ~src ~dst ~chunks] ships one logical message whose
-    payload arrives in [chunks] byte installments. Failure semantics (one
-    loss draw, same exceptions), the message count, the total bytes and
-    the clock advance are {e identical} to
-    {!send}[ ~bytes:(sum chunks)] — chunking sits below the accounting
-    granularity, so statistics and virtual time are chunk-size-invariant
-    by construction. Each installment feeds the per-site byte ledger
-    separately (installments sum exactly to the total). Returns the
-    virtual completion instant of each chunk — the linear serialization
-    schedule of the transfer — the last equal to the post-send clock. *)
+    payload arrives in [chunks] byte installments. It is
+    {!send}[ ~bytes:(sum chunks)] — same failure semantics (one loss
+    draw, same exceptions), message count, bytes, per-site ledgers and
+    clock advance — so statistics and virtual time are
+    chunk-size-invariant by construction. Returns the virtual completion
+    instant of each chunk — the linear serialization schedule of the
+    transfer — the last being the post-send clock. *)
 
 val parallel : t -> (unit -> 'a) list -> 'a list
 (** Run the thunks as logically concurrent branches: each runs in its own

@@ -375,6 +375,53 @@ let test_data_transfer_local_degenerate () =
   | Ok r -> Alcotest.fail (M.result_to_string r)
   | Error m -> Alcotest.fail m
 
+(* INSERT ... SELECT whose target database is also the coordinator of its
+   source join: the join result is inserted in place, not shipped from the
+   coordinator to itself into a staging table first *)
+let test_data_transfer_into_coordinator () =
+  let fleet () = F.airline_fleet ~flights_per_db:20 ~n:3 () in
+  let fx = fleet () in
+  Netsim.World.reset_stats fx.F.world;
+  (match
+     M.exec fx.F.session
+       {|USE airline1 airline2
+         INSERT INTO airline1.flights (flnu, source, destination, rate)
+         SELECT f.flnu + 1000, f.source, f.destination, g.rate
+         FROM airline1.flights f, airline2.flights g
+         WHERE f.source = g.source AND f.destination = g.destination
+           AND g.rate < 200|}
+   with
+  | Ok (M.Update_report { outcome = M.Success; elapsed_ms; _ }) ->
+      Alcotest.(check (float 0.005)) "virtual ms" 75.16 elapsed_ms
+  | Ok r -> Alcotest.fail (M.result_to_string r)
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "messages" 16
+    (Netsim.World.stats fx.F.world).Netsim.World.messages;
+  (* reference: the same statement on one database holding both tables *)
+  let local = fleet () in
+  let db = F.database local "airline1" in
+  let g = F.scan local ~db:"airline2" ~table:"flights" in
+  Ldbms.Database.load db ~name:"flights2" (Relation.schema g)
+    (Relation.rows g);
+  let s = Ldbms.Session.connect db Ldbms.Capabilities.ingres_like in
+  (match
+     Ldbms.Session.exec_sql s
+       "INSERT INTO flights (flnu, source, destination, rate) SELECT f.flnu \
+        + 1000, f.source, f.destination, g.rate FROM flights f, flights2 g \
+        WHERE f.source = g.source AND f.destination = g.destination AND \
+        g.rate < 200"
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  (match Ldbms.Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
+  let got = F.scan fx ~db:"airline1" ~table:"flights"
+  and want = F.scan local ~db:"airline1" ~table:"flights" in
+  Alcotest.(check int) "eight rows inserted" 28 (Relation.cardinality want);
+  Alcotest.(check bool) "same rows as the local insert" true
+    (Relation.equal_unordered got want);
+  Alcotest.(check (list string)) "no temporary left" [ "flights" ]
+    (Ldbms.Database.table_names (F.database fx "airline1"))
+
 let test_explain_returns_plan () =
   let fx = F.make () in
   match
@@ -503,6 +550,8 @@ let () =
           Alcotest.test_case "data transfer" `Quick test_data_transfer_insert_select;
           Alcotest.test_case "transfer join source" `Quick test_data_transfer_with_join_source;
           Alcotest.test_case "transfer local" `Quick test_data_transfer_local_degenerate;
+          Alcotest.test_case "transfer into coordinator" `Quick
+            test_data_transfer_into_coordinator;
         ] );
       ( "global join",
         [

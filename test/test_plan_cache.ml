@@ -176,11 +176,8 @@ let test_flags_miss () =
   M.set_dataflow session false;
   one_miss_then_hit session ~what:"dataflow off" (fun () ->
       translate_ok session join3);
-  M.set_optimize session true;
-  one_miss_then_hit session ~what:"optimizer on" (fun () ->
-      translate_ok session join3);
   (* flipping back reaches the earlier key again *)
-  M.set_optimize session false;
+  M.set_dataflow session true;
   let h, m = plan_counts session in
   translate_ok session join3;
   Alcotest.check counts "earlier flags: a hit" (h + 1, m) (plan_counts session)

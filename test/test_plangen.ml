@@ -173,6 +173,35 @@ let test_unincorporated_service_refused () =
         (Astring_contains.contains m "INCORPORATE")
   | Ok _ -> Alcotest.fail "must refuse"
 
+let test_transfer_into_coordinator_inserts_in_place () =
+  (* airline1 is both the target and the join's coordinator: ship
+     airline2's rows in, insert there, drop the temporary — no MOVE from
+     airline1 to itself and no msql_xfer staging table *)
+  let fx = F.airline_fleet ~flights_per_db:20 ~n:3 () in
+  let prog =
+    match
+      M.translate fx.F.session
+        {|USE airline1 airline2
+          INSERT INTO airline1.flights (flnu, source, destination, rate)
+          SELECT f.flnu + 1000, f.source, f.destination, g.rate
+          FROM airline1.flights f, airline2.flights g
+          WHERE f.source = g.source AND f.destination = g.destination
+            AND g.rate < 200|}
+    with
+    | Ok prog -> prog
+    | Error m -> Alcotest.fail m
+  in
+  let moves = find_moves prog in
+  Alcotest.(check (list (pair string string))) "one move into the target"
+    [ ("airline2", "airline1") ]
+    (List.map (fun (_, src, dst, _, _) -> (src, dst)) moves);
+  Alcotest.(check bool) "no msql_xfer" false
+    (Astring_contains.contains (Narada.Dol_pp.program_to_string prog)
+       "msql_xfer");
+  Alcotest.(check (list string)) "insert, then drop the temporary"
+    [ "t_ins"; "t_clean" ]
+    (List.map (fun (t : D.task) -> t.D.tname) (find_tasks prog))
+
 let test_programs_reparse () =
   (* every generated plan must round-trip through the DOL concrete syntax *)
   List.iter
@@ -204,6 +233,11 @@ let () =
         ] );
       ( "global",
         [ Alcotest.test_case "move/coordinator/cleanup" `Quick test_global_plan_structure ] );
+      ( "transfer",
+        [
+          Alcotest.test_case "into coordinator inserts in place" `Quick
+            test_transfer_into_coordinator_inserts_in_place;
+        ] );
       ( "mtx",
         [ Alcotest.test_case "cascade" `Quick test_mtx_cascade_structure ] );
       ( "syntax",
