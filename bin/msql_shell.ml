@@ -12,37 +12,45 @@
 module F = Msql.Fixtures
 module M = Msql.Msession
 
-(* [true] when the statement succeeded; diagnostics go to stderr so a
-   script's data output stays clean and exit codes can reflect failure *)
-let process session ~translate ~stats world text =
-  let text = String.trim text in
-  if text = "" then true
-  else if translate then
-    match M.translate session text with
-    | Ok prog ->
-        print_string (Narada.Dol_pp.program_to_string prog);
-        true
-    | Error m ->
-        Printf.eprintf "error: %s\n%!" m;
-        false
-  else begin
-    let ok =
-      match M.exec session text with
+(* Run each statement of [text] down the session's statement path,
+   printing each result as it completes; [false] at the first error, which
+   stops the run. Diagnostics go to stderr so a script's data output stays
+   clean and exit codes can reflect failure. [~translate] runs each
+   statement as EXPLAIN: planned, printed as DOL, never executed. *)
+let run_text session ~translate ~stats world text =
+  let fail m =
+    flush stdout;
+    Printf.eprintf "error: %s\n%!" m;
+    false
+  in
+  let run tl =
+    if translate then
+      match M.exec_toplevel session (Msql.Ast.Explain tl) with
       | Ok r ->
-          print_endline (M.result_to_string r);
+          print_string (M.result_to_string r);
           true
-      | Error m ->
-          Printf.eprintf "error: %s\n%!" m;
-          false
-    in
-    if stats then begin
-      let st = Netsim.World.stats world in
-      Printf.printf "[net: %d messages, %d bytes, clock %.2f ms]\n"
-        st.Netsim.World.messages st.Netsim.World.bytes_moved
-        (Netsim.World.now_ms world)
-    end;
-    ok
-  end
+      | Error m -> fail m
+    else begin
+      let ok =
+        match M.exec_toplevel session tl with
+        | Ok r ->
+            print_endline (M.result_to_string r);
+            true
+        | Error m -> fail m
+      in
+      if stats then begin
+        let st = Netsim.World.stats world in
+        Printf.printf "[net: %d messages, %d bytes, clock %.2f ms]\n"
+          st.Netsim.World.messages st.Netsim.World.bytes_moved
+          (Netsim.World.now_ms world)
+      end;
+      ok
+    end
+  in
+  match Msql.Mparser.parse_script text with
+  | tls -> List.for_all run tls
+  | exception Msql.Mparser.Error (m, l, c) ->
+      fail (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m)
 
 let repl session ~translate ~stats world =
   print_endline
@@ -54,7 +62,7 @@ let repl session ~translate ~stats world =
     match read_line () with
     | exception End_of_file -> ()
     | line when String.trim line = ";;" ->
-        ignore (process session ~translate ~stats world (Buffer.contents buf));
+        ignore (run_text session ~translate ~stats world (Buffer.contents buf));
         Buffer.clear buf;
         loop ()
     | line ->
@@ -63,36 +71,6 @@ let repl session ~translate ~stats world =
         loop ()
   in
   loop ()
-
-let run_script session ~translate ~stats world path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  if translate then
-    match Msql.Mparser.parse_script text with
-    | exception Msql.Mparser.Error (m, l, c) ->
-        Printf.eprintf "parse error at %d:%d: %s\n%!" l c m;
-        false
-    | _ ->
-        (* translate statement by statement is not possible from the parsed
-           list without re-printing MSQL; run the whole script through the
-           single-statement path instead *)
-        process session ~translate ~stats world text
-  else
-    match M.exec_script session text with
-    | Ok results ->
-        List.iter (fun r -> print_endline (M.result_to_string r)) results;
-        if stats then begin
-          let st = Netsim.World.stats world in
-          Printf.printf "[net: %d messages, %d bytes, clock %.2f ms]\n"
-            st.Netsim.World.messages st.Netsim.World.bytes_moved
-            (Netsim.World.now_ms world)
-        end;
-        true
-    | Error m ->
-        Printf.eprintf "error: %s\n%!" m;
-        false
 
 let main script translate stats trace verbose loss loss_seed =
   if verbose then begin
@@ -112,7 +90,8 @@ let main script translate stats trace verbose loss loss_seed =
   match script with
   | Some path ->
       (* a failed script run must be visible to the calling shell *)
-      if run_script session ~translate ~stats world path then 0 else 1
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      if run_text session ~translate ~stats world text then 0 else 1
   | None ->
       repl session ~translate ~stats world;
       0

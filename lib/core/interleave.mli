@@ -1,8 +1,8 @@
 (** Deterministic interleaving of several sessions' statements against
     shared sites.
 
-    Each participant is one MSQL query or multitransaction executed by
-    its own {!Msession.t} — the sessions must share a
+    Each participant is one MSQL statement executed by its own
+    {!Msession.t} — the sessions must share a
     {!Netsim.World.t} and {!Narada.Directory.t} (see
     [Msession.create ~world ~directory]) so their DOL programs hit the
     same sites. The harness plans every participant with
@@ -22,7 +22,10 @@
 type participant = {
   label : string;  (** name used by {!Script} and in the outcome *)
   session : Msession.t;
-  sql : string;  (** one MSQL query or multitransaction *)
+  sql : string;
+      (** one MSQL statement; one with no DOL program (EXPLAIN, a
+          dictionary or trigger statement) takes no steps and runs at
+          its epilogue *)
 }
 
 type schedule =
@@ -45,8 +48,9 @@ type outcome = (string * (Msession.result, string) result) list
 val run : schedule:schedule -> participant list -> outcome
 (** Plan every participant, interleave their DOL statements under the
     schedule, then run the engine epilogues (in-doubt resolution, split
-    settlement, connection release) in declaration order and interpret
-    each outcome exactly as {!Msession.exec} would. A participant whose
+    settlement, connection release) in declaration order with
+    {!Msession.finish}, which interprets each outcome and fires triggers
+    exactly as {!Msession.exec} would. A participant whose parsing or
     planning fails contributes its error and takes no steps. *)
 
 val round_robin : Msession.prepared list -> unit

@@ -169,7 +169,6 @@ let observe t ev =
   match t.typed_trace with Some f -> f ev | None -> ()
 
 let set_trace_tag t tag = t.trace_tag <- tag
-let trace_tag t = t.trace_tag
 
 let set_retry_policy t p = t.retry <- p
 let last_engine_outcome t = t.last_outcome
@@ -191,8 +190,6 @@ let set_pooling t b =
       t.pool <- None
   | true, Some _ | false, None -> ()
 
-let pooling_enabled t = t.pool <> None
-
 let set_shared_pool t p =
   (* the pool's trace sink stays whatever its owner installed — a
      per-session sink would misattribute other sessions' stale-discard
@@ -208,8 +205,6 @@ let set_domains (_ : t) (_ : int) = ()
 let set_result_cache t b =
   if not b then Hashtbl.reset t.caches.sc_results;
   t.result_cache_on <- b
-
-let result_cache_enabled t = t.result_cache_on
 
 let set_shared_caches t sc =
   t.caches <- sc;
@@ -315,9 +310,6 @@ let note_outcome t = function
       t.last_outcome <- Some outcome;
       Ok outcome
 
-let engine_run t program =
-  note_outcome t (Engine.finish (engine_start t program))
-
 let log_trigger t fmt = Printf.ksprintf (fun m -> t.trigger_log <- m :: t.trigger_log) fmt
 
 (* resolve USE CURRENT: prepend the session scope, newest designations
@@ -383,7 +375,7 @@ let incorporate_stmt t (i : Ast.incorporate) =
         (* declaring an autocommit-only interface for a 2PC engine is
            allowed: the federation then simply never uses PREPARE there *)
         Ad.incorporate t.ad i;
-        Ok ()
+        Ok (Info (Printf.sprintf "service %s incorporated" i.Ast.inc_service))
       end
 
 let incorporate_auto t ~service =
@@ -478,6 +470,33 @@ let import_all t ~service =
           imp_service = service;
           imp_scope = Ast.Import_all;
         }
+
+let create_multidatabase t mdb_name (members : Ast.use_item list) =
+  if Hashtbl.mem t.virtual_dbs (Names.canon mdb_name) then
+    Error (Printf.sprintf "multidatabase %s already exists" mdb_name)
+  else if Gdd.has_database t.gdd mdb_name then
+    Error (Printf.sprintf "%s already names an imported database" mdb_name)
+  else
+    (* members must be importable databases or other virtual dbs *)
+    match
+      List.find_opt
+        (fun (u : Ast.use_item) ->
+          (not (Gdd.has_database t.gdd u.Ast.db))
+          && not (Hashtbl.mem t.virtual_dbs (Names.canon u.Ast.db)))
+        members
+    with
+    | Some u -> Error (Printf.sprintf "unknown member database %s" u.Ast.db)
+    | None ->
+        Hashtbl.replace t.virtual_dbs (Names.canon mdb_name)
+          (expand_virtual t members);
+        Ok (Info (Printf.sprintf "multidatabase %s created" mdb_name))
+
+let drop_multidatabase t name =
+  if Hashtbl.mem t.virtual_dbs (Names.canon name) then begin
+    Hashtbl.remove t.virtual_dbs (Names.canon name);
+    Ok (Info (Printf.sprintf "multidatabase %s dropped" name))
+  end
+  else Error (Printf.sprintf "no multidatabase named %s" name)
 
 (* ---- outcome interpretation -------------------------------------------- *)
 
@@ -684,10 +703,6 @@ let interpret_query t (q : Ast.query) (plan : Plangen.plan)
            elapsed_ms = outcome.Engine.elapsed_ms;
          })
 
-let run_query t (q : Ast.query) =
-  Result.bind (prepare_query t q) (fun (q, { pl_plan = plan; _ }) ->
-      Result.bind (engine_run t plan.Plangen.program) (interpret_query t q plan))
-
 (* ---- multitransactions --------------------------------------------------- *)
 
 (* the multitransaction with every query's virtual databases expanded,
@@ -748,85 +763,6 @@ let interpret_mtx t (mtx : Ast.multitransaction) (plan : Plangen.plan)
     (Mtx_report
        { chosen; incorrect; details; elapsed_ms = outcome.Engine.elapsed_ms })
 
-let run_mtx t (mtx : Ast.multitransaction) =
-  Result.bind (prepare_mtx t mtx) (fun (mtx, plan) ->
-      Result.bind (engine_run t plan.Plangen.program) (interpret_mtx t mtx plan))
-
-(* ---- stepped execution ----------------------------------------------------
-   The interleaving harness runs several sessions' statements against
-   shared sites one engine statement at a time. [prepare_text] runs
-   phases 1-4 (parse through plan generation) and starts a stepped engine
-   run without executing anything; [step] executes one DOL statement;
-   [finish] drains the rest, runs the engine epilogue and interprets the
-   outcome exactly as [run_query]/[run_mtx] would. Triggers do not fire
-   on this path — the harness asserts raw outcomes. *)
-
-type prepared = {
-  p_session : t;
-  p_stepper : Engine.stepper;
-  p_interpret : Engine.outcome -> (result, string) Stdlib.result;
-  p_move_dsts : string list;
-      (* destinations of the program's MOVEs — the sites where it creates
-         shipped temp tables (msql_tmp_<k>, named per plan, not per
-         session), the only sites a retrieval writes to *)
-}
-
-(* MOVE destinations, lowercased, deduplicated and sorted *)
-let program_move_dsts (program : D.program) =
-  let acc = ref [] in
-  let rec stmt = function
-    | D.Move { dst; _ } -> acc := String.lowercase_ascii dst :: !acc
-    | D.Parallel body -> List.iter stmt body
-    | D.If (_, thens, elses) ->
-        List.iter stmt thens;
-        List.iter stmt elses
-    | D.Open _ | D.Close _ | D.Task _ | D.Commit_tasks _ | D.Abort_tasks _
-    | D.Comp _ | D.Set_status _ ->
-        ()
-  in
-  List.iter stmt program;
-  List.sort_uniq String.compare !acc
-
-let prepared_move_dsts p = p.p_move_dsts
-let prepared_session p = p.p_session
-
-let prepare_text t text =
-  let prepared (plan : Plangen.plan) interpret =
-    {
-      p_session = t;
-      p_stepper = engine_start t plan.Plangen.program;
-      p_interpret = interpret plan;
-      p_move_dsts = program_move_dsts plan.Plangen.program;
-    }
-  in
-  let count () =
-    t.metrics.Metrics.statements <- t.metrics.Metrics.statements + 1
-  in
-  match Mparser.parse_toplevel text with
-  | exception Mparser.Error (m, l, c) ->
-      Error (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m)
-  | Ast.Query q ->
-      count ();
-      Result.map
-        (fun (q, p) -> prepared p.pl_plan (interpret_query t q))
-        (prepare_query t q)
-  | Ast.Multitransaction mtx ->
-      count ();
-      Result.map
-        (fun (mtx, plan) -> prepared plan (interpret_mtx t mtx))
-        (prepare_mtx t mtx)
-  | Ast.Explain _ | Ast.Explain_multiple _ | Ast.Incorporate _ | Ast.Import _
-  | Ast.Create_trigger _ | Ast.Drop_trigger _ | Ast.Create_multidatabase _
-  | Ast.Drop_multidatabase _ ->
-      Error "only queries and multitransactions can be stepped"
-
-let step p = Engine.step p.p_stepper
-
-let finish p =
-  match note_outcome p.p_session (Engine.finish p.p_stepper) with
-  | Error m -> Error m
-  | Ok outcome -> p.p_interpret outcome
-
 (* ---- interdatabase triggers -------------------------------------------------- *)
 
 let max_trigger_depth = 4
@@ -842,6 +778,31 @@ let condition_fires t (d : Ast.trigger_def) =
       with
       | rel -> Ok (not (Sqlcore.Relation.is_empty rel))
       | exception Ldbms.Exec.Error m -> Error m)
+
+let create_trigger t (d : Ast.trigger_def) =
+  if Hashtbl.mem t.triggers d.Ast.trg_name then
+    Error (Printf.sprintf "trigger %s already exists" d.Ast.trg_name)
+  else if Narada.Directory.find_opt t.directory d.Ast.trg_db = None then
+    Error
+      (Printf.sprintf "trigger %s monitors unknown service %s" d.Ast.trg_name
+         d.Ast.trg_db)
+  else begin
+    Hashtbl.replace t.triggers d.Ast.trg_name d;
+    (* newest first: O(1) per registration, reversed on read *)
+    t.trigger_order <- d.Ast.trg_name :: t.trigger_order;
+    Ok
+      (Info
+         (Printf.sprintf "trigger %s created on %s" d.Ast.trg_name d.Ast.trg_db))
+  end
+
+let drop_trigger t name =
+  if Hashtbl.mem t.triggers name then begin
+    Hashtbl.remove t.triggers name;
+    t.trigger_order <-
+      List.filter (fun n -> not (String.equal n name)) t.trigger_order;
+    Ok (Info (Printf.sprintf "trigger %s dropped" name))
+  end
+  else Error (Printf.sprintf "no trigger named %s" name)
 
 (* ---- EXPLAIN MULTIPLE -------------------------------------------------- *)
 
@@ -927,9 +888,118 @@ let rec translate_toplevel t = function
   | Ast.Create_multidatabase _ | Ast.Drop_multidatabase _ ->
       Error "dictionary and trigger statements have no DOL translation"
 
-(* ---- entry points ---------------------------------------------------------- *)
+let explain t inner =
+  Result.map
+    (fun prog ->
+      t.metrics.Metrics.explains <- t.metrics.Metrics.explains + 1;
+      Info (Narada.Dol_pp.program_to_string prog))
+    (translate_toplevel t inner)
 
-let rec fire_triggers t result =
+(* ---- statements: prepare → step* → finish ----------------------------------
+   Every top-level statement runs this way, whether a session, the shell,
+   the server or the interleaving harness drives it. [prepare] runs phases
+   2-4 of a query or multitransaction (expansion through plan generation)
+   and starts a stepped engine run without executing anything; [step]
+   executes one DOL statement; [finish] drains the rest, runs the engine
+   epilogue and interprets the outcome. Any other statement takes no
+   steps and runs whole inside [finish]. [finish] memoizes its result, so
+   interpretation, shipped-result invalidation and trigger firing happen
+   once per statement. *)
+
+type prepared = {
+  p_session : t;
+  p_stepper : Engine.stepper option;  (* None: the statement takes no steps *)
+  p_run : unit -> (result, string) Stdlib.result;
+      (* the engine epilogue and interpretation, or the whole statement *)
+  p_move_dsts : string list;
+      (* destinations of the program's MOVEs — the sites where it creates
+         shipped temp tables (msql_tmp_<k>, named per plan, not per
+         session), the only sites a retrieval writes to *)
+  mutable p_result : (result, string) Stdlib.result option;
+}
+
+(* MOVE destinations, lowercased, deduplicated and sorted *)
+let program_move_dsts (program : D.program) =
+  let acc = ref [] in
+  let rec stmt = function
+    | D.Move { dst; _ } -> acc := String.lowercase_ascii dst :: !acc
+    | D.Parallel body -> List.iter stmt body
+    | D.If (_, thens, elses) ->
+        List.iter stmt thens;
+        List.iter stmt elses
+    | D.Open _ | D.Close _ | D.Task _ | D.Commit_tasks _ | D.Abort_tasks _
+    | D.Comp _ | D.Set_status _ ->
+        ()
+  in
+  List.iter stmt program;
+  List.sort_uniq String.compare !acc
+
+let prepared_move_dsts p = p.p_move_dsts
+
+let prepare t tl =
+  t.metrics.Metrics.statements <- t.metrics.Metrics.statements + 1;
+  let stepped (plan : Plangen.plan) interpret =
+    let stepper = engine_start t plan.Plangen.program in
+    {
+      p_session = t;
+      p_stepper = Some stepper;
+      p_run =
+        (fun () ->
+          Result.bind (note_outcome t (Engine.finish stepper)) (interpret plan));
+      p_move_dsts = program_move_dsts plan.Plangen.program;
+      p_result = None;
+    }
+  in
+  let unstepped run =
+    Ok
+      {
+        p_session = t;
+        p_stepper = None;
+        p_run = run;
+        p_move_dsts = [];
+        p_result = None;
+      }
+  in
+  match tl with
+  | Ast.Query q ->
+      Result.map
+        (fun (q, p) -> stepped p.pl_plan (interpret_query t q))
+        (prepare_query t q)
+  | Ast.Multitransaction mtx ->
+      Result.map
+        (fun (mtx, plan) -> stepped plan (interpret_mtx t mtx))
+        (prepare_mtx t mtx)
+  | Ast.Explain inner -> unstepped (fun () -> explain t inner)
+  | Ast.Explain_multiple q -> unstepped (fun () -> explain_multiple t q)
+  | Ast.Create_trigger d -> unstepped (fun () -> create_trigger t d)
+  | Ast.Drop_trigger name -> unstepped (fun () -> drop_trigger t name)
+  | Ast.Create_multidatabase { mdb_name; mdb_members } ->
+      unstepped (fun () -> create_multidatabase t mdb_name mdb_members)
+  | Ast.Drop_multidatabase name ->
+      unstepped (fun () -> drop_multidatabase t name)
+  | Ast.Incorporate i -> unstepped (fun () -> incorporate_stmt t i)
+  | Ast.Import imp ->
+      unstepped (fun () ->
+          Result.map
+            (fun () ->
+              Info
+                (Printf.sprintf "database %s imported from service %s"
+                   imp.Ast.imp_database imp.Ast.imp_service))
+            (import_stmt t imp))
+
+let step p =
+  match p.p_stepper with Some s -> Engine.step s | None -> false
+
+let rec finish p =
+  match p.p_result with
+  | Some r -> r
+  | None ->
+      let r = p.p_run () in
+      p.p_result <- Some r;
+      Result.iter (fire_triggers p.p_session) r;
+      r
+
+and fire_triggers t result =
   match written_dbs result with
   | [] -> ()
   | dbs when t.firing_depth >= max_trigger_depth ->
@@ -956,95 +1026,17 @@ let rec fire_triggers t result =
                 | Error m -> log_trigger t "trigger %s action failed: %s" name m))
         (triggers t)
 
-and exec_toplevel t tl =
-  t.metrics.Metrics.statements <- t.metrics.Metrics.statements + 1;
-  match tl with
-  | Ast.Query q -> (
-      match run_query t q with
-      | Ok r ->
-          fire_triggers t r;
-          Ok r
-      | Error _ as e -> e)
-  | Ast.Multitransaction mtx -> (
-      match run_mtx t mtx with
-      | Ok r ->
-          fire_triggers t r;
-          Ok r
-      | Error _ as e -> e)
-  | Ast.Create_trigger d ->
-      if Hashtbl.mem t.triggers d.Ast.trg_name then
-        Error (Printf.sprintf "trigger %s already exists" d.Ast.trg_name)
-      else if Narada.Directory.find_opt t.directory d.Ast.trg_db = None then
-        Error
-          (Printf.sprintf "trigger %s monitors unknown service %s"
-             d.Ast.trg_name d.Ast.trg_db)
-      else begin
-        Hashtbl.replace t.triggers d.Ast.trg_name d;
-        (* newest first: O(1) per registration, reversed on read *)
-        t.trigger_order <- d.Ast.trg_name :: t.trigger_order;
-        Ok (Info (Printf.sprintf "trigger %s created on %s" d.Ast.trg_name d.Ast.trg_db))
-      end
-  | Ast.Drop_trigger name ->
-      if Hashtbl.mem t.triggers name then begin
-        Hashtbl.remove t.triggers name;
-        t.trigger_order <-
-          List.filter (fun n -> not (String.equal n name)) t.trigger_order;
-        Ok (Info (Printf.sprintf "trigger %s dropped" name))
-      end
-      else Error (Printf.sprintf "no trigger named %s" name)
-  | Ast.Explain inner -> (
-      match translate_toplevel t inner with
-      | Ok prog ->
-          t.metrics.Metrics.explains <- t.metrics.Metrics.explains + 1;
-          Ok (Info (Narada.Dol_pp.program_to_string prog))
-      | Error m -> Error m)
-  | Ast.Explain_multiple q -> explain_multiple t q
-  | Ast.Create_multidatabase { mdb_name; mdb_members } ->
-      if Hashtbl.mem t.virtual_dbs (Names.canon mdb_name) then
-        Error (Printf.sprintf "multidatabase %s already exists" mdb_name)
-      else if Gdd.has_database t.gdd mdb_name then
-        Error
-          (Printf.sprintf "%s already names an imported database" mdb_name)
-      else begin
-        (* members must be importable databases or other virtual dbs *)
-        match
-          List.find_opt
-            (fun (u : Ast.use_item) ->
-              (not (Gdd.has_database t.gdd u.Ast.db))
-              && not (Hashtbl.mem t.virtual_dbs (Names.canon u.Ast.db)))
-            mdb_members
-        with
-        | Some u ->
-            Error (Printf.sprintf "unknown member database %s" u.Ast.db)
-        | None ->
-            Hashtbl.replace t.virtual_dbs (Names.canon mdb_name)
-              (expand_virtual t mdb_members);
-            Ok (Info (Printf.sprintf "multidatabase %s created" mdb_name))
-      end
-  | Ast.Drop_multidatabase name ->
-      if Hashtbl.mem t.virtual_dbs (Names.canon name) then begin
-        Hashtbl.remove t.virtual_dbs (Names.canon name);
-        Ok (Info (Printf.sprintf "multidatabase %s dropped" name))
-      end
-      else Error (Printf.sprintf "no multidatabase named %s" name)
-  | Ast.Incorporate i -> (
-      match incorporate_stmt t i with
-      | Ok () -> Ok (Info (Printf.sprintf "service %s incorporated" i.Ast.inc_service))
-      | Error m -> Error m)
-  | Ast.Import imp -> (
-      match import_stmt t imp with
-      | Ok () ->
-          Ok
-            (Info
-               (Printf.sprintf "database %s imported from service %s"
-                  imp.Ast.imp_database imp.Ast.imp_service))
-      | Error m -> Error m)
+and exec_toplevel t tl = Result.bind (prepare t tl) finish
 
-let exec t text =
+let parse text =
   match Mparser.parse_toplevel text with
-  | tl -> exec_toplevel t tl
+  | tl -> Ok tl
   | exception Mparser.Error (m, l, c) ->
       Error (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m)
+
+let prepare_text t text = Result.bind (parse text) (prepare t)
+
+let exec t text = Result.bind (parse text) (exec_toplevel t)
 
 let exec_script t text =
   match Mparser.parse_script text with
@@ -1060,11 +1052,7 @@ let exec_script t text =
       in
       go [] tls
 
-let translate t text =
-  match Mparser.parse_toplevel text with
-  | exception Mparser.Error (m, l, c) ->
-      Error (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m)
-  | tl -> translate_toplevel t tl
+let translate t text = Result.bind (parse text) (translate_toplevel t)
 
 (* ---- printing ---------------------------------------------------------------- *)
 

@@ -37,7 +37,9 @@ type result =
       details : db_report list;
       elapsed_ms : float;
     }
-  | Info of string  (** INCORPORATE / IMPORT acknowledgement *)
+  | Info of string
+      (** EXPLAIN output, or a dictionary or trigger statement's
+          acknowledgement *)
 
 type cache_stats = Metrics.cache_stats = {
   pool_hits : int;  (** OPENs served by an idle pooled connection *)
@@ -84,6 +86,9 @@ val import_all : t -> service:string -> (unit, string) Stdlib.result
 (** IMPORT DATABASE <service's db> FROM SERVICE <service>. *)
 
 val exec_toplevel : t -> Ast.toplevel -> (result, string) Stdlib.result
+(** Run one parsed statement down the stepped path: prepare it as
+    {!prepare_text} does, then {!finish} it. *)
+
 val exec : t -> string -> (result, string) Stdlib.result
 (** Parse and execute one top-level MSQL statement. *)
 
@@ -95,36 +100,39 @@ val translate : t -> string -> (Narada.Dol_ast.program, string) Stdlib.result
     cache, so the plan counts in {!metrics} (a multitransaction in
     [plans_mtx]) and a query persists its effective scope. *)
 
-val run_query : t -> Ast.query -> (result, string) Stdlib.result
-val run_mtx : t -> Ast.multitransaction -> (result, string) Stdlib.result
-
 (** {2 Stepped execution}
 
-    The interleaving harness ({!Interleave}) runs several sessions'
-    statements against shared sites one DOL statement at a time, under a
-    deterministic schedule. {!prepare_text} runs phases 1–4 of the
-    pipeline (parse → expansion → decomposition → plan generation) and
-    starts a stepped engine run without executing anything; each {!step}
-    executes one top-level DOL statement; {!finish} drains whatever
-    remains, runs the engine epilogue (in-doubt resolution, split
-    settlement, connection release) and interprets the outcome exactly
-    as {!exec} would. Interdatabase triggers do {e not} fire on this
-    path. *)
+    Every statement runs as [prepare → step* → finish], whether {!exec},
+    the shell, the server or the interleaving harness ({!Interleave})
+    drives it; the last two step several sessions' statements against
+    shared sites one DOL statement at a time, under a deterministic
+    schedule. For a query or multitransaction, {!prepare_text} runs
+    phases 1–4 of the pipeline (expansion → decomposition → plan generation)
+    and starts a stepped engine run without executing anything; each
+    {!step} executes one top-level DOL statement; {!finish} drains
+    whatever remains, runs the engine epilogue (in-doubt resolution,
+    split settlement, connection release), interprets the outcome and
+    fires the interdatabase triggers the statement's writes wake. Any
+    other statement (EXPLAIN, dictionary and trigger statements) takes
+    no steps and runs whole inside {!finish}. *)
 
 type prepared
 
 val prepare_text : t -> string -> (prepared, string) Stdlib.result
-(** Plan one MSQL query or multitransaction for stepped execution.
-    Statements with no DOL translation (EXPLAIN, dictionary and trigger
-    statements) are rejected. *)
+(** Parse one statement and prepare it for stepped execution. Parse
+    errors and a query's or multitransaction's planning errors are
+    returned here; any other statement reports its errors from
+    {!finish}. *)
 
 val step : prepared -> bool
 (** Execute the next DOL statement; [false] when the program is
-    exhausted and only {!finish} remains (see {!Narada.Engine.step}). *)
+    exhausted and only {!finish} remains (see {!Narada.Engine.step}),
+    and at once for a statement that takes no steps. *)
 
 val finish : prepared -> (result, string) Stdlib.result
-(** Drain remaining statements, run the epilogue and interpret the
-    outcome. Idempotent at the engine level; interpret runs per call. *)
+(** Drain remaining statements, run the epilogue, interpret the outcome
+    and fire triggers. Memoized: a second call returns the first
+    result and runs nothing. *)
 
 val prepared_move_dsts : prepared -> string list
 (** The services the program's MOVEs ship into — where it creates
@@ -132,8 +140,6 @@ val prepared_move_dsts : prepared -> string list
     Empty for single-database statements and replicated updates. The
     server's scheduler refuses to interleave two statements whose
     MOVE destinations intersect: their temp-table names would collide. *)
-
-val prepared_session : prepared -> t
 
 val set_typed_trace : t -> (Narada.Trace.event -> unit) option -> unit
 (** Install a trace sink: every DOL engine coordination event of
@@ -150,8 +156,6 @@ val set_trace_tag : t -> string option -> unit
     {!Narada.Trace.render} ignores tags — the textual trace is
     unchanged. *)
 
-val trace_tag : t -> string option
-
 val metrics : t -> Metrics.t
 (** The session's metrics registry: planning counters bumped by the
     pipeline, engine counters folded from the typed trace stream and the
@@ -160,15 +164,6 @@ val metrics : t -> Metrics.t
 val metrics_json : t -> string
 (** {!Metrics.to_json} of the registry against the session's world and
     {!cache_stats} — one self-contained JSON document. *)
-
-val explain_multiple : t -> Ast.query -> (result, string) Stdlib.result
-(** [EXPLAIN MULTIPLE <query>]: plan the query exactly as execution
-    would — phases 1–4 (scope resolution, expansion, decomposition with
-    the semijoin cost decision, DOL plan generation), through the plan
-    cache — and return an [Info] rendering the planning record phase by
-    phase, without executing anything: the world's clock and message
-    counters do not move. Like execution, it persists the effective
-    scope and counts the plan in {!metrics}. *)
 
 val set_retry_policy : t -> Narada.Retry_policy.t option -> unit
 (** Override the retry policy applied to every LAM operation of
@@ -220,8 +215,6 @@ val set_pooling : t -> bool -> unit
     idle, orphaned transaction) are validated out at checkout. Disabling
     drains the pool. *)
 
-val pooling_enabled : t -> bool
-
 val set_shared_pool : t -> Narada.Pool.t -> unit
 (** Attach a pool owned by someone else (the server): OPEN/CLOSE check
     out of and into it like {!set_pooling}, but the session never drains
@@ -263,8 +256,6 @@ val set_result_cache : t -> bool -> unit
     update reports affected rows against their source or destination
     database, and on any dictionary change. Disabling empties the
     shipped-result table of the session's cache block. *)
-
-val result_cache_enabled : t -> bool
 
 val cache_stats : t -> cache_stats
 (** Hit/miss counters of the pool, plan and shipped-result caches (zeros

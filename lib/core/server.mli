@@ -12,6 +12,13 @@
       which every member session uses in place of its private block, so
       one session's planning warms the others.
 
+    A member session runs every statement kind a single session does,
+    down the same {!Msession.prepare_text} → {!Msession.step} →
+    {!Msession.finish} path as {!Msession.exec}: EXPLAIN, dictionary,
+    multidatabase and trigger statements take no steps and run at
+    finish, and a statement's writes fire that session's interdatabase
+    triggers. Multidatabases and triggers are per session.
+
     Scheduling is a synchronous {e wave} loop ({!step_round}): each
     round admits at most one statement per session in connect order —
     per-session fairness at statement granularity — then partitions the

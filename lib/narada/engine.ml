@@ -500,6 +500,18 @@ let settle_splits st =
       end)
     (Recovery_log.unresolved st.rlog)
 
+(* Close one held connection. Presumed abort: prepared work with no
+   surviving decision entry is rolled back by the site once the session
+   ends. *)
+let close_alias st alias lam =
+  (if Recovery_log.unresolved_for_alias st.rlog alias = [] then
+     match Ldbms.Session.txn_state (Lam.session lam) with
+     | Some Ldbms.Txn.Prepared ->
+         ignore (Ldbms.Session.rollback (Lam.session lam))
+     | Some _ | None -> ());
+  release st lam;
+  tell st (Trace.Closed { alias })
+
 (* ---- statement dispatch --------------------------------------------------- *)
 
 let rec collect_comps acc = function
@@ -560,15 +572,7 @@ let rec exec_stmt st = function
               (* settle this connection's in-doubt transactions while the
                  program still holds it open *)
               resolve_alias st alias;
-              (* presumed abort: prepared work with no surviving decision
-                 is rolled back by the site once the session ends *)
-              (if Recovery_log.unresolved_for_alias st.rlog alias = [] then
-                 match Ldbms.Session.txn_state (Lam.session lam) with
-                 | Some Ldbms.Txn.Prepared ->
-                     ignore (Ldbms.Session.rollback (Lam.session lam))
-                 | Some _ | None -> ());
-              release st lam;
-              tell st (Trace.Closed { alias });
+              close_alias st alias lam;
               Hashtbl.remove st.aliases (akey alias)
           | Some (Unavailable _) -> Hashtbl.remove st.aliases (akey alias)
           | None -> err "CLOSE of unopened alias %s" alias)
@@ -621,24 +625,16 @@ let rec exec_stmt st = function
       tell st (Trace.Dolstatus n);
       st.dolstatus <- n
 
-(* Release every connection the program still holds, rolling back prepared
-   work whose verdict is settled by presumed abort (no surviving decision
-   entry). This is the epilogue of a normal run, but it must also run when
-   the program dies on a [Program_error]: connections checked out of the
-   pool before the faulty statement would otherwise never be checked back
-   in, and their transactions never settled. *)
+(* Release every connection the program still holds. This is the epilogue
+   of a normal run, but it must also run when the program dies on a
+   [Program_error]: connections checked out of the pool before the faulty
+   statement would otherwise never be checked back in, and their
+   transactions never settled. *)
 let release_all st =
   Hashtbl.iter
     (fun alias conn ->
       match conn with
-      | Available lam ->
-          (if Recovery_log.unresolved_for_alias st.rlog alias = [] then
-             match Ldbms.Session.txn_state (Lam.session lam) with
-             | Some Ldbms.Txn.Prepared ->
-                 ignore (Ldbms.Session.rollback (Lam.session lam))
-             | Some _ | None -> ());
-          release st lam;
-          tell st (Trace.Closed { alias })
+      | Available lam -> close_alias st alias lam
       | Unavailable _ -> ())
     st.aliases;
   Hashtbl.reset st.aliases

@@ -428,17 +428,30 @@ let test_script_unknown_label () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for an unknown label"
 
-let test_prepare_rejects_non_steppable () =
-  let fx = F.make () in
-  (match
-     M.prepare_text fx.F.session
-       "EXPLAIN MULTIPLE USE continental SELECT flnu FROM flights"
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "EXPLAIN must not be steppable");
-  match M.prepare_text fx.F.session "IMPORT DATABASE x FROM SERVICE y" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "dictionary statements must not be steppable"
+(* a statement with no DOL program takes no steps and runs whole in
+   [finish], with the result [exec] gives on a fresh fixture *)
+let test_unstepped_statements () =
+  List.iter
+    (fun sql ->
+      let fx = F.make () in
+      let stepped =
+        match M.prepare_text fx.F.session sql with
+        | Error m -> Alcotest.fail m
+        | Ok prep ->
+            Alcotest.(check bool) (sql ^ ": no step") false (M.step prep);
+            M.finish prep
+      in
+      let expected = M.exec (F.make ()).F.session sql in
+      let show = function
+        | Ok r -> "ok: " ^ M.result_to_string r
+        | Error m -> "error: " ^ m
+      in
+      Alcotest.(check string) sql (show expected) (show stepped))
+    [
+      "EXPLAIN MULTIPLE USE continental SELECT flnu FROM flights";
+      "IMPORT DATABASE avis FROM SERVICE avis";
+      "IMPORT DATABASE x FROM SERVICE y";
+    ]
 
 let () =
   Alcotest.run "interleave"
@@ -467,7 +480,7 @@ let () =
         [
           Alcotest.test_case "unknown script label" `Quick
             test_script_unknown_label;
-          Alcotest.test_case "non-steppable statements rejected" `Quick
-            test_prepare_rejects_non_steppable;
+          Alcotest.test_case "unstepped statements run in finish" `Quick
+            test_unstepped_statements;
         ] );
     ]

@@ -399,6 +399,54 @@ let test_pool_conflict_requeue () =
     (Narada.Pool.checked_out (S.pool srv) "continental");
   ignore s1
 
+(* ---- statement parity ------------------------------------------------- *)
+
+(* the shell's admin.msql plus one EXPLAIN, one statement per line: every
+   statement kind runs through a server session as it runs in a single
+   session, and the session's triggers fire *)
+let admin_statements =
+  [
+    "CREATE MULTIDATABASE rentals AS avis national";
+    "USE rentals LET car.status BE cars.carst vehicle.vstat SELECT %code \
+     FROM car WHERE status = 'available'";
+    "CREATE TRIGGER pricewatch ON avis WHEN SELECT code FROM cars WHERE \
+     rate > 100 DO USE national UPDATE vehicle SET vstat = 'available' \
+     WHERE vstat = 'rented'";
+    "USE avis UPDATE cars SET rate = rate * 3 WHERE carst = 'available'";
+    "USE national SELECT vcode, vstat FROM vehicle";
+    "EXPLAIN USE continental VITAL united VITAL UPDATE flight% SET rate% = \
+     rate% * 2";
+  ]
+
+let test_statement_parity () =
+  let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
+  let c = hello srv in
+  let comps =
+    List.concat_map
+      (fun sql ->
+        Alcotest.(check (list string)) "accepted" [] (W.on_line c ("STMT " ^ sql));
+        S.drain srv)
+      admin_statements
+  in
+  (* the reference session shares nothing, so give it the same reuse
+     layers a server member has: a pool and the shipped-result cache *)
+  let reference = (F.make ()).F.session in
+  M.set_pooling reference true;
+  M.set_result_cache reference true;
+  Alcotest.(check int) "one completion per statement"
+    (List.length admin_statements) (List.length comps);
+  List.iter2
+    (fun sql comp ->
+      Alcotest.(check string) sql
+        (W.completion_line { comp with S.c_result = M.exec reference sql })
+        (W.completion_line comp))
+    admin_statements comps;
+  let member = Option.get (S.session srv 1) in
+  Alcotest.(check bool) "trigger fired in the member session" true
+    (List.exists
+       (fun m -> contains m "pricewatch fired")
+       (M.trigger_log member))
+
 let () =
   Alcotest.run "server"
     [
@@ -424,6 +472,8 @@ let () =
             test_server_matches_interleave;
           Alcotest.test_case "MOVE temp names never share a group" `Quick
             test_move_temp_names_partitioned;
+          Alcotest.test_case "every statement kind matches a session" `Quick
+            test_statement_parity;
         ] );
       ( "sharing",
         [

@@ -141,6 +141,36 @@ let test_fires_after_multitransaction () =
        (fun row -> Value.equal row.(6) (Value.Str "notified"))
        (Relation.rows cars))
 
+(* the stepped path fires triggers too, and a repeated [finish] neither
+   re-interprets nor fires again *)
+let test_fires_on_stepped_path () =
+  let fx = F.make () in
+  ignore (exec fx make_trigger);
+  let prep =
+    match
+      M.prepare_text fx.F.session
+        "USE avis UPDATE cars SET rate = rate * 3 WHERE carst = 'available'"
+    with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let first = M.finish prep in
+  let fired () =
+    List.length
+      (List.filter
+         (fun m -> Astring_contains.contains m "restock fired")
+         (M.trigger_log fx.F.session))
+  in
+  Alcotest.(check int) "fired once" 1 (fired ());
+  let second = M.finish prep in
+  Alcotest.(check bool) "same result" true (first == second);
+  Alcotest.(check int) "no second firing" 1 (fired ());
+  let vehicles = F.scan fx ~db:"national" ~table:"vehicle" in
+  Alcotest.(check bool) "national restocked" true
+    (List.for_all
+       (fun row -> Value.equal row.(2) (Value.Str "available"))
+       (Relation.rows vehicles))
+
 let () =
   Alcotest.run "triggers"
     [
@@ -159,5 +189,7 @@ let () =
           Alcotest.test_case "cascade limit" `Quick test_cascade_depth_limit;
           Alcotest.test_case "action failure" `Quick test_trigger_action_failure_logged;
           Alcotest.test_case "after mtx" `Quick test_fires_after_multitransaction;
+          Alcotest.test_case "stepped path, once" `Quick
+            test_fires_on_stepped_path;
         ] );
     ]
