@@ -5,10 +5,17 @@
    window — and measures how often the multiple update still commits, how
    often it degrades to a clean abort, and how often the vital set splits.
    A second sweep compares Retry_policy.none against the default policy to
-   price the retry overhead.
+   price the retry overhead. Two sweeps of seeded local failures follow:
+   P7, the outcome distribution of the vital update (all-2PC vs an
+   autocommit site with a COMP), and P8, the availability that function
+   replication buys a stream of multitransactions (§3.4).
 
    Everything is virtual-time deterministic: trial k of a configuration
-   always replays identically. Results go to BENCH_robustness.json.
+   always replays identically. Results go to BENCH_robustness.json. The
+   binary exits nonzero if an interleaved trial ends in no serial order,
+   if the interleaving sweep saw no write-write conflict, if a P7 or P8
+   configuration does not succeed every time without failures, or if
+   replication ever lowers P8 availability.
 
    Run with:  dune exec bench/chaos.exe *)
 
@@ -20,10 +27,12 @@ let e3 = {|USE continental VITAL delta united VITAL
 UPDATE flight% SET rate% = rate% * 1.1
 WHERE sour% = 'Houston' AND dest% = 'San Antonio'|}
 
-let e4 = e3 ^ {|
+let comp_continental = {|
 COMP continental
 UPDATE flights SET rate = rate / 1.1
-WHERE source = 'Houston' AND destination = 'San Antonio'
+WHERE source = 'Houston' AND destination = 'San Antonio'|}
+
+let e4 = e3 ^ comp_continental ^ {|
 COMP united
 UPDATE flight SET rt = rt / 1.1
 WHERE sour = 'Houston' AND dest = 'San Antonio'|}
@@ -229,6 +238,82 @@ let json_of_interleave ~label (t : itally) =
     label t.i_success t.i_aborted t.i_incorrect t.i_conflicts
     t.i_conflict_retries t.i_conflict_aborts t.i_snapshots
 
+(* ---- P7: outcome distribution under random local failures -------------
+
+   Stresses the vital-set guarantee of §3.2.1: with failures injected at
+   every point (execute/prepare/commit) with probability p, how often does
+   each outcome occur? The all-2PC run is E3; the COMP run is E3 with
+   continental made autocommit and compensated. "Incorrect" requires a
+   second-phase failure window, so it stays rare even as aborts soar. *)
+
+let p7_trials = 200
+let p7_probs = [ 0.0; 0.05; 0.1; 0.2; 0.4 ]
+
+(* fail every execute/prepare/commit of database i of [dbs] with
+   probability [prob], drawn from a PRNG seeded with [seed i] *)
+let inject_random fx dbs ~seed ~prob =
+  List.iteri
+    (fun i db ->
+      Ldbms.Failure_injector.set_random
+        (Narada.Directory.find fx.F.directory db).Narada.Service.injector
+        ~seed:(seed i) ~prob)
+    dbs
+
+(* success, aborted, incorrect over [p7_trials] seeded trials *)
+let p7_count ~caps ~sql ~prob =
+  let s = ref 0 and a = ref 0 and i = ref 0 in
+  for trial = 1 to p7_trials do
+    let fx = F.make ~caps () in
+    inject_random fx [ "continental"; "delta"; "united" ]
+      ~seed:(fun k -> (trial * 31) + k) ~prob;
+    match M.exec fx.F.session sql with
+    | Ok (M.Update_report { outcome = M.Success; _ }) -> incr s
+    | Ok (M.Update_report { outcome = M.Aborted; _ }) -> incr a
+    | Ok (M.Update_report { outcome = M.Incorrect; _ }) -> incr i
+    | Ok _ | Error _ -> ()
+  done;
+  (!s, !a, !i)
+
+(* ---- P8: function replication availability (§3.4 motivation) ----------
+
+   A stream of booking multitransactions, each able to run its update on
+   either of two airlines (function replication, acceptable states
+   [first] [second]) versus a baseline allowed only the first airline.
+   As local failures rise, replication converts failures into fallbacks. *)
+
+let p8_txns = 100
+let p8_probs = [ 0.0; 0.1; 0.3; 0.5 ]
+
+(* the booking update over [dbs], one acceptable state per database *)
+let p8_mtx dbs =
+  Printf.sprintf
+    "BEGIN MULTITRANSACTION\n\
+    \  USE %s\n\
+    \  UPDATE flights SET rate = rate + 1 WHERE source = 'Houston';\n\
+     COMMIT\n\
+     %sEND MULTITRANSACTION"
+    (String.concat " " dbs)
+    (String.concat "" (List.map (Printf.sprintf "  %s\n") dbs))
+
+(* first, fallback, failed over [p8_txns] multitransactions *)
+let p8_run ~replicated ~prob =
+  let fx = F.airline_fleet ~n:4 ~flights_per_db:40 () in
+  let rng = Random.State.make [| 2026 |] in
+  inject_random fx [ "airline1"; "airline2"; "airline3"; "airline4" ]
+    ~seed:(fun i -> 1000 + i) ~prob;
+  let first = ref 0 and fallback = ref 0 and failed = ref 0 in
+  for _ = 1 to p8_txns do
+    let a = 1 + Random.State.int rng 4 in
+    let b = 1 + ((a + Random.State.int rng 3) mod 4) in
+    let dbs = if replicated then [ a; b ] else [ a ] in
+    let sql = p8_mtx (List.map (Printf.sprintf "airline%d") dbs) in
+    match M.exec fx.F.session sql with
+    | Ok (M.Mtx_report { chosen = Some 0; _ }) -> incr first
+    | Ok (M.Mtx_report { chosen = Some _; _ }) -> incr fallback
+    | Ok _ | Error _ -> incr failed
+  done;
+  (!first, !fallback, !failed)
+
 let () =
   let out = ref [] in
   let add s = out := s :: !out in
@@ -331,28 +416,100 @@ let () =
   sweep ~label:"round robin" ~schedules:[ `Round_robin ];
   sweep ~label:"seeded 1-8"
     ~schedules:(List.init 8 (fun k -> `Seeded (k + 1)));
+  (* P7: outcome distribution under random local failures *)
+  Printf.printf "%s\nP7: outcome distribution vs failure probability (%d trials each)\n%s\n"
+    line p7_trials line;
+  Printf.printf "%-8s | %-29s | %-29s\n" "" "all-2PC" "autocommit+COMP";
+  Printf.printf "%-8s | %-9s %-9s %-9s | %-9s %-9s %-9s\n" "p(fail)" "success"
+    "aborted" "INCORRECT" "success" "aborted" "INCORRECT";
+  let p7 =
+    List.map
+      (fun prob ->
+        let ((s1, a1, i1) as two_pc) = p7_count ~caps:[] ~sql:e3 ~prob in
+        let ((s2, a2, i2) as comp) =
+          p7_count ~caps:[ ("continental", Ldbms.Capabilities.sybase_like) ]
+            ~sql:(e3 ^ comp_continental) ~prob
+        in
+        Printf.printf "%-8.2f | %-9d %-9d %-9d | %-9d %-9d %-9d\n" prob s1 a1 i1
+          s2 a2 i2;
+        (prob, two_pc, comp))
+      p7_probs
+  in
+  (* P8: function replication availability *)
+  Printf.printf "%s\nP8: function replication under failures (%d multitransactions)\n%s\n"
+    line p8_txns line;
+  Printf.printf "%-8s | %-29s | %-18s\n" "" "replicated" "single";
+  Printf.printf "%-8s | %-10s %-10s %-7s | %-10s %-7s\n" "p(fail)" "first"
+    "fallback" "failed" "committed" "failed";
+  let p8 =
+    List.map
+      (fun prob ->
+        let ((f1, fb, fl) as replicated) = p8_run ~replicated:true ~prob in
+        let ((s1, _, sfl) as single) = p8_run ~replicated:false ~prob in
+        Printf.printf "%-8.2f | %-10d %-10d %-7d | %-10d %-7d\n" prob f1 fb fl s1
+          sfl;
+        (prob, replicated, single))
+      p8_probs
+  in
+  let p7_json (prob, (s1, a1, i1), (s2, a2, i2)) =
+    Printf.sprintf
+      {|      { "p_fail": %.2f,
+        "all_2pc": { "success": %d, "aborted": %d, "incorrect": %d },
+        "comp": { "success": %d, "aborted": %d, "incorrect": %d } }|}
+      prob s1 a1 i1 s2 a2 i2
+  in
+  let p8_json (prob, (f1, fb, fl), (s1, _, sfl)) =
+    Printf.sprintf
+      {|      { "p_fail": %.2f,
+        "replicated": { "first": %d, "fallback": %d, "failed": %d },
+        "single": { "committed": %d, "failed": %d } }|}
+      prob f1 fb fl s1 sfl
+  in
   let oc = open_out "BENCH_robustness.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"e4-vital-update-chaos\",\n  \"trials_per_config\": %d,\n  \"configs\": [\n%s\n  ]\n}\n"
+  Printf.fprintf oc
+    "{\n  \"experiment\": \"e4-vital-update-chaos\",\n  \"trials_per_config\": %d,\n  \"configs\": [\n%s\n  ],\n\
+    \  \"p7_outcome_distribution\": {\n    \"trials\": %d,\n    \"rows\": [\n%s\n    ]\n  },\n\
+    \  \"p8_function_replication\": {\n    \"multitransactions\": %d,\n    \"rows\": [\n%s\n    ]\n  }\n}\n"
     trials
-    (String.concat ",\n" (List.rev !out));
+    (String.concat ",\n" (List.rev !out))
+    p7_trials (String.concat ",\n" (List.map p7_json p7))
+    p8_txns (String.concat ",\n" (List.map p8_json p8));
   close_out oc;
   Printf.printf "%s\nwrote BENCH_robustness.json\n" line;
+  let fail fmt =
+    Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt
+  in
   (* the sweep is only meaningful if the MVCC machinery actually fired:
      a silent zero here would mean conflicts are no longer detected *)
-  if grand.i_incorrect > 0 then begin
-    Printf.eprintf
-      "FAIL: %d interleaved trial(s) ended in a non-serial-equivalent state\n"
+  if grand.i_incorrect > 0 then
+    fail "%d interleaved trial(s) ended in a non-serial-equivalent state"
       grand.i_incorrect;
-    exit 1
-  end;
-  if grand.i_conflicts = 0 || grand.i_conflict_aborts = 0 then begin
-    Printf.eprintf
-      "FAIL: interleaving sweep exercised no write-write conflicts \
-       (conflicts=%d, conflict_aborts=%d)\n"
+  if grand.i_conflicts = 0 || grand.i_conflict_aborts = 0 then
+    fail
+      "interleaving sweep exercised no write-write conflicts \
+       (conflicts=%d, conflict_aborts=%d)"
       grand.i_conflicts grand.i_conflict_aborts;
-    exit 1
-  end;
   Printf.printf
     "interleaving sweep: %d conflicts, %d conflict retries, %d conflict aborts, %d snapshots\n"
     grand.i_conflicts grand.i_conflict_retries grand.i_conflict_aborts
-    grand.i_snapshots
+    grand.i_snapshots;
+  (* without failures every configuration must succeed every time *)
+  List.iter
+    (fun (prob, (s1, _, _), (s2, _, _)) ->
+      if prob = 0.0 && (s1 <> p7_trials || s2 <> p7_trials) then
+        fail "P7 at p=0: %d (all-2PC) and %d (COMP) of %d trials succeeded" s1
+          s2 p7_trials)
+    p7;
+  (* §3.4: replication must never lower availability, whatever p *)
+  List.iter
+    (fun (prob, (f1, fb, _), (s1, _, _)) ->
+      if prob = 0.0 && (f1 + fb <> p8_txns || s1 <> p8_txns) then
+        fail "P8 at p=0: %d (replicated) and %d (single) of %d committed"
+          (f1 + fb) s1 p8_txns;
+      if f1 + fb < s1 then
+        fail "P8 at p=%.2f: replicated availability %d < single-replica %d" prob
+          (f1 + fb) s1)
+    p8;
+  Printf.printf
+    "P7/P8 gates passed: every configuration succeeds at p=0; replicated \
+     availability >= single-replica at every p\n"

@@ -275,11 +275,11 @@ let rewrite_stmt ctx (stmt : S.stmt) : S.stmt list =
           List.map2 (fun r (name, schema) -> (r, name, schema)) q.S.from combo
         in
         match rewrite_select_resolved ctx [] q resolved with
-        | q' -> Some (S.Select q')
-        | exception Not_pertinent _ -> None
+        | q' -> Either.Left (S.Select q')
+        | exception Not_pertinent m -> Either.Right m
       in
-      let stmts = List.filter_map for_combo combos in
-      if stmts = [] then skip "no pertinent combination in %s" ctx.db else stmts
+      let stmts, reasons = List.partition_map for_combo combos in
+      if stmts = [] then skip "%s" (String.concat "; " reasons) else stmts
   | S.Update { table; assignments; where } ->
       rewrite_dml_target ctx table
       |> List.map (fun (tname, schema) ->
@@ -492,10 +492,11 @@ let expand gdd (q : Ast.query) : expansion =
         { db = u.Ast.db; gdd; subst = substitution_for gdd ~db:u.Ast.db q.Ast.lets }
       in
       match rewrite_stmt ctx q.Ast.body with
-      | stmts -> Some { edb = u.Ast.db; use = u; stmts }
-      | exception Not_pertinent _ -> None
+      | stmts -> Either.Left { edb = u.Ast.db; use = u; stmts }
+      | exception Not_pertinent m -> Either.Right m
     in
-    let elems = List.filter_map per_db q.Ast.scope in
+    let elems, reasons = List.partition_map per_db q.Ast.scope in
     if elems = [] then
-      err "query is not pertinent for any database in its scope"
+      err "query is not pertinent for any database in its scope: %s"
+        (String.concat "; " reasons)
     else Replicated elems

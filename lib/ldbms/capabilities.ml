@@ -34,11 +34,6 @@ let sybase_like =
   make ~commit_mode:Autocommit ~ddl_behavior:Ddl_autocommits ~create_commits:true
     ~insert_commits:true ~drop_commits:true "sybase-like"
 
-let basic_autocommit =
-  make ~connect_mode:No_connect ~commit_mode:Autocommit
-    ~ddl_behavior:Ddl_autocommits ~create_commits:true ~insert_commits:true
-    ~drop_commits:true "basic-autocommit"
-
 let pp ppf t =
   Format.fprintf ppf "%s(%s,%s,%s)" t.engine_name
     (match t.connect_mode with Connect -> "connect" | No_connect -> "noconnect")

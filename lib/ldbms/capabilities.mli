@@ -57,7 +57,4 @@ val sybase_like : t
 (** Autocommit-only engine: no prepared state; the vital-set machinery must
     fall back to compensation (§3.3). *)
 
-val basic_autocommit : t
-(** Minimal single-database autocommit engine ([No_connect]). *)
-
 val pp : Format.formatter -> t -> unit

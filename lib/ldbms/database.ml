@@ -110,10 +110,6 @@ let drop_view t n =
 
 let restore_view t ~name q = Hashtbl.replace t.views (key name) (name, q)
 
-let view_names t =
-  Hashtbl.fold (fun _ (name, _) acc -> name :: acc) t.views []
-  |> List.sort Sqlcore.Names.compare
-
 let create_index t ~name ~table ~column =
   if Hashtbl.mem t.indexes (key name) then raise (Index_exists name);
   let tbl = find_table t table in
@@ -138,6 +134,3 @@ let has_index t ~table ~column =
       acc
       || (Sqlcore.Names.equal tb table && Sqlcore.Names.equal col column))
     t.indexes false
-
-let index_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.indexes [] |> List.sort String.compare

@@ -78,7 +78,6 @@ val drop_view : t -> string -> Sqlfront.Ast.select
 
 val restore_view : t -> name:string -> Sqlfront.Ast.select -> unit
 val find_view_opt : t -> string -> Sqlfront.Ast.select option
-val view_names : t -> string list
 
 (** {2 Indexes}
 
@@ -98,4 +97,3 @@ val drop_index : t -> string -> string * string
 
 val restore_index : t -> name:string -> table:string -> column:string -> unit
 val has_index : t -> table:string -> column:string -> bool
-val index_names : t -> string list

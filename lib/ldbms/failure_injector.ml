@@ -43,8 +43,6 @@ let point_to_string = function
   | At_prepare -> "prepare"
   | At_commit -> "commit"
 
-let kind_to_string = function Transient -> "transient" | Fatal -> "fatal"
-
 (* The session layer reports injected failures as strings; this prefix is
    the in-band marker retry policies use to recognize a retryable local
    failure (the moral equivalent of SQLSTATE 40001). *)

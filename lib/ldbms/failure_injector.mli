@@ -43,7 +43,6 @@ val fires_kind : t -> point -> kind option
 (** Like {!fires} but reports the kind of the injected failure. *)
 
 val point_to_string : point -> string
-val kind_to_string : kind -> string
 
 val transient_marker : string
 (** Prefix of error messages produced by transient injected failures. *)

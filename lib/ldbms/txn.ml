@@ -81,8 +81,6 @@ let stage t tbl ~op rows =
   | Some it -> it.it_rows <- rows
   | None -> t.intents <- { it_table = tbl; it_rows = rows } :: t.intents
 
-let written_tables t = List.rev_map (fun it -> Table.name it.it_table) t.intents
-
 let log_create t db name =
   check_modifiable t;
   t.undo <- (fun () -> ignore (Database.drop_table db name)) :: t.undo
@@ -163,8 +161,3 @@ let rollback t =
 
 let is_finished t = match t.state with Committed | Aborted -> true | Active | Prepared -> false
 
-let state_to_string = function
-  | Active -> "active"
-  | Prepared -> "prepared"
-  | Committed -> "committed"
-  | Aborted -> "aborted"

@@ -47,9 +47,6 @@ val stage : t -> Table.t -> op:string -> Sqlcore.Row.t list -> unit
     after the snapshot or another transaction holds a prepare
     reservation. *)
 
-val written_tables : t -> string list
-(** Names of tables with staged intents, in staging order. *)
-
 val log_create : t -> Database.t -> string -> unit
 (** Record that the transaction created the named table. *)
 
@@ -78,4 +75,3 @@ val rollback : t -> unit
     reverse order, and releases the snapshot and reservations. *)
 
 val is_finished : t -> bool
-val state_to_string : state -> string

@@ -60,5 +60,3 @@ let program_to_string prog =
   List.iter (emit_stmt buf 2) prog;
   Buffer.add_string buf "DOLEND\n";
   Buffer.contents buf
-
-let pp_program ppf prog = Format.pp_print_string ppf (program_to_string prog)

@@ -2,5 +2,4 @@
     §4.3 listing. Output round-trips through {!Dol_parser}. *)
 
 val program_to_string : Dol_ast.program -> string
-val pp_program : Format.formatter -> Dol_ast.program -> unit
 val cond_to_string : Dol_ast.cond -> string

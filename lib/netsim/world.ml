@@ -19,7 +19,6 @@ type t = {
   site_stats : (string, site_stat) Hashtbl.t;
       (* per-site ledger of delivered traffic; the sums over all sites
          equal [stats.messages]/[stats.bytes_moved] *)
-  link_loss : (string * string, loss) Hashtbl.t;
   mutable default_loss : loss option;
   lose_next : (string * string, int) Hashtbl.t;  (* queued one-shot losses *)
   mutable frames : frame list;  (* open clock frames, innermost first *)
@@ -55,7 +54,6 @@ let create () =
       clock_ms = 0.0;
       stats = { messages = 0; bytes_moved = 0; lost = 0 };
       site_stats = Hashtbl.create 8;
-      link_loss = Hashtbl.create 4;
       default_loss = None;
       lose_next = Hashtbl.create 4;
       frames = [];
@@ -71,10 +69,6 @@ let find_site t name =
   match Hashtbl.find_opt t.sites (key name) with
   | Some s -> s
   | None -> raise (Unknown_site name)
-
-let site_names t =
-  Hashtbl.fold (fun _ s acc -> s.Site.site_name :: acc) t.sites []
-  |> List.sort String.compare
 
 (* ---- clock frames --------------------------------------------------------
    A frame is a private view of the virtual clock for one logically
@@ -215,10 +209,6 @@ let mk_loss ~seed ~prob = { prob; rng = Random.State.make [| seed |] }
 let set_loss t ~seed ~prob =
   t.default_loss <- (if prob <= 0.0 then None else Some (mk_loss ~seed ~prob))
 
-let set_link_loss t ~src ~dst ~seed ~prob =
-  if prob <= 0.0 then Hashtbl.remove t.link_loss (key src, key dst)
-  else Hashtbl.replace t.link_loss (key src, key dst) (mk_loss ~seed ~prob)
-
 let lose_next t ~src ~dst =
   let k = (key src, key dst) in
   let n = Option.value ~default:0 (Hashtbl.find_opt t.lose_next k) in
@@ -228,13 +218,12 @@ let clear_faults t =
   Hashtbl.iter (fun name _ -> remember_past_windows t name)
     (Hashtbl.copy t.outages);
   Hashtbl.reset t.outages;
-  Hashtbl.reset t.link_loss;
   Hashtbl.reset t.lose_next;
   t.default_loss <- None
 
-(* one PRNG draw per loss source per message keeps chaos runs replayable:
-   the firing sequence is a pure function of the seed and the message
-   sequence, independent of wall time *)
+(* one PRNG draw per message keeps chaos runs replayable: the firing
+   sequence is a pure function of the seed and the message sequence,
+   independent of wall time *)
 let message_lost t ~src ~dst =
   let k = (key src, key dst) in
   match Hashtbl.find_opt t.lose_next k with
@@ -243,12 +232,9 @@ let message_lost t ~src ~dst =
       else Hashtbl.replace t.lose_next k (n - 1);
       true
   | None -> (
-      match Hashtbl.find_opt t.link_loss k with
+      match t.default_loss with
       | Some l -> Random.State.float l.rng 1.0 < l.prob
-      | None -> (
-          match t.default_loss with
-          | Some l -> Random.State.float l.rng 1.0 < l.prob
-          | None -> false))
+      | None -> false)
 
 let send t ~src ~dst ~bytes =
   let s = find_site t src and d = find_site t dst in

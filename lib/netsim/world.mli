@@ -52,7 +52,6 @@ val create : unit -> t
 
 val add_site : t -> Site.t -> unit
 val find_site : t -> string -> Site.t
-val site_names : t -> string list
 
 val now_ms : t -> float
 (** The current virtual time {e as seen by the calling branch}: inside a
@@ -105,11 +104,7 @@ val next_recovery_ms : t -> string -> float option
 
 val set_loss : t -> seed:int -> prob:float -> unit
 (** Drop every message with probability [prob], drawn from a private PRNG
-    seeded with [seed] (links with a {!set_link_loss} entry use their own
-    source instead). [prob <= 0] clears the default loss. *)
-
-val set_link_loss : t -> src:string -> dst:string -> seed:int -> prob:float -> unit
-(** Per-link loss probability with its own seeded PRNG. *)
+    seeded with [seed]. [prob <= 0] clears the loss. *)
 
 val lose_next : t -> src:string -> dst:string -> unit
 (** Queue a one-shot loss: the next message on [src -> dst] vanishes.

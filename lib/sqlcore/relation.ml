@@ -67,7 +67,6 @@ let add_row t row =
 
 (* filtering the reversed list keeps relative order within it *)
 let filter p t = mk t.schema (List.filter p t.rev_rows)
-let map_rows f schema t = make schema (List.map f (rows t))
 let project t idxs schema = make schema (List.map (Row.project idxs) (rows t))
 
 let distinct t =

@@ -28,7 +28,6 @@ val equal_unordered : t -> t -> bool
 
 val add_row : t -> Row.t -> t
 val filter : (Row.t -> bool) -> t -> t
-val map_rows : (Row.t -> Row.t) -> Schema.t -> t -> t
 
 val project : t -> int list -> Schema.t -> t
 (** [project r idxs schema] keeps the fields at [idxs], in that order. *)

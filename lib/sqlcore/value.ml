@@ -163,8 +163,6 @@ let as_float = function
   | Null | Str _ | Bool _ -> None
 
 let as_int = function Int i -> Some i | Null | Float _ | Str _ | Bool _ -> None
-let as_string = function Str s -> Some s | Null | Int _ | Float _ | Bool _ -> None
-let as_bool = function Bool b -> Some b | Null | Int _ | Float _ | Str _ -> None
 
 let size_bytes = function
   | Null -> 1

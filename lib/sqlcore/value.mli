@@ -59,8 +59,6 @@ val as_float : t -> float option
 (** Numeric view of [Int] and [Float]; [None] otherwise. *)
 
 val as_int : t -> int option
-val as_string : t -> string option
-val as_bool : t -> bool option
 
 val size_bytes : t -> int
 (** Approximate wire size of the value; used by the network simulator to

@@ -83,8 +83,6 @@ let select ?(distinct = false) ?where ?(group_by = []) ?having ?(order_by = [])
 
 let col ?qualifier name = Col { qualifier; name }
 let lit_int i = Lit (Sqlcore.Value.Int i)
-let lit_float f = Lit (Sqlcore.Value.Float f)
-let lit_str s = Lit (Sqlcore.Value.Str s)
 
 let rec expr_has_agg = function
   | Agg _ -> true

@@ -100,8 +100,6 @@ val select :
 
 val col : ?qualifier:string -> string -> expr
 val lit_int : int -> expr
-val lit_float : float -> expr
-val lit_str : string -> expr
 
 val is_aggregate_query : select -> bool
 (** True when a GROUP BY or HAVING clause is present, or a projection

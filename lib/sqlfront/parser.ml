@@ -490,7 +490,6 @@ let with_stream input f =
 
 let stmt_of_tokens = parse_stmt_body
 let select_of_tokens = parse_select_body
-let expr_of_tokens = parse_expr_prec
 
 let parse_stmt input =
   with_stream input (fun ts ->

@@ -27,4 +27,3 @@ val parse_expr : string -> Ast.expr
 
 val stmt_of_tokens : Tstream.t -> Ast.stmt
 val select_of_tokens : Tstream.t -> Ast.select
-val expr_of_tokens : Tstream.t -> Ast.expr

@@ -159,5 +159,3 @@ let stmt_to_string = function
   | Commit_txn -> "COMMIT"
   | Rollback_txn -> "ROLLBACK"
   | Prepare_txn -> "PREPARE"
-
-let pp_stmt ppf s = Format.pp_print_string ppf (stmt_to_string s)

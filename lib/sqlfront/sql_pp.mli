@@ -7,4 +7,3 @@
 val expr_to_string : Ast.expr -> string
 val select_to_string : Ast.select -> string
 val stmt_to_string : Ast.stmt -> string
-val pp_stmt : Format.formatter -> Ast.stmt -> unit

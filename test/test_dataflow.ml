@@ -371,6 +371,47 @@ let test_schedule_is_faster () =
   Alcotest.(check bool) "scheduled faster" true
     (scheduled.Engine.elapsed_ms < serial.Engine.elapsed_ms)
 
+(* ---- P1: parallel vs sequential multiple update (§4.3/§5) ------------- *)
+
+(* strip PARBEGIN/PAREND blocks: the sequential baseline *)
+let rec sequentialize (p : D.program) : D.program =
+  List.concat_map
+    (function
+      | D.Parallel stmts -> sequentialize stmts
+      | D.If (c, a, b) -> [ D.If (c, sequentialize a, sequentialize b) ]
+      | s -> [ s ])
+    p
+
+(* virtual ms of the translated fleet UPDATE over [n] airlines, run by a
+   bare engine after [transform] *)
+let fleet_update_ms ~n transform =
+  let fx = F.airline_fleet ~n () in
+  let dbs = List.init n (fun i -> Printf.sprintf "airline%d" (i + 1)) in
+  let prog =
+    match
+      M.translate fx.F.session
+        (Printf.sprintf
+           "USE %s UPDATE flights SET rate = rate * 1.1 WHERE source = 'Houston'"
+           (String.concat " " dbs))
+    with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  World.reset_clock fx.F.world;
+  Printf.sprintf "%.2f" (run_program fx (transform prog)).Engine.elapsed_ms
+
+(* the wave schedule runs the fleet in one round whatever its width; the
+   flattened program pays that round once per database *)
+let test_parallel_vs_sequential () =
+  List.iter2
+    (fun n seq ->
+      Alcotest.(check string) (Printf.sprintf "parallel, %d dbs" n) "30.02"
+        (fleet_update_ms ~n Fun.id);
+      Alcotest.(check string) (Printf.sprintf "sequential, %d dbs" n) seq
+        (fleet_update_ms ~n sequentialize))
+    [ 1; 2; 4; 6; 8; 12 ]
+    [ "30.02"; "60.04"; "120.08"; "180.12"; "240.15"; "360.23" ]
+
 (* ---- metrics & session flag (satellite: observability) ----------------- *)
 
 let test_metrics_and_flag () =
@@ -460,6 +501,8 @@ let () =
                  INSERT INTO avis.cars (code, cartype, carst)
                  SELECT v.vcode, v.vty, v.vstat FROM national.vehicle v|});
           Alcotest.test_case "faster" `Quick test_schedule_is_faster;
+          Alcotest.test_case "P1 parallel vs sequential" `Quick
+            test_parallel_vs_sequential;
         ] );
       ( "observability",
         [ Alcotest.test_case "metrics and flag" `Quick test_metrics_and_flag ] );

@@ -105,9 +105,13 @@ let test_disambiguation_discards () =
   Alcotest.(check int) "one db" 1 (List.length es);
   Alcotest.(check string) "national only" "national" (List.hd es).E.edb
 
-let test_not_pertinent_anywhere_is_error () =
-  match expand "USE avis national SELECT x FROM nonexistent" with
-  | exception E.Error _ -> ()
+(* the error names what failed to resolve, in scope order *)
+let check_not_pertinent sql reasons () =
+  match expand sql with
+  | exception E.Error m ->
+      Alcotest.(check string) "message"
+        ("query is not pertinent for any database in its scope: " ^ reasons)
+        m
   | _ -> Alcotest.fail "expected error"
 
 let test_pattern_multiple_tables_same_db () =
@@ -365,7 +369,13 @@ let () =
           Alcotest.test_case "implicit column" `Quick test_implicit_column_pattern;
           Alcotest.test_case "table pattern update" `Quick test_table_pattern_update;
           Alcotest.test_case "discard non-pertinent" `Quick test_disambiguation_discards;
-          Alcotest.test_case "no pertinent db" `Quick test_not_pertinent_anywhere_is_error;
+          Alcotest.test_case "no pertinent db" `Quick
+            (check_not_pertinent "USE avis national SELECT x FROM nonexistent"
+               "no table matching nonexistent in avis; no table matching \
+                nonexistent in national");
+          Alcotest.test_case "no pertinent db names the column" `Quick
+            (check_not_pertinent "USE avis SELECT nosuchcol FROM cars"
+               "column nosuchcol not present in avis");
           Alcotest.test_case "multi-table pattern" `Quick test_pattern_multiple_tables_same_db;
           Alcotest.test_case "ambiguous predicate" `Quick test_ambiguous_pattern_in_predicate;
           Alcotest.test_case "projection expansion" `Quick test_pattern_expands_in_projection;

@@ -14,6 +14,22 @@ let exec fx sql =
 
 let scan fx db table = F.scan fx ~db ~table
 
+(* virtual ms ("%.2f"), messages and bytes of one statement on a fresh
+   federation *)
+let traffic ?caps sql =
+  let fx = F.make ?caps () in
+  Netsim.World.reset_stats fx.F.world;
+  Netsim.World.reset_clock fx.F.world;
+  ignore (exec fx sql);
+  let st = Netsim.World.stats fx.F.world in
+  ( Printf.sprintf "%.2f" (Netsim.World.now_ms fx.F.world),
+    st.Netsim.World.messages,
+    st.Netsim.World.bytes_moved )
+
+let check_traffic ?caps expected sql () =
+  Alcotest.(check (triple string int int)) "virt ms, msgs, bytes" expected
+    (traffic ?caps sql)
+
 let column rel name =
   let idx =
     match Schema.find_index (Relation.schema rel) name with
@@ -296,22 +312,39 @@ let () =
         [
           Alcotest.test_case "multitable shape" `Quick test_e1_multitable_shape;
           Alcotest.test_case "content" `Quick test_e1_only_available_cars;
+          Alcotest.test_case "traffic" `Quick
+            (check_traffic ("30.03", 12, 471) e1_query);
         ] );
       ( "E2 update",
-        [ Alcotest.test_case "all three airlines" `Quick test_e2_updates_all_three ] );
+        [
+          Alcotest.test_case "all three airlines" `Quick test_e2_updates_all_three;
+          Alcotest.test_case "traffic" `Quick
+            (check_traffic ("30.02", 18, 671) e2_query);
+        ] );
       ( "E3 vital",
-        [ Alcotest.test_case "success path" `Quick test_e3_success_path ] );
+        [
+          Alcotest.test_case "success path" `Quick test_e3_success_path;
+          Alcotest.test_case "traffic" `Quick
+            (check_traffic ("40.03", 22, 735) e3_query);
+        ] );
       ( "E6 translator",
         [ Alcotest.test_case "golden DOL" `Quick test_e6_translator_output ] );
       ( "E4 compensation",
         [
           Alcotest.test_case "refusal without COMP" `Quick test_e4_requires_comp;
           Alcotest.test_case "accepted with COMP" `Quick test_e4_comp_allows_query;
+          Alcotest.test_case "traffic" `Quick
+            (check_traffic ~caps:autocommit_continental ("40.03", 18, 671)
+               e4_query);
         ] );
       ( "E5 multitransaction",
         [
           Alcotest.test_case "first state" `Quick test_e5_first_state_preferred;
           Alcotest.test_case "fallback state" `Quick test_e5_falls_back_to_second_state;
           Alcotest.test_case "total failure" `Quick test_e5_total_failure_aborts_all;
+          (* the paper's full statement: its [from] and [to] assignments
+             are part of the shipped UPDATE text *)
+          Alcotest.test_case "traffic" `Quick
+            (check_traffic ("70.04", 32, 1220) e5_mtx);
         ] );
     ]

@@ -299,6 +299,38 @@ let test_commit_phase_is_max_of_branches () =
   Alcotest.(check (float 1e-6)) "phase = slowest round trip" 80.0 phase;
   Alcotest.(check bool) "not the serial sum" true (phase < 140.0)
 
+(* ---- P2: 2PC cost vs vital-set size (§3.2.2) ------------------------------- *)
+
+(* A 6-airline fleet update with the first k databases VITAL: a non-empty
+   vital set adds one parallel commit round (10 ms) whatever its size, and
+   two messages (the commit verb and its ack) per vital database. *)
+let fleet_update_traffic ~k =
+  let n = 6 in
+  let fx = F.airline_fleet ~n () in
+  let dbs =
+    List.init n (fun i ->
+        let name = Printf.sprintf "airline%d" (i + 1) in
+        if i < k then name ^ " VITAL" else name)
+  in
+  World.reset_clock fx.F.world;
+  World.reset_stats fx.F.world;
+  ignore
+    (exec fx
+       (Printf.sprintf
+          "USE %s UPDATE flights SET rate = rate * 1.1 WHERE source = 'Houston'"
+          (String.concat " " dbs)));
+  ( Printf.sprintf "%.2f" (World.now_ms fx.F.world),
+    (World.stats fx.F.world).World.messages )
+
+let test_vital_set_cost () =
+  Alcotest.(check (pair string int)) "k=0" ("30.02", 36) (fleet_update_traffic ~k:0);
+  for k = 1 to 6 do
+    Alcotest.(check (pair string int))
+      (Printf.sprintf "k=%d" k)
+      ("40.02", 36 + (2 * k))
+      (fleet_update_traffic ~k)
+  done
+
 let () =
   Alcotest.run "vital"
     [
@@ -312,6 +344,8 @@ let () =
           Alcotest.test_case "all non-vital" `Quick test_all_non_vital_always_successful;
           Alcotest.test_case "commit phase is max of branches" `Quick
             test_commit_phase_is_max_of_branches;
+          Alcotest.test_case "P2 cost vs vital-set size" `Quick
+            test_vital_set_cost;
         ] );
       ( "E4 compensation paths",
         [
