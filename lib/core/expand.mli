@@ -38,7 +38,7 @@ type global_ref = {
   gschema : Sqlcore.Schema.t;
   gcard : int option;
       (** row count recorded in the GDD at IMPORT time, when known; feeds
-          the decomposer's semijoin cost gate *)
+          the decomposer's cost model *)
 }
 
 type expansion =

@@ -35,8 +35,8 @@ val import_database : t -> db:string -> (string * Sqlcore.Schema.t) list -> unit
 
 val set_cardinality : t -> db:string -> table:string -> int -> unit
 (** Record the table's row count as observed at IMPORT time. Purely
-    statistical: consulted by the decomposer's semijoin cost gate, never by
-    name resolution. *)
+    statistical: consulted by the decomposer's cost model, never by name
+    resolution. *)
 
 val cardinality : t -> db:string -> table:string -> int option
 

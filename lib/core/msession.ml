@@ -436,8 +436,8 @@ let import_stmt t (imp : Ast.import) =
                   (Printf.sprintf "table or view %s does not exist in database %s"
                      itable imp.Ast.imp_database)
             | Some schema -> (
-                (* record the row count alongside: the decomposer's
-                   semijoin cost gate runs on these statistics *)
+                (* record the row count alongside: the decomposer
+                   prices its plans with these statistics *)
                 (match Ldbms.Database.find_table_opt db itable with
                 | Some tbl ->
                     Gdd.set_cardinality t.gdd ~db:imp.Ast.imp_database
@@ -559,6 +559,16 @@ let plan_key t (stmt : statement) =
     (Ad.version t.ad) t.dataflow t.semijoin
     (Marshal.to_string stmt [])
 
+(* the network cost model of a database's site, which the decomposer
+   prices plans with; Netsim's defaults for a database it cannot place *)
+let site_model t db =
+  match Narada.Directory.find_opt t.directory db with
+  | Some svc -> (
+      match Netsim.World.find_site t.world svc.Narada.Service.site with
+      | site -> site
+      | exception Netsim.World.Unknown_site _ -> Netsim.Site.make db)
+  | None -> Netsim.Site.make db
+
 (* phases 2-4 from scratch, then the dataflow pass *)
 let plan_fresh t stmt =
   let expand (q : Ast.query) = Expand.expand t.gdd q in
@@ -566,8 +576,11 @@ let plan_fresh t stmt =
     match stmt with
     | Query_stmt q -> (
         let expansion = expand q in
-        let decomposed ~gselect ~grefs =
-          let dp = Decompose.decompose ~semijoin:t.semijoin ~gselect ~grefs in
+        let decomposed ?target ~gselect ~grefs () =
+          let dp =
+            Decompose.decompose_with ~site:(site_model t) ?target
+              ~semijoin:t.semijoin ~gselect ~grefs ()
+          in
           Log.debug (fun f ->
               f "decomposed global query: coordinator %s, %d shipped \
                  subqueries"
@@ -585,10 +598,10 @@ let plan_fresh t stmt =
                         elems)));
             (Plangen.plan_replicated t.ad q elems, Query (expansion, None))
         | Expand.Global { gselect; grefs } ->
-            let dp = decomposed ~gselect ~grefs in
+            let dp = decomposed ~gselect ~grefs () in
             (Plangen.plan_global t.ad q dp, Query (expansion, Some dp))
         | Expand.Transfer { tdb; tuse; ttable; tcolumns; gselect; grefs } ->
-            let dp = decomposed ~gselect ~grefs in
+            let dp = decomposed ~target:tdb ~gselect ~grefs () in
             ( Plangen.plan_transfer t.ad ~tdb ~tuse ~ttable ~tcolumns dp,
               Query (expansion, Some dp) ))
     | Mtx_stmt mtx ->

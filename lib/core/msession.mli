@@ -185,10 +185,11 @@ val set_dataflow : t -> bool -> unit
 val dataflow_enabled : t -> bool
 
 val set_semijoin : t -> bool -> unit
-(** Enable the cost-gated semijoin reduction of shipped subqueries
-    (default: on). The gate only fires when the GDD has cardinalities for
-    the involved tables, recorded at IMPORT time; see
-    {!Decompose.decompose}. *)
+(** Let the planner consider the semijoin reduction of shipped subqueries
+    (default: on). A reduction is priced only when the GDD has
+    cardinalities for the involved tables, recorded at IMPORT time, and
+    applied only when the priced plan is cheaper with it; see
+    {!Decompose.decompose_with}. *)
 
 val semijoin_enabled : t -> bool
 

@@ -13,11 +13,7 @@ type binding = {
   retrieval : bool;
 }
 
-type plan = {
-  program : D.program;
-  task_bindings : binding list;
-  coordinator : string option;
-}
+type plan = { program : D.program; task_bindings : binding list }
 
 let task_name db = "t_" ^ Names.canon db
 let comp_name db = "k_" ^ Names.canon db
@@ -136,7 +132,6 @@ let plan_replicated ad (q : Ast.query) (elems : Expand.elementary list) =
     {
       program = opens @ [ D.Parallel all_tasks ] @ tail @ close;
       task_bindings = bindings;
-      coordinator = None;
     }
   end
   else begin
@@ -236,7 +231,6 @@ let plan_replicated ad (q : Ast.query) (elems : Expand.elementary list) =
     {
       program = opens @ [ D.Parallel tasks ] @ tail @ close;
       task_bindings = bindings;
-      coordinator = None;
     }
   end
 
@@ -332,8 +326,14 @@ let plan_global ad (_q : Ast.query) (dp : Decompose.plan) =
   {
     program = List.map (open_stmt ad) dbs @ body @ close;
     task_bindings =
-      [ { task = "t_q"; bdb = coord; vital = Ast.Non_vital; retrieval = true } ];
-    coordinator = Some coord;
+      [
+        {
+          task = "t_q";
+          bdb = dp.Decompose.result_db;
+          vital = Ast.Non_vital;
+          retrieval = true;
+        };
+      ];
   }
 
 (* ---- data transfer (INSERT ... SELECT across databases) --------------------- *)
@@ -413,7 +413,6 @@ let plan_transfer ad ~tdb ~tuse ~ttable ~tcolumns (dp : Decompose.plan) =
           retrieval = false;
         };
       ];
-    coordinator = Some coord;
   }
 
 (* ---- multitransactions ------------------------------------------------------ *)
@@ -561,5 +560,4 @@ let plan_mtx ad (mtx : Ast.multitransaction)
   {
     program = opens @ blocks @ cascade states @ close;
     task_bindings = bindings;
-    coordinator = None;
   }

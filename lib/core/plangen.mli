@@ -24,11 +24,7 @@ type binding = {
   retrieval : bool;  (** the task's script ends in a SELECT *)
 }
 
-type plan = {
-  program : Narada.Dol_ast.program;
-  task_bindings : binding list;
-  coordinator : string option;  (** set for decomposed global queries *)
-}
+type plan = { program : Narada.Dol_ast.program; task_bindings : binding list }
 
 val plan_replicated : Ad.t -> Ast.query -> Expand.elementary list -> plan
 (** Plan for a multiple query expanded per database (retrieval or
@@ -37,7 +33,8 @@ val plan_replicated : Ad.t -> Ast.query -> Expand.elementary list -> plan
 val plan_global : Ad.t -> Ast.query -> Decompose.plan -> plan
 (** Plan for a decomposed cross-database SELECT: parallel MOVEs of the
     local subqueries to the coordinator, the modified query Q' there, and
-    cleanup of the temporaries. *)
+    cleanup of the temporaries. The result is labelled with the plan's
+    [result_db], not with the coordinator. *)
 
 val plan_transfer :
   Ad.t ->

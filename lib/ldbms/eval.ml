@@ -7,21 +7,26 @@ exception Ambiguous_column of string
 
 let truthy = function Value.Bool true -> true | _ -> false
 
-let value_compare_sql a b =
+(* [Value.compare] of two non-NULL values of comparable classes *)
+let compare_comparable a b =
   match a, b with
-  | Value.Null, _ | _, Value.Null -> None
   | Value.Int _, Value.Int _
   | Value.Float _, Value.Float _
   | Value.Int _, Value.Float _
   | Value.Float _, Value.Int _
   | Value.Str _, Value.Str _
   | Value.Bool _, Value.Bool _ ->
-      Some (Value.compare a b)
+      Value.compare a b
   | _ ->
       raise
         (Type_error
            (Printf.sprintf "cannot compare %s with %s" (Value.to_string a)
               (Value.to_string b)))
+
+let value_compare_sql a b =
+  match a, b with
+  | Value.Null, _ | _, Value.Null -> None
+  | _ -> Some (compare_comparable a b)
 
 let arith op a b =
   match a, b with
@@ -74,10 +79,13 @@ let logic_not = function
   | Value.Null -> Value.Null
   | v -> raise (Type_error ("NOT on non-boolean value " ^ Value.to_string v))
 
+(* per row in every WHERE, so it allocates nothing: no option, and the
+   two constant booleans *)
 let comparison op a b =
-  match value_compare_sql a b with
-  | None -> Value.Null
-  | Some c ->
+  match a, b with
+  | Value.Null, _ | _, Value.Null -> Value.Null
+  | _ ->
+      let c = compare_comparable a b in
       let r =
         match op with
         | Ast.Eq -> c = 0
@@ -88,7 +96,7 @@ let comparison op a b =
         | Ast.Ge -> c >= 0
         | _ -> assert false
       in
-      Value.Bool r
+      if r then Value.Bool true else Value.Bool false
 
 let concat a b =
   match a, b with

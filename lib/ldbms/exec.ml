@@ -229,143 +229,166 @@ let ty_class = function
   | Ty.Str -> `Str
   | Ty.Bool -> `Bool
 
-(* Plan a multi-leaf FROM clause: extract top-level equi-join conjuncts
-   from WHERE, order the joins greedily by cardinality, and execute them as
-   hash joins — or an index nested-loop when the joined table declares an
-   index on its join column — producting only across genuinely unconnected
-   components. Returns None (caller falls back to the Cartesian product)
-   when no equi-join conjunct exists or when some column occurrence cannot
-   be pinned to exactly one leaf, so naming errors surface exactly as they
-   would on the product path. The caller re-applies the complete WHERE
-   clause afterwards: planning is purely physical and the result set is
+(* The leaves a conjunct's column occurrences denote, or [None] when one
+   of them denotes no leaf or several. *)
+let leaves_of leaves c =
+  let acc = ref (Some []) in
+  iter_plain_cols
+    (fun ?qualifier name ->
+      match !acc, resolve_over_leaves leaves ?qualifier name with
+      | Some is, `One (i, _) -> if not (List.mem i is) then acc := Some (i :: is)
+      | _ -> acc := None)
+    c;
+  !acc
+
+(* Every subquery-free conjunct pins each of its column occurrences to
+   one FROM leaf. Only then are the leaves filtered and joined by plan:
+   otherwise the product path runs, so naming errors surface exactly as
+   they would on it. *)
+let resolvable leaves conjs =
+  List.for_all (fun c -> expr_has_subquery c || leaves_of leaves c <> None) conjs
+
+(* Filter each leaf by the subquery-free conjuncts whose columns all
+   denote it. A row such a conjunct rejects fails the whole WHERE under
+   three-valued logic, so the join input loses only rows the final filter
+   would drop. A filtered leaf is no longer its base table: the index
+   nested-loop path does not apply to it. *)
+let filter_leaves ~predicate leaves conjs =
+  List.mapi
+    (fun i l ->
+      let local c = (not (expr_has_subquery c)) && leaves_of leaves c = Some [ i ] in
+      match List.filter local conjs with
+      | [] -> l
+      | c :: cs ->
+          let conj = List.fold_left (fun a c -> Ast.Binop (Ast.And, a, c)) c cs in
+          {
+            l with
+            jl_rel = Relation.filter (predicate (Relation.schema l.jl_rel) conj) l.jl_rel;
+            jl_base = None;
+          })
+    leaves
+
+(* Plan a multi-leaf FROM clause whose conjuncts are [resolvable]: extract
+   top-level equi-join conjuncts from WHERE, order the joins greedily by
+   cardinality, and execute them as hash joins — or an index nested-loop
+   when the joined table declares an index on its join column —
+   producting only across genuinely unconnected components. Returns None
+   (caller falls back to the Cartesian product) when no equi-join
+   conjunct exists. The caller re-applies the complete WHERE clause
+   afterwards: planning is purely physical and the result set is
    identical to filtering the product. *)
-let plan_join_input ?txn db leaves (where : Ast.expr) =
+let plan_join_input ?txn db leaves conjs =
   let n = List.length leaves in
   let leaf = Array.of_list leaves in
-  let conjs = where_conjuncts where in
-  let resolvable = ref true in
-  List.iter
-    (fun c ->
-      if not (expr_has_subquery c) then
-        iter_plain_cols
-          (fun ?qualifier name ->
-            match resolve_over_leaves leaves ?qualifier name with
-            | `One _ -> ()
-            | `None | `Many -> resolvable := false)
-          c)
-    conjs;
-  if not !resolvable then None
+  let col_def l c = List.nth (Relation.schema leaf.(l).jl_rel) c in
+  let edges =
+    List.filter_map
+      (function
+        | Ast.Binop
+            ( Ast.Eq,
+              Ast.Col { qualifier = qa; name = na },
+              Ast.Col { qualifier = qb; name = nb } ) -> (
+            match
+              ( resolve_over_leaves leaves ?qualifier:qa na,
+                resolve_over_leaves leaves ?qualifier:qb nb )
+            with
+            | `One (la, ca), `One (lb, cb)
+              when la <> lb
+                   && ty_class (col_def la ca).Schema.ty
+                      = ty_class (col_def lb cb).Schema.ty ->
+                Some ((la, ca), (lb, cb))
+            | _ -> None)
+        | _ -> None)
+      conjs
+  in
+  if edges = [] then None
   else begin
-    let col_def l c = List.nth (Relation.schema leaf.(l).jl_rel) c in
-    let edges =
-      List.filter_map
-        (function
-          | Ast.Binop
-              ( Ast.Eq,
-                Ast.Col { qualifier = qa; name = na },
-                Ast.Col { qualifier = qb; name = nb } ) -> (
-              match
-                ( resolve_over_leaves leaves ?qualifier:qa na,
-                  resolve_over_leaves leaves ?qualifier:qb nb )
-              with
-              | `One (la, ca), `One (lb, cb)
-                when la <> lb
-                     && ty_class (col_def la ca).Schema.ty
-                        = ty_class (col_def lb cb).Schema.ty ->
-                  Some ((la, ca), (lb, cb))
-              | _ -> None)
-          | _ -> None)
-        conjs
+    let card i = Relation.cardinality leaf.(i).jl_rel in
+    let connected i =
+      List.exists (fun ((a, _), (b, _)) -> a = i || b = i) edges
     in
-    if edges = [] then None
-    else begin
-      let card i = Relation.cardinality leaf.(i).jl_rel in
-      let connected i =
-        List.exists (fun ((a, _), (b, _)) -> a = i || b = i) edges
+    let offsets = Array.make n (-1) in
+    let cheapest = function
+      | [] -> invalid_arg "cheapest: empty"
+      | j0 :: rest ->
+          List.fold_left (fun b j -> if card j < card b then j else b) j0 rest
+    in
+    let start =
+      cheapest (List.filter connected (List.init n Fun.id))
+    in
+    offsets.(start) <- 0;
+    let acc = ref leaf.(start).jl_rel in
+    let remaining = ref (List.filter (fun i -> i <> start) (List.init n Fun.id)) in
+    while !remaining <> [] do
+      (* join conjuncts linking the placed prefix to candidate [j], as
+         (column offset in the accumulator, column in the candidate) *)
+      let touching j =
+        List.filter_map
+          (fun ((a, ca), (b, cb)) ->
+            if offsets.(a) >= 0 && b = j then Some (offsets.(a) + ca, cb)
+            else if offsets.(b) >= 0 && a = j then Some (offsets.(b) + cb, ca)
+            else None)
+          edges
       in
-      let offsets = Array.make n (-1) in
-      let cheapest = function
-        | [] -> invalid_arg "cheapest: empty"
-        | j0 :: rest ->
-            List.fold_left (fun b j -> if card j < card b then j else b) j0 rest
+      let next, keys =
+        match List.filter (fun j -> touching j <> []) !remaining with
+        | [] ->
+            (* disconnected component: cross join the cheapest remaining *)
+            (cheapest !remaining, [])
+        | candidates ->
+            let j = cheapest candidates in
+            (j, touching j)
       in
-      let start =
-        cheapest (List.filter connected (List.init n Fun.id))
+      let jl = leaf.(next) in
+      let joined =
+        match keys with
+        | [] -> Relation.product !acc jl.jl_rel
+        | (off, col) :: _ -> (
+            let indexed =
+              match jl.jl_base with
+              | Some (tbl, tname) ->
+                  let cd = col_def next col in
+                  if
+                    Database.has_index db ~table:tname ~column:cd.Schema.name
+                    && current_view txn tbl
+                  then Some tbl
+                  else None
+              | None -> None
+            in
+            match indexed with
+            | Some tbl ->
+                let out_schema =
+                  Relation.schema !acc @ Relation.schema jl.jl_rel
+                in
+                let out =
+                  List.concat_map
+                    (fun ra ->
+                      List.map
+                        (fun rb -> Row.append ra rb)
+                        (Table.lookup_eq tbl ~col (Row.get ra off)))
+                    (Relation.rows !acc)
+                in
+                Relation.make out_schema out
+            | None -> Relation.hash_join !acc jl.jl_rel ~keys)
       in
-      offsets.(start) <- 0;
-      let acc = ref leaf.(start).jl_rel in
-      let remaining = ref (List.filter (fun i -> i <> start) (List.init n Fun.id)) in
-      while !remaining <> [] do
-        (* join conjuncts linking the placed prefix to candidate [j], as
-           (column offset in the accumulator, column in the candidate) *)
-        let touching j =
-          List.filter_map
-            (fun ((a, ca), (b, cb)) ->
-              if offsets.(a) >= 0 && b = j then Some (offsets.(a) + ca, cb)
-              else if offsets.(b) >= 0 && a = j then Some (offsets.(b) + cb, ca)
-              else None)
-            edges
-        in
-        let next, keys =
-          match List.filter (fun j -> touching j <> []) !remaining with
-          | [] ->
-              (* disconnected component: cross join the cheapest remaining *)
-              (cheapest !remaining, [])
-          | candidates ->
-              let j = cheapest candidates in
-              (j, touching j)
-        in
-        let jl = leaf.(next) in
-        let joined =
-          match keys with
-          | [] -> Relation.product !acc jl.jl_rel
-          | (off, col) :: _ -> (
-              let indexed =
-                match jl.jl_base with
-                | Some (tbl, tname) ->
-                    let cd = col_def next col in
-                    if
-                      Database.has_index db ~table:tname ~column:cd.Schema.name
-                      && current_view txn tbl
-                    then Some tbl
-                    else None
-                | None -> None
-              in
-              match indexed with
-              | Some tbl ->
-                  let out_schema =
-                    Relation.schema !acc @ Relation.schema jl.jl_rel
-                  in
-                  let out =
-                    List.concat_map
-                      (fun ra ->
-                        List.map
-                          (fun rb -> Row.append ra rb)
-                          (Table.lookup_eq tbl ~col (Row.get ra off)))
-                      (Relation.rows !acc)
-                  in
-                  Relation.make out_schema out
-              | None -> Relation.hash_join !acc jl.jl_rel ~keys)
-        in
-        offsets.(next) <- Schema.arity (Relation.schema !acc);
-        acc := joined;
-        remaining := List.filter (fun j -> j <> next) !remaining
-      done;
-      (* restore FROM-clause column order *)
-      let total_schema =
-        List.concat_map (fun l -> Relation.schema l.jl_rel) leaves
-      in
-      let idxs =
-        List.concat
-          (List.mapi
-             (fun i l ->
-               List.init
-                 (Schema.arity (Relation.schema l.jl_rel))
-                 (fun k -> offsets.(i) + k))
-             leaves)
-      in
-      Some (Relation.project !acc idxs total_schema)
-    end
+      offsets.(next) <- Schema.arity (Relation.schema !acc);
+      acc := joined;
+      remaining := List.filter (fun j -> j <> next) !remaining
+    done;
+    (* restore FROM-clause column order *)
+    let total_schema =
+      List.concat_map (fun l -> Relation.schema l.jl_rel) leaves
+    in
+    let idxs =
+      List.concat
+        (List.mapi
+           (fun i l ->
+             List.init
+               (Schema.arity (Relation.schema l.jl_rel))
+               (fun k -> offsets.(i) + k))
+           leaves)
+    in
+    Some (Relation.project !acc idxs total_schema)
   end
 
 (* ---- SELECT ------------------------------------------------------------ *)
@@ -493,6 +516,7 @@ let rec statement_ctx ~depth ?txn db outer =
   }
 
 and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
+  let ctx = statement_ctx ~depth ?txn db outer in
   let input =
     match indexed_scan ?txn db s with
     | Some rel -> rel
@@ -506,7 +530,7 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
                ~depth ?txn db)
             s.Ast.from
         in
-        let product () =
+        let product leaves =
           match leaves with
           | [] -> assert false
           | l0 :: rest ->
@@ -514,13 +538,16 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
         in
         match leaves, s.Ast.where with
         | _ :: _ :: _, Some pred -> (
-            match plan_join_input ?txn db leaves pred with
-            | Some rel -> rel
-            | None -> product ())
-        | _ -> product ())
+            let conjs = where_conjuncts pred in
+            if not (resolvable leaves conjs) then product leaves
+            else
+              let leaves = filter_leaves ~predicate:(predicate ctx) leaves conjs in
+              match plan_join_input ?txn db leaves conjs with
+              | Some rel -> rel
+              | None -> product leaves)
+        | _ -> product leaves)
   in
   let schema = Relation.schema input in
-  let ctx = statement_ctx ~depth ?txn db outer in
   let filtered =
     match s.Ast.where with
     | None -> input

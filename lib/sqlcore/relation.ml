@@ -95,53 +95,94 @@ let product a b =
   in
   make schema rows
 
-(* ---- hash join ----------------------------------------------------------- *)
+(* ---- hash join -----------------------------------------------------------
 
-(* NULL in any key column means no key: the row joins nothing. See
-   {!Value.key} for the exactness argument. *)
-let join_key row idxs =
-  let vs = List.map (Row.get row) idxs in
-  if List.exists Value.is_null vs then None else Some (Value.row_key vs)
+   Keys are structural: a single join column hashes its {!Value.canonical}
+   value, several columns the list of theirs, so a single-column probe
+   allocates nothing. A NULL in any key column joins nothing. *)
 
-(* Build-side buckets are mutable refs holding rows newest-first, so each
-   build row costs one lookup plus (on first occurrence) one insert —
-   instead of the earlier find_opt + Option + replace triple, which paid
-   two traversals and re-allocated the bucket spine on every row. The
-   table is sized from the build cardinality so it never rehashes. *)
-let build_side_table rbs ~kb ~size =
-  let tbl : (string, Row.t list ref) Hashtbl.t =
-    Hashtbl.create (max 16 size)
+module One = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash v = Hashtbl.hash (Value.canonical v)
+end)
+
+module Many = Hashtbl.Make (struct
+  type t = Value.t list
+
+  let equal = List.equal Value.equal
+  let hash vs = Hashtbl.hash (List.map Value.canonical vs)
+end)
+
+(* [key row] is [row]'s join key, which joins nothing when [absent]. The
+   table is built on the smaller input and sized from its cardinality, so
+   it never rehashes. Rows come out newest-first (the result's
+   [rev_rows]) in the order of the filtered product: [a]-major, then [b]
+   order. *)
+let join_with (type k) (module H : Hashtbl.S with type key = k) ~absent
+    ~(key_a : Row.t -> k) ~(key_b : Row.t -> k) a b =
+  let add tbl k x =
+    match H.find_opt tbl k with
+    | Some bucket -> bucket := x :: !bucket
+    | None -> H.add tbl k (ref [ x ])
   in
-  List.iter
-    (fun rb ->
-      match join_key rb kb with
-      | None -> ()
-      | Some k -> (
-          match Hashtbl.find_opt tbl k with
-          | Some bucket -> bucket := rb :: !bucket
-          | None -> Hashtbl.add tbl k (ref [ rb ])))
-    rbs;
-  tbl
+  let find tbl k = if absent k then None else H.find_opt tbl k in
+  let out = ref [] in
+  let emit ra rb = out := Row.append ra rb :: !out in
+  let card_a = cardinality a and card_b = cardinality b in
+  if card_b <= card_a then begin
+    (* build on [b], walked backwards so each bucket holds [b] order *)
+    let tbl = H.create (max 16 card_b) in
+    List.iter
+      (fun rb ->
+        let k = key_b rb in
+        if not (absent k) then add tbl k rb)
+      b.rev_rows;
+    List.iter
+      (fun ra ->
+        match find tbl (key_a ra) with
+        | None -> ()
+        | Some rbs -> List.iter (emit ra) !rbs)
+      (rows a)
+  end
+  else begin
+    (* build on [a]'s row positions; probing [b] backwards leaves each [a]
+       row its matches in [b] order *)
+    let arows = Array.of_list (rows a) in
+    let tbl = H.create (max 16 card_a) in
+    Array.iteri
+      (fun p ra ->
+        let k = key_a ra in
+        if not (absent k) then add tbl k p)
+      arows;
+    let matches = Array.make card_a [] in
+    List.iter
+      (fun rb ->
+        match find tbl (key_b rb) with
+        | None -> ()
+        | Some ps -> List.iter (fun p -> matches.(p) <- rb :: matches.(p)) !ps)
+      b.rev_rows;
+    Array.iteri (fun p ra -> List.iter (emit ra) matches.(p)) arows
+  end;
+  !out
 
 let hash_join a b ~keys =
-  let ka = List.map fst keys and kb = List.map snd keys in
-  let schema = a.schema @ b.schema in
-  let card_b = cardinality b in
-  let tbl = build_side_table (rows b) ~kb ~size:card_b in
-  (* probe in [a] order and emit matches in [b] order, reproducing the order
-     of the equivalent filtered product *)
-  let out =
-    List.concat_map
-      (fun ra ->
-        match join_key ra ka with
-        | None -> []
-        | Some k -> (
-            match Hashtbl.find_opt tbl k with
-            | None -> []
-            | Some rbs -> List.rev_map (fun rb -> Row.append ra rb) !rbs))
-      (rows a)
+  let rev =
+    match keys with
+    | [ (ia, ib) ] ->
+        join_with (module One) ~absent:Value.is_null
+          ~key_a:(fun row -> Row.get row ia)
+          ~key_b:(fun row -> Row.get row ib)
+          a b
+    | _ ->
+        let key idxs row = List.map (Row.get row) idxs in
+        join_with (module Many) ~absent:(List.exists Value.is_null)
+          ~key_a:(key (List.map fst keys))
+          ~key_b:(key (List.map snd keys))
+          a b
   in
-  make schema out
+  mk (a.schema @ b.schema) rev
 
 let order_by cmp t = mk ~size:t.size_memo t.schema (List.rev (List.stable_sort cmp (rows t)))
 

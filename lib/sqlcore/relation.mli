@@ -43,11 +43,12 @@ val product : t -> t -> t
 val hash_join : t -> t -> keys:(int * int) list -> t
 (** [hash_join a b ~keys] is [product a b] restricted to rows where field
     [ia] of the [a]-row equals field [ib] of the [b]-row for every
-    [(ia, ib)] in [keys], computed with a hash table on [b] in one pass per
-    side. Equality is SQL-flavoured: [Int]/[Float] compare numerically and
-    NULL keys never match. Row order matches the equivalent filtered
-    product. [keys] must be non-empty for the call to be meaningful (an
-    empty list degenerates to the full product). *)
+    [(ia, ib)] in [keys], computed with a hash table on the smaller input
+    in one pass per side. Equality is {!Value.equal}: [Int]/[Float]
+    compare numerically (keys hash their {!Value.canonical} form) and NULL
+    keys never match. Row order matches the equivalent filtered product
+    whichever side is built. [keys] must be non-empty for the call to be
+    meaningful (an empty list degenerates to the full product). *)
 
 val order_by : (Row.t -> Row.t -> int) -> t -> t
 (** Stable sort. *)

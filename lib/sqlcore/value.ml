@@ -141,13 +141,16 @@ let of_literal_exn s =
    contains an 'x', so it can never equal a decimal integer key). A string
    holding a NUL byte is escaped under its own prefix, so no key contains
    NUL and composite keys can join components with it. *)
-let key = function
+let canonical = function
+  | Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+      Int (int_of_float f)
+  | v -> v
+
+let key v =
+  match canonical v with
   | Null -> "z"
   | Int i -> "n" ^ string_of_int i
-  | Float f ->
-      if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then
-        "n" ^ string_of_int (int_of_float f)
-      else "n" ^ Printf.sprintf "%h" f
+  | Float f -> "n" ^ Printf.sprintf "%h" f
   | Str s -> if String.contains s '\000' then "e" ^ String.escaped s else "s" ^ s
   | Bool true -> "bt"
   | Bool false -> "bf"

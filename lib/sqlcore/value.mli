@@ -39,6 +39,13 @@ val of_literal_exn : string -> t
 (** Inverse of {!to_literal} for the simple literal forms; raises
     [Invalid_argument] on malformed input. Used by tests. *)
 
+val canonical : t -> t
+(** The representative of a value's {!equal} class: an integral [Float]
+    in the OCaml int range becomes the [Int] it equals, every other value
+    is itself. So [equal a b] iff [canonical a] and [canonical b] are
+    structurally equal (with [compare]'s NaN convention), and
+    [Hashtbl.hash (canonical v)] is a hash consistent with {!equal}. *)
+
 val key : t -> string
 (** Exact hashing key: [key a = key b] iff [equal a b] (NaN aside), so
     [Int 5] and [Float 5.0] share a key, while ints above 2^53 and floats

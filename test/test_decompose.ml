@@ -18,21 +18,98 @@ let gdd () =
       ("branches", [ col "bid" Ty.Int; col "city" Ty.Str ]) ];
   g
 
-let plan_of sql =
-  match E.expand (gdd ()) (Msql.Mparser.parse_query sql) with
-  | E.Global { gselect; grefs } -> Dc.decompose ~semijoin:true ~gselect ~grefs
+let global_of ?(g = gdd ()) sql =
+  match E.expand g (Msql.Mparser.parse_query sql) with
+  | E.Global { gselect; grefs } -> (gselect, grefs)
   | E.Replicated _ | E.Transfer _ -> Alcotest.fail "expected global query"
+
+let plan_of ?g sql =
+  let gselect, grefs = global_of ?g sql in
+  Dc.decompose ~semijoin:true ~gselect ~grefs
 
 let select_str s = Sqlfront.Sql_pp.select_to_string s
 
-let test_coordinator_is_biggest_group () =
+(* No cardinalities are imported here, so every table is priced at the
+   default row count: shipping hertz's two-table subquery (a product of
+   two default counts) costs far more than shipping avis.cars, and hertz
+   coordinates. *)
+let test_coordinator_priced () =
   let p =
     plan_of
       "USE avis national hertz SELECT a.aid FROM hertz.autos a, \
        hertz.branches b, avis.cars c WHERE a.aid = b.bid AND c.code = a.aid"
   in
   Alcotest.(check string) "hertz coordinates" "hertz" p.Dc.coordinator;
-  Alcotest.(check int) "one shipped" 1 (List.length p.Dc.shipped)
+  Alcotest.(check int) "one shipped" 1 (List.length p.Dc.shipped);
+  (* one alternative per coordinator: without statistics no reduction is
+     priced; cheapest first, and the head is the plan *)
+  Alcotest.(check (list string)) "alternatives, cheapest first"
+    [ "hertz"; "avis" ]
+    (List.map (fun a -> a.Dc.alt_coordinator) p.Dc.alternatives);
+  match p.Dc.shipped with
+  | [ s ] ->
+      Alcotest.(check bool) "no statistics, no reduction" true
+        (s.Dc.sj_gate = Dc.Sj_no_stats)
+  | _ -> Alcotest.fail "one shipped expected"
+
+(* with cardinalities the larger side coordinates, in either FROM order,
+   and the result keeps the first FROM database's label *)
+let test_coordinator_independent_of_from_order () =
+  let g = gdd () in
+  G.set_cardinality g ~db:"avis" ~table:"cars" 10;
+  G.set_cardinality g ~db:"national" ~table:"vehicle" 5000;
+  List.iter
+    (fun (from, label) ->
+      let p =
+        plan_of ~g
+          ("USE avis national SELECT c.code, v.vty FROM " ^ from
+         ^ " WHERE c.code = v.vcode")
+      in
+      Alcotest.(check string) (from ^ ": national coordinates") "national"
+        p.Dc.coordinator;
+      Alcotest.(check string) (from ^ ": result label") label p.Dc.result_db)
+    [
+      ("avis.cars c, national.vehicle v", "avis");
+      ("national.vehicle v, avis.cars c", "national");
+    ]
+
+(* the cost model reads each database's site: a slow site is a bad
+   coordinator even when it holds the larger table *)
+let test_slow_site_does_not_coordinate () =
+  let g = gdd () in
+  G.set_cardinality g ~db:"avis" ~table:"cars" 10;
+  G.set_cardinality g ~db:"national" ~table:"vehicle" 5000;
+  let gselect, grefs =
+    global_of ~g
+      "USE avis national SELECT c.code, v.vty FROM avis.cars c, \
+       national.vehicle v WHERE c.code = v.vcode"
+  in
+  let site db =
+    if db = "national" then Netsim.Site.make ~latency_ms:200.0 db
+    else Netsim.Site.make db
+  in
+  let p = Dc.decompose_with ~site ~semijoin:true ~gselect ~grefs () in
+  Alcotest.(check string) "avis coordinates" "avis" p.Dc.coordinator
+
+(* an INSERT ... SELECT coordinated away from its target pays a MOVE of
+   the result: of two near-equal sides, the target coordinates *)
+let test_transfer_target_coordinates () =
+  let g = gdd () in
+  G.set_cardinality g ~db:"avis" ~table:"cars" 100;
+  G.set_cardinality g ~db:"national" ~table:"vehicle" 100;
+  let gselect, grefs =
+    global_of ~g
+      "USE avis national SELECT c.code FROM avis.cars c, national.vehicle \
+       v WHERE c.code = v.vcode"
+  in
+  let coordinator target =
+    (Dc.decompose_with ?target ~semijoin:true ~gselect ~grefs ()).Dc.coordinator
+  in
+  Alcotest.(check string) "no target: shipping cars is cheaper" "national"
+    (coordinator None);
+  Alcotest.(check string) "target avis" "avis" (coordinator (Some "avis"));
+  Alcotest.(check string) "target national" "national"
+    (coordinator (Some "national"))
 
 let test_local_conjuncts_pushed () =
   let p =
@@ -41,7 +118,8 @@ let test_local_conjuncts_pushed () =
        national.vehicle v WHERE c.carst = 'available' AND v.vstat = 'free' \
        AND c.cartype = v.vty"
   in
-  (* coordinator avis (first, tie): national's subquery carries its local filter *)
+  (* equal sides tie on latency and bytes, and avis sorts first: national's
+     subquery carries its local filter *)
   Alcotest.(check string) "coordinator" "avis" p.Dc.coordinator;
   (match p.Dc.shipped with
   | [ s ] ->
@@ -142,7 +220,11 @@ let () =
     [
       ( "plans",
         [
-          Alcotest.test_case "coordinator choice" `Quick test_coordinator_is_biggest_group;
+          Alcotest.test_case "coordinator choice" `Quick test_coordinator_priced;
+          Alcotest.test_case "independent of FROM order" `Quick
+            test_coordinator_independent_of_from_order;
+          Alcotest.test_case "slow site" `Quick test_slow_site_does_not_coordinate;
+          Alcotest.test_case "transfer target" `Quick test_transfer_target_coordinates;
           Alcotest.test_case "conjunct placement" `Quick test_local_conjuncts_pushed;
           Alcotest.test_case "needed columns only" `Quick test_shipped_projects_only_used_columns;
           Alcotest.test_case "unused table constant" `Quick test_unused_table_ships_constant;

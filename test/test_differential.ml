@@ -34,9 +34,9 @@ let gen_data ~seed ~n_parts ~n_sales =
   in
   (parts, sales)
 
-(* two-site federation: market(sales) and store(parts), fully imported so
-   the GDD has the cardinalities the semijoin cost gate reads *)
-let make_fed ~parts ~sales =
+(* a federation of one table per database and site, fully imported so
+   the GDD has the cardinalities the planner prices with *)
+let make_federation specs =
   let world = Netsim.World.create () in
   let directory = Narada.Directory.create () in
   let session = M.create ~world ~directory () in
@@ -53,17 +53,26 @@ let make_fed ~parts ~sales =
       match M.import_all session ~service:name with
       | Ok () -> ()
       | Error m -> failwith m)
+    specs;
+  (session, world)
+
+(* two-site federation: market(sales) and store(parts) *)
+let make_fed ?(sales_schema = sales_schema) ?(parts_schema = parts_schema)
+    ~parts ~sales () =
+  make_federation
     [
       ("market", "msite", "sales", sales_schema, sales);
       ("store", "ssite", "parts", parts_schema, parts);
-    ];
-  (session, world)
+    ]
+
+(* the same tables in one database *)
+let merged_db tables =
+  let db = Ldbms.Database.create "merged" in
+  List.iter (fun (name, schema, rows) -> Ldbms.Database.load db ~name schema rows) tables;
+  Ldbms.Session.connect db Caps.ingres_like
 
 let merged_session ~parts ~sales =
-  let db = Ldbms.Database.create "merged" in
-  Ldbms.Database.load db ~name:"parts" parts_schema parts;
-  Ldbms.Database.load db ~name:"sales" sales_schema sales;
-  Ldbms.Session.connect db Caps.ingres_like
+  merged_db [ ("parts", parts_schema, parts); ("sales", sales_schema, sales) ]
 
 let local_rows session sql =
   match Ldbms.Session.exec_sql session sql with
@@ -93,7 +102,7 @@ let local_query ~cutoff ~extra =
 
 let check_case ~seed ~cutoff ~extra ~semijoin =
   let parts, sales = gen_data ~seed ~n_parts:60 ~n_sales:90 in
-  let session, _world = make_fed ~parts ~sales in
+  let session, _world = make_fed ~parts ~sales () in
   M.set_semijoin session semijoin;
   let got = global_rows session (global_query ~cutoff ~extra) in
   let want =
@@ -124,7 +133,7 @@ let test_shipped_float_threshold () =
     (Relation.cardinality want);
   List.iter
     (fun semijoin ->
-      let session, _world = make_fed ~parts ~sales in
+      let session, _world = make_fed ~parts ~sales () in
       M.set_semijoin session semijoin;
       let got =
         global_rows session
@@ -156,20 +165,100 @@ let test_matrix () =
 let test_empty_keyset () =
   let parts = [ [| i 1; s "a"; f 5.0 |]; [| i 2; s "b"; f 6.0 |] ] in
   let sales = [ [| i 1; i 99; i 3 |] ] in
-  let session, _ = make_fed ~parts ~sales in
+  let session, _ = make_fed ~parts ~sales () in
   M.set_semijoin session true;
   let got = global_rows session (global_query ~cutoff:100.0 ~extra:"") in
   Alcotest.(check int) "no rows" 0 (Relation.cardinality got)
 
-(* at a selective probe, the reduction must ship strictly fewer bytes
-   than the unreduced decomposition even after paying for the key set *)
+(* ---- the semijoin-reduced plan ----------------------------------------
+
+   Under the latency cost model a reduction pays only when it saves more
+   than its probe round trip costs, about 50 KB at Netsim's defaults, so
+   the small federations above ship unreduced. Here both sides are large
+   and wide (a 200-character column each side projects), so whichever
+   database coordinates, the priced plan reduces the other's MOVE. *)
+
+let wide_parts_schema =
+  [ col "pid" Ty.Int; col ~width:200 "pname" Ty.Str; col "price" Ty.Float ]
+
+let wide_sales_schema =
+  [ col "sid" Ty.Int; col "part_id" Ty.Int; col "qty" Ty.Int;
+    col ~width:200 "note" Ty.Str ]
+
+let wide_data ~seed =
+  let n = 1500 in
+  let pad k = Printf.sprintf "%-200d" k in
+  let rng = Random.State.make [| seed |] in
+  let parts =
+    List.init n (fun k -> [| i k; s ("part " ^ pad k); f (Random.State.float rng 100.0) |])
+  in
+  let sales =
+    List.init n (fun k ->
+        [| i k; i (Random.State.int rng (2 * n)); i (1 + Random.State.int rng 9);
+           s ("note " ^ pad k) |])
+  in
+  (parts, sales)
+
+let wide_fed ~parts ~sales =
+  make_fed ~sales_schema:wide_sales_schema ~parts_schema:wide_parts_schema ~parts
+    ~sales ()
+
+let wide_query ~cutoff =
+  Printf.sprintf
+    "USE market store SELECT s.sid, s.note, p.pname FROM market.sales s, \
+     store.parts p WHERE s.part_id = p.pid AND p.price < %f"
+    cutoff
+
+(* the shipped databases' semijoin decisions of [sql]'s plan *)
+let sj_gates session sql =
+  match Msql.Expand.expand (M.gdd session) (Msql.Mparser.parse_query sql) with
+  | Msql.Expand.Global { gselect; grefs } ->
+      let dp =
+        Msql.Decompose.decompose ~semijoin:(M.semijoin_enabled session)
+          ~gselect ~grefs
+      in
+      List.map (fun (sh : Msql.Decompose.shipped) -> sh.Msql.Decompose.sj_gate)
+        dp.Msql.Decompose.shipped
+  | Msql.Expand.Replicated _ | Msql.Expand.Transfer _ ->
+      Alcotest.fail "expected a global query"
+
+(* the reduced plan against the single database: its MOVE runs the
+   semijoin-restricted query Lam.restrict_query writes *)
+let test_reduced_plan_matches_merged () =
+  let parts, sales = wide_data ~seed:8 in
+  let session, _ = wide_fed ~parts ~sales in
+  let merged =
+    merged_db
+      [ ("parts", wide_parts_schema, parts); ("sales", wide_sales_schema, sales) ]
+  in
+  List.iter
+    (fun cutoff ->
+      let sql = wide_query ~cutoff in
+      (match sj_gates session sql with
+      | [ Msql.Decompose.Sj_applied _ ] -> ()
+      | _ -> Alcotest.fail "the priced plan should reduce the shipped subquery");
+      let want =
+        local_rows merged
+          (Printf.sprintf
+             "SELECT s.sid, s.note, p.pname FROM sales s, parts p WHERE \
+              s.part_id = p.pid AND p.price < %f"
+             cutoff)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "reduced plan = single database (cutoff=%.0f)" cutoff)
+        true
+        (Relation.equal_unordered (global_rows session sql) want))
+    [ 10.0; 50.0; 90.0 ]
+
+(* the reduction must ship strictly fewer bytes than the unreduced
+   decomposition even after paying for the key set *)
 let test_semijoin_saves_bytes () =
-  let parts, sales = gen_data ~seed:7 ~n_parts:200 ~n_sales:30 in
+  let parts, sales = wide_data ~seed:7 in
   let run semijoin =
-    let session, world = make_fed ~parts ~sales in
+    let session, world = wide_fed ~parts ~sales in
     M.set_semijoin session semijoin;
     Netsim.World.reset_stats world;
-    let rel = global_rows session (global_query ~cutoff:90.0 ~extra:"") in
+    let rel = global_rows session (wide_query ~cutoff:90.0) in
     (rel, (Netsim.World.stats world).Netsim.World.bytes_moved)
   in
   let reduced, bytes_on = run true in
@@ -178,6 +267,119 @@ let test_semijoin_saves_bytes () =
   Alcotest.(check bool)
     (Printf.sprintf "fewer bytes (%d < %d)" bytes_on bytes_off)
     true (bytes_on < bytes_off)
+
+(* ---- FROM order ------------------------------------------------------------
+
+   The plan is priced, not read off the FROM clause: every order of the
+   same join picks the same coordinator, ships the same databases with the
+   same semijoin decisions, sends the same traffic and returns the same
+   rows. With sales first, the reference-count rule coordinated at the
+   small market side and paid a probe round trip (16 messages); with parts
+   first it coordinated at store (14). *)
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( != ) x) l)))
+        l
+
+let plan_shape session sql =
+  match Msql.Expand.expand (M.gdd session) (Msql.Mparser.parse_query sql) with
+  | Msql.Expand.Global { gselect; grefs } ->
+      let dp = Msql.Decompose.decompose ~semijoin:true ~gselect ~grefs in
+      ( dp.Msql.Decompose.coordinator,
+        List.sort compare
+          (List.map
+             (fun (sh : Msql.Decompose.shipped) ->
+               (sh.Msql.Decompose.sdb, sh.Msql.Decompose.reduce <> None))
+             dp.Msql.Decompose.shipped) )
+  | Msql.Expand.Replicated _ | Msql.Expand.Transfer _ ->
+      Alcotest.fail "expected a global query"
+
+let check_permutations ~make ~use ~select ~refs ~where =
+  let runs =
+    List.map
+      (fun order ->
+        let session, world = make () in
+        let sql =
+          Printf.sprintf "USE %s SELECT %s FROM %s WHERE %s" use select
+            (String.concat ", " order) where
+        in
+        Netsim.World.reset_stats world;
+        let rows = global_rows session sql in
+        let msgs = (Netsim.World.stats world).Netsim.World.messages in
+        (String.concat ", " order, plan_shape session sql, msgs, rows))
+      (permutations refs)
+  in
+  match runs with
+  | [] -> assert false
+  | (_, shape0, msgs0, rows0) :: rest ->
+      List.iter
+        (fun (order, shape, msgs, rows) ->
+          Alcotest.(check string) (order ^ ": coordinator") (fst shape0) (fst shape);
+          Alcotest.(check (list (pair string bool)))
+            (order ^ ": shipped databases and semijoin decisions") (snd shape0)
+            (snd shape);
+          Alcotest.(check int) (order ^ ": messages") msgs0 msgs;
+          Alcotest.(check bool) (order ^ ": rows") true
+            (Relation.equal_unordered rows0 rows))
+        rest
+
+let test_from_order_two_databases () =
+  let parts, sales = gen_data ~seed:4 ~n_parts:8000 ~n_sales:250 in
+  check_permutations
+    ~make:(fun () -> make_fed ~parts ~sales ())
+    ~use:"market store" ~select:"s.sid, p.pname, s.qty"
+    ~refs:[ "market.sales s"; "store.parts p" ]
+    ~where:"s.part_id = p.pid AND p.price < 50.0"
+
+let stock_schema = [ col "spid" Ty.Int; col ~width:16 "wh" Ty.Str ]
+
+let test_from_order_three_databases () =
+  let parts, sales = gen_data ~seed:5 ~n_parts:2000 ~n_sales:300 in
+  let stock = List.init 900 (fun k -> [| i (k * 3 mod 2000); s (Printf.sprintf "wh%d" k) |]) in
+  check_permutations
+    ~make:(fun () ->
+      make_federation
+        [
+          ("market", "msite", "sales", sales_schema, sales);
+          ("store", "ssite", "parts", parts_schema, parts);
+          ("depot", "dsite", "stock", stock_schema, stock);
+        ])
+    ~use:"market store depot" ~select:"s.sid, p.pname, st.wh"
+    ~refs:[ "market.sales s"; "store.parts p"; "depot.stock st" ]
+    ~where:"s.part_id = p.pid AND p.pid = st.spid AND p.price < 50.0"
+
+(* A WHERE conjunct local to one table filters that FROM leaf before the
+   join, so it is evaluated on rows that never join. A conjunct that
+   raises on such a row (division by a zero quantity, on a sale of an
+   unknown part) makes the single-database query fail, and the global
+   query fails too whichever database coordinates: shipped, the conjunct
+   runs in the local subquery; at the coordinator, on the FROM leaf. *)
+let test_raising_local_conjunct () =
+  let parts = [ [| i 1; s "a"; f 5.0 |]; [| i 2; s "b"; f 6.0 |] ] in
+  let sales = [ [| i 1; i 1; i 2 |]; [| i 2; i 99; i 0 |] ] in
+  let where = "s.part_id = p.pid AND 10 / s.qty > 1" in
+  (match
+     Ldbms.Session.exec_sql (merged_session ~parts ~sales)
+       ("SELECT s.sid, p.pname FROM sales s, parts p WHERE " ^ where)
+   with
+  | Error m ->
+      Alcotest.(check bool) "single database: division by zero" true
+        (Astring_contains.contains m "division by zero")
+  | Ok _ -> Alcotest.fail "the single-database query should fail");
+  List.iter
+    (fun from ->
+      let session, _ = make_fed ~parts ~sales () in
+      match
+        M.exec session
+          (Printf.sprintf "USE market store SELECT s.sid, p.pname FROM %s WHERE %s"
+             from where)
+      with
+      | Error _ -> ()
+      | Ok r -> Alcotest.fail (from ^ ": global query succeeded: " ^ M.result_to_string r))
+    [ "market.sales s, store.parts p"; "store.parts p, market.sales s" ]
 
 (* ---- session performance layer --------------------------------------- *)
 
@@ -193,7 +395,7 @@ let test_matrix_all_layers () =
   List.iter
     (fun seed ->
       let parts, sales = gen_data ~seed ~n_parts:60 ~n_sales:90 in
-      let session, _world = make_fed ~parts ~sales in
+      let session, _world = make_fed ~parts ~sales () in
       enable_all session;
       let merged = merged_session ~parts ~sales in
       List.iter
@@ -220,7 +422,7 @@ let test_matrix_all_layers () =
    memoized plan keyed on the old dictionary version must not be served *)
 let test_plan_cache_misses_after_import () =
   let parts, sales = gen_data ~seed:5 ~n_parts:30 ~n_sales:40 in
-  let session, _ = make_fed ~parts ~sales in
+  let session, _ = make_fed ~parts ~sales () in
   let q = global_query ~cutoff:50.0 ~extra:"" in
   ignore (global_rows session q);
   ignore (global_rows session q);
@@ -258,7 +460,7 @@ let test_plan_cache_misses_after_import () =
    result must evict it; the re-shipped rows reflect the new data *)
 let test_result_cache_misses_after_update () =
   let parts, sales = gen_data ~seed:6 ~n_parts:60 ~n_sales:90 in
-  let session, world = make_fed ~parts ~sales in
+  let session, world = make_fed ~parts ~sales () in
   M.set_result_cache session true;
   let q = global_query ~cutoff:50.0 ~extra:"" in
   ignore (global_rows session q);
@@ -398,6 +600,16 @@ let () =
             test_shipped_float_threshold;
           Alcotest.test_case "semijoin saves bytes" `Quick
             test_semijoin_saves_bytes;
+          Alcotest.test_case "reduced plan matches single database" `Quick
+            test_reduced_plan_matches_merged;
+          Alcotest.test_case "raising local conjunct" `Quick
+            test_raising_local_conjunct;
+        ] );
+      ( "FROM order",
+        [
+          Alcotest.test_case "two databases" `Quick test_from_order_two_databases;
+          Alcotest.test_case "three databases" `Quick
+            test_from_order_three_databases;
         ] );
       ( "session caches",
         [

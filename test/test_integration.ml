@@ -377,7 +377,10 @@ let test_data_transfer_local_degenerate () =
 
 (* INSERT ... SELECT whose target database is also the coordinator of its
    source join: the join result is inserted in place, not shipped from the
-   coordinator to itself into a staging table first *)
+   coordinator to itself into a staging table first. The priced plan
+   coordinates at the target (another coordinator would pay a MOVE of
+   the result) and ships the other flights table unreduced: 20 rows are
+   too few for a semijoin probe round trip to pay. *)
 let test_data_transfer_into_coordinator () =
   let fleet () = F.airline_fleet ~flights_per_db:20 ~n:3 () in
   let fx = fleet () in
@@ -392,10 +395,10 @@ let test_data_transfer_into_coordinator () =
            AND g.rate < 200|}
    with
   | Ok (M.Update_report { outcome = M.Success; elapsed_ms; _ }) ->
-      Alcotest.(check (float 0.005)) "virtual ms" 75.16 elapsed_ms
+      Alcotest.(check (float 0.005)) "virtual ms" 65.14 elapsed_ms
   | Ok r -> Alcotest.fail (M.result_to_string r)
   | Error m -> Alcotest.fail m);
-  Alcotest.(check int) "messages" 16
+  Alcotest.(check int) "messages" 14
     (Netsim.World.stats fx.F.world).Netsim.World.messages;
   (* reference: the same statement on one database holding both tables *)
   let local = fleet () in

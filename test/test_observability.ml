@@ -37,8 +37,10 @@ let engine_setup () =
   mk "bravo" "site2";
   (world, dir)
 
-(* three-database federation sized so the semijoin cost gate fires: a
-   small coordinator relation (sales) against two large remote ones *)
+(* three-database federation: a small relation (sales) and two larger
+   ones (parts, stock). The priced plan coordinates at store, the largest,
+   and ships the other two unreduced: at these sizes no semijoin probe
+   round trip pays *)
 let sales_schema = [ col "sid" Ty.Int; col "part_id" Ty.Int; col "qty" Ty.Int ]
 
 let parts_schema =
@@ -374,9 +376,12 @@ let test_explain_multiple_golden () =
       "store.parts";
       "depot.stock";
       "== phase 3: decomposition ==";
-      "coordinator: market";
+      "coordinator: store";
+      "priced alternatives (cheapest first):";
+      "  * coordinator store, depot full, market full: est. 35.74 ms, 3909 B";
+      "    coordinator market, depot reduced, store reduced:";
       "ship ";
-      "semijoin APPLIED:";
+      "semijoin DECLINED:";
       "key byte(s)";
       "== phase 4: DOL program ==";
       "DOLBEGIN";

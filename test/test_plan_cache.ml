@@ -50,8 +50,8 @@ COMMIT
   delta AND avis
 END MULTITRANSACTION|}
 
-(* the three-database join of the observability suite: the semijoin cost
-   gate fires, so the plan carries a real decomposition *)
+(* the three-database join of the observability suite: the plan carries a
+   real decomposition and a priced semijoin decision *)
 let join3 =
   "USE market store depot SELECT s.sid, p.pname, st.wh FROM market.sales s, \
    store.parts p, depot.stock st WHERE s.part_id = p.pid AND s.part_id = \

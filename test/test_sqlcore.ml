@@ -282,7 +282,7 @@ let test_relation_distinct_exact_floats () =
 
    The reference is the product restricted to rows whose key columns are
    equal under SQL equality (NULL equals nothing): same rows, same order. *)
-let check_join name a b ~keys =
+let join_agrees a b ~keys =
   let width_a = Schema.arity (Relation.schema a) in
   let key_eq row (ia, ib) =
     let va = row.(ia) and vb = row.(width_a + ib) in
@@ -294,10 +294,14 @@ let check_join name a b ~keys =
       (Relation.product a b)
   in
   let got = Relation.hash_join a b ~keys in
+  (Relation.equal got want, Relation.cardinality got)
+
+let check_join name a b ~keys =
+  let agrees, card = join_agrees a b ~keys in
   Alcotest.(check bool)
     (name ^ ": hash join = filtered product (rows and order)")
-    true (Relation.equal got want);
-  Relation.cardinality got
+    true agrees;
+  card
 
 let i x = Value.Int x
 let fl x = Value.Float x
@@ -455,6 +459,34 @@ let prop_union_cardinality =
       Relation.cardinality (Relation.union (mk xs) (mk ys))
       = List.length xs + List.length ys)
 
+(* Hash join = filtered product (rows and order) over random inputs of
+   either relative size, so the table is built on the left input as often
+   as on the right. Keys come from a pool mixing the values SQL equality
+   relates across classes (1 = 1.0, min_int = -2^62), NULL, a
+   non-integral float, 2^62 (a float above every int) next to max_int,
+   and a string that reads like a number; one key column or two. *)
+let prop_hash_join_vs_product =
+  let pool =
+    [| i 1; fl 1.0; i 2; fl 2.5; Value.Null; i max_int; fl 0x1p62; i min_int;
+       fl (-0x1p62); Value.Str "1" |]
+  in
+  let key = QCheck.Gen.(map (Array.get pool) (int_bound (Array.length pool - 1))) in
+  let side = QCheck.Gen.(list_size (0 -- 25) (pair key key)) in
+  let rel name keys =
+    Relation.make
+      [ Schema.column (name ^ "id") Ty.Int; Schema.column (name ^ "k1") Ty.Float;
+        Schema.column (name ^ "k2") Ty.Float ]
+      (List.mapi (fun n (k1, k2) -> [| i n; k1; k2 |]) keys)
+  in
+  QCheck.Test.make ~name:"hash join = filtered product, either side smaller"
+    ~count:500
+    (QCheck.make QCheck.Gen.(pair side side))
+    (fun (ka, kb) ->
+      let a = rel "a" ka and b = rel "b" kb in
+      List.for_all
+        (fun keys -> fst (join_agrees a b ~keys) && fst (join_agrees b a ~keys))
+        [ [ (1, 1) ]; [ (1, 2) ]; [ (1, 1); (2, 2) ] ])
+
 (* ---- Scan ------------------------------------------------------------------ *)
 
 let test_scan_comments () =
@@ -492,7 +524,7 @@ let prop_float_literal_roundtrip =
 
 let qtests = List.map QCheck_alcotest.to_alcotest
     [ prop_like_vs_naive; prop_distinct_idempotent; prop_union_cardinality;
-      prop_float_literal_roundtrip ]
+      prop_float_literal_roundtrip; prop_hash_join_vs_product ]
 
 let () =
   Alcotest.run "sqlcore"
