@@ -48,17 +48,23 @@ and shape =
   | Mtx
 
 (* Cache block: every session holds one — a private block from [create],
-   or its server's, which makes the plan and shipped-result caches
+   or its server's, which makes the parse, plan and shipped-result caches
    communal: session A's planning warms session B. The hit/miss counters
    stay in each session, so per-session accounting survives sharing. *)
 type shared_caches = {
+  sc_parsed : (string, Ast.toplevel) Hashtbl.t;
+      (* statement text -> its parse; pure, so never stale *)
   sc_plans : (string, planned) Hashtbl.t;
   sc_results : (string * string * string, int * Sqlcore.Relation.t) Hashtbl.t;
       (* (src, dst, shipped query) -> (dictionary epoch at store, rows) *)
 }
 
 let shared_caches () =
-  { sc_plans = Hashtbl.create 64; sc_results = Hashtbl.create 64 }
+  {
+    sc_parsed = Hashtbl.create 64;
+    sc_plans = Hashtbl.create 64;
+    sc_results = Hashtbl.create 64;
+  }
 
 type t = {
   world : Netsim.World.t;
@@ -1041,15 +1047,25 @@ and fire_triggers t result =
 
 and exec_toplevel t tl = Result.bind (prepare t tl) finish
 
-let parse text =
-  match Mparser.parse_toplevel text with
-  | tl -> Ok tl
-  | exception Mparser.Error (m, l, c) ->
-      Error (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m)
+(* Phase 1 through the cache block: parsing is a pure function of the
+   text and the AST is immutable, so an entry never goes stale and needs
+   no epoch. A parse error is never stored. *)
+let parse t text =
+  let parsed = t.caches.sc_parsed in
+  match Hashtbl.find_opt parsed text with
+  | Some tl -> Ok tl
+  | None -> (
+      match Mparser.parse_toplevel text with
+      | tl ->
+          if Hashtbl.length parsed > 128 then Hashtbl.reset parsed;
+          Hashtbl.replace parsed text tl;
+          Ok tl
+      | exception Mparser.Error (m, l, c) ->
+          Error (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m))
 
-let prepare_text t text = Result.bind (parse text) (prepare t)
+let prepare_text t text = Result.bind (parse t text) (prepare t)
 
-let exec t text = Result.bind (parse text) (exec_toplevel t)
+let exec t text = Result.bind (parse t text) (exec_toplevel t)
 
 let exec_script t text =
   match Mparser.parse_script text with
@@ -1065,7 +1081,7 @@ let exec_script t text =
       in
       go [] tls
 
-let translate t text = Result.bind (parse text) (translate_toplevel t)
+let translate t text = Result.bind (parse t text) (translate_toplevel t)
 
 (* ---- printing ---------------------------------------------------------------- *)
 

@@ -89,6 +89,13 @@ val exec_toplevel : t -> Ast.toplevel -> (result, string) Stdlib.result
 (** Run one parsed statement down the stepped path: prepare it as
     {!prepare_text} does, then {!finish} it. *)
 
+val parse : t -> string -> (Ast.toplevel, string) Stdlib.result
+(** Parse one top-level MSQL statement through the session's cache block:
+    each distinct text is parsed once per block, and a repeat returns the
+    same (physically equal) tree. A parse error is returned with the same
+    text every time and is never stored. {!exec}, {!prepare_text} and
+    {!translate} parse through here. *)
+
 val exec : t -> string -> (result, string) Stdlib.result
 (** Parse and execute one top-level MSQL statement. *)
 
@@ -231,13 +238,14 @@ val set_shared_pool : t -> Narada.Pool.t -> unit
     statement caches below. *)
 
 type shared_caches
-(** A plan + shipped-result cache block. Execution is sequential, so
-    sharers read and write it directly. Every session holds one: a
+(** A parse + plan + shipped-result cache block. Execution is sequential,
+    so sharers read and write it directly. Every session holds one: a
     private block from {!create}, or a communal one after
-    {!set_shared_caches}. Keys embed {!Gdd.id} and the dictionary
-    versions, and shipped entries are stamped with the storing session's
-    dictionary epoch, so an IMPORT invalidates for every sharer at
-    once. *)
+    {!set_shared_caches}. Parse entries are keyed on the statement text
+    alone and never go stale. Plan keys embed {!Gdd.id} and the
+    dictionary versions, and shipped entries are stamped with the storing
+    session's dictionary epoch, so an IMPORT invalidates for every sharer
+    at once. *)
 
 val shared_caches : unit -> shared_caches
 

@@ -9,6 +9,13 @@ type t = {
   mutable ts : int;  (* monotone timestamp oracle; 0 = initial load *)
   mutable snapshots : int list;  (* active snapshot timestamps, with dups *)
   mutable txn_seq : int;  (* local transaction id source *)
+  (* Statement cache, the database's shared SQL area: text -> parse, one
+     table per parser entry point, because the two accept different texts
+     (";SELECT 1" is a one-statement script but not a statement). It lives
+     here rather than in a session because, with pooling off, every
+     statement runs on a fresh session. *)
+  scripts : (string, Sqlfront.Ast.stmt list) Hashtbl.t;
+  stmts : (string, Sqlfront.Ast.stmt) Hashtbl.t;
 }
 
 exception No_such_table of string
@@ -27,8 +34,26 @@ let create name =
     ts = 0;
     snapshots = [];
     txn_seq = 0;
+    scripts = Hashtbl.create 16;
+    stmts = Hashtbl.create 16;
   }
 let name t = t.name
+
+(* Parsing is a pure function of the text and the AST is immutable, so an
+   entry never goes stale: no invalidation, only a bound. A parse error
+   raises out of [parse] before anything is stored. *)
+let cached table parse text =
+  match Hashtbl.find_opt table text with
+  | Some v -> v
+  | None ->
+      let v = parse text in
+      if Hashtbl.length table > 128 then Hashtbl.reset table;
+      Hashtbl.replace table text v;
+      v
+
+let parse_script t text = cached t.scripts Sqlfront.Parser.parse_script text
+let parse_stmt t text = cached t.stmts Sqlfront.Parser.parse_stmt text
+let cached_statements t = Hashtbl.length t.scripts + Hashtbl.length t.stmts
 
 let next_commit_ts t =
   t.ts <- t.ts + 1;

@@ -38,6 +38,24 @@ val oldest_snapshot : t -> int
 (** The oldest still-active snapshot, or [max_int] when none is active;
     version chains may prune anything invisible from this point on. *)
 
+(** {2 Statement cache}
+
+    The database's shared SQL area: each distinct text is parsed once,
+    whichever session submits it. An entry holds syntax only — names are
+    resolved and expressions compiled on every execution — so it never
+    goes stale. Each table is emptied when it passes 128 entries. *)
+
+val parse_script : t -> string -> Sqlfront.Ast.stmt list
+(** {!Sqlfront.Parser.parse_script} through the cache. A text that does
+    not parse raises {!Sqlfront.Parser.Error} every time and is never
+    stored. *)
+
+val parse_stmt : t -> string -> Sqlfront.Ast.stmt
+(** {!Sqlfront.Parser.parse_stmt} through the cache, likewise. *)
+
+val cached_statements : t -> int
+(** Entries the cache holds, over both entry points. *)
+
 val find_table : t -> string -> Table.t
 (** Raises {!No_such_table}. Case-insensitive. *)
 

@@ -256,13 +256,13 @@ let exec t stmt =
           Done)
 
 let exec_sql t sql =
-  match Parser.parse_stmt sql with
+  match Database.parse_stmt t.db sql with
   | stmt -> exec t stmt
   | exception Parser.Error (m, l, c) ->
       Error (Printf.sprintf "parse error at %d:%d: %s" l c m)
 
 let exec_script t sql =
-  match Parser.parse_script sql with
+  match Database.parse_script t.db sql with
   | exception Parser.Error (m, l, c) ->
       Error (Printf.sprintf "parse error at %d:%d: %s" l c m)
   | stmts ->

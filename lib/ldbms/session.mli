@@ -59,10 +59,14 @@ val exec : t -> Sqlfront.Ast.stmt -> (result, string) Stdlib.result
     on error, as a local DBMS would abort the victim. *)
 
 val exec_sql : t -> string -> (result, string) Stdlib.result
-(** Parse and execute; parse errors are reported as [Error]. *)
+(** Parse one statement through the database's statement cache
+    ({!Database.parse_stmt}) and execute it; parse errors are reported as
+    [Error]. *)
 
 val exec_script : t -> string -> (result list, string) Stdlib.result
-(** Execute a [;]-separated script, stopping at the first error. *)
+(** Execute a [;]-separated script, parsed through the database's
+    statement cache ({!Database.parse_script}), stopping at the first
+    error. *)
 
 val commit : t -> (unit, string) Stdlib.result
 val rollback : t -> (unit, string) Stdlib.result

@@ -336,6 +336,82 @@ let test_create_drop () =
   expect_error (q s "SELECT * FROM extras");
   expect_error (q s "DROP TABLE extras")
 
+(* ---- statement cache -------------------------------------------------------
+
+   Each database parses a distinct text once, whichever session submits
+   it. The cache holds syntax only: names resolve on every execution. *)
+
+let test_cache_same_parse () =
+  let db = fresh_db () in
+  let sql = "SELECT code FROM cars WHERE cartype = 'sedan'" in
+  let a = Ldbms.Database.parse_stmt db sql in
+  Alcotest.(check bool) "statement parsed once" true
+    (a == Ldbms.Database.parse_stmt db sql);
+  let script = "UPDATE cars SET rate = 1 WHERE code = 1; " ^ sql in
+  let b = Ldbms.Database.parse_script db script in
+  Alcotest.(check bool) "script parsed once" true
+    (b == Ldbms.Database.parse_script db script);
+  (* two sessions over one database share the entry *)
+  let s1 = Session.connect db Caps.ingres_like in
+  let s2 = Session.connect db Caps.ingres_like in
+  Alcotest.(check (list int)) "first session" [ 1 ] (codes (rows_of (q s1 sql)));
+  Alcotest.(check (list int)) "second session" [ 1 ] (codes (rows_of (q s2 sql)));
+  Alcotest.(check int) "one entry per text and entry point" 2
+    (Ldbms.Database.cached_statements db)
+
+let test_cache_parse_error () =
+  let db = fresh_db () in
+  let s = Session.connect db Caps.ingres_like in
+  let bad = "SELECT code FROM cars WHERE" in
+  let expected =
+    match Sqlfront.Parser.parse_stmt bad with
+    | exception Sqlfront.Parser.Error (m, l, c) ->
+        Printf.sprintf "parse error at %d:%d: %s" l c m
+    | _ -> Alcotest.fail "expected a parse error"
+  in
+  expect_message s bad expected;
+  expect_message s bad expected;
+  (match Session.exec_script s bad with
+  | Error m -> Alcotest.(check string) "script reports it too" expected m
+  | Ok _ -> Alcotest.fail "expected a parse error");
+  Alcotest.(check int) "nothing stored" 0 (Ldbms.Database.cached_statements db);
+  (* a one-statement script is not always a statement: the cached script
+     parse must not let exec_sql accept what it rejects *)
+  let lead = ";SELECT code FROM cars WHERE code = 1" in
+  (match Session.exec_script s lead with
+  | Ok [ Session.Rows _ ] -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected one result");
+  expect_error (q s lead);
+  expect_error (q s lead);
+  Alcotest.(check int) "only the script stored" 1
+    (Ldbms.Database.cached_statements db)
+
+let test_cache_holds_syntax_only () =
+  let db = fresh_db () in
+  let s = Session.connect db Caps.ingres_like in
+  ok s "CREATE TABLE t (a INT)";
+  ok s "INSERT INTO t VALUES (7)";
+  let sql = "SELECT * FROM t" in
+  (match q s sql with
+  | Ok (Session.Rows r) ->
+      Alcotest.(check (list string)) "old columns" [ "a" ]
+        (Schema.names (Relation.schema r));
+      Alcotest.(check int) "old rows" 1 (List.length (Relation.rows r))
+  | _ -> Alcotest.fail "expected rows");
+  ok s "DROP TABLE t";
+  ok s "CREATE TABLE t (b CHAR(10), c INT)";
+  ok s "INSERT INTO t VALUES ('x', 1)";
+  ok s "INSERT INTO t VALUES ('y', 2)";
+  let before = Ldbms.Database.cached_statements db in
+  (match q s sql with
+  | Ok (Session.Rows r) ->
+      Alcotest.(check (list string)) "new columns" [ "b"; "c" ]
+        (Schema.names (Relation.schema r));
+      Alcotest.(check int) "new rows" 2 (List.length (Relation.rows r))
+  | _ -> Alcotest.fail "expected rows");
+  Alcotest.(check int) "the second run was a hit" before
+    (Ldbms.Database.cached_statements db)
+
 (* ---- transactions ------------------------------------------------------------ *)
 
 let test_rollback_restores () =
@@ -566,6 +642,14 @@ let () =
           Alcotest.test_case "create/drop" `Quick test_create_drop;
           Alcotest.test_case "constraints" `Quick test_constraints;
           Alcotest.test_case "constraint ddl" `Quick test_constraint_roundtrip_in_ddl;
+        ] );
+      ( "statement cache",
+        [
+          Alcotest.test_case "same text, same parse" `Quick test_cache_same_parse;
+          Alcotest.test_case "parse errors never stored" `Quick
+            test_cache_parse_error;
+          Alcotest.test_case "drop and re-create answers anew" `Quick
+            test_cache_holds_syntax_only;
         ] );
       ( "transactions",
         [

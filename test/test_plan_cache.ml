@@ -250,6 +250,27 @@ END MULTITRANSACTION|}
   Alcotest.(check bool) "multitransaction over the new members" false
     (opens_avis ())
 
+(* ---- parse cache ------------------------------------------------------ *)
+
+(* the parse table holds syntax only: a USE CURRENT text is parsed once,
+   and each new scope still forces its own plan miss *)
+let test_parse_once_plan_per_scope () =
+  let session = fixture () in
+  let q = "USE CURRENT SELECT %code FROM %" in
+  let parsed () =
+    match M.parse session q with Ok tl -> tl | Error m -> Alcotest.fail m
+  in
+  let tl = parsed () in
+  List.iter
+    (fun (what, scope) ->
+      translate_ok session scope;
+      one_miss_then_hit session ~what (fun () -> translate_ok session q))
+    [
+      ("scope avis", "USE avis SELECT code FROM cars");
+      ("scope national", "USE national SELECT vcode FROM vehicle");
+    ];
+  Alcotest.(check bool) "one parse throughout" true (parsed () == tl)
+
 (* ---- metrics per use -------------------------------------------------- *)
 
 type planning = {
@@ -340,6 +361,11 @@ let () =
             test_use_current_scope_misses;
           Alcotest.test_case "multidatabase redefinition" `Quick
             test_multidatabase_redefinition;
+        ] );
+      ( "parse cache",
+        [
+          Alcotest.test_case "parse once, plan per scope" `Quick
+            test_parse_once_plan_per_scope;
         ] );
       ( "metrics per use",
         [

@@ -1,7 +1,7 @@
 (* The concurrent multi-session server: wire protocol round trips and
    line framing, admission control and queue shedding, round-robin
    fairness, the server-vs-Interleave differential, the MOVE temp-name
-   partitioning, shared plan/result cache accounting across sessions,
+   partitioning, shared parse/plan/result caches across sessions,
    and capped-pool conflict requeues. *)
 
 module F = Msql.Fixtures
@@ -369,6 +369,47 @@ let test_shared_cache_epoch_invalidation () =
   Alcotest.(check int) "stale shared plan not served" 0 cs2.M.plan_hits;
   Alcotest.(check int) "replanned under the new epoch" 1 cs2.M.plan_misses
 
+(* members share the block's parse table: whichever session parses a text
+   first, every other gets that same tree back *)
+let test_shared_parse () =
+  let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
+  let s1 = connect_exn srv in
+  let s2 = connect_exn srv in
+  let m1 = Option.get (S.session srv s1) in
+  let m2 = Option.get (S.session srv s2) in
+  let q = "USE avis SELECT code FROM cars WHERE cartype = 'sedan'" in
+  ignore (submit_exn srv s1 q);
+  List.iter (fun c -> ignore (ok_result c.S.c_result)) (S.drain srv);
+  let tl = ok_result (M.parse m1 q) in
+  ignore (submit_exn srv s2 q);
+  List.iter (fun c -> ignore (ok_result c.S.c_result)) (S.drain srv);
+  Alcotest.(check bool) "one parsed toplevel for both sessions" true
+    (ok_result (M.parse m2 q) == tl);
+  (* a private session keeps its own block *)
+  let solo = ok_result (M.parse (M.create ()) q) in
+  Alcotest.(check bool) "a private block parses afresh" true (solo != tl);
+  Alcotest.(check bool) "to the same tree" true (solo = tl)
+
+let test_parse_error_over_wire () =
+  let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
+  let c = W.create srv in
+  ignore (W.on_line c "HELLO");
+  let bad = "STMT USE avis SELEC code FROM cars" in
+  let error_of_round () =
+    Alcotest.(check (list string)) "accepted" [] (W.on_line c bad);
+    match S.drain srv with
+    | [ comp ] -> (
+        match String.split_on_char ' ' (W.completion_line comp) with
+        | "ERROR" :: _seq :: msg -> String.concat " " msg
+        | _ -> Alcotest.fail (W.completion_line comp))
+    | comps -> Alcotest.failf "expected 1 completion, got %d" (List.length comps)
+  in
+  let first = error_of_round () in
+  Alcotest.(check bool) "an MSQL parse error" true
+    (contains first "MSQL parse error");
+  Alcotest.(check string) "the same error the second time" first
+    (error_of_round ())
+
 (* ---- capped pool: conflict, requeue, completion ----------------------- *)
 
 let test_pool_conflict_requeue () =
@@ -481,6 +522,9 @@ let () =
             `Quick test_shared_cache_accounting;
           Alcotest.test_case "shared epoch invalidation" `Quick
             test_shared_cache_epoch_invalidation;
+          Alcotest.test_case "members share one parse" `Quick test_shared_parse;
+          Alcotest.test_case "parse error over the wire, twice" `Quick
+            test_parse_error_over_wire;
           Alcotest.test_case "capped pool conflict requeues" `Quick
             test_pool_conflict_requeue;
         ] );
