@@ -27,7 +27,8 @@ let () =
        "CREATE VIEW premium AS SELECT code, cartype, rate FROM cars WHERE rate > 40"
    with
   | Ok _ -> ignore (Ldbms.Session.commit local)
-  | Error m -> print_endline ("local DDL failed: " ^ m));
+  | Error m ->
+      print_endline ("local DDL failed: " ^ Ldbms.Session.error_to_string m));
   run session "IMPORT DATABASE avis FROM SERVICE avis VIEW premium";
   run session "USE avis SELECT code, rate FROM premium";
 

@@ -215,10 +215,9 @@ let reset m =
    stats, statuses/branches are control flow) *)
 let observe m (ev : Narada.Trace.event) =
   match ev.Narada.Trace.kind with
-  | Narada.Trace.Retry { site; reason; _ } ->
+  | Narada.Trace.Retry { site; conflict; _ } ->
       m.retries <- m.retries + 1;
-      if Ldbms.Txn.is_conflict_message reason then
-        m.conflict_retries <- m.conflict_retries + 1;
+      if conflict then m.conflict_retries <- m.conflict_retries + 1;
       let k = String.lowercase_ascii site in
       Hashtbl.replace m.site_retries k
         (1 + Option.value ~default:0 (Hashtbl.find_opt m.site_retries k))

@@ -188,9 +188,7 @@ let connect t =
       (Some
          (fun ev ->
            (match ev.Narada.Trace.kind with
-           | Narada.Trace.Open_failed { reason; _ }
-             when Narada.Pool.is_busy_message reason ->
-               e.e_busy <- true
+           | Narada.Trace.Open_failed { busy = true; _ } -> e.e_busy <- true
            | _ -> ());
            match t.on_trace with Some f -> f ev | None -> ()));
     Hashtbl.replace t.sessions sid e;

@@ -28,9 +28,9 @@
     not per session — see {!Msession.prepared_move_dsts}), so statements
     shipping into a common site never share a group.
 
-    A statement that loses a race for a capped connection fails with the
-    pool's busy marker ({!Narada.Pool.is_busy_message}); the scheduler
-    observes it on the session's typed trace and — provided the
+    A statement that loses a race for a capped connection fails its OPEN
+    with [Narada.Lam.Busy]; the scheduler observes it on the session's
+    typed trace (an [Open_failed] event flagged [busy]) and — provided the
     statement left no site effects behind (any retrieval, a fully
     aborted update, a fully undone multitransaction) — requeues it at
     the front of its session's queue, at most [max_requeues] times. *)

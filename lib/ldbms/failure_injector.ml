@@ -42,12 +42,3 @@ let point_to_string = function
   | At_execute -> "execute"
   | At_prepare -> "prepare"
   | At_commit -> "commit"
-
-(* The session layer reports injected failures as strings; this prefix is
-   the in-band marker retry policies use to recognize a retryable local
-   failure (the moral equivalent of SQLSTATE 40001). *)
-let transient_marker = "transient"
-
-let is_transient_message m =
-  let p = transient_marker in
-  String.length m >= String.length p && String.sub m 0 (String.length p) = p

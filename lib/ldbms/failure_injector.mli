@@ -8,7 +8,9 @@
     Each failure has a {!kind}: [Fatal] failures model semantic errors and
     unresolvable aborts (retrying is pointless); [Transient] failures
     model deadlock victims, lock timeouts and refused connections — the
-    operation was rolled back but an identical retry may succeed. *)
+    operation was rolled back but an identical retry may succeed. The
+    session reports a fired failure as [Session.Injected {kind; point}],
+    and retry layers classify it on [kind]. *)
 
 type point =
   | At_connect  (** refusing a new session (listener busy/restarting) *)
@@ -43,10 +45,3 @@ val fires_kind : t -> point -> kind option
 (** Like {!fires} but reports the kind of the injected failure. *)
 
 val point_to_string : point -> string
-
-val transient_marker : string
-(** Prefix of error messages produced by transient injected failures. *)
-
-val is_transient_message : string -> bool
-(** Whether an LDBMS error message denotes a transient (retryable)
-    failure. *)

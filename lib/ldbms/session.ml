@@ -19,6 +19,30 @@ type obs =
   | Obs_snapshot of int
   | Obs_conflict of { table : string; op : string }
 
+(* One failure type for every entry point: retry layers classify on the
+   constructor; [error_to_string] is the text traces and the shell show. *)
+type error =
+  | Conflict of { table : string; op : string }
+  | Injected of { kind : Failure_injector.kind; point : Failure_injector.point }
+  | Failed of string
+
+let error_to_string e =
+  let transient k =
+    if k = Failure_injector.Transient then "transient " else "" in
+  match e with
+  | Conflict { table; op } ->
+      Printf.sprintf
+        "transient write-write conflict on %s at %s: first committer wins"
+        table op
+  | Injected { kind; point = Failure_injector.At_connect } ->
+      transient kind ^ "connection refused by service"
+  | Injected { kind; point } ->
+      Printf.sprintf "%sinjected failure at %s; transaction rolled back"
+        (transient kind) (Failure_injector.point_to_string point)
+  | Failed m -> m
+
+let failed fmt = Printf.ksprintf (fun m -> Error (Failed m)) fmt
+
 type t = {
   db : Database.t;
   caps : Capabilities.t;
@@ -87,37 +111,27 @@ let abort_current t =
   | Some _ | None -> ());
   t.txn <- None
 
-(* injected failures report through error strings; transient ones carry
-   Failure_injector.transient_marker so retry layers can classify them *)
 let injected t point =
   match Failure_injector.fires_kind t.injector point with
   | Some kind ->
       t.stats.injected_failures <- t.stats.injected_failures + 1;
       abort_current t;
-      Some kind
+      Some (Injected { kind; point })
   | None -> None
 
-let injected_message kind point =
-  Printf.sprintf "%sinjected failure at %s; transaction rolled back"
-    (match kind with
-    | Failure_injector.Transient -> Failure_injector.transient_marker ^ " "
-    | Failure_injector.Fatal -> "")
-    (Failure_injector.point_to_string point)
-
-(* A lost first-committer-wins race: the victim is rolled back, and the
-   error carries the transient marker (via [Txn.conflict_message]) so
-   retry layers re-execute on a fresh snapshot. *)
+(* A lost first-committer-wins race: the victim is rolled back, and retry
+   layers re-execute on a fresh snapshot. *)
 let conflicted t ~table ~op =
   t.stats.ww_conflicts <- t.stats.ww_conflicts + 1;
   observe t (Obs_conflict { table; op });
   abort_current t;
-  Error (Txn.conflict_message ~table ~op)
+  Error (Conflict { table; op })
 
 let do_commit t =
   match t.txn with
   | Some txn when not (Txn.is_finished txn) -> (
       match injected t Failure_injector.At_commit with
-      | Some kind -> Error (injected_message kind Failure_injector.At_commit)
+      | Some e -> Error e
       | None -> (
           match Txn.commit txn with
           | () ->
@@ -138,14 +152,13 @@ let do_rollback t =
 
 let do_prepare t =
   if not (Capabilities.supports_2pc t.caps) then
-    Error
-      (Printf.sprintf "engine %s is autocommit-only: no prepared-to-commit state"
-         t.caps.Capabilities.engine_name)
+    failed "engine %s is autocommit-only: no prepared-to-commit state"
+      t.caps.Capabilities.engine_name
   else
     match t.txn with
     | Some txn when Txn.state txn = Txn.Active -> (
         match injected t Failure_injector.At_prepare with
-        | Some kind -> Error (injected_message kind Failure_injector.At_prepare)
+        | Some e -> Error e
         | None -> (
             match Txn.prepare txn with
             | () ->
@@ -153,40 +166,41 @@ let do_prepare t =
                 Ok ()
             | exception Txn.Conflict { table; op } -> conflicted t ~table ~op))
     | Some txn when Txn.state txn = Txn.Prepared -> Ok ()
-    | Some _ | None -> Error "no active transaction to prepare"
+    | Some _ | None -> failed "no active transaction to prepare"
 
 (* Run a DML/DDL body inside the session's transaction discipline. *)
 let run_write t ~is_ddl ~forces_commit body =
-  match injected t Failure_injector.At_execute with
-  | Some kind -> Error (injected_message kind Failure_injector.At_execute)
-  | None -> begin
-    (* Oracle-style DDL: commit prior uncommitted work first. *)
-    (if is_ddl && t.caps.Capabilities.ddl_behavior = Capabilities.Ddl_autocommits
-     then
-       match do_commit t with
-       | Ok () -> ()
-       | Error _ -> ());
-    match txn_state t with
-    | Some Txn.Prepared ->
-        Error "cannot execute statements in a prepared transaction"
-    | Some _ | None -> (
-        let txn = current_txn t in
-        match body txn with
-        | exception Exec.Error m ->
-            abort_current t;
-            Error m
-        | exception Txn.Conflict { table; op } -> conflicted t ~table ~op
-        | r ->
-            let autocommit =
-              t.caps.Capabilities.commit_mode = Capabilities.Autocommit
-              || forces_commit
-              || (is_ddl
-                 && t.caps.Capabilities.ddl_behavior = Capabilities.Ddl_autocommits)
-            in
-            if autocommit then
-              match do_commit t with Ok () -> Ok r | Error m -> Error m
-            else Ok r)
-  end
+  let ddl_autocommits =
+    is_ddl && t.caps.Capabilities.ddl_behavior = Capabilities.Ddl_autocommits
+  in
+  (* Oracle-style DDL commits prior uncommitted work first; if that commit
+     fails, the DDL does not run. *)
+  let ready =
+    match injected t Failure_injector.At_execute with
+    | Some e -> Error e
+    | None -> if ddl_autocommits then do_commit t else Ok ()
+  in
+  match ready with
+  | Error _ as e -> e
+  | Ok () -> (
+      match txn_state t with
+      | Some Txn.Prepared ->
+          failed "cannot execute statements in a prepared transaction"
+      | Some _ | None -> (
+          let txn = current_txn t in
+          match body txn with
+          | exception Exec.Error m ->
+              abort_current t;
+              Error (Failed m)
+          | exception Txn.Conflict { table; op } -> conflicted t ~table ~op
+          | r ->
+              let autocommit =
+                t.caps.Capabilities.commit_mode = Capabilities.Autocommit
+                || forces_commit || ddl_autocommits
+              in
+              if autocommit then
+                match do_commit t with Ok () -> Ok r | Error _ as e -> e
+              else Ok r))
 
 let exec t stmt =
   t.stats.statements <- t.stats.statements + 1;
@@ -196,23 +210,19 @@ let exec t stmt =
          transaction's own staged writes; outside, the latest committed *)
       match Exec.run_select ?txn:(read_txn t) t.db s with
       | r -> Ok (Rows r)
-      | exception Exec.Error m -> Error m)
+      | exception Exec.Error m -> Error (Failed m))
   | Ast.Begin_txn ->
       if not (Capabilities.supports_2pc t.caps) then
-        Error
-          (Printf.sprintf "engine %s is autocommit-only: transactions not supported"
-             t.caps.Capabilities.engine_name)
-      else if in_transaction t then Error "transaction already in progress"
+        failed "engine %s is autocommit-only: transactions not supported"
+          t.caps.Capabilities.engine_name
+      else if in_transaction t then failed "transaction already in progress"
       else begin
         ignore (current_txn t);
         Ok Done
       end
-  | Ast.Commit_txn -> (
-      match do_commit t with Ok () -> Ok Done | Error m -> Error m)
-  | Ast.Rollback_txn -> (
-      match do_rollback t with Ok () -> Ok Done | Error m -> Error m)
-  | Ast.Prepare_txn -> (
-      match do_prepare t with Ok () -> Ok Done | Error m -> Error m)
+  | Ast.Commit_txn -> Result.map (fun () -> Done) (do_commit t)
+  | Ast.Rollback_txn -> Result.map (fun () -> Done) (do_rollback t)
+  | Ast.Prepare_txn -> Result.map (fun () -> Done) (do_prepare t)
   | Ast.Insert { table; columns; source } ->
       run_write t ~is_ddl:false ~forces_commit:t.caps.Capabilities.insert_commits
         (fun txn ->
@@ -258,18 +268,16 @@ let exec t stmt =
 let exec_sql t sql =
   match Database.parse_stmt t.db sql with
   | stmt -> exec t stmt
-  | exception Parser.Error (m, l, c) ->
-      Error (Printf.sprintf "parse error at %d:%d: %s" l c m)
+  | exception Parser.Error (m, l, c) -> failed "parse error at %d:%d: %s" l c m
 
 let exec_script t sql =
   match Database.parse_script t.db sql with
-  | exception Parser.Error (m, l, c) ->
-      Error (Printf.sprintf "parse error at %d:%d: %s" l c m)
+  | exception Parser.Error (m, l, c) -> failed "parse error at %d:%d: %s" l c m
   | stmts ->
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | s :: rest -> (
-            match exec t s with Ok r -> go (r :: acc) rest | Error m -> Error m)
+            match exec t s with Ok r -> go (r :: acc) rest | Error _ as e -> e)
       in
       go [] stmts
 

@@ -32,6 +32,23 @@ type obs =
   | Obs_snapshot of int
   | Obs_conflict of { table : string; op : string }
 
+(** Why a statement or transaction verb failed. [Conflict] is a lost
+    first-committer-wins race ({!Txn.Conflict}) and [Injected] a failure
+    fired by the session's {!Failure_injector}; in both the session has
+    rolled the transaction back. [Failed] covers everything else: parse
+    and semantic errors and capability violations. Retry layers classify
+    on the constructor: a [Conflict] or a [Transient] injection may
+    succeed when retried, anything else will not. *)
+type error =
+  | Conflict of { table : string; op : string }
+  | Injected of { kind : Failure_injector.kind; point : Failure_injector.point }
+  | Failed of string
+
+val error_to_string : error -> string
+(** The message text. Transient errors read ["transient ..."]; an
+    injection [At_connect] (raised by the transport when it dials) reads
+    ["connection refused by service"]. *)
+
 type t
 
 (** [connect ?injector db caps] opens a session. [injector] defaults to a
@@ -53,23 +70,24 @@ val txn_state : t -> Txn.state option
 
 val in_transaction : t -> bool
 
-val exec : t -> Sqlfront.Ast.stmt -> (result, string) Stdlib.result
-(** Execute one statement. [Error] covers semantic errors, capability
-    violations and injected failures; any open transaction is rolled back
-    on error, as a local DBMS would abort the victim. *)
+val exec : t -> Sqlfront.Ast.stmt -> (result, error) Stdlib.result
+(** Execute one statement. Any open transaction is rolled back on error,
+    as a local DBMS would abort the victim. On a [Ddl_autocommits] engine
+    a DDL statement first commits the open transaction; if that commit
+    fails, its error is returned and the DDL does not run. *)
 
-val exec_sql : t -> string -> (result, string) Stdlib.result
+val exec_sql : t -> string -> (result, error) Stdlib.result
 (** Parse one statement through the database's statement cache
     ({!Database.parse_stmt}) and execute it; parse errors are reported as
-    [Error]. *)
+    [Failed]. *)
 
-val exec_script : t -> string -> (result list, string) Stdlib.result
+val exec_script : t -> string -> (result list, error) Stdlib.result
 (** Execute a [;]-separated script, parsed through the database's
     statement cache ({!Database.parse_script}), stopping at the first
     error. *)
 
-val commit : t -> (unit, string) Stdlib.result
-val rollback : t -> (unit, string) Stdlib.result
-val prepare : t -> (unit, string) Stdlib.result
+val commit : t -> (unit, error) Stdlib.result
+val rollback : t -> (unit, error) Stdlib.result
+val prepare : t -> (unit, error) Stdlib.result
 
 val result_to_string : result -> string

@@ -39,16 +39,6 @@ let begin_ db =
 let state t = t.state
 let snapshot t = t.snapshot
 
-let conflict_message ~table ~op =
-  Printf.sprintf "%s write-write conflict on %s at %s: first committer wins"
-    Failure_injector.transient_marker table op
-
-let is_conflict_message m =
-  let needle = "write-write conflict" in
-  let nl = String.length needle and ml = String.length m in
-  let rec scan i = i + nl <= ml && (String.sub m i nl = needle || scan (i + 1)) in
-  scan 0
-
 let check_modifiable t =
   match t.state with
   | Active -> ()

@@ -13,7 +13,9 @@ type state = Active | Prepared | Committed | Aborted
 exception Conflict of { table : string; op : string }
 (** A write lost a first-committer-wins race ([op] is the operation that
     detected it: ["write"], ["prepare"], or ["commit"]). The transaction
-    is still in its prior state; callers roll it back. *)
+    is still in its prior state; callers roll it back. The session
+    reports it as [Session.Conflict], which retry layers treat as
+    transient: a retry on a fresh snapshot may succeed. *)
 
 type t
 
@@ -24,15 +26,6 @@ val state : t -> state
 
 val snapshot : t -> int
 (** The begin snapshot timestamp. *)
-
-val conflict_message : table:string -> op:string -> string
-(** Render a [Conflict] as an error message. The message carries the
-    transient-failure marker so multidatabase retry policies re-execute
-    the statement on a fresh snapshot. *)
-
-val is_conflict_message : string -> bool
-(** Recognize a {!conflict_message} (used by the engine to classify abort
-    causes); robust to prefixes added by transport layers. *)
 
 val read : t -> Table.t -> [ `Current | `Frozen of Sqlcore.Row.t list ]
 (** The transaction's view of a table: [`Current] when the table's latest

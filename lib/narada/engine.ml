@@ -19,7 +19,7 @@ type outcome = {
 
 exception Program_error of string
 
-type conn = Available of Lam.t | Unavailable of string
+type conn = Available of Lam.t | Unavailable
 
 (* a COMP statement found anywhere in the program text, kept as a recovery
    handler for the task it compensates even if its branch is never taken *)
@@ -67,9 +67,17 @@ let tell st kind =
 
 let emit st fmt = Printf.ksprintf (fun m -> tell st (Trace.Note m)) fmt
 
-let retry_observer st ~where ~op ~attempt ~delay_ms ~reason =
+(* a first-committer-wins loss, told apart from the other local aborts so
+   the retries and aborts it causes can be counted on their own *)
+let is_conflict = function
+  | Lam.Local (Ldbms.Session.Conflict _) -> true
+  | _ -> false
+
+let retry_observer st ~where ~op ~attempt ~delay_ms f =
   st.retries <- st.retries + 1;
-  tell st (Trace.Retry { op; site = where; attempt; delay_ms; reason })
+  let reason = Lam.failure_message f and conflict = is_conflict f in
+  tell st
+    (Trace.Retry { op; site = where; attempt; delay_ms; reason; conflict })
 
 (* connect through the pool when one is installed; [reused] reports
    whether an idle connection was picked up instead of dialing *)
@@ -118,21 +126,18 @@ let get_status st name =
    leaves the state unknown. *)
 let fail_status = function
   | Lam.Local _ -> A
-  | Lam.Network _ | Lam.Lost _ | Lam.In_doubt _ -> E
+  | Lam.Network _ | Lam.Lost _ | Lam.In_doubt _ | Lam.Busy _ -> E
 
 let presumed_abort_status = function
-  | Lam.Local _ | Lam.Network _ | Lam.Lost _ -> A
+  | Lam.Local _ | Lam.Network _ | Lam.Lost _ | Lam.Busy _ -> A
   | Lam.In_doubt _ -> E
 
-(* a terminal local failure whose message is a first-committer-wins
-   write-write conflict gets a dedicated event on top of the status
-   transition, so consumers can count conflict-caused aborts apart from
-   the other abort classes *)
+(* a terminal write-write conflict gets a dedicated event on top of the
+   status transition, so consumers can count conflict-caused aborts apart
+   from the other abort classes *)
 let note_conflict st ~task lam f =
-  match f with
-  | Lam.Local m when Ldbms.Txn.is_conflict_message m ->
-      tell st (Trace.Conflict_abort { task; site = Lam.site lam })
-  | Lam.Local _ | Lam.Network _ | Lam.Lost _ | Lam.In_doubt _ -> ()
+  if is_conflict f then
+    tell st (Trace.Conflict_abort { task; site = Lam.site lam })
 
 let conn_of st alias =
   match Hashtbl.find_opt st.aliases (akey alias) with
@@ -153,10 +158,9 @@ let rec eval_cond st = function
 let exec_task st (task : task) =
   declare st task.tname task.target;
   match conn_of st task.target with
-  | Unavailable reason ->
+  | Unavailable ->
       (* the service was never reached: the task did not run at all, which
          is safely excludable (unlike E, whose local state is unknown) *)
-      ignore reason;
       set_status st task.tname N
   | Available lam -> (
       match Lam.exec_script lam task.commands with
@@ -210,7 +214,7 @@ let commit_task st tname =
   match get_status st tname with
   | P -> (
       match lam_of_task st tname with
-      | Unavailable _ -> set_status st tname E
+      | Unavailable -> set_status st tname E
       | Available lam -> (
           match Lam.commit lam with
           | Ok () ->
@@ -219,7 +223,7 @@ let commit_task st tname =
           | Error (Lam.Local _) ->
               set_status st tname A;
               Recovery_log.mark_resolved st.rlog tname
-          | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _) ->
+          | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _ | Lam.Busy _) ->
               emit st "task %s in doubt: commit logged, site unreachable" tname;
               set_status st tname E))
   | C | A | E | N | X -> ()
@@ -228,13 +232,13 @@ let abort_task st tname =
   match get_status st tname with
   | P -> (
       match lam_of_task st tname with
-      | Unavailable _ -> set_status st tname E
+      | Unavailable -> set_status st tname E
       | Available lam -> (
           match Lam.rollback lam with
           | Ok () | Error (Lam.Local _) ->
               set_status st tname A;
               Recovery_log.mark_resolved st.rlog tname
-          | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _) ->
+          | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _ | Lam.Busy _) ->
               emit st "task %s in doubt: abort logged, site unreachable" tname;
               set_status st tname E))
   | C | A | E | N | X -> ()
@@ -260,13 +264,13 @@ let exec_comp_on st ~cname ~compensates lam commands =
 let exec_comp st ~cname ~compensates ~target ~commands =
   declare st cname target;
   match conn_of st target with
-  | Unavailable _ -> set_status st cname E
+  | Unavailable -> set_status st cname E
   | Available lam -> exec_comp_on st ~cname ~compensates lam commands
 
 let exec_move st ~mname ~src ~dst ~dest_table ~query ~reduce =
   declare st mname src;
   match conn_of st src, conn_of st dst with
-  | Unavailable _, _ | _, Unavailable _ -> set_status st mname E
+  | Unavailable, _ | _, Unavailable -> set_status st mname E
   | Available src_lam, Available dst_lam -> (
       let on_chunk (c : Lam.chunk_note) =
         tell_ev st
@@ -358,7 +362,7 @@ let resolve_entry st (e : Recovery_log.entry) =
         (* the LDBMS resolved it unilaterally (local abort) *)
         set_status st e.Recovery_log.task A;
         Recovery_log.mark_resolved st.rlog e.Recovery_log.task
-    | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _) -> ()
+    | Error (Lam.Network _ | Lam.Lost _ | Lam.In_doubt _ | Lam.Busy _) -> ()
   end
 
 let resolve_alias st alias =
@@ -409,7 +413,7 @@ let final_recovery st =
 let recovery_conn st target =
   match Hashtbl.find_opt st.aliases (akey target) with
   | Some (Available lam) -> Some (lam, false)
-  | Some (Unavailable _) | None -> (
+  | Some Unavailable | None -> (
       let svc =
         match Hashtbl.find_opt st.services (akey target) with
         | Some svc -> Some svc
@@ -531,9 +535,7 @@ let rec exec_stmt st = function
       let k = akey alias in
       if Hashtbl.mem st.aliases k then err "alias %s already open" alias;
       match Directory.find_opt st.directory service with
-      | None ->
-          Hashtbl.replace st.aliases k
-            (Unavailable (Printf.sprintf "unknown service %s" service))
+      | None -> Hashtbl.replace st.aliases k Unavailable
       | Some svc ->
           Hashtbl.replace st.services k svc;
           (* The AT clause is informative: the directory knows the real
@@ -558,10 +560,11 @@ let rec exec_stmt st = function
                      });
                 Available lam
             | Error f, _ ->
+                let busy = match f with Lam.Busy _ -> true | _ -> false in
                 tell st
                   (Trace.Open_failed
-                     { service; reason = Lam.failure_message f });
-                Unavailable (Lam.failure_message f)
+                     { service; reason = Lam.failure_message f; busy });
+                Unavailable
           in
           Hashtbl.replace st.aliases k conn)
   | Close aliases ->
@@ -574,7 +577,7 @@ let rec exec_stmt st = function
               resolve_alias st alias;
               close_alias st alias lam;
               Hashtbl.remove st.aliases (akey alias)
-          | Some (Unavailable _) -> Hashtbl.remove st.aliases (akey alias)
+          | Some Unavailable -> Hashtbl.remove st.aliases (akey alias)
           | None -> err "CLOSE of unopened alias %s" alias)
         aliases
   | Task task -> exec_task st task
@@ -635,7 +638,7 @@ let release_all st =
     (fun alias conn ->
       match conn with
       | Available lam -> close_alias st alias lam
-      | Unavailable _ -> ())
+      | Unavailable -> ())
     st.aliases;
   Hashtbl.reset st.aliases
 

@@ -1,8 +1,34 @@
 module World = Netsim.World
 module Inject = Ldbms.Failure_injector
 
-type on_retry =
-  op:string -> attempt:int -> delay_ms:float -> reason:string -> unit
+type failure =
+  | Local of Ldbms.Session.error
+  | Network of string
+  | Lost of string
+  | In_doubt of string
+  | Busy of string
+
+type on_retry = op:string -> attempt:int -> delay_ms:float -> failure -> unit
+
+let failure_message = function
+  | Local e -> Ldbms.Session.error_to_string e
+  | Network m | Lost m | In_doubt m -> m
+  | Busy svc -> Printf.sprintf "connection cap reached at %s (pool busy)" svc
+
+(* transport failures are always worth another attempt; local aborts only
+   when the LDBMS reports them transient (write-write conflict, deadlock
+   victim, lock timeout). In_doubt failures are never retried: effects may
+   already be durable. *)
+let classify_io = function
+  | Network _ | Lost _ | Busy _ -> Retry_policy.Retryable
+  | Local _ | In_doubt _ -> Retry_policy.Terminal
+
+let classify_local_aware = function
+  | Local
+      ( Ldbms.Session.Conflict _
+      | Ldbms.Session.Injected { kind = Inject.Transient; _ } ) ->
+      Retry_policy.Retryable
+  | f -> classify_io f
 
 type t = {
   service : Service.t;
@@ -34,32 +60,6 @@ let install_observer t =
             in
             sink { Trace.at_ms = World.now_ms t.world; kind; tag = None }))
 
-type failure =
-  | Local of string
-  | Network of string
-  | Lost of string
-  | In_doubt of string
-
-let failure_message = function
-  | Local m -> m
-  | Network m -> m
-  | Lost m -> m
-  | In_doubt m -> m
-
-(* transport failures are always worth another attempt; local aborts only
-   when the LDBMS marked them transient (deadlock victim, lock timeout).
-   In_doubt failures are never retried: effects may already be durable. *)
-let classify_io = function
-  | Network m | Lost m -> Retry_policy.Retryable m
-  | Local m | In_doubt m -> Retry_policy.Terminal m
-
-let classify_local_aware = function
-  | Network m | Lost m -> Retry_policy.Retryable m
-  | In_doubt m -> Retry_policy.Terminal m
-  | Local m ->
-      if Inject.is_transient_message m then Retry_policy.Retryable m
-      else Retry_policy.Terminal m
-
 let handshake_bytes = 64
 let ack_bytes = 16
 
@@ -73,7 +73,7 @@ let guard_site f =
   | exception World.Lost_message (src, dst) ->
       Error (Lost (Printf.sprintf "message %s -> %s lost" src dst))
 
-let no_on_retry ~op:_ ~attempt:_ ~delay_ms:_ ~reason:_ = ()
+let no_on_retry ~op:_ ~attempt:_ ~delay_ms:_ _ = ()
 
 let connect ?(retry = Retry_policy.default) ?(on_retry = no_on_retry) ?on_trace
     world service =
@@ -81,16 +81,14 @@ let connect ?(retry = Retry_policy.default) ?(on_retry = no_on_retry) ?on_trace
   Retry_policy.run retry world
     ~key:("connect:" ^ dst)
     ~classify:classify_local_aware
-    ~on_retry:(fun ~attempt ~delay_ms ~reason ->
-      on_retry ~op:"connect" ~attempt ~delay_ms ~reason)
+    ~on_retry:(on_retry ~op:"connect")
     (fun () ->
       guard_site (fun () ->
           World.send world ~src:"mdbs" ~dst ~bytes:handshake_bytes;
           match Inject.fires_kind service.Service.injector Inject.At_connect with
-          | Some Inject.Transient ->
-              Error
-                (Local (Inject.transient_marker ^ " connection refused by service"))
-          | Some Inject.Fatal -> Error (Local "connection refused by service")
+          | Some kind ->
+              let point = Inject.At_connect in
+              Error (Local (Ldbms.Session.Injected { kind; point }))
           | None ->
               let t =
                 {
@@ -130,8 +128,7 @@ let with_retry t ~op ~classify f =
   Retry_policy.run t.policy t.world
     ~key:(op ^ ":" ^ site t)
     ~classify
-    ~on_retry:(fun ~attempt ~delay_ms ~reason ->
-      t.on_retry ~op ~attempt ~delay_ms ~reason)
+    ~on_retry:(t.on_retry ~op)
     f
 
 let result_bytes = function
@@ -148,8 +145,7 @@ let exec_script t script =
   let r =
     with_retry t ~op:"exec"
       ~classify:(fun f ->
-        if !unsafe then Retry_policy.Terminal (failure_message f)
-        else classify_local_aware f)
+        if !unsafe then Retry_policy.Terminal else classify_local_aware f)
       (fun () ->
       unsafe := false;
       let executed = ref false in
@@ -165,9 +161,9 @@ let exec_script t script =
                 in
                 World.send t.world ~src:(site t) ~dst:"mdbs" ~bytes;
                 Ok results
-            | Error m ->
+            | Error e ->
                 World.send t.world ~src:(site t) ~dst:"mdbs" ~bytes:ack_bytes;
-                Error (Local m))
+                Error (Local e))
       in
       (match r with
       | Error (Network _ | Lost _) when !executed -> (
@@ -204,7 +200,7 @@ let round_trip t ~op f =
           World.send t.world ~src:"mdbs" ~dst:(site t) ~bytes:ack_bytes;
           let r = f () in
           World.send t.world ~src:(site t) ~dst:"mdbs" ~bytes:ack_bytes;
-          match r with Ok () -> Ok () | Error m -> Error (Local m)))
+          Result.map_error (fun e -> Local e) r))
 
 let prepare t = round_trip t ~op:"prepare" (fun () -> Ldbms.Session.prepare t.session)
 let commit t = round_trip t ~op:"commit" (fun () -> Ldbms.Session.commit t.session)
@@ -216,7 +212,8 @@ let fetch t query =
   | Ok results -> (
       match last_relation results with
       | Some rel -> Ok rel
-      | None -> Error (Local "query did not produce rows"))
+      | None ->
+          Error (Local (Ldbms.Session.Failed "query did not produce rows")))
 
 (* Restrict [query] to rows whose [col] is among [keys]: parse, conjoin an
    IN list onto the WHERE clause, print back. An empty key set means no
@@ -382,8 +379,10 @@ let transfer ~on_chunk ~cache ~reduce ~src ~dst ~query ~dest_table =
                   ~bytes:(String.length query);
                 match Ldbms.Session.exec_sql src.session query with
                 | Ok (Ldbms.Session.Rows rel) -> Ok rel
-                | Ok _ -> Error (Local "MOVE query did not produce rows")
-                | Error m -> Error (Local m))
+                | Ok _ ->
+                    let m = "MOVE query did not produce rows" in
+                    Error (Local (Ldbms.Session.Failed m))
+                | Error e -> Error (Local e))
           with
           | Error f -> Error f
           | Ok rel -> (

@@ -16,21 +16,26 @@ type t
 
 (** How an operation failed, after retries were exhausted or the failure
     was terminal: [Local] failures are aborts raised by the database
-    itself (semantic errors, injected local failures) — the session has
-    rolled back; [Network] failures mean the site could not be reached;
-    [Lost] means a message vanished in transit. For [Network] and [Lost]
-    the local state is clean: the command never took effect, or the LDBMS
-    rolled the orphaned work back. [In_doubt] is the dangerous case —
-    effects may already be durable at the site (autocommit engine, or a
-    script that committed/prepared before the transport failed). *)
+    itself (write-write conflicts, injected local failures, semantic
+    errors) — the session has rolled back; [Network] failures mean the
+    site could not be reached; [Lost] means a message vanished in
+    transit. For [Network] and [Lost] the local state is clean: the
+    command never took effect, or the LDBMS rolled the orphaned work
+    back. [In_doubt] is the dangerous case — effects may already be
+    durable at the site (autocommit engine, or a script that
+    committed/prepared before the transport failed). [Busy svc] is a
+    {!Pool} checkout refused because [svc] was at its connection cap;
+    nothing was sent. *)
 type failure =
-  | Local of string
+  | Local of Ldbms.Session.error
   | Network of string
   | Lost of string
   | In_doubt of string
+  | Busy of string
 
-type on_retry =
-  op:string -> attempt:int -> delay_ms:float -> reason:string -> unit
+type on_retry = op:string -> attempt:int -> delay_ms:float -> failure -> unit
+(** Observes each re-attempt, after its backoff was charged, with the
+    failure being retried. *)
 
 val connect :
   ?retry:Retry_policy.t ->
@@ -69,15 +74,16 @@ val with_policy :
     connected. *)
 
 val failure_message : failure -> string
+(** The failure's text; a [Local] one is {!Ldbms.Session.error_to_string}. *)
 
 val classify_io : failure -> Retry_policy.classification
 (** Transport failures retryable, every local abort terminal — the rule
     for 2PC verbs. *)
 
 val classify_local_aware : failure -> Retry_policy.classification
-(** Like {!classify_io} but local failures marked transient by the LDBMS
-    (cf. {!Ldbms.Failure_injector.is_transient_message}) are also
-    retryable — the rule for statement execution. *)
+(** Like {!classify_io} but the LDBMS's transient aborts — a
+    [Session.Conflict] or a [Transient] [Session.Injected] — are also
+    retryable: the rule for statement execution. *)
 
 val exec_script : t -> string -> (Ldbms.Session.result list, failure) result
 (** Ship a SQL script to the LAM and execute it statement by statement.

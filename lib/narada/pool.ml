@@ -50,21 +50,6 @@ let size t = Hashtbl.fold (fun _ es acc -> acc + List.length es) t.conns 0
 let checked_out t svc =
   Option.value ~default:0 (Hashtbl.find_opt t.in_use (key svc))
 
-(* The marker a capped-out checkout carries; the server's scheduler
-   recognizes it in [Trace.Open_failed] reasons and requeues the
-   statement instead of reporting the failure to the client. *)
-let busy_tag = "(pool busy)"
-
-let busy_message svc =
-  Printf.sprintf "connection cap reached at %s %s" svc busy_tag
-
-let is_busy_message m =
-  (* substring search: the engine wraps the failure text on its way into
-     Open_failed reasons *)
-  let n = String.length busy_tag and l = String.length m in
-  let rec go i = i + n <= l && (String.sub m i n = busy_tag || go (i + 1)) in
-  go 0
-
 (* A stale connection is one whose transport broke while it idled: the
    real LDBMS notices the broken session and aborts its orphaned {e
    active} transaction autonomously, which we model here. A {e prepared}
@@ -95,7 +80,7 @@ let checkout ?retry ?on_retry ?on_trace t (svc : Service.t) =
   match t.cap with
   | Some cap when checked_out t k >= cap ->
       t.pstats.conflicts <- t.pstats.conflicts + 1;
-      Error (Lam.Network (busy_message svc.Service.service_name))
+      Error (Lam.Busy svc.Service.service_name)
   | Some _ | None ->
       let rec pick () =
         match Hashtbl.find_opt t.conns k with

@@ -22,10 +22,10 @@
     session's OPENs out of one pool), and an optional per-service
     {!set_cap} bounds how many connections to one service can be live at
     once across all sharers — the resource limit of the member database. A capped-out
-    checkout fails with a {e transient} failure carrying a recognizable
-    marker ({!is_busy_message}); the server's scheduler requeues the
-    whole statement and retries it after the holder's statement has
-    released its connection. *)
+    checkout fails with a {e transient} [Lam.Busy] failure; the engine
+    flags it as [busy] on the [Trace.Open_failed] event, and the
+    server's scheduler requeues the whole statement and retries it after
+    the holder's statement has released its connection. *)
 
 type t
 
@@ -47,9 +47,8 @@ val set_trace : t -> (Trace.event -> unit) -> unit
 val set_cap : t -> int option -> unit
 (** Bound concurrent checkouts per service ([None] — the default — is
     unlimited; values below 1 clear the cap). With a cap of [n], the
-    [n+1]-th simultaneous checkout of the same service returns a
-    transient [Lam.Network] failure whose text satisfies
-    {!is_busy_message}. *)
+    [n+1]-th simultaneous checkout of the same service returns
+    [Lam.Busy]. *)
 
 val cap : t -> int option
 
@@ -60,11 +59,6 @@ val stats : t -> stats
 
 val size : t -> int
 (** Idle connections currently parked. *)
-
-val is_busy_message : string -> bool
-(** Whether a failure (or [Trace.Open_failed] reason) text carries the
-    cap-conflict marker — the signal that the statement merely raced
-    another session for a capped connection and is worth retrying. *)
 
 val checkout :
   ?retry:Retry_policy.t ->

@@ -9,7 +9,7 @@ type t = {
   budget_ms : float;
 }
 
-type classification = Retryable of string | Terminal of string
+type classification = Retryable | Terminal
 
 let default =
   {
@@ -54,7 +54,7 @@ let backoff_ms p ~key ~attempt =
     let f = 1.0 +. (p.jitter *. ((Random.State.float rng 2.0) -. 1.0)) in
     raw *. f
 
-let run p world ~key ~classify ?(on_retry = fun ~attempt:_ ~delay_ms:_ ~reason:_ -> ())
+let run p world ~key ~classify ?(on_retry = fun ~attempt:_ ~delay_ms:_ _ -> ())
     f =
   let t0 = World.now_ms world in
   let rec go attempt =
@@ -62,8 +62,8 @@ let run p world ~key ~classify ?(on_retry = fun ~attempt:_ ~delay_ms:_ ~reason:_
     | Ok _ as ok -> ok
     | Error e as err -> (
         match classify e with
-        | Terminal _ -> err
-        | Retryable reason ->
+        | Terminal -> err
+        | Retryable ->
             if attempt >= p.max_attempts then err
             else
               let delay = backoff_ms p ~key ~attempt in
@@ -72,7 +72,7 @@ let run p world ~key ~classify ?(on_retry = fun ~attempt:_ ~delay_ms:_ ~reason:_
                 (* the backoff wait is virtual time: charged to the clock,
                    never to the wall *)
                 World.advance_ms world delay;
-                on_retry ~attempt ~delay_ms:delay ~reason;
+                on_retry ~attempt ~delay_ms:delay e;
                 go (attempt + 1)
               end)
   in

@@ -17,7 +17,7 @@ type t = {
   budget_ms : float;  (** max virtual time from first attempt to last retry *)
 }
 
-type classification = Retryable of string | Terminal of string
+type classification = Retryable | Terminal
 
 val default : t
 (** 4 attempts, 5 ms base, x2 growth capped at 80 ms, 25% jitter, 250 ms
@@ -37,10 +37,11 @@ val run :
   Netsim.World.t ->
   key:string ->
   classify:('e -> classification) ->
-  ?on_retry:(attempt:int -> delay_ms:float -> reason:string -> unit) ->
+  ?on_retry:(attempt:int -> delay_ms:float -> 'e -> unit) ->
   (unit -> ('a, 'e) result) ->
   ('a, 'e) result
 (** [run p world ~key ~classify f] calls [f] until it succeeds, fails
     terminally, exhausts [p.max_attempts], or would exceed [p.budget_ms]
     of virtual time. Each backoff advances [world]'s clock; [on_retry]
-    fires once per re-attempt (after the delay is charged). *)
+    fires once per re-attempt (after the delay is charged) with the
+    failure being retried. *)

@@ -6,7 +6,7 @@ type verdict = Commit | Abort
 
 type kind =
   | Opened of { service : string; site : string; alias : string; pooled : bool }
-  | Open_failed of { service : string; reason : string }
+  | Open_failed of { service : string; reason : string; busy : bool }
   | Closed of { alias : string }
   | Status of { task : string; status : Dol_ast.status }
   | Branch of { cond : string; taken : bool }
@@ -36,6 +36,7 @@ type kind =
       attempt : int;
       delay_ms : float;
       reason : string;
+      conflict : bool;
     }
   | Decision of { verdict : verdict; tasks : string list }
   | Recovered of { task : string; site : string; verdict : verdict }
@@ -67,7 +68,7 @@ let render_kind = function
   | Opened { service; site; alias; pooled } ->
       Printf.sprintf "OPEN %s AT %s AS %s%s" service site alias
         (if pooled then " (pooled)" else "")
-  | Open_failed { service; reason } ->
+  | Open_failed { service; reason; _ } ->
       Printf.sprintf "OPEN %s failed: %s" service reason
   | Closed { alias } -> Printf.sprintf "CLOSE %s" alias
   | Status { task; status } ->
@@ -82,7 +83,7 @@ let render_kind = function
   | Chunk { mname; src; dst; seq; total; rows; bytes; window } ->
       Printf.sprintf "MOVE %s chunk %d/%d %s -> %s: %d row(s), %d byte(s) (window %d)"
         mname seq total src dst rows bytes window
-  | Retry { op; site; attempt; delay_ms; reason } ->
+  | Retry { op; site; attempt; delay_ms; reason; _ } ->
       Printf.sprintf "retry %s@%s attempt %d (+%.2f ms backoff): %s" op site
         attempt delay_ms reason
   | Decision { verdict; tasks } ->

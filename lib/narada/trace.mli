@@ -12,7 +12,9 @@ type kind =
   | Opened of { service : string; site : string; alias : string; pooled : bool }
       (** OPEN established a session; [pooled] when it was an idle pool
           connection rather than a fresh dial. *)
-  | Open_failed of { service : string; reason : string }
+  | Open_failed of { service : string; reason : string; busy : bool }
+      (** OPEN could not establish a session; [busy] when the pool
+          refused the checkout at its connection cap. *)
   | Closed of { alias : string }
       (** The session behind [alias] was released — by CLOSE or by the
           end-of-program epilogue. *)
@@ -51,6 +53,7 @@ type kind =
       attempt : int;
       delay_ms : float;
       reason : string;
+      conflict : bool;  (** the retried failure was a write-write conflict *)
     }  (** A retried operation, as observed via [Lam]'s retry callback. *)
   | Decision of { verdict : verdict; tasks : string list }
       (** The coordinator logged its global 2PC verdict over the prepared

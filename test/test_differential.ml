@@ -78,7 +78,7 @@ let local_rows session sql =
   match Ldbms.Session.exec_sql session sql with
   | Ok (Ldbms.Session.Rows rel) -> rel
   | Ok _ -> Alcotest.fail "local query did not produce rows"
-  | Error m -> Alcotest.fail ("local query: " ^ m)
+  | Error m -> Alcotest.fail ("local query: " ^ Ldbms.Session.error_to_string m)
 
 let global_rows session sql =
   match M.exec session sql with
@@ -367,7 +367,9 @@ let test_raising_local_conjunct () =
    with
   | Error m ->
       Alcotest.(check bool) "single database: division by zero" true
-        (Astring_contains.contains m "division by zero")
+        (Astring_contains.contains
+           (Ldbms.Session.error_to_string m)
+           "division by zero")
   | Ok _ -> Alcotest.fail "the single-database query should fail");
   List.iter
     (fun from ->
@@ -440,10 +442,10 @@ let test_plan_cache_misses_after_import () =
        "INSERT INTO parts VALUES (999, 'extra', 1.0)"
    with
   | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
+  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
   (match Ldbms.Session.commit store_sess with
   | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
   (match M.import_all session ~service:"store" with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
@@ -482,10 +484,10 @@ let test_result_cache_misses_after_update () =
      Ldbms.Session.exec_sql merged "UPDATE parts SET price = 0.0"
    with
   | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
+  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
   (match Ldbms.Session.commit merged with
   | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
   let want = local_rows merged (local_query ~cutoff:50.0 ~extra:"") in
   Alcotest.(check bool) "re-shipped rows reflect the update" true
     (Relation.equal_unordered fresh want)
@@ -586,7 +588,7 @@ let test_inl_matches_product () =
   let session = merged_session ~parts ~sales in
   (match Ldbms.Session.exec_sql session "CREATE INDEX by_pid ON parts (pid)" with
   | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
+  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
   List.iter (check_planner_identical session) planner_queries
 
 let () =

@@ -79,12 +79,12 @@ let test_recreated_table_reordered_columns () =
   let exec sql =
     match Ldbms.Session.exec_sql session sql with
     | Ok r -> r
-    | Error m -> Alcotest.fail (sql ^ ": " ^ m)
+    | Error m -> Alcotest.fail (sql ^ ": " ^ Ldbms.Session.error_to_string m)
   in
   let commit () =
     match Ldbms.Session.commit session with
     | Ok () -> ()
-    | Error m -> Alcotest.fail m
+    | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m)
   in
   let q = "SELECT sku, bin FROM stock WHERE bin = 'b1' AND sku > 2 ORDER BY sku" in
   let rows () =

@@ -100,20 +100,46 @@ let test_set_random_deterministic () =
   Alcotest.(check bool) "fires transient" true (List.mem "t" s1);
   Alcotest.(check bool) "never fatal" false (List.mem "f" s1)
 
+(* Every failure constructor under both classifiers, with the text it
+   renders: retry decisions read the constructor, and the text stays what
+   the trace and the shell have always printed. *)
 let test_transient_classification () =
-  Alcotest.(check bool) "marker recognized" true
-    (Inject.is_transient_message (Inject.transient_marker ^ " deadlock"));
-  Alcotest.(check bool) "plain abort is not" false
-    (Inject.is_transient_message "syntax error");
-  (match Lam.classify_local_aware (Lam.Local (Inject.transient_marker ^ " x")) with
-  | Policy.Retryable _ -> ()
-  | Policy.Terminal _ -> Alcotest.fail "transient local must be retryable");
-  (match Lam.classify_local_aware (Lam.Local "constraint violated") with
-  | Policy.Terminal _ -> ()
-  | Policy.Retryable _ -> Alcotest.fail "fatal local must be terminal");
-  match Lam.classify_io (Lam.Lost "msg") with
-  | Policy.Retryable _ -> ()
-  | Policy.Terminal _ -> Alcotest.fail "lost message must be retryable"
+  let module S = Ldbms.Session in
+  let injected kind point = Lam.Local (S.Injected { kind; point }) in
+  let r = Policy.Retryable and t = Policy.Terminal in
+  let show = function
+    | Policy.Retryable -> "Retryable"
+    | Policy.Terminal -> "Terminal"
+  in
+  List.iter
+    (fun (f, io, local_aware, text) ->
+      Alcotest.(check string) (text ^ ": classify_io") (show io)
+        (show (Lam.classify_io f));
+      Alcotest.(check string)
+        (text ^ ": classify_local_aware")
+        (show local_aware)
+        (show (Lam.classify_local_aware f));
+      Alcotest.(check string) "rendered text" text (Lam.failure_message f))
+    [
+      ( Lam.Local (S.Conflict { table = "flights"; op = "write" }), t, r,
+        "transient write-write conflict on flights at write: first committer \
+         wins" );
+      ( injected Inject.Transient Inject.At_execute, t, r,
+        "transient injected failure at execute; transaction rolled back" );
+      ( injected Inject.Fatal Inject.At_commit, t, t,
+        "injected failure at commit; transaction rolled back" );
+      ( injected Inject.Transient Inject.At_connect, t, r,
+        "transient connection refused by service" );
+      ( injected Inject.Fatal Inject.At_connect, t, t,
+        "connection refused by service" );
+      (Lam.Local (S.Failed "constraint violated"), t, t, "constraint violated");
+      (Lam.Network "site alpha is down", r, r, "site alpha is down");
+      (Lam.Lost "message mdbs -> alpha lost", r, r,
+       "message mdbs -> alpha lost");
+      (Lam.In_doubt "message alpha -> mdbs lost", t, t,
+       "message alpha -> mdbs lost");
+      (Lam.Busy "aero", r, r, "connection cap reached at aero (pool busy)");
+    ]
 
 (* ---- retry policy --------------------------------------------------------- *)
 
@@ -152,7 +178,7 @@ let test_retry_until_exhausted () =
   let t0 = World.now_ms w in
   (match
      Lam.connect
-       ~on_retry:(fun ~op:_ ~attempt:_ ~delay_ms:_ ~reason:_ -> incr attempts)
+       ~on_retry:(fun ~op:_ ~attempt:_ ~delay_ms:_ _ -> incr attempts)
        w svc
    with
   | Ok _ -> Alcotest.fail "connect to a dead site must fail"
@@ -174,7 +200,7 @@ let test_transient_connect_refusal_retried () =
   let attempts = ref 0 in
   match
     Lam.connect
-      ~on_retry:(fun ~op:_ ~attempt:_ ~delay_ms:_ ~reason:_ -> incr attempts)
+      ~on_retry:(fun ~op:_ ~attempt:_ ~delay_ms:_ _ -> incr attempts)
       w svc
   with
   | Ok _ -> Alcotest.(check int) "one retry" 1 !attempts
@@ -449,7 +475,7 @@ let test_pool_refuses_open_txn () =
   let lam = checkout_exn pool svc in
   (match Ldbms.Session.exec_sql (Lam.session lam) "UPDATE t SET x = 2" with
   | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
+  | Error e -> Alcotest.fail (Ldbms.Session.error_to_string e));
   Alcotest.(check bool) "txn open" true
     (Ldbms.Session.in_transaction (Lam.session lam));
   Pool.checkin pool lam;

@@ -15,7 +15,11 @@ let big_db n =
   db
 
 let connect ?(n = 500) () = Session.connect (big_db n) Caps.ingres_like
-let q s sql = Session.exec_sql s sql
+let q s sql = Result.map_error Session.error_to_string (Session.exec_sql s sql)
+
+let ok_txn = function
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Session.error_to_string e)
 
 let rows_of = function
   | Ok (Session.Rows r) -> Relation.rows r
@@ -33,7 +37,7 @@ let test_lifecycle () =
   | Error m -> Alcotest.fail m);
   (* commit: a failed statement aborts the transaction, which would undo
      the CREATE INDEX too *)
-  (match Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.commit s);
   expect_error (q s "CREATE INDEX by_sku ON stock (bin)");
   expect_error (q s "CREATE INDEX broken ON stock (nonexistent)");
   expect_error (q s "CREATE INDEX broken ON nonexistent (sku)");
@@ -81,7 +85,7 @@ let test_index_does_not_match_null () =
 let test_create_index_rollback () =
   let s = connect () in
   ignore (q s "CREATE INDEX by_bin ON stock (bin)");
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.rollback s);
   (* ingres-like: rolled back; creating it again must succeed *)
   match q s "CREATE INDEX by_bin ON stock (bin)" with
   | Ok _ -> ()

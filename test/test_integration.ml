@@ -415,8 +415,10 @@ let test_data_transfer_into_coordinator () =
         g.rate < 200"
    with
   | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  (match Ldbms.Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
+  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
+  (match Ldbms.Session.commit s with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
   let got = F.scan fx ~db:"airline1" ~table:"flights"
   and want = F.scan local ~db:"airline1" ~table:"flights" in
   Alcotest.(check int) "eight rows inserted" 28 (Relation.cardinality want);

@@ -37,7 +37,12 @@ let expect_error = function
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an error"
 
-let q s sql = Session.exec_sql s sql
+let q s sql = Result.map_error Session.error_to_string (Session.exec_sql s sql)
+
+let ok_txn = function
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Session.error_to_string e)
+
 let scalar s sql = match rows_of (q s sql) with
   | [ [| v |] ] -> v
   | _ -> Alcotest.fail "expected a single scalar"
@@ -372,7 +377,9 @@ let test_cache_parse_error () =
   expect_message s bad expected;
   expect_message s bad expected;
   (match Session.exec_script s bad with
-  | Error m -> Alcotest.(check string) "script reports it too" expected m
+  | Error m ->
+      Alcotest.(check string) "script reports it too" expected
+        (Session.error_to_string m)
   | Ok _ -> Alcotest.fail "expected a parse error");
   Alcotest.(check int) "nothing stored" 0 (Ldbms.Database.cached_statements db);
   (* a one-statement script is not always a statement: the cached script
@@ -418,7 +425,7 @@ let test_rollback_restores () =
   let s = connect () in
   ignore (affected (q s "UPDATE cars SET rate = 0 WHERE code = 1"));
   ignore (affected (q s "DELETE FROM cars WHERE code = 2"));
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.rollback s);
   Alcotest.check value "rate restored" (Value.Float 45.0)
     (scalar s "SELECT rate FROM cars WHERE code = 1");
   Alcotest.check value "row restored" (Value.Int 3) (scalar s "SELECT COUNT(*) FROM cars")
@@ -426,30 +433,30 @@ let test_rollback_restores () =
 let test_commit_makes_durable () =
   let s = connect () in
   ignore (affected (q s "UPDATE cars SET rate = 0 WHERE code = 1"));
-  (match Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.commit s);
+  ok_txn (Session.rollback s);
   Alcotest.check value "still zero" (Value.Float 0.0)
     (scalar s "SELECT rate FROM cars WHERE code = 1")
 
 let test_prepare_then_commit () =
   let s = connect () in
   ignore (affected (q s "UPDATE cars SET rate = 1 WHERE code = 1"));
-  (match Session.prepare s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.prepare s);
   Alcotest.(check bool) "prepared" true (Session.txn_state s = Some Ldbms.Txn.Prepared);
   (* no statements allowed while prepared; the transaction survives,
      since its fate belongs to the coordinator *)
   expect_error (q s "UPDATE cars SET rate = 2 WHERE code = 1");
   Alcotest.(check bool) "still prepared" true
     (Session.txn_state s = Some Ldbms.Txn.Prepared);
-  (match Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.commit s);
   Alcotest.check value "committed" (Value.Float 1.0)
     (scalar s "SELECT rate FROM cars WHERE code = 1")
 
 let test_prepare_rollback () =
   let s = connect () in
   ignore (affected (q s "UPDATE cars SET rate = 1 WHERE code = 1"));
-  (match Session.prepare s with Ok () -> () | Error m -> Alcotest.fail m);
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.prepare s);
+  ok_txn (Session.rollback s);
   Alcotest.check value "restored" (Value.Float 45.0)
     (scalar s "SELECT rate FROM cars WHERE code = 1")
 
@@ -457,7 +464,7 @@ let test_ddl_rollback_ingres_like () =
   let s = connect () in
   (* Ingres-like: DDL joins the transaction *)
   (match q s "CREATE TABLE tmp (a INT)" with Ok _ -> () | Error m -> Alcotest.fail m);
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.rollback s);
   expect_error (q s "SELECT * FROM tmp")
 
 let test_ddl_autocommit_oracle_like () =
@@ -465,17 +472,38 @@ let test_ddl_autocommit_oracle_like () =
   (* the paper's trap: DDL commits all previously issued uncommitted work *)
   ignore (affected (q s "UPDATE cars SET rate = 0 WHERE code = 1"));
   (match q s "CREATE TABLE tmp (a INT)" with Ok _ -> () | Error m -> Alcotest.fail m);
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.rollback s);
   (* rollback had nothing to undo: the CREATE committed the UPDATE *)
   Alcotest.check value "update survived rollback" (Value.Float 0.0)
     (scalar s "SELECT rate FROM cars WHERE code = 1");
   Alcotest.check value "table survived" (Value.Int 0) (scalar s "SELECT COUNT(*) FROM tmp")
 
+(* the DDL's implicit commit can lose a first-committer-wins race; the
+   statement must then report that loss and not run, or the transaction's
+   earlier writes vanish behind an Ok *)
+let test_ddl_implicit_commit_conflict_oracle_like () =
+  let db = fresh_db () in
+  let a = Session.connect db Caps.oracle_like in
+  let b = Session.connect db Caps.oracle_like in
+  ok a "BEGIN";
+  ok a "UPDATE cars SET rate = 99.0 WHERE code = 1";
+  ok b "UPDATE cars SET rate = 10.0 WHERE code = 1";
+  ok_txn (Session.commit b);
+  (match Session.exec_sql a "CREATE TABLE t2 (x INT)" with
+  | Error (Session.Conflict { table = "cars"; op = "commit" }) -> ()
+  | Error e -> Alcotest.fail ("wrong error: " ^ Session.error_to_string e)
+  | Ok _ -> Alcotest.fail "DDL ran after its implicit commit failed");
+  Alcotest.(check bool) "victim rolled back" false (Session.in_transaction a);
+  expect_error (q a "SELECT * FROM t2");
+  ok_txn (Session.commit a);
+  Alcotest.check value "the rival's write stands" (Value.Float 10.0)
+    (scalar a "SELECT rate FROM cars WHERE code = 1")
+
 let test_autocommit_engine () =
   let s = connect ~caps:Caps.sybase_like () in
   ignore (affected (q s "UPDATE cars SET rate = 0 WHERE code = 1"));
   (* autocommit: a later rollback is a no-op *)
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.rollback s);
   Alcotest.check value "committed at once" (Value.Float 0.0)
     (scalar s "SELECT rate FROM cars WHERE code = 1");
   expect_error (Session.prepare s |> Result.map (fun () -> Session.Done));
@@ -498,7 +526,7 @@ let test_constraints () =
   | Error m -> Alcotest.fail m);
   Alcotest.(check int) "first row" 1
     (affected (q s "INSERT INTO keyed VALUES (1, 'a')"));
-  (match Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.commit s);
   (* NULL into NOT NULL *)
   expect_error (q s "INSERT INTO keyed VALUES (NULL, 'b')");
   expect_error (q s "INSERT INTO keyed (id) VALUES (2)");
@@ -509,7 +537,7 @@ let test_constraints () =
   (* update into violation *)
   Alcotest.(check int) "second row" 1
     (affected (q s "INSERT INTO keyed VALUES (2, 'b')"));
-  (match Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.commit s);
   expect_error (q s "UPDATE keyed SET id = 1 WHERE id = 2");
   expect_error (q s "UPDATE keyed SET label = NULL WHERE id = 1");
   (* legal update still fine, and failed attempts rolled back cleanly *)
@@ -552,7 +580,7 @@ let test_inject_prepare () =
 let test_inject_commit () =
   let s = connect () in
   ignore (affected (q s "UPDATE cars SET rate = 0 WHERE code = 1"));
-  (match Session.prepare s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.prepare s);
   Inject.fail_next (Session.injector s) Inject.At_commit;
   expect_error (Session.commit s |> Result.map (fun () -> Session.Done));
   Alcotest.check value "rolled back at commit" (Value.Float 45.0)
@@ -659,6 +687,8 @@ let () =
           Alcotest.test_case "prepare rollback" `Quick test_prepare_rollback;
           Alcotest.test_case "ddl rollback (ingres)" `Quick test_ddl_rollback_ingres_like;
           Alcotest.test_case "ddl autocommit (oracle)" `Quick test_ddl_autocommit_oracle_like;
+          Alcotest.test_case "ddl implicit commit conflict (oracle)" `Quick
+            test_ddl_implicit_commit_conflict_oracle_like;
           Alcotest.test_case "autocommit engine" `Quick test_autocommit_engine;
           Alcotest.test_case "error aborts txn" `Quick test_semantic_error_aborts_txn;
         ] );

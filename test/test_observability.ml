@@ -212,6 +212,43 @@ DOLEND
   Alcotest.(check bool) "follow-up OPEN reuses a parked connection" true
     ((Narada.Pool.stats pool).Narada.Pool.hits > 0)
 
+(* user data that merely reads like a conflict is not one: the fatal type
+   error aborts the task with the executor's own message, and no conflict
+   is counted *)
+let test_conflict_text_in_user_data () =
+  let fx = Msql.Fixtures.make () in
+  let session = fx.Msql.Fixtures.session in
+  let stmt = "UPDATE cars SET rate = - 'write-write conflict'" in
+  let aborts = ref 0 in
+  M.set_typed_trace session
+    (Some
+       (fun e ->
+         match e.Trace.kind with
+         | Trace.Conflict_abort _ -> incr aborts
+         | _ -> ()));
+  (match M.exec session ("USE avis " ^ stmt) with
+  | Ok (M.Update_report { details = [ d ]; _ } as r) ->
+      Alcotest.(check string) "task aborted" "A"
+        (D.status_to_string d.M.rstatus);
+      Alcotest.(check string) "report"
+        "update success (DOLSTATUS=0, 20.01 ms)\n  avis: A"
+        (M.result_to_string r)
+  | Ok r -> Alcotest.fail (M.result_to_string r)
+  | Error m -> Alcotest.fail m);
+  let local =
+    Ldbms.Session.connect (Msql.Fixtures.database fx "avis") Caps.ingres_like
+  in
+  (match Ldbms.Session.exec_sql local stmt with
+  | Error (Ldbms.Session.Failed m) ->
+      Alcotest.(check string) "executor message"
+        "type error: negation of write-write conflict" m
+  | Error e -> Alcotest.fail (Ldbms.Session.error_to_string e)
+  | Ok _ -> Alcotest.fail "the type error must fail");
+  Alcotest.(check int) "no Conflict_abort event" 0 !aborts;
+  let m = M.metrics session in
+  Alcotest.(check int) "conflict_aborts" 0 m.Metrics.conflict_aborts;
+  Alcotest.(check int) "conflict_retries" 0 m.Metrics.conflict_retries
+
 (* ---- trace event ordering --------------------------------------------- *)
 
 let twopc_program =
@@ -424,6 +461,8 @@ let () =
             test_pool_released_on_program_error;
           Alcotest.test_case "pool released on conflict abort" `Quick
             test_pool_released_on_conflict_abort;
+          Alcotest.test_case "conflict text in user data" `Quick
+            test_conflict_text_in_user_data;
         ] );
       ( "trace",
         [

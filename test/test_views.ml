@@ -21,7 +21,11 @@ let fresh () =
   db
 
 let connect ?(caps = Caps.ingres_like) () = Session.connect (fresh ()) caps
-let q s sql = Session.exec_sql s sql
+let q s sql = Result.map_error Session.error_to_string (Session.exec_sql s sql)
+
+let ok_txn = function
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Session.error_to_string e)
 
 let rows_of = function
   | Ok (Session.Rows r) -> Relation.rows r
@@ -64,7 +68,7 @@ let test_name_collisions () =
   ignore (q s "CREATE VIEW v AS SELECT id FROM items");
   (* commit: the engine aborts the whole transaction on a failed statement,
      which would otherwise undo the CREATE VIEW too *)
-  (match Session.commit s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.commit s);
   expect_error (q s "CREATE VIEW v AS SELECT id FROM items");
   expect_error (q s "CREATE TABLE v (a INT)")
 
@@ -83,14 +87,14 @@ let test_drop_view () =
 let test_view_ddl_rollback () =
   let s = connect () in
   ignore (q s "CREATE VIEW v AS SELECT id FROM items");
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.rollback s);
   (* ingres-like: the CREATE VIEW was rolled back *)
   expect_error (q s "SELECT * FROM v")
 
 let test_view_ddl_autocommit () =
   let s = connect ~caps:Caps.oracle_like () in
   ignore (q s "CREATE VIEW v AS SELECT id FROM items");
-  (match Session.rollback s with Ok () -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.rollback s);
   Alcotest.(check int) "view survived" 3
     (List.length (rows_of (q s "SELECT * FROM v")))
 
@@ -113,8 +117,8 @@ let test_import_view_and_query () =
        "CREATE VIEW fleet AS SELECT code, cartype FROM cars WHERE carst = 'available'"
    with
   | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  (match Ldbms.Session.commit session with Ok () -> () | Error m -> Alcotest.fail m);
+  | Error m -> Alcotest.fail (Session.error_to_string m));
+  ok_txn (Ldbms.Session.commit session);
   (* export it to the multidatabase level *)
   (match M.exec fx.F.session "IMPORT DATABASE avis FROM SERVICE avis VIEW fleet" with
   | Ok (M.Info _) -> ()
