@@ -241,9 +241,8 @@ let observe m (ev : Narada.Trace.event) =
       m.dataflow_wave_branches <- m.dataflow_wave_branches + branches;
       m.dataflow_crit_ms <- m.dataflow_crit_ms +. crit_ms;
       m.dataflow_serial_ms <- m.dataflow_serial_ms +. serial_ms
-  (* Chunk events are deliberately not folded: a chunked MOVE's totals
-     arrive through its Moved event, so the metrics JSON stays
-     byte-identical at any chunk size *)
+  (* the chunk event is never emitted: a MOVE is one message and reports
+     only Moved *)
   | Narada.Trace.Opened _ | Narada.Trace.Open_failed _ | Narada.Trace.Closed _
   | Narada.Trace.Status _ | Narada.Trace.Branch _ | Narada.Trace.Pool_stale _
   | Narada.Trace.Cache _ | Narada.Trace.Chunk _ | Narada.Trace.Dolstatus _

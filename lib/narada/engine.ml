@@ -55,8 +55,8 @@ type state = {
 let err fmt = Printf.ksprintf (fun m -> raise (Program_error m)) fmt
 let akey = String.lowercase_ascii
 
-(* [tell_ev] takes a pre-timestamped event: lower layers (the session's
-   MVCC observer routed through Lam, MOVE chunks) stamp their own clock. *)
+(* [tell_ev] takes a pre-timestamped event: a lower layer (the session's
+   MVCC observer routed through Lam) stamps its own clock. *)
 let tell_ev st ev =
   Log.debug (fun f ->
       f "%.2fms %s" ev.Trace.at_ms (Trace.render_kind ev.Trace.kind));
@@ -272,28 +272,9 @@ let exec_move st ~mname ~src ~dst ~dest_table ~query ~reduce =
   match conn_of st src, conn_of st dst with
   | Unavailable, _ | _, Unavailable -> set_status st mname E
   | Available src_lam, Available dst_lam -> (
-      let on_chunk (c : Lam.chunk_note) =
-        tell_ev st
-          {
-            Trace.at_ms = c.Lam.ck_at_ms;
-            kind =
-              Trace.Chunk
-                {
-                  mname;
-                  src = Lam.site src_lam;
-                  dst = Lam.site dst_lam;
-                  seq = c.Lam.ck_seq;
-                  total = c.Lam.ck_total;
-                  rows = c.Lam.ck_rows;
-                  bytes = c.Lam.ck_bytes;
-                  window = c.Lam.ck_window;
-                };
-            tag = None;
-          }
-      in
       match
-        Lam.transfer ~on_chunk:(Some on_chunk) ~cache:st.move_cache ~reduce
-          ~src:src_lam ~dst:dst_lam ~query ~dest_table
+        Lam.transfer ~cache:st.move_cache ~reduce ~src:src_lam ~dst:dst_lam
+          ~query ~dest_table
       with
       | Ok ts ->
           if st.move_cache <> None then

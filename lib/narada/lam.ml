@@ -254,57 +254,6 @@ let restrict_query ~col keys query =
       in
       Some (Sqlfront.Sql_pp.select_to_string { sel with A.where })
 
-(* ---- MOVE chunk streaming -------------------------------------------------
-
-   A shipped subrelation no longer travels as one opaque message: the
-   source serializes fixed-size row groups and streams them under a
-   credit-based flow-control window — the destination grants [window]
-   chunk credits up front and refreshes each credit with the (free,
-   piggybacked) acknowledgement of a consumed chunk, so at most [window]
-   chunks are in flight or buffered at the receiver and a slow destination
-   backpressures the source instead of absorbing the whole relation.
-   Materialization happens as chunks arrive; the engine's single
-   destination-table load at stream end keeps the transfer idempotent
-   under retry.
-
-   In virtual time the stream is ONE logical message ({!World.send_chunked}):
-   the loss draw, message count, total bytes and clock advance are exactly
-   those of one [World.send] of the summed bytes, so results, traffic and
-   metrics do not depend on the chunk size or the window — only the typed
-   [Trace.Chunk] events observe the schedule. *)
-
-let move_chunk_rows = 512  (* rows per chunk *)
-let move_window = 4  (* in-flight chunk credits *)
-
-type chunk_note = {
-  ck_seq : int;  (* 1-based *)
-  ck_total : int;
-  ck_rows : int;
-  ck_bytes : int;
-  ck_at_ms : float;  (* virtual completion instant of this chunk *)
-  ck_window : int;
-}
-
-(* row groups of at most [chunk_rows] rows as (bytes, rows) pairs, bytes
-   being the exact sum of the member rows' wire sizes — the installments
-   sum to [Relation.size_bytes] by construction. An empty relation still
-   ships one (schema-only) chunk so the stream has a final installment to
-   carry the ack. *)
-let chunk_groups ~chunk_rows rel =
-  let groups = ref [] and cur_b = ref 0 and cur_n = ref 0 in
-  List.iter
-    (fun r ->
-      cur_b := !cur_b + Sqlcore.Row.size_bytes r;
-      incr cur_n;
-      if !cur_n = chunk_rows then begin
-        groups := (!cur_b, !cur_n) :: !groups;
-        cur_b := 0;
-        cur_n := 0
-      end)
-    (Sqlcore.Relation.rows rel);
-  if !cur_n > 0 then groups := (!cur_b, !cur_n) :: !groups;
-  match List.rev !groups with [] -> [ (0, 0) ] | gs -> gs
-
 type transfer_cache = {
   tc_lookup :
     src:string -> dst:string -> query:string -> Sqlcore.Relation.t option;
@@ -319,7 +268,7 @@ type transfer_stats = {
   cached : bool;
 }
 
-let transfer ~on_chunk ~cache ~reduce ~src ~dst ~query ~dest_table =
+let transfer ~cache ~reduce ~src ~dst ~query ~dest_table =
   (* Semijoin reduction: fetch the distinct join-key values from the
      destination (the coordinator already holds its side of the join) and
      rewrite the shipped query's WHERE with them. The probe's cost — query
@@ -388,36 +337,8 @@ let transfer ~on_chunk ~cache ~reduce ~src ~dst ~query ~dest_table =
           | Ok rel -> (
               match
                 guard_site (fun () ->
-                    let groups = chunk_groups ~chunk_rows:move_chunk_rows rel in
-                    (* the final installment carries the stream ack *)
-                    let rec with_ack = function
-                      | [ (b, n) ] -> [ (b + ack_bytes, n) ]
-                      | g :: rest -> g :: with_ack rest
-                      | [] -> assert false
-                    in
-                    let groups = with_ack groups in
-                    let times =
-                      World.send_chunked dst.world ~src:(site src)
-                        ~dst:(site dst) ~chunks:(List.map fst groups)
-                    in
-                    (* chunk observations only for a delivered stream: a
-                       loss raises above, before any chunk completed *)
-                    (match on_chunk with
-                    | Some f ->
-                        let total = List.length groups in
-                        List.iteri
-                          (fun i ((bytes, rows), at_ms) ->
-                            f
-                              {
-                                ck_seq = i + 1;
-                                ck_total = total;
-                                ck_rows = rows;
-                                ck_bytes = bytes;
-                                ck_at_ms = at_ms;
-                                ck_window = move_window;
-                              })
-                          (List.combine groups times)
-                    | None -> ());
+                    World.send dst.world ~src:(site src) ~dst:(site dst)
+                      ~bytes:(Sqlcore.Relation.size_bytes rel + ack_bytes);
                     Ok ())
               with
               | Error f -> Error f

@@ -120,22 +120,8 @@ type transfer_cache = {
     data and, through the semijoin key set, on the destination data. *)
 
 val ack_bytes : int
-(** Wire size of a protocol acknowledgement; a MOVE's data stream carries
-    one in its final installment. *)
-
-type chunk_note = {
-  ck_seq : int;  (** 1-based position in the stream *)
-  ck_total : int;  (** number of chunks in the stream *)
-  ck_rows : int;  (** rows carried by this installment *)
-  ck_bytes : int;  (** payload bytes of this installment *)
-  ck_at_ms : float;  (** virtual completion instant of this installment *)
-  ck_window : int;  (** the sender's in-flight credit window *)
-}
-(** One installment of a chunk-streamed data shipment, reported through
-    {!transfer}'s [on_chunk] observer. Notes are delivered only for
-    streams that complete: a lost message aborts the whole logical
-    transfer before any chunk is observable, so retries never leak
-    partial streams into the trace. *)
+(** Wire size of a protocol acknowledgement; a MOVE's data message
+    carries one after the relation. *)
 
 type transfer_stats = {
   moved_rows : int;  (** rows materialized at the destination *)
@@ -147,7 +133,6 @@ type transfer_stats = {
 }
 
 val transfer :
-  on_chunk:(chunk_note -> unit) option ->
   cache:transfer_cache option ->
   reduce:(string * string) option ->
   src:t ->
@@ -160,12 +145,9 @@ val transfer :
     two sites. Returns what moved and how. Idempotent end to end,
     retried as a unit under [src]'s policy.
 
-    The data shipment streams as chunks of 512 rows under a credit
-    window of 4; each delivered installment is reported to [on_chunk]
-    with its virtual completion instant, in stream order. The stream is
-    one logical message ({!Netsim.World.send_chunked}): its loss draw,
-    message count, bytes and clock advance are those of a single send of
-    the whole relation plus the ack.
+    The data ships as one message from [src]'s site to [dst]'s: one
+    {!Netsim.World.send} of [Relation.size_bytes] of the result plus
+    {!ack_bytes}, with one loss draw.
 
     With [cache = Some _], a lookup hit short-circuits the whole operation: the
     cached relation is re-materialized at [dst] with zero network traffic

@@ -20,7 +20,7 @@ type kind =
       reduced : bool;  (* semijoin rewrite was applied to the shipped query *)
       cached : bool;  (* served from the shipped-result cache *)
     }
-  | Chunk of {
+  | Chunk of {  (* never emitted; kept while msqlbench matches it *)
       mname : string;
       src : string;
       dst : string;

@@ -41,12 +41,9 @@ type kind =
       bytes : int;  (** this installment's payload *)
       window : int;  (** the sender's in-flight credit window *)
     }
-      (** One installment of a chunk-streamed MOVE was delivered,
-          timestamped with its virtual completion instant. Emitted only
-          for streams that complete — a lost message aborts the logical
-          transfer before any chunk is observable — and always followed
-          by the stream's {!Moved} summary, which carries the totals the
-          metrics fold on. *)
+      (** Never emitted: a MOVE ships as one message and reports only
+          {!Moved}. Kept only because [msqlbench/msql_trace.ml] matches
+          it; it goes with that benchmark's next change. *)
   | Retry of {
       op : string;
       site : string;

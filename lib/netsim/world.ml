@@ -10,10 +10,10 @@ type t = {
   outages : (string, outage list) Hashtbl.t;
   down_history : (string, float) Hashtbl.t;
       (* site -> latest virtual instant the site is known to have been
-         down, over windows cleared with set_down/clear_faults; live
-         windows are consulted directly. Lets connection pools ask "was
-         this site ever down since I last used it?" after the window
-         itself is gone. *)
+         down, over windows cleared with set_down; live windows are
+         consulted directly. Lets connection pools ask "was this site
+         ever down since I last used it?" after the window itself is
+         gone. *)
   mutable clock_ms : float;
   stats : stats;
   site_stats : (string, site_stat) Hashtbl.t;
@@ -168,8 +168,8 @@ let schedule_outage t name ~from_ms ~until_ms =
 (* Pure: a read of the outage schedule at the caller's (frame) clock.
    Expired windows are NOT pruned here — pruning driven by one parallel
    branch's clock could discard a window still live at a sibling branch's
-   earlier instant. Windows are only retired by the explicit clears
-   (set_down false, clear_faults), which record them in down_history. *)
+   earlier instant. Windows are only retired by the explicit clear
+   (set_down false), which records them in down_history. *)
 let is_down t name =
   match Hashtbl.find_opt t.outages (key name) with
   | None -> false
@@ -214,13 +214,6 @@ let lose_next t ~src ~dst =
   let n = Option.value ~default:0 (Hashtbl.find_opt t.lose_next k) in
   Hashtbl.replace t.lose_next k (n + 1)
 
-let clear_faults t =
-  Hashtbl.iter (fun name _ -> remember_past_windows t name)
-    (Hashtbl.copy t.outages);
-  Hashtbl.reset t.outages;
-  Hashtbl.reset t.lose_next;
-  t.default_loss <- None
-
 (* one PRNG draw per message keeps chaos runs replayable: the firing
    sequence is a pure function of the seed and the message sequence,
    independent of wall time *)
@@ -258,32 +251,6 @@ let send t ~src ~dst ~bytes =
   ss.sent_bytes <- ss.sent_bytes + bytes;
   ds.recv_msgs <- ds.recv_msgs + 1;
   ds.recv_bytes <- ds.recv_bytes + bytes
-
-(* A chunk-streamed logical message: [send] of the total bytes, so its
-   failure semantics, loss draw, message count, bytes, per-site ledgers
-   and clock advance are those of one message — chunking is a transport
-   detail below the accounting granularity, which is what makes results
-   and metrics chunk-size-invariant by construction. The returned list
-   gives each chunk's completion instant: the linear serialization
-   schedule of the send's cost over the cumulative payload, for per-chunk
-   trace events. An empty/zero-byte stream completes at [t0 + cost] like
-   the monolithic send. *)
-let send_chunked t ~src ~dst ~chunks =
-  let total = List.fold_left ( + ) 0 chunks in
-  let t0 = now_ms t in
-  send t ~src ~dst ~bytes:total;
-  let cost = now_ms t -. t0 in
-  let _, rev_times =
-    List.fold_left
-      (fun (cum, acc) b ->
-        let cum = cum + b in
-        let frac =
-          if total = 0 then 1.0 else float_of_int cum /. float_of_int total
-        in
-        (cum, (t0 +. (frac *. cost)) :: acc))
-      (0, []) chunks
-  in
-  List.rev rev_times
 
 (* [parallel] plus each branch's individual virtual duration, in thunk
    order — the dataflow scheduler's wave accounting (critical path = max,

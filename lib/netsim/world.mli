@@ -91,12 +91,12 @@ val is_down : t -> string -> bool
 val down_during : t -> string -> since_ms:float -> bool
 (** Whether the site was inside an outage window at any virtual instant in
     [[since_ms, now]] — including windows that have since expired or been
-    cleared with {!set_down}[ false]/{!clear_faults}. This is the staleness
-    test a connection pool needs: a session checked in at [since_ms] whose
-    site went down (and possibly recovered) in between is broken even
-    though the site answers now. Conservative at the boundary: an outage
-    ending exactly at [since_ms] counts. History is forgotten by
-    {!reset_clock} (a new timeline). *)
+    cleared with {!set_down}[ false]. This is the staleness test a
+    connection pool needs: a session checked in at [since_ms] whose site
+    went down (and possibly recovered) in between is broken even though
+    the site answers now. Conservative at the boundary: an outage ending
+    exactly at [since_ms] counts. History is forgotten by {!reset_clock}
+    (a new timeline). *)
 
 val next_recovery_ms : t -> string -> float option
 (** If the site is currently down, the virtual time at which it recovers
@@ -111,24 +111,12 @@ val lose_next : t -> src:string -> dst:string -> unit
     Multiple calls stack. Takes precedence over probabilistic loss and
     consumes no PRNG draw, so deterministic tests stay deterministic. *)
 
-val clear_faults : t -> unit
-(** Remove all outages, loss sources and queued losses. *)
-
 val send : t -> src:string -> dst:string -> bytes:int -> unit
 (** Charge one message from [src] to [dst]: advances the caller's clock by
-    both sites' message costs and updates the statistics. Raises
+    both sites' message costs and updates the statistics. A MOVE's data
+    shipment is one such message. Raises
     {!Unknown_site}, {!Site_down} or {!Lost_message}; a lost message
     charges the sender's cost only and counts in [stats.lost]. *)
-
-val send_chunked : t -> src:string -> dst:string -> chunks:int list -> float list
-(** [send_chunked t ~src ~dst ~chunks] ships one logical message whose
-    payload arrives in [chunks] byte installments. It is
-    {!send}[ ~bytes:(sum chunks)] — same failure semantics (one loss
-    draw, same exceptions), message count, bytes, per-site ledgers and
-    clock advance — so statistics and virtual time are
-    chunk-size-invariant by construction. Returns the virtual completion
-    instant of each chunk — the linear serialization schedule of the
-    transfer — the last being the post-send clock. *)
 
 val parallel : t -> (unit -> 'a) list -> 'a list
 (** Run the thunks as logically concurrent branches: each runs in its own

@@ -1,6 +1,6 @@
 (* Randomized differential fuzz of the compiled expression closures
-   against the reference interpreter in [Ref_eval], and the fixed-size
-   chunking and accounting of a streamed MOVE. *)
+   against the reference interpreter in [Ref_eval], and the accounting of
+   a MOVE's data message. *)
 open Sqlcore
 module Ast = Sqlfront.Ast
 module Lam = Narada.Lam
@@ -317,7 +317,7 @@ let test_in_list_allocation_bound () =
   if per_row >= 100. then
     Alcotest.failf "IN-list filter allocates %.0f words per input row" per_row
 
-(* ---- MOVE chunk streaming ----------------------------------------------- *)
+(* ---- a MOVE is one message ---------------------------------------------- *)
 
 let sales_schema = [ col "sid" Ty.Int; col "part_id" Ty.Int; col "qty" Ty.Int ]
 
@@ -332,9 +332,9 @@ let lam_service world name site table schema rows =
     Lam.connect_exn world
       (Narada.Service.make ~site ~caps:Ldbms.Capabilities.ingres_like db) )
 
-(* 1,300 rows stream as 512 + 512 + 276 under a window of 4, and the
-   stream is charged as one message of the relation plus the ack *)
-let test_move_streams_fixed_chunks () =
+(* a 1,300-row transfer is charged as one message of the relation plus
+   the ack *)
+let test_move_is_one_message () =
   let world = Netsim.World.create () in
   let n = 1300 in
   let src_db, src =
@@ -347,29 +347,15 @@ let test_move_streams_fixed_chunks () =
     Ldbms.Exec.run_select src_db (Sqlfront.Parser.parse_select query)
   in
   Netsim.World.reset_stats world;
-  let notes = ref [] in
   let st =
     match
-      Lam.transfer
-        ~on_chunk:(Some (fun c -> notes := c :: !notes))
-        ~cache:None ~reduce:None ~src ~dst ~query ~dest_table:"moved"
+      Lam.transfer ~cache:None ~reduce:None ~src ~dst ~query
+        ~dest_table:"moved"
     with
     | Ok st -> st
     | Error fl -> Alcotest.fail (Lam.failure_message fl)
   in
-  let notes = List.rev !notes in
-  let total = List.length notes in
   Alcotest.(check int) "moved every row" n st.Lam.moved_rows;
-  Alcotest.(check bool) "at least three chunks" true (total >= 3);
-  List.iteri
-    (fun k c ->
-      Alcotest.(check int) "contiguous sequence" (k + 1) c.Lam.ck_seq;
-      Alcotest.(check int) "stream length" total c.Lam.ck_total;
-      Alcotest.(check int) "window" 4 c.Lam.ck_window;
-      if k + 1 < total then Alcotest.(check int) "full chunk" 512 c.Lam.ck_rows)
-    notes;
-  Alcotest.(check int) "chunk rows sum to the moved rows" st.Lam.moved_rows
-    (List.fold_left (fun a c -> a + c.Lam.ck_rows) 0 notes);
   let at_dst = List.assoc (Lam.site dst) (Netsim.World.per_site world) in
   Alcotest.(check int) "one data message" 1 at_dst.Netsim.World.recv_msgs;
   Alcotest.(check int) "relation plus ack"
@@ -389,7 +375,7 @@ let transfer_with_probe query =
       (List.init 3 (fun k -> [| i k; i (k * 5); i 1 |]))
   in
   match
-    Narada.Lam.transfer ~on_chunk:None ~cache:None
+    Narada.Lam.transfer ~cache:None
       ~reduce:(Some ("pid", "SELECT DISTINCT part_id FROM sales"))
       ~src ~dst ~query ~dest_table:"moved"
   with
@@ -425,9 +411,9 @@ let () =
           Alcotest.test_case "reduced only when applied" `Quick
             test_reduced_only_when_applied;
         ] );
-      ( "streaming",
+      ( "move",
         [
-          Alcotest.test_case "MOVE streams fixed-size chunks" `Quick
-            test_move_streams_fixed_chunks;
+          Alcotest.test_case "a MOVE is one message" `Quick
+            test_move_is_one_message;
         ] );
     ]

@@ -389,6 +389,46 @@ let test_session_typed_trace () =
   | Error m -> Alcotest.fail m);
   Alcotest.(check int) "both shipped subqueries observed as MOVEs" 2 !moves
 
+(* a MOVE ships as one message: the engine reports each MOVE of the plan
+   with exactly one Moved event and never emits Chunk *)
+let test_one_moved_per_move () =
+  let fx = Msql.Fixtures.make () in
+  let session = fx.Msql.Fixtures.session in
+  let q =
+    {|USE continental delta united
+      SELECT c.flnu, d.fnu, u.fn
+      FROM continental.flights c, delta.flight d, united.flight u
+      WHERE c.day = d.day AND d.day = u.day|}
+  in
+  let rec plan_moves = function
+    | [] -> []
+    | D.Move { mname; _ } :: rest -> mname :: plan_moves rest
+    | D.Parallel inner :: rest -> plan_moves inner @ plan_moves rest
+    | D.If (_, a, b) :: rest -> plan_moves a @ plan_moves b @ plan_moves rest
+    | _ :: rest -> plan_moves rest
+  in
+  let planned =
+    match M.translate session q with
+    | Ok prog -> List.sort compare (plan_moves prog)
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check int) "the plan ships two databases" 2 (List.length planned);
+  let moved = ref [] and chunks = ref 0 in
+  M.set_typed_trace session
+    (Some
+       (fun e ->
+         match e.Trace.kind with
+         | Trace.Moved { mname; _ } -> moved := mname :: !moved
+         | Trace.Chunk _ -> incr chunks
+         | _ -> ()));
+  (match M.exec session q with
+  | Ok (M.Multitable _) -> ()
+  | Ok r -> Alcotest.fail (M.result_to_string r)
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check (list string)) "one Moved per MOVE" planned
+    (List.sort compare !moved);
+  Alcotest.(check int) "no Chunk event" 0 !chunks
+
 (* ---- EXPLAIN MULTIPLE ------------------------------------------------- *)
 
 let test_explain_multiple_golden () =
@@ -470,6 +510,8 @@ let () =
             test_decision_precedes_second_phase;
           Alcotest.test_case "session typed sink" `Quick
             test_session_typed_trace;
+          Alcotest.test_case "one Moved per MOVE, no Chunk" `Quick
+            test_one_moved_per_move;
         ] );
       ( "metrics",
         [
