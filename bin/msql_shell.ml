@@ -47,10 +47,9 @@ let run_text session ~translate ~stats world text =
       ok
     end
   in
-  match Msql.Mparser.parse_script text with
-  | tls -> List.for_all run tls
-  | exception Msql.Mparser.Error (m, l, c) ->
-      fail (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m)
+  match Msql.Msession.parse_script text with
+  | Ok tls -> List.for_all run tls
+  | Error m -> fail m
 
 let repl session ~translate ~stats world =
   print_endline

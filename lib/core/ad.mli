@@ -32,7 +32,6 @@ val incorporate : t -> Ast.incorporate -> unit
 val register : t -> entry -> unit
 (** Insert or replace an entry directly (programmatic incorporation). *)
 
-val entry_of_incorporate : Ast.incorporate -> entry
 val find : t -> string -> entry option
 val services : t -> string list
 

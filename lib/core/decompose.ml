@@ -115,15 +115,6 @@ let rec map_cols f (e : S.expr) : S.expr =
   | S.Scalar_subquery _ | S.In_subquery _ | S.Exists _ ->
       err "global (cross-database) queries may not contain nested subqueries"
 
-(* split a WHERE clause into its top-level conjuncts *)
-let rec conjuncts = function
-  | S.Binop (S.And, a, b) -> conjuncts a @ conjuncts b
-  | e -> [ e ]
-
-let conjoin = function
-  | [] -> None
-  | e :: rest -> Some (List.fold_left (fun acc c -> S.Binop (S.And, acc, c)) e rest)
-
 (* ---- pricing -------------------------------------------------------------
 
    Every candidate plan is priced in virtual milliseconds with Netsim's
@@ -241,7 +232,7 @@ let decompose_with ?(site = fun _ -> Netsim.Site.make "default") ?target
 
   (* conjunct ownership: Some db when every column of the conjunct lives in
      that db, None for cross-database conjuncts *)
-  let all_conjuncts = Option.fold ~none:[] ~some:conjuncts gselect.S.where in
+  let all_conjuncts = Option.fold ~none:[] ~some:S.conjuncts gselect.S.where in
   let conjunct_owner c =
     let owner = ref None and mixed = ref false in
     iter_cols
@@ -291,7 +282,7 @@ let decompose_with ?(site = fun _ -> Netsim.Site.make "default") ?target
           { S.table = g.Expand.gtable; alias = g.Expand.galias })
         idxs
     in
-    S.select ~projections ~from ?where:(conjoin (owned_by db)) ()
+    S.select ~projections ~from ?where:(S.conjoin (owned_by db)) ()
   in
   let text_bytes sel = String.length (Sqlfront.Sql_pp.select_to_string sel) in
   let subqueries =
@@ -345,7 +336,7 @@ let decompose_with ?(site = fun _ -> Netsim.Site.make "default") ?target
       ~projections:
         [ S.Proj_expr (S.Col { qualifier = Some (label gc); name = coord_col }, None) ]
       ~from:[ { S.table = gc.Expand.gtable; alias = gc.Expand.galias } ]
-      ?where:(conjoin (List.filter confined (owned_by gc.Expand.gdb)))
+      ?where:(S.conjoin (List.filter confined (owned_by gc.Expand.gdb)))
       ()
   in
 
@@ -568,7 +559,7 @@ let decompose_with ?(site = fun _ -> Netsim.Site.make "default") ?target
       S.distinct = gselect.S.distinct;
       projections;
       from = coord_from;
-      where = conjoin remaining;
+      where = S.conjoin remaining;
       group_by = List.map rewrite_expr gselect.S.group_by;
       having = Option.map rewrite_expr gselect.S.having;
       order_by =

@@ -110,7 +110,4 @@ val decompose :
   plan
 (** {!decompose_with} with default site costs and no target. *)
 
-val sj_gate_to_string : sj_gate -> string
-(** One-line rendering of the semijoin decision with its size estimates. *)
-
 val pp_plan : Format.formatter -> plan -> unit

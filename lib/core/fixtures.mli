@@ -17,10 +17,6 @@ type t = {
   directory : Narada.Directory.t;
 }
 
-val default_caps : (string * Ldbms.Capabilities.t) list
-(** continental/united: ingres-like 2PC; delta: oracle-like 2PC;
-    avis: ingres-like; national: oracle-like. *)
-
 val make : ?caps:(string * Ldbms.Capabilities.t) list -> unit -> t
 (** Build the five-database federation: sites [site1]..[site5], services
     registered in the Narada directory, truthfully INCORPORATEd in the AD,

@@ -1,9 +1,29 @@
 module Token = Sqlfront.Token
 module Tstream = Sqlfront.Tstream
 module Sparser = Sqlfront.Parser
+module Scan = Sqlcore.Scan
 open Ast
 
-exception Error of string * int * int
+exception Error = Scan.Error
+
+(* MSQL's identifier rule, passed to the shared lexer: multiple
+   identifiers may hold the [%] wildcard anywhere ([rate%], [%code],
+   [fl%8]) and take a [~] optional-column prefix ([~rate]). The markers
+   stay in the [Ident] payload; expansion interprets them. *)
+let mident =
+  let is_mident_char c = Scan.is_ident_char c || c = '%' in
+  ( (fun c -> Scan.is_ident_start c || c = '%' || c = '~'),
+    fun sc ->
+      let prefix =
+        match Scan.peek sc with
+        | Some '~' ->
+            Scan.advance sc;
+            "~"
+        | _ -> ""
+      in
+      let body = Scan.take_while sc is_mident_char in
+      if body = "" then Scan.error sc "expected identifier after ~";
+      prefix ^ body )
 
 (* keywords that terminate a LET binding list / begin a query body *)
 let body_start_kw = [ "select"; "update"; "insert"; "delete"; "create"; "drop" ]
@@ -282,18 +302,7 @@ let rec parse_toplevel_at ts =
       "expected USE, BEGIN MULTITRANSACTION, INCORPORATE, IMPORT or \
        CREATE/DROP TRIGGER"
 
-let with_stream input f =
-  try
-    let ts = Tstream.create (Mlexer.tokenize input) in
-    let r = f ts in
-    (match Tstream.peek ts with
-    | Token.Eof -> ()
-    | tok ->
-        Tstream.error ts (Printf.sprintf "trailing input: %s" (Token.to_string tok)));
-    r
-  with
-  | Mlexer.Error (m, l, c) -> raise (Error (m, l, c))
-  | Tstream.Error (m, l, c) -> raise (Error (m, l, c))
+let with_stream input f = Tstream.run (Sqlfront.Lexer.tokenize ~ident:mident input) f
 
 let parse_toplevel input =
   with_stream input (fun ts ->

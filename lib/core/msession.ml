@@ -1047,6 +1047,13 @@ and fire_triggers t result =
 
 and exec_toplevel t tl = Result.bind (prepare t tl) finish
 
+let parse_error m l c = Printf.sprintf "MSQL parse error at %d:%d: %s" l c m
+
+let parse_script text =
+  match Mparser.parse_script text with
+  | tls -> Ok tls
+  | exception Mparser.Error (m, l, c) -> Error (parse_error m l c)
+
 (* Phase 1 through the cache block: parsing is a pure function of the
    text and the AST is immutable, so an entry never goes stale and needs
    no epoch. A parse error is never stored. *)
@@ -1060,26 +1067,21 @@ let parse t text =
           if Hashtbl.length parsed > 128 then Hashtbl.reset parsed;
           Hashtbl.replace parsed text tl;
           Ok tl
-      | exception Mparser.Error (m, l, c) ->
-          Error (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m))
+      | exception Mparser.Error (m, l, c) -> Error (parse_error m l c))
 
 let prepare_text t text = Result.bind (parse t text) (prepare t)
 
 let exec t text = Result.bind (parse t text) (exec_toplevel t)
 
 let exec_script t text =
-  match Mparser.parse_script text with
-  | exception Mparser.Error (m, l, c) ->
-      Error (Printf.sprintf "MSQL parse error at %d:%d: %s" l c m)
-  | tls ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | tl :: rest -> (
-            match exec_toplevel t tl with
-            | Ok r -> go (r :: acc) rest
-            | Error m -> Error m)
-      in
-      go [] tls
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | tl :: rest -> (
+        match exec_toplevel t tl with
+        | Ok r -> go (r :: acc) rest
+        | Error m -> Error m)
+  in
+  Result.bind (parse_script text) (go [])
 
 let translate t text = Result.bind (parse t text) (translate_toplevel t)
 

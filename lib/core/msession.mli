@@ -89,6 +89,11 @@ val exec_toplevel : t -> Ast.toplevel -> (result, string) Stdlib.result
 (** Run one parsed statement down the stepped path: prepare it as
     {!prepare_text} does, then {!finish} it. *)
 
+val parse_script : string -> (Ast.toplevel list, string) Stdlib.result
+(** Parse a script of top-level MSQL statements, uncached. A syntax error
+    is ["MSQL parse error at L:C: message"], the text {!parse} returns
+    too. *)
+
 val parse : t -> string -> (Ast.toplevel, string) Stdlib.result
 (** Parse one top-level MSQL statement through the session's cache block:
     each distinct text is parsed once per block, and a repeat returns the
@@ -100,6 +105,7 @@ val exec : t -> string -> (result, string) Stdlib.result
 (** Parse and execute one top-level MSQL statement. *)
 
 val exec_script : t -> string -> (result list, string) Stdlib.result
+(** {!parse_script}, then run each statement; stops at the first error. *)
 
 val translate : t -> string -> (Narada.Dol_ast.program, string) Stdlib.result
 (** MSQL → DOL translation only (no execution); the paper's translator

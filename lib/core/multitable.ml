@@ -11,7 +11,7 @@ let databases t =
     (fun acc p -> if List.mem p.part_db acc then acc else acc @ [ p.part_db ])
     [] t
 
-let total_rows t =
+let total_count t =
   List.fold_left (fun acc p -> acc + Relation.cardinality p.part_table) 0 t
 
 let is_empty t = t = []
@@ -96,8 +96,6 @@ let aggregate_per_part t agg ~column =
       column_values p column
       |> Option.map (fun vs -> (p.part_db, compute_agg agg vs)))
     t
-
-let total_count = total_rows
 
 let restrict t keep = List.filter (fun p -> keep p.part_db) t
 

@@ -13,7 +13,6 @@ type t
 val make : part list -> t
 val parts : t -> part list
 val databases : t -> string list
-val total_rows : t -> int
 val is_empty : t -> bool
 
 val find : t -> string -> Sqlcore.Relation.t option

@@ -60,5 +60,3 @@ val plan_mtx :
     prepared-to-commit where the engine allows, then the acceptable
     termination states are tried in specification order (§3.4). *)
 
-val site_of : Ad.t -> string -> string option
-(** Declared site of a service, for the OPEN ... AT clause. *)

@@ -15,10 +15,6 @@ exception Ambiguous_column of string
 val truthy : Sqlcore.Value.t -> bool
 (** [true] exactly for [Bool true]. *)
 
-val value_compare_sql : Sqlcore.Value.t -> Sqlcore.Value.t -> int option
-(** SQL comparison: [None] when either side is NULL; raises {!Type_error}
-    on incomparable classes (e.g. string vs int). *)
-
 val logic_and : Sqlcore.Value.t -> Sqlcore.Value.t -> Sqlcore.Value.t
 val logic_or : Sqlcore.Value.t -> Sqlcore.Value.t -> Sqlcore.Value.t
 val logic_not : Sqlcore.Value.t -> Sqlcore.Value.t

@@ -130,10 +130,6 @@ let load_leaf ~eval_select ~depth ?txn db (r : Ast.table_ref) =
    the scan from the hash lookup instead of the full table. The complete
    predicate is still applied afterwards, so this is purely a physical
    optimization. *)
-let rec where_conjuncts = function
-  | Ast.Binop (Ast.And, a, b) -> where_conjuncts a @ where_conjuncts b
-  | e -> [ e ]
-
 let indexed_scan ?txn db (s : Ast.select) =
   match s.Ast.from, s.Ast.where with
   | [ { Ast.table; alias } ], Some pred -> (
@@ -158,7 +154,7 @@ let indexed_scan ?txn db (s : Ast.select) =
                 |> Option.map (fun i -> (i, v))
             | _ -> None
           in
-          List.find_map candidate (where_conjuncts pred)
+          List.find_map candidate (Ast.conjuncts pred)
           |> Option.map (fun (col, v) ->
                  Relation.requalify (Some label)
                    (Relation.make schema (Table.lookup_eq tbl ~col v))))
@@ -538,7 +534,7 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
         in
         match leaves, s.Ast.where with
         | _ :: _ :: _, Some pred -> (
-            let conjs = where_conjuncts pred in
+            let conjs = Ast.conjuncts pred in
             if not (resolvable leaves conjs) then product leaves
             else
               let leaves = filter_leaves ~predicate:(predicate ctx) leaves conjs in

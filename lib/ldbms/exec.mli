@@ -65,5 +65,3 @@ val run_create_index :
 
 val run_drop_index : Database.t -> txn:Txn.t -> index:string -> unit
 
-val infer_expr_ty : Sqlcore.Schema.t -> Sqlfront.Ast.expr -> Sqlcore.Ty.t
-(** Static result-type approximation used to build output schemas. *)

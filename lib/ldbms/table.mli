@@ -11,10 +11,6 @@ val schema : t -> Sqlcore.Schema.t
 val rows : t -> Sqlcore.Row.t list
 val cardinality : t -> int
 
-val set_rows : t -> Sqlcore.Row.t list -> unit
-(** Wholesale replacement of the current version in place; DDL undo and
-    fixtures use this. Does not touch the version chain. *)
-
 val insert : t -> Sqlcore.Row.t -> unit
 (** Appends; raises [Invalid_argument] on arity mismatch. *)
 

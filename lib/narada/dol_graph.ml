@@ -265,6 +265,9 @@ let analyze_seq tmap stmts =
   in
   { nodes; edges = !edges; waves; critical_path }
 
+(* The DAG over the program's top level, nested [PARBEGIN] blocks
+   dissolved into their members; an IF is an opaque node whose summary is
+   the union of both branches plus the condition's status reads. *)
 let analyze program =
   let tmap = Hashtbl.create 16 in
   List.iter (collect_targets tmap) program;

@@ -18,23 +18,8 @@ type rw = {
   dolstatus : bool;
 }
 
-val stmt_rw : (string, string) Hashtbl.t -> Dol_ast.stmt -> rw
-(** Read/write summary of one statement. The table maps task/move/comp
-    names to the connection alias they occupy (see {!analyze} for how it
-    is collected program-wide). *)
-
 val conflicts : rw -> rw -> bool
 (** Must these two statements stay ordered? *)
-
-type node = { idx : int; stmt : Dol_ast.stmt; rw : rw }
-
-type t = {
-  nodes : node array;  (** flattened top-level statements, program order *)
-  edges : (int * int) list;  (** transitively reduced dependencies, i < j *)
-  waves : int list list;
-      (** order-preserving maximal independent runs, node indices *)
-  critical_path : int list;  (** one longest dependency chain *)
-}
 
 type stats = {
   nodes : int;
@@ -42,12 +27,6 @@ type stats = {
   waves : int;  (** waves of two or more statements formed *)
   critical_path_len : int;  (** longest chain of the top-level program *)
 }
-
-val analyze : Dol_ast.program -> t
-(** Build the DAG over the program's top level, dissolving nested
-    [PARBEGIN] blocks into their members; IF statements are opaque nodes
-    whose summary is the union of both branches plus the condition's
-    status reads. *)
 
 val schedule : Dol_ast.program -> Dol_ast.program * stats
 (** Regroup the program (and, recursively, every IF branch) into maximal

@@ -1,221 +1,170 @@
 open Dol_ast
+module Token = Sqlfront.Token
+module Tstream = Sqlfront.Tstream
 
-exception Error of string * int * int
-
-type state = { mutable toks : Dol_lexer.located list }
-
-let hd st =
-  match st.toks with
-  | [] -> { Dol_lexer.tok = Dol_lexer.Eof; tline = 0; tcol = 0 }
-  | l :: _ -> l
-
-let peek st = (hd st).Dol_lexer.tok
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
-
-let fail st msg =
-  let l = hd st in
-  raise
-    (Error
-       ( Printf.sprintf "%s (at %s)" msg (Dol_lexer.token_to_string l.Dol_lexer.tok),
-         l.Dol_lexer.tline,
-         l.Dol_lexer.tcol ))
-
-let is_kw tok kw =
-  match tok with
-  | Dol_lexer.Ident s -> Sqlcore.Names.equal s kw
-  | _ -> false
-
-let at_kw st kw = is_kw (peek st) kw
-
-let accept_kw st kw =
-  if at_kw st kw then begin
-    advance st;
-    true
-  end
-  else false
-
-let expect_kw st kw = if not (accept_kw st kw) then fail st ("expected " ^ kw)
-
-let at_sym st s =
-  match peek st with Dol_lexer.Sym x -> String.equal x s | _ -> false
-
-let accept_sym st s =
-  if at_sym st s then begin
-    advance st;
-    true
-  end
-  else false
-
-let expect_sym st s = if not (accept_sym st s) then fail st ("expected '" ^ s ^ "'")
-
-let ident st =
-  match peek st with
-  | Dol_lexer.Ident s ->
-      advance st;
-      s
-  | _ -> fail st "expected identifier"
+exception Error = Sqlcore.Scan.Error
 
 let block st =
-  match peek st with
-  | Dol_lexer.Block b ->
-      advance st;
+  match Tstream.peek st with
+  | Token.Block b ->
+      Tstream.advance st;
       b
-  | _ -> fail st "expected { ... } block"
+  | _ -> Tstream.error st "expected { ... } block"
 
 let integer st =
-  match peek st with
-  | Dol_lexer.Int i ->
-      advance st;
+  match Tstream.peek st with
+  | Token.Int i ->
+      Tstream.advance st;
       i
-  | _ -> fail st "expected integer"
+  | _ -> Tstream.error st "expected integer"
 
 (* cond := conj (OR conj)* ; conj := prim (AND prim)* ;
    prim := NOT prim | '(' cond ')' | ident '=' status *)
 let rec parse_cond st =
   let lhs = parse_conj st in
-  if accept_kw st "or" then Or (lhs, parse_cond st) else lhs
+  if Tstream.accept_kw st "or" then Or (lhs, parse_cond st) else lhs
 
 and parse_conj st =
   let lhs = parse_prim st in
-  if accept_kw st "and" then And (lhs, parse_conj st) else lhs
+  if Tstream.accept_kw st "and" then And (lhs, parse_conj st) else lhs
 
 and parse_prim st =
-  if accept_kw st "not" then Not (parse_prim st)
-  else if accept_sym st "(" then begin
+  if Tstream.accept_kw st "not" then Not (parse_prim st)
+  else if Tstream.accept_sym st "(" then begin
     let c = parse_cond st in
-    expect_sym st ")";
+    Tstream.expect_sym st ")";
     c
   end
   else begin
-    let name = ident st in
-    expect_sym st "=";
-    let letter = ident st in
+    let name = Tstream.ident st in
+    Tstream.expect_sym st "=";
+    let letter = Tstream.ident st in
     match status_of_string letter with
     | Some s -> Status_is (name, s)
-    | None -> fail st (Printf.sprintf "unknown task status %s" letter)
+    | None -> Tstream.error st (Printf.sprintf "unknown task status %s" letter)
   end
 
 let task_name_list st =
   let rec go acc =
-    let n = ident st in
-    if accept_sym st "," then go (n :: acc) else List.rev (n :: acc)
+    let n = Tstream.ident st in
+    if Tstream.accept_sym st "," then go (n :: acc) else List.rev (n :: acc)
   in
   go []
 
 let rec parse_stmt st =
-  if accept_kw st "open" then begin
-    let service = ident st in
-    let open_site = if accept_kw st "at" then Some (ident st) else None in
-    expect_kw st "as";
-    let alias = ident st in
+  if Tstream.accept_kw st "open" then begin
+    let service = Tstream.ident st in
+    let open_site = if Tstream.accept_kw st "at" then Some (Tstream.ident st) else None in
+    Tstream.expect_kw st "as";
+    let alias = Tstream.ident st in
     Open { service; open_site; alias }
   end
-  else if accept_kw st "close" then begin
+  else if Tstream.accept_kw st "close" then begin
     let rec aliases acc =
-      match peek st with
-      | Dol_lexer.Ident a ->
-          advance st;
-          ignore (accept_sym st ",");
+      match Tstream.peek st with
+      | Token.Ident a ->
+          Tstream.advance st;
+          ignore (Tstream.accept_sym st ",");
           aliases (a :: acc)
       | _ -> List.rev acc
     in
     Close (aliases [])
   end
-  else if accept_kw st "task" then Task (parse_task st)
-  else if accept_kw st "parbegin" then begin
+  else if Tstream.accept_kw st "task" then Task (parse_task st)
+  else if Tstream.accept_kw st "parbegin" then begin
     let rec go acc =
-      if accept_kw st "parend" then List.rev acc
+      if Tstream.accept_kw st "parend" then List.rev acc
       else begin
         let s = parse_stmt st in
-        ignore (accept_sym st ";");
+        ignore (Tstream.accept_sym st ";");
         go (s :: acc)
       end
     in
     Parallel (go [])
   end
-  else if accept_kw st "if" then begin
+  else if Tstream.accept_kw st "if" then begin
     let cond = parse_cond st in
-    expect_kw st "then";
+    Tstream.expect_kw st "then";
     let then_b = parse_branch st in
-    ignore (accept_sym st ";");
-    let else_b = if accept_kw st "else" then parse_branch st else [] in
+    ignore (Tstream.accept_sym st ";");
+    let else_b = if Tstream.accept_kw st "else" then parse_branch st else [] in
     If (cond, then_b, else_b)
   end
-  else if accept_kw st "commit" then Commit_tasks (task_name_list st)
-  else if accept_kw st "abort" then Abort_tasks (task_name_list st)
-  else if accept_kw st "comp" then begin
-    let cname = ident st in
-    let compensates = if accept_kw st "compensates" then Some (ident st) else None in
-    expect_kw st "for";
-    let target = ident st in
+  else if Tstream.accept_kw st "commit" then Commit_tasks (task_name_list st)
+  else if Tstream.accept_kw st "abort" then Abort_tasks (task_name_list st)
+  else if Tstream.accept_kw st "comp" then begin
+    let cname = Tstream.ident st in
+    let compensates =
+      if Tstream.accept_kw st "compensates" then Some (Tstream.ident st) else None
+    in
+    Tstream.expect_kw st "for";
+    let target = Tstream.ident st in
     let commands = block st in
-    expect_kw st "endcomp";
+    Tstream.expect_kw st "endcomp";
     Comp { cname; compensates; target; commands }
   end
-  else if accept_kw st "move" then begin
-    let mname = ident st in
-    expect_kw st "from";
-    let src = ident st in
-    expect_kw st "to";
-    let dst = ident st in
-    expect_kw st "table";
-    let dest_table = ident st in
+  else if Tstream.accept_kw st "move" then begin
+    let mname = Tstream.ident st in
+    Tstream.expect_kw st "from";
+    let src = Tstream.ident st in
+    Tstream.expect_kw st "to";
+    let dst = Tstream.ident st in
+    Tstream.expect_kw st "table";
+    let dest_table = Tstream.ident st in
     let query = block st in
     let reduce =
-      if accept_kw st "semijoin" then begin
+      if Tstream.accept_kw st "semijoin" then begin
         let col = String.trim (block st) in
-        expect_kw st "probe";
+        Tstream.expect_kw st "probe";
         Some (col, block st)
       end
       else None
     in
-    expect_kw st "endmove";
+    Tstream.expect_kw st "endmove";
     Move { mname; src; dst; dest_table; query; reduce }
   end
-  else if accept_kw st "dolstatus" then begin
-    expect_sym st "=";
+  else if Tstream.accept_kw st "dolstatus" then begin
+    Tstream.expect_sym st "=";
     Set_status (integer st)
   end
-  else fail st "expected a DOL statement"
+  else Tstream.error st "expected a DOL statement"
 
 and parse_task st =
-  let tname = ident st in
-  let mode = if accept_kw st "nocommit" then No_commit else With_commit in
-  expect_kw st "for";
-  let target = ident st in
+  let tname = Tstream.ident st in
+  let mode = if Tstream.accept_kw st "nocommit" then No_commit else With_commit in
+  Tstream.expect_kw st "for";
+  let target = Tstream.ident st in
   let commands = block st in
-  expect_kw st "endtask";
+  Tstream.expect_kw st "endtask";
   { tname; mode; target; commands }
 
 and parse_branch st =
-  expect_kw st "begin";
+  Tstream.expect_kw st "begin";
   let rec go acc =
-    if accept_kw st "end" then List.rev acc
+    if Tstream.accept_kw st "end" then List.rev acc
     else begin
       let s = parse_stmt st in
-      ignore (accept_sym st ";");
+      ignore (Tstream.accept_sym st ";");
       go (s :: acc)
     end
   in
   go []
 
 let parse input =
-  let toks =
-    try Dol_lexer.tokenize input
-    with Dol_lexer.Error (m, l, c) -> raise (Error (m, l, c))
-  in
-  let st = { toks } in
-  expect_kw st "dolbegin";
+  let st = Tstream.create (Sqlfront.Lexer.tokenize input) in
+  Tstream.expect_kw st "dolbegin";
   let rec go acc =
-    if accept_kw st "dolend" then List.rev acc
+    if Tstream.accept_kw st "dolend" then List.rev acc
     else begin
       let s = parse_stmt st in
-      ignore (accept_sym st ";");
+      ignore (Tstream.accept_sym st ";");
       go (s :: acc)
     end
   in
   let prog = go [] in
-  (match peek st with
-  | Dol_lexer.Eof -> ()
-  | tok -> fail st (Printf.sprintf "trailing input after DOLEND: %s" (Dol_lexer.token_to_string tok)));
+  (match Tstream.peek st with
+  | Token.Eof -> ()
+  | tok ->
+      Tstream.error st
+        (Printf.sprintf "trailing input after DOLEND: %s" (Token.to_string tok)));
   prog

@@ -247,11 +247,7 @@ let restrict_query ~col keys query =
                 negated = false;
               }
       in
-      let where =
-        match sel.A.where with
-        | None -> Some restriction
-        | Some w -> Some (A.Binop (A.And, w, restriction))
-      in
+      let where = A.conjoin (Option.to_list sel.A.where @ [ restriction ]) in
       Some (Sqlfront.Sql_pp.select_to_string { sel with A.where })
 
 type transfer_cache = {

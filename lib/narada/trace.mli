@@ -103,7 +103,6 @@ val with_tag : string -> event -> event
     event attributed by an inner layer keeps its attribution). *)
 
 val verdict_to_string : verdict -> string
-val status_of_verdict : verdict -> Dol_ast.status
 
 val render_kind : kind -> string
 (** The message text without the timestamp prefix. *)

@@ -1,7 +1,9 @@
-(* Rows are held newest-first in [rev_rows] so that {!add_row} is O(1); the
-   forward (insertion-order) view is memoized in [fwd] the first time it is
-   asked for. [size_memo] caches {!size_bytes}, which the network simulator
-   recomputes on every send otherwise. *)
+(* Rows are held newest-first in [rev_rows]: [hash_join], [filter] and
+   [union] build their rows in that order, so they produce a relation
+   without reversing a list. The forward (insertion-order) view is memoized
+   in [fwd] the first time it is asked for. [size_memo] caches
+   {!size_bytes}, which the network simulator recomputes on every send
+   otherwise. *)
 type t = {
   schema : Schema.t;
   rev_rows : Row.t list;
@@ -56,14 +58,6 @@ let equal_unordered a b =
   &&
   let sort rows = List.sort Row.compare rows in
   List.for_all2 Row.equal (sort a.rev_rows) (sort b.rev_rows)
-
-let add_row t row =
-  if Array.length row <> Schema.arity t.schema then
-    invalid_arg "Relation.add_row: arity mismatch";
-  let size =
-    if t.size_memo >= 0 then t.size_memo + Row.size_bytes row else -1
-  in
-  mk ~size t.schema (row :: t.rev_rows)
 
 (* filtering the reversed list keeps relative order within it *)
 let filter p t = mk t.schema (List.filter p t.rev_rows)

@@ -26,7 +26,6 @@ val equal : t -> t -> bool
 val equal_unordered : t -> t -> bool
 (** Schema equality and multiset equality of rows. *)
 
-val add_row : t -> Row.t -> t
 val filter : (Row.t -> bool) -> t -> t
 
 val project : t -> int list -> Schema.t -> t

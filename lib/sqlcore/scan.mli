@@ -1,4 +1,5 @@
-(** Character-level scanning toolkit shared by the SQL, MSQL and DOL lexers.
+(** Character-level scanning toolkit under the one lexer,
+    [Sqlfront.Lexer], which SQL, MSQL and DOL share.
 
     A scanner is a mutable cursor over an input string that tracks line and
     column for error reporting. *)
@@ -6,7 +7,9 @@
 type t
 
 exception Error of string * int * int
-(** [Error (message, line, column)] — lexical error with 1-based position. *)
+(** [Error (message, line, column)] — the one syntax error, with 1-based
+    position. The lexer, the token stream and the SQL, MSQL and DOL
+    parsers all raise it (each rebinds it as its own [Error]). *)
 
 val create : string -> t
 val eof : t -> bool
@@ -29,19 +32,15 @@ val column : t -> int
 val error : t -> string -> 'a
 (** Raise {!Error} at the current position. *)
 
-val skip_while : t -> (char -> bool) -> unit
 val take_while : t -> (char -> bool) -> string
 
 val skip_ws_and_comments : t -> unit
-(** Skips blanks, SQL [-- line] comments and [{ ... }]-free C-style
-    [(* *)]-free comments: supported forms are [--] to end of line and
-    [/* ... */]. *)
+(** Skips blanks and comments: [--] to end of line and [/* ... */]. *)
 
 val quoted_string : t -> string
 (** Reads a ['...'] literal whose opening quote is the next character;
     embedded quotes are doubled (['']). *)
 
 val is_digit : char -> bool
-val is_alpha : char -> bool
 val is_ident_start : char -> bool
 val is_ident_char : char -> bool

@@ -84,6 +84,14 @@ let select ?(distinct = false) ?where ?(group_by = []) ?having ?(order_by = [])
 let col ?qualifier name = Col { qualifier; name }
 let lit_int i = Lit (Sqlcore.Value.Int i)
 
+let rec conjuncts = function
+  | Binop (And, a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
+
+let conjoin = function
+  | [] -> None
+  | e :: rest -> Some (List.fold_left (fun acc c -> Binop (And, acc, c)) e rest)
+
 let rec expr_has_agg = function
   | Agg _ -> true
   | Lit _ | Col _ -> false

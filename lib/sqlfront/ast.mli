@@ -101,16 +101,17 @@ val select :
 val col : ?qualifier:string -> string -> expr
 val lit_int : int -> expr
 
+val conjuncts : expr -> expr list
+(** The top-level [AND] operands of a predicate, left to right. *)
+
+val conjoin : expr list -> expr option
+(** [AND] of the list, folded to the left ([None] when empty):
+    [conjoin (conjuncts e)] is [e] up to [AND] association. *)
+
 val is_aggregate_query : select -> bool
 (** True when a GROUP BY or HAVING clause is present, or a projection
     mentions an aggregate. A HAVING without GROUP BY makes the whole
     input one group, as in SQL. *)
-
-val expr_has_agg : expr -> bool
-
-val tables_of_select : select -> string list
-(** All table names referenced in FROM clauses, including those of nested
-    subqueries. *)
 
 val tables_of_stmt : stmt -> string list
 

@@ -1,6 +1,6 @@
 module Scan = Sqlcore.Scan
 
-exception Error of string * int * int
+exception Error = Scan.Error
 
 (* digits [. digits] [(e|E) [+|-] digits]; a fraction or an exponent
    makes it a float *)
@@ -52,29 +52,47 @@ and lone_symbol sc c =
         String.make 1 c
     | _ -> Scan.error sc (Printf.sprintf "unexpected character %C" c)
 
-let tokenize input =
+(* The text up to the '}' matching an already consumed '{'. Braces nest;
+   a quoted literal is copied whole (a doubled '' toggles twice), so its
+   braces do not count. *)
+let block sc =
+  let buf = Buffer.create 64 in
+  let rec go depth quoted =
+    match Scan.peek sc with
+    | None -> Scan.error sc "unterminated { block"
+    | Some '}' when depth = 0 && not quoted -> Scan.advance sc
+    | Some c ->
+        Buffer.add_char buf c;
+        Scan.advance sc;
+        match c with
+        | '\'' -> go depth (not quoted)
+        | '{' when not quoted -> go (depth + 1) quoted
+        | '}' when not quoted -> go (depth - 1) quoted
+        | _ -> go depth quoted
+  in
+  go 0 false;
+  String.trim (Buffer.contents buf)
+
+let sql_ident = (Scan.is_ident_start, fun sc -> Scan.take_while sc Scan.is_ident_char)
+
+let tokenize ?(ident = sql_ident) input =
+  let starts_ident, scan_ident = ident in
   let sc = Scan.create input in
-  let out = ref [] in
-  let emit tok tline tcol = out := { Token.tok; tline; tcol } :: !out in
-  (try
-     let rec loop () =
-       Scan.skip_ws_and_comments sc;
-       let tline = Scan.line sc and tcol = Scan.column sc in
-       match Scan.peek sc with
-       | None -> emit Token.Eof tline tcol
-       | Some c when Scan.is_ident_start c ->
-           emit (Token.Ident (Scan.take_while sc Scan.is_ident_char)) tline tcol;
-           loop ()
-       | Some c when Scan.is_digit c ->
-           emit (number sc) tline tcol;
-           loop ()
-       | Some '\'' ->
-           emit (Token.Str (Scan.quoted_string sc)) tline tcol;
-           loop ()
-       | Some _ ->
-           emit (Token.Sym (symbol sc)) tline tcol;
-           loop ()
-     in
-     loop ()
-   with Scan.Error (msg, l, c) -> raise (Error (msg, l, c)));
-  List.rev !out
+  let rec loop acc =
+    Scan.skip_ws_and_comments sc;
+    let tline = Scan.line sc and tcol = Scan.column sc in
+    let tok =
+      match Scan.peek sc with
+      | None -> Token.Eof
+      | Some c when starts_ident c -> Token.Ident (scan_ident sc)
+      | Some c when Scan.is_digit c -> number sc
+      | Some '\'' -> Token.Str (Scan.quoted_string sc)
+      | Some '{' ->
+          Scan.advance sc;
+          Token.Block (block sc)
+      | Some _ -> Token.Sym (symbol sc)
+    in
+    let acc = { Token.tok; tline; tcol } :: acc in
+    match tok with Token.Eof -> List.rev acc | _ -> loop acc
+  in
+  loop []

@@ -1,6 +1,6 @@
 open Ast
 
-exception Error of string * int * int
+exception Error = Sqlcore.Scan.Error
 
 (* Keywords that terminate an expression or a clause list. *)
 let clause_kw =
@@ -475,18 +475,7 @@ let parse_stmt_body ts =
   else if Tstream.accept_kw ts "prepare" then Prepare_txn
   else Tstream.error ts "expected a statement"
 
-let with_stream input f =
-  try
-    let ts = Tstream.create (Lexer.tokenize input) in
-    let r = f ts in
-    (match Tstream.peek ts with
-    | Token.Eof -> ()
-    | tok ->
-        Tstream.error ts (Printf.sprintf "trailing input: %s" (Token.to_string tok)));
-    r
-  with
-  | Lexer.Error (m, l, c) -> raise (Error (m, l, c))
-  | Tstream.Error (m, l, c) -> raise (Error (m, l, c))
+let with_stream input f = Tstream.run (Lexer.tokenize input) f
 
 let stmt_of_tokens = parse_stmt_body
 let select_of_tokens = parse_select_body

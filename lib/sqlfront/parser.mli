@@ -2,10 +2,12 @@
 
     Reserved words are contextual: the parser stops reading clause lists at
     the keywords that may follow them, so common words can still be used as
-    identifiers where unambiguous. *)
+    identifiers where unambiguous. Text is lexed by {!Lexer} with SQL's
+    identifier rule and parsed through {!Tstream}. *)
 
 exception Error of string * int * int
-(** Parse (or lexical) error with 1-based line and column. *)
+(** Parse (or lexical) error with 1-based line and column: the one syntax
+    error, {!Sqlcore.Scan.Error}, shared with the MSQL and DOL parsers. *)
 
 val parse_stmt : string -> Ast.stmt
 (** Parse a single statement; an optional trailing [;] is allowed. *)
@@ -21,9 +23,9 @@ val parse_expr : string -> Ast.expr
     translator when rewriting predicates). *)
 
 (** Token-level entry points, used by the MSQL parser, which lexes with
-    different identifier rules (wildcards, optional-column markers) and
+    its own identifier rule (wildcards, optional-column markers) and
     embeds these grammar productions in its own statements. They raise
-    {!Tstream.Error}. *)
+    {!Error}. *)
 
 val stmt_of_tokens : Tstream.t -> Ast.stmt
 val select_of_tokens : Tstream.t -> Ast.select

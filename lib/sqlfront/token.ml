@@ -4,6 +4,7 @@ type t =
   | Float of float
   | Str of string
   | Sym of string
+  | Block of string
   | Eof
 
 type located = { tok : t; tline : int; tcol : int }
@@ -15,8 +16,9 @@ let equal a b =
   | Float x, Float y -> Float.equal x y
   | Str x, Str y -> String.equal x y
   | Sym x, Sym y -> String.equal x y
+  | Block x, Block y -> String.equal x y
   | Eof, Eof -> true
-  | (Ident _ | Int _ | Float _ | Str _ | Sym _ | Eof), _ -> false
+  | (Ident _ | Int _ | Float _ | Str _ | Sym _ | Block _ | Eof), _ -> false
 
 let to_string = function
   | Ident s -> s
@@ -24,6 +26,7 @@ let to_string = function
   | Float f -> string_of_float f
   | Str s -> "'" ^ s ^ "'"
   | Sym s -> s
+  | Block b -> "{ " ^ b ^ " }"
   | Eof -> "<eof>"
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

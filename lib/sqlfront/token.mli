@@ -1,8 +1,8 @@
-(** Tokens shared by the SQL parser (and reused, with a different lexer, by
-    the MSQL parser). Keywords are not distinguished lexically: the parsers
-    match [Ident] payloads case-insensitively, which lets keyword-like
-    identifiers (e.g. a column named [day]) appear where the grammar allows
-    them. *)
+(** Tokens of the one lexer ({!Lexer}) that SQL, MSQL and DOL share.
+    Keywords are not distinguished lexically: the parsers match [Ident]
+    payloads case-insensitively, which lets keyword-like identifiers (e.g.
+    a column named [day]) appear where the grammar allows them. MSQL's
+    multiple identifiers ([rate%], [~rate]) are [Ident]s too. *)
 
 type t =
   | Ident of string
@@ -10,6 +10,9 @@ type t =
   | Float of float
   | Str of string  (** ['...'] literal, quotes stripped *)
   | Sym of string  (** punctuation / operator, e.g. ["("], ["<="], ["||"] *)
+  | Block of string
+      (** contents of a [{ ... }] block, trimmed: the SQL script a DOL
+          TASK, COMP or MOVE carries verbatim *)
   | Eof
 
 type located = { tok : t; tline : int; tcol : int }

@@ -1,6 +1,6 @@
 type t = { mutable toks : Token.located list }
 
-exception Error of string * int * int
+exception Error = Sqlcore.Scan.Error
 
 let create toks = { toks }
 
@@ -32,6 +32,14 @@ let error t msg =
        ( Printf.sprintf "%s (at %s)" msg (Token.to_string l.Token.tok),
          l.Token.tline,
          l.Token.tcol ))
+
+let run toks f =
+  let ts = create toks in
+  let r = f ts in
+  (match peek ts with
+  | Token.Eof -> ()
+  | tok -> error ts (Printf.sprintf "trailing input: %s" (Token.to_string tok)));
+  r
 
 let at_kw t kw = Token.is_keyword (peek t) kw
 let at_kw2 t kw = Token.is_keyword (peek2 t) kw

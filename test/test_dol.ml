@@ -119,6 +119,42 @@ let test_parse_errors () =
       | _ -> Alcotest.failf "expected parse error: %s" text)
     bad
 
+(* A brace inside an SQL literal is part of the literal, not of the
+   block structure: the printed DOL of such a statement re-parses to the
+   program that was printed. *)
+let test_braces_in_literals () =
+  let roundtrips what prog =
+    let printed = Narada.Dol_pp.program_to_string prog in
+    match Narada.Dol_parser.parse printed with
+    | parsed -> Alcotest.(check bool) what true (parsed = prog)
+    | exception Narada.Dol_parser.Error (m, l, c) ->
+        Alcotest.failf "%s: %d:%d %s\n%s" what l c m printed
+  in
+  let text = {|
+DOLBEGIN
+  TASK T1 FOR aa { UPDATE t SET x = '}' WHERE y = '{' } ENDTASK;
+  COMP K1 COMPENSATES T1 FOR aa { UPDATE t SET x = 'it''s {' } ENDCOMP;
+  MOVE M1 FROM aa TO bb TABLE tmp { SELECT x FROM t WHERE x <> '}}' } ENDMOVE;
+DOLEND
+|} in
+  let prog = Narada.Dol_parser.parse text in
+  (match prog with
+  | [ D.Task { commands = "UPDATE t SET x = '}' WHERE y = '{'"; _ };
+      D.Comp { commands = "UPDATE t SET x = 'it''s {'"; _ };
+      D.Move { query = "SELECT x FROM t WHERE x <> '}}'"; _ } ] ->
+      ()
+  | _ -> Alcotest.fail "block text is not verbatim");
+  roundtrips "task/comp/move" prog;
+  let fx = Msql.Fixtures.make () in
+  match
+    Msql.Msession.exec fx.Msql.Fixtures.session
+      "EXPLAIN USE avis UPDATE cars SET client = '{x'"
+  with
+  | Ok (Msql.Msession.Info text) ->
+      roundtrips "explain" (Narada.Dol_parser.parse text)
+  | Ok r -> Alcotest.fail (Msql.Msession.result_to_string r)
+  | Error m -> Alcotest.fail m
+
 (* ---- engine ---------------------------------------------------------------------- *)
 
 let test_commit_path () =
@@ -357,7 +393,11 @@ DOLEND
 let gen_program =
   let open QCheck.Gen in
   let ident = oneofl [ "t1"; "t2"; "aa"; "bb"; "svc" ] in
-  let block = oneofl [ "SELECT 1 FROM t"; "UPDATE t SET x = (x + 1)"; "DROP TABLE u" ] in
+  let block =
+    oneofl
+      [ "SELECT 1 FROM t"; "UPDATE t SET x = (x + 1)"; "DROP TABLE u";
+        "UPDATE t SET x = '}{''' WHERE y <> '{'" ]
+  in
   let status = oneofl D.[ P; C; A; E; N; X ] in
   let rec cond n =
     if n = 0 then map2 (fun t s -> D.Status_is (t, s)) ident status
@@ -444,6 +484,7 @@ let () =
           Alcotest.test_case "pp roundtrip" `Quick test_pp_roundtrip;
           Alcotest.test_case "all constructs" `Quick test_parse_all_constructs;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "braces in literals" `Quick test_braces_in_literals;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_program_roundtrip ] );

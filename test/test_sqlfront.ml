@@ -44,6 +44,13 @@ let test_lexer_error () =
       Alcotest.failf "wrong position %d:%d" l c
   | _ -> Alcotest.fail "expected lexer error"
 
+(* a [{ ... }] block is one token; braces nest, and a quoted literal's
+   braces and doubled quotes are copied, not counted *)
+let test_lexer_block () =
+  match toks "x { a {b} 'c}' 'd''{' } y" with
+  | [ Token.Ident "x"; Token.Block "a {b} 'c}' 'd''{'"; Token.Ident "y"; Token.Eof ] -> ()
+  | ts -> Alcotest.failf "block lexing: %s" (String.concat " " (List.map Token.to_string ts))
+
 (* ---- parser -------------------------------------------------------------- *)
 
 let roundtrips s =
@@ -117,6 +124,43 @@ let test_parse_errors () =
   expect_error "SELECT a FROM t GROUP a";
   expect_error "SELECT a FROM t trailing garbage (";
   expect_error "FOO BAR"
+
+(* SQL, MSQL and DOL share one lexer and one syntax error: each
+   language's lexical and grammar errors raise [Sqlcore.Scan.Error], with
+   these pinned messages and positions. *)
+let test_one_syntax_error () =
+  let sql s = ignore (Parser.parse_script s) in
+  let msql s = ignore (Msql.Mparser.parse_script s) in
+  let dol s = ignore (Narada.Dol_parser.parse s) in
+  let expect name parse text (msg, line, col) =
+    match parse text with
+    | exception Sqlcore.Scan.Error (m, l, c) ->
+        Alcotest.(check (triple string int int)) name (msg, line, col) (m, l, c)
+    | () -> Alcotest.failf "%s: expected a syntax error" name
+  in
+  expect "sql unterminated string" sql "SELECT a FROM t WHERE b = 'abc"
+    ("unterminated string literal", 1, 31);
+  expect "sql bad character" sql "a @ b" ("unexpected character '@'", 1, 3);
+  expect "sql grammar" sql "SELECT a FROM\n  t WHERE"
+    ("unexpected token <eof> (at <eof>)", 2, 10);
+  expect "sql trailing" sql "SELECT a FROM t extra junk"
+    ("expected a statement (at junk)", 1, 23);
+  expect "msql unterminated string" msql
+    "USE avis SELECT code FROM cars WHERE x = 'abc"
+    ("unterminated string literal", 1, 46);
+  expect "msql bare ~" msql "USE avis\nSELECT ~ FROM cars"
+    ("expected identifier after ~", 2, 9);
+  expect "msql grammar" msql "UPDATE cars SET x = 1"
+    ( "expected USE, BEGIN MULTITRANSACTION, INCORPORATE, IMPORT or \
+       CREATE/DROP TRIGGER (at UPDATE)",
+      1, 1 );
+  expect "dol unterminated block" dol
+    "DOLBEGIN\nTASK t1 FOR aa { UPDATE t SET x = 1 ENDTASK;\nDOLEND"
+    ("unterminated { block", 3, 7);
+  expect "dol grammar" dol "DOLBEGIN\n  FOO;\nDOLEND"
+    ("expected a DOL statement (at FOO)", 2, 3);
+  expect "dol trailing" dol "DOLBEGIN DOLSTATUS = 1; DOLEND x"
+    ("trailing input after DOLEND: x (at x)", 1, 32)
 
 let test_db_qualified_table () =
   match Parser.parse_stmt "SELECT a FROM avis.cars c" with
@@ -221,6 +265,7 @@ let () =
           Alcotest.test_case "exponent" `Quick test_lexer_exponent;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
           Alcotest.test_case "error position" `Quick test_lexer_error;
+          Alcotest.test_case "block" `Quick test_lexer_block;
         ] );
       ( "parser",
         [
@@ -229,6 +274,7 @@ let () =
           Alcotest.test_case "and/or precedence" `Quick test_and_or_precedence;
           Alcotest.test_case "not precedence" `Quick test_not_precedence;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "one syntax error" `Quick test_one_syntax_error;
           Alcotest.test_case "db-qualified table" `Quick test_db_qualified_table;
           Alcotest.test_case "script" `Quick test_script;
           Alcotest.test_case "keyword case" `Quick test_keyword_case_insensitive;
