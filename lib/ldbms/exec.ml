@@ -20,23 +20,20 @@ let wrap f =
 
 (* ---- transactional reads ------------------------------------------------ *)
 
-(* The rows a statement sees in a base table: inside a transaction, the
-   transaction's staged intent or its snapshot's version; outside (or when
-   the latest committed version is the visible one), the current rows. *)
+(* The version of a base table a statement sees: inside a transaction,
+   the transaction's staged intent or its snapshot's version; outside (or
+   when the latest committed version is the visible one), the current
+   rows. *)
+let visible txn tbl =
+  match txn with None -> `Current | Some txn -> Txn.read txn tbl
+
 let table_rows txn tbl =
-  match txn with
-  | None -> Table.rows tbl
-  | Some txn -> (
-      match Txn.read txn tbl with
-      | `Current -> Table.rows tbl
-      | `Frozen rows -> rows)
+  match visible txn tbl with `Current -> Table.rows tbl | `Frozen rows -> rows
 
 (* Index fast paths read the current version's lookup caches, so they are
    only sound when that version is the one the statement should see. *)
 let current_view txn tbl =
-  match txn with
-  | None -> true
-  | Some txn -> ( match Txn.read txn tbl with `Current -> true | `Frozen _ -> false)
+  match visible txn tbl with `Current -> true | `Frozen _ -> false
 
 (* ---- output-schema type inference ------------------------------------- *)
 
@@ -92,36 +89,46 @@ let derived_name = function
    mutually recursive view definitions. *)
 let max_view_depth = 16
 
+(* How a join may read a leaf. [Base] holds while [jl_rel] is the
+   table's current version, unfiltered: a join may then probe the table's
+   lookup map instead, and the leaf's local conjuncts, if it has any,
+   cannot raise and run only on the rows read. *)
+type access = Rows | Base of Table.t * (Row.t -> bool) option
+
 type join_leaf = {
   jl_label : string;
   jl_rel : Relation.t;  (* requalified with the FROM label *)
-  jl_base : (Table.t * string) option;  (* base table + catalog name *)
+  jl_card : int;  (* rows of [jl_rel] *)
+  jl_access : access;
 }
 
 let load_leaf ~eval_select ~depth ?txn db (r : Ast.table_ref) =
   let label = Option.value r.Ast.alias ~default:r.Ast.table in
-  let qualifier = Some label in
+  let leaf rel card access =
+    { jl_label = label; jl_rel = Relation.requalify (Some label) rel; jl_card = card;
+      jl_access = access }
+  in
   match Database.find_table_opt db r.Ast.table with
-  | Some tbl ->
-      {
-        jl_label = label;
-        jl_rel =
-          Relation.requalify qualifier
-            (Relation.make (Table.schema tbl) (table_rows txn tbl));
-        jl_base = Some (tbl, r.Ast.table);
-      }
+  | Some tbl -> (
+      match visible txn tbl with
+      | `Current -> leaf (Table.to_relation tbl) (Table.cardinality tbl) (Base (tbl, None))
+      | `Frozen rows ->
+          leaf (Relation.make (Table.schema tbl) rows) (List.length rows) Rows)
   | None -> (
       match Database.find_view_opt db r.Ast.table with
       | Some q ->
           if depth >= max_view_depth then
             err "view expansion too deep (recursive views?) at %s" r.Ast.table
           else
-            {
-              jl_label = label;
-              jl_rel = Relation.requalify qualifier (eval_select q);
-              jl_base = None;
-            }
+            let rel = eval_select q in
+            leaf rel (Relation.cardinality rel) Rows
       | None -> err "no such table: %s" r.Ast.table)
+
+(* a leaf's rows, with its deferred conjuncts applied *)
+let leaf_rel l =
+  match l.jl_access with
+  | Base (_, Some p) -> Relation.filter p l.jl_rel
+  | Base (_, None) | Rows -> l.jl_rel
 
 (* ---- index fast path ----------------------------------------------------- *)
 
@@ -244,62 +251,113 @@ let leaves_of leaves c =
 let resolvable leaves conjs =
   List.for_all (fun c -> expr_has_subquery c || leaves_of leaves c <> None) conjs
 
-(* Filter each leaf by the subquery-free conjuncts whose columns all
-   denote it. A row such a conjunct rejects fails the whole WHERE under
+(* Whether a local conjunct over a table's rows cannot raise: AND, OR and
+   NOT over comparisons, BETWEEN and IS NULL whose operands are columns
+   and literals all of one comparable class, given per column the value
+   classes the rows hold ([Table.value_classes]). *)
+let cannot_raise classes schema c =
+  let rec bits = function
+    | Ast.Lit v -> Some (Value.class_bit v)
+    | Ast.Unop (Ast.Neg, (Ast.Lit (Value.Int _ | Value.Float _) as l)) -> bits l
+    | Ast.Col { qualifier; name } -> (
+        match Schema.find_indices schema ?qualifier name with
+        | [ i ] -> Some classes.(i)
+        | _ -> None)
+    | _ -> None
+  in
+  let comparable operands =
+    match
+      List.fold_left
+        (fun m e -> match m, bits e with Some m, Some b -> Some (m lor b) | _ -> None)
+        (Some 0) operands
+    with
+    | Some m -> m land (m - 1) = 0
+    | None -> false
+  in
+  let rec total = function
+    | Ast.Binop ((Ast.And | Ast.Or), a, b) -> total a && total b
+    | Ast.Unop (Ast.Not, a) -> total a
+    | Ast.Binop ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), a, b) ->
+        comparable [ a; b ]
+    | Ast.Between { arg; lo; hi; _ } -> comparable [ arg; lo; hi ]
+    | Ast.Is_null { arg; _ } -> bits arg <> None
+    | _ -> false
+  in
+  total c
+
+(* The top-level equi-join conjuncts linking two leaves, as pairs of
+   (leaf, column) ends, when both columns key in one class. *)
+let join_edges leaves conjs =
+  let col_def l c = List.nth (Relation.schema (List.nth leaves l).jl_rel) c in
+  List.filter_map
+    (function
+      | Ast.Binop
+          ( Ast.Eq,
+            Ast.Col { qualifier = qa; name = na },
+            Ast.Col { qualifier = qb; name = nb } ) -> (
+          match
+            ( resolve_over_leaves leaves ?qualifier:qa na,
+              resolve_over_leaves leaves ?qualifier:qb nb )
+          with
+          | `One (la, ca), `One (lb, cb)
+            when la <> lb
+                 && ty_class (col_def la ca).Schema.ty
+                    = ty_class (col_def lb cb).Schema.ty ->
+              Some ((la, ca), (lb, cb))
+          | _ -> None)
+      | _ -> None)
+    conjs
+
+(* Give each leaf the subquery-free conjuncts whose columns all denote
+   it. A row such a conjunct rejects fails the whole WHERE under
    three-valued logic, so the join input loses only rows the final filter
-   would drop. A filtered leaf is no longer its base table: the index
-   nested-loop path does not apply to it. *)
-let filter_leaves ~predicate leaves conjs =
+   would drop. A leaf stays [Base], and a join may probe its table, when
+   the lookup map on its join column pays ([Table.probe_pays]) and none
+   of its conjuncts can raise on the table's version; they then run only
+   on the rows the join reads. Any other leaf is filtered now, since a
+   conjunct that raises must fail the statement even on a row that never
+   joins, and is read as [Rows]. *)
+let filter_leaves ~predicate leaves edges conjs =
   List.mapi
     (fun i l ->
       let local c = (not (expr_has_subquery c)) && leaves_of leaves c = Some [ i ] in
-      match List.filter local conjs with
-      | [] -> l
-      | c :: cs ->
-          let conj = List.fold_left (fun a c -> Ast.Binop (Ast.And, a, c)) c cs in
-          {
-            l with
-            jl_rel = Relation.filter (predicate (Relation.schema l.jl_rel) conj) l.jl_rel;
-            jl_base = None;
-          })
+      let conj = Ast.conjoin (List.filter local conjs) in
+      let schema = Relation.schema l.jl_rel in
+      let join_col =
+        List.find_map
+          (fun ((a, ca), (b, cb)) ->
+            if a = i then Some ca else if b = i then Some cb else None)
+          edges
+      in
+      match l.jl_access, join_col, conj with
+      | Base (tbl, _), Some col, _
+        when Table.probe_pays tbl ~col
+             && Option.fold ~none:true
+                  ~some:(cannot_raise (Table.value_classes tbl) schema)
+                  conj ->
+          { l with jl_access = Base (tbl, Option.map (predicate schema) conj) }
+      | _, _, None -> { l with jl_access = Rows }
+      | _, _, Some c ->
+          let rel = Relation.filter (predicate schema c) l.jl_rel in
+          { l with jl_rel = rel; jl_card = Relation.cardinality rel; jl_access = Rows })
     leaves
 
-(* Plan a multi-leaf FROM clause whose conjuncts are [resolvable]: extract
-   top-level equi-join conjuncts from WHERE, order the joins greedily by
-   cardinality, and execute them as hash joins — or an index nested-loop
-   when the joined table declares an index on its join column —
-   producting only across genuinely unconnected components. Returns None
-   (caller falls back to the Cartesian product) when no equi-join
-   conjunct exists. The caller re-applies the complete WHERE clause
-   afterwards: planning is purely physical and the result set is
-   identical to filtering the product. *)
-let plan_join_input ?txn db leaves conjs =
+(* Plan a multi-leaf FROM clause whose conjuncts are [resolvable] over
+   its equi-join [edges]: order the joins greedily by cardinality, and run
+   each step as a hash join, or as an index nested loop: a [Base] leaf
+   larger than the rows joined so far is probed once per joined row, and
+   its deferred conjuncts run on the matches only. Leaves are producted
+   only across genuinely unconnected components. Returns None (caller
+   falls back to the Cartesian product) when no equi-join conjunct
+   exists. The caller re-applies the complete WHERE clause afterwards:
+   planning is purely physical and the result set is identical to
+   filtering the product. *)
+let plan_join_input leaves edges =
   let n = List.length leaves in
   let leaf = Array.of_list leaves in
-  let col_def l c = List.nth (Relation.schema leaf.(l).jl_rel) c in
-  let edges =
-    List.filter_map
-      (function
-        | Ast.Binop
-            ( Ast.Eq,
-              Ast.Col { qualifier = qa; name = na },
-              Ast.Col { qualifier = qb; name = nb } ) -> (
-            match
-              ( resolve_over_leaves leaves ?qualifier:qa na,
-                resolve_over_leaves leaves ?qualifier:qb nb )
-            with
-            | `One (la, ca), `One (lb, cb)
-              when la <> lb
-                   && ty_class (col_def la ca).Schema.ty
-                      = ty_class (col_def lb cb).Schema.ty ->
-                Some ((la, ca), (lb, cb))
-            | _ -> None)
-        | _ -> None)
-      conjs
-  in
   if edges = [] then None
   else begin
-    let card i = Relation.cardinality leaf.(i).jl_rel in
+    let card i = leaf.(i).jl_card in
     let connected i =
       List.exists (fun ((a, _), (b, _)) -> a = i || b = i) edges
     in
@@ -313,7 +371,7 @@ let plan_join_input ?txn db leaves conjs =
       cheapest (List.filter connected (List.init n Fun.id))
     in
     offsets.(start) <- 0;
-    let acc = ref leaf.(start).jl_rel in
+    let acc = ref (leaf_rel leaf.(start)) in
     let remaining = ref (List.filter (fun i -> i <> start) (List.init n Fun.id)) in
     while !remaining <> [] do
       (* join conjuncts linking the placed prefix to candidate [j], as
@@ -337,44 +395,31 @@ let plan_join_input ?txn db leaves conjs =
       in
       let jl = leaf.(next) in
       let joined =
-        match keys with
-        | [] -> Relation.product !acc jl.jl_rel
-        | (off, col) :: _ -> (
-            let indexed =
-              match jl.jl_base with
-              | Some (tbl, tname) ->
-                  let cd = col_def next col in
-                  if
-                    Database.has_index db ~table:tname ~column:cd.Schema.name
-                    && current_view txn tbl
-                  then Some tbl
-                  else None
-              | None -> None
+        match keys, jl.jl_access with
+        | [], _ -> Relation.product !acc (leaf_rel jl)
+        | (off, col) :: _, Base (tbl, defer) when card next > Relation.cardinality !acc ->
+            let find = Table.lookup_eq tbl ~col in
+            let keep = Option.value defer ~default:(fun _ -> true) in
+            (* newest first: [ra]'s matches, in table order, onto [out] *)
+            let rec emit ra out = function
+              | [] -> out
+              | rb :: rbs -> emit ra (if keep rb then Row.append ra rb :: out else out) rbs
             in
-            match indexed with
-            | Some tbl ->
-                let out_schema =
-                  Relation.schema !acc @ Relation.schema jl.jl_rel
-                in
-                let out =
-                  List.concat_map
-                    (fun ra ->
-                      List.map
-                        (fun rb -> Row.append ra rb)
-                        (Table.lookup_eq tbl ~col (Row.get ra off)))
-                    (Relation.rows !acc)
-                in
-                Relation.make out_schema out
-            | None -> Relation.hash_join !acc jl.jl_rel ~keys)
+            let out =
+              List.fold_left
+                (fun out ra -> emit ra out (find (Row.get ra off)))
+                [] (Relation.rows !acc)
+            in
+            Relation.make
+              (Relation.schema !acc @ Relation.schema jl.jl_rel)
+              (List.rev out)
+        | _ :: _, _ -> Relation.hash_join !acc (leaf_rel jl) ~keys
       in
       offsets.(next) <- Schema.arity (Relation.schema !acc);
       acc := joined;
       remaining := List.filter (fun j -> j <> next) !remaining
     done;
-    (* restore FROM-clause column order *)
-    let total_schema =
-      List.concat_map (fun l -> Relation.schema l.jl_rel) leaves
-    in
+    (* restore FROM-clause column order, unless the joins kept it *)
     let idxs =
       List.concat
         (List.mapi
@@ -384,7 +429,11 @@ let plan_join_input ?txn db leaves conjs =
                (fun k -> offsets.(i) + k))
            leaves)
     in
-    Some (Relation.project !acc idxs total_schema)
+    if List.for_all2 ( = ) idxs (List.init (List.length idxs) Fun.id) then Some !acc
+    else
+      Some
+        (Relation.project !acc idxs
+           (List.concat_map (fun l -> Relation.schema l.jl_rel) leaves))
   end
 
 (* ---- SELECT ------------------------------------------------------------ *)
@@ -530,15 +579,18 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
           match leaves with
           | [] -> assert false
           | l0 :: rest ->
-              List.fold_left (fun acc l -> Relation.product acc l.jl_rel) l0.jl_rel rest
+              List.fold_left
+                (fun acc l -> Relation.product acc (leaf_rel l))
+                (leaf_rel l0) rest
         in
         match leaves, s.Ast.where with
         | _ :: _ :: _, Some pred -> (
             let conjs = Ast.conjuncts pred in
             if not (resolvable leaves conjs) then product leaves
             else
-              let leaves = filter_leaves ~predicate:(predicate ctx) leaves conjs in
-              match plan_join_input ?txn db leaves conjs with
+              let edges = join_edges leaves conjs in
+              let leaves = filter_leaves ~predicate:(predicate ctx) leaves edges conjs in
+              match plan_join_input leaves edges with
               | Some rel -> rel
               | None -> product leaves)
         | _ -> product leaves)

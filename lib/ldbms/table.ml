@@ -13,6 +13,7 @@ type t = {
   schema : Sqlcore.Schema.t;
   mutable rev_rows : Sqlcore.Row.t list;  (* newest first *)
   mutable fwd : Sqlcore.Row.t list option;  (* memoized insertion order *)
+  mutable card : int;  (* length of [rev_rows] *)
   mutable version : int;
   mutable history : (int * Sqlcore.Row.t list) list;
       (* older committed versions, newest first; each pair is the commit
@@ -22,8 +23,13 @@ type t = {
       (* transaction id holding a prepare-time write reservation; a
          prepared participant must never lose a conflict race after
          promising, so the reservation blocks competing writers *)
-  (* lazy equality-lookup cache: column -> (version built at, hash map) *)
-  lookup_cache : (int, int * (string, Sqlcore.Row.t list) Hashtbl.t) Hashtbl.t;
+  (* Per-version memos of the current rows, each tagged with the version
+     it describes and recomputed once that version is gone. [classes]:
+     per column, the [Value.class_bit]s its values hold. [lookups]:
+     column -> equality-lookup map, or [None] when a join asked for it
+     once at that version and scanned instead. *)
+  mutable classes : int * int array;
+  lookups : (int, int * Sqlcore.Row.t Sqlcore.Value.Tbl.t option) Hashtbl.t;
 }
 
 let create ~name schema =
@@ -32,11 +38,13 @@ let create ~name schema =
     schema;
     rev_rows = [];
     fwd = Some [];
+    card = 0;
     version = 0;
     history = [];
     committed_at = 0;
     reserved_by = None;
-    lookup_cache = Hashtbl.create 4;
+    classes = (-1, [||]);
+    lookups = Hashtbl.create 4;
   }
 
 let name t = t.name
@@ -50,12 +58,13 @@ let rows t =
       t.fwd <- Some r;
       r
 
-let cardinality t = List.length t.rev_rows
+let cardinality t = t.card
 let touch t = t.version <- t.version + 1
 
 let set_rows t rows =
   t.rev_rows <- List.rev rows;
   t.fwd <- Some rows;
+  t.card <- List.length rows;
   touch t
 
 let insert t row =
@@ -63,10 +72,11 @@ let insert t row =
     invalid_arg (Printf.sprintf "Table.insert(%s): arity mismatch" t.name);
   t.rev_rows <- row :: t.rev_rows;
   t.fwd <- None;
+  t.card <- t.card + 1;
   touch t
 
-let to_relation t = Sqlcore.Relation.make t.schema (rows t)
-let copy t = { t with rev_rows = t.rev_rows; lookup_cache = Hashtbl.create 4 }
+let to_relation t = Sqlcore.Relation.view t.schema ~rev_rows:t.rev_rows ~rows:(rows t)
+let copy t = { t with rev_rows = t.rev_rows; lookups = Hashtbl.create 4 }
 
 let version t = t.version
 let committed_at t = t.committed_at
@@ -105,26 +115,47 @@ let release_reservation t ~txn =
   | Some id when id = txn -> t.reserved_by <- None
   | _ -> ()
 
-let lookup_eq t ~col v =
-  if Sqlcore.Value.is_null v then []
-  else begin
-    let map =
-      match Hashtbl.find_opt t.lookup_cache col with
-      | Some (built_at, map) when built_at = t.version -> map
-      | Some _ | None ->
-          let map = Hashtbl.create (max 16 (cardinality t)) in
-          List.iter
-            (fun row ->
-              match Sqlcore.Value.join_key row.(col) with
-              | None -> ()
-              | Some key ->
-                  let prev = Option.value (Hashtbl.find_opt map key) ~default:[] in
-                  Hashtbl.replace map key (row :: prev))
-            (rows t);
-          Hashtbl.replace t.lookup_cache col (t.version, map);
-          map
-    in
-    match Hashtbl.find_opt map (Sqlcore.Value.key v) with
-    | Some rows -> List.rev rows
-    | None -> []
-  end
+let value_classes t =
+  match t.classes with
+  | at, bits when at = t.version -> bits
+  | _ ->
+      let bits = Array.make (Sqlcore.Schema.arity t.schema) 0 in
+      List.iter
+        (fun row ->
+          for c = 0 to Array.length bits - 1 do
+            bits.(c) <- bits.(c) lor Sqlcore.Value.class_bit row.(c)
+          done)
+        t.rev_rows;
+      t.classes <- (t.version, bits);
+      bits
+
+let lookup_map t ~col =
+  match Hashtbl.find_opt t.lookups col with
+  | Some (at, Some map) when at = t.version -> map
+  | Some _ | None ->
+      let map = Sqlcore.Value.Tbl.create (max 16 t.card) in
+      (* newest first: [find_all] returns the latest binding first, so a
+         key's rows come back in insertion order *)
+      List.iter
+        (fun row ->
+          let v = row.(col) in
+          if not (Sqlcore.Value.is_null v) then Sqlcore.Value.Tbl.add map v row)
+        t.rev_rows;
+      Hashtbl.replace t.lookups col (t.version, Some map);
+      map
+
+let lookup_eq t ~col =
+  let map = lookup_map t ~col in
+  fun v -> if Sqlcore.Value.is_null v then [] else Sqlcore.Value.Tbl.find_all map v
+
+let lookup_built t ~col =
+  match Hashtbl.find_opt t.lookups col with
+  | Some (at, Some _) -> at = t.version
+  | Some (_, None) | None -> false
+
+let probe_pays t ~col =
+  match Hashtbl.find_opt t.lookups col with
+  | Some (at, _) when at = t.version -> true
+  | Some _ | None ->
+      Hashtbl.replace t.lookups col (t.version, None);
+      false

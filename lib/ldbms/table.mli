@@ -9,12 +9,18 @@ val create : name:string -> Sqlcore.Schema.t -> t
 val name : t -> string
 val schema : t -> Sqlcore.Schema.t
 val rows : t -> Sqlcore.Row.t list
+
 val cardinality : t -> int
+(** Row count of the current version, in O(1). *)
 
 val insert : t -> Sqlcore.Row.t -> unit
 (** Appends; raises [Invalid_argument] on arity mismatch. *)
 
 val to_relation : t -> Sqlcore.Relation.t
+(** The current version as a relation, in O(1) after the first call per
+    version: a {!Sqlcore.Relation.view} of the stored row lists, which
+    copies nothing. *)
+
 val copy : t -> t
 
 val version : t -> int
@@ -46,8 +52,30 @@ val reserve : t -> txn:int -> unit
 val release_reservation : t -> txn:int -> unit
 (** Releases only if [txn] holds the reservation; no-op otherwise. *)
 
+val value_classes : t -> int array
+(** Per column, the [lor] of the {!Sqlcore.Value.class_bit}s of the
+    current version's values, computed once per version. A column
+    declared [FLOAT] holds one class when every value was inserted
+    through SQL, but [Database.load] stores values unchecked. *)
+
 val lookup_eq : t -> col:int -> Sqlcore.Value.t -> Sqlcore.Row.t list
 (** Rows whose [col]-th field equals the value under SQL equality
-    ({!Sqlcore.Value.key}; never matches NULL), via a
-    lazily built hash map that is rebuilt when the table changes. Row
-    order is preserved. Always reads the current version. *)
+    ({!Sqlcore.Value.equal}; never matches NULL), in insertion order. The
+    first call per version builds a {!Sqlcore.Value.Tbl} over the column
+    holding every non-NULL row under its structural value, several
+    bindings per key; later calls at that version probe it. Always reads
+    the current version. [lookup_eq t ~col] fetches the map once, so a
+    join applies it to each of its probe values while the table does not
+    change. *)
+
+val lookup_built : t -> col:int -> bool
+(** Whether [col]'s lookup map is built for the current version. *)
+
+val probe_pays : t -> col:int -> bool
+(** Whether a join should probe [col]'s lookup map rather than scan the
+    current version: true once a join has already asked at this version.
+    A build reads every row once and then serves each later join of the
+    version in as many steps as it has probe keys; a scan reads every row
+    at each join. So the first join of a version scans, and a false
+    answer records that it asked; a version that is joined twice pays for
+    its map. *)

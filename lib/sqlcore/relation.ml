@@ -25,6 +25,7 @@ let make schema rows =
     rows;
   mk ~fwd:rows schema (List.rev rows)
 
+let view schema ~rev_rows ~rows = mk ~fwd:rows schema rev_rows
 let empty schema = mk ~fwd:[] schema []
 let schema t = t.schema
 
@@ -61,7 +62,11 @@ let equal_unordered a b =
 
 (* filtering the reversed list keeps relative order within it *)
 let filter p t = mk t.schema (List.filter p t.rev_rows)
-let project t idxs schema = make schema (List.map (Row.project idxs) (rows t))
+let project t idxs schema =
+  let idxs = Array.of_list idxs in
+  if Array.length idxs <> Schema.arity schema then
+    invalid_arg "Relation.project: index count differs from the schema arity";
+  mk schema (List.map (Row.project idxs) t.rev_rows)
 
 let distinct t =
   let seen = Hashtbl.create 64 in
@@ -91,16 +96,10 @@ let product a b =
 
 (* ---- hash join -----------------------------------------------------------
 
-   Keys are structural: a single join column hashes its {!Value.canonical}
-   value, several columns the list of theirs, so a single-column probe
-   allocates nothing. A NULL in any key column joins nothing. *)
-
-module One = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash v = Hashtbl.hash (Value.canonical v)
-end)
+   Keys are structural: a single join column keys a {!Value.Tbl}, several
+   columns hash the list of their {!Value.canonical} values, so a
+   single-column probe allocates nothing. A NULL in any key column joins
+   nothing. *)
 
 module Many = Hashtbl.Make (struct
   type t = Value.t list
@@ -165,7 +164,7 @@ let hash_join a b ~keys =
   let rev =
     match keys with
     | [ (ia, ib) ] ->
-        join_with (module One) ~absent:Value.is_null
+        join_with (module Value.Tbl) ~absent:Value.is_null
           ~key_a:(fun row -> Row.get row ia)
           ~key_b:(fun row -> Row.get row ib)
           a b

@@ -10,6 +10,12 @@ type t
 val make : Schema.t -> Row.t list -> t
 (** Raises [Invalid_argument] if any row's arity differs from the schema's. *)
 
+val view : Schema.t -> rev_rows:Row.t list -> rows:Row.t list -> t
+(** A relation over lists someone already holds, without copying or
+    checking them: [rows] in insertion order and [rev_rows], the same
+    rows newest first. The caller guarantees both, and every row's arity;
+    a stored table's current version is the one such caller. *)
+
 val empty : Schema.t -> t
 val schema : t -> Schema.t
 val rows : t -> Row.t list

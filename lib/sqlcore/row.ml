@@ -21,7 +21,7 @@ let get row i =
 let of_list = Array.of_list
 let to_list = Array.to_list
 let append = Array.append
-let project idxs row = Array.of_list (List.map (fun i -> get row i) idxs)
+let project idxs row = Array.map (fun i -> get row i) idxs
 
 let size_bytes row =
   Array.fold_left (fun acc v -> acc + Value.size_bytes v) 0 row

@@ -12,6 +12,8 @@ val get : t -> int -> Value.t
 val of_list : Value.t list -> t
 val to_list : t -> Value.t list
 val append : t -> t -> t
-val project : int list -> t -> t
+val project : int array -> t -> t
+(** The fields at the given positions, in that order. *)
+
 val size_bytes : t -> int
 val pp : Format.formatter -> t -> unit

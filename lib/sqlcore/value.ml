@@ -155,10 +155,20 @@ let key v =
   | Bool true -> "bt"
   | Bool false -> "bf"
 
-let join_key = function Null -> None | v -> Some (key v)
 let row_key vs = String.concat "\000" (List.map key vs)
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
+
+(* one hash table for structural keys: the hash join's and every table's
+   lookup map, so a probe allocates no key *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash v = Hashtbl.hash (canonical v)
+end)
+
+let class_bit v = match class_rank v with 0 -> 0 | r -> 1 lsl r
 
 let as_float = function
   | Int i -> Some (float_of_int i)

@@ -52,15 +52,25 @@ val key : t -> string
     differing in any digit do not. [Null] has a key of its own, for
     grouping and duplicate elimination. No key contains a NUL byte. *)
 
-val join_key : t -> string option
-(** {!key}, but [None] for [Null]: NULL = x is never true, so NULL never
-    joins. *)
-
 val row_key : t list -> string
 (** The {!key}s of the values joined with NUL: equal iff the lists are
     pairwise {!equal}. *)
 
 val pp : Format.formatter -> t -> unit
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by structural values under {!equal}, hashed through
+    {!canonical}: [Int 1] and [Float 1.0] meet, ints above 2^53 stay
+    apart, and looking a value up allocates no key. NULL is an ordinary
+    key here; a join must not look it up, since NULL = x is never true. *)
+
+val class_bit : t -> int
+(** A bit per comparison class: numbers ([Int] and [Float] together),
+    strings and booleans each have their own; [Null] has none, since it
+    compares with anything without raising. Two non-NULL values compare
+    without a type error iff their bits are equal, so a set of values is
+    pairwise comparable iff the [lor] of their bits has at most one bit
+    set. *)
 
 val as_float : t -> float option
 (** Numeric view of [Int] and [Float]; [None] otherwise. *)

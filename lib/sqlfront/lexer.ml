@@ -54,23 +54,46 @@ and lone_symbol sc c =
 
 (* The text up to the '}' matching an already consumed '{'. Braces nest;
    a quoted literal is copied whole (a doubled '' toggles twice), so its
-   braces do not count. *)
+   braces do not count. A '--' or '/* */' comment is copied whole too, but
+   only quotes lose their meaning in it: a "don't" there opens no
+   literal, while braces still count, so the one-line [{ ... -- c }]
+   closes at its '}'. *)
+type block_state = Code | Quoted | Line_comment | Block_comment
+
 let block sc =
   let buf = Buffer.create 64 in
-  let rec go depth quoted =
-    match Scan.peek sc with
-    | None -> Scan.error sc "unterminated { block"
-    | Some '}' when depth = 0 && not quoted -> Scan.advance sc
-    | Some c ->
-        Buffer.add_char buf c;
-        Scan.advance sc;
-        match c with
-        | '\'' -> go depth (not quoted)
-        | '{' when not quoted -> go (depth + 1) quoted
-        | '}' when not quoted -> go (depth - 1) quoted
-        | _ -> go depth quoted
+  let take () =
+    let c = Scan.next sc in
+    Buffer.add_char buf c;
+    c
   in
-  go 0 false;
+  let rec go depth state =
+    match Scan.peek sc, Scan.peek2 sc, state with
+    | None, _, _ -> Scan.error sc "unterminated { block"
+    | Some '}', _, (Code | Line_comment | Block_comment) when depth = 0 ->
+        Scan.advance sc
+    | Some '-', Some '-', Code ->
+        ignore (take ());
+        ignore (take ());
+        go depth Line_comment
+    | Some '/', Some '*', Code ->
+        ignore (take ());
+        ignore (take ());
+        go depth Block_comment
+    | Some '*', Some '/', Block_comment ->
+        ignore (take ());
+        ignore (take ());
+        go depth Code
+    | Some _, _, _ -> (
+        match take (), state with
+        | '\'', Code -> go depth Quoted
+        | '\'', Quoted -> go depth Code
+        | '\n', Line_comment -> go depth Code
+        | '{', (Code | Line_comment | Block_comment) -> go (depth + 1) state
+        | '}', (Code | Line_comment | Block_comment) -> go (depth - 1) state
+        | _ -> go depth state)
+  in
+  go 0 Code;
   String.trim (Buffer.contents buf)
 
 let sql_ident = (Scan.is_ident_start, fun sc -> Scan.take_while sc Scan.is_ident_char)

@@ -581,8 +581,9 @@ let test_planner_bigint_keys () =
   check_planner_identical session
     "SELECT s.sid, p.pname FROM sales s, parts p WHERE s.part_id = p.pid"
 
-(* same matrix with a declared index on the join column, so the planner
-   takes the index-nested-loop path instead of building a hash table *)
+(* same matrix with a declared index on the join column: the join
+   planner reads no declared index (those serve only the single-table
+   [col = literal] scan), so the answers must not move *)
 let test_inl_matches_product () =
   let parts, sales = gen_data ~seed:21 ~n_parts:40 ~n_sales:60 in
   let session = merged_session ~parts ~sales in
@@ -590,6 +591,83 @@ let test_inl_matches_product () =
   | Ok _ -> ()
   | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
   List.iter (check_planner_identical session) planner_queries
+
+(* ---- index path vs hash path vs product ------------------------------ *)
+
+(* A join into a larger base table probes its lookup map from the
+   second join of a table version on, and hash-joins on the first (whose
+   start leaf may differ, as only it filters the large leaf before
+   ordering). Both must give the filtered product's multiset on any
+   data: duplicate and
+   NULL keys, 1 against 1.0, ints above 2^53 (next to the float they
+   round to), and strings. A key column pair holds one class, so the
+   product compares keys without a type error. *)
+let num_keys =
+  let big = 1 lsl 53 in
+  [| Value.Null; i 1; f 1.0; i 2; f 2.5; i big; i (big + 1); f (float_of_int big) |]
+
+let str_keys = [| Value.Null; s "a"; s "b"; s "A"; s "" |]
+
+let access_queries =
+  let join from = "SELECT a.id, b.id, b.v FROM " ^ from ^ " WHERE a.k = b.k" in
+  [
+    (fun _ -> join "small a, large b");
+    (fun _ -> join "large b, small a");
+    (fun cut -> Printf.sprintf "%s AND b.v < %d" (join "small a, large b") cut);
+    (fun cut ->
+      Printf.sprintf "%s AND a.id < 20 AND (b.v >= %d OR b.v IS NULL)"
+        (join "large b, small a") cut);
+  ]
+
+let gen_access_case =
+  QCheck.Gen.(
+    let* strings = bool in
+    let pool = if strings then str_keys else num_keys in
+    let key = map (fun j -> pool.(j)) (int_bound (Array.length pool - 1)) in
+    let* small = list_size (int_range 0 40) key in
+    let* large = list_size (int_range 0 400) (pair key (int_bound 99)) in
+    let* cut = int_bound 100 in
+    let* q = int_bound (List.length access_queries - 1) in
+    return (strings, small, large, cut, q))
+
+let print_access_case (strings, small, large, cut, q) =
+  Printf.sprintf "%s keys, %d against %d rows, query %d at %d"
+    (if strings then "string" else "numeric")
+    (List.length small) (List.length large) q cut
+
+let prop_access_paths_agree =
+  QCheck.Test.make ~name:"index path = hash path = product" ~count:200
+    (QCheck.make ~print:print_access_case gen_access_case)
+    (fun ((strings, small, large, cut, q) as case) ->
+      let kty = if strings then Ty.Str else Ty.Int in
+      let db = Ldbms.Database.create "paths" in
+      Ldbms.Database.load db ~name:"small" [ col "id" Ty.Int; col "k" kty ]
+        (List.mapi (fun n k -> [| i n; k |]) small);
+      Ldbms.Database.load db ~name:"large"
+        [ col "id" Ty.Int; col "k" (if strings then Ty.Str else Ty.Float); col "v" Ty.Int ]
+        (List.mapi (fun n (k, v) -> [| i n; k; i v |]) large);
+      let sql = (List.nth access_queries q) cut in
+      let run sql = Relation.rows (Ldbms.Exec.run_select db (Sqlfront.Parser.parse_select sql)) in
+      let reference = run (product_form sql) in
+      let hashed = run sql in
+      let probed = run sql in
+      let sort = List.sort Row.compare in
+      let same a b = List.equal Row.equal a b in
+      let n_small = List.length small and n_large = List.length large in
+      let larger = if n_large > n_small then Some "large" else if n_small > n_large then Some "small" else None in
+      let probed_table =
+        Option.fold ~none:true
+          ~some:(fun t ->
+            Ldbms.Table.lookup_built (Ldbms.Database.find_table db t) ~col:1)
+          larger
+      in
+      if not (same (sort reference) (sort hashed)) then
+        QCheck.Test.fail_reportf "%s: hash path differs from the product" (print_access_case case);
+      if not (same (sort reference) (sort probed)) then
+        QCheck.Test.fail_reportf "%s: index path differs from the product" (print_access_case case);
+      if not probed_table then
+        QCheck.Test.fail_reportf "%s: the second join did not probe" (print_access_case case);
+      true)
 
 let () =
   Alcotest.run "differential"
@@ -630,4 +708,5 @@ let () =
           Alcotest.test_case "reference is the product" `Quick
             test_reference_is_product;
         ] );
+      ("access paths", List.map QCheck_alcotest.to_alcotest [ prop_access_paths_agree ]);
     ]

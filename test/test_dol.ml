@@ -155,6 +155,17 @@ DOLEND
   | Ok r -> Alcotest.fail (Msql.Msession.result_to_string r)
   | Error m -> Alcotest.fail m
 
+(* A quote inside an SQL comment in a block opens no literal, and a '}'
+   still closes the block even when a '--' comment runs up to it. *)
+let block_commands text want () =
+  match Narada.Dol_parser.parse ("DOLBEGIN TASK T1 FOR aa " ^ text ^ " ENDTASK; DOLEND") with
+  | [ D.Task { commands; _ } ] ->
+      Alcotest.(check string) text want commands;
+      (* the block text is SQL the LDBMS parser accepts *)
+      ignore (Sqlfront.Parser.parse_script commands)
+  | _ -> Alcotest.fail "expected one task"
+  | exception Narada.Dol_parser.Error (m, l, c) -> Alcotest.failf "%S: %d:%d %s" text l c m
+
 (* ---- engine ---------------------------------------------------------------------- *)
 
 let test_commit_path () =
@@ -485,6 +496,12 @@ let () =
           Alcotest.test_case "all constructs" `Quick test_parse_all_constructs;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "braces in literals" `Quick test_braces_in_literals;
+          Alcotest.test_case "quote in a -- comment" `Quick
+            (block_commands "{ UPDATE t SET x = 1 -- don't }" "UPDATE t SET x = 1 -- don't");
+          Alcotest.test_case "quote in a -- comment, two lines" `Quick
+            (block_commands "{ UPDATE t SET x = 1 -- don't\n}" "UPDATE t SET x = 1 -- don't");
+          Alcotest.test_case "quote in a /* */ comment" `Quick
+            (block_commands "{ UPDATE t /* don't */ SET x = 1 }" "UPDATE t /* don't */ SET x = 1");
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_program_roundtrip ] );

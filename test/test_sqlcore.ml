@@ -129,7 +129,13 @@ let test_value_key () =
   Alcotest.(check bool) "string vs number" false (same (Str "n1") (Int 1));
   Alcotest.(check bool) "NUL bytes cannot forge a composite key" false
     (String.equal (row_key [ Str "a\000sb"; Str "c" ]) (row_key [ Str "a"; Str "b\000sc" ]));
-  Alcotest.(check (option string)) "NULL never joins" None (join_key Null)
+  let tbl = Tbl.create 4 in
+  Tbl.add tbl (Int 5) "five";
+  Tbl.add tbl (Int (1 lsl 53)) "2^53";
+  Alcotest.(check (list string)) "Tbl: 5.0 finds Int 5" [ "five" ]
+    (Tbl.find_all tbl (Float 5.0));
+  Alcotest.(check (list string)) "Tbl: 2^53 + 1 stays apart" []
+    (Tbl.find_all tbl (Int ((1 lsl 53) + 1)))
 
 let test_value_to_string () =
   Alcotest.(check string) "null" "NULL" (Value.to_string Value.Null);
@@ -522,9 +528,33 @@ let prop_float_literal_roundtrip =
       | Value.Float g -> Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float f)
       | _ -> false)
 
+(* The join planner defers a leaf's filter only when its comparisons
+   cannot raise, judged by [Value.class_bit]: two values share a bit (or
+   one is NULL) exactly when the evaluator compares them without a type
+   error. *)
+let prop_class_bits_match_comparison =
+  let gen =
+    QCheck.Gen.(
+      oneofl
+        [ Value.Null; Value.Int 0; Value.Int max_int; Value.Float 0.5;
+          Value.Float Float.nan; Value.Str ""; Value.Str "a"; Value.Bool true;
+          Value.Bool false ])
+  in
+  QCheck.Test.make ~name:"class bits match comparability" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen gen))
+    (fun (a, b) ->
+      let m = Value.class_bit a lor Value.class_bit b in
+      let raises =
+        match Ldbms.Eval.comparison Sqlfront.Ast.Lt a b with
+        | _ -> false
+        | exception Ldbms.Eval.Type_error _ -> true
+      in
+      raises = (m land (m - 1) <> 0))
+
 let qtests = List.map QCheck_alcotest.to_alcotest
     [ prop_like_vs_naive; prop_distinct_idempotent; prop_union_cardinality;
-      prop_float_literal_roundtrip; prop_hash_join_vs_product ]
+      prop_float_literal_roundtrip; prop_hash_join_vs_product;
+      prop_class_bits_match_comparison ]
 
 let () =
   Alcotest.run "sqlcore"
