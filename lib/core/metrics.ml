@@ -1,8 +1,8 @@
 (* Session metrics registry: mutable counters the session and the engine
    feed while statements run, exportable as JSON for the benches and CI.
-   Planning counters are bumped by Msession's pipeline; engine counters
-   are folded from the typed trace stream ({!observe}) and from the
-   engine outcome; network counters are read live from the world's
+   Planning counters are bumped by Msession's pipeline; engine and cache
+   counters are folded from the typed trace stream ({!observe}) and from
+   the engine outcome; network counters are read live from the world's
    per-site ledger at export time. *)
 
 type cache_stats = {
@@ -69,7 +69,6 @@ type t = {
   mutable moved_rows : int;
   mutable moved_bytes : int;
   mutable moves_reduced : int;
-  mutable moves_cached : int;
   (* dataflow scheduler: planning-side DAG shape (folded when the pass
      regroups a program) and execution-side wave accounting (folded from
      Wave trace events; virtual, so width-invariant) *)
@@ -82,6 +81,8 @@ type t = {
   mutable dataflow_crit_ms : float;
   mutable dataflow_serial_ms : float;
   site_retries : (string, int) Hashtbl.t;
+  (* caches: folded from Cache, Pool_stale and busy Open_failed events *)
+  mutable caches : cache_stats;
 }
 
 let create () =
@@ -112,7 +113,6 @@ let create () =
     moved_rows = 0;
     moved_bytes = 0;
     moves_reduced = 0;
-    moves_cached = 0;
     dataflow_nodes = 0;
     dataflow_edges = 0;
     dataflow_waves_planned = 0;
@@ -122,6 +122,7 @@ let create () =
     dataflow_crit_ms = 0.0;
     dataflow_serial_ms = 0.0;
     site_retries = Hashtbl.create 8;
+    caches = zero_cache_stats;
   }
 
 (* fold [src] into [dst], counter by counter: the server aggregates its
@@ -154,7 +155,6 @@ let add dst src =
   dst.moved_rows <- dst.moved_rows + src.moved_rows;
   dst.moved_bytes <- dst.moved_bytes + src.moved_bytes;
   dst.moves_reduced <- dst.moves_reduced + src.moves_reduced;
-  dst.moves_cached <- dst.moves_cached + src.moves_cached;
   dst.dataflow_nodes <- dst.dataflow_nodes + src.dataflow_nodes;
   dst.dataflow_edges <- dst.dataflow_edges + src.dataflow_edges;
   dst.dataflow_waves_planned <-
@@ -170,7 +170,8 @@ let add dst src =
     (fun site n ->
       Hashtbl.replace dst.site_retries site
         (n + Option.value ~default:0 (Hashtbl.find_opt dst.site_retries site)))
-    src.site_retries
+    src.site_retries;
+  dst.caches <- add_cache_stats dst.caches src.caches
 
 let reset m =
   m.statements <- 0;
@@ -199,7 +200,6 @@ let reset m =
   m.moved_rows <- 0;
   m.moved_bytes <- 0;
   m.moves_reduced <- 0;
-  m.moves_cached <- 0;
   m.dataflow_nodes <- 0;
   m.dataflow_edges <- 0;
   m.dataflow_waves_planned <- 0;
@@ -208,13 +208,30 @@ let reset m =
   m.dataflow_wave_branches <- 0;
   m.dataflow_crit_ms <- 0.0;
   m.dataflow_serial_ms <- 0.0;
-  Hashtbl.reset m.site_retries
+  Hashtbl.reset m.site_retries;
+  m.caches <- zero_cache_stats
+
+let count_cache c (layer : Narada.Trace.layer) hit =
+  match layer, hit with
+  | Narada.Trace.Pool, true -> { c with pool_hits = c.pool_hits + 1 }
+  | Narada.Trace.Pool, false -> { c with pool_misses = c.pool_misses + 1 }
+  | Narada.Trace.Plan, true -> { c with plan_hits = c.plan_hits + 1 }
+  | Narada.Trace.Plan, false -> { c with plan_misses = c.plan_misses + 1 }
+  | Narada.Trace.Result, true -> { c with result_hits = c.result_hits + 1 }
+  | Narada.Trace.Result, false ->
+      { c with result_misses = c.result_misses + 1 }
 
 (* fold one typed trace event; events with no metric dimension are
-   ignored (cache consultations are counted by the owning cache's own
-   stats, statuses/branches are control flow) *)
+   ignored (statuses/branches are control flow) *)
 let observe m (ev : Narada.Trace.event) =
   match ev.Narada.Trace.kind with
+  | Narada.Trace.Cache { layer; hit; _ } ->
+      m.caches <- count_cache m.caches layer hit
+  | Narada.Trace.Pool_stale _ ->
+      m.caches <- { m.caches with pool_discarded = m.caches.pool_discarded + 1 }
+  | Narada.Trace.Open_failed { busy = true; _ } ->
+      (* the pool refused the checkout at its connection cap *)
+      m.caches <- { m.caches with pool_conflicts = m.caches.pool_conflicts + 1 }
   | Narada.Trace.Retry { site; conflict; _ } ->
       m.retries <- m.retries + 1;
       if conflict then m.conflict_retries <- m.conflict_retries + 1;
@@ -226,12 +243,11 @@ let observe m (ev : Narada.Trace.event) =
   | Narada.Trace.Decision { verdict = Narada.Trace.Abort; _ } ->
       m.decisions_abort <- m.decisions_abort + 1
   | Narada.Trace.Recovered _ -> m.recovered <- m.recovered + 1
-  | Narada.Trace.Moved { rows; bytes; reduced; cached; _ } ->
+  | Narada.Trace.Moved { rows; bytes; reduced; _ } ->
       m.moves <- m.moves + 1;
       m.moved_rows <- m.moved_rows + rows;
       m.moved_bytes <- m.moved_bytes + bytes;
-      if reduced then m.moves_reduced <- m.moves_reduced + 1;
-      if cached then m.moves_cached <- m.moves_cached + 1
+      if reduced then m.moves_reduced <- m.moves_reduced + 1
   | Narada.Trace.Snapshot _ -> m.snapshots <- m.snapshots + 1
   | Narada.Trace.Conflict _ -> m.ww_conflicts <- m.ww_conflicts + 1
   | Narada.Trace.Conflict_abort _ ->
@@ -244,9 +260,8 @@ let observe m (ev : Narada.Trace.event) =
   (* the chunk event is never emitted: a MOVE is one message and reports
      only Moved *)
   | Narada.Trace.Opened _ | Narada.Trace.Open_failed _ | Narada.Trace.Closed _
-  | Narada.Trace.Status _ | Narada.Trace.Branch _ | Narada.Trace.Pool_stale _
-  | Narada.Trace.Cache _ | Narada.Trace.Chunk _ | Narada.Trace.Dolstatus _
-  | Narada.Trace.Note _ ->
+  | Narada.Trace.Status _ | Narada.Trace.Branch _ | Narada.Trace.Chunk _
+  | Narada.Trace.Dolstatus _ | Narada.Trace.Note _ ->
       ()
 
 let note_dataflow m (ds : Narada.Dol_graph.stats) =
@@ -284,7 +299,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let to_json m ~world ~cache =
+let to_json m ~world =
   let b = Buffer.create 2048 in
   let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let ws = Netsim.World.stats world in
@@ -318,7 +333,7 @@ let to_json m ~world ~cache =
   addf
     "    \"moves\": {\"count\": %d, \"rows\": %d, \"bytes\": %d, \
      \"semijoin_reduced\": %d, \"cache_hits\": %d},\n"
-    m.moves m.moved_rows m.moved_bytes m.moves_reduced m.moves_cached;
+    m.moves m.moved_rows m.moved_bytes m.moves_reduced m.caches.result_hits;
   addf
     "    \"dataflow\": {\"nodes\": %d, \"edges\": %d, \"waves_planned\": %d, \
      \"critical_path_len\": %d, \"waves\": %d, \"wave_branches\": %d, \
@@ -330,6 +345,7 @@ let to_json m ~world ~cache =
     (if m.dataflow_crit_ms > 0.0 then m.dataflow_serial_ms /. m.dataflow_crit_ms
      else 1.0);
   addf "  },\n";
+  let cache = m.caches in
   addf "  \"caches\": {\n";
   addf
     "    \"pool\": {\"hits\": %d, \"misses\": %d, \"discarded\": %d, \

@@ -7,10 +7,15 @@
       subqueries shipped, semijoin gate outcomes, EXPLAINs;
     - {e engine} — execution: runs, errors, virtual time, retries (total
       and per site), 2PC verdicts, in-doubt recoveries, vital splits, and
-      MOVE traffic (rows/bytes, semijoin-reduced and cache-served moves),
-      folded from the typed {!Narada.Trace} stream and the engine outcome;
-    - {e caches} and {e network} — read at export time from the session's
-      caches and the {!Netsim.World} per-site ledger.
+      MOVE traffic (rows/bytes, semijoin-reduced moves), folded from the
+      typed {!Narada.Trace} stream and the engine outcome;
+    - {e caches} — pool, plan and shipped-result hits and misses, stale
+      pool discards and capped-out checkouts, folded from the stream's
+      [Cache], [Pool_stale] and busy [Open_failed] events: no cache
+      keeps a counter of its own.
+
+    The {e network} section of {!to_json} is read at export time from
+    the {!Netsim.World} per-site ledger.
 
     {!to_json} renders everything as one self-contained JSON document;
     [bench/main.ml] records it and CI asserts the per-site byte totals
@@ -29,13 +34,8 @@ type cache_stats = {
   result_misses : int;
 }
 (** Hit/miss counters of the session performance layer (connection pool,
-    plan cache, shipped-result cache). Defined here so {!to_json} can
-    embed them; re-exported by {!Msession.cache_stats}. *)
-
-val zero_cache_stats : cache_stats
-
-val add_cache_stats : cache_stats -> cache_stats -> cache_stats
-(** Field-wise sum — the server's aggregate view over its sessions. *)
+    plan cache, shipped-result cache): the registry's cache block,
+    re-exported by {!Msession.cache_stats}. *)
 
 type t = {
   mutable statements : int;
@@ -67,7 +67,6 @@ type t = {
   mutable moved_rows : int;
   mutable moved_bytes : int;
   mutable moves_reduced : int;
-  mutable moves_cached : int;
   mutable dataflow_nodes : int;
       (** DAG nodes analyzed by the dataflow scheduler's planning pass *)
   mutable dataflow_edges : int;  (** dependency edges (transitively reduced) *)
@@ -83,6 +82,9 @@ type t = {
           [dataflow_serial_ms], the summed branch durations *)
   mutable dataflow_serial_ms : float;
   site_retries : (string, int) Hashtbl.t;  (** site name -> retry count *)
+  mutable caches : cache_stats;
+      (** the cache block; [caches.result_hits] is also exported as the
+          engine's cache-served MOVE count *)
 }
 
 val create : unit -> t
@@ -96,7 +98,8 @@ val add : t -> t -> unit
 val observe : t -> Narada.Trace.event -> unit
 (** Fold one typed trace event into the registry (retries, 2PC
     decisions, recoveries, MOVE traffic, MVCC snapshots and write-write
-    conflicts). Events carrying no metric dimension are ignored. *)
+    conflicts, cache consultations, stale pool discards and capped-out
+    checkouts). Events carrying no metric dimension are ignored. *)
 
 val note_decomposition : t -> Decompose.plan -> unit
 (** Count a decomposition's shipped subqueries and semijoin gate
@@ -106,8 +109,8 @@ val note_dataflow : t -> Narada.Dol_graph.stats -> unit
 (** Fold one program's dataflow-scheduling stats (DAG nodes/edges, waves
     formed, critical-path length) into the registry. *)
 
-val to_json : t -> world:Netsim.World.t -> cache:cache_stats -> string
-(** Render the registry plus live network/cache state as a JSON
-    document. The [sites] array mirrors {!Netsim.World.per_site}
-    (delivered traffic only), so summing its [sent_bytes] reproduces the
-    global [network.bytes_moved] exactly. *)
+val to_json : t -> world:Netsim.World.t -> string
+(** Render the registry plus live network state as a JSON document. The
+    [sites] array mirrors {!Netsim.World.per_site} (delivered traffic
+    only), so summing its [sent_bytes] reproduces the global
+    [network.bytes_moved] exactly. *)

@@ -49,8 +49,9 @@ and shape =
 
 (* Cache block: every session holds one — a private block from [create],
    or its server's, which makes the parse, plan and shipped-result caches
-   communal: session A's planning warms session B. The hit/miss counters
-   stay in each session, so per-session accounting survives sharing. *)
+   communal: session A's planning warms session B. Each consultation is a
+   trace event of the consulting session, so per-session accounting
+   survives sharing. *)
 type shared_caches = {
   sc_parsed : (string, Ast.toplevel) Hashtbl.t;
       (* statement text -> its parse; pure, so never stale *)
@@ -94,11 +95,7 @@ type t = {
   mutable pool_shared : bool;
       (* the pool belongs to a server, not this session: never drain it *)
   mutable caches : shared_caches;  (* private, or the server's block *)
-  mutable plan_hits : int;
-  mutable plan_misses : int;
   mutable result_cache_on : bool;  (* off by default *)
-  mutable result_hits : int;
-  mutable result_misses : int;
 }
 
 type cache_stats = Metrics.cache_stats = {
@@ -138,11 +135,7 @@ let create ?world ?directory ?ad ?gdd () =
     pool = None;
     pool_shared = false;
     caches = shared_caches ();
-    plan_hits = 0;
-    plan_misses = 0;
     result_cache_on = false;
-    result_hits = 0;
-    result_misses = 0;
   }
 
 let world t = t.world
@@ -162,9 +155,10 @@ let semijoin_enabled t = t.semijoin
 let set_typed_trace t sink = t.typed_trace <- sink
 let metrics t = t.metrics
 
-(* every typed trace event — engine or pool — feeds the registry and is
-   then forwarded to the application's sink, if any; a session tag is
-   stamped first so merged multi-session streams stay attributable *)
+(* every typed trace event — engine, pool or this session's caches —
+   feeds the registry and is then forwarded to the application's sink, if
+   any; a session tag is stamped first so merged multi-session streams
+   stay attributable *)
 let observe t ev =
   let ev =
     match t.trace_tag with
@@ -176,6 +170,11 @@ let observe t ev =
 
 let set_trace_tag t tag = t.trace_tag <- tag
 
+let consulted t layer ~hit key =
+  observe t
+    (Narada.Trace.make ~at_ms:(Netsim.World.now_ms t.world)
+       (Narada.Trace.Cache { layer; hit; key }))
+
 let set_retry_policy t p = t.retry <- p
 let last_engine_outcome t = t.last_outcome
 
@@ -185,7 +184,6 @@ let set_pooling t b =
   match b, t.pool with
   | true, None ->
       let p = Narada.Pool.create t.world in
-      Narada.Pool.set_trace p (observe t);
       t.pool_shared <- false;
       t.pool <- Some p
   | false, Some p ->
@@ -197,9 +195,6 @@ let set_pooling t b =
   | true, Some _ | false, None -> ()
 
 let set_shared_pool t p =
-  (* the pool's trace sink stays whatever its owner installed — a
-     per-session sink would misattribute other sessions' stale-discard
-     events *)
   (match t.pool with
   | Some own when (not t.pool_shared) && own != p -> Narada.Pool.drain own
   | _ -> ());
@@ -218,25 +213,8 @@ let set_shared_caches t sc =
      would silently bypass the communal table *)
   t.result_cache_on <- true
 
-let cache_stats t =
-  let ps =
-    match t.pool with
-    | Some p -> Narada.Pool.stats p
-    | None -> { Narada.Pool.hits = 0; misses = 0; discarded = 0; conflicts = 0 }
-  in
-  {
-    pool_hits = ps.Narada.Pool.hits;
-    pool_misses = ps.Narada.Pool.misses;
-    pool_discarded = ps.Narada.Pool.discarded;
-    pool_conflicts = ps.Narada.Pool.conflicts;
-    plan_hits = t.plan_hits;
-    plan_misses = t.plan_misses;
-    result_hits = t.result_hits;
-    result_misses = t.result_misses;
-  }
-
-let metrics_json t =
-  Metrics.to_json t.metrics ~world:t.world ~cache:(cache_stats t)
+let cache_stats t = t.metrics.Metrics.caches
+let metrics_json t = Metrics.to_json t.metrics ~world:t.world
 
 (* epoch stamped on shipped-result entries: any dictionary change (IMPORT,
    INCORPORATE) makes older entries unrecognizable, since a re-import may
@@ -255,18 +233,17 @@ let move_cache t =
           (fun ~src ~dst ~query ->
             let k = rc_key src dst query in
             let table = t.caches.sc_results in
-            match Hashtbl.find_opt table k with
-            | Some (epoch, rel) when epoch = dict_epoch t ->
-                t.result_hits <- t.result_hits + 1;
-                Some rel
-            | Some _ ->
-                (* stale dictionary epoch: drop and re-ship *)
-                Hashtbl.remove table k;
-                t.result_misses <- t.result_misses + 1;
-                None
-            | None ->
-                t.result_misses <- t.result_misses + 1;
-                None);
+            let hit =
+              match Hashtbl.find_opt table k with
+              | Some (epoch, rel) when epoch = dict_epoch t -> Some rel
+              | Some _ ->
+                  (* stale dictionary epoch: drop and re-ship *)
+                  Hashtbl.remove table k;
+                  None
+              | None -> None
+            in
+            consulted t Narada.Trace.Result ~hit:(Option.is_some hit) query;
+            hit);
         tc_store =
           (fun ~src ~dst ~query rel ->
             let table = t.caches.sc_results in
@@ -650,15 +627,19 @@ let note_planned t p =
 
 let plan t stmt =
   let k = plan_key t stmt in
+  let kind =
+    match stmt with Query_stmt _ -> "query" | Mtx_stmt _ -> "multitransaction"
+  in
   let cached () =
     let plans = t.caches.sc_plans in
     match Hashtbl.find_opt plans k with
     | Some p ->
-        t.plan_hits <- t.plan_hits + 1;
+        consulted t Narada.Trace.Plan ~hit:true kind;
         p
     | None ->
         let p = plan_fresh t stmt in
-        t.plan_misses <- t.plan_misses + 1;
+        (* a statement that fails to plan is not cached, and not told *)
+        consulted t Narada.Trace.Plan ~hit:false kind;
         if Hashtbl.length plans > 128 then Hashtbl.reset plans;
         Hashtbl.replace plans k p;
         p

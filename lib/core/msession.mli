@@ -156,7 +156,8 @@ val prepared_move_dsts : prepared -> string list
 
 val set_typed_trace : t -> (Narada.Trace.event -> unit) option -> unit
 (** Install a trace sink: every DOL engine coordination event of
-    subsequent queries, plus the pool's validation events, as
+    subsequent queries, plus each consultation of the pool, plan and
+    shipped-result caches and each stale pool discard, as
     {!Narada.Trace.event} values (the shell's [--trace] prints
     {!Narada.Trace.render} of each). The session's {!metrics} registry
     observes the stream regardless. *)
@@ -171,12 +172,13 @@ val set_trace_tag : t -> string option -> unit
 
 val metrics : t -> Metrics.t
 (** The session's metrics registry: planning counters bumped by the
-    pipeline, engine counters folded from the typed trace stream and the
-    engine outcomes. Live — read at any time, {!Metrics.reset} to zero. *)
+    pipeline, engine and cache counters folded from the typed trace
+    stream and the engine outcomes. Live — read at any time,
+    {!Metrics.reset} to zero (the cache counters included). *)
 
 val metrics_json : t -> string
-(** {!Metrics.to_json} of the registry against the session's world and
-    {!cache_stats} — one self-contained JSON document. *)
+(** {!Metrics.to_json} of the registry against the session's world — one
+    self-contained JSON document. *)
 
 val set_retry_policy : t -> Narada.Retry_policy.t option -> unit
 (** Override the retry policy applied to every LAM operation of
@@ -213,9 +215,9 @@ val semijoin_enabled : t -> bool
     {!Gdd.version}/{!Ad.version} epochs, the dataflow/semijoin
     flags and the statement after virtual-database expansion (so it names
     the effective scope and the multidatabases' current members). A hit
-    therefore cannot change the program, and shows only in
-    {!cache_stats}: each use of a plan notes its planning metrics, hit or
-    miss. Any IMPORT or INCORPORATE misses; errors are not cached.
+    therefore cannot change the program, and shows only as a
+    [Cache {layer = Plan}] trace event and in {!cache_stats}: each use of
+    a plan notes its planning metrics, hit or miss. Any IMPORT or INCORPORATE misses; errors are not cached.
 
     Two further reuse mechanisms change traffic, so they stay toggles,
     off by default so that traffic matches the paper's per-statement
@@ -232,9 +234,9 @@ val set_pooling : t -> bool -> unit
 val set_shared_pool : t -> Narada.Pool.t -> unit
 (** Attach a pool owned by someone else (the server): OPEN/CLOSE check
     out of and into it like {!set_pooling}, but the session never drains
-    it — other sessions' parked connections live there too — and the
-    pool's trace sink is left to its owner. A previously owned private
-    pool is drained first. *)
+    it — other sessions' parked connections live there too. The pool's
+    events for this session's checkouts reach this session's trace. A
+    previously owned private pool is drained first. *)
 
 (** {2 Cross-session sharing}
 
@@ -257,8 +259,8 @@ val shared_caches : unit -> shared_caches
 
 val set_shared_caches : t -> shared_caches -> unit
 (** Replace the session's cache block with a communal one and enable the
-    shipped-result cache. Per-session hit/miss counters keep counting
-    locally, so {!cache_stats} still reports each session's own
+    shipped-result cache. Each consultation is traced by the session
+    that makes it, so {!cache_stats} still reports each session's own
     traffic. *)
 
 val set_domains : t -> int -> unit
@@ -273,8 +275,9 @@ val set_result_cache : t -> bool -> unit
     shipped-result table of the session's cache block. *)
 
 val cache_stats : t -> cache_stats
-(** Hit/miss counters of the pool, plan and shipped-result caches (zeros
-    where a layer is off). *)
+(** Hit/miss counters of the pool, plan and shipped-result caches for
+    this session's own consultations (zeros where a layer is off): the
+    cache block of {!metrics}. *)
 
 val triggers : t -> (string * Ast.trigger_def) list
 (** Registered interdatabase triggers, in creation order. *)

@@ -89,7 +89,6 @@ type t = {
   mutable next_sid : int;
   sstats : stats;
   retired_metrics : Metrics.t;  (* folded in at disconnect *)
-  mutable retired_cache : Metrics.cache_stats;
   mutable on_trace : (Narada.Trace.event -> unit) option;
 }
 
@@ -120,7 +119,6 @@ let make ~config ~world ~directory ~ad ~gdd =
         parallel_batches = 0;
       };
     retired_metrics = Metrics.create ();
-    retired_cache = Metrics.zero_cache_stats;
     on_trace = None;
   }
 
@@ -197,23 +195,11 @@ let connect t =
     Ok sid
   end
 
-let strip_pool cs =
-  {
-    cs with
-    Metrics.pool_hits = 0;
-    pool_misses = 0;
-    pool_discarded = 0;
-    pool_conflicts = 0;
-  }
-
 let disconnect t sid =
   match Hashtbl.find_opt t.sessions sid with
   | None -> Error (Unknown_session sid)
   | Some e ->
       Metrics.add t.retired_metrics (Msession.metrics e.e_session);
-      t.retired_cache <-
-        Metrics.add_cache_stats t.retired_cache
-          (strip_pool (Msession.cache_stats e.e_session));
       Hashtbl.remove t.sessions sid;
       t.ring <- List.filter (fun s -> s <> sid) t.ring;
       Ok ()
@@ -393,25 +379,6 @@ let drain t =
 
 (* ---- aggregate observability ---- *)
 
-let cache_stats t =
-  let per_session =
-    Hashtbl.fold
-      (fun _ e acc ->
-        Metrics.add_cache_stats acc
-          (strip_pool (Msession.cache_stats e.e_session)))
-      t.sessions t.retired_cache
-  in
-  (* every member session reports the one shared pool, so its counters
-     are folded in exactly once, at the server level *)
-  let ps = Narada.Pool.stats t.pool in
-  {
-    per_session with
-    Metrics.pool_hits = ps.Narada.Pool.hits;
-    pool_misses = ps.Narada.Pool.misses;
-    pool_discarded = ps.Narada.Pool.discarded;
-    pool_conflicts = ps.Narada.Pool.conflicts;
-  }
-
 let metrics t =
   let agg = Metrics.create () in
   Metrics.add agg t.retired_metrics;
@@ -420,8 +387,8 @@ let metrics t =
     t.sessions;
   agg
 
-let metrics_json t =
-  Metrics.to_json (metrics t) ~world:t.world ~cache:(cache_stats t)
+let cache_stats t = (metrics t).Metrics.caches
+let metrics_json t = Metrics.to_json (metrics t) ~world:t.world
 
 let stats_json t =
   let s = t.sstats in

@@ -136,9 +136,8 @@ val set_trace : t -> (Narada.Trace.event -> unit) option -> unit
     event's [tag] carries the originating session ("s<id>"). *)
 
 val cache_stats : t -> Metrics.cache_stats
-(** Aggregate cache counters: plan/result hits summed over member
-    sessions (live and retired), pool counters read once from the
-    shared pool. *)
+(** The cache block of {!metrics}: every member session's (live and
+    retired) pool, plan and result consultations, summed. *)
 
 val metrics : t -> Metrics.t
 (** A fresh registry folding every member session's counters (live and

@@ -2,16 +2,6 @@ module Ast = Sqlfront.Ast
 module Parser = Sqlfront.Parser
 type result = Rows of Sqlcore.Relation.t | Affected of int | Done
 
-type stats = {
-  mutable statements : int;
-  mutable commits : int;
-  mutable rollbacks : int;
-  mutable prepares : int;
-  mutable injected_failures : int;
-  mutable snapshots : int;
-  mutable ww_conflicts : int;
-}
-
 (* MVCC observations a transport layer can subscribe to; the session
    cannot name the multidatabase trace types (layering), so it reports
    through this small vocabulary and lets the subscriber translate. *)
@@ -49,7 +39,6 @@ type t = {
   injector : Failure_injector.t;
   mutable txn : Txn.t option;
   mutable observer : (obs -> unit) option;
-  stats : stats;
 }
 
 let connect ?injector db caps =
@@ -60,22 +49,11 @@ let connect ?injector db caps =
       (match injector with Some i -> i | None -> Failure_injector.create ());
     txn = None;
     observer = None;
-    stats =
-      {
-        statements = 0;
-        commits = 0;
-        rollbacks = 0;
-        prepares = 0;
-        injected_failures = 0;
-        snapshots = 0;
-        ww_conflicts = 0;
-      };
   }
 
 let database t = t.db
 let capabilities t = t.caps
 let injector t = t.injector
-let stats t = t.stats
 let set_observer t obs = t.observer <- obs
 let observe t o = match t.observer with Some f -> f o | None -> ()
 
@@ -92,7 +70,6 @@ let current_txn t =
   | Some _ | None ->
       let txn = Txn.begin_ t.db in
       t.txn <- Some txn;
-      t.stats.snapshots <- t.stats.snapshots + 1;
       observe t (Obs_snapshot (Txn.snapshot txn));
       txn
 
@@ -106,15 +83,13 @@ let read_txn t =
 let abort_current t =
   (match t.txn with
   | Some txn when not (Txn.is_finished txn) ->
-      Txn.rollback txn;
-      t.stats.rollbacks <- t.stats.rollbacks + 1
+      Txn.rollback txn
   | Some _ | None -> ());
   t.txn <- None
 
 let injected t point =
   match Failure_injector.fires_kind t.injector point with
   | Some kind ->
-      t.stats.injected_failures <- t.stats.injected_failures + 1;
       abort_current t;
       Some (Injected { kind; point })
   | None -> None
@@ -122,7 +97,6 @@ let injected t point =
 (* A lost first-committer-wins race: the victim is rolled back, and retry
    layers re-execute on a fresh snapshot. *)
 let conflicted t ~table ~op =
-  t.stats.ww_conflicts <- t.stats.ww_conflicts + 1;
   observe t (Obs_conflict { table; op });
   abort_current t;
   Error (Conflict { table; op })
@@ -136,7 +110,6 @@ let do_commit t =
           match Txn.commit txn with
           | () ->
               t.txn <- None;
-              t.stats.commits <- t.stats.commits + 1;
               Ok ()
           | exception Txn.Conflict { table; op } -> conflicted t ~table ~op))
   | Some _ | None -> Ok ()
@@ -146,7 +119,6 @@ let do_rollback t =
   | Some txn when not (Txn.is_finished txn) ->
       Txn.rollback txn;
       t.txn <- None;
-      t.stats.rollbacks <- t.stats.rollbacks + 1;
       Ok ()
   | Some _ | None -> Ok ()
 
@@ -161,9 +133,7 @@ let do_prepare t =
         | Some e -> Error e
         | None -> (
             match Txn.prepare txn with
-            | () ->
-                t.stats.prepares <- t.stats.prepares + 1;
-                Ok ()
+            | () -> Ok ()
             | exception Txn.Conflict { table; op } -> conflicted t ~table ~op))
     | Some txn when Txn.state txn = Txn.Prepared -> Ok ()
     | Some _ | None -> failed "no active transaction to prepare"
@@ -203,7 +173,6 @@ let run_write t ~is_ddl ~forces_commit body =
               else Ok r))
 
 let exec t stmt =
-  t.stats.statements <- t.stats.statements + 1;
   match (stmt : Ast.stmt) with
   | Ast.Select s -> (
       (* inside a transaction the SELECT reads the begin snapshot plus the

@@ -14,16 +14,6 @@ type result =
   | Affected of int
   | Done
 
-type stats = {
-  mutable statements : int;
-  mutable commits : int;
-  mutable rollbacks : int;
-  mutable prepares : int;
-  mutable injected_failures : int;
-  mutable snapshots : int;  (** transactions begun (snapshots acquired) *)
-  mutable ww_conflicts : int;  (** first-committer-wins races lost *)
-}
-
 (** Execution observations for a transport layer to subscribe to (the
     session cannot depend on multidatabase trace types): a snapshot
     acquisition with its timestamp, or a lost write-write race on a
@@ -59,7 +49,6 @@ val connect : ?injector:Failure_injector.t -> Database.t -> Capabilities.t -> t
 val database : t -> Database.t
 val capabilities : t -> Capabilities.t
 val injector : t -> Failure_injector.t
-val stats : t -> stats
 
 val set_observer : t -> (obs -> unit) option -> unit
 (** Install (or clear) the MVCC observation sink. At most one observer is

@@ -76,9 +76,6 @@ let insert t row =
   touch t
 
 let to_relation t = Sqlcore.Relation.view t.schema ~rev_rows:t.rev_rows ~rows:(rows t)
-let copy t = { t with rev_rows = t.rev_rows; lookups = Hashtbl.create 4 }
-
-let version t = t.version
 let committed_at t = t.committed_at
 
 let rows_at t ~ts =

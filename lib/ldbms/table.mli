@@ -21,11 +21,6 @@ val to_relation : t -> Sqlcore.Relation.t
     version: a {!Sqlcore.Relation.view} of the stored row lists, which
     copies nothing. *)
 
-val copy : t -> t
-
-val version : t -> int
-(** Bumped on every mutation; lets caches detect staleness. *)
-
 val committed_at : t -> int
 (** Commit timestamp of the current version; 0 for a freshly created
     table. A transaction whose snapshot is older than this must not write

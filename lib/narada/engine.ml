@@ -79,18 +79,17 @@ let retry_observer st ~where ~op ~attempt ~delay_ms f =
   tell st
     (Trace.Retry { op; site = where; attempt; delay_ms; reason; conflict })
 
-(* connect through the pool when one is installed; [reused] reports
+(* connect through the pool when one is installed; the flag reports
    whether an idle connection was picked up instead of dialing *)
 let dial st (svc : Service.t) =
   let on_retry = retry_observer st ~where:svc.Service.site in
   let on_trace = tell_ev st in
   match st.pool with
-  | Some p ->
-      let hits_before = (Pool.stats p).Pool.hits in
-      let r = Pool.checkout ~retry:st.policy ~on_retry ~on_trace p svc in
-      (r, (Pool.stats p).Pool.hits > hits_before)
+  | Some p -> Pool.checkout ~retry:st.policy ~on_retry ~on_trace p svc
   | None ->
-      (Lam.connect ~retry:st.policy ~on_retry ~on_trace st.world svc, false)
+      Result.map
+        (fun lam -> (lam, false))
+        (Lam.connect ~retry:st.policy ~on_retry ~on_trace st.world svc)
 
 let release st lam =
   match st.pool with
@@ -277,10 +276,6 @@ let exec_move st ~mname ~src ~dst ~dest_table ~query ~reduce =
           ~query ~dest_table
       with
       | Ok ts ->
-          if st.move_cache <> None then
-            tell st
-              (Trace.Cache
-                 { layer = "result"; hit = ts.Lam.cached; key = dest_table });
           tell st
             (Trace.Moved
                {
@@ -527,10 +522,7 @@ let rec exec_stmt st = function
           | Some _ | None -> ());
           let conn =
             match dial st svc with
-            | Ok lam, reused ->
-                if st.pool <> None then
-                  tell st
-                    (Trace.Cache { layer = "pool"; hit = reused; key = service });
+            | Ok (lam, reused) ->
                 tell st
                   (Trace.Opened
                      {
@@ -540,7 +532,7 @@ let rec exec_stmt st = function
                        pooled = reused;
                      });
                 Available lam
-            | Error f, _ ->
+            | Error f ->
                 let busy = match f with Lam.Busy _ -> true | _ -> false in
                 tell st
                   (Trace.Open_failed

@@ -56,8 +56,8 @@ val run :
 (** [on_trace] receives one typed {!Trace.event} per coordination step
     (opens/closes, task status transitions, branch decisions, data moves
     with byte counts and semijoin/cache provenance, retries, 2PC
-    decisions, in-doubt recoveries, cache consultations), timestamped
-    with the virtual clock. A caller that wants the line-oriented trace
+    decisions, in-doubt recoveries, and the [pool]'s consultations and
+    stale discards), timestamped with the virtual clock. A caller that wants the line-oriented trace
     renders each event with {!Trace.render}.
 
     A [Program_error] (the [Error _] return) still runs the
@@ -74,7 +74,8 @@ val run :
     dialing (stale ones are validated out, see {!Pool}) and CLOSE check
     it back in instead of disconnecting — including the implicit CLOSE of
     aliases the program forgot. [move_cache] is consulted by every MOVE:
-    a hit ships nothing (see {!Lam.transfer}).
+    a hit ships nothing (see {!Lam.transfer}); the cache's owner reports
+    its consultations.
 
     The branches of a PARBEGIN block run one after another, each in its
     own virtual clock frame starting at the block's start: the block

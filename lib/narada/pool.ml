@@ -1,12 +1,5 @@
 module World = Netsim.World
 
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable discarded : int;
-  mutable conflicts : int;
-}
-
 type entry = {
   lam : Lam.t;
   since_ms : float;  (* virtual checkin instant, for staleness tests *)
@@ -17,8 +10,6 @@ type t = {
   conns : (string, entry list) Hashtbl.t;  (* service key -> idle stack *)
   in_use : (string, int) Hashtbl.t;  (* service key -> checked out *)
   mutable cap : int option;  (* per-service checkout ceiling *)
-  pstats : stats;
-  mutable on_trace : Trace.event -> unit;
 }
 
 let key = String.lowercase_ascii
@@ -29,21 +20,12 @@ let create world =
     conns = Hashtbl.create 8;
     in_use = Hashtbl.create 8;
     cap = None;
-    pstats = { hits = 0; misses = 0; discarded = 0; conflicts = 0 };
-    on_trace = ignore;
   }
-
-let set_trace t sink = t.on_trace <- sink
 
 let set_cap t n =
   t.cap <- (match n with Some n when n >= 1 -> Some n | _ -> None)
 
 let cap t = t.cap
-
-let tell t kind =
-  t.on_trace { Trace.at_ms = World.now_ms t.world; kind; tag = None }
-
-let stats t = t.pstats
 
 let size t = Hashtbl.fold (fun _ es acc -> acc + List.length es) t.conns 0
 
@@ -68,7 +50,15 @@ let healthy t e =
   && Ldbms.Session.txn_state (Lam.session e.lam) = None
 
 let checkout ?retry ?on_retry ?on_trace t (svc : Service.t) =
-  let k = key svc.Service.service_name in
+  let name = svc.Service.service_name in
+  let k = key name in
+  let tell kind =
+    Option.iter (fun f -> f (Trace.make ~at_ms:(World.now_ms t.world) kind))
+      on_trace
+  in
+  let consulted hit =
+    tell (Trace.Cache { layer = Trace.Pool; hit; key = name })
+  in
   (* the cap bounds live connections per service across every session
      sharing the pool; a capped-out checkout fails immediately with a
      transient failure — retrying in place cannot succeed while the
@@ -78,32 +68,27 @@ let checkout ?retry ?on_retry ?on_trace t (svc : Service.t) =
      sequential, so nothing runs between this check and the in-use
      increment below, dial included. *)
   match t.cap with
-  | Some cap when checked_out t k >= cap ->
-      t.pstats.conflicts <- t.pstats.conflicts + 1;
-      Error (Lam.Busy svc.Service.service_name)
+  | Some cap when checked_out t k >= cap -> Error (Lam.Busy name)
   | Some _ | None ->
       let rec pick () =
         match Hashtbl.find_opt t.conns k with
         | Some (e :: rest) ->
             Hashtbl.replace t.conns k rest;
             if healthy t e then begin
-              t.pstats.hits <- t.pstats.hits + 1;
-              Ok (Lam.with_policy ?retry ?on_retry ?on_trace e.lam)
+              consulted true;
+              Ok (Lam.with_policy ?retry ?on_retry ?on_trace e.lam, true)
             end
             else begin
-              t.pstats.discarded <- t.pstats.discarded + 1;
-              tell t
-                (Trace.Pool_stale
-                   {
-                     service = svc.Service.service_name;
-                     site = Lam.site e.lam;
-                   });
+              tell (Trace.Pool_stale { service = name; site = Lam.site e.lam });
               abandon e.lam;
               pick ()
             end
         | Some [] | None ->
-            t.pstats.misses <- t.pstats.misses + 1;
-            Lam.connect ?retry ?on_retry ?on_trace t.world svc
+            (* the miss is told once the dial is over, so it carries the
+               same instant as the OPEN it precedes *)
+            let r = Lam.connect ?retry ?on_retry ?on_trace t.world svc in
+            consulted false;
+            Result.map (fun lam -> (lam, false)) r
       in
       let r = pick () in
       (match r with

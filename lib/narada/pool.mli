@@ -18,6 +18,14 @@
     back, as the LDBMS does autonomously when a session dies) and a fresh
     connection is dialed transparently.
 
+    The pool keeps no counters. Each checkout reports what it did to the
+    checkout's own [?on_trace] — the session that checked out: a
+    {!Trace.Cache} event with layer {!Trace.Pool} (hit or dial) and a
+    {!Trace.Pool_stale} event per discarded connection (a capped-out
+    checkout is reported by the engine, below). Counting is
+    [Msql.Metrics]'s fold of that stream, so a shared pool's traffic is
+    attributed to the session that caused it.
+
     A pool may be shared by many sessions (the MSQL server checks every
     session's OPENs out of one pool), and an optional per-service
     {!set_cap} bounds how many connections to one service can be live at
@@ -29,20 +37,7 @@
 
 type t
 
-type stats = {
-  mutable hits : int;  (** checkouts served by an idle pooled connection *)
-  mutable misses : int;  (** checkouts that had to dial *)
-  mutable discarded : int;  (** idle connections dropped as stale *)
-  mutable conflicts : int;
-      (** checkouts refused because the service was at its cap *)
-}
-
 val create : Netsim.World.t -> t
-
-val set_trace : t -> (Trace.event -> unit) -> unit
-(** Install a typed-event sink; the pool reports discarded stale
-    connections ({!Trace.Pool_stale}) through it. Replaces any previous
-    sink. *)
 
 val set_cap : t -> int option -> unit
 (** Bound concurrent checkouts per service ([None] — the default — is
@@ -55,8 +50,6 @@ val cap : t -> int option
 val checked_out : t -> string -> int
 (** Connections to the named service currently checked out. *)
 
-val stats : t -> stats
-
 val size : t -> int
 (** Idle connections currently parked. *)
 
@@ -66,12 +59,13 @@ val checkout :
   ?on_trace:(Trace.event -> unit) ->
   t ->
   Service.t ->
-  (Lam.t, Lam.failure) result
+  (Lam.t * bool, Lam.failure) result
 (** An idle healthy connection to the service if one is parked (rebound
-    to the given retry policy and observers), else a fresh
-    {!Lam.connect}. Stale parked connections encountered on the way are
-    discarded and counted. With a cap set and the service fully checked
-    out, fails fast instead (see {!set_cap}). *)
+    to the given retry policy and observers), paired with [true]; else a
+    fresh {!Lam.connect}, paired with [false]. Stale parked connections
+    encountered on the way are discarded. Each consultation and discard
+    is told to [on_trace] (see above). With a cap set and the service
+    fully checked out, fails fast instead (see {!set_cap}). *)
 
 val checkin : t -> Lam.t -> unit
 (** Park the connection for reuse. Refused — with full

@@ -3,6 +3,7 @@
    benches) observe structured values. *)
 
 type verdict = Commit | Abort
+type layer = Pool | Plan | Result
 
 type kind =
   | Opened of { service : string; site : string; alias : string; pooled : bool }
@@ -41,7 +42,7 @@ type kind =
   | Decision of { verdict : verdict; tasks : string list }
   | Recovered of { task : string; site : string; verdict : verdict }
   | Pool_stale of { service : string; site : string }
-  | Cache of { layer : string; hit : bool; key : string }
+  | Cache of { layer : layer; hit : bool; key : string }
   | Snapshot of { site : string; ts : int }
   | Conflict of { site : string; table : string; op : string }
   | Conflict_abort of { task : string; site : string }
@@ -59,6 +60,11 @@ let make ?tag ~at_ms kind = { at_ms; kind; tag }
 let with_tag tag ev = if ev.tag = None then { ev with tag = Some tag } else ev
 
 let verdict_to_string = function Commit -> "COMMIT" | Abort -> "ABORT"
+
+let layer_to_string = function
+  | Pool -> "pool"
+  | Plan -> "plan"
+  | Result -> "result"
 
 let status_of_verdict = function Commit -> Dol_ast.C | Abort -> Dol_ast.A
 
@@ -96,8 +102,8 @@ let render_kind = function
       Printf.sprintf "pool: discarded stale connection to %s at %s" service
         site
   | Cache { layer; hit; key } ->
-      Printf.sprintf "%s cache %s: %s" layer (if hit then "hit" else "miss")
-        key
+      Printf.sprintf "%s cache %s: %s" (layer_to_string layer)
+        (if hit then "hit" else "miss") key
   | Snapshot { site; ts } -> Printf.sprintf "snapshot %d acquired at %s" ts site
   | Conflict { site; table; op } ->
       Printf.sprintf "write-write conflict on %s at %s (%s)" table site op

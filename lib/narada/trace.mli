@@ -1,12 +1,21 @@
-(** Typed trace events emitted by the engine, the connection pool and the
-    LAM layer, timestamped with the virtual clock.
+(** Typed trace events emitted by the engine, the connection pool, the
+    LAM layer and the MSQL session's plan and shipped-result caches,
+    timestamped with the virtual clock.
 
-    The engine has one sink, [Engine.run ~on_trace]. Textual consumers
+    The engine has one sink, [Engine.run ~on_trace]; the pool reports
+    through the sink of the checkout that consulted it, and the session
+    sends its own cache events down the same stream. Textual consumers
     (the shell's [--trace]) print {!render} of each event; structured
     consumers (the [Msql.Metrics] registry) match on {!kind} instead of
-    parsing. *)
+    parsing. Every counter the registry keeps, cache hits and misses
+    included, is a fold of this stream. *)
 
 type verdict = Commit | Abort
+
+type layer =
+  | Pool  (** the LAM connection pool, consulted at each pooled OPEN *)
+  | Plan  (** the session's plan cache, consulted once per planned statement *)
+  | Result  (** the shipped-result cache, consulted at each cached MOVE *)
 
 type kind =
   | Opened of { service : string; site : string; alias : string; pooled : bool }
@@ -58,10 +67,12 @@ type kind =
   | Recovered of { task : string; site : string; verdict : verdict }
       (** An in-doubt transaction was driven to its logged verdict. *)
   | Pool_stale of { service : string; site : string }
-      (** The pool discarded an idle connection that went stale. *)
-  | Cache of { layer : string; hit : bool; key : string }
-      (** A cache consultation; [layer] is ["pool"], ["plan"] or
-          ["result"]. *)
+      (** A checkout discarded an idle pooled connection that went stale. *)
+  | Cache of { layer : layer; hit : bool; key : string }
+      (** A cache consultation, emitted by the layer that consulted the
+          cache as it did so. [key] is the service for {!Pool}, the
+          statement kind for {!Plan} and the shipped query for
+          {!Result}. *)
   | Snapshot of { site : string; ts : int }
       (** A local transaction began and acquired an MVCC snapshot at the
           site ([ts] is the site-local commit timestamp it reads at). *)

@@ -426,6 +426,7 @@ let test_message_loss_storm_still_consistent () =
 
 module Pool = Narada.Pool
 module M = Msql.Msession
+module Metrics = Msql.Metrics
 
 let pool_service () =
   let db = Ldbms.Database.create "adb" in
@@ -434,9 +435,10 @@ let pool_service () =
     [ [| Value.Int 1 |] ];
   Narada.Service.make ~site:"alpha" ~caps:Caps.ingres_like db
 
-let checkout_exn pool svc =
-  match Pool.checkout pool svc with
-  | Ok lam -> lam
+(* the pool keeps no counters: each checkout's trace is folded into [m] *)
+let checkout_exn m pool svc =
+  match Pool.checkout ~on_trace:(Metrics.observe m) pool svc with
+  | Ok (lam, _) -> lam
   | Error f -> Alcotest.fail (Lam.failure_message f)
 
 (* a parked connection whose site failed while it idled is broken even
@@ -446,20 +448,22 @@ let test_pool_stale_after_outage () =
   let w = two_sites () in
   let svc = pool_service () in
   let pool = Pool.create w in
-  let lam1 = checkout_exn pool svc in
+  let m = Metrics.create () in
+  let lam1 = checkout_exn m pool svc in
   Pool.checkin pool lam1;
   Alcotest.(check int) "parked" 1 (Pool.size pool);
-  let lam2 = checkout_exn pool svc in
-  Alcotest.(check int) "healthy reuse" 1 (Pool.stats pool).Pool.hits;
+  let lam2 = checkout_exn m pool svc in
+  Alcotest.(check int) "healthy reuse" 1 m.Metrics.caches.Metrics.pool_hits;
   Pool.checkin pool lam2;
   (* outage opens and closes entirely while the connection idles *)
   World.advance_ms w 100.0;
   World.schedule_outage w "alpha" ~from_ms:110.0 ~until_ms:120.0;
   World.advance_ms w 50.0;
   Alcotest.(check bool) "site is back up" false (World.is_down w "alpha");
-  let lam3 = checkout_exn pool svc in
-  Alcotest.(check int) "stale one discarded" 1 (Pool.stats pool).Pool.discarded;
-  Alcotest.(check int) "re-dialed" 2 (Pool.stats pool).Pool.misses;
+  let lam3 = checkout_exn m pool svc in
+  Alcotest.(check int) "stale one discarded" 1
+    m.Metrics.caches.Metrics.pool_discarded;
+  Alcotest.(check int) "re-dialed" 2 m.Metrics.caches.Metrics.pool_misses;
   (match Lam.fetch lam3 "SELECT x FROM t" with
   | Ok rel -> Alcotest.(check int) "replacement works" 1 (Relation.cardinality rel)
   | Error f -> Alcotest.fail (Lam.failure_message f));
@@ -472,7 +476,8 @@ let test_pool_refuses_open_txn () =
   let w = two_sites () in
   let svc = pool_service () in
   let pool = Pool.create w in
-  let lam = checkout_exn pool svc in
+  let m = Metrics.create () in
+  let lam = checkout_exn m pool svc in
   (match Ldbms.Session.exec_sql (Lam.session lam) "UPDATE t SET x = 2" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Ldbms.Session.error_to_string e));
@@ -480,8 +485,8 @@ let test_pool_refuses_open_txn () =
     (Ldbms.Session.in_transaction (Lam.session lam));
   Pool.checkin pool lam;
   Alcotest.(check int) "not parked" 0 (Pool.size pool);
-  let lam2 = checkout_exn pool svc in
-  Alcotest.(check int) "dialed fresh" 2 (Pool.stats pool).Pool.misses;
+  let lam2 = checkout_exn m pool svc in
+  Alcotest.(check int) "dialed fresh" 2 m.Metrics.caches.Metrics.pool_misses;
   (match Lam.fetch lam2 "SELECT x FROM t" with
   | Ok rel ->
       Alcotest.(check value) "orphan rolled back" (Value.Int 1)

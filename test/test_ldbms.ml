@@ -586,15 +586,6 @@ let test_inject_commit () =
   Alcotest.check value "rolled back at commit" (Value.Float 45.0)
     (scalar s "SELECT rate FROM cars WHERE code = 1")
 
-let test_stats () =
-  let s = connect () in
-  ignore (q s "SELECT * FROM cars");
-  ignore (q s "UPDATE cars SET rate = 0 WHERE code = 1");
-  ignore (Session.commit s);
-  let st = Session.stats s in
-  Alcotest.(check int) "statements" 2 st.Session.statements;
-  Alcotest.(check int) "commits" 1 st.Session.commits
-
 (* ---- join access paths: probing a larger table's lookup map ------------- *)
 
 (* A catalogue as the benchmark's: [n] parts, prices 0..99, and [k]
@@ -815,7 +806,6 @@ let () =
           Alcotest.test_case "at execute" `Quick test_inject_execute;
           Alcotest.test_case "at prepare" `Quick test_inject_prepare;
           Alcotest.test_case "at commit" `Quick test_inject_commit;
-          Alcotest.test_case "stats" `Quick test_stats;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

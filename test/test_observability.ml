@@ -94,6 +94,8 @@ let contains = Astring_contains.contains
 let test_pool_released_on_program_error () =
   let world, dir = engine_setup () in
   let pool = Narada.Pool.create world in
+  let m = Metrics.create () in
+  let on_trace = Metrics.observe m in
   let bad =
     {|
 DOLBEGIN
@@ -102,7 +104,7 @@ TASK T1 FOR ghost { SELECT flnu FROM flights } ENDTASK;
 DOLEND
 |}
   in
-  (match Engine.run_text ~pool ~directory:dir ~world bad with
+  (match Engine.run_text ~on_trace ~pool ~directory:dir ~world bad with
   | Error m ->
       Alcotest.(check bool) "reports the unknown alias" true
         (contains m "ghost")
@@ -118,12 +120,11 @@ CLOSE a;
 DOLEND
 |}
   in
-  (match Engine.run_text ~pool ~directory:dir ~world good with
+  (match Engine.run_text ~on_trace ~pool ~directory:dir ~world good with
   | Ok _ -> ()
   | Error m -> Alcotest.fail ("second run: " ^ m));
-  let st = Narada.Pool.stats pool in
   Alcotest.(check int) "second OPEN reuses the parked connection" 1
-    st.Narada.Pool.hits
+    m.Metrics.caches.Metrics.pool_hits
 
 (* the Conflict abort class must go through the same epilogue as
    Program_error: the loser's pooled connection is checked back in (its
@@ -161,8 +162,10 @@ CLOSE b;
 DOLEND
 |}
   in
+  let m = Metrics.create () in
   let conflicts = ref 0 and conflict_aborts = ref 0 in
   let on_trace e =
+    Metrics.observe m e;
     match e.Trace.kind with
     | Trace.Conflict _ -> incr conflicts
     | Trace.Conflict_abort { task; _ } ->
@@ -171,7 +174,10 @@ DOLEND
         incr conflict_aborts
     | _ -> ()
   in
-  let sa = Engine.start ~pool ~directory:dir ~world winner in
+  let sa =
+    Engine.start ~on_trace:(Metrics.observe m) ~pool ~directory:dir
+      ~world winner
+  in
   let sb = Engine.start ~pool ~on_trace ~directory:dir ~world loser in
   (* A opens and prepares (reserving flights); B then opens and loses the
      first-committer-wins race, exhausting its transient-conflict retries *)
@@ -195,8 +201,8 @@ DOLEND
   (* both connections were parked by the epilogues — no leak on the
      conflict abort path *)
   Alcotest.(check int) "both connections parked" 2 (Narada.Pool.size pool);
-  let st = Narada.Pool.stats pool in
-  Alcotest.(check int) "exactly two dials" 2 st.Narada.Pool.misses;
+  Alcotest.(check int) "exactly two dials" 2
+    m.Metrics.caches.Metrics.pool_misses;
   let again =
     {|
 DOLBEGIN
@@ -206,11 +212,14 @@ CLOSE a;
 DOLEND
 |}
   in
-  (match Engine.run_text ~pool ~directory:dir ~world again with
+  (match
+     Engine.run_text ~on_trace:(Metrics.observe m) ~pool ~directory:dir
+       ~world again
+   with
   | Ok _ -> ()
   | Error m -> Alcotest.fail ("follow-up run: " ^ m));
   Alcotest.(check bool) "follow-up OPEN reuses a parked connection" true
-    ((Narada.Pool.stats pool).Narada.Pool.hits > 0)
+    (m.Metrics.caches.Metrics.pool_hits > 0)
 
 (* user data that merely reads like a conflict is not one: the fatal type
    error aborts the task with the executor's own message, and no conflict

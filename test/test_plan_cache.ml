@@ -345,6 +345,31 @@ let test_mtx_metrics_per_use () =
   run ();
   Alcotest.(check int) "second run doubles" 2 m.Metrics.plans_mtx
 
+(* every plan-cache consultation is a typed trace event of the session:
+   a miss the first time a statement runs, a hit the second *)
+let test_plan_events_traced () =
+  let session = fixture () in
+  let seen = ref [] in
+  M.set_typed_trace session
+    (Some
+       (fun ev ->
+         match ev.Narada.Trace.kind with
+         | Narada.Trace.Cache { layer = Narada.Trace.Plan; hit; _ } ->
+             seen := hit :: !seen
+         | _ -> ()));
+  let run () =
+    match M.exec session e1 with
+    | Ok (M.Multitable _) -> ()
+    | Ok r -> Alcotest.fail (M.result_to_string r)
+    | Error e -> Alcotest.fail e
+  in
+  run ();
+  run ();
+  Alcotest.(check (list bool)) "a miss, then a hit" [ false; true ]
+    (List.rev !seen);
+  Alcotest.check counts "counted from those events" (1, 1)
+    (plan_counts session)
+
 let () =
   Alcotest.run "plan cache"
     [
@@ -372,4 +397,7 @@ let () =
           Alcotest.test_case "global retrieval" `Quick test_metrics_per_use;
           Alcotest.test_case "multitransaction" `Quick test_mtx_metrics_per_use;
         ] );
+      ( "trace",
+        [ Alcotest.test_case "plan consultations traced" `Quick
+            test_plan_events_traced ] );
     ]

@@ -9,6 +9,8 @@ module M = Msql.Msession
 module S = Msql.Server
 module W = Msql.Wire
 module I = Msql.Interleave
+module Metrics = Msql.Metrics
+module Trace = Narada.Trace
 
 let contains = Astring_contains.contains
 
@@ -320,8 +322,19 @@ let test_move_temp_names_partitioned () =
 
 (* ---- cross-session cache sharing -------------------------------------- *)
 
+(* the pool keeps no counters: fold the server's merged trace instead *)
+let traced srv =
+  let m = Metrics.create () and events = ref [] in
+  S.set_trace srv
+    (Some
+       (fun ev ->
+         Metrics.observe m ev;
+         events := ev :: !events));
+  (m, fun () -> List.rev !events)
+
 let test_shared_cache_accounting () =
   let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
+  let m, _ = traced srv in
   let s1 = connect_exn srv in
   let s2 = connect_exn srv in
   (* a cross-database join ships subqueries between sites, which is what
@@ -345,10 +358,83 @@ let test_shared_cache_accounting () =
   let agg = S.cache_stats srv in
   Alcotest.(check int) "aggregate folds both sessions"
     (cs1.M.plan_hits + cs2.M.plan_hits) agg.M.plan_hits;
-  (* pool counters come from the one shared pool, folded exactly once *)
-  let ps = Narada.Pool.stats (S.pool srv) in
-  Alcotest.(check int) "pool counted once" ps.Narada.Pool.hits
+  (* pool counters come from the traced checkouts, folded exactly once *)
+  Alcotest.(check int) "pool counted once" m.Metrics.caches.Metrics.pool_hits
     agg.M.pool_hits
+
+(* a shared pool's traffic belongs to the member that checked out: each
+   member counts its own OPENs, and the members sum to the server *)
+let test_pool_accounting_per_member () =
+  let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
+  let _, events = traced srv in
+  let s1 = connect_exn srv in
+  let s2 = connect_exn srv in
+  ignore (submit_exn srv s1 "USE avis SELECT code FROM cars");
+  ignore
+    (submit_exn srv s2
+       "USE avis national SELECT c.code, v.vcode FROM avis.cars c, \
+        national.vehicle v WHERE c.cartype = v.vty");
+  List.iter (fun c -> ignore (ok_result c.S.c_result)) (S.drain srv);
+  let opens sid =
+    List.length
+      (List.filter
+         (fun ev ->
+           ev.Trace.tag = Some (Printf.sprintf "s%d" sid)
+           && match ev.Trace.kind with Trace.Opened _ -> true | _ -> false)
+         (events ()))
+  in
+  let checkouts sid =
+    let cs = M.cache_stats (Option.get (S.session srv sid)) in
+    cs.M.pool_hits + cs.M.pool_misses
+  in
+  Alcotest.(check int) "first member: one OPEN" 1 (opens s1);
+  Alcotest.(check int) "second member: two OPENs" 2 (opens s2);
+  Alcotest.(check int) "first member counts its own" (opens s1) (checkouts s1);
+  Alcotest.(check int) "second member counts its own" (opens s2)
+    (checkouts s2);
+  let agg = S.cache_stats srv in
+  Alcotest.(check int) "members sum to the server"
+    (checkouts s1 + checkouts s2)
+    (agg.M.pool_hits + agg.M.pool_misses)
+
+(* an outage while a connection idles in the server's pool makes it
+   stale; the member whose checkout discards it sees the discard on its
+   own trace and counts it *)
+let test_pool_stale_in_server () =
+  let fx = F.make () in
+  let srv = S.of_fixtures ~config:(config ()) fx in
+  let _, events = traced srv in
+  let s1 = connect_exn srv in
+  let s2 = connect_exn srv in
+  let q = "USE avis SELECT code FROM cars" in
+  ignore (submit_exn srv s1 q);
+  List.iter (fun c -> ignore (ok_result c.S.c_result)) (S.drain srv);
+  let world = S.world srv in
+  let site =
+    (Option.get (Narada.Directory.find_opt fx.F.directory "avis"))
+      .Narada.Service.site
+  in
+  let now = Netsim.World.now_ms world in
+  Netsim.World.schedule_outage world site ~from_ms:(now +. 1.0)
+    ~until_ms:(now +. 2.0);
+  Netsim.World.advance_ms world 10.0;
+  ignore (submit_exn srv s2 q);
+  List.iter (fun c -> ignore (ok_result c.S.c_result)) (S.drain srv);
+  let stale =
+    List.filter_map
+      (fun ev ->
+        match ev.Trace.kind with
+        | Trace.Pool_stale _ -> Some ev.Trace.tag
+        | _ -> None)
+      (events ())
+  in
+  Alcotest.(check (list (option string))) "the discard is on s2's trace"
+    [ Some (Printf.sprintf "s%d" s2) ] stale;
+  let discarded sid =
+    (M.cache_stats (Option.get (S.session srv sid))).M.pool_discarded
+  in
+  Alcotest.(check int) "s2 discarded it" 1 (discarded s2);
+  Alcotest.(check int) "s1 did not" 0 (discarded s1)
 
 let test_shared_cache_epoch_invalidation () =
   let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
@@ -416,6 +502,7 @@ let test_pool_conflict_requeue () =
   let srv =
     S.of_fixtures ~config:(config ~pool_cap:1 ()) (F.make ())
   in
+  let m, _ = traced srv in
   let s1 = connect_exn srv in
   let s2 = connect_exn srv in
   (* same service: under the serial interleaving both OPEN continental in
@@ -431,9 +518,9 @@ let test_pool_conflict_requeue () =
   let loser = List.find (fun c -> c.S.c_sid = s2) comps in
   Alcotest.(check bool) "its completion says so" true
     (loser.S.c_requeues > 0);
-  let ps = Narada.Pool.stats (S.pool srv) in
-  Alcotest.(check bool) "conflict counted" true (ps.Narada.Pool.conflicts > 0);
-  Alcotest.(check int) "aggregate sees it" ps.Narada.Pool.conflicts
+  let conflicts = m.Metrics.caches.Metrics.pool_conflicts in
+  Alcotest.(check bool) "conflict counted" true (conflicts > 0);
+  Alcotest.(check int) "aggregate sees it" conflicts
     (S.cache_stats srv).M.pool_conflicts;
   (* every checkout was balanced by a checkin: nothing left in use *)
   Alcotest.(check int) "ledger empty" 0
@@ -527,5 +614,9 @@ let () =
             test_parse_error_over_wire;
           Alcotest.test_case "capped pool conflict requeues" `Quick
             test_pool_conflict_requeue;
+          Alcotest.test_case "pool checkouts account per member" `Quick
+            test_pool_accounting_per_member;
+          Alcotest.test_case "stale pooled connection on the member's trace"
+            `Quick test_pool_stale_in_server;
         ] );
     ]
