@@ -98,14 +98,31 @@ let create_table t ~name schema =
   Hashtbl.add t.tables (key name) tbl;
   tbl
 
+type dropped = {
+  table : Table.t;
+  index_entries : (string * (string * string)) list;  (* key, (table, column) *)
+}
+
+(* A table's index entries go with it, so a re-created table starts with
+   none and the names are free again. *)
 let drop_table t n =
   match find_table_opt t n with
   | Some tbl ->
       Hashtbl.remove t.tables (key n);
-      tbl
+      let index_entries =
+        Hashtbl.fold
+          (fun k ((tb, _) as entry) acc ->
+            if Sqlcore.Names.equal tb (Table.name tbl) then (k, entry) :: acc
+            else acc)
+          t.indexes []
+      in
+      List.iter (fun (k, _) -> Hashtbl.remove t.indexes k) index_entries;
+      { table = tbl; index_entries }
   | None -> raise (No_such_table n)
 
-let restore_table t tbl = Hashtbl.replace t.tables (key (Table.name tbl)) tbl
+let restore_table t { table; index_entries } =
+  Hashtbl.replace t.tables (key (Table.name table)) table;
+  List.iter (fun (k, entry) -> Hashtbl.replace t.indexes k entry) index_entries
 
 let catalog t =
   table_names t |> List.map (fun n -> (n, Table.schema (find_table t n)))
@@ -113,11 +130,10 @@ let catalog t =
 let load t ~name schema rows =
   Hashtbl.remove t.tables (key name);
   let tbl = create_table t ~name schema in
-  List.iter (Table.insert tbl) rows;
   (* loaded data is a committed version: a snapshot taken before the load
      must not observe it (MOVE materializations replace shipped tables
      mid-flight, and snapshot readers keep their frozen view) *)
-  Table.mark_committed tbl ~ts:(next_commit_ts t)
+  Table.load tbl ~ts:(next_commit_ts t) rows
 
 let find_view_opt t n = Option.map snd (Hashtbl.find_opt t.views (key n))
 
@@ -152,10 +168,3 @@ let drop_index t name =
 
 let restore_index t ~name ~table ~column =
   Hashtbl.replace t.indexes (key name) (table, column)
-
-let has_index t ~table ~column =
-  Hashtbl.fold
-    (fun _ (tb, col) acc ->
-      acc
-      || (Sqlcore.Names.equal tb table && Sqlcore.Names.equal col column))
-    t.indexes false

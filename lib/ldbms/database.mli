@@ -64,12 +64,15 @@ val find_table_opt : t -> string -> Table.t option
 val create_table : t -> name:string -> Sqlcore.Schema.t -> Table.t
 (** Raises {!Table_exists} if the name is taken. *)
 
-val drop_table : t -> string -> Table.t
-(** Removes and returns the dropped table (for undo logs); raises
-    {!No_such_table}. *)
+type dropped
+(** A dropped table together with its index entries. *)
 
-val restore_table : t -> Table.t -> unit
-(** Puts a dropped table back (undo of drop). *)
+val drop_table : t -> string -> dropped
+(** Removes the table and every index declared on it, and returns both
+    (for undo logs); raises {!No_such_table}. *)
+
+val restore_table : t -> dropped -> unit
+(** Puts a dropped table back with its indexes (undo of drop). *)
 
 val catalog : t -> (string * Sqlcore.Schema.t) list
 (** Table name and schema pairs, sorted by table name — the database's
@@ -99,8 +102,11 @@ val find_view_opt : t -> string -> Sqlfront.Ast.select option
 
 (** {2 Indexes}
 
-    A declared index enables the executor's hash-lookup fast path for
-    equality predicates on the column. Purely physical: no semantics. *)
+    A declared index is a catalog entry only: CREATE INDEX and DROP INDEX
+    keep their DDL behaviour (name clashes, errors, rollback), but no
+    query reads the entry, and a SELECT runs the same with or without it.
+    Joins decide for themselves when to read a table's lookup map
+    ({!Table.probe_pays}). Dropping a table drops its indexes. *)
 
 exception Index_exists of string
 exception No_such_index of string
@@ -114,4 +120,3 @@ val drop_index : t -> string -> string * string
     {!No_such_index}. *)
 
 val restore_index : t -> name:string -> table:string -> column:string -> unit
-val has_index : t -> table:string -> column:string -> bool

@@ -30,11 +30,6 @@ let visible txn tbl =
 let table_rows txn tbl =
   match visible txn tbl with `Current -> Table.rows tbl | `Frozen rows -> rows
 
-(* Index fast paths read the current version's lookup caches, so they are
-   only sound when that version is the one the statement should see. *)
-let current_view txn tbl =
-  match visible txn tbl with `Current -> true | `Frozen _ -> false
-
 (* ---- output-schema type inference ------------------------------------- *)
 
 let rec infer_expr_ty schema = function
@@ -129,43 +124,6 @@ let leaf_rel l =
   match l.jl_access with
   | Base (_, Some p) -> Relation.filter p l.jl_rel
   | Base (_, None) | Rows -> l.jl_rel
-
-(* ---- index fast path ----------------------------------------------------- *)
-
-(* When the FROM clause is a single base table and the WHERE clause contains
-   a top-level conjunct [col = literal] on a declared-indexed column, seed
-   the scan from the hash lookup instead of the full table. The complete
-   predicate is still applied afterwards, so this is purely a physical
-   optimization. *)
-let indexed_scan ?txn db (s : Ast.select) =
-  match s.Ast.from, s.Ast.where with
-  | [ { Ast.table; alias } ], Some pred -> (
-      match Database.find_table_opt db table with
-      | None -> None
-      | Some tbl when not (current_view txn tbl) -> None
-      | Some tbl ->
-          let schema = Table.schema tbl in
-          let label = Option.value alias ~default:table in
-          let col_matches q name =
-            (match q with
-            | Some q -> Sqlcore.Names.equal q label
-            | None -> true)
-            && Schema.mem schema name
-            && Database.has_index db ~table ~column:name
-          in
-          let candidate = function
-            | Ast.Binop (Ast.Eq, Ast.Col { qualifier; name }, Ast.Lit v)
-            | Ast.Binop (Ast.Eq, Ast.Lit v, Ast.Col { qualifier; name })
-              when col_matches qualifier name ->
-                Schema.find_index schema name
-                |> Option.map (fun i -> (i, v))
-            | _ -> None
-          in
-          List.find_map candidate (Ast.conjuncts pred)
-          |> Option.map (fun (col, v) ->
-                 Relation.requalify (Some label)
-                   (Relation.make schema (Table.lookup_eq tbl ~col v))))
-  | _ -> None
 
 (* The executor holds no process-global state: every expression compiles
    once per statement ({!Compile.compile}); a compiled closure depends only
@@ -563,37 +521,33 @@ let rec statement_ctx ~depth ?txn db outer =
 and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
   let ctx = statement_ctx ~depth ?txn db outer in
   let input =
-    match indexed_scan ?txn db s with
-    | Some rel -> rel
-    | None -> (
-        if s.Ast.from = [] then err "empty FROM clause";
-        let leaves =
-          List.map
-            (load_leaf
-               ~eval_select:(fun q ->
-                 select_unwrapped ~depth:(depth + 1) ?txn db q)
-               ~depth ?txn db)
-            s.Ast.from
-        in
-        let product leaves =
-          match leaves with
-          | [] -> assert false
-          | l0 :: rest ->
-              List.fold_left
-                (fun acc l -> Relation.product acc (leaf_rel l))
-                (leaf_rel l0) rest
-        in
-        match leaves, s.Ast.where with
-        | _ :: _ :: _, Some pred -> (
-            let conjs = Ast.conjuncts pred in
-            if not (resolvable leaves conjs) then product leaves
-            else
-              let edges = join_edges leaves conjs in
-              let leaves = filter_leaves ~predicate:(predicate ctx) leaves edges conjs in
-              match plan_join_input leaves edges with
-              | Some rel -> rel
-              | None -> product leaves)
-        | _ -> product leaves)
+    if s.Ast.from = [] then err "empty FROM clause";
+    let leaves =
+      List.map
+        (load_leaf
+           ~eval_select:(fun q -> select_unwrapped ~depth:(depth + 1) ?txn db q)
+           ~depth ?txn db)
+        s.Ast.from
+    in
+    let product leaves =
+      match leaves with
+      | [] -> assert false
+      | l0 :: rest ->
+          List.fold_left
+            (fun acc l -> Relation.product acc (leaf_rel l))
+            (leaf_rel l0) rest
+    in
+    match leaves, s.Ast.where with
+    | _ :: _ :: _, Some pred -> (
+        let conjs = Ast.conjuncts pred in
+        if not (resolvable leaves conjs) then product leaves
+        else
+          let edges = join_edges leaves conjs in
+          let leaves = filter_leaves ~predicate:(predicate ctx) leaves edges conjs in
+          match plan_join_input leaves edges with
+          | Some rel -> rel
+          | None -> product leaves)
+    | _ -> product leaves
   in
   let schema = Relation.schema input in
   let filtered =
@@ -755,8 +709,7 @@ let run_create_table db ~txn ~table ~columns =
 
 let run_drop_table db ~txn ~table =
   wrap (fun () ->
-      let tbl = Database.drop_table db table in
-      Txn.log_drop txn db tbl)
+      Txn.log_drop txn db (Database.drop_table db table))
 
 let run_create_view db ~txn ~view ~query =
   wrap (fun () ->

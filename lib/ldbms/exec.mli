@@ -11,17 +11,17 @@
     statement ({!Compile.compile}), with no other evaluator behind it; the
     module keeps no state between statements; the lookup maps and value
     classes it reads are memos of a table version ({!Table.lookup_eq},
-    {!Table.value_classes}). A single-table SELECT with a
-    [col = literal] conjunct on a declared index seeds its scan from
-    the lookup map. A multi-table FROM with a WHERE joins through the
-    physical join planner, and falls back to the filtered Cartesian
-    product when no equi-join conjunct qualifies. Each join step is a
-    hash join, or an index nested loop into a larger base table read at
-    its current version whose lookup map pays ({!Table.probe_pays}); the
-    planner reads no declared index. A leaf's local conjuncts filter it
-    before the join, unless they provably cannot raise on its table
-    version, in which case they run on the matches only: a conjunct that
-    can raise still fails the statement on a row that never joins. *)
+    {!Table.value_classes}). A single-table SELECT scans its table. A
+    multi-table FROM with a WHERE joins through the physical join
+    planner, and falls back to the filtered Cartesian product when no
+    equi-join conjunct qualifies. Each join step is a hash join, or an
+    index nested loop into a larger base table read at its current
+    version whose lookup map pays ({!Table.probe_pays}): that is the only
+    read of a lookup map, and no statement reads a declared index. A
+    leaf's local conjuncts filter it before the join, unless they provably
+    cannot raise on its table version, in which case they run on the
+    matches only: a conjunct that can raise still fails the statement on
+    a row that never joins. *)
 
 exception Error of string
 (** Semantic error: unknown table/column, ambiguity, type error. *)

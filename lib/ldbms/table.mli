@@ -13,9 +13,6 @@ val rows : t -> Sqlcore.Row.t list
 val cardinality : t -> int
 (** Row count of the current version, in O(1). *)
 
-val insert : t -> Sqlcore.Row.t -> unit
-(** Appends; raises [Invalid_argument] on arity mismatch. *)
-
 val to_relation : t -> Sqlcore.Relation.t
 (** The current version as a relation, in O(1) after the first call per
     version: a {!Sqlcore.Relation.view} of the stored row lists, which
@@ -30,15 +27,22 @@ val rows_at : t -> ts:int -> Sqlcore.Row.t list
 (** The rows of the newest version committed at or before [ts]; the empty
     list when no version was visible then. *)
 
+val load : t -> ts:int -> Sqlcore.Row.t list -> unit
+(** Bulk-load a fresh table: the given rows, in order, become the current
+    version, stamped committed at [ts], and no history entry is pushed.
+    Raises [Invalid_argument], changing nothing, when a row's arity is not
+    the schema's. *)
+
 val install : t -> ts:int -> keep_since:int -> Sqlcore.Row.t list -> unit
 (** Commit a new version: the current rows move to the history chain and
     the given rows become current with commit timestamp [ts]. History
     entries invisible to every snapshot at or after [keep_since] are
-    pruned. *)
+    pruned.
 
-val mark_committed : t -> ts:int -> unit
-(** Stamp the current version with a commit timestamp without pushing a
-    history entry; bulk loads use this so loaded data reads as committed. *)
+    {!load} and [install] are the only ways to replace a table's rows, and
+    each stamps a commit timestamp the database's oracle never reissues, so
+    {!committed_at} names the current version: the per-version memos below
+    are keyed on it. *)
 
 val reserved_by : t -> int option
 (** Transaction id holding a prepare-time write reservation, if any. *)
@@ -61,7 +65,8 @@ val lookup_eq : t -> col:int -> Sqlcore.Value.t -> Sqlcore.Row.t list
     bindings per key; later calls at that version probe it. Always reads
     the current version. [lookup_eq t ~col] fetches the map once, so a
     join applies it to each of its probe values while the table does not
-    change. *)
+    change. The executor reads it only for a join step that
+    {!probe_pays} admits; a declared index builds no map. *)
 
 val lookup_built : t -> col:int -> bool
 (** Whether [col]'s lookup map is built for the current version. *)
@@ -73,4 +78,4 @@ val probe_pays : t -> col:int -> bool
     version in as many steps as it has probe keys; a scan reads every row
     at each join. So the first join of a version scans, and a false
     answer records that it asked; a version that is joined twice pays for
-    its map. *)
+    its map. This is the executor's only rule for reading a lookup map. *)

@@ -75,9 +75,9 @@ let log_create t db name =
   check_modifiable t;
   t.undo <- (fun () -> ignore (Database.drop_table db name)) :: t.undo
 
-let log_drop t db tbl =
+let log_drop t db dropped =
   check_modifiable t;
-  t.undo <- (fun () -> Database.restore_table db tbl) :: t.undo
+  t.undo <- (fun () -> Database.restore_table db dropped) :: t.undo
 
 let log_create_view t db name =
   check_modifiable t;

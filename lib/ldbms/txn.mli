@@ -29,8 +29,8 @@ val snapshot : t -> int
 
 val read : t -> Table.t -> [ `Current | `Frozen of Sqlcore.Row.t list ]
 (** The transaction's view of a table: [`Current] when the table's latest
-    committed version is the visible one (fast paths such as index
-    lookups stay valid), [`Frozen rows] when the transaction must read
+    committed version is the visible one (a join may then probe its
+    lookup maps), [`Frozen rows] when the transaction must read
     its own staged intent or an older version from the chain. *)
 
 val stage : t -> Table.t -> op:string -> Sqlcore.Row.t list -> unit
@@ -43,8 +43,9 @@ val stage : t -> Table.t -> op:string -> Sqlcore.Row.t list -> unit
 val log_create : t -> Database.t -> string -> unit
 (** Record that the transaction created the named table. *)
 
-val log_drop : t -> Database.t -> Table.t -> unit
-(** Record that the transaction dropped the given table. *)
+val log_drop : t -> Database.t -> Database.dropped -> unit
+(** Record that the transaction dropped the given table; the undo puts
+    it back with its indexes. *)
 
 val log_create_view : t -> Database.t -> string -> unit
 val log_drop_view : t -> Database.t -> string -> Sqlfront.Ast.select -> unit

@@ -7,8 +7,11 @@
     sends its own cache events down the same stream. Textual consumers
     (the shell's [--trace]) print {!render} of each event; structured
     consumers (the [Msql.Metrics] registry) match on {!kind} instead of
-    parsing. Every counter the registry keeps, cache hits and misses
-    included, is a fold of this stream. *)
+    parsing. The registry folds its cache, retry, 2PC-decision, recovery,
+    MOVE, MVCC and wave counters from this stream. Its other counters do
+    not come from here: the session counts engine runs when it starts
+    one, takes errors, virtual time, in-doubt counts and vital splits
+    from the engine outcome, and bumps the planning counters itself. *)
 
 type verdict = Commit | Abort
 

@@ -581,9 +581,9 @@ let test_planner_bigint_keys () =
   check_planner_identical session
     "SELECT s.sid, p.pname FROM sales s, parts p WHERE s.part_id = p.pid"
 
-(* same matrix with a declared index on the join column: the join
-   planner reads no declared index (those serve only the single-table
-   [col = literal] scan), so the answers must not move *)
+(* same matrix with a declared index on the join column: a declared
+   index is a catalog entry that no query reads, so the answers must not
+   move *)
 let test_inl_matches_product () =
   let parts, sales = gen_data ~seed:21 ~n_parts:40 ~n_sales:60 in
   let session = merged_session ~parts ~sales in

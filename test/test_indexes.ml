@@ -1,5 +1,7 @@
-(* Declared indexes: lifecycle, the equality fast path's correctness, and
-   its interaction with transactions. *)
+(* Declared indexes: catalog entries with DDL behaviour (lifecycle, drop
+   with their table, rollback) that no query reads, so a SELECT on an
+   indexed column equals a scan and builds no lookup map; and the table
+   lookup maps the join planner probes. *)
 open Sqlcore
 module Session = Ldbms.Session
 module Caps = Ldbms.Capabilities
@@ -91,6 +93,44 @@ let test_create_index_rollback () =
   | Ok _ -> ()
   | Error m -> Alcotest.fail m
 
+(* DROP TABLE takes its index entries with it: a re-created table can be
+   indexed under the old name, and a rolled-back DROP TABLE brings the
+   entries back *)
+let test_drop_table_drops_indexes () =
+  let s = connect ~n:3 () in
+  let run sql =
+    (match q s sql with Ok _ -> () | Error m -> Alcotest.fail (sql ^ ": " ^ m));
+    ok_txn (Session.commit s)
+  in
+  run "CREATE INDEX by_sku ON stock (sku)";
+  run "DROP TABLE stock";
+  run "CREATE TABLE stock (sku INT, bin CHAR(8))";
+  run "CREATE INDEX by_sku ON stock (sku)";
+  run "DROP TABLE stock";
+  expect_error (q s "DROP INDEX by_sku");
+  (* ingres-like: a rolled-back DROP TABLE restores the table and its
+     index, so the name is taken again *)
+  run "CREATE TABLE stock (sku INT, bin CHAR(8))";
+  run "CREATE INDEX by_sku ON stock (sku)";
+  (match q s "DROP TABLE stock" with Ok _ -> () | Error m -> Alcotest.fail m);
+  ok_txn (Session.rollback s);
+  expect_error (q s "CREATE INDEX by_sku ON stock (sku)");
+  Alcotest.(check int) "table restored" 0
+    (List.length (rows_of (q s "SELECT sku FROM stock")))
+
+(* a declared index is a catalog entry only: a SELECT on its column scans
+   and builds no lookup map, however often it runs *)
+let test_index_builds_no_map () =
+  let db = big_db 50 in
+  let s = Session.connect db Caps.ingres_like in
+  ignore (q s "CREATE INDEX by_bin ON stock (bin)");
+  for _ = 1 to 2 do
+    Alcotest.(check int) "bin3 rows" 3
+      (List.length (rows_of (q s "SELECT sku FROM stock WHERE bin = 'bin3'")))
+  done;
+  Alcotest.(check bool) "no lookup map" false
+    (Ldbms.Table.lookup_built (Ldbms.Database.find_table db "stock") ~col:1)
+
 let test_lookup_eq_directly () =
   let db = big_db 50 in
   let tbl = Ldbms.Database.find_table db "stock" in
@@ -119,7 +159,7 @@ let test_lookup_eq_exact_floats () =
     (List.length (Ldbms.Table.lookup_eq tbl ~col:1 (Value.Float 0.1234561)));
   Alcotest.(check int) "Int 5 finds Float 5.0" 1
     (List.length (Ldbms.Table.lookup_eq tbl ~col:1 (Value.Int 5)));
-  (* the same through the indexed scan of a SELECT *)
+  (* the same through a SELECT on an indexed column, which scans *)
   let s = Session.connect db Caps.ingres_like in
   ignore (q s "CREATE INDEX by_price ON items (price)");
   Alcotest.(check int) "indexed WHERE price = 5" 1
@@ -151,6 +191,10 @@ let () =
           Alcotest.test_case "lookup_eq" `Quick test_lookup_eq_directly;
           Alcotest.test_case "lookup_eq exact floats" `Quick
             test_lookup_eq_exact_floats;
+          Alcotest.test_case "drop table drops its indexes" `Quick
+            test_drop_table_drops_indexes;
+          Alcotest.test_case "declared index builds no lookup map" `Quick
+            test_index_builds_no_map;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_indexed_equals_scan ] );
