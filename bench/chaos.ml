@@ -76,10 +76,12 @@ let trial ~loss ~outage ~policy ~seed t =
   | Ok (M.Update_report { outcome = M.Incorrect; _ }) ->
       t.incorrect <- t.incorrect + 1
   | Ok _ | Error _ -> t.incorrect <- t.incorrect + 1);
+  (* the fixture is fresh, so its registry counts this trial's run only *)
+  let m = M.metrics fx.F.session in
+  t.retries <- t.retries + m.Msql.Metrics.retries;
+  t.recovered <- t.recovered + m.Msql.Metrics.recovered;
   (match M.last_engine_outcome fx.F.session with
   | Some o ->
-      t.retries <- t.retries + o.Narada.Engine.retries;
-      t.recovered <- t.recovered + o.Narada.Engine.recovered;
       t.in_doubt <- t.in_doubt + o.Narada.Engine.in_doubt;
       if o.Narada.Engine.vital_split then t.split <- t.split + 1
   | None -> ());
@@ -372,10 +374,11 @@ let () =
     | Ok (M.Update_report { outcome = M.Success; _ }) -> t.success <- 1
     | Ok (M.Update_report { outcome = M.Aborted; _ }) -> t.aborted <- 1
     | _ -> t.incorrect <- 1);
+    let m = M.metrics fx.F.session in
+    t.retries <- m.Msql.Metrics.retries;
+    t.recovered <- m.Msql.Metrics.recovered;
     (match M.last_engine_outcome fx.F.session with
     | Some o ->
-        t.retries <- o.Narada.Engine.retries;
-        t.recovered <- o.Narada.Engine.recovered;
         t.in_doubt <- o.Narada.Engine.in_doubt;
         if o.Narada.Engine.vital_split then t.split <- 1
     | None -> ());

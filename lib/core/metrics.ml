@@ -1,9 +1,7 @@
-(* Session metrics registry: mutable counters the session and the engine
-   feed while statements run, exportable as JSON for the benches and CI.
-   Planning counters are bumped by Msession's pipeline; engine and cache
-   counters are folded from the typed trace stream ({!observe}) and from
-   the engine outcome; network counters are read live from the world's
-   per-site ledger at export time. *)
+(* Session metrics registry: counters folded from the typed trace stream
+   ({!observe}) while statements run, exportable as JSON for the benches
+   and CI. [observe] is the registry's only writer; network counters are
+   read live from the world's per-site ledger at export time. *)
 
 type cache_stats = {
   pool_hits : int;
@@ -26,18 +24,6 @@ let zero_cache_stats =
     plan_misses = 0;
     result_hits = 0;
     result_misses = 0;
-  }
-
-let add_cache_stats a b =
-  {
-    pool_hits = a.pool_hits + b.pool_hits;
-    pool_misses = a.pool_misses + b.pool_misses;
-    pool_discarded = a.pool_discarded + b.pool_discarded;
-    pool_conflicts = a.pool_conflicts + b.pool_conflicts;
-    plan_hits = a.plan_hits + b.plan_hits;
-    plan_misses = a.plan_misses + b.plan_misses;
-    result_hits = a.result_hits + b.result_hits;
-    result_misses = a.result_misses + b.result_misses;
   }
 
 type t = {
@@ -69,9 +55,9 @@ type t = {
   mutable moved_rows : int;
   mutable moved_bytes : int;
   mutable moves_reduced : int;
-  (* dataflow scheduler: planning-side DAG shape (folded when the pass
-     regroups a program) and execution-side wave accounting (folded from
-     Wave trace events; virtual, so width-invariant) *)
+  (* dataflow scheduler: planning-side DAG shape (folded from Planned
+     events) and execution-side wave accounting (folded from Wave events;
+     virtual, so width-invariant) *)
   mutable dataflow_nodes : int;
   mutable dataflow_edges : int;
   mutable dataflow_waves_planned : int;
@@ -125,92 +111,6 @@ let create () =
     caches = zero_cache_stats;
   }
 
-(* fold [src] into [dst], counter by counter: the server aggregates its
-   member sessions' registries into one server-wide registry this way.
-   [dst] is usually a fresh registry, but accumulation works too. *)
-let add dst src =
-  dst.statements <- dst.statements + src.statements;
-  dst.plans_replicated <- dst.plans_replicated + src.plans_replicated;
-  dst.plans_global <- dst.plans_global + src.plans_global;
-  dst.plans_transfer <- dst.plans_transfer + src.plans_transfer;
-  dst.plans_mtx <- dst.plans_mtx + src.plans_mtx;
-  dst.subqueries_shipped <- dst.subqueries_shipped + src.subqueries_shipped;
-  dst.semijoins_applied <- dst.semijoins_applied + src.semijoins_applied;
-  dst.semijoins_declined <- dst.semijoins_declined + src.semijoins_declined;
-  dst.explains <- dst.explains + src.explains;
-  dst.engine_runs <- dst.engine_runs + src.engine_runs;
-  dst.engine_errors <- dst.engine_errors + src.engine_errors;
-  dst.engine_virtual_ms <- dst.engine_virtual_ms +. src.engine_virtual_ms;
-  dst.retries <- dst.retries + src.retries;
-  dst.decisions_commit <- dst.decisions_commit + src.decisions_commit;
-  dst.decisions_abort <- dst.decisions_abort + src.decisions_abort;
-  dst.recovered <- dst.recovered + src.recovered;
-  dst.in_doubt <- dst.in_doubt + src.in_doubt;
-  dst.vital_splits <- dst.vital_splits + src.vital_splits;
-  dst.snapshots <- dst.snapshots + src.snapshots;
-  dst.ww_conflicts <- dst.ww_conflicts + src.ww_conflicts;
-  dst.conflict_retries <- dst.conflict_retries + src.conflict_retries;
-  dst.conflict_aborts <- dst.conflict_aborts + src.conflict_aborts;
-  dst.moves <- dst.moves + src.moves;
-  dst.moved_rows <- dst.moved_rows + src.moved_rows;
-  dst.moved_bytes <- dst.moved_bytes + src.moved_bytes;
-  dst.moves_reduced <- dst.moves_reduced + src.moves_reduced;
-  dst.dataflow_nodes <- dst.dataflow_nodes + src.dataflow_nodes;
-  dst.dataflow_edges <- dst.dataflow_edges + src.dataflow_edges;
-  dst.dataflow_waves_planned <-
-    dst.dataflow_waves_planned + src.dataflow_waves_planned;
-  dst.dataflow_critical_len <-
-    max dst.dataflow_critical_len src.dataflow_critical_len;
-  dst.dataflow_waves <- dst.dataflow_waves + src.dataflow_waves;
-  dst.dataflow_wave_branches <-
-    dst.dataflow_wave_branches + src.dataflow_wave_branches;
-  dst.dataflow_crit_ms <- dst.dataflow_crit_ms +. src.dataflow_crit_ms;
-  dst.dataflow_serial_ms <- dst.dataflow_serial_ms +. src.dataflow_serial_ms;
-  Hashtbl.iter
-    (fun site n ->
-      Hashtbl.replace dst.site_retries site
-        (n + Option.value ~default:0 (Hashtbl.find_opt dst.site_retries site)))
-    src.site_retries;
-  dst.caches <- add_cache_stats dst.caches src.caches
-
-let reset m =
-  m.statements <- 0;
-  m.plans_replicated <- 0;
-  m.plans_global <- 0;
-  m.plans_transfer <- 0;
-  m.plans_mtx <- 0;
-  m.subqueries_shipped <- 0;
-  m.semijoins_applied <- 0;
-  m.semijoins_declined <- 0;
-  m.explains <- 0;
-  m.engine_runs <- 0;
-  m.engine_errors <- 0;
-  m.engine_virtual_ms <- 0.0;
-  m.retries <- 0;
-  m.decisions_commit <- 0;
-  m.decisions_abort <- 0;
-  m.recovered <- 0;
-  m.in_doubt <- 0;
-  m.vital_splits <- 0;
-  m.snapshots <- 0;
-  m.ww_conflicts <- 0;
-  m.conflict_retries <- 0;
-  m.conflict_aborts <- 0;
-  m.moves <- 0;
-  m.moved_rows <- 0;
-  m.moved_bytes <- 0;
-  m.moves_reduced <- 0;
-  m.dataflow_nodes <- 0;
-  m.dataflow_edges <- 0;
-  m.dataflow_waves_planned <- 0;
-  m.dataflow_critical_len <- 0;
-  m.dataflow_waves <- 0;
-  m.dataflow_wave_branches <- 0;
-  m.dataflow_crit_ms <- 0.0;
-  m.dataflow_serial_ms <- 0.0;
-  Hashtbl.reset m.site_retries;
-  m.caches <- zero_cache_stats
-
 let count_cache c (layer : Narada.Trace.layer) hit =
   match layer, hit with
   | Narada.Trace.Pool, true -> { c with pool_hits = c.pool_hits + 1 }
@@ -221,10 +121,41 @@ let count_cache c (layer : Narada.Trace.layer) hit =
   | Narada.Trace.Result, false ->
       { c with result_misses = c.result_misses + 1 }
 
+let count_plan m (shape : Narada.Trace.shape) =
+  match shape with
+  | Narada.Trace.Replicated -> m.plans_replicated <- m.plans_replicated + 1
+  | Narada.Trace.Global -> m.plans_global <- m.plans_global + 1
+  | Narada.Trace.Transfer -> m.plans_transfer <- m.plans_transfer + 1
+  | Narada.Trace.Multitransaction -> m.plans_mtx <- m.plans_mtx + 1
+
+let count_dag m (ds : Narada.Dol_graph.stats) =
+  m.dataflow_nodes <- m.dataflow_nodes + ds.Narada.Dol_graph.nodes;
+  m.dataflow_edges <- m.dataflow_edges + ds.Narada.Dol_graph.edges;
+  m.dataflow_waves_planned <-
+    m.dataflow_waves_planned + ds.Narada.Dol_graph.waves;
+  m.dataflow_critical_len <-
+    max m.dataflow_critical_len ds.Narada.Dol_graph.critical_path_len
+
 (* fold one typed trace event; events with no metric dimension are
    ignored (statuses/branches are control flow) *)
 let observe m (ev : Narada.Trace.event) =
   match ev.Narada.Trace.kind with
+  | Narada.Trace.Statement -> m.statements <- m.statements + 1
+  | Narada.Trace.Explained -> m.explains <- m.explains + 1
+  | Narada.Trace.Planned { shape; shipped; reduced; declined; dag } ->
+      count_plan m shape;
+      m.subqueries_shipped <- m.subqueries_shipped + shipped;
+      m.semijoins_applied <- m.semijoins_applied + reduced;
+      m.semijoins_declined <- m.semijoins_declined + declined;
+      Option.iter (count_dag m) dag
+  | Narada.Trace.Run_ended { elapsed_ms; in_doubt; vital_split } ->
+      m.engine_runs <- m.engine_runs + 1;
+      m.engine_virtual_ms <- m.engine_virtual_ms +. elapsed_ms;
+      m.in_doubt <- m.in_doubt + in_doubt;
+      if vital_split then m.vital_splits <- m.vital_splits + 1
+  | Narada.Trace.Run_failed _ ->
+      m.engine_runs <- m.engine_runs + 1;
+      m.engine_errors <- m.engine_errors + 1
   | Narada.Trace.Cache { layer; hit; _ } ->
       m.caches <- count_cache m.caches layer hit
   | Narada.Trace.Pool_stale _ ->
@@ -263,25 +194,6 @@ let observe m (ev : Narada.Trace.event) =
   | Narada.Trace.Status _ | Narada.Trace.Branch _ | Narada.Trace.Chunk _
   | Narada.Trace.Dolstatus _ | Narada.Trace.Note _ ->
       ()
-
-let note_dataflow m (ds : Narada.Dol_graph.stats) =
-  m.dataflow_nodes <- m.dataflow_nodes + ds.Narada.Dol_graph.nodes;
-  m.dataflow_edges <- m.dataflow_edges + ds.Narada.Dol_graph.edges;
-  m.dataflow_waves_planned <-
-    m.dataflow_waves_planned + ds.Narada.Dol_graph.waves;
-  m.dataflow_critical_len <-
-    max m.dataflow_critical_len ds.Narada.Dol_graph.critical_path_len
-
-let note_decomposition m (dp : Decompose.plan) =
-  List.iter
-    (fun (s : Decompose.shipped) ->
-      m.subqueries_shipped <- m.subqueries_shipped + 1;
-      match s.Decompose.sj_gate with
-      | Decompose.Sj_applied _ -> m.semijoins_applied <- m.semijoins_applied + 1
-      | Decompose.Sj_declined _ ->
-          m.semijoins_declined <- m.semijoins_declined + 1
-      | Decompose.Sj_no_stats | Decompose.Sj_no_edge | Decompose.Sj_off -> ())
-    dp.Decompose.shipped
 
 (* ---- JSON export -------------------------------------------------------- *)
 

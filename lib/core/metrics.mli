@@ -1,21 +1,26 @@
 (** Session metrics registry.
 
-    One mutable registry per {!Msession.t} aggregates three families of
-    counters:
+    One registry per {!Msession.t} (and one per server) aggregates
+    three families of counters, every one of them a fold of the typed
+    {!Narada.Trace} stream by {!observe}, the registry's only writer:
 
-    - {e planning} — phases 1–4: statements run, plan shapes chosen,
-      subqueries shipped, semijoin gate outcomes, EXPLAINs;
-    - {e engine} — execution: runs, errors, virtual time, retries (total
-      and per site), 2PC verdicts, in-doubt recoveries, vital splits, and
-      MOVE traffic (rows/bytes, semijoin-reduced moves), folded from the
-      typed {!Narada.Trace} stream and the engine outcome;
+    - {e planning} — phases 1–4: statements admitted ([Statement]), plan
+      shapes chosen, subqueries shipped and semijoin gate outcomes
+      ([Planned], told on every use of a plan), EXPLAINs ([Explained]);
+    - {e engine} — execution: runs, errors, virtual time, in-doubt
+      counts and vital splits ([Run_ended], [Run_failed]), retries (total
+      and per site), 2PC verdicts, in-doubt recoveries, MVCC snapshots
+      and conflicts, MOVE traffic (rows/bytes, semijoin-reduced moves) and
+      dataflow waves;
     - {e caches} — pool, plan and shipped-result hits and misses, stale
       pool discards and capped-out checkouts, folded from the stream's
       [Cache], [Pool_stale] and busy [Open_failed] events: no cache
       keeps a counter of its own.
 
-    The {e network} section of {!to_json} is read at export time from
-    the {!Netsim.World} per-site ledger.
+    The record is [private]: code outside this module reads the counters
+    but cannot write them, so a registry always equals the fold of the
+    events it observed. The {e network} section of {!to_json} is read at
+    export time from the {!Netsim.World} per-site ledger.
 
     {!to_json} renders everything as one self-contained JSON document;
     [bench/main.ml] records it and CI asserts the per-site byte totals
@@ -37,7 +42,7 @@ type cache_stats = {
     plan cache, shipped-result cache): the registry's cache block,
     re-exported by {!Msession.cache_stats}. *)
 
-type t = {
+type t = private {
   mutable statements : int;
   mutable plans_replicated : int;
   mutable plans_global : int;
@@ -81,33 +86,18 @@ type t = {
           virtual time; never exceeds
           [dataflow_serial_ms], the summed branch durations *)
   mutable dataflow_serial_ms : float;
-  site_retries : (string, int) Hashtbl.t;  (** site name -> retry count *)
+  site_retries : (string, int) Hashtbl.t;
+      (** site name -> retry count; [private] cannot protect a table's
+          contents, so only {!observe} may change it *)
   mutable caches : cache_stats;
       (** the cache block; [caches.result_hits] is also exported as the
           engine's cache-served MOVE count *)
 }
 
 val create : unit -> t
-val reset : t -> unit
-
-val add : t -> t -> unit
-(** [add dst src] folds every counter of [src] into [dst] (including the
-    per-site retry ledger). The server's aggregate registry is the [add]
-    of its member sessions' registries into a fresh one. *)
-
 val observe : t -> Narada.Trace.event -> unit
-(** Fold one typed trace event into the registry (retries, 2PC
-    decisions, recoveries, MOVE traffic, MVCC snapshots and write-write
-    conflicts, cache consultations, stale pool discards and capped-out
-    checkouts). Events carrying no metric dimension are ignored. *)
-
-val note_decomposition : t -> Decompose.plan -> unit
-(** Count a decomposition's shipped subqueries and semijoin gate
-    outcomes. *)
-
-val note_dataflow : t -> Narada.Dol_graph.stats -> unit
-(** Fold one program's dataflow-scheduling stats (DAG nodes/edges, waves
-    formed, critical-path length) into the registry. *)
+(** Fold one typed trace event into the registry. Events carrying no
+    metric dimension (statuses, branches, opens, notes) are ignored. *)
 
 val to_json : t -> world:Netsim.World.t -> string
 (** Render the registry plus live network state as a JSON document. The

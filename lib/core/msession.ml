@@ -34,12 +34,11 @@ type result =
 (* What planning one statement (phases 2-4, §4.3) produces: the unit the
    plan cache stores. Besides the program it keeps what the callers read
    afterwards — the expansion and decomposition EXPLAIN MULTIPLE renders
-   and the planning metrics every use of the record notes. *)
+   and the Planned event every use of the record tells. *)
 type planned = {
   pl_plan : Plangen.plan;
   pl_shape : shape;
-  pl_dataflow : Narada.Dol_graph.stats option;
-      (* the dataflow pass's DAG stats, when the pass ran *)
+  pl_planned : Narada.Trace.kind;
 }
 
 and shape =
@@ -170,10 +169,11 @@ let observe t ev =
 
 let set_trace_tag t tag = t.trace_tag <- tag
 
+let tell t kind =
+  observe t (Narada.Trace.make ~at_ms:(Netsim.World.now_ms t.world) kind)
+
 let consulted t layer ~hit key =
-  observe t
-    (Narada.Trace.make ~at_ms:(Netsim.World.now_ms t.world)
-       (Narada.Trace.Cache { layer; hit; key }))
+  tell t (Narada.Trace.Cache { layer; hit; key })
 
 let set_retry_policy t p = t.retry <- p
 let last_engine_outcome t = t.last_outcome
@@ -270,28 +270,10 @@ let invalidate_shipped t dbs =
   end
 
 (* start a stepped DOL engine run with the session's trace sink and retry
-   policy; [note_outcome] folds the finished result into the metrics and
-   remembers it for {!last_engine_outcome} *)
+   policy; the engine tells the run's end down that sink *)
 let engine_start t program =
-  t.metrics.Metrics.engine_runs <- t.metrics.Metrics.engine_runs + 1;
   Engine.start ~on_trace:(observe t) ?retry:t.retry ?pool:t.pool
     ?move_cache:(move_cache t) ~directory:t.directory ~world:t.world program
-
-let note_outcome t = function
-  | Error _ as e ->
-      t.metrics.Metrics.engine_errors <- t.metrics.Metrics.engine_errors + 1;
-      e
-  | Ok outcome ->
-      (* retries/decisions/recoveries/moves were already folded from the
-         trace stream; the outcome supplies what only the epilogue knows *)
-      t.metrics.Metrics.engine_virtual_ms <-
-        t.metrics.Metrics.engine_virtual_ms +. outcome.Engine.elapsed_ms;
-      t.metrics.Metrics.in_doubt <-
-        t.metrics.Metrics.in_doubt + outcome.Engine.in_doubt;
-      if outcome.Engine.vital_split then
-        t.metrics.Metrics.vital_splits <- t.metrics.Metrics.vital_splits + 1;
-      t.last_outcome <- Some outcome;
-      Ok outcome
 
 let log_trigger t fmt = Printf.ksprintf (fun m -> t.trigger_log <- m :: t.trigger_log) fmt
 
@@ -552,6 +534,34 @@ let site_model t db =
       | exception Netsim.World.Unknown_site _ -> Netsim.Site.make db)
   | None -> Netsim.Site.make db
 
+(* the Planned event of a record: its shape, the decomposition's shipped
+   subqueries and semijoin gate outcomes, and the dataflow DAG *)
+let planned_event shape dag =
+  let shipped =
+    match shape with
+    | Query (_, Some dp) -> dp.Decompose.shipped
+    | Query (_, None) | Mtx -> []
+  in
+  let shape =
+    match shape with
+    | Query (Expand.Replicated _, _) -> Narada.Trace.Replicated
+    | Query (Expand.Global _, _) -> Narada.Trace.Global
+    | Query (Expand.Transfer _, _) -> Narada.Trace.Transfer
+    | Mtx -> Narada.Trace.Multitransaction
+  in
+  let gates p =
+    List.length
+      (List.filter (fun (s : Decompose.shipped) -> p s.Decompose.sj_gate) shipped)
+  in
+  Narada.Trace.Planned
+    {
+      shape;
+      shipped = List.length shipped;
+      reduced = gates (function Decompose.Sj_applied _ -> true | _ -> false);
+      declined = gates (function Decompose.Sj_declined _ -> true | _ -> false);
+      dag;
+    }
+
 (* phases 2-4 from scratch, then the dataflow pass *)
 let plan_fresh t stmt =
   let expand (q : Ast.query) = Expand.expand t.gdd q in
@@ -599,31 +609,14 @@ let plan_fresh t stmt =
         in
         (Plangen.plan_mtx t.ad mtx (List.map expand_one mtx.Ast.queries), Mtx)
   in
-  let program, dataflow =
+  let program, dag =
     if t.dataflow then
       let program, ds = Narada.Dol_graph.schedule plan.Plangen.program in
       (program, Some ds)
     else (plan.Plangen.program, None)
   in
   { pl_plan = { plan with Plangen.program }; pl_shape = shape;
-    pl_dataflow = dataflow }
-
-(* fold one use of a record into the metrics — the same whether the
-   record was just planned or served from the cache *)
-let note_planned t p =
-  let m = t.metrics in
-  (match p.pl_shape with
-  | Query (Expand.Replicated _, _) ->
-      m.Metrics.plans_replicated <- m.Metrics.plans_replicated + 1
-  | Query (Expand.Global _, _) ->
-      m.Metrics.plans_global <- m.Metrics.plans_global + 1
-  | Query (Expand.Transfer _, _) ->
-      m.Metrics.plans_transfer <- m.Metrics.plans_transfer + 1
-  | Mtx -> m.Metrics.plans_mtx <- m.Metrics.plans_mtx + 1);
-  (match p.pl_shape with
-  | Query (_, Some dp) -> Metrics.note_decomposition m dp
-  | Query (_, None) | Mtx -> ());
-  Option.iter (Metrics.note_dataflow m) p.pl_dataflow
+    pl_planned = planned_event shape dag }
 
 let plan t stmt =
   let k = plan_key t stmt in
@@ -646,7 +639,8 @@ let plan t stmt =
   in
   match cached () with
   | p ->
-      note_planned t p;
+      (* told on every use of the record, hit or miss *)
+      tell t p.pl_planned;
       Ok p
   | exception (Expand.Error m | Decompose.Error m | Plangen.Error m) -> Error m
 
@@ -872,7 +866,7 @@ let explain_multiple t (q : Ast.query) =
   match prepare_query t q with
   | Error m -> Error m
   | Ok (q, p) ->
-      t.metrics.Metrics.explains <- t.metrics.Metrics.explains + 1;
+      tell t Narada.Trace.Explained;
       Ok (Info (render_explain t q p))
 
 (* ---- translation (no execution) --------------------------------------------- *)
@@ -891,7 +885,7 @@ let rec translate_toplevel t = function
 let explain t inner =
   Result.map
     (fun prog ->
-      t.metrics.Metrics.explains <- t.metrics.Metrics.explains + 1;
+      tell t Narada.Trace.Explained;
       Info (Narada.Dol_pp.program_to_string prog))
     (translate_toplevel t inner)
 
@@ -937,7 +931,7 @@ let program_move_dsts (program : D.program) =
 let prepared_move_dsts p = p.p_move_dsts
 
 let prepare t tl =
-  t.metrics.Metrics.statements <- t.metrics.Metrics.statements + 1;
+  tell t Narada.Trace.Statement;
   let stepped (plan : Plangen.plan) interpret =
     let stepper = engine_start t plan.Plangen.program in
     {
@@ -945,7 +939,9 @@ let prepare t tl =
       p_stepper = Some stepper;
       p_run =
         (fun () ->
-          Result.bind (note_outcome t (Engine.finish stepper)) (interpret plan));
+          let r = Engine.finish stepper in
+          Result.iter (fun o -> t.last_outcome <- Some o) r;
+          Result.bind r (interpret plan));
       p_move_dsts = program_move_dsts plan.Plangen.program;
       p_result = None;
     }

@@ -156,8 +156,9 @@ val prepared_move_dsts : prepared -> string list
 
 val set_typed_trace : t -> (Narada.Trace.event -> unit) option -> unit
 (** Install a trace sink: every DOL engine coordination event of
-    subsequent queries, plus each consultation of the pool, plan and
-    shipped-result caches and each stale pool discard, as
+    subsequent queries, each consultation of the pool, plan and
+    shipped-result caches, each stale pool discard, and the session's
+    own [Statement], [Planned] and [Explained] events, as
     {!Narada.Trace.event} values (the shell's [--trace] prints
     {!Narada.Trace.render} of each). The session's {!metrics} registry
     observes the stream regardless. *)
@@ -171,10 +172,10 @@ val set_trace_tag : t -> string option -> unit
     unchanged. *)
 
 val metrics : t -> Metrics.t
-(** The session's metrics registry: planning counters bumped by the
-    pipeline, engine and cache counters folded from the typed trace
-    stream and the engine outcomes. Live — read at any time,
-    {!Metrics.reset} to zero (the cache counters included). *)
+(** The session's metrics registry: the {!Metrics.observe} fold of every
+    event the session tells or relays (see {!set_typed_trace}). Live —
+    read at any time; a reader that wants the counts of a span of work
+    takes a baseline first. *)
 
 val metrics_json : t -> string
 (** {!Metrics.to_json} of the registry against the session's world — one
@@ -217,7 +218,7 @@ val semijoin_enabled : t -> bool
     the effective scope and the multidatabases' current members). A hit
     therefore cannot change the program, and shows only as a
     [Cache {layer = Plan}] trace event and in {!cache_stats}: each use of
-    a plan notes its planning metrics, hit or miss. Any IMPORT or INCORPORATE misses; errors are not cached.
+    a plan tells its [Planned] event, hit or miss. Any IMPORT or INCORPORATE misses; errors are not cached.
 
     Two further reuse mechanisms change traffic, so they stay toggles,
     off by default so that traffic matches the paper's per-statement

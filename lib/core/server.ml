@@ -88,7 +88,7 @@ type t = {
   mutable ring : int list;  (* live session ids in connect order *)
   mutable next_sid : int;
   sstats : stats;
-  retired_metrics : Metrics.t;  (* folded in at disconnect *)
+  metrics : Metrics.t;  (* the fold of every member session's events *)
   mutable on_trace : (Narada.Trace.event -> unit) option;
 }
 
@@ -118,7 +118,7 @@ let make ~config ~world ~directory ~ad ~gdd =
         rounds = 0;
         parallel_batches = 0;
       };
-    retired_metrics = Metrics.create ();
+    metrics = Metrics.create ();
     on_trace = None;
   }
 
@@ -185,6 +185,7 @@ let connect t =
     Msession.set_typed_trace s
       (Some
          (fun ev ->
+           Metrics.observe t.metrics ev;
            (match ev.Narada.Trace.kind with
            | Narada.Trace.Open_failed { busy = true; _ } -> e.e_busy <- true
            | _ -> ());
@@ -196,13 +197,12 @@ let connect t =
   end
 
 let disconnect t sid =
-  match Hashtbl.find_opt t.sessions sid with
-  | None -> Error (Unknown_session sid)
-  | Some e ->
-      Metrics.add t.retired_metrics (Msession.metrics e.e_session);
-      Hashtbl.remove t.sessions sid;
-      t.ring <- List.filter (fun s -> s <> sid) t.ring;
-      Ok ()
+  if not (Hashtbl.mem t.sessions sid) then Error (Unknown_session sid)
+  else begin
+    Hashtbl.remove t.sessions sid;
+    t.ring <- List.filter (fun s -> s <> sid) t.ring;
+    Ok ()
+  end
 
 let submit t sid sql =
   match Hashtbl.find_opt t.sessions sid with
@@ -379,16 +379,9 @@ let drain t =
 
 (* ---- aggregate observability ---- *)
 
-let metrics t =
-  let agg = Metrics.create () in
-  Metrics.add agg t.retired_metrics;
-  Hashtbl.iter
-    (fun _ e -> Metrics.add agg (Msession.metrics e.e_session))
-    t.sessions;
-  agg
-
-let cache_stats t = (metrics t).Metrics.caches
-let metrics_json t = Metrics.to_json (metrics t) ~world:t.world
+let metrics t = t.metrics
+let cache_stats t = t.metrics.Metrics.caches
+let metrics_json t = Metrics.to_json t.metrics ~world:t.world
 
 let stats_json t =
   let s = t.sstats in

@@ -101,8 +101,8 @@ val connect : t -> (int, error) result
     [Overloaded] when the session table is full. *)
 
 val disconnect : t -> int -> (unit, error) result
-(** Retire a session. Its metrics are folded into the server aggregate;
-    statements still queued are dropped. *)
+(** Retire a session. Its counts stay in {!metrics}, which already
+    folded its events; statements still queued are dropped. *)
 
 val submit : t -> int -> string -> (int, error) result
 (** Enqueue one MSQL statement; returns its per-session sequence
@@ -137,11 +137,14 @@ val set_trace : t -> (Narada.Trace.event -> unit) option -> unit
 
 val cache_stats : t -> Metrics.cache_stats
 (** The cache block of {!metrics}: every member session's (live and
-    retired) pool, plan and result consultations, summed. *)
+    retired) pool, plan and result consultations. *)
 
 val metrics : t -> Metrics.t
-(** A fresh registry folding every member session's counters (live and
-    retired). *)
+(** The server's live registry: the {!Metrics.observe} fold of every
+    event a member session (live or retired) told, counted as the event
+    passes the sink {!connect} installs. The record keeps counting after
+    it is returned, so a reader that wants a point-in-time value copies
+    the fields it uses. *)
 
 val metrics_json : t -> string
 val stats_json : t -> string

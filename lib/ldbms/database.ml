@@ -128,7 +128,8 @@ let catalog t =
   table_names t |> List.map (fun n -> (n, Table.schema (find_table t n)))
 
 let load t ~name schema rows =
-  Hashtbl.remove t.tables (key name);
+  (* a replaced table's index entries go with it *)
+  if Hashtbl.mem t.tables (key name) then ignore (drop_table t name);
   let tbl = create_table t ~name schema in
   (* loaded data is a committed version: a snapshot taken before the load
      must not observe it (MOVE materializations replace shipped tables

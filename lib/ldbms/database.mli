@@ -79,8 +79,9 @@ val catalog : t -> (string * Sqlcore.Schema.t) list
     local conceptual schema. *)
 
 val load : t -> name:string -> Sqlcore.Schema.t -> Sqlcore.Row.t list -> unit
-(** Create a table and bulk-load rows; convenience for fixtures. Replaces
-    any existing table with that name. *)
+(** Create a table and bulk-load rows; convenience for fixtures and MOVE
+    materialization. Replaces any existing table with that name, as
+    {!drop_table} would: the old table's index entries go with it. *)
 
 (** {2 Views}
 

@@ -11,8 +11,6 @@ type outcome = {
   results : (string * Sqlcore.Relation.t) list;
   rowcounts : (string * int) list;
   elapsed_ms : float;
-  retries : int;
-  recovered : int;
   in_doubt : int;
   vital_split : bool;
 }
@@ -47,8 +45,6 @@ type state = {
   on_trace : Trace.event -> unit;
   rlog : Recovery_log.t;
   comps : (string, comp_handler) Hashtbl.t;  (* compensated task -> handler *)
-  mutable retries : int;
-  mutable recovered : int;
   mutable vital_split : bool;
 }
 
@@ -74,7 +70,6 @@ let is_conflict = function
   | _ -> false
 
 let retry_observer st ~where ~op ~attempt ~delay_ms f =
-  st.retries <- st.retries + 1;
   let reason = Lam.failure_message f and conflict = is_conflict f in
   tell st
     (Trace.Retry { op; site = where; attempt; delay_ms; reason; conflict })
@@ -323,7 +318,6 @@ let resolve_entry st (e : Recovery_log.entry) =
         let s = match verdict with Recovery_log.Commit -> C | Recovery_log.Abort -> A in
         set_status st e.Recovery_log.task s;
         Recovery_log.mark_resolved st.rlog e.Recovery_log.task;
-        st.recovered <- st.recovered + 1;
         tell st
           (Trace.Recovered
              {
@@ -637,8 +631,6 @@ let outcome_of st ~t0 =
     results;
     rowcounts;
     elapsed_ms = World.now_ms st.world -. t0;
-    retries = st.retries;
-    recovered = st.recovered;
     in_doubt = List.length (Recovery_log.unresolved st.rlog);
     vital_split = st.vital_split;
   }
@@ -680,8 +672,6 @@ let start ?(on_trace = fun _ -> ())
       on_trace;
       rlog = Recovery_log.create ();
       comps = Hashtbl.create 4;
-      retries = 0;
-      recovered = 0;
       vital_split = false;
     }
   in
@@ -728,6 +718,7 @@ let finish sp =
                are not: run the release/presumed-abort pass before
                reporting *)
             release_all st;
+            tell st (Trace.Run_failed m);
             Error m
         | None ->
             (* settle stranded 2PC decisions, then judge the commit groups *)
@@ -735,7 +726,15 @@ let finish sp =
             settle_splits st;
             (* close any aliases the program forgot *)
             release_all st;
-            Ok (outcome_of st ~t0:sp.sp_t0)
+            let o = outcome_of st ~t0:sp.sp_t0 in
+            tell st
+              (Trace.Run_ended
+                 {
+                   elapsed_ms = o.elapsed_ms;
+                   in_doubt = o.in_doubt;
+                   vital_split = o.vital_split;
+                 });
+            Ok o
       in
       sp.sp_result <- Some r;
       r

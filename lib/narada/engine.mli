@@ -33,15 +33,18 @@ type outcome = {
   rowcounts : (string * int) list;
       (** task name -> rows affected by its DML statements *)
   elapsed_ms : float;  (** virtual time consumed by the program *)
-  retries : int;  (** total per-operation retry attempts across all LAMs *)
-  recovered : int;
-      (** in-doubt tasks driven to their logged verdict by recovery *)
   in_doubt : int;
       (** tasks still stranded in doubt when the engine gave up *)
   vital_split : bool;
       (** a commit group ended with some members committed and some not,
           and compensation could not undo the committed ones *)
 }
+(** What the program left behind. The run's counts — retries, 2PC
+    decisions, in-doubt recoveries, MOVE traffic — are not tallied here:
+    each is a {!Trace} event, and a caller folds the [on_trace] stream
+    (for instance into an [Msql.Metrics] registry) to count them. The
+    epilogue's own figures are told as well, by one [Run_ended] event
+    carrying [elapsed_ms], [in_doubt] and [vital_split]. *)
 
 val run :
   ?on_trace:(Trace.event -> unit) ->
@@ -57,8 +60,10 @@ val run :
     (opens/closes, task status transitions, branch decisions, data moves
     with byte counts and semijoin/cache provenance, retries, 2PC
     decisions, in-doubt recoveries, and the [pool]'s consultations and
-    stale discards), timestamped with the virtual clock. A caller that wants the line-oriented trace
-    renders each event with {!Trace.render}.
+    stale discards), timestamped with the virtual clock, and ends with one
+    [Run_ended] (or, for a malformed program, [Run_failed]) event after
+    the epilogue. A caller that wants the line-oriented trace renders each
+    event with {!Trace.render}.
 
     A [Program_error] (the [Error _] return) still runs the
     release/presumed-abort epilogue: connections the faulty program

@@ -4,6 +4,7 @@
 
 type verdict = Commit | Abort
 type layer = Pool | Plan | Result
+type shape = Replicated | Global | Transfer | Multitransaction
 
 type kind =
   | Opened of { service : string; site : string; alias : string; pooled : bool }
@@ -53,6 +54,17 @@ type kind =
     }
   | Dolstatus of int
   | Note of string
+  | Statement
+  | Explained
+  | Planned of {
+      shape : shape;
+      shipped : int;  (* subqueries the decomposition shipped *)
+      reduced : int;  (* of those, semijoin-reduced *)
+      declined : int;  (* of those, semijoin gate declined *)
+      dag : Dol_graph.stats option;  (* None: the dataflow pass did not run *)
+    }
+  | Run_ended of { elapsed_ms : float; in_doubt : int; vital_split : bool }
+  | Run_failed of string
 
 type event = { at_ms : float; kind : kind; tag : string option }
 
@@ -65,6 +77,12 @@ let layer_to_string = function
   | Pool -> "pool"
   | Plan -> "plan"
   | Result -> "result"
+
+let shape_to_string = function
+  | Replicated -> "replicated"
+  | Global -> "global"
+  | Transfer -> "transfer"
+  | Multitransaction -> "multitransaction"
 
 let status_of_verdict = function Commit -> Dol_ast.C | Abort -> Dol_ast.A
 
@@ -114,5 +132,19 @@ let render_kind = function
         branches crit_ms serial_ms
   | Dolstatus n -> Printf.sprintf "DOLSTATUS = %d" n
   | Note m -> m
+  | Statement -> "statement"
+  | Explained -> "explained"
+  | Planned { shape; shipped; reduced; declined; dag } ->
+      Printf.sprintf "planned %s: %d shipped (%d reduced, %d declined)%s"
+        (shape_to_string shape) shipped reduced declined
+        (match dag with
+        | Some d ->
+            Printf.sprintf ", dag %d nodes, %d edges, %d waves"
+              d.Dol_graph.nodes d.Dol_graph.edges d.Dol_graph.waves
+        | None -> "")
+  | Run_ended { elapsed_ms; in_doubt; vital_split } ->
+      Printf.sprintf "run ended: %.2f ms, %d in doubt%s" elapsed_ms in_doubt
+        (if vital_split then ", vital split" else "")
+  | Run_failed m -> "run failed: " ^ m
 
 let render e = Printf.sprintf "[%8.2f ms] %s" e.at_ms (render_kind e.kind)

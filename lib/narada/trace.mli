@@ -1,17 +1,13 @@
 (** Typed trace events emitted by the engine, the connection pool, the
-    LAM layer and the MSQL session's plan and shipped-result caches,
-    timestamped with the virtual clock.
+    LAM layer and the MSQL session, timestamped with the virtual clock.
 
     The engine has one sink, [Engine.run ~on_trace]; the pool reports
     through the sink of the checkout that consulted it, and the session
-    sends its own cache events down the same stream. Textual consumers
-    (the shell's [--trace]) print {!render} of each event; structured
-    consumers (the [Msql.Metrics] registry) match on {!kind} instead of
-    parsing. The registry folds its cache, retry, 2PC-decision, recovery,
-    MOVE, MVCC and wave counters from this stream. Its other counters do
-    not come from here: the session counts engine runs when it starts
-    one, takes errors, virtual time, in-doubt counts and vital splits
-    from the engine outcome, and bumps the planning counters itself. *)
+    sends its own events (statement admission, plan uses, EXPLAINs, cache
+    consultations) down the same stream. Textual consumers (the shell's
+    [--trace]) print {!render} of each event; structured consumers (the
+    [Msql.Metrics] registry) match on {!kind} instead of parsing. Every
+    registry counter is a fold of this stream. *)
 
 type verdict = Commit | Abort
 
@@ -19,6 +15,12 @@ type layer =
   | Pool  (** the LAM connection pool, consulted at each pooled OPEN *)
   | Plan  (** the session's plan cache, consulted once per planned statement *)
   | Result  (** the shipped-result cache, consulted at each cached MOVE *)
+
+(** The shape of a planned statement (§4.3): a multiple query or update
+    whose elementary queries each stay in one database, a decomposed
+    global join, a global [INSERT ... SELECT] transfer, or a
+    multitransaction. *)
+type shape = Replicated | Global | Transfer | Multitransaction
 
 type kind =
   | Opened of { service : string; site : string; alias : string; pooled : bool }
@@ -98,6 +100,27 @@ type kind =
   | Note of string
       (** Free-form diagnostics that have no structured shape (recovery
           narration, split settlement, ...). *)
+  | Statement
+      (** The session admitted a statement ([Msession.prepare]), whether
+          or not it then plans. *)
+  | Explained  (** An EXPLAIN or EXPLAIN MULTIPLE completed. *)
+  | Planned of {
+      shape : shape;
+      shipped : int;  (** subqueries the decomposition shipped *)
+      reduced : int;  (** of those, semijoin-reduced *)
+      declined : int;  (** of those, whose semijoin gate declined *)
+      dag : Dol_graph.stats option;
+          (** the dataflow pass's DAG stats; [None] when the pass is off *)
+    }
+      (** The session used a plan: told on every use, whether the plan
+          cache hit or the statement was planned afresh. *)
+  | Run_ended of { elapsed_ms : float; in_doubt : int; vital_split : bool }
+      (** The engine finished a program: its epilogue ran, [elapsed_ms] of
+          virtual time after the run started, with [in_doubt] tasks still
+          stranded and [vital_split] when a commit group ended split. *)
+  | Run_failed of string
+      (** The engine finished a malformed program (the [Error] of
+          [Engine.finish]) after its release epilogue. *)
 
 type event = {
   at_ms : float;

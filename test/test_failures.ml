@@ -271,9 +271,12 @@ DOLEND
 
 (* run [text], arming [trip] the first time a trace line contains [arm_on] —
    the hook that lets a test place a fault precisely inside the 2PC window *)
-let run_armed ~world ~dir ?grace ~arm_on ~trip text =
+(* [metrics] folds the run's trace: the engine keeps no counts of its own *)
+let run_armed ~world ~dir ?grace ?(metrics = Msql.Metrics.create ()) ~arm_on
+    ~trip text =
   let armed = ref false in
   let on_trace ev =
+    Msql.Metrics.observe metrics ev;
     if (not !armed) && contains (Narada.Trace.render ev) arm_on then begin
       armed := true;
       trip ()
@@ -290,8 +293,9 @@ let run_armed ~world ~dir ?grace ~arm_on ~trip text =
 
 let test_lost_commit_message_retried () =
   let world, dir, a, b = setup () in
+  let m = Msql.Metrics.create () in
   let o =
-    run_armed ~world ~dir ~arm_on:"T2 -> P"
+    run_armed ~world ~dir ~metrics:m ~arm_on:"T2 -> P"
       ~trip:(fun () -> World.lose_next world ~src:"mdbs" ~dst:"site2")
       vital_pair
   in
@@ -299,15 +303,16 @@ let test_lost_commit_message_retried () =
   Alcotest.check status "t1 committed" D.C (Engine.status_of o "T1");
   Alcotest.check status "t2 committed" D.C (Engine.status_of o "T2");
   Alcotest.(check int) "dolstatus" 0 o.Engine.dolstatus;
-  Alcotest.(check bool) "retried" true (o.Engine.retries > 0);
+  Alcotest.(check bool) "retried" true (m.Msql.Metrics.retries > 0);
   Alcotest.(check int) "nothing left in doubt" 0 o.Engine.in_doubt;
   Alcotest.check value "a updated" (Value.Float 110.0) (rate a 1);
   Alcotest.check value "b updated" (Value.Float 110.0) (rate b 1)
 
 let test_in_doubt_recovers_to_commit () =
   let world, dir, a, b = setup () in
+  let m = Msql.Metrics.create () in
   let o =
-    run_armed ~world ~dir ~arm_on:"T2 -> P"
+    run_armed ~world ~dir ~metrics:m ~arm_on:"T2 -> P"
       ~trip:(fun () ->
         (* crash bravo's site for 100 ms: longer than the retry budget of a
            single commit, shorter than the engine's recovery grace *)
@@ -316,7 +321,7 @@ let test_in_doubt_recovers_to_commit () =
   in
   Alcotest.check status "t1 committed" D.C (Engine.status_of o "T1");
   Alcotest.check status "t2 recovered to C" D.C (Engine.status_of o "T2");
-  Alcotest.(check int) "recovered count" 1 o.Engine.recovered;
+  Alcotest.(check int) "recovered count" 1 m.Msql.Metrics.recovered;
   Alcotest.(check int) "nothing in doubt" 0 o.Engine.in_doubt;
   Alcotest.(check bool) "no split" false o.Engine.vital_split;
   Alcotest.check value "a updated" (Value.Float 110.0) (rate a 1);
@@ -407,14 +412,18 @@ let test_message_loss_storm_still_consistent () =
   let run_with_seed seed =
     let world, dir, a, b = setup () in
     World.set_loss world ~seed ~prob:0.2;
-    match Engine.run_text ~directory:dir ~world vital_pair_both_comps with
+    let m = Msql.Metrics.create () in
+    match
+      Engine.run_text ~on_trace:(Msql.Metrics.observe m) ~directory:dir ~world
+        vital_pair_both_comps
+    with
     | Error m -> Alcotest.fail ("engine error: " ^ m)
     | Ok o ->
         Alcotest.(check bool) "never split" false o.Engine.vital_split;
         let both v = Value.equal (rate a 1) v && Value.equal (rate b 1) v in
         Alcotest.(check bool) "atomic across sites" true
           (both (Value.Float 110.0) || both (Value.Float 100.0));
-        (o.Engine.dolstatus, o.Engine.retries, Engine.status_of o "T1")
+        (o.Engine.dolstatus, m.Msql.Metrics.retries, Engine.status_of o "T1")
   in
   List.iter
     (fun seed ->

@@ -118,6 +118,24 @@ let test_drop_table_drops_indexes () =
   Alcotest.(check int) "table restored" 0
     (List.length (rows_of (q s "SELECT sku FROM stock")))
 
+(* Database.load replaces a table whole, index entries included: the
+   index name is free again, and the old entry cannot be dropped *)
+let test_load_replaces_indexes () =
+  let db = big_db 3 in
+  let s = Session.connect db Caps.ingres_like in
+  let run sql =
+    (match q s sql with Ok _ -> () | Error m -> Alcotest.fail (sql ^ ": " ^ m));
+    ok_txn (Session.commit s)
+  in
+  run "CREATE INDEX by_sku ON stock (sku)";
+  Ldbms.Database.load db ~name:"stock"
+    [ Schema.column "code" Ty.Int ]
+    [ [| Value.Int 1 |] ];
+  expect_error (q s "DROP INDEX by_sku");
+  ok_txn (Session.rollback s);
+  run "CREATE INDEX by_sku ON stock (code)";
+  run "DROP INDEX by_sku"
+
 (* a declared index is a catalog entry only: a SELECT on its column scans
    and builds no lookup map, however often it runs *)
 let test_index_builds_no_map () =
@@ -195,6 +213,8 @@ let () =
             test_drop_table_drops_indexes;
           Alcotest.test_case "declared index builds no lookup map" `Quick
             test_index_builds_no_map;
+          Alcotest.test_case "load replaces a table's indexes" `Quick
+            test_load_replaces_indexes;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_indexed_equals_scan ] );

@@ -151,26 +151,34 @@ DOLEND
    verdict exactly once *)
 let test_replay_verdict_after_conflict_in_window () =
   let world, dir, a, b = setup () in
-  let sx = Engine.start ~directory:dir ~world (parse vital_pair) in
+  (* each run's trace folds into its own registry *)
+  let mx = Metrics.create () and my = Metrics.create () in
+  let sx =
+    Engine.start ~on_trace:(Metrics.observe mx) ~directory:dir ~world
+      (parse vital_pair)
+  in
   ignore (Engine.step sx);
   ignore (Engine.step sx);
   (* the PARBEGIN block: both members prepare and reserve their tables *)
   ignore (Engine.step sx);
-  let sy = Engine.start ~directory:dir ~world (parse rival_prog) in
+  let sy =
+    Engine.start ~on_trace:(Metrics.observe my) ~directory:dir ~world
+      (parse rival_prog)
+  in
   ignore (Engine.step sy);
   ignore (Engine.step sy);
   let oy = finish_exn sy in
   Alcotest.check status "rival aborted in the window" D.A
     (Engine.status_of oy "RV");
   Alcotest.(check bool) "conflict was retried as transient" true
-    (oy.Engine.retries > 0);
+    (my.Metrics.retries > 0);
   (* crash bravo's site across the decision: T2's commit cannot land and
      stays in doubt with the verdict logged *)
   World.set_down_until world "site2" (World.now_ms world +. 100.0);
   let ox = finish_exn sx in
   Alcotest.check status "t1 committed" D.C (Engine.status_of ox "T1");
   Alcotest.check status "t2 recovered to C" D.C (Engine.status_of ox "T2");
-  Alcotest.(check int) "verdict replayed once" 1 ox.Engine.recovered;
+  Alcotest.(check int) "verdict replayed once" 1 mx.Metrics.recovered;
   Alcotest.(check int) "nothing left in doubt" 0 ox.Engine.in_doubt;
   Alcotest.(check bool) "no split" false ox.Engine.vital_split;
   (* idempotence: the replayed commit applies the staged intent exactly

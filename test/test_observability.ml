@@ -178,7 +178,15 @@ DOLEND
     Engine.start ~on_trace:(Metrics.observe m) ~pool ~directory:dir
       ~world winner
   in
-  let sb = Engine.start ~pool ~on_trace ~directory:dir ~world loser in
+  (* the loser's run also folds into a registry of its own *)
+  let mb = Metrics.create () in
+  let sb =
+    Engine.start ~pool
+      ~on_trace:(fun e ->
+        Metrics.observe mb e;
+        on_trace e)
+      ~directory:dir ~world loser
+  in
   (* A opens and prepares (reserving flights); B then opens and loses the
      first-committer-wins race, exhausting its transient-conflict retries *)
   ignore (Engine.step sa);
@@ -197,7 +205,7 @@ DOLEND
   Alcotest.(check bool) "conflicts observed" true (!conflicts > 0);
   Alcotest.(check int) "one terminal conflict abort" 1 !conflict_aborts;
   Alcotest.(check bool) "conflict was retried as transient" true
-    (ob.Engine.retries > 0);
+    (mb.Metrics.retries > 0);
   (* both connections were parked by the epilogues — no leak on the
      conflict abort path *)
   Alcotest.(check int) "both connections parked" 2 (Narada.Pool.size pool);
@@ -380,6 +388,102 @@ let test_metrics_match_world () =
       "\"site\": \"dsite\"";
     ]
 
+(* every registry counter is a fold of the typed trace: a fresh registry
+   fed the session's own stream exports exactly what the session's does.
+   The corpus covers each kind of counter: the paper's E1-E5 (continental
+   autocommit, so E3's VITAL without COMP is refused at planning), a
+   decomposed global join, a global INSERT ... SELECT transfer, both
+   EXPLAINs, a dictionary statement, and a 2PC update whose site crashes
+   in the commit window (retries, then recovery to the logged verdict). *)
+let paper_corpus =
+  [
+    {|USE avis national
+      LET car.type.status BE cars.cartype.carst vehicle.vty.vstat
+      SELECT %code, type, ~rate FROM car WHERE status = 'available'|};
+    {|USE continental delta united
+      UPDATE flight% SET rate% = rate% * 1.1
+      WHERE sour% = 'Houston' AND dest% = 'San Antonio'|};
+    {|USE continental VITAL delta united VITAL
+      UPDATE flight% SET rate% = rate% * 1.1
+      WHERE sour% = 'Houston' AND dest% = 'San Antonio'|};
+    {|USE continental VITAL delta united VITAL
+      UPDATE flight% SET rate% = rate% * 1.1
+      WHERE sour% = 'Houston' AND dest% = 'San Antonio'
+      COMP continental
+      UPDATE flights SET rate = rate / 1.1
+      WHERE source = 'Houston' AND destination = 'San Antonio'|};
+    {|BEGIN MULTITRANSACTION
+        USE continental delta
+        LET fltab.snu.sstat.clname BE
+          f838.seatnu.seatstatus.clientname f747.snu.sstat.passname
+        UPDATE fltab SET sstat = 'TAKEN', clname = 'wenders'
+        WHERE snu = ( SELECT MIN(snu) FROM fltab WHERE sstat = 'FREE');
+        USE avis national
+        LET cartab.ccode.cstat BE cars.code.carst vehicle.vcode.vstat
+        UPDATE cartab SET cstat = 'TAKEN', client = 'wenders'
+        WHERE ccode = ( SELECT MIN(ccode) FROM cartab WHERE cstat = 'available');
+      COMMIT
+        continental AND national
+        delta AND avis
+      END MULTITRANSACTION|};
+    {|USE avis national SELECT c.code, v.vty FROM avis.cars c,
+      national.vehicle v WHERE c.code = v.vcode|};
+    {|USE avis national
+      INSERT INTO avis.cars (code, cartype, carst)
+      SELECT v.vcode, v.vty, v.vstat FROM national.vehicle v|};
+    {|EXPLAIN USE avis SELECT code FROM cars|};
+    {|EXPLAIN MULTIPLE USE avis national SELECT c.code, v.vty FROM avis.cars c,
+      national.vehicle v WHERE c.code = v.vcode|};
+    {|CREATE MULTIDATABASE rentals AS avis national|};
+  ]
+
+let test_registry_is_trace_fold () =
+  let fx =
+    Msql.Fixtures.make ~caps:[ ("continental", Caps.sybase_like) ] ()
+  in
+  let world = fx.Msql.Fixtures.world in
+  let session = fx.Msql.Fixtures.session in
+  let events = ref [] and armed = ref false in
+  M.set_typed_trace session
+    (Some
+       (fun e ->
+         events := e :: !events;
+         match e.Trace.kind with
+         | Trace.Status { task = "t_united"; status = D.P } when !armed ->
+             (* united's site crashes for 100 ms once its task prepared:
+                longer than a commit's retry budget, shorter than the
+                engine's recovery grace *)
+             armed := false;
+             Netsim.World.set_down_until world "site3"
+               (Netsim.World.now_ms world +. 100.0)
+         | _ -> ()));
+  let refused = ref 0 in
+  List.iter
+    (fun sql ->
+      match M.exec session sql with
+      | Ok _ -> ()
+      | Error m when contains m "COMP" -> incr refused
+      | Error m -> Alcotest.fail (sql ^ ": " ^ m))
+    paper_corpus;
+  armed := true;
+  (match
+     M.exec session
+       {|USE delta VITAL united VITAL
+         UPDATE flight% SET rate% = rate% * 1.1 WHERE sour% = 'Houston'|}
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "E3 refused at planning" 1 !refused;
+  let own = M.metrics session in
+  Alcotest.(check bool) "the outage was retried" true (own.Metrics.retries > 0);
+  Alcotest.(check int) "one in-doubt recovery" 1 own.Metrics.recovered;
+  Alcotest.(check int) "every statement admitted"
+    (List.length paper_corpus + 1) own.Metrics.statements;
+  let fold = Metrics.create () in
+  List.iter (Metrics.observe fold) (List.rev !events);
+  Alcotest.(check string) "registry = fold of its trace"
+    (M.metrics_json session) (Metrics.to_json fold ~world)
+
 (* the typed sink installed on the session sees the engine's events *)
 let test_session_typed_trace () =
   let session, _world = make_fed3 () in
@@ -526,6 +630,8 @@ let () =
         [
           Alcotest.test_case "registry matches world stats" `Quick
             test_metrics_match_world;
+          Alcotest.test_case "registry is the fold of its trace" `Quick
+            test_registry_is_trace_fold;
         ] );
       ( "explain multiple",
         [

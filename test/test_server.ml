@@ -397,6 +397,42 @@ let test_pool_accounting_per_member () =
     (checkouts s1 + checkouts s2)
     (agg.M.pool_hits + agg.M.pool_misses)
 
+(* the server's registry is the fold of the merged member stream: a
+   fresh registry fed every event [set_trace] saw exports the same
+   document, and a retired member's counts stay in *)
+let test_registry_is_merged_fold () =
+  let srv = S.of_fixtures ~config:(config ()) (F.make ()) in
+  let m, _ = traced srv in
+  let s1 = connect_exn srv and s2 = connect_exn srv and s3 = connect_exn srv in
+  let join =
+    "USE avis national SELECT c.code, v.vcode FROM avis.cars c, \
+     national.vehicle v WHERE c.cartype = v.vty"
+  in
+  List.iter
+    (fun (sid, sql) -> ignore (submit_exn srv sid sql))
+    [
+      (s1, "USE avis SELECT code FROM cars");
+      (s2, join);
+      (s3, join);
+      (s3, "EXPLAIN USE avis SELECT code FROM cars");
+      (s3, "USE avis SELECT code FROM nonexistent");
+      (s1, "USE continental delta UPDATE flight% SET rate% = rate% * 1.1");
+    ];
+  ignore (S.drain srv);
+  (match S.disconnect srv s3 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (S.error_message e));
+  ignore (submit_exn srv s2 "USE national SELECT vcode FROM vehicle");
+  ignore (S.drain srv);
+  let own = S.metrics srv in
+  Alcotest.(check int) "every statement counted, the retired member's too" 7
+    own.Metrics.statements;
+  Alcotest.(check int) "the EXPLAIN counted" 1
+    own.Metrics.explains;
+  let world = S.world srv in
+  Alcotest.(check string) "registry = fold of the merged stream"
+    (Metrics.to_json m ~world) (S.metrics_json srv)
+
 (* an outage while a connection idles in the server's pool makes it
    stale; the member whose checkout discards it sees the discard on its
    own trace and counts it *)
@@ -618,5 +654,7 @@ let () =
             test_pool_accounting_per_member;
           Alcotest.test_case "stale pooled connection on the member's trace"
             `Quick test_pool_stale_in_server;
+          Alcotest.test_case "registry is the fold of the merged stream"
+            `Quick test_registry_is_merged_fold;
         ] );
     ]
