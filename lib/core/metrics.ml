@@ -26,6 +26,8 @@ let zero_cache_stats =
     result_misses = 0;
   }
 
+module Sites = Map.Make (String)
+
 type t = {
   (* planning: phases 1-4 of the pipeline *)
   mutable statements : int;
@@ -66,7 +68,7 @@ type t = {
   mutable dataflow_wave_branches : int;
   mutable dataflow_crit_ms : float;
   mutable dataflow_serial_ms : float;
-  site_retries : (string, int) Hashtbl.t;
+  mutable site_retries : int Sites.t;
   (* caches: folded from Cache, Pool_stale and busy Open_failed events *)
   mutable caches : cache_stats;
 }
@@ -107,7 +109,7 @@ let create () =
     dataflow_wave_branches = 0;
     dataflow_crit_ms = 0.0;
     dataflow_serial_ms = 0.0;
-    site_retries = Hashtbl.create 8;
+    site_retries = Sites.empty;
     caches = zero_cache_stats;
   }
 
@@ -167,8 +169,8 @@ let observe m (ev : Narada.Trace.event) =
       m.retries <- m.retries + 1;
       if conflict then m.conflict_retries <- m.conflict_retries + 1;
       let k = String.lowercase_ascii site in
-      Hashtbl.replace m.site_retries k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt m.site_retries k))
+      let n = Option.value ~default:0 (Sites.find_opt k m.site_retries) in
+      m.site_retries <- Sites.add k (n + 1) m.site_retries
   | Narada.Trace.Decision { verdict = Narada.Trace.Commit; _ } ->
       m.decisions_commit <- m.decisions_commit + 1
   | Narada.Trace.Decision { verdict = Narada.Trace.Abort; _ } ->
@@ -273,13 +275,13 @@ let to_json m ~world =
     ws.Netsim.World.messages ws.Netsim.World.bytes_moved ws.Netsim.World.lost;
   addf "  \"sites\": [\n";
   let sites = Netsim.World.per_site world in
-  (* a site can retry without delivering anything; make sure it appears *)
+  (* a site can retry without delivering anything; make sure it appears,
+     after the delivering sites and, like them, in name order *)
   let names =
     List.map fst sites
-    @ Hashtbl.fold
-        (fun s _ acc ->
-          if List.mem_assoc s sites then acc else s :: acc)
-        m.site_retries []
+    @ List.filter
+        (fun s -> not (List.mem_assoc s sites))
+        (List.map fst (Sites.bindings m.site_retries))
   in
   List.iteri
     (fun i name ->
@@ -293,7 +295,7 @@ let to_json m ~world =
         | None -> (0, 0, 0, 0)
       in
       let retries =
-        Option.value ~default:0 (Hashtbl.find_opt m.site_retries name)
+        Option.value ~default:0 (Sites.find_opt name m.site_retries)
       in
       addf
         "    {\"site\": \"%s\", \"sent_messages\": %d, \"sent_bytes\": %d, \

@@ -86,9 +86,8 @@ type t = private {
           virtual time; never exceeds
           [dataflow_serial_ms], the summed branch durations *)
   mutable dataflow_serial_ms : float;
-  site_retries : (string, int) Hashtbl.t;
-      (** site name -> retry count; [private] cannot protect a table's
-          contents, so only {!observe} may change it *)
+  mutable site_retries : int Map.Make(String).t;
+      (** site name -> retry count *)
   mutable caches : cache_stats;
       (** the cache block; [caches.result_hits] is also exported as the
           engine's cache-served MOVE count *)

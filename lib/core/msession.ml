@@ -56,7 +56,7 @@ type shared_caches = {
       (* statement text -> its parse; pure, so never stale *)
   sc_plans : (string, planned) Hashtbl.t;
   sc_results : (string * string * string, int * Sqlcore.Relation.t) Hashtbl.t;
-      (* (src, dst, shipped query) -> (dictionary epoch at store, rows) *)
+      (* (src, dst, shipped query) -> (source change stamp at store, rows) *)
 }
 
 let shared_caches () =
@@ -216,58 +216,33 @@ let set_shared_caches t sc =
 let cache_stats t = t.metrics.Metrics.caches
 let metrics_json t = Metrics.to_json t.metrics ~world:t.world
 
-(* epoch stamped on shipped-result entries: any dictionary change (IMPORT,
-   INCORPORATE) makes older entries unrecognizable, since a re-import may
-   have changed the source schema or statistics *)
-let dict_epoch t = Gdd.version t.gdd + Ad.version t.ad
-
 let rc_key src dst query =
   (String.lowercase_ascii src, String.lowercase_ascii dst, query)
 
+(* an entry is valid only under the source stamp it was stored with: a
+   write at the source, whoever made it, moves the stamp, and the semijoin
+   key set that depends on the destination is already part of the text *)
 let move_cache t =
   if not t.result_cache_on then None
   else
     Some
       {
         Narada.Lam.tc_lookup =
-          (fun ~src ~dst ~query ->
+          (fun ~src ~dst ~query ~stamp ->
             let k = rc_key src dst query in
-            let table = t.caches.sc_results in
             let hit =
-              match Hashtbl.find_opt table k with
-              | Some (epoch, rel) when epoch = dict_epoch t -> Some rel
-              | Some _ ->
-                  (* stale dictionary epoch: drop and re-ship *)
-                  Hashtbl.remove table k;
-                  None
-              | None -> None
+              match Hashtbl.find_opt t.caches.sc_results k with
+              | Some (s, rel) when s = stamp -> Some rel
+              | Some _ | None -> None (* a miss stores over a stale entry *)
             in
             consulted t Narada.Trace.Result ~hit:(Option.is_some hit) query;
             hit);
         tc_store =
-          (fun ~src ~dst ~query rel ->
+          (fun ~src ~dst ~query ~stamp rel ->
             let table = t.caches.sc_results in
             if Hashtbl.length table > 256 then Hashtbl.reset table;
-            Hashtbl.replace table (rc_key src dst query) (dict_epoch t, rel));
+            Hashtbl.replace table (rc_key src dst query) (stamp, rel));
       }
-
-(* drop shipped results touching any of the written databases: a write to
-   the source changes what the shipped query returns, a write to the
-   destination changes the semijoin key set the shipped query was reduced
-   with (service names equal database names here) *)
-let invalidate_shipped t dbs =
-  let table = t.caches.sc_results in
-  if dbs <> [] && Hashtbl.length table > 0 then begin
-    let canon = List.map String.lowercase_ascii dbs in
-    let doomed =
-      Hashtbl.fold
-        (fun ((src, dst, _) as k) _ acc ->
-          if List.exists (fun db -> db = src || db = dst) canon then k :: acc
-          else acc)
-        table []
-    in
-    List.iter (Hashtbl.remove table) doomed
-  end
 
 (* start a stepped DOL engine run with the session's trace sink and retry
    policy; the engine tells the run's end down that sink *)
@@ -644,18 +619,16 @@ let plan t stmt =
       Ok p
   | exception (Expand.Error m | Decompose.Error m | Plangen.Error m) -> Error m
 
-(* databases whose state a successful execution changed *)
-let written_of_details details =
-  List.filter_map
-    (fun r ->
-      match r.rstatus, r.raffected with
-      | D.C, Some n when n > 0 -> Some r.rdb
-      | _ -> None)
-    details
-
+(* databases whose state a successful execution changed: what wakes the
+   interdatabase triggers *)
 let written_dbs = function
   | Update_report { details; _ } | Mtx_report { details; _ } ->
-      written_of_details details
+      List.filter_map
+        (fun r ->
+          match r.rstatus, r.raffected with
+          | D.C, Some n when n > 0 -> Some r.rdb
+          | _ -> None)
+        details
   | Multitable _ | Info _ -> []
 
 (* phases 1-4 for one query: effective scope, plan, persist the scope.
@@ -671,10 +644,9 @@ let prepare_query t (q : Ast.query) =
         t.scope <- q.Ast.scope;
         Ok (q, p)
 
-let interpret_query t (q : Ast.query) (plan : Plangen.plan)
+let interpret_query (q : Ast.query) (plan : Plangen.plan)
     (outcome : Engine.outcome) =
   let details = report_of_bindings outcome plan.Plangen.task_bindings in
-  invalidate_shipped t (written_of_details details);
   if Ast.is_retrieval q then
     if outcome.Engine.dolstatus = 0 then
       Ok (Multitable (build_multitable outcome plan.Plangen.task_bindings))
@@ -712,10 +684,9 @@ let prepare_mtx t (mtx : Ast.multitransaction) =
   | Error m -> Error m
   | Ok p -> Ok (mtx, p.pl_plan)
 
-let interpret_mtx t (mtx : Ast.multitransaction) (plan : Plangen.plan)
+let interpret_mtx (mtx : Ast.multitransaction) (plan : Plangen.plan)
     (outcome : Engine.outcome) =
   let details = report_of_bindings outcome plan.Plangen.task_bindings in
-  invalidate_shipped t (written_of_details details);
   let status_of db =
     match List.find_opt (fun r -> Names.equal r.rdb db) details with
     | Some r -> r.rstatus
@@ -897,8 +868,7 @@ let explain t inner =
    executes one DOL statement; [finish] drains the rest, runs the engine
    epilogue and interprets the outcome. Any other statement takes no
    steps and runs whole inside [finish]. [finish] memoizes its result, so
-   interpretation, shipped-result invalidation and trigger firing happen
-   once per statement. *)
+   interpretation and trigger firing happen once per statement. *)
 
 type prepared = {
   p_session : t;
@@ -959,11 +929,11 @@ let prepare t tl =
   match tl with
   | Ast.Query q ->
       Result.map
-        (fun (q, p) -> stepped p.pl_plan (interpret_query t q))
+        (fun (q, p) -> stepped p.pl_plan (interpret_query q))
         (prepare_query t q)
   | Ast.Multitransaction mtx ->
       Result.map
-        (fun (mtx, plan) -> stepped plan (interpret_mtx t mtx))
+        (fun (mtx, plan) -> stepped plan (interpret_mtx mtx))
         (prepare_mtx t mtx)
   | Ast.Explain inner -> unstepped (fun () -> explain t inner)
   | Ast.Explain_multiple q -> unstepped (fun () -> explain_multiple t q)

@@ -252,9 +252,9 @@ type shared_caches
     private block from {!create}, or a communal one after
     {!set_shared_caches}. Parse entries are keyed on the statement text
     alone and never go stale. Plan keys embed {!Gdd.id} and the
-    dictionary versions, and shipped entries are stamped with the storing
-    session's dictionary epoch, so an IMPORT invalidates for every sharer
-    at once. *)
+    dictionary versions, so an IMPORT invalidates for every sharer at
+    once. A shipped entry is valid only under its source's change stamp,
+    so any write there, whoever makes it, invalidates it for everyone. *)
 
 val shared_caches : unit -> shared_caches
 
@@ -270,10 +270,10 @@ val set_domains : t -> int -> unit
 val set_result_cache : t -> bool -> unit
 (** Cache the relation each MOVE ships, keyed on (source, destination,
     shipped SQL after semijoin reduction — the key set is part of the
-    text). A hit moves zero bytes. Entries are dropped when a committed
-    update reports affected rows against their source or destination
-    database, and on any dictionary change. Disabling empties the
-    shipped-result table of the session's cache block. *)
+    text). A hit moves zero bytes. An entry is valid only under the
+    source's change stamp it was stored with ({!Narada.Lam.transfer_cache}),
+    so no write, through a session or a local application, is served
+    stale. Disabling empties the session's shipped-result table. *)
 
 val cache_stats : t -> cache_stats
 (** Hit/miss counters of the pool, plan and shipped-result caches for

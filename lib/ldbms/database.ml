@@ -9,6 +9,7 @@ type t = {
   mutable ts : int;  (* monotone timestamp oracle; 0 = initial load *)
   mutable snapshots : int list;  (* active snapshot timestamps, with dups *)
   mutable txn_seq : int;  (* local transaction id source *)
+  mutable stamp : int;  (* change stamp; apart from [ts], so DDL draws none *)
   (* Statement cache, the database's shared SQL area: text -> parse, one
      table per parser entry point, because the two accept different texts
      (";SELECT 1" is a one-statement script but not a statement). It lives
@@ -34,6 +35,7 @@ let create name =
     ts = 0;
     snapshots = [];
     txn_seq = 0;
+    stamp = 0;
     scripts = Hashtbl.create 16;
     stmts = Hashtbl.create 16;
   }
@@ -55,7 +57,11 @@ let parse_script t text = cached t.scripts Sqlfront.Parser.parse_script text
 let parse_stmt t text = cached t.stmts Sqlfront.Parser.parse_stmt text
 let cached_statements t = Hashtbl.length t.scripts + Hashtbl.length t.stmts
 
+let change_stamp t = t.stamp
+let changed t = t.stamp <- t.stamp + 1
+
 let next_commit_ts t =
+  changed t;
   t.ts <- t.ts + 1;
   t.ts
 
@@ -96,6 +102,7 @@ let create_table t ~name schema =
   if Hashtbl.mem t.views (key name) then raise (View_exists name);
   let tbl = Table.create ~name schema in
   Hashtbl.add t.tables (key name) tbl;
+  changed t;
   tbl
 
 type dropped = {
@@ -109,6 +116,7 @@ let drop_table t n =
   match find_table_opt t n with
   | Some tbl ->
       Hashtbl.remove t.tables (key n);
+      changed t;
       let index_entries =
         Hashtbl.fold
           (fun k ((tb, _) as entry) acc ->
@@ -122,6 +130,7 @@ let drop_table t n =
 
 let restore_table t { table; index_entries } =
   Hashtbl.replace t.tables (key (Table.name table)) table;
+  changed t;
   List.iter (fun (k, entry) -> Hashtbl.replace t.indexes k entry) index_entries
 
 let catalog t =
@@ -141,16 +150,20 @@ let find_view_opt t n = Option.map snd (Hashtbl.find_opt t.views (key n))
 let create_view t ~name q =
   if Hashtbl.mem t.tables (key name) then raise (Table_exists name);
   if Hashtbl.mem t.views (key name) then raise (View_exists name);
-  Hashtbl.replace t.views (key name) (name, q)
+  Hashtbl.replace t.views (key name) (name, q);
+  changed t
 
 let drop_view t n =
   match Hashtbl.find_opt t.views (key n) with
   | Some (_, q) ->
       Hashtbl.remove t.views (key n);
+      changed t;
       q
   | None -> raise (No_such_view n)
 
-let restore_view t ~name q = Hashtbl.replace t.views (key name) (name, q)
+let restore_view t ~name q =
+  Hashtbl.replace t.views (key name) (name, q);
+  changed t
 
 let create_index t ~name ~table ~column =
   if Hashtbl.mem t.indexes (key name) then raise (Index_exists name);

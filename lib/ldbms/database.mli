@@ -22,7 +22,12 @@ val table_names : t -> string list
 
 val next_commit_ts : t -> int
 (** Draw a fresh commit timestamp, strictly greater than every earlier
-    one. *)
+    one. Moves {!change_stamp}. *)
+
+val change_stamp : t -> int
+(** Moves on every commit that installs versions ({!next_commit_ts}, which
+    {!load} draws too) and on table and view create, drop and restore: a
+    cached query result is valid while the stamp is unchanged. *)
 
 val next_txn_id : t -> int
 (** Draw a fresh local transaction id (for write reservations). *)

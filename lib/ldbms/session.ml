@@ -254,6 +254,10 @@ let commit t = do_commit t
 let rollback t = do_rollback t
 let prepare t = do_prepare t
 
+(* a prepared transaction outlives its session: the participant promised
+   to await the coordinator's verdict, which may be a logged commit *)
+let close t = if txn_state t = Some Txn.Active then ignore (do_rollback t)
+
 let result_to_string = function
   | Rows r -> Sqlcore.Relation.to_string r
   | Affected n -> Printf.sprintf "%d row(s) affected" n

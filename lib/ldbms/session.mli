@@ -79,4 +79,9 @@ val commit : t -> (unit, error) Stdlib.result
 val rollback : t -> (unit, error) Stdlib.result
 val prepare : t -> (unit, error) Stdlib.result
 
+val close : t -> unit
+(** End the session, as the LDBMS does when its client hangs up or the
+    connection breaks: an {e active} transaction is rolled back, a {e
+    prepared} one survives to await its coordinator's verdict. *)
+
 val result_to_string : result -> string

@@ -39,6 +39,7 @@ type t = {
   on_trace : (Trace.event -> unit) option;
       (* sink for the session's MVCC observations (snapshots, write-write
          conflicts), translated into typed trace events *)
+  stamp : int;  (* change stamp as of the OPEN: dial handshake or checkout *)
 }
 
 (* The session cannot name Trace (layering: ldbms knows nothing of the
@@ -60,6 +61,7 @@ let install_observer t =
             in
             sink { Trace.at_ms = World.now_ms t.world; kind; tag = None }))
 
+let stamp_of svc = Ldbms.Database.change_stamp svc.Service.database
 let handshake_bytes = 64
 let ack_bytes = 16
 
@@ -100,6 +102,7 @@ let connect ?(retry = Retry_policy.default) ?(on_retry = no_on_retry) ?on_trace
                   policy = retry;
                   on_retry;
                   on_trace;
+                  stamp = stamp_of service;
                 }
               in
               install_observer t;
@@ -119,8 +122,10 @@ let with_policy ?(retry = Retry_policy.default) ?(on_retry = no_on_retry)
     ?on_trace t =
   (* a pooled connection outlives the engine run that opened it: rebind
      the policy and observers so retries and MVCC observations are charged
-     to the current run, not to the defunct one that originally connected *)
-  let t = { t with policy = retry; on_retry; on_trace } in
+     to the current run, not to the defunct one that originally connected,
+     and learn the source's stamp as of this run *)
+  let stamp = stamp_of t.service in
+  let t = { t with policy = retry; on_retry; on_trace; stamp } in
   install_observer t;
   t
 
@@ -252,9 +257,11 @@ let restrict_query ~col keys query =
 
 type transfer_cache = {
   tc_lookup :
-    src:string -> dst:string -> query:string -> Sqlcore.Relation.t option;
+    src:string -> dst:string -> query:string -> stamp:int ->
+    Sqlcore.Relation.t option;
   tc_store :
-    src:string -> dst:string -> query:string -> Sqlcore.Relation.t -> unit;
+    src:string -> dst:string -> query:string -> stamp:int ->
+    Sqlcore.Relation.t -> unit;
 }
 
 type transfer_stats = {
@@ -299,14 +306,16 @@ let transfer ~cache ~reduce ~src ~dst ~query ~dest_table =
   in
   (* Shipped-result cache: the key is the final query text — after the
      semijoin rewrite, so the key set is part of the key — plus both
-     endpoints. A hit re-materializes the relation at the destination
-     without touching the network or the source at all: zero messages,
-     zero bytes, zero virtual time. The destination must still be
-     reachable (the engine is about to run the coordinator join there). *)
+     endpoints, and an entry is valid only under the source's change stamp
+     it was stored with (a miss reads it back with the rows). A hit
+     re-materializes the relation at the destination without touching the
+     network or the source at all: zero messages, zero bytes, zero virtual
+     time. The destination must still be reachable (the engine is about to
+     run the coordinator join there). *)
   let cached =
     match cache with
     | Some c when not (World.is_down dst.world (site dst)) ->
-        c.tc_lookup ~src:src_name ~dst:dst_name ~query
+        c.tc_lookup ~src:src_name ~dst:dst_name ~query ~stamp:src.stamp
     | Some _ | None -> None
   in
   match cached with
@@ -323,14 +332,14 @@ let transfer ~cache ~reduce ~src ~dst ~query ~dest_table =
                 World.send src.world ~src:"mdbs" ~dst:(site src)
                   ~bytes:(String.length query);
                 match Ldbms.Session.exec_sql src.session query with
-                | Ok (Ldbms.Session.Rows rel) -> Ok rel
+                | Ok (Ldbms.Session.Rows rel) -> Ok (rel, stamp_of src.service)
                 | Ok _ ->
                     let m = "MOVE query did not produce rows" in
                     Error (Local (Ldbms.Session.Failed m))
                 | Error e -> Error (Local e))
           with
           | Error f -> Error f
-          | Ok rel -> (
+          | Ok (rel, stamp) -> (
               match
                 guard_site (fun () ->
                     World.send dst.world ~src:(site src) ~dst:(site dst)
@@ -340,7 +349,8 @@ let transfer ~cache ~reduce ~src ~dst ~query ~dest_table =
               | Error f -> Error f
               | Ok () ->
                   (match cache with
-                  | Some c -> c.tc_store ~src:src_name ~dst:dst_name ~query rel
+                  | Some c ->
+                      c.tc_store ~src:src_name ~dst:dst_name ~query ~stamp rel
                   | None -> ());
                   Ok
                     {
@@ -351,14 +361,9 @@ let transfer ~cache ~reduce ~src ~dst ~query ~dest_table =
                     }))
 
 let disconnect t =
-  (* The LDBMS aborts an orphaned {e active} transaction when the session
-     goes away; a {e prepared} transaction must survive — the participant
-     promised to await the coordinator's decision, and unilaterally
-     rolling it back could contradict a commit verdict already logged.
-     Undecided prepared work is the engine's to settle (presumed abort). *)
-  (match Ldbms.Session.txn_state t.session with
-  | Some Ldbms.Txn.Active -> ignore (Ldbms.Session.rollback t.session)
-  | Some _ | None -> ());
+  (* undecided prepared work survives the close; it is the engine's to
+     settle (presumed abort or verdict replay) *)
+  Ldbms.Session.close t.session;
   if not (World.is_down t.world (site t)) then
     match
       guard_site (fun () ->

@@ -68,10 +68,10 @@ val with_policy :
   t ->
   t
 (** The same connection under a different retry policy and observers
-    (defaults as for {!connect}). Used when a pooled connection is reused
-    by a later engine run: retries and MVCC observations must be reported
-    to the run that is executing, not to the one that originally
-    connected. *)
+    (defaults as for {!connect}), with the database's change stamp read
+    afresh. Used when a pooled connection is reused by a later engine
+    run: retries and MVCC observations are reported to the run that is
+    executing, and its MOVEs look up the cache under its own stamp. *)
 
 val failure_message : failure -> string
 (** The failure's text; a [Local] one is {!Ldbms.Session.error_to_string}. *)
@@ -107,17 +107,21 @@ val fetch : t -> string -> (Sqlcore.Relation.t, failure) result
 
 type transfer_cache = {
   tc_lookup :
-    src:string -> dst:string -> query:string -> Sqlcore.Relation.t option;
+    src:string -> dst:string -> query:string -> stamp:int ->
+    Sqlcore.Relation.t option;
   tc_store :
-    src:string -> dst:string -> query:string -> Sqlcore.Relation.t -> unit;
+    src:string -> dst:string -> query:string -> stamp:int ->
+    Sqlcore.Relation.t -> unit;
 }
 (** Shipped-result cache hook for {!transfer}. [src]/[dst] are service
     names and [query] is the final shipped SQL {e after} any semijoin
-    rewrite, so the reduction's key set is part of the key. The cache
-    owner (the multidatabase session) is responsible for invalidation —
-    entries must be dropped whenever either endpoint's database takes a
-    committed write, since the shipped relation depends on the source
-    data and, through the semijoin key set, on the destination data. *)
+    rewrite, so the reduction's key set is part of the key and the
+    destination's data needs no check of its own. [stamp] is the source
+    database's {!Ldbms.Database.change_stamp}: a lookup passes the value
+    learned when the run opened the source (on the dial's handshake, or
+    at the pool checkout), a store the value read after the shipped query
+    ran. An entry is valid only while the two are equal, so no writer has
+    to invalidate anything. *)
 
 val ack_bytes : int
 (** Wire size of a protocol acknowledgement; a MOVE's data message
@@ -169,9 +173,7 @@ val transfer :
     its own clock frame. *)
 
 val disconnect : t -> unit
-(** Close the session. An orphaned {e active} transaction is aborted by
-    the LDBMS itself; a {e prepared} transaction always survives at the
-    site — the participant awaits the coordinator's decision, so
-    undecided prepared work is the engine's to settle (presumed abort or
-    verdict replay). Charges a goodbye message when the site is
-    reachable. *)
+(** Close the session ({!Ldbms.Session.close}: an {e active} transaction
+    is rolled back, a {e prepared} one survives at the site, and is the
+    engine's to settle by presumed abort or verdict replay). Charges a
+    goodbye message when the site is reachable. *)

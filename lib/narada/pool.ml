@@ -32,17 +32,6 @@ let size t = Hashtbl.fold (fun _ es acc -> acc + List.length es) t.conns 0
 let checked_out t svc =
   Option.value ~default:0 (Hashtbl.find_opt t.in_use (key svc))
 
-(* A stale connection is one whose transport broke while it idled: the
-   real LDBMS notices the broken session and aborts its orphaned {e
-   active} transaction autonomously, which we model here. A {e prepared}
-   transaction must survive at the site (it awaits the coordinator's
-   verdict), so it is simply left alone. No goodbye message is charged —
-   there is no connection left to say goodbye on. *)
-let abandon lam =
-  match Ldbms.Session.txn_state (Lam.session lam) with
-  | Some Ldbms.Txn.Active -> ignore (Ldbms.Session.rollback (Lam.session lam))
-  | Some _ | None -> ()
-
 let healthy t e =
   let site = Lam.site e.lam in
   (not (World.is_down t.world site))
@@ -80,7 +69,10 @@ let checkout ?retry ?on_retry ?on_trace t (svc : Service.t) =
             end
             else begin
               tell (Trace.Pool_stale { service = name; site = Lam.site e.lam });
-              abandon e.lam;
+              (* the transport broke while it idled: the LDBMS ends the
+                 session itself, and there is no connection left to say
+                 goodbye on *)
+              Ldbms.Session.close (Lam.session e.lam);
               pick ()
             end
         | Some [] | None ->

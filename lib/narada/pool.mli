@@ -14,9 +14,10 @@
     since the connection was parked ({!Netsim.World.down_during} — an
     outage while idle breaks the transport even if the site has since
     recovered), and the session must hold no transaction. Stale
-    connections are discarded (their orphaned active transaction rolled
-    back, as the LDBMS does autonomously when a session dies) and a fresh
-    connection is dialed transparently.
+    connections are discarded ({!Ldbms.Session.close}, as the LDBMS ends
+    a dead session) and a fresh connection is dialed transparently. A
+    reused connection reads its database's change stamp as it passes
+    these checks, at no message cost, for the shipped-result cache.
 
     The pool keeps no counters. Each checkout reports what it did to the
     checkout's own [?on_trace] — the session that checked out: a

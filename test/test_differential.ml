@@ -458,39 +458,64 @@ let test_plan_cache_misses_after_import () =
   Alcotest.(check int) "the new plan is reused" (st.M.plan_hits + 1)
     (M.cache_stats session).M.plan_hits
 
-(* a committed update against the source database of a cached shipped
-   result must evict it; the re-shipped rows reflect the new data *)
+(* a cached shipped result must not outlive the data it was shipped
+   from, whoever writes it. The MOVE ships store's parts to market
+   unreduced, so store is the source and market the destination. An
+   update through the federation and an autonomous write by a local
+   application at store must each re-ship; an autonomous write at market
+   leaves the shipped text and store's data as they were, so the entry
+   stays valid. After each write the cache-on rows equal the merged
+   database's. *)
 let test_result_cache_misses_after_update () =
   let parts, sales = gen_data ~seed:6 ~n_parts:60 ~n_sales:90 in
   let session, world = make_fed ~parts ~sales () in
   M.set_result_cache session true;
+  let merged = merged_session ~parts ~sales in
+  let commit_local sess sql =
+    (match Ldbms.Session.exec_sql sess sql with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
+    match Ldbms.Session.commit sess with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m)
+  in
   let q = global_query ~cutoff:50.0 ~extra:"" in
+  let check msg ~served =
+    let hits = (M.cache_stats session).M.result_hits in
+    let got = global_rows session q in
+    Alcotest.(check int) (msg ^ ": served from the cache")
+      (if served then hits + 1 else hits)
+      (M.cache_stats session).M.result_hits;
+    let want = local_rows merged (local_query ~cutoff:50.0 ~extra:"") in
+    Alcotest.(check bool) (msg ^ ": rows equal the merged database") true
+      (Relation.equal_unordered got want);
+    (* warm again, so the next write has an entry to make stale *)
+    ignore (global_rows session q)
+  in
   ignore (global_rows session q);
   Netsim.World.reset_stats world;
   ignore (global_rows session q);
   let st = M.cache_stats session in
   Alcotest.(check bool) "repeat served from cache" true (st.M.result_hits > 0);
-  (* every part now costs nothing, so the < 50.0 probe matches them all *)
+  (* every part now costs nothing, so the < 50.0 filter keeps them all *)
   (match M.exec session "USE store UPDATE store.parts SET price = 0.0" with
   | Ok (M.Update_report { outcome = M.Success; _ }) -> ()
   | Ok r -> Alcotest.fail (M.result_to_string r)
   | Error m -> Alcotest.fail m);
-  let fresh = global_rows session q in
-  let st' = M.cache_stats session in
-  Alcotest.(check int) "update evicted the entry" st.M.result_hits
-    st'.M.result_hits;
-  let merged = merged_session ~parts ~sales in
-  (match
-     Ldbms.Session.exec_sql merged "UPDATE parts SET price = 0.0"
-   with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
-  (match Ldbms.Session.commit merged with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail (Ldbms.Session.error_to_string m));
-  let want = local_rows merged (local_query ~cutoff:50.0 ~extra:"") in
-  Alcotest.(check bool) "re-shipped rows reflect the update" true
-    (Relation.equal_unordered fresh want)
+  commit_local merged "UPDATE parts SET price = 0.0";
+  check "federated update" ~served:false;
+  let autonomous db sql =
+    let database =
+      (Option.get (Narada.Directory.find_opt (M.directory session) db))
+        .Narada.Service.database
+    in
+    commit_local (Ldbms.Session.connect database Caps.ingres_like) sql;
+    commit_local merged sql
+  in
+  autonomous "store" "UPDATE parts SET price = 75.0 WHERE pid < 30";
+  check "autonomous write at the source" ~served:false;
+  autonomous "market" "UPDATE sales SET qty = qty + 10 WHERE sid < 45";
+  check "autonomous write at the destination" ~served:true
 
 (* ---- hash-join planner vs filtered product --------------------------- *)
 

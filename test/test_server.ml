@@ -491,6 +491,61 @@ let test_shared_cache_epoch_invalidation () =
   Alcotest.(check int) "stale shared plan not served" 0 cs2.M.plan_hits;
   Alcotest.(check int) "replanned under the new epoch" 1 cs2.M.plan_misses
 
+(* an autonomous commit lands at the source of a shared shipped entry
+   between rounds, while the members' connections idle in the shared
+   pool: the next checkout learns the source's new stamp, so the read
+   ships again and answers the new data *)
+let test_shared_cache_autonomous_write () =
+  let fx = F.make () in
+  let srv = S.of_fixtures ~config:(config ()) fx in
+  let _, events = traced srv in
+  let s1 = connect_exn srv and s2 = connect_exn srv in
+  let q =
+    "USE avis national SELECT c.code, v.vcode FROM avis.cars c, \
+     national.vehicle v WHERE c.cartype = v.vty"
+  in
+  let round () =
+    List.iter (fun sid -> ignore (submit_exn srv sid q)) [ s1; s2 ];
+    List.map (fun c -> M.result_to_string (ok_result c.S.c_result)) (S.drain srv)
+  in
+  let misses () =
+    List.fold_left
+      (fun acc sid ->
+        acc + (M.cache_stats (Option.get (S.session srv sid))).M.result_misses)
+      0 [ s1; s2 ]
+  in
+  ignore (round ());
+  let warm = misses () in
+  let before = round () in
+  Alcotest.(check int) "a quiet round ships nothing" warm (misses ());
+  (* the join ships national's vehicles to avis *)
+  let national = Option.get (Narada.Directory.find_opt fx.F.directory "national") in
+  Alcotest.(check bool) "national is the MOVE source" true
+    (List.exists
+       (fun ev ->
+         match ev.Trace.kind with
+         | Trace.Moved { src; _ } -> src = national.Narada.Service.site
+         | _ -> false)
+       (events ()));
+  let local =
+    Ldbms.Session.connect national.Narada.Service.database
+      national.Narada.Service.caps
+  in
+  let local_ok = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Ldbms.Session.error_to_string e)
+  in
+  local_ok
+    (Ldbms.Session.exec_sql local
+       "UPDATE vehicle SET vty = 'suv' WHERE vcode = 12");
+  local_ok (Ldbms.Session.commit local);
+  let after = round () in
+  Alcotest.(check bool) "the write reshipped" true (misses () > warm);
+  let want = M.result_to_string (ok_result (M.exec fx.F.session q)) in
+  Alcotest.(check (list string)) "fresh rows for both members" [ want; want ]
+    after;
+  Alcotest.(check bool) "the rows changed" true (before <> after)
+
 (* members share the block's parse table: whichever session parses a text
    first, every other gets that same tree back *)
 let test_shared_parse () =
@@ -645,6 +700,8 @@ let () =
             `Quick test_shared_cache_accounting;
           Alcotest.test_case "shared epoch invalidation" `Quick
             test_shared_cache_epoch_invalidation;
+          Alcotest.test_case "autonomous write at a shared source" `Quick
+            test_shared_cache_autonomous_write;
           Alcotest.test_case "members share one parse" `Quick test_shared_parse;
           Alcotest.test_case "parse error over the wire, twice" `Quick
             test_parse_error_over_wire;
