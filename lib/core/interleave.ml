@@ -1,9 +1,9 @@
 (* Deterministic interleaving harness: several sessions' statements
    stepped against shared sites under a scripted or seeded schedule.
-   Everything runs sequentially over one shared virtual-time world, so a
-   given (participants, schedule) pair always produces the same
-   interleaving — anomaly scenarios in the test suites are exact
-   replays, never races. *)
+   Everything runs sequentially over one shared world, each participant
+   on its own virtual clock, so a given (participants, schedule) pair
+   always produces the same interleaving — anomaly scenarios in the test
+   suites are exact replays, never races. *)
 
 type participant = {
   label : string;
@@ -18,99 +18,111 @@ type schedule =
 
 type outcome = (string * (Msession.result, string) result) list
 
+module World = Netsim.World
+
 type slot = {
   s_label : string;
   s_prep : (Msession.prepared, string) result;
   mutable s_live : bool;  (* still has DOL statements to step *)
+  mutable s_clock : float;  (* where its last step (or epilogue) stopped *)
 }
 
 let canon = String.lowercase_ascii
 
-(* step the slot once; [false] when it had nothing left *)
-let step_slot s =
-  match s.s_prep with
-  | Error _ -> false
-  | Ok prep ->
-      if not s.s_live then false
-      else begin
-        let ran = Msession.step prep in
-        if not ran then s.s_live <- false;
-        ran
-      end
+(* Every participant is its own thread of control in virtual time: its
+   steps and its epilogue run in a clock frame resumed where its previous
+   one stopped, so its elapsed time is its own work, not everyone's. *)
+let on_clock world s f =
+  let r, clock = World.in_frame world ~start_ms:s.s_clock f in
+  s.s_clock <- clock;
+  r
 
-let live slots = List.filter (fun s -> s.s_live) slots
+(* step the slot once; [false] when it had nothing left *)
+let step_slot world s =
+  match s.s_prep with
+  | Ok prep when s.s_live ->
+      s.s_live <- on_clock world s (fun () -> Msession.step prep);
+      s.s_live
+  | Ok _ | Error _ -> false
 
 (* cycle in list order, one statement each, until every program is
    exhausted; a program is not stepped again once its step returns
    [false] *)
-let rec round_robin preps =
-  match List.filter Msession.step preps with
+let rec drain_round_robin world slots =
+  match List.filter (step_slot world) slots with
   | [] -> ()
-  | live -> round_robin live
+  | live -> drain_round_robin world live
 
-let drain_round_robin slots =
-  round_robin
-    (List.filter_map
-       (fun s -> if s.s_live then Result.to_option s.s_prep else None)
-       slots)
-
-let run_script slots script =
+let run_script world slots script =
   List.iter
     (fun label ->
       match
         List.find_opt (fun s -> String.equal (canon s.s_label) (canon label)) slots
       with
       | None -> invalid_arg (Printf.sprintf "Interleave: unknown label %s" label)
-      | Some s -> ignore (step_slot s))
+      | Some s -> ignore (step_slot world s))
     script
 
 (* a tiny deterministic LCG; quality does not matter, stability does *)
-let run_seeded slots seed =
+let run_seeded world slots seed =
   let state = ref (seed land 0x3FFFFFFF) in
   let next bound =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
     !state mod bound
   in
   let rec go () =
-    match live slots with
+    match List.filter (fun s -> s.s_live) slots with
     | [] -> ()
     | alive ->
         let s = List.nth alive (next (List.length alive)) in
-        ignore (step_slot s);
+        ignore (step_slot world s);
         go ()
   in
   go ()
 
-let run ~schedule participants =
+(* Every participant starts at the world clock. Whatever the schedule
+   left unstepped completes round-robin, so a script only needs to pin
+   the contended prefix. The epilogues (in-doubt resolution, split
+   settlement, connection release, interpretation, triggers) run in
+   declaration order, exactly as each participant's own [exec] would end;
+   then the world clock advances to the latest finish. *)
+let play world ~schedule labelled =
+  let t0 = World.now_ms world in
   let slots =
     List.map
-      (fun p ->
-        let prep = Msession.prepare_text p.session p.sql in
-        {
-          s_label = p.label;
-          s_prep = prep;
-          s_live = (match prep with Ok _ -> true | Error _ -> false);
-        })
-      participants
+      (fun (label, prep) ->
+        { s_label = label; s_prep = prep; s_live = Result.is_ok prep; s_clock = t0 })
+      labelled
   in
   (match schedule with
-  | Round_robin -> drain_round_robin slots
-  | Script script ->
-      run_script slots script;
-      (* whatever the script left unstepped completes round-robin, so a
-         script only needs to pin the contended prefix *)
-      drain_round_robin slots
-  | Seeded seed -> run_seeded slots seed);
-  (* epilogues in declaration order: in-doubt resolution, split
-     settlement and connection release happen per participant, exactly as
-     its own [run] would have done at the end *)
-  List.map
-    (fun s ->
-      ( s.s_label,
-        match s.s_prep with
-        | Error m -> Error m
-        | Ok prep -> Msession.finish prep ))
-    slots
+  | Round_robin -> ()
+  | Script script -> run_script world slots script
+  | Seeded seed -> run_seeded world slots seed);
+  drain_round_robin world slots;
+  let outcome =
+    List.map
+      (fun s ->
+        ( s.s_label,
+          Result.bind s.s_prep (fun prep ->
+              on_clock world s (fun () -> Msession.finish prep)) ))
+      slots
+  in
+  World.advance_ms world
+    (List.fold_left (fun latest s -> max latest s.s_clock) t0 slots -. t0);
+  outcome
+
+let round_robin world preps =
+  List.map snd
+    (play world ~schedule:Round_robin (List.map (fun p -> ("", Ok p)) preps))
+
+let run ~schedule participants =
+  match participants with
+  | [] -> []
+  | p0 :: _ ->
+      play (Msession.world p0.session) ~schedule
+        (List.map
+           (fun p -> (p.label, Msession.prepare_text p.session p.sql))
+           participants)
 
 let result_of outcome label =
   match

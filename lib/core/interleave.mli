@@ -7,9 +7,9 @@
     [Msession.create ~world ~directory]) so their DOL programs hit the
     same sites. The harness plans every participant with
     {!Msession.prepare_text}, then executes their DOL statements one at
-    a time under the given schedule over the shared virtual clock: a
-    given (participants, schedule) pair always produces the same
-    interleaving, so the chaos and differential suites
+    a time under the given schedule: a given (participants, schedule)
+    pair always produces the same interleaving, so the chaos and
+    differential suites
     can script write-write anomaly scenarios (lost update, cross-site
     write skew) and assert the serial-equivalent outcome or the clean
     first-committer-wins abort — as exact replays, never races.
@@ -17,7 +17,13 @@
     Statement granularity: one step is one top-level DOL statement (a
     PARBEGIN block counts as one), so interleavings switch participants
     between OPENs, TASKs, COMMITs and CLOSEs — the windows where MVCC
-    snapshots and first-committer-wins races are decided. *)
+    snapshots and first-committer-wins races are decided.
+
+    Timing: every participant starts at the world clock, and its steps
+    and epilogue run in its own clock frame ({!Netsim.World.in_frame}),
+    resumed where its last step stopped; then the world advances to the
+    latest finish. Effects keep the schedule's order; sites are free of
+    contention. *)
 
 type participant = {
   label : string;  (** name used by {!Script} and in the outcome *)
@@ -53,11 +59,10 @@ val run : schedule:schedule -> participant list -> outcome
     exactly as {!Msession.exec} would. A participant whose parsing or
     planning fails contributes its error and takes no steps. *)
 
-val round_robin : Msession.prepared list -> unit
-(** The {!Round_robin} stepper: step each program once, in list order,
-    and cycle until every program is exhausted. A program whose
-    {!Msession.step} returns [false] is not stepped again. Runs no
-    epilogue; the server's wave scheduler uses it for each group. *)
+val round_robin :
+  Netsim.World.t -> Msession.prepared list -> (Msession.result, string) result list
+(** {!run} under {!Round_robin} over prepared statements, returning the
+    results in list order: the server runs each round on it. *)
 
 val result_of : outcome -> string -> (Msession.result, string) result
 (** The entry for a label (case-insensitive). *)

@@ -875,30 +875,8 @@ type prepared = {
   p_stepper : Engine.stepper option;  (* None: the statement takes no steps *)
   p_run : unit -> (result, string) Stdlib.result;
       (* the engine epilogue and interpretation, or the whole statement *)
-  p_move_dsts : string list;
-      (* destinations of the program's MOVEs — the sites where it creates
-         shipped temp tables (msql_tmp_<k>, named per plan, not per
-         session), the only sites a retrieval writes to *)
   mutable p_result : (result, string) Stdlib.result option;
 }
-
-(* MOVE destinations, lowercased, deduplicated and sorted *)
-let program_move_dsts (program : D.program) =
-  let acc = ref [] in
-  let rec stmt = function
-    | D.Move { dst; _ } -> acc := String.lowercase_ascii dst :: !acc
-    | D.Parallel body -> List.iter stmt body
-    | D.If (_, thens, elses) ->
-        List.iter stmt thens;
-        List.iter stmt elses
-    | D.Open _ | D.Close _ | D.Task _ | D.Commit_tasks _ | D.Abort_tasks _
-    | D.Comp _ | D.Set_status _ ->
-        ()
-  in
-  List.iter stmt program;
-  List.sort_uniq String.compare !acc
-
-let prepared_move_dsts p = p.p_move_dsts
 
 let prepare t tl =
   tell t Narada.Trace.Statement;
@@ -912,7 +890,6 @@ let prepare t tl =
           let r = Engine.finish stepper in
           Result.iter (fun o -> t.last_outcome <- Some o) r;
           Result.bind r (interpret plan));
-      p_move_dsts = program_move_dsts plan.Plangen.program;
       p_result = None;
     }
   in
@@ -922,7 +899,6 @@ let prepare t tl =
         p_session = t;
         p_stepper = None;
         p_run = run;
-        p_move_dsts = [];
         p_result = None;
       }
   in

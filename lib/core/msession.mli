@@ -147,13 +147,6 @@ val finish : prepared -> (result, string) Stdlib.result
     and fire triggers. Memoized: a second call returns the first
     result and runs nothing. *)
 
-val prepared_move_dsts : prepared -> string list
-(** The services the program's MOVEs ship into — where it creates
-    temporary tables ([msql_tmp_<k>], named per plan, not per session).
-    Empty for single-database statements and replicated updates. The
-    server's scheduler refuses to interleave two statements whose
-    MOVE destinations intersect: their temp-table names would collide. *)
-
 val set_typed_trace : t -> (Narada.Trace.event -> unit) option -> unit
 (** Install a trace sink: every DOL engine coordination event of
     subsequent queries, each consultation of the pool, plan and

@@ -326,14 +326,14 @@ let plan_global ad (_q : Ast.query) (dp : Decompose.plan) =
   {
     program = List.map (open_stmt ad) dbs @ body @ close;
     task_bindings =
-      [
-        {
-          task = "t_q";
-          bdb = dp.Decompose.result_db;
-          vital = Ast.Non_vital;
-          retrieval = true;
-        };
-      ];
+      { task = "t_q"; bdb = dp.Decompose.result_db; vital = Ast.Non_vital;
+        retrieval = true }
+      (* every shipped subquery is vital to the answer *)
+      :: List.map
+           (fun (s : Decompose.shipped) ->
+             let db = s.Decompose.sdb in
+             { task = move_name db; bdb = db; vital = Ast.Vital; retrieval = false })
+           dp.Decompose.shipped;
   }
 
 (* ---- data transfer (INSERT ... SELECT across databases) --------------------- *)

@@ -18,7 +18,7 @@ exception Error of string
     a COMP clause (§3.3), or a database missing from the AD. *)
 
 type binding = {
-  task : string;  (** DOL task name *)
+  task : string;  (** DOL task or MOVE name *)
   bdb : string;  (** database it runs against *)
   vital : Ast.vital;
   retrieval : bool;  (** the task's script ends in a SELECT *)
@@ -34,7 +34,9 @@ val plan_global : Ad.t -> Ast.query -> Decompose.plan -> plan
 (** Plan for a decomposed cross-database SELECT: parallel MOVEs of the
     local subqueries to the coordinator, the modified query Q' there, and
     cleanup of the temporaries. The result is labelled with the plan's
-    [result_db], not with the coordinator. *)
+    [result_db], not with the coordinator. Each MOVE is bound, vital, to
+    its source database, so an abort names the sources that did not
+    ship. *)
 
 val plan_transfer :
   Ad.t ->

@@ -8,12 +8,11 @@
    each member uses in place of its private one. The server is
    sequential: nothing it shares needs a lock. The scheduler is a
    synchronous wave loop: each round admits at most one statement per
-   session in connect order, then partitions the wave into groups and
-   runs each group on {!Interleave.round_robin}, one DOL statement per
-   member in turn (deterministic). The only interleaving hazard is the
-   shipped MOVE temp tables (msql_tmp_<k>, named per plan, not per
-   session), so statements shipping into a common site never share a
-   group.
+   session in connect order and runs the whole wave as one
+   {!Interleave.round_robin} group, one DOL statement per member in turn
+   (deterministic), each member on its own virtual clock. A MOVE lands
+   in the receiving connection, not in a catalog, so members shipping
+   into one site cannot collide on a temp name.
 
    A statement that loses a race for a capped connection fails with the
    pool's busy marker; the scheduler detects it on the session's typed
@@ -228,14 +227,6 @@ let queued t =
 
 (* ---- the wave scheduler ---- *)
 
-type wave_item = {
-  w_entry : entry;
-  w_pending : pending;
-  w_prep : Msession.prepared;
-  w_move_dsts : string list;
-  mutable w_result : (Msession.result, string) result option;
-}
-
 let push_front q x =
   let tmp = Queue.create () in
   Queue.add x tmp;
@@ -253,45 +244,6 @@ let retriable = function
   | Ok (Msession.Update_report { outcome = Msession.Aborted; _ }) -> true
   | Ok (Msession.Mtx_report { chosen = None; incorrect = false; _ }) -> true
   | Ok _ -> false
-
-(* Interleave's round robin at DOL-statement granularity, then the
-   epilogues in wave order *)
-let run_serial group =
-  Interleave.round_robin (List.map (fun it -> it.w_prep) group);
-  List.iter
-    (fun it ->
-      it.w_result <-
-        Some (try Msession.finish it.w_prep
-              with exn -> Error (Printexc.to_string exn)))
-    group
-
-let disjoint a b = List.for_all (fun s -> not (List.mem s b)) a
-
-(* serial interleaving only conflicts through the shipped MOVE temp
-   tables (msql_tmp_<k>, named per plan, not per session): statements
-   shipping into a common site would collide on the temp name, so they
-   never share an interleaved group. Everything else — including two
-   single-site statements racing for a capped connection — interleaves
-   freely. Greedy first-fit, preserving wave order within and across
-   groups. *)
-let partition_serial wave =
-  let groups =
-    List.fold_left
-      (fun groups it ->
-        let rec place = function
-          | [] -> [ (ref [ it ], ref it.w_move_dsts) ]
-          | (items, dsts) :: rest ->
-              if disjoint it.w_move_dsts !dsts then begin
-                items := it :: !items;
-                dsts := it.w_move_dsts @ !dsts;
-                (items, dsts) :: rest
-              end
-              else (items, dsts) :: place rest
-        in
-        place groups)
-      [] wave
-  in
-  List.map (fun (items, _) -> List.rev !items) groups
 
 let step_round t =
   let completions = ref [] in
@@ -318,29 +270,17 @@ let step_round t =
                       c_requeues = p.q_requeues;
                     };
                   None
-              | Ok prep ->
-                  Some
-                    {
-                      w_entry = e;
-                      w_pending = p;
-                      w_prep = prep;
-                      w_move_dsts = Msession.prepared_move_dsts prep;
-                      w_result = None;
-                    }
+              | Ok prep -> Some (e, p, prep)
             end)
       t.ring
   in
   if wave <> [] then begin
     t.sstats.rounds <- t.sstats.rounds + 1;
-    List.iter run_serial (partition_serial wave);
-    List.iter
-      (fun it ->
-        let e = it.w_entry and p = it.w_pending in
-        let r =
-          match it.w_result with
-          | Some r -> r
-          | None -> Error "server: statement never ran"
-        in
+    let results =
+      Interleave.round_robin t.world (List.map (fun (_, _, prep) -> prep) wave)
+    in
+    List.iter2
+      (fun (e, p, _) r ->
         let still_open = Hashtbl.mem t.sessions e.e_sid in
         if
           e.e_busy && retriable r
@@ -366,7 +306,7 @@ let step_round t =
               c_requeues = p.q_requeues;
             }
         end)
-      wave
+      wave results
   end;
   List.rev !completions
 

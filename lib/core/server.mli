@@ -21,12 +21,13 @@
 
     Scheduling is a synchronous {e wave} loop ({!step_round}): each
     round admits at most one statement per session in connect order —
-    per-session fairness at statement granularity — then partitions the
-    wave into groups and runs each group on {!Interleave.round_robin},
-    one DOL statement per member in turn, deterministically. The only
-    interleaving hazard is the shipped MOVE temp tables (named per plan,
-    not per session — see {!Msession.prepared_move_dsts}), so statements
-    shipping into a common site never share a group.
+    per-session fairness at statement granularity — then runs the whole
+    wave as one {!Interleave.round_robin} group, one DOL statement per
+    member in turn, deterministically. Each member steps on its own
+    virtual clock, so a round advances the world clock by its slowest
+    member, not by the sum. Members shipping into one site share nothing:
+    a MOVE's temp table lands in the receiving LAM connection
+    ({!Narada.Lam.transfer}), which belongs to one member's run.
 
     A statement that loses a race for a capped connection fails its OPEN
     with [Narada.Lam.Busy]; the scheduler observes it on the session's

@@ -141,8 +141,7 @@ let load t ~name schema rows =
   if Hashtbl.mem t.tables (key name) then ignore (drop_table t name);
   let tbl = create_table t ~name schema in
   (* loaded data is a committed version: a snapshot taken before the load
-     must not observe it (MOVE materializations replace shipped tables
-     mid-flight, and snapshot readers keep their frozen view) *)
+     must not observe it, and keeps its frozen view *)
   Table.load tbl ~ts:(next_commit_ts t) rows
 
 let find_view_opt t n = Option.map snd (Hashtbl.find_opt t.views (key n))

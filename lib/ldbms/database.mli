@@ -84,8 +84,9 @@ val catalog : t -> (string * Sqlcore.Schema.t) list
     local conceptual schema. *)
 
 val load : t -> name:string -> Sqlcore.Schema.t -> Sqlcore.Row.t list -> unit
-(** Create a table and bulk-load rows; convenience for fixtures and MOVE
-    materialization. Replaces any existing table with that name, as
+(** Create a table and bulk-load rows; convenience for fixtures and
+    local loads (a MOVE lands in the receiving session instead,
+    {!Session.land_table}). Replaces any existing table with that name, as
     {!drop_table} would: the old table's index entries go with it. *)
 
 (** {2 Views}

@@ -97,13 +97,13 @@ type join_leaf = {
   jl_access : access;
 }
 
-let load_leaf ~eval_select ~depth ?txn db (r : Ast.table_ref) =
+let load_leaf ~eval_select ~depth ~tables ?txn db (r : Ast.table_ref) =
   let label = Option.value r.Ast.alias ~default:r.Ast.table in
   let leaf rel card access =
     { jl_label = label; jl_rel = Relation.requalify (Some label) rel; jl_card = card;
       jl_access = access }
   in
-  match Database.find_table_opt db r.Ast.table with
+  match tables r.Ast.table with
   | Some tbl -> (
       match visible txn tbl with
       | `Current -> leaf (Table.to_relation tbl) (Table.cardinality tbl) (Base (tbl, None))
@@ -511,22 +511,23 @@ let aggregate_select ctx schema input (s : Ast.select) =
 
 (* The compilation context of one statement: [outer] is the row enclosing
    a subquery, and a nested SELECT runs with the current row as its own. *)
-let rec statement_ctx ~depth ?txn db outer =
+let rec statement_ctx ~depth ~tables ?txn db outer =
   {
     Compile.outer;
-    subquery = (fun env q -> select_unwrapped ~depth ?txn db ~outer:env q);
+    subquery = (fun env q -> select_unwrapped ~depth ~tables ?txn db ~outer:env q);
     group = None;
   }
 
-and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
-  let ctx = statement_ctx ~depth ?txn db outer in
+and select_unwrapped ~depth ~tables ?txn db ?outer (s : Ast.select) =
+  let ctx = statement_ctx ~depth ~tables ?txn db outer in
   let input =
     if s.Ast.from = [] then err "empty FROM clause";
     let leaves =
       List.map
         (load_leaf
-           ~eval_select:(fun q -> select_unwrapped ~depth:(depth + 1) ?txn db q)
-           ~depth ?txn db)
+           ~eval_select:(fun q ->
+             select_unwrapped ~depth:(depth + 1) ~tables ?txn db q)
+           ~depth ~tables ?txn db)
         s.Ast.from
     in
     let product leaves =
@@ -561,7 +562,10 @@ and select_unwrapped ~depth ?txn db ?outer (s : Ast.select) =
   in
   if s.Ast.distinct then Relation.distinct result else result
 
-let run_select ?txn db s = wrap (fun () -> select_unwrapped ~depth:0 ?txn db s)
+let select ~tables ?txn db s =
+  wrap (fun () -> select_unwrapped ~depth:0 ~tables ?txn db s)
+
+let run_select ?txn db s = select ~tables:(Database.find_table_opt db) ?txn db s
 
 (* ---- DML ---------------------------------------------------------------- *)
 
@@ -604,11 +608,11 @@ let coerce_for_column (c : Schema.column) v =
       err "value %s does not fit column %s of type %s" (Value.to_string v)
         c.Schema.name (Ty.to_string c.Schema.ty)
 
-let run_insert db ~txn ~table ~columns ~source =
+let run_insert ~tables db ~txn ~table ~columns ~source =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx = statement_ctx ~depth:0 ~txn db None in
+      let ctx = statement_ctx ~depth:0 ~tables ~txn db None in
       let make_full_row provided_cols values =
         match provided_cols with
         | None ->
@@ -636,7 +640,7 @@ let run_insert db ~txn ~table ~columns ~source =
                   (List.map (fun e -> Compile.compile ctx [] e [||]) row_exprs))
               exprs
         | Ast.Query q ->
-            let r = select_unwrapped ~depth:0 ~txn db q in
+            let r = select_unwrapped ~depth:0 ~tables ~txn db q in
             List.map
               (fun row -> make_full_row columns (Row.to_list row))
               (Relation.rows r)
@@ -646,11 +650,11 @@ let run_insert db ~txn ~table ~columns ~source =
       Txn.stage txn tbl ~op:"write" (before @ rows);
       List.length rows)
 
-let run_update db ~txn ~table ~assignments ~where =
+let run_update ~tables db ~txn ~table ~assignments ~where =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx = statement_ctx ~depth:0 ~txn db None in
+      let ctx = statement_ctx ~depth:0 ~tables ~txn db None in
       let targets =
         List.map
           (fun (cname, e) ->
@@ -682,11 +686,11 @@ let run_update db ~txn ~table ~assignments ~where =
       Txn.stage txn tbl ~op:"write" (List.map fst planned);
       List.length (List.filter snd planned))
 
-let run_delete db ~txn ~table ~where =
+let run_delete ~tables db ~txn ~table ~where =
   wrap (fun () ->
       let tbl = Database.find_table db table in
       let schema = Table.schema tbl in
-      let ctx = statement_ctx ~depth:0 ~txn db None in
+      let ctx = statement_ctx ~depth:0 ~tables ~txn db None in
       let matches =
         match where with None -> fun _ -> true | Some pred -> predicate ctx schema pred
       in
@@ -714,7 +718,7 @@ let run_drop_table db ~txn ~table =
 let run_create_view db ~txn ~view ~query =
   wrap (fun () ->
       (* validate by evaluating once; errors surface before registration *)
-      ignore (select_unwrapped ~depth:0 ~txn db query);
+      ignore (select_unwrapped ~depth:0 ~tables:(Database.find_table_opt db) ~txn db query);
       Database.create_view db ~name:view query;
       Txn.log_create_view txn db view)
 
@@ -724,7 +728,8 @@ let run_drop_view db ~txn ~view =
       Txn.log_drop_view txn db view q)
 
 let view_schema db query =
-  wrap (fun () -> Relation.schema (select_unwrapped ~depth:0 db query))
+  wrap (fun () ->
+      Relation.schema (select_unwrapped ~depth:0 ~tables:(Database.find_table_opt db) db query))
 
 let run_create_index db ~txn ~index ~table ~column =
   wrap (fun () ->

@@ -30,11 +30,20 @@ val compiled_cache_stats : unit -> int * int * int
 (** Always [(0, 0, 0)]: predicates compile once per statement and nothing
     is cached. No effect; kept only because [msqlbench/] reads it. *)
 
-val run_select : ?txn:Txn.t -> Database.t -> Sqlfront.Ast.select -> Sqlcore.Relation.t
+val select :
+  tables:(string -> Table.t option) ->
+  ?txn:Txn.t -> Database.t -> Sqlfront.Ast.select -> Sqlcore.Relation.t
 (** Without [txn], reads the latest committed versions; with it, the
-    transaction's snapshot view including its staged writes. *)
+    transaction's snapshot view including its staged writes. [tables]
+    resolves a FROM leaf's name, here and in the DML statements below (a
+    {!Session} tries its landing tables first); views and DML targets
+    are the catalog's. *)
+
+val run_select : ?txn:Txn.t -> Database.t -> Sqlfront.Ast.select -> Sqlcore.Relation.t
+(** {!select} over the catalog's tables. *)
 
 val run_insert :
+  tables:(string -> Table.t option) ->
   Database.t ->
   txn:Txn.t ->
   table:string ->
@@ -44,6 +53,7 @@ val run_insert :
 (** Number of rows inserted. *)
 
 val run_update :
+  tables:(string -> Table.t option) ->
   Database.t ->
   txn:Txn.t ->
   table:string ->
@@ -53,6 +63,7 @@ val run_update :
 (** Number of rows updated. *)
 
 val run_delete :
+  tables:(string -> Table.t option) ->
   Database.t -> txn:Txn.t -> table:string -> where:Sqlfront.Ast.expr option -> int
 
 val run_create_table :

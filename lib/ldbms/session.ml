@@ -39,6 +39,8 @@ type t = {
   injector : Failure_injector.t;
   mutable txn : Txn.t option;
   mutable observer : (obs -> unit) option;
+  mutable landed : (string * Table.t) list;
+      (* the connection's landing tables, keyed by canonical name *)
 }
 
 let connect ?injector db caps =
@@ -49,6 +51,7 @@ let connect ?injector db caps =
       (match injector with Some i -> i | None -> Failure_injector.create ());
     txn = None;
     observer = None;
+    landed = [];
   }
 
 let database t = t.db
@@ -63,6 +66,23 @@ let txn_state t =
   | Some _ | None -> None
 
 let in_transaction t = txn_state t <> None
+
+let landed t name = List.assoc_opt (Sqlcore.Names.canon name) t.landed
+
+(* name resolution for this connection: its landing tables shadow the
+   catalog's *)
+let tables t name =
+  match landed t name with
+  | Some _ as tbl -> tbl
+  | None -> Database.find_table_opt t.db name
+
+let land_table t ~name schema rows =
+  let tbl = Table.create ~name schema in
+  (* committed before every snapshot: the connection's own transaction
+     sees its landing table whatever its age *)
+  Table.load tbl ~ts:0 rows;
+  let k = Sqlcore.Names.canon name in
+  t.landed <- (k, tbl) :: List.remove_assoc k t.landed
 
 let current_txn t =
   match t.txn with
@@ -173,11 +193,12 @@ let run_write t ~is_ddl ~forces_commit body =
               else Ok r))
 
 let exec t stmt =
+  let tables = tables t in
   match (stmt : Ast.stmt) with
   | Ast.Select s -> (
       (* inside a transaction the SELECT reads the begin snapshot plus the
          transaction's own staged writes; outside, the latest committed *)
-      match Exec.run_select ?txn:(read_txn t) t.db s with
+      match Exec.select ~tables ?txn:(read_txn t) t.db s with
       | r -> Ok (Rows r)
       | exception Exec.Error m -> Error (Failed m))
   | Ast.Begin_txn ->
@@ -195,13 +216,13 @@ let exec t stmt =
   | Ast.Insert { table; columns; source } ->
       run_write t ~is_ddl:false ~forces_commit:t.caps.Capabilities.insert_commits
         (fun txn ->
-          Affected (Exec.run_insert t.db ~txn ~table ~columns ~source))
+          Affected (Exec.run_insert ~tables t.db ~txn ~table ~columns ~source))
   | Ast.Update { table; assignments; where } ->
       run_write t ~is_ddl:false ~forces_commit:false (fun txn ->
-          Affected (Exec.run_update t.db ~txn ~table ~assignments ~where))
+          Affected (Exec.run_update ~tables t.db ~txn ~table ~assignments ~where))
   | Ast.Delete { table; where } ->
       run_write t ~is_ddl:false ~forces_commit:false (fun txn ->
-          Affected (Exec.run_delete t.db ~txn ~table ~where))
+          Affected (Exec.run_delete ~tables t.db ~txn ~table ~where))
   | Ast.Create_table { table; columns } ->
       run_write t ~is_ddl:true ~forces_commit:t.caps.Capabilities.create_commits
         (fun txn ->
@@ -210,7 +231,9 @@ let exec t stmt =
   | Ast.Drop_table { table } ->
       run_write t ~is_ddl:true ~forces_commit:t.caps.Capabilities.drop_commits
         (fun txn ->
-          Exec.run_drop_table t.db ~txn ~table;
+          (match landed t table with
+          | Some tbl -> t.landed <- List.filter (fun (_, l) -> l != tbl) t.landed
+          | None -> Exec.run_drop_table t.db ~txn ~table);
           Done)
   | Ast.Create_view { view; view_query } ->
       run_write t ~is_ddl:true ~forces_commit:t.caps.Capabilities.create_commits
@@ -256,7 +279,9 @@ let prepare t = do_prepare t
 
 (* a prepared transaction outlives its session: the participant promised
    to await the coordinator's verdict, which may be a logged commit *)
-let close t = if txn_state t = Some Txn.Active then ignore (do_rollback t)
+let close t =
+  t.landed <- [];
+  if txn_state t = Some Txn.Active then ignore (do_rollback t)
 
 let result_to_string = function
   | Rows r -> Sqlcore.Relation.to_string r

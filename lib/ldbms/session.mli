@@ -59,6 +59,15 @@ val txn_state : t -> Txn.state option
 
 val in_transaction : t -> bool
 
+val land_table :
+  t -> name:string -> Sqlcore.Schema.t -> Sqlcore.Row.t list -> unit
+(** Materialize a relation this connection received (a MOVE's landing
+    table), replacing any landing table of that name. It never enters
+    the catalog, so it moves neither {!Database.change_stamp} nor the
+    timestamp oracle. Only this session's reads see it, where it shadows
+    a catalog table of the same name. DROP TABLE removes it under the
+    usual transaction discipline, with no undo; {!close} drops all. *)
+
 val exec : t -> Sqlfront.Ast.stmt -> (result, error) Stdlib.result
 (** Execute one statement. Any open transaction is rolled back on error,
     as a local DBMS would abort the victim. On a [Ddl_autocommits] engine
@@ -81,7 +90,9 @@ val prepare : t -> (unit, error) Stdlib.result
 
 val close : t -> unit
 (** End the session, as the LDBMS does when its client hangs up or the
-    connection breaks: an {e active} transaction is rolled back, a {e
-    prepared} one survives to await its coordinator's verdict. *)
+    connection breaks: the landing tables go, an {e active} transaction
+    is rolled back, a {e prepared} one survives to await its
+    coordinator's verdict. The session stays usable: a pool closes a
+    session it parks. *)
 
 val result_to_string : result -> string

@@ -298,8 +298,10 @@ let transfer ~cache ~reduce ~src ~dst ~query ~dest_table =
   in
   let src_name = src.service.Service.service_name in
   let dst_name = dst.service.Service.service_name in
+  (* the relation lands in the receiving connection, never in its
+     database's catalog *)
   let materialize rel =
-    Ldbms.Database.load dst.service.Service.database ~name:dest_table
+    Ldbms.Session.land_table dst.session ~name:dest_table
       (Sqlcore.Relation.schema rel)
       (Sqlcore.Relation.rows rel);
     Sqlcore.Relation.cardinality rel
@@ -307,8 +309,8 @@ let transfer ~cache ~reduce ~src ~dst ~query ~dest_table =
   (* Shipped-result cache: the key is the final query text — after the
      semijoin rewrite, so the key set is part of the key — plus both
      endpoints, and an entry is valid only under the source's change stamp
-     it was stored with (a miss reads it back with the rows). A hit
-     re-materializes the relation at the destination without touching the
+     it was stored with (a miss reads it back with the rows). A hit lands
+     the relation in the destination connection without touching the
      network or the source at all: zero messages, zero bytes, zero virtual
      time. The destination must still be reachable (the engine is about to
      run the coordinator join there). *)
@@ -323,8 +325,8 @@ let transfer ~cache ~reduce ~src ~dst ~query ~dest_table =
       Ok { moved_rows = materialize rel; moved_bytes = 0; reduced; cached = true }
   | None ->
       (* command goes engine -> src; data goes src -> dst directly. The
-         source query is a SELECT and the destination load replaces the
-         table, so the whole transfer is idempotent and retried as a
+         source query is a SELECT and the landing table replaces any of
+         its name, so the whole transfer is idempotent and retried as a
          unit. *)
       with_retry src ~op:"transfer" ~classify:classify_local_aware (fun () ->
           match

@@ -144,17 +144,18 @@ val transfer :
   query:string ->
   dest_table:string ->
   (transfer_stats, failure) result
-(** Run [query] at [src] and materialize the result at [dst] under
-    [dest_table] (replacing it), shipping the data directly between the
-    two sites. Returns what moved and how. Idempotent end to end,
-    retried as a unit under [src]'s policy.
+(** Run [query] at [src] and land the result in [dst]'s session as the
+    table [dest_table] ({!Ldbms.Session.land_table}: only statements on
+    [dst] see it, never the destination's catalog), shipping the data
+    directly between the two sites. Returns what moved and how.
+    Idempotent end to end, retried as a unit under [src]'s policy.
 
     The data ships as one message from [src]'s site to [dst]'s: one
     {!Netsim.World.send} of [Relation.size_bytes] of the result plus
     {!ack_bytes}, with one loss draw.
 
     With [cache = Some _], a lookup hit short-circuits the whole operation: the
-    cached relation is re-materialized at [dst] with zero network traffic
+    cached relation lands at [dst] with zero network traffic
     (the semijoin probe, if any, has already been paid for). A successful
     uncached transfer stores its relation.
 
@@ -173,7 +174,7 @@ val transfer :
     its own clock frame. *)
 
 val disconnect : t -> unit
-(** Close the session ({!Ldbms.Session.close}: an {e active} transaction
-    is rolled back, a {e prepared} one survives at the site, and is the
-    engine's to settle by presumed abort or verdict replay). Charges a
-    goodbye message when the site is reachable. *)
+(** Close the session ({!Ldbms.Session.close}: its landing tables go, an
+    {e active} transaction is rolled back, a {e prepared} one survives at
+    the site, and is the engine's to settle by presumed abort or verdict
+    replay). Charges a goodbye message when the site is reachable. *)

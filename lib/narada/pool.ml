@@ -95,10 +95,14 @@ let checkin t lam =
     (not (World.is_down t.world (Lam.site lam)))
     && Ldbms.Session.txn_state (Lam.session lam) = None
   in
-  if usable then
+  if usable then begin
+    (* the next user starts clean: closing a session with no transaction
+       open only drops its landing tables, and sends nothing *)
+    Ldbms.Session.close (Lam.session lam);
     let prev = Option.value ~default:[] (Hashtbl.find_opt t.conns k) in
     Hashtbl.replace t.conns k
       ({ lam; since_ms = World.now_ms t.world } :: prev)
+  end
   else
     (* an unreachable site or an open transaction disqualifies the
        session from reuse; Lam.disconnect applies the proper farewell

@@ -69,7 +69,9 @@ val checkout :
     fully checked out, fails fast instead (see {!set_cap}). *)
 
 val checkin : t -> Lam.t -> unit
-(** Park the connection for reuse. Refused — with full
+(** Park the connection for reuse, its landing tables dropped
+    ({!Ldbms.Session.close} with no transaction open; no message, like
+    the stamp read at checkout). Refused — with full
     {!Lam.disconnect} semantics instead — when the site is currently
     down or the session still holds a transaction. Either way the
     connection leaves the in-use ledger. *)

@@ -118,6 +118,11 @@ val send : t -> src:string -> dst:string -> bytes:int -> unit
     {!Unknown_site}, {!Site_down} or {!Lost_message}; a lost message
     charges the sender's cost only and counts in [stats.lost]. *)
 
+val in_frame : t -> start_ms:float -> (unit -> 'a) -> 'a * float
+(** Run the thunk in a fresh clock frame starting at [start_ms]; its
+    result and the frame's clock at its end. The caller's clock does not
+    move. {!parallel} runs each branch this way. *)
+
 val parallel : t -> (unit -> 'a) list -> 'a list
 (** Run the thunks as logically concurrent branches: each runs in its own
     clock frame starting at the current virtual time; afterwards the

@@ -300,8 +300,48 @@ DOLEND
       | [ [| Value.Int 2 |] ] -> ()
       | _ -> Alcotest.fail "wrong count")
   | None -> Alcotest.fail "no result");
-  Alcotest.(check bool) "table exists at dst" true
-    (Ldbms.Database.find_table_opt b "shipped" <> None)
+  (* the moved relation landed in bb's connection, not in bravo's
+     catalog, and went with it at CLOSE *)
+  Alcotest.(check (list string)) "dst catalog unchanged" [ "flights" ]
+    (Ldbms.Database.table_names b)
+
+(* a MOVE into a name a local application already uses shadows that
+   table for the receiving connection only: the site's own table keeps
+   its rows *)
+let test_move_keeps_local_table () =
+  let world, dir, _, b = setup () in
+  let local = Ldbms.Session.connect b Caps.ingres_like in
+  List.iter
+    (fun sql ->
+      match Ldbms.Session.exec_sql local sql with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Ldbms.Session.error_to_string e))
+    [ "CREATE TABLE shipped (id INT)"; "INSERT INTO shipped VALUES (7)";
+      "INSERT INTO shipped VALUES (8)"; "INSERT INTO shipped VALUES (9)";
+      "COMMIT" ];
+  let o = run ~world ~dir {|
+DOLBEGIN
+  OPEN aero AT site1 AS aa;
+  OPEN bravo AT site2 AS bb;
+  MOVE M1 FROM aa TO bb TABLE shipped { SELECT flnu, rate FROM flights } ENDMOVE;
+  TASK T1 FOR bb { SELECT COUNT(*) FROM shipped } ENDTASK;
+  DOLSTATUS = 0;
+  CLOSE aa bb;
+DOLEND
+|} in
+  (match Engine.result_of o "T1" with
+  | Some rel ->
+      Alcotest.(check bool) "the receiving connection reads the moved rows"
+        true
+        (Relation.rows rel = [ [| Value.Int 2 |] ])
+  | None -> Alcotest.fail "no result");
+  match Ldbms.Session.exec_sql local "SELECT id FROM shipped" with
+  | Ok (Ldbms.Session.Rows rel) ->
+      Alcotest.(check (list value)) "the local table keeps its rows"
+        [ Value.Int 7; Value.Int 8; Value.Int 9 ]
+        (List.map (fun r -> r.(0)) (Relation.rows rel))
+  | Ok _ -> Alcotest.fail "expected rows"
+  | Error e -> Alcotest.fail (Ldbms.Session.error_to_string e)
 
 let test_parallel_faster_than_sequential () =
   let world, dir, _, _ = setup () in
@@ -514,6 +554,8 @@ let () =
           Alcotest.test_case "select results" `Quick test_select_task_collects_results;
           Alcotest.test_case "compensation" `Quick test_compensation;
           Alcotest.test_case "move" `Quick test_move;
+          Alcotest.test_case "move keeps a local table" `Quick
+            test_move_keeps_local_table;
           Alcotest.test_case "parallel faster" `Quick test_parallel_faster_than_sequential;
           Alcotest.test_case "program errors" `Quick test_program_errors;
           Alcotest.test_case "unknown service" `Quick test_unknown_service_is_unavailable;

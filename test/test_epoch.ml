@@ -167,6 +167,35 @@ let test_local_alter_drops_shipped_results () =
   Alcotest.(check bool) "stale entry dropped and reshipped" true
     (cs.M.result_misses > misses_before)
 
+(* airline2 is the source of the (airline1, airline2) join's shipped
+   entry and the destination of the (airline2, airline3) join's MOVE
+   (names tie-break the coordinator over equal tables). A MOVE lands in
+   the receiving connection and its t_clean drops it there, so neither
+   moves airline2's change stamp: the entry is served again *)
+let test_destination_keeps_its_shipped_entry () =
+  let fx = Msql.Fixtures.airline_fleet ~flights_per_db:20 ~n:3 () in
+  let session = fx.Msql.Fixtures.session in
+  M.set_result_cache session true;
+  let join a b =
+    Printf.sprintf
+      "USE airline%d airline%d SELECT x.flnu, y.flnu FROM airline%d.flights \
+       x, airline%d.flights y WHERE x.source = y.source"
+      a b a b
+  in
+  let airline2 = Msql.Fixtures.database fx "airline2" in
+  let first = rows session (join 1 2) in
+  let stamp = Ldbms.Database.change_stamp airline2 in
+  ignore (rows session (join 2 3));
+  Alcotest.(check int) "a MOVE into airline2 leaves its stamp" stamp
+    (Ldbms.Database.change_stamp airline2);
+  let cs = M.cache_stats session in
+  let again = rows session (join 1 2) in
+  let cs' = M.cache_stats session in
+  Alcotest.(check int) "the shipped entry is served" (cs.M.result_hits + 1)
+    cs'.M.result_hits;
+  Alcotest.(check int) "no miss" cs.M.result_misses cs'.M.result_misses;
+  Alcotest.(check bool) "same answer" true (List.equal Row.equal first again)
+
 (* the same SELECT text before and after DROP TABLE / CREATE TABLE with
    the columns reordered: each run must resolve its columns against the
    table as it is now *)
@@ -220,6 +249,8 @@ let () =
         [
           Alcotest.test_case "autonomous write is not served stale" `Quick
             test_autonomous_write_not_served_stale;
+          Alcotest.test_case "destination that is also a cached source" `Quick
+            test_destination_keeps_its_shipped_entry;
         ] );
       ( "local DDL",
         [

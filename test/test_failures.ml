@@ -539,6 +539,82 @@ let test_pooled_session_survives_outage () =
   Alcotest.(check bool) "stale connection discarded" true
     ((M.cache_stats session).M.pool_discarded > 0)
 
+(* ---- MOVE landing tables under a failed MOVE group ---------------------- *)
+
+module F = Msql.Fixtures
+
+(* airline1 coordinates; airline2's MOVE lands, airline3's cannot: its
+   site is down, so the group fails and t_clean never runs *)
+let failed_move_group fx =
+  Netsim.World.set_down fx.F.world "asite3" true;
+  M.exec fx.F.session
+    "USE airline1 airline2 airline3 SELECT a.flnu, b.flnu, c.flnu FROM \
+     airline1.flights a, airline2.flights b, airline3.flights c WHERE \
+     a.source = b.source AND b.source = c.source"
+
+(* the landing table belonged to the coordinator's connection, so it
+   went with it: nothing enters airline1's catalog, and a re-IMPORT
+   finds nothing to publish as airline1's data *)
+let test_failed_move_group_leaves_no_table () =
+  let fx = F.airline_fleet ~flights_per_db:20 ~n:3 () in
+  (match failed_move_group fx with
+  | Error m ->
+      Alcotest.(check string) "abort names the unmoved source"
+        "multiple query aborted: vital subquery failed on airline3" m
+  | Ok r -> Alcotest.fail ("expected an abort, got " ^ M.result_to_string r));
+  Alcotest.(check (list string)) "airline1's catalog is its own" [ "flights" ]
+    (Ldbms.Database.table_names (F.database fx "airline1"));
+  (match M.exec fx.F.session "IMPORT DATABASE airline1 FROM SERVICE airline1" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  match M.exec fx.F.session "USE airline1 SELECT * FROM msql_tmp_1" with
+  | Ok r -> Alcotest.fail ("leftover served: " ^ M.result_to_string r)
+  | Error _ -> ()
+
+(* with a pool, CLOSE parks the coordinator's connection: parking drops
+   its landing tables, so the next user of that connection cannot read
+   the leftover *)
+let test_parked_connection_drops_landing () =
+  let fx = F.airline_fleet ~flights_per_db:20 ~n:3 () in
+  let pool = Pool.create fx.F.world in
+  M.set_shared_pool fx.F.session pool;
+  ignore (failed_move_group fx);
+  let pooled = ref false in
+  let on_trace ev =
+    match ev.Narada.Trace.kind with
+    | Narada.Trace.Opened { pooled = p; _ } -> pooled := p
+    | _ -> ()
+  in
+  let o =
+    match
+      Engine.run_text ~on_trace ~pool ~directory:fx.F.directory
+        ~world:fx.F.world
+        {|
+DOLBEGIN
+  OPEN airline1 AT asite1 AS a1;
+  TASK T1 FOR a1 { SELECT * FROM msql_tmp_1 } ENDTASK;
+  DOLSTATUS = 0;
+  CLOSE a1;
+DOLEND
+|}
+    with
+    | Ok o -> o
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check bool) "the parked connection was reused" true !pooled;
+  Alcotest.check status "the leftover is not there" D.A
+    (Engine.status_of o "T1");
+  let svc = Option.get (Narada.Directory.find_opt fx.F.directory "airline1") in
+  match Pool.checkout pool svc with
+  | Error f -> Alcotest.fail (Lam.failure_message f)
+  | Ok (lam, reused) -> (
+      Alcotest.(check bool) "same parked connection" true reused;
+      match Lam.fetch lam "SELECT * FROM msql_tmp_1" with
+      | Ok _ -> Alcotest.fail "leftover served on a parked connection"
+      | Error f ->
+          Alcotest.(check bool) "no such table" true
+            (contains (Lam.failure_message f) "no such table"))
+
 let () =
   Alcotest.run "failures"
     [
@@ -587,5 +663,12 @@ let () =
           Alcotest.test_case "refuses open txn" `Quick test_pool_refuses_open_txn;
           Alcotest.test_case "pooled session survives outage" `Quick
             test_pooled_session_survives_outage;
+        ] );
+      ( "MOVE landing",
+        [
+          Alcotest.test_case "failed MOVE group leaves no table" `Quick
+            test_failed_move_group_leaves_no_table;
+          Alcotest.test_case "parked connection drops landing tables" `Quick
+            test_parked_connection_drops_landing;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* The concurrent multi-session server: wire protocol round trips and
    line framing, admission control and queue shedding, round-robin
-   fairness, the server-vs-Interleave differential, the MOVE temp-name
-   partitioning, shared parse/plan/result caches across sessions,
-   and capped-pool conflict requeues. *)
+   fairness, the server-vs-Interleave differential, one interleaved
+   group per round on per-member clocks, shared parse/plan/result caches
+   across sessions, and capped-pool conflict requeues. *)
 
 module F = Msql.Fixtures
 module M = Msql.Msession
@@ -285,7 +285,11 @@ let test_server_matches_interleave () =
    not per session: sessions whose global joins ship into the same
    coordinator must never interleave in one group, or one session's temp
    table clobbers the other's *)
-let test_move_temp_names_partitioned () =
+(* Three joins all coordinated at airline1, so every MOVE ships into
+   one site under the same temp name (msql_tmp_1). Each lands in its
+   own run's connection, so the three interleave in one round and still
+   answer as the serial run does. *)
+let test_joins_into_one_site_share_a_round () =
   let n = 4 in
   let cities = [| "Houston"; "Dallas"; "Austin"; "Denver" |] in
   (* airline1 is named first, so it coordinates every join *)
@@ -308,17 +312,70 @@ let test_move_temp_names_partitioned () =
   in
   let fx = F.airline_fleet ~flights_per_db:20 ~n () in
   let srv = S.of_fixtures ~config:(config ()) fx in
+  let events = ref [] in
+  S.set_trace srv (Some (fun ev -> events := ev :: !events));
   let sids = List.map (fun _ -> connect_exn srv) stmts in
   List.iter2 (fun sid q -> ignore (submit_exn srv sid q)) sids stmts;
   let comps = S.step_round srv in
   Alcotest.(check int) "every statement completed in one round"
     (List.length stmts) (List.length comps);
+  (* interleaved: every member has opened its sites before any member's
+     run ends, which a member-after-member schedule never does *)
+  let opened, ended =
+    List.fold_left
+      (fun (opened, ended) ev ->
+        match ev.Trace.kind with
+        | Trace.Opened _ when ended = 0 && not (List.mem ev.Trace.tag opened)
+          ->
+            (ev.Trace.tag :: opened, ended)
+        | Trace.Run_ended _ -> (opened, ended + 1)
+        | _ -> (opened, ended))
+      ([], 0) (List.rev !events)
+  in
+  Alcotest.(check int) "the members' steps interleave" (List.length stmts)
+    (List.length opened);
+  Alcotest.(check int) "every run ended" (List.length stmts) ended;
   Alcotest.(check (list string)) "same answers as the serial run" serial
     (List.map
        (fun sid ->
          let c = List.find (fun c -> c.S.c_sid = sid) comps in
          M.result_to_string (ok_result c.S.c_result))
        sids)
+
+(* Reads at k different airlines in one round: each member steps on its
+   own clock, so the round moves the world clock by the slowest member's
+   elapsed time, not by the sum of them. *)
+let test_round_costs_its_slowest_member () =
+  let k = 3 in
+  let fx = F.airline_fleet ~flights_per_db:20 ~n:k () in
+  let srv = S.of_fixtures ~config:(config ()) fx in
+  let sids = List.init k (fun _ -> connect_exn srv) in
+  List.iteri
+    (fun j sid ->
+      (* wider projections ship more bytes: the members differ in time *)
+      let cols = List.filteri (fun c _ -> c <= j) [ "flnu"; "source"; "rate" ] in
+      ignore
+        (submit_exn srv sid
+           (Printf.sprintf "USE airline%d SELECT %s FROM flights" (j + 1)
+              (String.concat ", " cols))))
+    sids;
+  let t0 = Netsim.World.now_ms fx.F.world in
+  let comps = S.step_round srv in
+  List.iter (fun c -> ignore (ok_result c.S.c_result)) comps;
+  let elapsed =
+    List.map
+      (fun sid ->
+        (Option.get (M.last_engine_outcome (Option.get (S.session srv sid))))
+          .Narada.Engine.elapsed_ms)
+      sids
+  in
+  let slowest = List.fold_left max 0.0 elapsed in
+  Alcotest.(check bool) "the members' times differ" true
+    (List.exists (fun e -> e < slowest) elapsed);
+  Alcotest.(check (float 1e-9)) "the round costs its slowest member" slowest
+    (Netsim.World.now_ms fx.F.world -. t0);
+  Alcotest.(check bool) "less than the sum" true
+    (slowest < List.fold_left ( +. ) 0.0 elapsed)
 
 (* ---- cross-session cache sharing -------------------------------------- *)
 
@@ -689,8 +746,10 @@ let () =
             test_round_robin_fairness;
           Alcotest.test_case "server matches Interleave" `Quick
             test_server_matches_interleave;
-          Alcotest.test_case "MOVE temp names never share a group" `Quick
-            test_move_temp_names_partitioned;
+          Alcotest.test_case "joins into one site share a round" `Quick
+            test_joins_into_one_site_share_a_round;
+          Alcotest.test_case "a round advances the clock by its slowest member"
+            `Quick test_round_costs_its_slowest_member;
           Alcotest.test_case "every statement kind matches a session" `Quick
             test_statement_parity;
         ] );
